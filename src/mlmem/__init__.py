@@ -7,6 +7,7 @@ from .engine import (
     Responder,
     StepOutput,
     TemplateResponder,
+    answer,
     initial_state,
     policy_config,
     run,

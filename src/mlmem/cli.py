@@ -1,8 +1,9 @@
 """Command line front end.
 
-Subcommands: ingest (JSONL sessions -> snapshot), query (snapshot -> gated
-retrieval + response), eval / ablate (synthetic scenarios -> metric reports),
-sweep (grid tuner -> CSV), plotdata (report -> period,retention CSV).
+Subcommands: ingest (JSONL sessions -> snapshot), query (snapshot ->
+engine.answer + response; --top-j / --budget override the snapshot's config),
+eval / ablate (synthetic scenarios -> metric reports), sweep (grid tuner ->
+CSV), plotdata (report -> period,retention CSV).
 
 Exit codes: 0 success, 2 validation error, 3 runtime error. All randomness
 derives from --scenario-seed and the config seed.
@@ -13,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
-from .engine import EngineConfig, TemplateResponder, initial_state, run
+from .engine import EngineConfig, TemplateResponder, answer, initial_state, run
 from .harness import (
     ablate,
     evaluate,
@@ -24,7 +26,7 @@ from .harness import (
     report_to_dict,
 )
 from .retention import grid_csv, tune
-from .retrieval import GatingWeights, fuse, make_query, retrieve
+from .retrieval import make_query
 from .snapshot import (
     config_from_dict,
     dumps_state,
@@ -58,12 +60,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     with open(args.snapshot, "r", encoding="utf-8") as handle:
         state, cfg = loads_state(handle.read())
-    top_j = args.top_j if args.top_j is not None else cfg.top_j
-    budget = args.budget if args.budget is not None else cfg.token_budget
+    cfg = replace(
+        cfg,
+        top_j=cfg.top_j if args.top_j is None else args.top_j,
+        token_budget=cfg.token_budget if args.budget is None else args.budget,
+    )
     query = make_query(args.text, cfg.embedder, max(state.session_cursor, 0))
-    weights = GatingWeights.uniform(cfg.beta) if cfg.uniform_gating else None
-    retrieval = retrieve(query, state, cfg.beta, top_j, budget, weights=weights)
-    fused = fuse(query, retrieval, cfg.mix, cfg.epsilon)
+    retrieval, fused = answer(query, state, cfg)
     response = TemplateResponder().generate(fused, query)
     result = {
         "weights": {

@@ -1,10 +1,12 @@
-"""Per-session orchestration: consolidate all layers, gate, retrieve, fuse, respond.
+"""Per-session orchestration: consolidate all layers, answer the query, respond.
 
-One step folds a session into the three layers, gates retrieval toward the
-query, fuses under the entropy bound, generates a response through a pluggable
-responder, and records the semantic drift against the pre-step graph. A run
-folds steps from the zero state; replaying the same sessions reproduces
-bit-identical outputs.
+``answer`` is the one gate -> retrieve -> fuse path: it reads the retrieval
+knobs of an ``EngineConfig`` (uniform gating, top-j, token budget, mix,
+epsilon), and the step, the harness probes and ``mlmem query`` all go through
+it. One step folds a session into the three layers, answers the query against
+the new state, generates a response through a pluggable responder, and records
+the semantic drift against the pre-step graph. A run folds steps from the zero
+state; replaying the same sessions reproduces bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .retrieval import (
     Query,
     RetrievalResult,
     fuse,
-    gate,
     make_query,
     retrieve,
 )
@@ -90,6 +91,13 @@ class EngineConfig:
             raise ValueError(f"enabled_layers must be a non-empty subset of (w, e, s), got {self.enabled_layers}")
 
 
+def answer(query: Query, state: MemoryState, cfg: EngineConfig) -> tuple[RetrievalResult, FusedState]:
+    """Gate, retrieve and fuse one query against a state under cfg's retrieval knobs."""
+    weights = GatingWeights.uniform(cfg.beta) if cfg.uniform_gating else None
+    retrieval = retrieve(query, state, cfg.beta, cfg.top_j, cfg.token_budget, weights=weights)
+    return retrieval, fuse(query, retrieval, cfg.mix, cfg.epsilon)
+
+
 @dataclass(frozen=True)
 class StepOutput:
     state: MemoryState
@@ -131,7 +139,7 @@ def step(
     *,
     history_tokens: int = 0,
 ) -> StepOutput:
-    """One consolidate-gate-retrieve-fuse-respond step; the input state is untouched.
+    """One consolidate-answer-respond step; the input state is untouched.
 
     ``history_tokens`` is the raw token total of previously ingested sessions;
     run() threads it so context_usage is measured against the full history.
@@ -157,9 +165,7 @@ def step(
 
     new_state = MemoryState(working, episodic, semantic, session.index)
 
-    weights = GatingWeights.uniform(cfg.beta) if cfg.uniform_gating else gate(query, new_state, cfg.beta)
-    retrieval = retrieve(query, new_state, cfg.beta, cfg.top_j, cfg.token_budget, weights=weights)
-    fused = fuse(query, retrieval, cfg.mix, cfg.epsilon)
+    retrieval, fused = answer(query, new_state, cfg)
     response = responder.generate(fused, query)
     step_drift = drift(state.semantic, new_state.semantic)
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from .embedding import Embedding, cosine, embed
-from .engine import EngineConfig, policy_config, run
+from .engine import EngineConfig, StepOutput, answer, policy_config, run
 from .memory import FactTriple, MemoryState, Session, Utterance
-from .retrieval import FusedState, GatingWeights, fuse, make_query, retrieve
+from .retrieval import FusedState, make_query
 from .snapshot import config_from_dict, config_to_dict
 
 PERSONA_NAMES = (
@@ -233,14 +233,6 @@ def generate_scenario(
     return Scenario(tuple(personas), periods, tuple(sessions), tuple(probes), seed)
 
 
-def probe_state(probe: Probe, state: MemoryState, cfg: EngineConfig) -> FusedState:
-    """Run the probe's own retrieval + fusion against a post-step state."""
-    query = make_query(probe.question, cfg.embedder, probe.period)
-    weights = GatingWeights.uniform(cfg.beta) if cfg.uniform_gating else None
-    retrieval = retrieve(query, state, cfg.beta, cfg.top_j, cfg.token_budget, weights=weights)
-    return fuse(query, retrieval, cfg.mix, cfg.epsilon)
-
-
 def probe_hit(probe: Probe, state: MemoryState, fused: FusedState) -> bool:
     """Containment scoring: gold value in the context text or the graph value."""
     if probe.gold_value in fused.context_text:
@@ -249,31 +241,44 @@ def probe_hit(probe: Probe, state: MemoryState, fused: FusedState) -> bool:
     return current is not None and probe.gold_value in current
 
 
-def evaluate(scenario: Scenario, cfg: EngineConfig, policy: str = "mlmf") -> EvalReport:
-    """Run the engine (or a reduced baseline) over the scenario and score every probe."""
+def _answer_probes(
+    scenario: Scenario, cfg: EngineConfig, policy: str, kinds: tuple[str, ...]
+) -> tuple[EngineConfig, list[StepOutput], list[tuple[Probe, MemoryState, FusedState]]]:
+    """Run the policy over the scenario, then answer each probe of ``kinds`` once.
+
+    A probe is answered against the state right after its period's session,
+    in period order and scenario order within a period.
+    """
     run_cfg = policy_config(cfg, policy)
     outputs = run(scenario.sessions, None, run_cfg)
+    answered = []
+    for probe in sorted(scenario.probes, key=lambda p: p.period):
+        if probe.kind in kinds and 0 <= probe.period < len(outputs):
+            state = outputs[probe.period].state
+            _, fused = answer(make_query(probe.question, run_cfg.embedder, probe.period), state, run_cfg)
+            answered.append((probe, state, fused))
+    return run_cfg, outputs, answered
 
-    by_period: dict[int, list[Probe]] = defaultdict(list)
-    for probe in scenario.probes:
-        by_period[probe.period].append(probe)
+
+def evaluate(scenario: Scenario, cfg: EngineConfig, policy: str = "mlmf") -> EvalReport:
+    """Run the engine (or a reduced baseline) over the scenario and score every probe."""
+    run_cfg, outputs, answered = _answer_probes(scenario, cfg, policy, ("true_fact", "false_fact"))
 
     retained: dict[int, int] = defaultdict(int)
     asked: dict[int, int] = defaultdict(int)
     false_hits = 0
     false_total = 0
-    for t, output in enumerate(outputs):
-        for probe in by_period.get(t, ()):
-            hit = probe_hit(probe, output.state, probe_state(probe, output.state, run_cfg))
-            if probe.kind == "true_fact":
-                gap = probe.period - probe.introduced_at
-                asked[gap] += 1
-                if hit:
-                    retained[gap] += 1
-            else:
-                false_total += 1
-                if hit:
-                    false_hits += 1
+    for probe, state, fused in answered:
+        hit = probe_hit(probe, state, fused)
+        if probe.kind == "true_fact":
+            gap = probe.period - probe.introduced_at
+            asked[gap] += 1
+            if hit:
+                retained[gap] += 1
+        else:
+            false_total += 1
+            if hit:
+                false_hits += 1
 
     retention_at = {gap: retained[gap] / asked[gap] for gap in sorted(asked)}
     true_total = sum(asked.values())
@@ -309,21 +314,12 @@ def run_losses(scenario: Scenario, cfg: EngineConfig, policy: str = "mlmf") -> t
     gen_loss is the mean over true probes of 1 - cosine(fused vector, embedded
     gold value); ret_loss is the cumulative semantic drift of the run.
     """
-    run_cfg = policy_config(cfg, policy)
-    outputs = run(scenario.sessions, None, run_cfg)
+    run_cfg, outputs, answered = _answer_probes(scenario, cfg, policy, ("true_fact",))
     ret_loss = float(sum(o.drift.total for o in outputs))
-
-    by_period: dict[int, list[Probe]] = defaultdict(list)
-    for probe in scenario.probes:
-        if probe.kind == "true_fact":
-            by_period[probe.period].append(probe)
-    losses = []
-    for t, output in enumerate(outputs):
-        for probe in by_period.get(t, ()):
-            fused = probe_state(probe, output.state, run_cfg)
-            gold = embed(probe.gold_value, run_cfg.embedder)
-            fused_embedding = Embedding(fused.vector, run_cfg.embedder.dim)
-            losses.append(1.0 - cosine(fused_embedding, gold))
+    losses = [
+        1.0 - cosine(Embedding(fused.vector, run_cfg.embedder.dim), embed(probe.gold_value, run_cfg.embedder))
+        for probe, _, fused in answered
+    ]
     gen_loss = sum(losses) / len(losses) if losses else 0.0
     return gen_loss, ret_loss
 

@@ -147,15 +147,9 @@ class EntityNode:
     importance: float
     last_updated: int
 
-    def text(self) -> str:
-        """Canonical rendering, attributes sorted by name; also the embedding source."""
-        parts = [self.entity_id]
-        for name in sorted(self.attributes):
-            parts.append(f"{name} {self.attributes[name].value}")
-        return " ".join(parts)
 
-
-def _node_text(entity_id: str, attributes: dict[str, AttributeValue]) -> str:
+def node_text(entity_id: str, attributes: dict[str, AttributeValue]) -> str:
+    """Canonical node rendering, attributes sorted by name; also the embedding source."""
     parts = [entity_id]
     for name in sorted(attributes):
         parts.append(f"{name} {attributes[name].value}")
@@ -319,7 +313,7 @@ def merge_semantic(
 
         target_id = subject if subject in nodes else None
         if target_id is None and nodes:
-            candidate_text = _node_text(subject, {predicate: AttributeValue(value, session_index)})
+            candidate_text = node_text(subject, {predicate: AttributeValue(value, session_index)})
             candidate = embed(candidate_text, embedder)
             scores = {node_id: cosine(candidate, node.embedding) for node_id, node in nodes.items()}
             best_score = max(scores.values())
@@ -352,7 +346,7 @@ def merge_semantic(
         nodes[target_id] = EntityNode(
             target_id,
             attributes,
-            embed(_node_text(target_id, attributes), embedder),
+            embed(node_text(target_id, attributes), embedder),
             node.importance + 1.0,
             max(node.last_updated, session_index),
         )

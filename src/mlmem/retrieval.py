@@ -1,10 +1,12 @@
 """Layer relevances, softmax gating, budgeted retrieval, and bounded fusion.
 
-Gating turns the three layer similarities into a temperature-controlled
-probability simplex. Retrieval blends the layer representation vectors with
-those weights and admits per-layer top items greedily under a token budget.
-Fusion mixes the query with the retrieval vector and sharpens it until the
-entropy of its magnitude distribution falls under the configured bound.
+Retrieval builds the three layer representation vectors once, gates them (the
+query's cosine to each, softmaxed at temperature beta into a probability
+simplex), blends them with those weights, and admits per-layer top items
+greedily under a token budget. Fusion mixes the query with the retrieval
+vector and sharpens it until the entropy of its magnitude distribution falls
+under the configured bound. Inside the package, ``engine.answer`` is the only
+code that chains them under an ``EngineConfig``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import Embedding, EmbedderConfig, cosine, embed
-from .memory import MemoryState
+from .memory import MemoryState, node_text
 
 LAYERS = ("w", "e", "s")
 
@@ -143,9 +145,9 @@ def softmax_weights(relevances: tuple[float, float, float], beta: float) -> tupl
     return tuple(e / total for e in exps)
 
 
-def gate(query: Query, state: MemoryState, beta: float) -> GatingWeights:
-    """Softmax over the query's cosine to each layer representation."""
-    relevances = tuple(cosine(query.embedding, layer_representation(state, layer)) for layer in LAYERS)
+def gate(query: Query, representations: tuple[Embedding, ...], beta: float) -> GatingWeights:
+    """Softmax over the query's cosine to each layer representation, in LAYERS order."""
+    relevances = tuple(cosine(query.embedding, rep) for rep in representations)
     gamma_w, gamma_e, gamma_s = softmax_weights(relevances, beta)
     return GatingWeights(gamma_w, gamma_e, gamma_s, beta)
 
@@ -181,7 +183,7 @@ def _layer_candidates(
             )
     else:
         for node in state.semantic.nodes.values():
-            text = node.text()
+            text = node_text(node.entity_id, node.attributes)
             raw.append(
                 (
                     cosine(node.embedding, query.embedding),
@@ -209,19 +211,20 @@ def retrieve(
     Items are scored layer-cosine times the layer's gate weight and admitted in
     descending score, skipping any item that would overflow the budget
     (ties: lower session_index, then lower turn_index). Passing ``weights``
-    overrides the softmax gate (used for forced-uniform gating).
+    overrides the softmax gate (used for forced-uniform gating). Each layer
+    representation is built once and serves both the gate and the blend.
     """
     if top_j < 1:
         raise ValueError("top_j must be >= 1")
     if token_budget < 1:
         raise ValueError("token_budget must be >= 1")
+    representations = tuple(layer_representation(state, layer) for layer in LAYERS)
     if weights is None:
-        weights = gate(query, state, beta)
+        weights = gate(query, representations, beta)
 
-    dim = state.episodic.state.dim
-    vector = np.zeros(dim)
-    for layer in LAYERS:
-        vector += weights.for_layer(layer) * layer_representation(state, layer).values
+    vector = np.zeros(state.episodic.state.dim)
+    for layer, rep in zip(LAYERS, representations):
+        vector += weights.for_layer(layer) * rep.values
 
     candidates: list[RetrievedItem] = []
     for layer in LAYERS:

@@ -24,11 +24,12 @@ with optional fact annotations ``{"s": str, "p": str, "o": str, "c": float}``.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from typing import Any, Iterable
 
 import numpy as np
 
-from .embedding import Embedding, EmbedderConfig
+from .embedding import Embedding
 from .engine import EngineConfig
 from .memory import (
     AttributeValue,
@@ -52,70 +53,45 @@ def _vector_from_list(values: list[float], dim: int) -> Embedding:
     return Embedding(np.asarray(values, dtype=np.float64), dim)
 
 
-def embedder_config_to_dict(cfg: EmbedderConfig) -> dict[str, Any]:
-    return {
-        "dim": cfg.dim,
-        "mode": cfg.mode,
-        "remote_endpoint": cfg.remote_endpoint,
-        "seed": cfg.seed,
-    }
+# Field names whose JSON key differs: ``lambda`` is a Python keyword.
+_WIRE_KEYS = {"lambda_": "lambda"}
 
 
-def embedder_config_from_dict(data: dict[str, Any]) -> EmbedderConfig:
-    return EmbedderConfig(
-        dim=data.get("dim", 256),
-        mode=data.get("mode", "deterministic"),
-        remote_endpoint=data.get("remote_endpoint"),
-        seed=data.get("seed", 0),
-    )
+def config_to_dict(cfg: Any) -> dict[str, Any]:
+    """Every config field under its wire key; nested configs recurse, tuples become lists."""
+    out: dict[str, Any] = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            value = config_to_dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[_WIRE_KEYS.get(f.name, f.name)] = value
+    return out
 
 
-def config_to_dict(cfg: EngineConfig) -> dict[str, Any]:
-    return {
-        "k": cfg.k,
-        "C_w": cfg.C_w,
-        "C_e": cfg.C_e,
-        "C_s": cfg.C_s,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "lambda": cfg.lambda_,
-        "tau_s": cfg.tau_s,
-        "epsilon": cfg.epsilon,
-        "mix": cfg.mix,
-        "top_j": cfg.top_j,
-        "token_budget": cfg.token_budget,
-        "summary_m": cfg.summary_m,
-        "embedder": embedder_config_to_dict(cfg.embedder),
-        "seed": cfg.seed,
-        "enabled_layers": list(cfg.enabled_layers),
-        "uniform_gating": cfg.uniform_gating,
-    }
+def _from_dict(cls: type, data: dict[str, Any]) -> Any:
+    """Inverse of config_to_dict: missing keys keep the field default, unknown keys raise ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
+    names = {_WIRE_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+    unknown = sorted(set(data) - set(names))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    defaults = cls()
+    kwargs: dict[str, Any] = {}
+    for key, value in data.items():
+        default = getattr(defaults, names[key])
+        if is_dataclass(default):
+            value = _from_dict(type(default), value)
+        elif isinstance(default, tuple):
+            value = tuple(value)
+        kwargs[names[key]] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict[str, Any]) -> EngineConfig:
-    defaults = EngineConfig()
-    embedder = (
-        embedder_config_from_dict(data["embedder"]) if "embedder" in data else defaults.embedder
-    )
-    return EngineConfig(
-        k=data.get("k", defaults.k),
-        C_w=data.get("C_w", defaults.C_w),
-        C_e=data.get("C_e", defaults.C_e),
-        C_s=data.get("C_s", defaults.C_s),
-        alpha=data.get("alpha", defaults.alpha),
-        beta=data.get("beta", defaults.beta),
-        lambda_=data.get("lambda", defaults.lambda_),
-        tau_s=data.get("tau_s", defaults.tau_s),
-        epsilon=data.get("epsilon", defaults.epsilon),
-        mix=data.get("mix", defaults.mix),
-        top_j=data.get("top_j", defaults.top_j),
-        token_budget=data.get("token_budget", defaults.token_budget),
-        summary_m=data.get("summary_m", defaults.summary_m),
-        embedder=embedder,
-        seed=data.get("seed", defaults.seed),
-        enabled_layers=tuple(data.get("enabled_layers", defaults.enabled_layers)),
-        uniform_gating=data.get("uniform_gating", defaults.uniform_gating),
-    )
+    return _from_dict(EngineConfig, data)
 
 
 def _fact_to_dict(fact: FactTriple) -> dict[str, Any]:

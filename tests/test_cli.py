@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from mlmem.cli import main
+from mlmem.engine import answer
 from mlmem.harness import generate_scenario
+from mlmem.retrieval import make_query
 from mlmem.snapshot import loads_state, write_sessions_jsonl
 
 
@@ -46,6 +48,27 @@ def test_query_respects_budget_and_top_j(tmp_path, sessions_file, capsys):
     assert main(["query", "--snapshot", str(snapshot), "--text", "alice", "--top-j", "1", "--budget", "4"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["token_cost"] <= 4
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_query_prints_engine_answer(tmp_path, sessions_file, capsys, uniform):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"uniform_gating": uniform}))
+    snapshot = tmp_path / "state.json"
+    main(["ingest", "--input", str(sessions_file), "--snapshot", str(snapshot), "--config", str(config)])
+    capsys.readouterr()
+    assert main(["query", "--snapshot", str(snapshot), "--text", "alice lives_in"]) == 0
+    out = json.loads(capsys.readouterr().out)
+
+    state, cfg = loads_state(snapshot.read_text())
+    retrieval, fused = answer(make_query("alice lives_in", cfg.embedder, state.session_cursor), state, cfg)
+    weights = retrieval.weights
+    assert out["weights"] == {
+        "gamma_w": weights.gamma_w, "gamma_e": weights.gamma_e, "gamma_s": weights.gamma_s, "beta": weights.beta,
+    }
+    assert out["context_text"] == fused.context_text
+    assert out["token_cost"] == retrieval.token_cost
+    assert out["entropy"] == fused.entropy
 
 
 def test_ingest_with_config_file(tmp_path, sessions_file, capsys):
@@ -132,6 +155,19 @@ def test_bad_config_is_validation_error(tmp_path, sessions_file):
     config.write_text(json.dumps({"alpha": 7.0}))
     code = main(["ingest", "--input", str(sessions_file), "--snapshot", str(tmp_path / "s.json"), "--config", str(config)])
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", [{"tau": 0.1}, {"embedder": {"dimm": 32}}, [1], {"embedder": None}])
+def test_malformed_config_is_validation_error(tmp_path, capsys, bad):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(bad))
+    code = main([
+        "eval", "--scenario-seed", "1", "--personas", "2", "--periods", "2",
+        "--config", str(config), "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_bad_arguments_are_validation_errors(tmp_path):

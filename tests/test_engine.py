@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mlmem import retrieval
 from mlmem.embedding import EmbedderConfig, cosine, embed
 from mlmem.engine import (
     EngineConfig,
     TemplateResponder,
+    answer,
     initial_state,
     policy_config,
     run,
@@ -188,8 +192,6 @@ def test_policy_config_rejects_unknown_policy():
 
 
 def test_uniform_gating_flag_forces_uniform_weights():
-    from dataclasses import replace
-
     cfg = replace(CFG, uniform_gating=True)
     sessions = [_session(0, ["alice likes jazz"])]
     outputs = run(sessions, None, cfg)
@@ -219,3 +221,51 @@ def test_template_responder_mentions_context_and_query():
     assert outputs[0].response.startswith("Based on memory: ")
     assert "alice likes jazz" in outputs[0].response
     assert outputs[0].response.endswith("answer to: alice likes jazz")
+
+
+def _assert_same_answer(got, expected):
+    (got_retrieval, got_fused), (want_retrieval, want_fused) = got, expected
+    assert np.array_equal(got_retrieval.vector, want_retrieval.vector)
+    assert got_retrieval.weights == want_retrieval.weights
+    assert got_retrieval.working_items == want_retrieval.working_items
+    assert got_retrieval.episodic_items == want_retrieval.episodic_items
+    assert got_retrieval.semantic_items == want_retrieval.semantic_items
+    assert got_retrieval.token_cost == want_retrieval.token_cost
+    assert np.array_equal(got_fused.vector, want_fused.vector)
+    assert got_fused.entropy == want_fused.entropy
+    assert got_fused.context_text == want_fused.context_text
+    assert got_fused.context_tokens == want_fused.context_tokens
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_step_answers_through_answer(uniform):
+    cfg = replace(CFG, uniform_gating=uniform)
+    sessions = [
+        _session(0, ["alice likes jazz", "bob plays chess"], {0: (FactTriple("alice", "likes", "jazz", 1.0),)}),
+        _session(1, ["carol lives_in oslo", "alice likes jazz"], {0: (FactTriple("carol", "lives_in", "oslo", 1.0),)}),
+    ]
+    head = run(sessions[:1], None, cfg)[-1].state
+    query = make_query("alice jazz", cfg.embedder, 1)
+    output = step(head, sessions[1], query, cfg, TemplateResponder())
+    _assert_same_answer((output.retrieval, output.fused), answer(query, output.state, cfg))
+    assert (output.retrieval.weights.as_tuple() == (1 / 3, 1 / 3, 1 / 3)) is uniform
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_answer_and_step_build_each_layer_representation_once(monkeypatch, uniform):
+    cfg = replace(CFG, uniform_gating=uniform)
+    built: list[str] = []
+    original = retrieval.layer_representation
+
+    def counted(state, layer):
+        built.append(layer)
+        return original(state, layer)
+
+    monkeypatch.setattr(retrieval, "layer_representation", counted)
+    session = _session(0, ["alice likes jazz", "bob plays chess"])
+    query = make_query("alice", cfg.embedder, 0)
+    output = step(initial_state(cfg), session, query, cfg, TemplateResponder())
+    assert built == ["w", "e", "s"]
+    built.clear()
+    answer(query, output.state, cfg)
+    assert built == ["w", "e", "s"]

@@ -191,14 +191,16 @@ def test_semantic_eviction_failures_match_replay_oracle():
     scenario = generate_scenario(3, 2, facts_per_persona=1, distractors_per_session=0, seed=4)
     cfg = replace(CFG, C_s=1, enabled_layers=("s",))
     report_probes = []
-    from mlmem.harness import probe_hit, probe_state
+    from mlmem.engine import answer
+    from mlmem.harness import probe_hit
+    from mlmem.retrieval import make_query
 
     outputs = run(scenario.sessions, None, cfg)
     for probe in scenario.probes:
         if probe.kind != "true_fact":
             continue
         state = outputs[probe.period].state
-        hit = probe_hit(probe, state, probe_state(probe, state, cfg))
+        hit = probe_hit(probe, state, answer(make_query(probe.question, cfg.embedder, probe.period), state, cfg)[1])
         report_probes.append((probe.subject, probe.period, hit))
 
     # independent replay of the (importance, last_updated, id) eviction order

@@ -154,7 +154,7 @@ def test_softmax_rejects_bad_beta():
 
 def test_gate_on_all_zero_layers_is_uniform():
     query = make_query("anything", CFG, 0)
-    weights = gate(query, _state(), 4.0)
+    weights = gate(query, tuple(layer_representation(_state(), l) for l in ("w", "e", "s")), 4.0)
     assert weights.as_tuple() == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
     total = weights.gamma_w + weights.gamma_e + weights.gamma_s
     assert total == pytest.approx(1.0, abs=1e-9)
@@ -170,7 +170,7 @@ def test_gate_matches_cosine_softmax_oracle():
     query = make_query("alice jazz", CFG, 0)
     relevances = tuple(cosine(query.embedding, layer_representation(state, l)) for l in ("w", "e", "s"))
     oracle = softmax_weights(relevances, 4.0)
-    weights = gate(query, state, 4.0)
+    weights = gate(query, tuple(layer_representation(state, l) for l in ("w", "e", "s")), 4.0)
     assert weights.as_tuple() == pytest.approx(oracle, abs=1e-12)
 
 

@@ -82,6 +82,19 @@ def test_config_from_partial_dict_fills_defaults():
     assert cfg.C_w == EngineConfig().C_w
 
 
+def test_config_from_dict_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="tau"):
+        config_from_dict({"tau": 0.1})
+    with pytest.raises(ValueError, match="lambda_"):
+        config_from_dict({"lambda_": 0.1})
+    with pytest.raises(ValueError, match="dimm"):
+        config_from_dict({"embedder": {"dimm": 32}})
+    with pytest.raises(ValueError, match="EmbedderConfig must be a JSON object"):
+        config_from_dict({"embedder": None})
+    cfg = config_from_dict({"seed": 3, "embedder": {"seed": 5}})
+    assert (cfg.seed, cfg.embedder.seed) == (3, 5)
+
+
 def test_session_jsonl_round_trip(tmp_path):
     sessions = [
         Session(
