@@ -6,7 +6,7 @@ eval / ablate (synthetic scenarios -> metric reports), sweep (grid tuner ->
 CSV), plotdata (report -> period,retention CSV).
 
 Exit codes: 0 success, 2 validation error, 3 runtime error. All randomness
-derives from --scenario-seed and the config seed.
+derives from --scenario-seed and embedder.seed.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 ``answer`` is the one gate -> retrieve -> fuse path: it reads the retrieval
 knobs of an ``EngineConfig`` (uniform gating, top-j, token budget, mix,
 epsilon), and the step, the harness probes and ``mlmem query`` all go through
-it. One step folds a session into the three layers, answers the query against
+it. One step folds a session into each enabled layer, answers the query against
 the new state, generates a response through a pluggable responder, and records
 the semantic drift against the pre-step graph. A run folds steps from the zero
 state; replaying the same sessions reproduces bit-identical outputs.
@@ -46,7 +46,9 @@ class EngineRunError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """All knobs in one place, validated once at construction.
+    """All engine knobs in one place, validated once at construction; each changes a run.
+
+    lambda weights the tuner objective only, so it is an axis of ``tune``, not a field.
 
     enabled_layers and uniform_gating exist for the harness's baseline policies
     and ablation variants: a disabled layer is simply never consolidated, and
@@ -59,7 +61,6 @@ class EngineConfig:
     C_s: int = 64
     alpha: float = 0.6
     beta: float = 4.0
-    lambda_: float = 0.5
     tau_s: float = 0.9
     epsilon: float = 2.0
     mix: float = 0.5
@@ -67,7 +68,6 @@ class EngineConfig:
     token_budget: int = 512
     summary_m: int = 3
     embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
-    seed: int = 0
     enabled_layers: tuple[str, ...] = ("w", "e", "s")
     uniform_gating: bool = False
 
@@ -79,8 +79,6 @@ class EngineConfig:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        if self.lambda_ < 0.0:
-            raise ValueError(f"lambda must be non-negative, got {self.lambda_}")
         if not 0.0 <= self.tau_s <= 1.0:
             raise ValueError(f"tau_s must lie in [0, 1], got {self.tau_s}")
         if self.epsilon <= 0.0:
@@ -155,13 +153,11 @@ def step(
 
     if "w" in cfg.enabled_layers:
         working = update_working(state.working, session, cfg.embedder)
-    if "e" in cfg.enabled_layers or "s" in cfg.enabled_layers:
-        summary = summarize(session, cfg.summary_m, cfg.embedder)
-        if "e" in cfg.enabled_layers:
-            episodic = update_episodic(state.episodic, summary)
-        if "s" in cfg.enabled_layers:
-            facts = extract_facts(summary, session)
-            semantic = merge_semantic(state.semantic, facts, session.index, cfg.tau_s, cfg.embedder)
+    if "e" in cfg.enabled_layers:
+        episodic = update_episodic(state.episodic, summarize(session, cfg.summary_m, cfg.embedder))
+    if "s" in cfg.enabled_layers:
+        facts = extract_facts(session)
+        semantic = merge_semantic(state.semantic, facts, session.index, cfg.tau_s, cfg.embedder)
 
     new_state = MemoryState(working, episodic, semantic, session.index)
 

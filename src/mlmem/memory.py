@@ -3,7 +3,8 @@
 Working memory is a bounded tail of the latest session, episodic memory is a
 decayed running blend of session-summary embeddings plus a ring-buffered log,
 and semantic memory is an entity graph with similarity-thresholded merging,
-recency-wins conflict resolution, and (importance, recency) eviction.
+recency-wins conflict resolution, and (importance, recency) eviction. Graph
+facts are mined from raw utterances, not from the episodic summary.
 
 Every update is a pure function of (previous state, session, config), so
 replaying a session sequence reproduces bit-identical states.
@@ -251,14 +252,13 @@ _FACT_PATTERNS = (
 _TRAILING_PUNCT = re.compile(r"[\s.,;:!?]+$")
 
 
-def extract_facts(summary: SummaryRecord, session: Session) -> list[FactTriple]:
+def extract_facts(session: Session) -> list[FactTriple]:
     """Pattern-based triples over the session's utterances plus annotation passthrough.
 
-    The summary argument is the consolidation hook; triples are mined from the
-    raw utterances so annotation-carried ground truth is never lost to
-    summarization. Unmatched utterances yield nothing.
+    Triples are mined from the raw utterances, not from the session summary, so
+    annotation-carried ground truth is never lost to summarization. Unmatched
+    utterances yield nothing.
     """
-    del summary
     triples: list[FactTriple] = []
     for utterance in session.utterances:
         text = _TRAILING_PUNCT.sub("", utterance.text.lower().strip())

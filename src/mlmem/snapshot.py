@@ -3,14 +3,18 @@
 Snapshot wire format (single JSON document)::
 
     {
-      "config": {"k": 8, ..., "lambda": 0.5, "embedder": {"dim": 256, ...}},
+      "config": {"k": 8, "C_w": 256, ..., "embedder": {"dim": 256, ...}},
       "state": {
         "session_cursor": 3,
-        "working": {"window_k": .., "capacity_tokens": .., "entries": [[utterance, [float...]], ..]},
-        "episodic": {"alpha": .., "capacity": .., "state": [float...], "log": [summary, ..]},
-        "semantic": {"capacity_nodes": .., "nodes": [node, ..], "edges": [[s, r, o, t, c], ..]}
+        "working": {"entries": [[utterance, [float...]], ..]},
+        "episodic": {"state": [float...], "log": [summary, ..]},
+        "semantic": {"nodes": [node, ..], "edges": [[s, r, o, t, c], ..]}
       }
     }
+
+Layer bounds live in the config only (k, C_w, C_e, alpha, C_s). Older
+snapshots also carry them in the state, plus the retired config keys ``seed``
+and ``lambda``; loading ignores those keys.
 
 Node attributes, entries, and log records are serialized as ordered lists so a
 round-trip preserves iteration order exactly; floats survive via repr, so
@@ -53,12 +57,13 @@ def _vector_from_list(values: list[float], dim: int) -> Embedding:
     return Embedding(np.asarray(values, dtype=np.float64), dim)
 
 
-# Field names whose JSON key differs: ``lambda`` is a Python keyword.
-_WIRE_KEYS = {"lambda_": "lambda"}
+# Top-level config keys of fields that never reached the engine; older
+# snapshots and reports carry them, so loading accepts and ignores them.
+_RETIRED_KEYS = ("seed", "lambda")
 
 
 def config_to_dict(cfg: Any) -> dict[str, Any]:
-    """Every config field under its wire key; nested configs recurse, tuples become lists."""
+    """Every config field under its name; nested configs recurse, tuples become lists."""
     out: dict[str, Any] = {}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -66,7 +71,7 @@ def config_to_dict(cfg: Any) -> dict[str, Any]:
             value = config_to_dict(value)
         elif isinstance(value, tuple):
             value = list(value)
-        out[_WIRE_KEYS.get(f.name, f.name)] = value
+        out[f.name] = value
     return out
 
 
@@ -74,23 +79,24 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
     """Inverse of config_to_dict: missing keys keep the field default, unknown keys raise ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
-    names = {_WIRE_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
-    unknown = sorted(set(data) - set(names))
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
     defaults = cls()
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
-        default = getattr(defaults, names[key])
+        default = getattr(defaults, key)
         if is_dataclass(default):
             value = _from_dict(type(default), value)
         elif isinstance(default, tuple):
             value = tuple(value)
-        kwargs[names[key]] = value
+        kwargs[key] = value
     return cls(**kwargs)
 
 
 def config_from_dict(data: dict[str, Any]) -> EngineConfig:
+    if isinstance(data, dict):
+        data = {key: value for key, value in data.items() if key not in _RETIRED_KEYS}
     return _from_dict(EngineConfig, data)
 
 
@@ -103,20 +109,16 @@ def _fact_from_dict(data: dict[str, Any]) -> FactTriple:
 
 
 def _utterance_to_dict(utterance: Utterance) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "session": utterance.session_index,
-        "turn": utterance.turn_index,
-        "speaker": utterance.speaker,
-        "text": utterance.text,
-    }
+    """The utterance without its session index, which the enclosing record carries."""
+    out: dict[str, Any] = {"turn": utterance.turn_index, "speaker": utterance.speaker, "text": utterance.text}
     if utterance.annotations:
         out["facts"] = [_fact_to_dict(f) for f in utterance.annotations]
     return out
 
 
-def _utterance_from_dict(data: dict[str, Any]) -> Utterance:
+def _utterance_from_dict(data: dict[str, Any], session_index: int) -> Utterance:
     return Utterance.from_text(
-        data["session"],
+        session_index,
         data["turn"],
         data["speaker"],
         data["text"],
@@ -167,25 +169,32 @@ def _node_from_dict(data: dict[str, Any], dim: int) -> EntityNode:
 
 
 def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
+    """Raises ValueError when the state's layer bounds are not cfg's: the snapshot stores them once."""
+    bounds = (
+        state.working.window_k,
+        state.working.capacity_tokens,
+        state.episodic.capacity,
+        state.episodic.alpha,
+        state.semantic.capacity_nodes,
+    )
+    expected = (cfg.k, cfg.C_w, cfg.C_e, cfg.alpha, cfg.C_s)
+    if bounds != expected:
+        raise ValueError(f"state layer bounds (k, C_w, C_e, alpha, C_s) = {bounds} differ from the config's {expected}")
     return {
         "config": config_to_dict(cfg),
         "state": {
             "session_cursor": state.session_cursor,
             "working": {
-                "window_k": state.working.window_k,
-                "capacity_tokens": state.working.capacity_tokens,
                 "entries": [
-                    [_utterance_to_dict(u), _vector_to_list(e)] for u, e in state.working.entries
+                    [{"session": u.session_index, **_utterance_to_dict(u)}, _vector_to_list(e)]
+                    for u, e in state.working.entries
                 ],
             },
             "episodic": {
-                "alpha": state.episodic.alpha,
-                "capacity": state.episodic.capacity,
                 "state": _vector_to_list(state.episodic.state),
                 "log": [_summary_to_dict(r) for r in state.episodic.log],
             },
             "semantic": {
-                "capacity_nodes": state.semantic.capacity_nodes,
                 "nodes": [_node_to_dict(n) for n in state.semantic.nodes.values()],
                 "edges": [list(e) for e in state.semantic.edges],
             },
@@ -199,22 +208,22 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     raw = data["state"]
     working = WorkingMemory(
         tuple(
-            (_utterance_from_dict(u), _vector_from_list(e, dim))
+            (_utterance_from_dict(u, u["session"]), _vector_from_list(e, dim))
             for u, e in raw["working"]["entries"]
         ),
-        raw["working"]["window_k"],
-        raw["working"]["capacity_tokens"],
+        cfg.k,
+        cfg.C_w,
     )
     episodic = EpisodicMemory(
         _vector_from_list(raw["episodic"]["state"], dim),
         tuple(_summary_from_dict(r, dim) for r in raw["episodic"]["log"]),
-        raw["episodic"]["capacity"],
-        raw["episodic"]["alpha"],
+        cfg.C_e,
+        cfg.alpha,
     )
     semantic = SemanticGraph(
         {n["entity_id"]: _node_from_dict(n, dim) for n in raw["semantic"]["nodes"]},
         tuple((e[0], e[1], e[2], e[3], e[4]) for e in raw["semantic"]["edges"]),
-        raw["semantic"]["capacity_nodes"],
+        cfg.C_s,
     )
     return MemoryState(working, episodic, semantic, raw["session_cursor"]), cfg
 
@@ -224,32 +233,21 @@ def dumps_state(state: MemoryState, cfg: EngineConfig) -> str:
 
 
 def loads_state(text: str) -> tuple[MemoryState, EngineConfig]:
-    return state_from_dict(json.loads(text))
+    """Raises ValueError on invalid JSON and on a document that is not a snapshot."""
+    data = json.loads(text)
+    try:
+        return state_from_dict(data)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed snapshot: {exc!r}") from exc
 
 
 def session_to_dict(session: Session) -> dict[str, Any]:
-    utterances = []
-    for u in session.utterances:
-        item: dict[str, Any] = {"turn": u.turn_index, "speaker": u.speaker, "text": u.text}
-        if u.annotations:
-            item["facts"] = [_fact_to_dict(f) for f in u.annotations]
-        utterances.append(item)
-    return {"index": session.index, "utterances": utterances}
+    return {"index": session.index, "utterances": [_utterance_to_dict(u) for u in session.utterances]}
 
 
 def session_from_dict(data: dict[str, Any]) -> Session:
     index = data["index"]
-    utterances = tuple(
-        Utterance.from_text(
-            index,
-            u["turn"],
-            u["speaker"],
-            u["text"],
-            tuple(_fact_from_dict(f) for f in u.get("facts", ())),
-        )
-        for u in data["utterances"]
-    )
-    return Session(index, utterances)
+    return Session(index, tuple(_utterance_from_dict(u, index) for u in data["utterances"]))
 
 
 def write_sessions_jsonl(sessions: Iterable[Session], path: str) -> None:

@@ -306,7 +306,7 @@ def test_criterion_8_ablation_ordering():
                     wins[name] = wins.get(name, 0) + 1
         for name, count in wins.items():
             assert count >= 4, f"{name}: {count}/5"
-        assert set(wins) == {"no_semantic", "no_episodic", "no_retention_loss", "no_gating"}
+        assert set(wins) == {"no_semantic", "no_episodic", "no_gating"}
 
 
 # --------------------------------------------------------------- criterion 9

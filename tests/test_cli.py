@@ -73,13 +73,12 @@ def test_query_prints_engine_answer(tmp_path, sessions_file, capsys, uniform):
 
 def test_ingest_with_config_file(tmp_path, sessions_file, capsys):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"k": 2, "lambda": 0.25, "embedder": {"dim": 32}}))
+    config.write_text(json.dumps({"k": 2, "embedder": {"dim": 32}}))
     snapshot = tmp_path / "state.json"
     assert main(["ingest", "--input", str(sessions_file), "--snapshot", str(snapshot), "--config", str(config)]) == 0
     capsys.readouterr()
     state, cfg = loads_state(snapshot.read_text())
     assert cfg.k == 2
-    assert cfg.lambda_ == 0.25
     assert cfg.embedder.dim == 32
     assert len(state.working.entries) <= 2
 
@@ -94,7 +93,7 @@ def test_eval_writes_report(tmp_path, capsys):
     capsys.readouterr()
     report = json.loads(out.read_text())
     assert set(report["retention_at"]) == {"1", "2"}
-    assert report["config"]["lambda"] == 0.5
+    assert "lambda" not in report["config"] and "seed" not in report["config"]
 
 
 def test_eval_policies_differ(tmp_path, capsys):
@@ -117,7 +116,7 @@ def test_ablate_writes_all_variants(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     payload = json.loads(out.read_text())
-    assert set(payload) == {"full", "no_semantic", "no_episodic", "no_retention_loss", "no_gating"}
+    assert set(payload) == {"full", "no_semantic", "no_episodic", "no_gating"}
 
 
 def test_sweep_writes_csv(tmp_path, capsys):
@@ -168,6 +167,21 @@ def test_malformed_config_is_validation_error(tmp_path, capsys, bad):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"config": {}, "state": None},
+        [1, 2],
+        {"config": {}, "state": {"session_cursor": 0, "working": {"entries": 5}}},
+    ],
+)
+def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):
+    snapshot = tmp_path / "state.json"
+    snapshot.write_text(json.dumps(document))
+    assert main(["query", "--snapshot", str(snapshot), "--text", "alice lives_in"]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed snapshot")
 
 
 def test_bad_arguments_are_validation_errors(tmp_path):

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from mlmem import retrieval
+from mlmem import engine, retrieval
 from mlmem.embedding import EmbedderConfig, cosine, embed
 from mlmem.engine import (
     EngineConfig,
@@ -18,6 +18,7 @@ from mlmem.engine import (
     run,
     step,
 )
+from mlmem.harness import generate_scenario
 from mlmem.memory import FactTriple, Session, Utterance
 from mlmem.retention import cumulative_retention_loss
 from mlmem.retrieval import layer_representation, make_query
@@ -211,8 +212,6 @@ def test_engine_config_validation():
         EngineConfig(enabled_layers=())
     with pytest.raises(ValueError):
         EngineConfig(enabled_layers=("w", "q"))
-    with pytest.raises(ValueError):
-        EngineConfig(lambda_=-0.1)
 
 
 def test_template_responder_mentions_context_and_query():
@@ -269,3 +268,62 @@ def test_answer_and_step_build_each_layer_representation_once(monkeypatch, unifo
     built.clear()
     answer(query, output.state, cfg)
     assert built == ["w", "e", "s"]
+
+
+# A value per EngineConfig field that moves the run fingerprint below.
+PERTURBED = {
+    "k": 2,
+    "C_w": 8,
+    "C_e": 1,
+    "C_s": 4,
+    "alpha": 0.1,
+    "beta": 0.5,
+    "tau_s": 0.0,
+    "epsilon": 3.0,
+    "mix": 0.9,
+    "top_j": 1,
+    "token_budget": 6,
+    "summary_m": 1,
+    "embedder": EmbedderConfig(seed=5),
+    "enabled_layers": ("w", "s"),
+    "uniform_gating": True,
+}
+
+
+def _run_fingerprint(cfg: EngineConfig) -> list[tuple]:
+    outputs = run(generate_scenario(8, 6, seed=1).sessions, None, cfg)
+    return [
+        (
+            o.response,
+            o.fused.vector.tobytes(),
+            o.retrieval.weights.as_tuple(),
+            o.drift.total,
+            o.context_usage,
+            tuple(o.state.semantic.nodes),
+            o.state.episodic.state.values.tobytes(),
+            tuple(r.text for r in o.state.episodic.log),
+        )
+        for o in outputs
+    ]
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(EngineConfig)])
+def test_every_config_field_changes_the_run(name):
+    assert name in PERTURBED, f"EngineConfig.{name} has no value that changes a run"
+    perturbed = replace(EngineConfig(), **{name: PERTURBED[name]})
+    assert _run_fingerprint(perturbed) != _run_fingerprint(EngineConfig())
+
+
+@pytest.mark.parametrize("layers", [("w", "e", "s"), ("w", "s"), ("s",), ("w",), ("e",)])
+def test_step_summarizes_only_when_episodic_is_enabled(monkeypatch, layers):
+    calls: list[int] = []
+    original = engine.summarize
+
+    def counted(*args):
+        calls.append(args[0].index)
+        return original(*args)
+
+    monkeypatch.setattr(engine, "summarize", counted)
+    sessions = [_session(0, ["alice likes jazz"]), _session(1, ["bob plays chess"])]
+    run(sessions, None, replace(CFG, enabled_layers=layers))
+    assert calls == ([0, 1] if "e" in layers else [])

@@ -56,14 +56,12 @@ def test_no_probe_value_is_a_substring_of_any_other_vocab_word():
 
 
 def test_distractors_never_match_fact_patterns():
-    from mlmem.memory import Session, SummaryRecord, Utterance, extract_facts
-    from mlmem.embedding import Embedding
+    from mlmem.memory import Session, Utterance, extract_facts
 
     utterances = tuple(
         Utterance.from_text(0, i, "narrator", text) for i, text in enumerate(DISTRACTOR_SENTENCES)
     )
-    summary = SummaryRecord(0, "x", Embedding.zeros(64), 0.0)
-    assert extract_facts(summary, Session(0, utterances)) == []
+    assert extract_facts(Session(0, utterances)) == []
 
 
 # ----------------------------------------------------------- generate_scenario
@@ -229,10 +227,10 @@ def test_semantic_eviction_failures_match_replay_oracle():
 
 # --------------------------------------------------------------------- ablate
 
-def test_ablate_returns_all_five_variants():
+def test_ablate_returns_all_four_variants():
     scenario = generate_scenario(3, 3, seed=1)
     reports = ablate(scenario, CFG)
-    assert set(reports) == {"full", "no_semantic", "no_episodic", "no_retention_loss", "no_gating"}
+    assert set(reports) == {"full", "no_semantic", "no_episodic", "no_gating"}
 
 
 def test_ablate_no_gating_forces_uniform_weights():
@@ -258,13 +256,6 @@ def test_ablate_full_at_least_matches_no_semantic_on_saturating_scenario():
     reports = ablate(scenario, replace(CFG, C_e=2, k=4))
     max_gap = max(reports["full"].retention_at)
     assert reports["full"].retention_at[max_gap] >= reports["no_semantic"].retention_at[max_gap]
-
-
-def test_ablate_no_retention_loss_sets_lambda_zero():
-    scenario = generate_scenario(2, 2, facts_per_persona=1, seed=0)
-    reports = ablate(scenario, CFG)
-    assert reports["no_retention_loss"].config_echo.lambda_ == 0.0
-    assert reports["no_retention_loss"].retention_at == reports["full"].retention_at
 
 
 # --------------------------------------------------------------------- report

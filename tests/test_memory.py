@@ -218,18 +218,14 @@ def test_episodic_alpha_validated_at_construction():
 
 # -------------------------------------------------------------- extract_facts
 
-def _dummy_summary() -> SummaryRecord:
-    return SummaryRecord(0, "unused", Embedding.zeros(CFG.dim), 0.0)
-
-
 def test_extract_simple_patterns():
     session = _session(0, ["Alice likes jazz"])
-    assert extract_facts(_dummy_summary(), session) == [FactTriple("alice", "likes", "jazz", 1.0)]
+    assert extract_facts(session) == [FactTriple("alice", "likes", "jazz", 1.0)]
 
 
 def test_extract_copula_lives_works_patterns():
     session = _session(0, ["weather is fine", "bob lives in paris", "carol works as a baker"])
-    triples = extract_facts(_dummy_summary(), session)
+    triples = extract_facts(session)
     assert FactTriple("weather", "is", "fine", 1.0) in triples
     assert FactTriple("bob", "lives_in", "paris", 1.0) in triples
     assert FactTriple("carol", "works", "a baker", 1.0) in triples
@@ -237,18 +233,18 @@ def test_extract_copula_lives_works_patterns():
 
 def test_extract_no_pattern_yields_nothing():
     session = _session(0, ["It rained all day"])
-    assert extract_facts(_dummy_summary(), session) == []
+    assert extract_facts(session) == []
 
 
 def test_extract_annotation_passthrough_regardless_of_text():
     fact = FactTriple("bob", "lives_in", "paris", 0.9)
     session = _session(0, ["totally unrelated chatter"], {0: (fact,)})
-    assert extract_facts(_dummy_summary(), session) == [fact]
+    assert extract_facts(session) == [fact]
 
 
 def test_extract_strips_trailing_punctuation():
     session = _session(0, ["alice loves poetry."])
-    assert extract_facts(_dummy_summary(), session) == [FactTriple("alice", "loves", "poetry", 1.0)]
+    assert extract_facts(session) == [FactTriple("alice", "loves", "poetry", 1.0)]
 
 
 # ------------------------------------------------------------- merge_semantic

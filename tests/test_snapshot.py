@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mlmem.embedding import EmbedderConfig
-from mlmem.engine import EngineConfig, run
+from mlmem.cli import main
+from mlmem.engine import EngineConfig, initial_state, run
 from mlmem.harness import generate_scenario
 from mlmem.memory import FactTriple, Session, Utterance
 from mlmem.snapshot import (
@@ -68,17 +70,47 @@ def test_loaded_state_continues_identically():
         assert a.response == b.response
 
 
-def test_config_json_uses_lambda_key_exactly():
+def test_older_format_snapshot_loads_to_the_same_state_and_query(tmp_path, capsys):
+    blob = dumps_state(_built_state(), CFG)
+    data = json.loads(blob)
+    assert not {"seed", "lambda"} & set(data["config"])
+    assert not {"window_k", "capacity_tokens"} & set(data["state"]["working"])
+    assert not {"alpha", "capacity"} & set(data["state"]["episodic"])
+    assert "capacity_nodes" not in data["state"]["semantic"]
+    # the format written before the layer bounds lived in the config only
+    data["config"].update({"seed": 7, "lambda": 0.25})
+    data["state"]["working"].update({"window_k": CFG.k, "capacity_tokens": CFG.C_w})
+    data["state"]["episodic"].update({"alpha": CFG.alpha, "capacity": CFG.C_e})
+    data["state"]["semantic"]["capacity_nodes"] = CFG.C_s
+    legacy = json.dumps(data, sort_keys=True)
+
+    loaded, cfg = loads_state(legacy)
+    assert cfg == CFG
+    assert dumps_state(loaded, cfg) == blob
+    answers = []
+    for name, text in (("new.json", blob), ("old.json", legacy)):
+        (tmp_path / name).write_text(text)
+        assert main(["query", "--snapshot", str(tmp_path / name), "--text", "alice lives_in"]) == 0
+        answers.append(capsys.readouterr().out)
+    assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize("name, value", [("k", 3), ("C_w", 17), ("C_e", 2), ("alpha", 0.25), ("C_s", 5)])
+def test_dumps_state_rejects_state_built_under_other_bounds(name, value):
+    state = initial_state(replace(CFG, **{name: value}))
+    with pytest.raises(ValueError, match="bounds"):
+        dumps_state(state, CFG)
+
+
+def test_config_json_accepts_and_drops_retired_keys():
     data = config_to_dict(CFG)
-    assert "lambda" in data
-    assert "lambda_" not in data
-    assert config_from_dict(data) == CFG
+    assert not {"lambda", "lambda_", "seed"} & set(data)
+    assert config_from_dict({**data, "lambda": 0.25, "seed": 3}) == CFG
 
 
 def test_config_from_partial_dict_fills_defaults():
     cfg = config_from_dict({"k": 3, "lambda": 0.25})
     assert cfg.k == 3
-    assert cfg.lambda_ == 0.25
     assert cfg.C_w == EngineConfig().C_w
 
 
@@ -91,8 +123,9 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"embedder": {"dimm": 32}})
     with pytest.raises(ValueError, match="EmbedderConfig must be a JSON object"):
         config_from_dict({"embedder": None})
-    cfg = config_from_dict({"seed": 3, "embedder": {"seed": 5}})
-    assert (cfg.seed, cfg.embedder.seed) == (3, 5)
+    with pytest.raises(ValueError, match="lambda"):
+        config_from_dict({"embedder": {"lambda": 0.5}})
+    assert config_from_dict({"seed": 3, "embedder": {"seed": 5}}) == EngineConfig(embedder=EmbedderConfig(seed=5))
 
 
 def test_session_jsonl_round_trip(tmp_path):
