@@ -5,8 +5,10 @@ knobs of an ``EngineConfig`` (uniform gating, top-j, token budget, mix,
 epsilon), and the step, the harness probes and ``mlmem query`` all go through
 it. One step folds a session into each enabled layer, answers the query against
 the new state, generates a response through a pluggable responder, and records
-the semantic drift against the pre-step graph. A run folds steps from the zero
-state; replaying the same sessions reproduces bit-identical outputs.
+the semantic drift against the pre-step graph. The layer bounds come from the
+step's cfg alone, so a state built under another config is resumed under the
+given one. A run folds steps from the zero state; replaying the same sessions
+reproduces bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ class EngineRunError(RuntimeError):
 @dataclass(frozen=True)
 class EngineConfig:
     """All engine knobs in one place, validated once at construction; each changes a run.
+
+    The layer bounds live here only, and ``step`` passes them to the updates: k
+    and C_w cap working memory's utterances and tokens, alpha is the episodic
+    decay and C_e its log length, and C_s caps the semantic graph's nodes.
 
     lambda weights the tuner objective only, so it is an axis of ``tune``, not a field.
 
@@ -119,13 +125,8 @@ class TemplateResponder:
 
 
 def initial_state(cfg: EngineConfig) -> MemoryState:
-    """The zero state: empty layers, cursor -1."""
-    return MemoryState(
-        WorkingMemory.empty(cfg.k, cfg.C_w),
-        EpisodicMemory.empty(cfg.embedder.dim, cfg.C_e, cfg.alpha),
-        SemanticGraph.empty(cfg.C_s),
-        -1,
-    )
+    """The zero state: empty layers, cursor -1; only cfg's embedding dim shapes it."""
+    return MemoryState(WorkingMemory(), EpisodicMemory.empty(cfg.embedder.dim), SemanticGraph(), -1)
 
 
 def step(
@@ -152,12 +153,12 @@ def step(
     semantic = state.semantic
 
     if "w" in cfg.enabled_layers:
-        working = update_working(state.working, session, cfg.embedder)
+        working = update_working(session, cfg.k, cfg.C_w, cfg.embedder)
     if "e" in cfg.enabled_layers:
-        episodic = update_episodic(state.episodic, summarize(session, cfg.summary_m, cfg.embedder))
+        episodic = update_episodic(state.episodic, summarize(session, cfg.summary_m, cfg.embedder), cfg.alpha, cfg.C_e)
     if "s" in cfg.enabled_layers:
         facts = extract_facts(session)
-        semantic = merge_semantic(state.semantic, facts, session.index, cfg.tau_s, cfg.embedder)
+        semantic = merge_semantic(state.semantic, facts, session.index, cfg.tau_s, cfg.C_s, cfg.embedder)
 
     new_state = MemoryState(working, episodic, semantic, session.index)
 

@@ -6,8 +6,9 @@ and semantic memory is an entity graph with similarity-thresholded merging,
 recency-wins conflict resolution, and (importance, recency) eviction. Graph
 facts are mined from raw utterances, not from the episodic summary.
 
-Every update is a pure function of (previous state, session, config), so
-replaying a session sequence reproduces bit-identical states.
+The layers hold data only: each update takes its bounds (k, C_w, alpha, C_e,
+C_s) as arguments, raising ValueError when one is out of range, and is a pure
+function of them, so replaying a session sequence reproduces bit-identical states.
 """
 
 from __future__ import annotations
@@ -81,26 +82,12 @@ class Session:
 
 @dataclass(frozen=True)
 class WorkingMemory:
-    """Most recent session's tail, bounded by window size and a token budget."""
+    """Most recent session's tail; ``update_working`` bounds it by k and C_w."""
 
-    entries: tuple[tuple[Utterance, Embedding], ...]
-    window_k: int
-    capacity_tokens: int
-
-    def __post_init__(self) -> None:
-        if self.window_k < 1 or self.capacity_tokens < 1:
-            raise ValueError("window_k and capacity_tokens must be positive")
-        if len(self.entries) > self.window_k:
-            raise ValueError("working memory exceeds its window")
-        if self.token_count() > self.capacity_tokens:
-            raise ValueError("working memory exceeds its token budget")
+    entries: tuple[tuple[Utterance, Embedding], ...] = ()
 
     def token_count(self) -> int:
         return sum(u.token_count for u, _ in self.entries)
-
-    @classmethod
-    def empty(cls, window_k: int, capacity_tokens: int) -> "WorkingMemory":
-        return cls((), window_k, capacity_tokens)
 
 
 @dataclass(frozen=True)
@@ -116,21 +103,11 @@ class EpisodicMemory:
     """Decayed blend of summary embeddings plus a ring buffer of the summaries."""
 
     state: Embedding
-    log: tuple[SummaryRecord, ...]
-    capacity: int
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("episodic capacity must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if len(self.log) > self.capacity:
-            raise ValueError("episodic log exceeds capacity")
+    log: tuple[SummaryRecord, ...] = ()
 
     @classmethod
-    def empty(cls, dim: int, capacity: int, alpha: float) -> "EpisodicMemory":
-        return cls(Embedding.zeros(dim), (), capacity, alpha)
+    def empty(cls, dim: int) -> "EpisodicMemory":
+        return cls(Embedding.zeros(dim))
 
 
 @dataclass(frozen=True)
@@ -163,13 +140,8 @@ class SemanticGraph:
 
     nodes: dict[str, EntityNode] = field(default_factory=dict)
     edges: tuple[tuple[str, str, str, int, float], ...] = ()
-    capacity_nodes: int = 64
 
     def __post_init__(self) -> None:
-        if self.capacity_nodes < 1:
-            raise ValueError("capacity_nodes must be positive")
-        if len(self.nodes) > self.capacity_nodes:
-            raise ValueError("node count exceeds capacity_nodes")
         for edge in self.edges:
             if edge[0] not in self.nodes:
                 raise ValueError(f"edge subject {edge[0]!r} has no node")
@@ -180,10 +152,6 @@ class SemanticGraph:
             return None
         record = node.attributes.get(attribute)
         return None if record is None else record.value
-
-    @classmethod
-    def empty(cls, capacity_nodes: int) -> "SemanticGraph":
-        return cls({}, (), capacity_nodes)
 
 
 @dataclass(frozen=True)
@@ -196,13 +164,14 @@ class MemoryState:
     session_cursor: int
 
 
-def update_working(state: WorkingMemory, session: Session, embedder: EmbedderConfig) -> WorkingMemory:
-    """Replace the window with the session tail, trimming oldest past the token budget."""
-    kept = list(session.utterances[-state.window_k:])
-    while kept and sum(u.token_count for u in kept) > state.capacity_tokens:
+def update_working(session: Session, k: int, C_w: int, embedder: EmbedderConfig) -> WorkingMemory:
+    """A new window of the session's last k utterances, trimming the oldest past C_w tokens."""
+    if k < 1 or C_w < 1:
+        raise ValueError(f"k and C_w must be >= 1, got {k}, {C_w}")
+    kept = list(session.utterances[-k:])
+    while kept and sum(u.token_count for u in kept) > C_w:
         kept.pop(0)
-    entries = tuple((u, embed(u.text, embedder)) for u in kept)
-    return replace(state, entries=entries)
+    return WorkingMemory(tuple((u, embed(u.text, embedder)) for u in kept))
 
 
 def summarize(session: Session, m: int, embedder: EmbedderConfig) -> SummaryRecord:
@@ -226,20 +195,21 @@ def summarize(session: Session, m: int, embedder: EmbedderConfig) -> SummaryReco
 
 
 def update_episodic(
-    prev: EpisodicMemory, summary: SummaryRecord, *, renormalize: bool = True
+    prev: EpisodicMemory, summary: SummaryRecord, alpha: float, C_e: int, *, renormalize: bool = True
 ) -> EpisodicMemory:
     """Blend state <- alpha*state + (1-alpha)*summary; renormalize only past unit norm.
 
-    The summary is appended to the log, evicting the oldest record at capacity.
+    The summary is appended to the log, evicting the oldest records past C_e.
     ``renormalize=False`` exposes the raw recursion for closed-form verification.
     """
-    blended = prev.alpha * prev.state.values + (1.0 - prev.alpha) * summary.embedding.values
+    if not 0.0 <= alpha <= 1.0 or C_e < 1:
+        raise ValueError(f"alpha must lie in [0, 1] and C_e be >= 1, got {alpha}, {C_e}")
+    blended = alpha * prev.state.values + (1.0 - alpha) * summary.embedding.values
     if renormalize:
         norm = float(np.linalg.norm(blended))
         if norm > 1.0:
             blended = blended / norm
-    log = (prev.log + (summary,))[-prev.capacity:]
-    return replace(prev, state=Embedding(blended, prev.state.dim), log=log)
+    return EpisodicMemory(Embedding(blended, prev.state.dim), (prev.log + (summary,))[-C_e:])
 
 
 _FACT_PATTERNS = (
@@ -287,6 +257,7 @@ def merge_semantic(
     facts: list[FactTriple],
     session_index: int,
     tau_s: float,
+    C_s: int,
     embedder: EmbedderConfig,
 ) -> SemanticGraph:
     """Fold triples into the graph with thresholded entity matching and eviction.
@@ -294,11 +265,11 @@ def merge_semantic(
     A triple lands on an exact entity_id match, else on the highest-cosine node
     at or above tau_s (ties to the lexicographically smaller id), else a new
     node. Same-attribute conflicts resolve recency-wins with the old value kept
-    in the superseded list. Past capacity, nodes with the lowest
+    in the superseded list. Past C_s nodes, those with the lowest
     (importance, last_updated) are evicted and their edges dropped.
     """
-    if not 0.0 <= tau_s <= 1.0:
-        raise ValueError(f"tau_s must lie in [0, 1], got {tau_s}")
+    if not 0.0 <= tau_s <= 1.0 or C_s < 1:
+        raise ValueError(f"tau_s must lie in [0, 1] and C_s be >= 1, got {tau_s}, {C_s}")
     nodes = dict(graph.nodes)
     edges: dict[tuple[str, str, str], tuple[str, str, str, int, float]] = {
         (e[0], e[1], e[2]): e for e in graph.edges
@@ -351,10 +322,10 @@ def merge_semantic(
             max(node.last_updated, session_index),
         )
 
-    if len(nodes) > graph.capacity_nodes:
+    if len(nodes) > C_s:
         ranked = sorted(nodes.values(), key=lambda n: (n.importance, n.last_updated, n.entity_id))
-        doomed = {n.entity_id for n in ranked[: len(nodes) - graph.capacity_nodes]}
+        doomed = {n.entity_id for n in ranked[: len(nodes) - C_s]}
         nodes = {nid: node for nid, node in nodes.items() if nid not in doomed}
         edges = {k: e for k, e in edges.items() if e[0] not in doomed}
 
-    return SemanticGraph(nodes, tuple(edges.values()), graph.capacity_nodes)
+    return SemanticGraph(nodes, tuple(edges.values()))

@@ -16,6 +16,10 @@ Layer bounds live in the config only (k, C_w, C_e, alpha, C_s). Older
 snapshots also carry them in the state, plus the retired config keys ``seed``
 and ``lambda``; loading ignores those keys.
 
+Loading raises ``ValueError("malformed snapshot: ...")`` when an int, float or
+str field of the loaded state holds another JSON type (a bool is no int; vectors
+are left to numpy), and when the layers exceed the config's k, C_w, C_e or C_s.
+
 Node attributes, entries, and log records are serialized as ordered lists so a
 round-trip preserves iteration order exactly; floats survive via repr, so
 dump -> load -> dump is byte-identical.
@@ -29,6 +33,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields, is_dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Any, Iterable
 
 import numpy as np
@@ -55,6 +61,35 @@ def _vector_to_list(embedding: Embedding) -> list[float]:
 
 def _vector_from_list(values: list[float], dim: int) -> Embedding:
     return Embedding(np.asarray(values, dtype=np.float64), dim)
+
+
+# The JSON types a loaded value may have, by annotation: a bool is no int, an int is a float.
+_KINDS = {"int": (int,), "float": (int, float), "str": (str,)}
+_EDGE = ("str", "str", "str", "int", "float")
+
+
+def _check_types(name: str, annotation: str, values: Iterable[Any]) -> None:
+    """TypeError unless each value's exact type is one _KINDS allows; runs at C speed over a column."""
+    odd = set(map(type, values)).difference(_KINDS[annotation])
+    if odd:
+        raise TypeError(f"{name} must be {annotation}, got {odd.pop().__name__}")
+
+
+def _check_state(state: MemoryState) -> None:
+    """_check_types over every int, float and str field of a loaded state; vectors are left to numpy."""
+    utterances = tuple(map(itemgetter(0), state.working.entries))
+    nodes = tuple(state.semantic.nodes.values())
+    attributes = tuple(chain.from_iterable(node.attributes.items() for node in nodes))
+    attribute_values = tuple(map(itemgetter(1), attributes))
+    facts = tuple(chain.from_iterable(u.annotations for u in utterances))
+    for records in ((state,), utterances, facts, state.episodic.log, nodes, attribute_values):
+        for f in fields(records[0]) if records else ():
+            if f.type in _KINDS:
+                _check_types(f"{type(records[0]).__name__}.{f.name}", f.type, map(attrgetter(f.name), records))
+    _check_types("attribute name", "str", map(itemgetter(0), attributes))
+    _check_types("superseded value", "str", chain.from_iterable(map(attrgetter("superseded"), attribute_values)))
+    for i, (annotation, column) in enumerate(zip(_EDGE, zip(*state.semantic.edges))):
+        _check_types(f"edge field {i}", annotation, column)
 
 
 # Top-level config keys of fields that never reached the engine; older
@@ -169,17 +204,6 @@ def _node_from_dict(data: dict[str, Any], dim: int) -> EntityNode:
 
 
 def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
-    """Raises ValueError when the state's layer bounds are not cfg's: the snapshot stores them once."""
-    bounds = (
-        state.working.window_k,
-        state.working.capacity_tokens,
-        state.episodic.capacity,
-        state.episodic.alpha,
-        state.semantic.capacity_nodes,
-    )
-    expected = (cfg.k, cfg.C_w, cfg.C_e, cfg.alpha, cfg.C_s)
-    if bounds != expected:
-        raise ValueError(f"state layer bounds (k, C_w, C_e, alpha, C_s) = {bounds} differ from the config's {expected}")
     return {
         "config": config_to_dict(cfg),
         "state": {
@@ -203,6 +227,7 @@ def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
 
 
 def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
+    """Raises TypeError on a mistyped field and ValueError when the layers exceed the config's bounds."""
     cfg = config_from_dict(data["config"])
     dim = cfg.embedder.dim
     raw = data["state"]
@@ -210,22 +235,24 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
         tuple(
             (_utterance_from_dict(u, u["session"]), _vector_from_list(e, dim))
             for u, e in raw["working"]["entries"]
-        ),
-        cfg.k,
-        cfg.C_w,
+        )
     )
     episodic = EpisodicMemory(
         _vector_from_list(raw["episodic"]["state"], dim),
         tuple(_summary_from_dict(r, dim) for r in raw["episodic"]["log"]),
-        cfg.C_e,
-        cfg.alpha,
     )
     semantic = SemanticGraph(
         {n["entity_id"]: _node_from_dict(n, dim) for n in raw["semantic"]["nodes"]},
         tuple((e[0], e[1], e[2], e[3], e[4]) for e in raw["semantic"]["edges"]),
-        cfg.C_s,
     )
-    return MemoryState(working, episodic, semantic, raw["session_cursor"]), cfg
+    state = MemoryState(working, episodic, semantic, raw["session_cursor"])
+    _check_state(state)
+    sizes = (len(working.entries), working.token_count(), len(episodic.log), len(semantic.nodes))
+    for name, size in zip(("k", "C_w", "C_e", "C_s"), sizes):
+        bound = getattr(cfg, name)
+        if size > bound:
+            raise ValueError(f"malformed snapshot: layer size {size} exceeds the config's {name}={bound}")
+    return state, cfg
 
 
 def dumps_state(state: MemoryState, cfg: EngineConfig) -> str:
@@ -233,11 +260,11 @@ def dumps_state(state: MemoryState, cfg: EngineConfig) -> str:
 
 
 def loads_state(text: str) -> tuple[MemoryState, EngineConfig]:
-    """Raises ValueError on invalid JSON and on a document that is not a snapshot."""
+    """Raises ValueError on invalid JSON and on a malformed snapshot (see the module docstring)."""
     data = json.loads(text)
     try:
         return state_from_dict(data)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise ValueError(f"malformed snapshot: {exc!r}") from exc
 
 

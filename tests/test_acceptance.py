@@ -91,13 +91,13 @@ def test_criterion_2_episodic_closed_form():
         for _ in range(50):
             alpha = rng.random()
             steps = rng.randint(1, 20)
-            memory = EpisodicMemory.empty(dim, capacity=32, alpha=alpha)
+            memory = EpisodicMemory.empty(dim)
             summaries = []
             for i in range(steps):
                 vec = np.array([rng.uniform(-2.0, 2.0) for _ in range(dim)])
                 summaries.append(vec)
                 record = SummaryRecord(i, "s", Embedding(vec, dim), 1.0)
-                memory = update_episodic(memory, record, renormalize=False)
+                memory = update_episodic(memory, record, alpha, 32, renormalize=False)
             expected = np.zeros(dim)
             for i, vec in enumerate(summaries, start=1):
                 expected += (1.0 - alpha) * alpha ** (steps - i) * vec
@@ -115,7 +115,7 @@ def _random_graph(rng: random.Random, entities: list[str], dim: int) -> Semantic
         nodes[name] = EntityNode(
             name, {"a": AttributeValue("v", 0)}, Embedding(vec, dim), 1.0, 0
         )
-    return SemanticGraph(nodes, (), max(len(nodes), 1))
+    return SemanticGraph(nodes)
 
 
 def test_criterion_3_retention_loss_correctness():

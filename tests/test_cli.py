@@ -184,6 +184,40 @@ def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):
     assert capsys.readouterr().err.startswith("error: malformed snapshot")
 
 
+def _mistype(path: str, value):
+    """Set the scalar at path (keys and list indices, dot-separated) to value."""
+    def edit(data):
+        *parents, last = [int(key) if key.isdigit() else key for key in path.split(".")]
+        target = data["state"]
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _mistype("session_cursor", "x"),
+        _mistype("semantic.nodes.0.importance", "x"),
+        _mistype("semantic.nodes.0.last_updated", "x"),
+        _mistype("working.entries.0.0.text", 5),
+        _mistype("episodic.log.0.salience", "x"),
+        _mistype("semantic.edges.0.3", "x"),
+    ],
+    ids=["cursor", "importance", "last_updated", "text", "salience", "edge_session"],
+)
+def test_mistyped_snapshot_scalar_is_validation_error(tmp_path, sessions_file, capsys, edit):
+    snapshot = tmp_path / "state.json"
+    assert main(["ingest", "--input", str(sessions_file), "--snapshot", str(snapshot)]) == 0
+    data = json.loads(snapshot.read_text())
+    edit(data)
+    snapshot.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["query", "--snapshot", str(snapshot), "--text", "alice lives_in"]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed snapshot")
+
+
 def test_bad_arguments_are_validation_errors(tmp_path):
     assert main(["eval", "--scenario-seed", "1", "--policy", "bogus", "--out", str(tmp_path / "r.json")]) == 2
     assert main(["unknown-command"]) == 2

@@ -172,6 +172,7 @@ def embed_server():
     _EmbedHandler.status = 200
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 

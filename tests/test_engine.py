@@ -290,8 +290,8 @@ PERTURBED = {
 }
 
 
-def _run_fingerprint(cfg: EngineConfig) -> list[tuple]:
-    outputs = run(generate_scenario(8, 6, seed=1).sessions, None, cfg)
+def _run_fingerprint(cfg: EngineConfig, start_state=None) -> list[tuple]:
+    outputs = run(generate_scenario(8, 6, seed=1).sessions, None, cfg, start_state=start_state)
     return [
         (
             o.response,
@@ -307,11 +307,30 @@ def _run_fingerprint(cfg: EngineConfig) -> list[tuple]:
     ]
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(EngineConfig)])
-def test_every_config_field_changes_the_run(name):
+_FIELDS = [f.name for f in fields(EngineConfig)]
+
+
+# Each field changes a run that starts from its own zero state, and one that
+# resumes from the default config's: the step reads every bound from its cfg.
+@pytest.mark.parametrize(
+    "name, from_default_state",
+    [pytest.param(name, False, id=name) for name in _FIELDS]
+    + [pytest.param(name, True, id=f"{name}-from_default_state") for name in _FIELDS],
+)
+def test_every_config_field_changes_the_run(name, from_default_state):
     assert name in PERTURBED, f"EngineConfig.{name} has no value that changes a run"
     perturbed = replace(EngineConfig(), **{name: PERTURBED[name]})
-    assert _run_fingerprint(perturbed) != _run_fingerprint(EngineConfig())
+    start = initial_state(EngineConfig() if from_default_state else perturbed)
+    assert _run_fingerprint(perturbed, start) != _run_fingerprint(EngineConfig())
+
+
+def test_run_resumed_under_other_bounds_keeps_them():
+    cfg = replace(EngineConfig(), C_s=4, k=2)
+    outputs = run(generate_scenario(8, 4, seed=1).sessions, None, cfg, start_state=initial_state(EngineConfig()))
+    state = outputs[-1].state
+    assert len(state.semantic.nodes) <= 4
+    assert len(state.working.entries) <= 2
+    dumps_state(state, cfg)
 
 
 @pytest.mark.parametrize("layers", [("w", "e", "s"), ("w", "s"), ("s",), ("w",), ("e",)])

@@ -63,56 +63,50 @@ def test_session_index_mismatch_rejected():
 # ------------------------------------------------------------ update_working
 
 def test_working_keeps_all_when_under_window():
-    wm = WorkingMemory.empty(window_k=5, capacity_tokens=100)
-    out = update_working(wm, _session(0, ["a b", "c d", "e f"]), CFG)
+    out = update_working(_session(0, ["a b", "c d", "e f"]), 5, 100, CFG)
     assert [u.text for u, _ in out.entries] == ["a b", "c d", "e f"]
 
 
 def test_working_keeps_last_k_in_order():
-    wm = WorkingMemory.empty(window_k=2, capacity_tokens=100)
-    out = update_working(wm, _session(0, ["one a", "two b", "three c", "four d", "five e"]), CFG)
+    out = update_working(_session(0, ["one a", "two b", "three c", "four d", "five e"]), 2, 100, CFG)
     assert [u.text for u, _ in out.entries] == ["four d", "five e"]
 
 
 def test_working_trims_oldest_past_token_budget():
     # hand token-count oracle: four 3-token utterances, budget 10 -> drop one, 9 <= 10
-    wm = WorkingMemory.empty(window_k=4, capacity_tokens=10)
     texts = ["a b c", "d e f", "g h i", "j k l"]
-    out = update_working(wm, _session(0, texts), CFG)
+    out = update_working(_session(0, texts), 4, 10, CFG)
     assert [u.text for u, _ in out.entries] == ["d e f", "g h i", "j k l"]
     assert out.token_count() == 9
 
     # four 4-token utterances, budget 10 -> only the last two fit (8 <= 10)
-    wm = WorkingMemory.empty(window_k=4, capacity_tokens=10)
     texts = ["a b c d", "e f g h", "i j k l", "m n o p"]
-    out = update_working(wm, _session(0, texts), CFG)
+    out = update_working(_session(0, texts), 4, 10, CFG)
     assert [u.text for u, _ in out.entries] == ["i j k l", "m n o p"]
     assert out.token_count() == 8
 
 
 def test_working_replaces_prior_session_entirely():
-    wm = WorkingMemory.empty(window_k=5, capacity_tokens=100)
-    first = update_working(wm, _session(0, ["old stuff here"]), CFG)
-    second = update_working(first, _session(1, ["new thing now"]), CFG)
+    first = update_working(_session(0, ["old stuff here"]), 5, 100, CFG)
+    second = update_working(_session(1, ["new thing now"]), 5, 100, CFG)
     assert [u.text for u, _ in second.entries] == ["new thing now"]
 
 
 def test_working_entries_carry_matching_embeddings():
-    wm = WorkingMemory.empty(window_k=3, capacity_tokens=100)
-    out = update_working(wm, _session(0, ["alice likes jazz"]), CFG)
+    out = update_working(_session(0, ["alice likes jazz"]), 3, 100, CFG)
     (utterance, embedding), = out.entries
     assert np.array_equal(embedding.values, embed(utterance.text, CFG).values)
 
 
 def test_working_bounds_hold_under_random_updates():
     rng = random.Random(11)
-    wm = WorkingMemory.empty(window_k=3, capacity_tokens=12)
+    wm = WorkingMemory()
     for index in range(30):
         texts = [
             " ".join(rng.choice("abcdefg") for _ in range(rng.randint(1, 6)))
             for _ in range(rng.randint(1, 6))
         ]
-        wm = update_working(wm, _session(index, texts), CFG)
+        wm = update_working(_session(index, texts), 3, 12, CFG)
         assert len(wm.entries) <= 3
         assert wm.token_count() <= 12
 
@@ -160,37 +154,37 @@ def _summary_with(vec: np.ndarray, session_index: int = 0) -> SummaryRecord:
 
 
 def test_episodic_alpha_one_keeps_state_but_appends_log():
-    prev = EpisodicMemory(Embedding(np.array([1.0, 0.0]), 2), (), 4, alpha=1.0)
-    out = update_episodic(prev, _summary_with(np.array([0.0, 1.0])))
+    prev = EpisodicMemory(Embedding(np.array([1.0, 0.0]), 2))
+    out = update_episodic(prev, _summary_with(np.array([0.0, 1.0])), 1.0, 4)
     assert np.array_equal(out.state.values, np.array([1.0, 0.0]))
     assert len(out.log) == 1
 
 
 def test_episodic_alpha_zero_replaces_state():
-    prev = EpisodicMemory(Embedding(np.array([1.0, 0.0]), 2), (), 4, alpha=0.0)
-    out = update_episodic(prev, _summary_with(np.array([0.0, 1.0])))
+    prev = EpisodicMemory(Embedding(np.array([1.0, 0.0]), 2))
+    out = update_episodic(prev, _summary_with(np.array([0.0, 1.0])), 0.0, 4)
     assert np.array_equal(out.state.values, np.array([0.0, 1.0]))
 
 
 def test_episodic_blend_stays_unrenormalized_below_unit_norm():
     # alpha=0.5, [1,0] blended with [0,1] -> [0.5,0.5]; norm 0.707 <= 1, untouched
-    prev = EpisodicMemory(Embedding(np.array([1.0, 0.0]), 2), (), 4, alpha=0.5)
-    out = update_episodic(prev, _summary_with(np.array([0.0, 1.0])))
+    prev = EpisodicMemory(Embedding(np.array([1.0, 0.0]), 2))
+    out = update_episodic(prev, _summary_with(np.array([0.0, 1.0])), 0.5, 4)
     assert out.state.values == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_episodic_renormalizes_only_past_unit_norm():
-    prev = EpisodicMemory(Embedding(np.array([2.0, 0.0]), 2), (), 4, alpha=1.0)
-    out = update_episodic(prev, _summary_with(np.array([0.0, 3.0])))
+    prev = EpisodicMemory(Embedding(np.array([2.0, 0.0]), 2))
+    out = update_episodic(prev, _summary_with(np.array([0.0, 3.0])), 1.0, 4)
     assert out.state.norm() == pytest.approx(1.0, abs=1e-12)
-    raw = update_episodic(prev, _summary_with(np.array([0.0, 3.0])), renormalize=False)
+    raw = update_episodic(prev, _summary_with(np.array([0.0, 3.0])), 1.0, 4, renormalize=False)
     assert np.array_equal(raw.state.values, np.array([2.0, 0.0]))
 
 
 def test_episodic_log_is_a_ring_buffer():
-    mem = EpisodicMemory.empty(2, capacity=2, alpha=0.5)
+    mem = EpisodicMemory.empty(2)
     for i in range(4):
-        mem = update_episodic(mem, _summary_with(np.array([1.0, 0.0]), i))
+        mem = update_episodic(mem, _summary_with(np.array([1.0, 0.0]), i), 0.5, 2)
     assert [r.session_index for r in mem.log] == [2, 3]
 
 
@@ -199,12 +193,12 @@ def test_episodic_closed_form_without_renormalization():
     for _ in range(10):
         alpha = rng.random()
         steps = rng.randint(1, 8)
-        mem = EpisodicMemory.empty(3, capacity=8, alpha=alpha)
+        mem = EpisodicMemory.empty(3)
         vectors = []
         for i in range(steps):
             vec = np.array([rng.uniform(-1, 1) for _ in range(3)])
             vectors.append(vec)
-            mem = update_episodic(mem, _summary_with(vec, i), renormalize=False)
+            mem = update_episodic(mem, _summary_with(vec, i), alpha, 8, renormalize=False)
         expected = np.zeros(3)
         for i, vec in enumerate(vectors, start=1):
             expected += (1 - alpha) * alpha ** (steps - i) * vec
@@ -213,7 +207,24 @@ def test_episodic_closed_form_without_renormalization():
 
 def test_episodic_alpha_validated_at_construction():
     with pytest.raises(ValueError):
-        EpisodicMemory(Embedding.zeros(2), (), 4, alpha=1.5)
+        update_episodic(EpisodicMemory.empty(2), _summary_with(np.array([1.0, 0.0])), 1.5, 4)
+
+
+@pytest.mark.parametrize(
+    "update",
+    [
+        # k=0 must not slip through as utterances[-0:], the whole session
+        lambda: update_working(_session(0, ["a b"]), 0, 10, CFG),
+        lambda: update_working(_session(0, ["a b"]), 2, 0, CFG),
+        lambda: update_episodic(EpisodicMemory.empty(2), _summary_with(np.array([1.0, 0.0])), -0.1, 4),
+        lambda: update_episodic(EpisodicMemory.empty(2), _summary_with(np.array([1.0, 0.0])), 0.5, 0),
+        lambda: merge_semantic(SemanticGraph(), [FactTriple("alice", "likes", "jazz")], 0, 0.9, 0, CFG),
+    ],
+    ids=["k", "C_w", "alpha", "C_e", "C_s"],
+)
+def test_updates_reject_out_of_range_bounds(update):
+    with pytest.raises(ValueError):
+        update()
 
 
 # -------------------------------------------------------------- extract_facts
@@ -249,12 +260,12 @@ def test_extract_strips_trailing_punctuation():
 
 # ------------------------------------------------------------- merge_semantic
 
-def _merge(graph, facts, session_index, tau=0.9):
-    return merge_semantic(graph, facts, session_index, tau, CFG)
+def _merge(graph, facts, session_index, tau=0.9, C_s=8):
+    return merge_semantic(graph, facts, session_index, tau, C_s, CFG)
 
 
 def test_merge_inserts_node_and_edge():
-    graph = _merge(SemanticGraph.empty(8), [FactTriple("alice", "likes", "jazz")], 0)
+    graph = _merge(SemanticGraph(), [FactTriple("alice", "likes", "jazz")], 0)
     assert set(graph.nodes) == {"alice"}
     assert len(graph.edges) == 1
     assert graph.edges[0][:4] == ("alice", "likes", "jazz", 0)
@@ -262,7 +273,7 @@ def test_merge_inserts_node_and_edge():
 
 
 def test_merge_recency_wins_and_supersedes():
-    graph = _merge(SemanticGraph.empty(8), [FactTriple("alice", "lives_in", "london")], 1)
+    graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "london")], 1)
     graph = _merge(graph, [FactTriple("alice", "lives_in", "paris")], 4)
     record = graph.nodes["alice"].attributes["lives_in"]
     assert record.value == "paris"
@@ -271,7 +282,7 @@ def test_merge_recency_wins_and_supersedes():
 
 
 def test_merge_out_of_order_write_goes_to_superseded():
-    graph = _merge(SemanticGraph.empty(8), [FactTriple("alice", "lives_in", "paris")], 4)
+    graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "paris")], 4)
     graph = _merge(graph, [FactTriple("alice", "lives_in", "london")], 1)
     record = graph.nodes["alice"].attributes["lives_in"]
     assert record.value == "paris"
@@ -280,13 +291,13 @@ def test_merge_out_of_order_write_goes_to_superseded():
 
 def test_merge_eviction_drops_lowest_importance():
     # brute-force eviction oracle: entity with the fewest writes goes first
-    graph = SemanticGraph.empty(2)
-    graph = _merge(graph, [FactTriple("aaa", "likes", "jazz")], 0)
-    graph = _merge(graph, [FactTriple("aaa", "plays", "piano")], 1)
-    graph = _merge(graph, [FactTriple("aaa", "works", "chef")], 2)   # importance 3
-    graph = _merge(graph, [FactTriple("bbb", "likes", "rain")], 3)   # importance 1
-    graph = _merge(graph, [FactTriple("ccc", "likes", "snow")], 4)
-    graph = _merge(graph, [FactTriple("ccc", "plays", "drums")], 5)  # importance 2
+    graph = SemanticGraph()
+    graph = _merge(graph, [FactTriple("aaa", "likes", "jazz")], 0, C_s=2)
+    graph = _merge(graph, [FactTriple("aaa", "plays", "piano")], 1, C_s=2)
+    graph = _merge(graph, [FactTriple("aaa", "works", "chef")], 2, C_s=2)   # importance 3
+    graph = _merge(graph, [FactTriple("bbb", "likes", "rain")], 3, C_s=2)   # importance 1
+    graph = _merge(graph, [FactTriple("ccc", "likes", "snow")], 4, C_s=2)
+    graph = _merge(graph, [FactTriple("ccc", "plays", "drums")], 5, C_s=2)  # importance 2
     scores = {"aaa": (3.0, 2), "bbb": (1.0, 3), "ccc": (2.0, 5)}
     expected_evicted = min(scores, key=lambda k: scores[k])
     assert expected_evicted == "bbb"
@@ -297,7 +308,7 @@ def test_merge_eviction_drops_lowest_importance():
 
 def test_merge_idempotent_for_identical_triple_same_session():
     triple = FactTriple("alice", "likes", "jazz")
-    once = _merge(SemanticGraph.empty(8), [triple], 2)
+    once = _merge(SemanticGraph(), [triple], 2)
     twice = _merge(once, [triple], 2)
     assert twice.nodes["alice"].importance == once.nodes["alice"].importance
     assert twice.edges == once.edges
@@ -306,7 +317,7 @@ def test_merge_idempotent_for_identical_triple_same_session():
 
 def test_merge_restatement_at_later_session_refreshes_recency():
     triple = FactTriple("alice", "likes", "jazz")
-    graph = _merge(SemanticGraph.empty(8), [triple], 0)
+    graph = _merge(SemanticGraph(), [triple], 0)
     graph = _merge(graph, [triple], 5)
     assert len(graph.edges) == 1
     assert graph.edges[0][3] == 5
@@ -316,31 +327,31 @@ def test_merge_restatement_at_later_session_refreshes_recency():
 
 
 def test_merge_similarity_match_absorbs_near_duplicate_entities():
-    base = _merge(SemanticGraph.empty(8), [FactTriple("alice marie smith", "lives_in", "paris")], 0)
+    base = _merge(SemanticGraph(), [FactTriple("alice marie smith", "lives_in", "paris")], 0)
     candidate = FactTriple("alice marie jones", "lives_in", "rome")
-    merged_low = merge_semantic(base, [candidate], 1, 0.5, CFG)
+    merged_low = merge_semantic(base, [candidate], 1, 0.5, 8, CFG)
     assert set(merged_low.nodes) == {"alice marie smith"}
     assert merged_low.current_value("alice marie smith", "lives_in") == "rome"
-    kept_high = merge_semantic(base, [candidate], 1, 0.9, CFG)
+    kept_high = merge_semantic(base, [candidate], 1, 0.9, 8, CFG)
     assert set(kept_high.nodes) == {"alice marie smith", "alice marie jones"}
 
 
 def test_merge_tie_breaks_to_lexicographically_smaller_id():
     cfg = EmbedderConfig(dim=64, seed=3)
-    base = SemanticGraph.empty(8)
-    base = merge_semantic(base, [FactTriple("bob", "likes", "jazz")], 0, 0.9, cfg)
+    base = SemanticGraph()
+    base = merge_semantic(base, [FactTriple("bob", "likes", "jazz")], 0, 0.9, 8, cfg)
     node = base.nodes["bob"]
     clone = dict(base.nodes)
     clone["abe"] = node.__class__("abe", dict(node.attributes), node.embedding, node.importance, node.last_updated)
-    tied = SemanticGraph(clone, base.edges, 8)
-    merged = merge_semantic(tied, [FactTriple("zed", "likes", "jazz")], 1, 0.2, cfg)
+    tied = SemanticGraph(clone, base.edges)
+    merged = merge_semantic(tied, [FactTriple("zed", "likes", "jazz")], 1, 0.2, 8, cfg)
     # equal cosine to both tied nodes: the lexicographically smaller id wins
     assert "zed" not in merged.nodes
     assert merged.nodes["abe"].importance == node.importance + 1
 
 
 def test_merge_node_embedding_tracks_attribute_changes():
-    graph = _merge(SemanticGraph.empty(8), [FactTriple("alice", "lives_in", "london")], 0)
+    graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "london")], 0)
     before = graph.nodes["alice"].embedding.values.copy()
     graph = _merge(graph, [FactTriple("alice", "lives_in", "paris")], 1)
     after = graph.nodes["alice"].embedding.values
@@ -349,7 +360,7 @@ def test_merge_node_embedding_tracks_attribute_changes():
 
 
 def test_merge_importance_at_least_distinct_attributes():
-    graph = SemanticGraph.empty(8)
+    graph = SemanticGraph()
     for i, (attr, val) in enumerate([("likes", "jazz"), ("plays", "piano"), ("works", "chef")]):
         graph = _merge(graph, [FactTriple("alice", attr, val)], i)
     node = graph.nodes["alice"]
@@ -363,9 +374,9 @@ def test_merge_replay_is_bit_identical():
         [FactTriple("alice", "likes", "blues")],
     ]
     def build():
-        graph = SemanticGraph.empty(4)
+        graph = SemanticGraph()
         for i, batch in enumerate(facts):
-            graph = _merge(graph, batch, i)
+            graph = _merge(graph, batch, i, C_s=4)
         return graph
     a, b = build(), build()
     assert list(a.nodes) == list(b.nodes)

@@ -27,13 +27,13 @@ def _graph(entities: dict[str, np.ndarray], dim: int = 16) -> SemanticGraph:
         name: EntityNode(name, {"a": AttributeValue("v", 0)}, Embedding(vec, dim), 1.0, 0)
         for name, vec in entities.items()
     }
-    return SemanticGraph(nodes, (), max(len(nodes), 1))
+    return SemanticGraph(nodes)
 
 
 # ------------------------------------------------------------ entity_projection
 
 def test_projection_of_empty_graph_is_empty():
-    assert entity_projection(SemanticGraph.empty(4)) == {}
+    assert entity_projection(SemanticGraph()) == {}
 
 
 def test_projection_maps_ids_to_embeddings():
@@ -46,10 +46,10 @@ def test_projection_maps_ids_to_embeddings():
 
 
 def test_projection_changes_only_at_touched_entity():
-    graph = merge_semantic(SemanticGraph.empty(8), [FactTriple("alice", "likes", "jazz")], 0, 0.9, CFG)
-    graph = merge_semantic(graph, [FactTriple("bob", "plays", "chess")], 0, 0.9, CFG)
+    graph = merge_semantic(SemanticGraph(), [FactTriple("alice", "likes", "jazz")], 0, 0.9, 8, CFG)
+    graph = merge_semantic(graph, [FactTriple("bob", "plays", "chess")], 0, 0.9, 8, CFG)
     before = entity_projection(graph)
-    updated = merge_semantic(graph, [FactTriple("alice", "likes", "blues")], 1, 0.9, CFG)
+    updated = merge_semantic(graph, [FactTriple("alice", "likes", "blues")], 1, 0.9, 8, CFG)
     after = entity_projection(updated)
     changed = {k for k in before if not np.array_equal(before[k].values, after[k].values)}
     assert changed == {"alice"}
@@ -80,7 +80,7 @@ def test_drift_squared_displacement_hand_value():
 def test_drift_birth_contributes_zero():
     vec = np.zeros(16)
     vec[0] = 1.0
-    report = drift(SemanticGraph.empty(4), _graph({"alice": vec}))
+    report = drift(SemanticGraph(), _graph({"alice": vec}))
     assert report.total == 0.0
     assert report.born == frozenset({"alice"})
     assert report.per_entity == {}

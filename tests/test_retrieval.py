@@ -56,9 +56,9 @@ def _state(
     dim: int = DIM,
 ) -> MemoryState:
     return MemoryState(
-        WorkingMemory(tuple(working_entries), 8, 512),
-        EpisodicMemory(episodic_state or Embedding.zeros(dim), tuple(log), 16, 0.5),
-        SemanticGraph(nodes or {}, (), 16),
+        WorkingMemory(tuple(working_entries)),
+        EpisodicMemory(episodic_state or Embedding.zeros(dim), tuple(log)),
+        SemanticGraph(nodes or {}),
         cursor,
     )
 

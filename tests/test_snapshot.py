@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mlmem.embedding import EmbedderConfig
 from mlmem.cli import main
-from mlmem.engine import EngineConfig, initial_state, run
+from mlmem.engine import EngineConfig, run
 from mlmem.harness import generate_scenario
 from mlmem.memory import FactTriple, Session, Utterance
 from mlmem.snapshot import (
@@ -95,11 +94,24 @@ def test_older_format_snapshot_loads_to_the_same_state_and_query(tmp_path, capsy
     assert answers[0] == answers[1]
 
 
-@pytest.mark.parametrize("name, value", [("k", 3), ("C_w", 17), ("C_e", 2), ("alpha", 0.25), ("C_s", 5)])
-def test_dumps_state_rejects_state_built_under_other_bounds(name, value):
-    state = initial_state(replace(CFG, **{name: value}))
-    with pytest.raises(ValueError, match="bounds"):
-        dumps_state(state, CFG)
+@pytest.mark.parametrize("name", ["k", "C_w", "C_e", "C_s"])
+def test_loads_state_rejects_layers_over_the_config_bounds(name, tmp_path):
+    state = _built_state()
+    sizes = {
+        "k": len(state.working.entries),
+        "C_w": state.working.token_count(),
+        "C_e": len(state.episodic.log),
+        "C_s": len(state.semantic.nodes),
+    }
+    assert sizes[name] > 1
+    data = json.loads(dumps_state(state, CFG))
+    data["config"][name] = sizes[name] - 1
+    blob = json.dumps(data)
+    with pytest.raises(ValueError, match=f"malformed snapshot: .*{name}={sizes[name] - 1}"):
+        loads_state(blob)
+    path = tmp_path / "over.json"
+    path.write_text(blob)
+    assert main(["query", "--snapshot", str(path), "--text", "alice lives_in"]) == 2
 
 
 def test_config_json_accepts_and_drops_retired_keys():
