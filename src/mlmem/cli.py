@@ -83,7 +83,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 "similarity": item.similarity,
                 "session_index": item.session_index,
             }
-            for item in retrieval.all_items()
+            for item in retrieval.items
         ],
         "token_cost": retrieval.token_cost,
         "entropy": fused.entropy,

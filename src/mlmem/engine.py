@@ -7,14 +7,15 @@ it. One step folds a session into each enabled layer, answers the query against
 the new state, generates a response through a pluggable responder, and records
 the semantic drift against the pre-step graph. The layer bounds come from the
 step's cfg alone, so a state built under another config is resumed under the
-given one. A run folds steps from the zero state; replaying the same sessions
-reproduces bit-identical outputs.
+given one; a layer the cfg disables is carried over as it is, and the step
+raises ValueError when it exceeds the cfg's bounds. A run folds steps from the
+zero state; replaying the same sessions reproduces bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Protocol, Sequence
 
 from .embedding import EmbedderConfig
@@ -32,6 +33,7 @@ from .memory import (
 )
 from .retention import DriftReport, drift
 from .retrieval import (
+    LAYERS,
     FusedState,
     GatingWeights,
     Query,
@@ -57,8 +59,9 @@ class EngineConfig:
     lambda weights the tuner objective only, so it is an axis of ``tune``, not a field.
 
     enabled_layers and uniform_gating exist for the harness's baseline policies
-    and ablation variants: a disabled layer is simply never consolidated, and
-    uniform gating pins the weights at (1/3, 1/3, 1/3).
+    and ablation variants: a disabled layer is never consolidated (``step``
+    rejects one that exceeds its bounds), and uniform gating pins the weights
+    at (1/3, 1/3, 1/3).
     """
 
     k: int = 8
@@ -74,13 +77,13 @@ class EngineConfig:
     token_budget: int = 512
     summary_m: int = 3
     embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
-    enabled_layers: tuple[str, ...] = ("w", "e", "s")
+    enabled_layers: tuple[str, ...] = LAYERS
     uniform_gating: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("k", "C_w", "C_e", "C_s", "top_j", "token_budget", "summary_m"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
@@ -91,8 +94,22 @@ class EngineConfig:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not 0.0 <= self.mix <= 1.0:
             raise ValueError(f"mix must lie in [0, 1], got {self.mix}")
-        if not self.enabled_layers or any(layer not in ("w", "e", "s") for layer in self.enabled_layers):
-            raise ValueError(f"enabled_layers must be a non-empty subset of (w, e, s), got {self.enabled_layers}")
+        if not self.enabled_layers or any(layer not in LAYERS for layer in self.enabled_layers):
+            raise ValueError(f"enabled_layers must be a non-empty subset of {LAYERS}, got {self.enabled_layers}")
+
+
+# Each layer's bounds in EngineConfig, in the order check_layer_bounds reads the sizes.
+_LAYER_BOUNDS = (("w", "k"), ("w", "C_w"), ("e", "C_e"), ("s", "C_s"))
+
+
+def check_layer_bounds(state: MemoryState, cfg: EngineConfig, layers: Sequence[str] = LAYERS) -> None:
+    """ValueError when one of the layers exceeds its cfg bound: k and C_w for w, C_e for e, C_s for s."""
+    working = state.working
+    sizes = (len(working.entries), working.token_count(), len(state.episodic.log), len(state.semantic.nodes))
+    for (layer, name), size in zip(_LAYER_BOUNDS, sizes):
+        bound = getattr(cfg, name)
+        if layer in layers and size > bound:
+            raise ValueError(f"layer size {size} exceeds the config's {name}={bound}")
 
 
 def answer(query: Query, state: MemoryState, cfg: EngineConfig) -> tuple[RetrievalResult, FusedState]:
@@ -140,6 +157,9 @@ def step(
 ) -> StepOutput:
     """One consolidate-answer-respond step; the input state is untouched.
 
+    Raises ValueError when the session is out of order or a layer that cfg
+    disables exceeds cfg's bounds on it.
+
     ``history_tokens`` is the raw token total of previously ingested sessions;
     run() threads it so context_usage is measured against the full history.
     """
@@ -147,6 +167,10 @@ def step(
         raise ValueError(
             f"session {session.index} out of order; expected {state.session_cursor + 1}"
         )
+
+    disabled = tuple(layer for layer in LAYERS if layer not in cfg.enabled_layers)
+    if disabled:
+        check_layer_bounds(state, cfg, disabled)
 
     working = state.working
     episodic = state.episodic

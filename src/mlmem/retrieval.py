@@ -2,11 +2,12 @@
 
 Retrieval builds the three layer representation vectors once, gates them (the
 query's cosine to each, softmaxed at temperature beta into a probability
-simplex), blends them with those weights, and admits per-layer top items
-greedily under a token budget. Fusion mixes the query with the retrieval
-vector and sharpens it until the entropy of its magnitude distribution falls
-under the configured bound. Inside the package, ``engine.answer`` is the only
-code that chains them under an ``EngineConfig``.
+simplex), blends them with those weights, and admits each layer's top items
+greedily under a token budget. Its result carries the admitted items as one
+tuple in admission order. Fusion mixes the query with the retrieval vector and
+sharpens it until the entropy of its magnitude distribution falls under the
+configured bound. The layer order is ``LAYERS``. Inside the package,
+``engine.answer`` is the only code that chains them under an ``EngineConfig``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .embedding import Embedding, EmbedderConfig, cosine, embed
 from .memory import MemoryState, node_text
 
 LAYERS = ("w", "e", "s")
-
-_LAYER_RANK = {"w": 0, "e": 1, "s": 2}
 
 SHARPEN_MAX_ITERATIONS = 64
 
@@ -53,9 +52,6 @@ class GatingWeights:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.gamma_w, self.gamma_e, self.gamma_s)
 
-    def for_layer(self, layer: str) -> float:
-        return self.as_tuple()[_LAYER_RANK[layer]]
-
     @classmethod
     def uniform(cls, beta: float) -> "GatingWeights":
         return cls(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, beta)
@@ -75,21 +71,15 @@ class RetrievedItem:
 
 @dataclass(frozen=True)
 class RetrievalResult:
+    """The gated blend vector and the admitted items of all layers, in admission order."""
+
     vector: np.ndarray
     weights: GatingWeights
-    working_items: tuple[RetrievedItem, ...]
-    episodic_items: tuple[RetrievedItem, ...]
-    semantic_items: tuple[RetrievedItem, ...]
+    items: tuple[RetrievedItem, ...]
     token_cost: int
 
     def all_items(self) -> tuple[RetrievedItem, ...]:
-        merged = self.working_items + self.episodic_items + self.semantic_items
-        return tuple(
-            sorted(
-                merged,
-                key=lambda i: (-i.score, i.session_index, i.turn_index, _LAYER_RANK[i.layer], i.text),
-            )
-        )
+        return self.items
 
 
 @dataclass(frozen=True)
@@ -153,49 +143,35 @@ def gate(query: Query, representations: tuple[Embedding, ...], beta: float) -> G
 
 
 def _layer_candidates(
-    query: Query, state: MemoryState, layer: str, top_j: int
-) -> list[tuple[float, int, int, str, str, int]]:
-    """Top-j (similarity, session, turn, speaker, text, tokens) rows for one layer."""
-    raw: list[tuple[float, int, int, str, str, int]] = []
+    query: Query, state: MemoryState, layer: str, top_j: int, gamma: float
+) -> list[RetrievedItem]:
+    """The layer's top-j by (-similarity, session, turn, text), each scored gamma * similarity.
+
+    Rows are (similarity, session, turn, text, speaker); items are built for the
+    top-j only. An item's token count is its text's whitespace token count,
+    which an utterance's token_count is checked to equal.
+    """
+    q = query.embedding
     if layer == "w":
-        for utterance, embedding in state.working.entries:
-            raw.append(
-                (
-                    cosine(embedding, query.embedding),
-                    utterance.session_index,
-                    utterance.turn_index,
-                    utterance.speaker,
-                    utterance.text,
-                    utterance.token_count,
-                )
-            )
+        rows = [
+            (cosine(embedding, q), u.session_index, u.turn_index, u.text, u.speaker)
+            for u, embedding in state.working.entries
+        ]
     elif layer == "e":
-        for record in state.episodic.log:
-            raw.append(
-                (
-                    cosine(record.embedding, query.embedding),
-                    record.session_index,
-                    -1,
-                    "summary",
-                    record.text,
-                    len(record.text.split()),
-                )
-            )
+        rows = [
+            (cosine(record.embedding, q), record.session_index, -1, record.text, "summary")
+            for record in state.episodic.log
+        ]
     else:
-        for node in state.semantic.nodes.values():
-            text = node_text(node.entity_id, node.attributes)
-            raw.append(
-                (
-                    cosine(node.embedding, query.embedding),
-                    node.last_updated,
-                    -1,
-                    "fact",
-                    text,
-                    len(text.split()),
-                )
-            )
-    raw.sort(key=lambda r: (-r[0], r[1], r[2], r[4]))
-    return raw[:top_j]
+        rows = [
+            (cosine(node.embedding, q), node.last_updated, -1, node_text(node.entity_id, node.attributes), "fact")
+            for node in state.semantic.nodes.values()
+        ]
+    rows.sort(key=lambda r: (-r[0], r[1], r[2], r[3]))
+    return [
+        RetrievedItem(layer, text, sim, gamma * sim, sess, turn, speaker, len(text.split()))
+        for sim, sess, turn, text, speaker in rows[:top_j]
+    ]
 
 
 def retrieve(
@@ -209,8 +185,9 @@ def retrieve(
     """Gated retrieval vector plus greedy token-budgeted item admission.
 
     Items are scored layer-cosine times the layer's gate weight and admitted in
-    descending score, skipping any item that would overflow the budget
-    (ties: lower session_index, then lower turn_index). Passing ``weights``
+    descending score, skipping any item that would overflow the budget (ties:
+    lower session_index, then lower turn_index, then LAYERS order, then text).
+    The result's items are the admitted ones in that order. Passing ``weights``
     overrides the softmax gate (used for forced-uniform gating). Each layer
     representation is built once and serves both the gate and the blend.
     """
@@ -223,28 +200,20 @@ def retrieve(
         weights = gate(query, representations, beta)
 
     vector = np.zeros(state.episodic.state.dim)
-    for layer, rep in zip(LAYERS, representations):
-        vector += weights.for_layer(layer) * rep.values
-
     candidates: list[RetrievedItem] = []
-    for layer in LAYERS:
-        gamma = weights.for_layer(layer)
-        for sim, sess, turn, speaker, text, tokens in _layer_candidates(query, state, layer, top_j):
-            candidates.append(
-                RetrievedItem(layer, text, sim, gamma * sim, sess, turn, speaker, tokens)
-            )
-    candidates.sort(key=lambda i: (-i.score, i.session_index, i.turn_index, _LAYER_RANK[i.layer], i.text))
+    for layer, rep, gamma in zip(LAYERS, representations, weights.as_tuple()):
+        vector += gamma * rep.values
+        candidates += _layer_candidates(query, state, layer, top_j, gamma)
+    candidates.sort(key=lambda i: (-i.score, i.session_index, i.turn_index, LAYERS.index(i.layer), i.text))
 
-    admitted: list[RetrievedItem] = []
+    items: list[RetrievedItem] = []
     spent = 0
     for item in candidates:
         if spent + item.token_count > token_budget:
             continue
-        admitted.append(item)
+        items.append(item)
         spent += item.token_count
-
-    per_layer = {layer: tuple(i for i in admitted if i.layer == layer) for layer in LAYERS}
-    return RetrievalResult(vector, weights, per_layer["w"], per_layer["e"], per_layer["s"], spent)
+    return RetrievalResult(vector, weights, tuple(items), spent)
 
 
 def entropy(vector: np.ndarray) -> float:
@@ -302,8 +271,8 @@ def fuse(query: Query, retrieval: RetrievalResult, mix: float, epsilon: float) -
             vector = one_hot
 
     ordered = sorted(
-        retrieval.all_items(),
-        key=lambda i: (i.session_index, i.turn_index, _LAYER_RANK[i.layer], i.text),
+        retrieval.items,
+        key=lambda i: (i.session_index, i.turn_index, LAYERS.index(i.layer), i.text),
     )
     context_text = "\n".join(f"{i.speaker}: {i.text}" for i in ordered)
     return FusedState(vector, h, context_text, len(context_text.split()))

@@ -27,6 +27,8 @@ dump -> load -> dump is byte-identical.
 Session JSONL carries one session per line:
 ``{"index": int, "utterances": [{"turn": int, "speaker": str, "text": str, "facts": [...]?}]}``
 with optional fact annotations ``{"s": str, "p": str, "o": str, "c": float}``.
+Reading raises ``ValueError("path:N: malformed session record: ...")`` on a
+line that is no such record, a mistyped field included (same checker as snapshots).
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ import json
 from dataclasses import fields, is_dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .embedding import Embedding
-from .engine import EngineConfig
+from .engine import EngineConfig, check_layer_bounds
 from .memory import (
     AttributeValue,
     EntityNode,
@@ -56,7 +58,7 @@ from .memory import (
 
 
 def _vector_to_list(embedding: Embedding) -> list[float]:
-    return [float(v) for v in embedding.values]
+    return embedding.values.tolist()
 
 
 def _vector_from_list(values: list[float], dim: int) -> Embedding:
@@ -75,6 +77,14 @@ def _check_types(name: str, annotation: str, values: Iterable[Any]) -> None:
         raise TypeError(f"{name} must be {annotation}, got {odd.pop().__name__}")
 
 
+def _check_records(*groups: Sequence[Any]) -> None:
+    """_check_types over each int, float and str field of each group of same-type records."""
+    for records in groups:
+        for f in fields(records[0]) if records else ():
+            if f.type in _KINDS:
+                _check_types(f"{type(records[0]).__name__}.{f.name}", f.type, map(attrgetter(f.name), records))
+
+
 def _check_state(state: MemoryState) -> None:
     """_check_types over every int, float and str field of a loaded state; vectors are left to numpy."""
     utterances = tuple(map(itemgetter(0), state.working.entries))
@@ -82,10 +92,7 @@ def _check_state(state: MemoryState) -> None:
     attributes = tuple(chain.from_iterable(node.attributes.items() for node in nodes))
     attribute_values = tuple(map(itemgetter(1), attributes))
     facts = tuple(chain.from_iterable(u.annotations for u in utterances))
-    for records in ((state,), utterances, facts, state.episodic.log, nodes, attribute_values):
-        for f in fields(records[0]) if records else ():
-            if f.type in _KINDS:
-                _check_types(f"{type(records[0]).__name__}.{f.name}", f.type, map(attrgetter(f.name), records))
+    _check_records((state,), utterances, facts, state.episodic.log, nodes, attribute_values)
     _check_types("attribute name", "str", map(itemgetter(0), attributes))
     _check_types("superseded value", "str", chain.from_iterable(map(attrgetter("superseded"), attribute_values)))
     for i, (annotation, column) in enumerate(zip(_EDGE, zip(*state.semantic.edges))):
@@ -247,11 +254,10 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     )
     state = MemoryState(working, episodic, semantic, raw["session_cursor"])
     _check_state(state)
-    sizes = (len(working.entries), working.token_count(), len(episodic.log), len(semantic.nodes))
-    for name, size in zip(("k", "C_w", "C_e", "C_s"), sizes):
-        bound = getattr(cfg, name)
-        if size > bound:
-            raise ValueError(f"malformed snapshot: layer size {size} exceeds the config's {name}={bound}")
+    try:
+        check_layer_bounds(state, cfg)
+    except ValueError as exc:
+        raise ValueError(f"malformed snapshot: {exc}") from exc
     return state, cfg
 
 
@@ -273,8 +279,12 @@ def session_to_dict(session: Session) -> dict[str, Any]:
 
 
 def session_from_dict(data: dict[str, Any]) -> Session:
+    """Raises TypeError when an int, float or str field of the session holds another JSON type."""
     index = data["index"]
-    return Session(index, tuple(_utterance_from_dict(u, index) for u in data["utterances"]))
+    session = Session(index, tuple(_utterance_from_dict(u, index) for u in data["utterances"]))
+    facts = tuple(chain.from_iterable(u.annotations for u in session.utterances))
+    _check_records((session,), session.utterances, facts)
+    return session
 
 
 def write_sessions_jsonl(sessions: Iterable[Session], path: str) -> None:
@@ -292,6 +302,6 @@ def read_sessions_jsonl(path: str) -> list[Session]:
                 continue
             try:
                 sessions.append(session_from_dict(json.loads(line)))
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{line_number}: malformed session record: {exc}") from exc
     return sessions

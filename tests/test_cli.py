@@ -218,6 +218,39 @@ def test_mistyped_snapshot_scalar_is_validation_error(tmp_path, sessions_file, c
     assert capsys.readouterr().err.startswith("error: malformed snapshot")
 
 
+def _session_line(index=0, turn=0, speaker="alice", text="alice lives in paris", s="alice", c=1.0):
+    fact = {"s": s, "p": "lives_in", "o": "paris", "c": c}
+    utterance = {"turn": turn, "speaker": speaker, "text": text, "facts": [fact]}
+    return json.dumps({"index": index, "utterances": [utterance]})
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        _session_line(text=5),
+        _session_line(s=1),
+        _session_line(speaker=7),
+        _session_line(c="high"),
+        _session_line(turn="0"),
+        _session_line(index="0"),
+    ],
+    ids=["text", "fact_subject", "speaker", "fact_confidence", "turn", "index"],
+)
+def test_mistyped_session_field_is_validation_error(tmp_path, capsys, line):
+    sessions = tmp_path / "sessions.jsonl"
+    sessions.write_text(line + "\n")
+    snapshot = tmp_path / "state.json"
+    assert main(["ingest", "--input", str(sessions), "--snapshot", str(snapshot)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {sessions}:1: malformed session record: ")
+    assert not snapshot.exists()
+
+
+def test_well_typed_session_line_ingests(tmp_path):
+    sessions = tmp_path / "sessions.jsonl"
+    sessions.write_text(_session_line(c=1) + "\n")
+    assert main(["ingest", "--input", str(sessions), "--snapshot", str(tmp_path / "state.json")]) == 0
+
+
 def test_bad_arguments_are_validation_errors(tmp_path):
     assert main(["eval", "--scenario-seed", "1", "--policy", "bogus", "--out", str(tmp_path / "r.json")]) == 2
     assert main(["unknown-command"]) == 2

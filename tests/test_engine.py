@@ -22,7 +22,7 @@ from mlmem.harness import generate_scenario
 from mlmem.memory import FactTriple, Session, Utterance
 from mlmem.retention import cumulative_retention_loss
 from mlmem.retrieval import layer_representation, make_query
-from mlmem.snapshot import dumps_state
+from mlmem.snapshot import dumps_state, loads_state
 
 CFG = EngineConfig(embedder=EmbedderConfig(dim=64, seed=2))
 
@@ -226,9 +226,7 @@ def _assert_same_answer(got, expected):
     (got_retrieval, got_fused), (want_retrieval, want_fused) = got, expected
     assert np.array_equal(got_retrieval.vector, want_retrieval.vector)
     assert got_retrieval.weights == want_retrieval.weights
-    assert got_retrieval.working_items == want_retrieval.working_items
-    assert got_retrieval.episodic_items == want_retrieval.episodic_items
-    assert got_retrieval.semantic_items == want_retrieval.semantic_items
+    assert got_retrieval.items == want_retrieval.items
     assert got_retrieval.token_cost == want_retrieval.token_cost
     assert np.array_equal(got_fused.vector, want_fused.vector)
     assert got_fused.entropy == want_fused.entropy
@@ -331,6 +329,28 @@ def test_run_resumed_under_other_bounds_keeps_them():
     assert len(state.semantic.nodes) <= 4
     assert len(state.working.entries) <= 2
     dumps_state(state, cfg)
+
+
+@pytest.mark.parametrize(
+    "name, bound, layers",
+    [("k", 2, ("s",)), ("C_w", 5, ("e", "s")), ("C_e", 1, ("w", "s")), ("C_s", 1, ("w", "e"))],
+)
+def test_run_rejects_a_disabled_layer_over_its_bounds(name, bound, layers):
+    sessions = generate_scenario(8, 4, seed=1).sessions
+    start = run(sessions[:2], None, EngineConfig())[-1].state
+    cfg = replace(EngineConfig(), enabled_layers=layers, **{name: bound})
+    with pytest.raises(ValueError, match=f"exceeds the config's {name}={bound}$"):
+        run(sessions[2:], None, cfg, start_state=start)
+
+
+def test_run_resumed_with_a_disabled_layer_within_bounds_round_trips():
+    sessions = generate_scenario(8, 4, seed=1).sessions
+    start = run(sessions[:2], None, EngineConfig())[-1].state
+    cfg = replace(EngineConfig(), enabled_layers=("s",))
+    state = run(sessions[2:], None, cfg, start_state=start)[-1].state
+    assert state.working is start.working and state.episodic is start.episodic
+    text = dumps_state(state, cfg)
+    assert dumps_state(*loads_state(text)) == text
 
 
 @pytest.mark.parametrize("layers", [("w", "e", "s"), ("w", "s"), ("s",), ("w",), ("e",)])

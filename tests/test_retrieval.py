@@ -19,8 +19,10 @@ from mlmem.memory import (
     SummaryRecord,
     Utterance,
     WorkingMemory,
+    node_text,
 )
 from mlmem.retrieval import (
+    LAYERS,
     EntropyBoundError,
     GatingWeights,
     Query,
@@ -250,7 +252,7 @@ def test_retrieve_respects_top_j_per_layer():
     state = _state(working_entries=entries)
     query = make_query("utterance number words", CFG, 0)
     result = retrieve(query, state, 4.0, top_j=2, token_budget=512)
-    assert len(result.working_items) <= 2
+    assert len([i for i in result.items if i.layer == "w"]) <= 2
 
 
 def test_retrieve_tie_break_prefers_earlier_items():
@@ -263,7 +265,7 @@ def test_retrieve_tie_break_prefers_earlier_items():
     )
     query = make_query("same text here", CFG, 0)
     result = retrieve(query, state, 4.0, top_j=1, token_budget=512)
-    assert result.working_items[0].turn_index == 1
+    assert [i for i in result.items if i.layer == "w"][0].turn_index == 1
 
 
 def test_retrieve_item_scores_are_gamma_weighted():
@@ -271,7 +273,7 @@ def test_retrieve_item_scores_are_gamma_weighted():
     state = _state(working_entries=[(_utterance("alice likes jazz"), emb)])
     query = make_query("alice likes jazz", CFG, 0)
     result = retrieve(query, state, 4.0, top_j=1, token_budget=64)
-    item = result.working_items[0]
+    item = [i for i in result.items if i.layer == "w"][0]
     assert item.score == pytest.approx(result.weights.gamma_w * item.similarity, abs=1e-12)
 
 
@@ -281,6 +283,76 @@ def test_retrieve_weights_override_for_uniform_gating():
     query = make_query("alice likes jazz", CFG, 0)
     result = retrieve(query, state, 4.0, 4, 64, weights=GatingWeights.uniform(4.0))
     assert result.weights.as_tuple() == (1 / 3, 1 / 3, 1 / 3)
+
+
+def _three_layer_state() -> MemoryState:
+    texts = ["alice likes jazz", "alice likes long jazz sets", "bob plays chess", "alice hikes"]
+    summaries = ["alice likes jazz and hikes", "bob plays chess", "carol reads"]
+    return _state(
+        working_entries=[(_utterance(t, 2, turn), embed(t, CFG)) for turn, t in enumerate(texts)],
+        episodic_state=embed("alice likes jazz", CFG),
+        log=[SummaryRecord(i, t, embed(t, CFG), 1.0) for i, t in enumerate(summaries)],
+        nodes={
+            "alice": _node("alice", embed("alice likes x", CFG), 2.0, 1),
+            "bob": _node("bob", embed("bob likes x", CFG), 1.0, 0),
+            "carol": _node("carol", embed("carol likes x", CFG), 1.0, 2),
+        },
+        cursor=2,
+    )
+
+
+def _admission_oracle(query: Query, state: MemoryState, top_j: int, budget: int):
+    """(layer, text, score, session, turn, speaker, tokens) rows admitted, in admission order."""
+    q = query.embedding
+    rows = {
+        "w": [(cosine(e, q), u.session_index, u.turn_index, u.text, u.speaker) for u, e in state.working.entries],
+        "e": [(cosine(r.embedding, q), r.session_index, -1, r.text, "summary") for r in state.episodic.log],
+        "s": [
+            (cosine(n.embedding, q), n.last_updated, -1, node_text(n.entity_id, n.attributes), "fact")
+            for n in state.semantic.nodes.values()
+        ],
+    }
+    weights = gate(query, tuple(layer_representation(state, layer) for layer in LAYERS), 4.0)
+    candidates = []
+    for layer, gamma in zip(LAYERS, weights.as_tuple()):
+        top = sorted(rows[layer], key=lambda r: (-r[0], r[1], r[2], r[3]))[:top_j]
+        candidates += [
+            (layer, text, gamma * sim, sess, turn, spk, len(text.split())) for sim, sess, turn, text, spk in top
+        ]
+    candidates.sort(key=lambda c: (-c[2], c[3], c[4], LAYERS.index(c[0]), c[1]))
+    admitted, spent = [], 0
+    for candidate in candidates:
+        if spent + candidate[6] <= budget:
+            admitted.append(candidate)
+            spent += candidate[6]
+    return admitted, candidates
+
+
+def test_retrieve_items_match_admission_oracle_under_a_tight_budget():
+    state = _three_layer_state()
+    query = make_query("alice likes jazz", CFG, 2)
+    admitted, candidates = _admission_oracle(query, state, top_j=3, budget=12)
+    assert {c[0] for c in candidates} == set(LAYERS)
+    assert len(admitted) < len(candidates)
+    # the budget skips an item and then admits a later one
+    assert candidates.index(admitted[-1]) > len(admitted) - 1
+    result = retrieve(query, state, 4.0, top_j=3, token_budget=12)
+    assert [
+        (i.layer, i.text, i.score, i.session_index, i.turn_index, i.speaker, i.token_count) for i in result.items
+    ] == admitted
+    assert result.token_cost == sum(c[6] for c in admitted)
+    assert result.all_items() == result.items
+
+
+def test_fuse_context_is_items_in_session_turn_layer_text_order():
+    state = _three_layer_state()
+    query = make_query("alice likes jazz", CFG, 2)
+    result = retrieve(query, state, 4.0, top_j=3, token_budget=64)
+    assert {i.layer for i in result.items} == set(LAYERS)
+    fused = fuse(query, result, mix=0.5, epsilon=50.0)
+    ordered = sorted(result.items, key=lambda i: (i.session_index, i.turn_index, LAYERS.index(i.layer), i.text))
+    assert ordered != list(result.items)
+    assert fused.context_text.split("\n") == [f"{i.speaker}: {i.text}" for i in ordered]
 
 
 # ----------------------------------------------------------------------- fuse
