@@ -8,12 +8,19 @@ processes with the same (text, dim, seed) produce bit-equal vectors.
 Remote mode POSTs ``{"texts": [str]}`` and expects ``{"vectors": [[float]]}``;
 vectors are L2-normalized on receipt. The ``MLMEM_EMBED_ENDPOINT`` environment
 variable overrides the configured endpoint.
+
+``cosine`` decides every similarity question: a match against ``tau_s``, a
+top-j ranking, a tie-break. A scan over many vectors first narrows them with
+``shortlist``, one matrix-vector product whose approximate cosines keep every
+row within ``SHORTLIST_SLACK`` of the cut, and then scores only the kept rows
+with ``cosine``, so it decides exactly as scoring every row would.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import urllib.error
@@ -26,6 +33,13 @@ REMOTE_ENDPOINT_ENV = "MLMEM_EMBED_ENDPOINT"
 REMOTE_TIMEOUT_SECONDS = 10.0
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+# How far below the count-th best approximate cosine ``shortlist`` still keeps
+# a row. The matvec and ``cosine`` round differently, by ~1e-14 on unit
+# vectors of dim 256; a slack of at least twice the largest such difference
+# keeps every row whose exact cosine reaches the exact count-th best, ties
+# included. The margin past that only costs a few extra ``cosine`` calls.
+SHORTLIST_SLACK = 1e-9
 
 
 class EmbeddingServiceError(RuntimeError):
@@ -151,9 +165,29 @@ def cosine(a: Embedding, b: Embedding) -> float:
     """Cosine similarity in [-1, 1]; 0 when either vector is zero."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    na = float(np.linalg.norm(a.values))
-    nb = float(np.linalg.norm(b.values))
+    na = math.sqrt(float(a.values.dot(a.values)))
+    nb = math.sqrt(float(b.values.dot(b.values)))
     if na == 0.0 or nb == 0.0:
         return 0.0
     value = float(np.dot(a.values, b.values)) / (na * nb)
     return max(-1.0, min(1.0, value))
+
+
+def shortlist(matrix: np.ndarray, query: np.ndarray, count: int) -> np.ndarray:
+    """Row indices, ascending, that hold every row whose cosine to query ranks in the top count.
+
+    One matvec gives each row's approximate cosine, 0 for a zero row or a zero
+    query and clamped to [-1, 1] as in ``cosine`` (``fmin``/``fmax`` map NaN to
+    1.0 as Python's ``min``/``max`` do there). Every row within
+    ``SHORTLIST_SLACK`` of the count-th best is kept, so rows tied with the
+    count-th best exact cosine are kept too; the caller ranks the kept rows by
+    ``cosine``. With count >= the row count, every row is kept.
+    """
+    rows = matrix.shape[0]
+    if count >= rows:
+        return np.arange(rows)
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) * math.sqrt(float(query.dot(query)))
+    approx = np.divide(matrix @ query, norms, out=np.zeros(rows), where=norms != 0.0)
+    approx = np.fmax(-1.0, np.fmin(1.0, approx))
+    cut = np.partition(approx, rows - count)[rows - count]
+    return np.flatnonzero(approx >= cut - SHORTLIST_SLACK)

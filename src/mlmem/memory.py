@@ -4,7 +4,10 @@ Working memory is a bounded tail of the latest session, episodic memory is a
 decayed running blend of session-summary embeddings plus a ring-buffered log,
 and semantic memory is an entity graph with similarity-thresholded merging,
 recency-wins conflict resolution, and (importance, recency) eviction. Graph
-facts are mined from raw utterances, not from the episodic summary.
+facts are mined from raw utterances, not from the episodic summary. A merge
+scans the graph for an unseen subject with one matrix-vector product
+(``embedding.shortlist``) and decides the match by ``cosine`` over the
+shortlisted nodes only.
 
 The layers hold data only: each update takes its bounds (k, C_w, alpha, C_e,
 C_s) as arguments, raising ValueError when one is out of range, and is a pure
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embedding import Embedding, EmbedderConfig, cosine, embed
+from .embedding import Embedding, EmbedderConfig, cosine, embed, shortlist
 
 
 @dataclass(frozen=True)
@@ -267,6 +270,11 @@ def merge_semantic(
     node. Same-attribute conflicts resolve recency-wins with the old value kept
     in the superseded list. Past C_s nodes, those with the lowest
     (importance, last_updated) are evicted and their edges dropped.
+
+    The match is decided by ``cosine``: ``shortlist(..., 1)`` over a row
+    buffer of the node vectors keeps every node that may hold the best cosine,
+    ties included, and only those are scored. The buffer lives for this call
+    only, so the graph holds each vector once.
     """
     if not 0.0 <= tau_s <= 1.0 or C_s < 1:
         raise ValueError(f"tau_s must lie in [0, 1] and C_s be >= 1, got {tau_s}, {C_s}")
@@ -274,6 +282,10 @@ def merge_semantic(
     edges: dict[tuple[str, str, str], tuple[str, str, str, int, float]] = {
         (e[0], e[1], e[2]): e for e in graph.edges
     }
+    # The node vectors in `nodes` order plus a spare row per triple, built at
+    # the first unseen subject and kept current; the merge's only scan reads it.
+    matrix: np.ndarray | None = None
+    rows: dict[str, int] = {}
 
     for triple in facts:
         subject = _canonical(triple.subject)
@@ -286,7 +298,15 @@ def merge_semantic(
         if target_id is None and nodes:
             candidate_text = node_text(subject, {predicate: AttributeValue(value, session_index)})
             candidate = embed(candidate_text, embedder)
-            scores = {node_id: cosine(candidate, node.embedding) for node_id, node in nodes.items()}
+            if matrix is None:
+                matrix = np.zeros((len(nodes) + len(facts), embedder.dim))
+                np.stack([node.embedding.values for node in nodes.values()], out=matrix[: len(nodes)])
+                rows = {nid: row for row, nid in enumerate(nodes)}
+            ids = list(nodes)
+            scores = {
+                ids[i]: cosine(candidate, nodes[ids[i]].embedding)
+                for i in shortlist(matrix[: len(ids)], candidate.values, 1)
+            }
             best_score = max(scores.values())
             if best_score >= tau_s:
                 target_id = min(nid for nid, score in scores.items() if score == best_score)
@@ -294,6 +314,8 @@ def merge_semantic(
         if target_id is None:
             target_id = subject
             nodes[target_id] = EntityNode(target_id, {}, Embedding.zeros(embedder.dim), 0.0, session_index)
+            if matrix is not None:
+                rows[target_id] = len(rows)
 
         node = nodes[target_id]
         edge_key = (target_id, predicate, value)
@@ -321,6 +343,8 @@ def merge_semantic(
             node.importance + 1.0,
             max(node.last_updated, session_index),
         )
+        if matrix is not None:
+            matrix[rows[target_id]] = nodes[target_id].embedding.values
 
     if len(nodes) > C_s:
         ranked = sorted(nodes.values(), key=lambda n: (n.importance, n.last_updated, n.entity_id))

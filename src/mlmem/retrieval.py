@@ -3,8 +3,11 @@
 Retrieval builds the three layer representation vectors once, gates them (the
 query's cosine to each, softmaxed at temperature beta into a probability
 simplex), blends them with those weights, and admits each layer's top items
-greedily under a token budget. Its result carries the admitted items as one
-tuple in admission order. Fusion mixes the query with the retrieval vector and
+greedily under a token budget. A layer's top items are found by one
+matrix-vector product over its stacked vectors (``embedding.shortlist``) and
+ranked by ``cosine`` over the shortlisted items only, so the ranking is the
+one that scoring every item gives. Its result carries the admitted items as
+one tuple in admission order. Fusion mixes the query with the retrieval vector and
 sharpens it until the entropy of its magnitude distribution falls under the
 configured bound. The layer order is ``LAYERS``. Inside the package,
 ``engine.answer`` is the only code that chains them under an ``EngineConfig``.
@@ -14,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .embedding import Embedding, EmbedderConfig, cosine, embed
+from .embedding import Embedding, EmbedderConfig, cosine, embed, shortlist
 from .memory import MemoryState, node_text
 
 LAYERS = ("w", "e", "s")
@@ -110,10 +114,9 @@ def layer_representation(state: MemoryState, layer: str) -> Embedding:
         total = sum(n.importance for n in nodes)
         if total <= 0.0:
             return Embedding.zeros(dim)
-        mean = np.zeros(dim)
-        for node in nodes:
-            mean += (node.importance / total) * node.embedding.values
-        return _renormalized(mean, dim)
+        weighted = np.stack([n.embedding.values for n in nodes])
+        weighted *= (np.array([n.importance for n in nodes]) / total)[:, None]
+        return _renormalized(weighted.sum(axis=0), dim)
     raise ValueError(f"unknown layer {layer!r}")
 
 
@@ -142,31 +145,37 @@ def gate(query: Query, representations: tuple[Embedding, ...], beta: float) -> G
     return GatingWeights(gamma_w, gamma_e, gamma_s, beta)
 
 
+def _layer_items(
+    state: MemoryState, layer: str
+) -> tuple[Sequence[tuple[Any, Embedding]], Callable[[Any], tuple[int, int, str, str]]]:
+    """The layer's (record, vector) pairs, and the row (session, turn, text, speaker) of a record."""
+    if layer == "w":
+        return state.working.entries, lambda u: (u.session_index, u.turn_index, u.text, u.speaker)
+    if layer == "e":
+        return [(r, r.embedding) for r in state.episodic.log], lambda r: (r.session_index, -1, r.text, "summary")
+    return [(n, n.embedding) for n in state.semantic.nodes.values()], lambda n: (
+        n.last_updated, -1, node_text(n.entity_id, n.attributes), "fact"
+    )
+
+
 def _layer_candidates(
     query: Query, state: MemoryState, layer: str, top_j: int, gamma: float
 ) -> list[RetrievedItem]:
     """The layer's top-j by (-similarity, session, turn, text), each scored gamma * similarity.
 
-    Rows are (similarity, session, turn, text, speaker); items are built for the
-    top-j only. An item's token count is its text's whitespace token count,
-    which an utterance's token_count is checked to equal.
+    ``shortlist(..., top_j)`` over the stacked item vectors keeps every item
+    whose cosine may reach the top-j, ties included; only those are scored by
+    ``cosine`` and rendered as rows (similarity, session, turn, text,
+    speaker), so a node's text is built for the shortlist only. An item's
+    token count is its text's whitespace token count, which an utterance's
+    token_count is checked to equal.
     """
+    items, row = _layer_items(state, layer)
+    if not items:
+        return []
     q = query.embedding
-    if layer == "w":
-        rows = [
-            (cosine(embedding, q), u.session_index, u.turn_index, u.text, u.speaker)
-            for u, embedding in state.working.entries
-        ]
-    elif layer == "e":
-        rows = [
-            (cosine(record.embedding, q), record.session_index, -1, record.text, "summary")
-            for record in state.episodic.log
-        ]
-    else:
-        rows = [
-            (cosine(node.embedding, q), node.last_updated, -1, node_text(node.entity_id, node.attributes), "fact")
-            for node in state.semantic.nodes.values()
-        ]
+    picked = shortlist(np.stack([e.values for _, e in items]), q.values, top_j)
+    rows = [(cosine(items[i][1], q), *row(items[i][0])) for i in picked]
     rows.sort(key=lambda r: (-r[0], r[1], r[2], r[3]))
     return [
         RetrievedItem(layer, text, sim, gamma * sim, sess, turn, speaker, len(text.split()))

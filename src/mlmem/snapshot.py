@@ -19,6 +19,8 @@ and ``lambda``; loading ignores those keys.
 Loading raises ``ValueError("malformed snapshot: ...")`` when an int, float or
 str field of the loaded state holds another JSON type (a bool is no int; vectors
 are left to numpy), and when the layers exceed the config's k, C_w, C_e or C_s.
+A config scalar (snapshot, report or config file) of another JSON type than its
+field annotation allows raises ``ValueError("malformed config: ...")``.
 
 Node attributes, entries, and log records are serialized as ordered lists so a
 round-trip preserves iteration order exactly; floats survive via repr, so
@@ -66,7 +68,7 @@ def _vector_from_list(values: list[float], dim: int) -> Embedding:
 
 
 # The JSON types a loaded value may have, by annotation: a bool is no int, an int is a float.
-_KINDS = {"int": (int,), "float": (int, float), "str": (str,)}
+_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "str | None": (str, type(None))}
 _EDGE = ("str", "str", "str", "int", "float")
 
 
@@ -118,10 +120,14 @@ def config_to_dict(cfg: Any) -> dict[str, Any]:
 
 
 def _from_dict(cls: type, data: dict[str, Any]) -> Any:
-    """Inverse of config_to_dict: missing keys keep the field default, unknown keys raise ValueError."""
+    """Inverse of config_to_dict: missing keys keep the field default, unknown keys raise ValueError.
+
+    A scalar whose JSON type its field annotation does not allow raises TypeError.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(annotations))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
     defaults = cls()
@@ -132,14 +138,20 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
             value = _from_dict(type(default), value)
         elif isinstance(default, tuple):
             value = tuple(value)
+        else:
+            _check_types(f"{cls.__name__}.{key}", annotations[key], (value,))
         kwargs[key] = value
     return cls(**kwargs)
 
 
 def config_from_dict(data: dict[str, Any]) -> EngineConfig:
+    """Raises ValueError on an unknown key and on a scalar of the wrong JSON type."""
     if isinstance(data, dict):
         data = {key: value for key, value in data.items() if key not in _RETIRED_KEYS}
-    return _from_dict(EngineConfig, data)
+    try:
+        return _from_dict(EngineConfig, data)
+    except TypeError as exc:
+        raise ValueError(f"malformed config: {exc}") from exc
 
 
 def _fact_to_dict(fact: FactTriple) -> dict[str, Any]:

@@ -170,6 +170,29 @@ def test_malformed_config_is_validation_error(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize(
+    "bad",
+    [{"k": "8"}, {"k": 2.5}, {"k": True}, {"beta": "4"}, {"embedder": {"dim": "256"}}, {"uniform_gating": 1}],
+    ids=["k_str", "k_float", "k_bool", "beta_str", "dim_str", "flag_int"],
+)
+def test_mistyped_config_scalar_is_validation_error(tmp_path, sessions_file, capsys, bad):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(bad))
+    snapshot = tmp_path / "s.json"
+    code = main(["ingest", "--input", str(sessions_file), "--snapshot", str(snapshot), "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: malformed config: ")
+    assert not snapshot.exists()
+
+
+def test_well_typed_config_scalars_ingest(tmp_path, sessions_file):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"k": 3, "beta": 4, "uniform_gating": True, "embedder": {"remote_endpoint": None}}))
+    snapshot = tmp_path / "s.json"
+    assert main(["ingest", "--input", str(sessions_file), "--snapshot", str(snapshot), "--config", str(config)]) == 0
+    assert json.loads(snapshot.read_text())["config"]["uniform_gating"] is True
+
+
+@pytest.mark.parametrize(
     "document",
     [
         {"config": {}, "state": None},

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -10,6 +11,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlmem.embedding import (
     Embedding,
@@ -18,6 +21,7 @@ from mlmem.embedding import (
     REMOTE_ENDPOINT_ENV,
     cosine,
     embed,
+    shortlist,
     tokenize,
 )
 
@@ -132,6 +136,76 @@ def test_cosine_dimension_mismatch_raises():
     b = Embedding.zeros(8)
     with pytest.raises(ValueError):
         cosine(a, b)
+
+
+def _linalg_cosine(a: Embedding, b: Embedding) -> float:
+    # reference: cosine with its norms taken by np.linalg.norm
+    na = float(np.linalg.norm(a.values))
+    nb = float(np.linalg.norm(b.values))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return max(-1.0, min(1.0, float(np.dot(a.values, b.values)) / (na * nb)))
+
+
+def test_cosine_norms_are_bit_identical_to_linalg_norm():
+    cfg = EmbedderConfig(dim=256)
+    vectors = [embed(f"e{i} lives in city{i % 7} works as job{i % 5} e{i // 3}", cfg) for i in range(120)]
+    vectors.append(Embedding.zeros(256))
+    rng = np.random.default_rng(11)
+    for scale in (1e-150, 1e-30, 1.0, 1e30, 1e150):
+        vectors.append(Embedding(rng.standard_normal(256) * scale, 256))
+    for v in vectors:
+        assert math.sqrt(float(v.values.dot(v.values))) == float(np.linalg.norm(v.values))
+    for a in vectors:
+        for b in vectors[::5]:
+            assert cosine(a, b) == _linalg_cosine(a, b)
+
+
+# Elements with many exact ties: small integers, plus floats away from the subnormal range.
+_ELEMENT = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-100.0, 100.0).filter(lambda x: x == 0.0 or abs(x) > 1e-6),
+)
+
+
+@st.composite
+def _shortlist_cases(draw):
+    dim = draw(st.integers(1, 6))
+    vector = st.lists(_ELEMENT, min_size=dim, max_size=dim)
+    distinct = draw(st.lists(vector, min_size=1, max_size=5))
+    # -1 picks a zero row; repeated picks are duplicate rows, exact ties
+    picks = draw(st.lists(st.integers(-1, len(distinct) - 1), min_size=1, max_size=12))
+    matrix = np.array([[0.0] * dim if p < 0 else distinct[p] for p in picks], dtype=np.float64).reshape(-1, dim)
+    query = np.array(draw(st.one_of(st.just([0.0] * dim), vector)), dtype=np.float64)
+    count = draw(st.integers(1, len(picks) + 1))
+    return matrix, query, count
+
+
+# On a failure, hypothesis's pytest plugin imports libcst to write a patch, and
+# libcst's import warns through mypy_extensions; under filterwarnings=error that
+# warning would turn the reported failure into an INTERNALERROR.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(deadline=None, database=None)
+@given(_shortlist_cases())
+def test_shortlist_keeps_every_row_reaching_the_exact_top_count(case):
+    matrix, query, count = case
+    dim = matrix.shape[1]
+    q = Embedding(query, dim)
+    exact = [cosine(Embedding(row, dim), q) for row in matrix]
+    picked = shortlist(matrix, query, count).tolist()
+    assert picked == sorted(set(picked))
+    assert all(0 <= i < len(matrix) for i in picked)
+    if count >= len(matrix):
+        assert picked == list(range(len(matrix)))
+        return
+    cut = sorted(exact, reverse=True)[count - 1]
+    assert {i for i, score in enumerate(exact) if score >= cut} <= set(picked)
+
+
+def test_shortlist_without_ties_keeps_only_the_best_row():
+    cfg = EmbedderConfig(dim=256)
+    matrix = np.stack([embed(f"alpha{i} beta{i} gamma{i % 3}", cfg).values for i in range(50)])
+    assert shortlist(matrix, embed("alpha7 beta7 gamma1", cfg).values, 1).tolist() == [7]
 
 
 def test_config_validation():

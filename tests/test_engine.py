@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from mlmem import engine, retrieval
+from mlmem import engine, memory, retrieval
 from mlmem.embedding import EmbedderConfig, cosine, embed
 from mlmem.engine import (
     EngineConfig,
@@ -366,3 +367,74 @@ def test_step_summarizes_only_when_episodic_is_enabled(monkeypatch, layers):
     sessions = [_session(0, ["alice likes jazz"]), _session(1, ["bob plays chess"])]
     run(sessions, None, replace(CFG, enabled_layers=layers))
     assert calls == ([0, 1] if "e" in layers else [])
+
+
+def _tie_heavy_wide_sessions(entities: int = 300, per_session: int = 30) -> list[Session]:
+    """Same-shape facts over few values, so many nodes tie exactly; later sessions also update cities.
+
+    A third of the entities state only where they live, so they can merge by
+    similarity into an older lives-only node and never become nodes themselves.
+    """
+    sessions = []
+    for index in range(entities // per_session):
+        texts = []
+        for i in range(index * per_session, (index + 1) * per_session):
+            texts.append(f"e{i:03d} lives in city{i % 4}")
+            if i % 3:
+                texts.append(f"e{i:03d} works as job{i % 3}")
+        texts += [f"e{j:03d} lives in city{(j + index) % 4}" for j in range(0, index * per_session, 23)]
+        sessions.append(_session(index, texts))
+    return sessions
+
+
+def _run_with_probes(sessions: list[Session], cfg: EngineConfig, probes: tuple[str, ...]):
+    dumps, answers = [], []
+    state = initial_state(cfg)
+    for session in sessions:
+        query = make_query(session.utterances[-1].text, cfg.embedder, session.index)
+        state = step(state, session, query, cfg, TemplateResponder()).state
+        dumps.append(dumps_state(state, cfg))
+        for text in probes:
+            result, fused = answer(make_query(text, cfg.embedder, session.index), state, cfg)
+            answers.append((result.items, result.vector.tobytes(), fused.context_text))
+    return state, dumps, answers
+
+
+def test_shortlisting_is_invisible(monkeypatch):
+    cfg = EngineConfig(C_s=96, tau_s=0.7)
+    sessions = _tie_heavy_wide_sessions()
+    probes = ("e001 lives_in", "e150 works", "city2", "job1 city3", "e299 lives_in city1")
+    calls: list[tuple[int, int, int]] = []
+    original = memory.shortlist
+
+    def spy(matrix, query, count):
+        picked = original(matrix, query, count)
+        calls.append((len(matrix), len(picked), count))
+        return picked
+
+    monkeypatch.setattr(memory, "shortlist", spy)
+    monkeypatch.setattr(retrieval, "shortlist", spy)
+    state, dumps, answers = _run_with_probes(sessions, cfg, probes)
+    # the scans pruned rows, kept ties past count, evicted, and merged subjects away by similarity
+    assert any(kept < rows for rows, kept, _ in calls)
+    assert any(count < kept < rows for rows, kept, count in calls)
+    assert len(state.semantic.nodes) == cfg.C_s
+    named = {node_id for text in dumps for node_id in re.findall(r'"entity_id": "(e\d+)"', text)}
+    assert len(named) < 300
+
+    def every_row(matrix, query, count):
+        return np.arange(len(matrix))
+
+    monkeypatch.setattr(memory, "shortlist", every_row)
+    monkeypatch.setattr(retrieval, "shortlist", every_row)
+    _, exhaustive_dumps, exhaustive_answers = _run_with_probes(sessions, cfg, probes)
+    assert dumps == exhaustive_dumps
+    assert answers == exhaustive_answers
+
+    nodes = list(state.semantic.nodes.values())
+    total = sum(n.importance for n in nodes)
+    mean = np.zeros(cfg.embedder.dim)
+    for node in nodes:
+        mean += (node.importance / total) * node.embedding.values
+    expected = mean / float(np.linalg.norm(mean))
+    assert layer_representation(state, "s").values.tobytes() == expected.tobytes()
