@@ -90,12 +90,12 @@ class EngineConfig:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if not 0.0 <= self.tau_s <= 1.0:
             raise ValueError(f"tau_s must lie in [0, 1], got {self.tau_s}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0.0 <= self.mix <= 1.0:
             raise ValueError(f"mix must lie in [0, 1], got {self.mix}")
-        if not self.enabled_layers or any(layer not in LAYERS for layer in self.enabled_layers):
-            raise ValueError(f"enabled_layers must be a non-empty subset of {LAYERS}, got {self.enabled_layers}")
+        if not self.enabled_layers or len(set(self.enabled_layers) & set(LAYERS)) < len(self.enabled_layers):
+            raise ValueError(f"enabled_layers must list one or more of {LAYERS} once each, got {self.enabled_layers}")
 
 
 # Each layer's bounds in EngineConfig, in the order check_layer_bounds reads the sizes.

@@ -325,17 +325,12 @@ def run_losses(scenario: Scenario, cfg: EngineConfig, policy: str = "mlmf") -> t
 
 
 def objective_handle(scenario: Scenario, cfg: EngineConfig, policy: str = "mlmf"):
-    """Evaluation handle for the tuner; caches runs per (alpha, beta)."""
-    cache: dict[tuple[float, float], tuple[float, float]] = {}
+    """Evaluation handle for ``tune``: (alpha, beta) -> run_losses under cfg with those values."""
 
-    def evaluate_triple(alpha: float, beta: float, lambda_: float) -> tuple[float, float]:
-        del lambda_
-        key = (alpha, beta)
-        if key not in cache:
-            cache[key] = run_losses(scenario, replace(cfg, alpha=alpha, beta=beta), policy)
-        return cache[key]
+    def evaluate(alpha: float, beta: float) -> tuple[float, float]:
+        return run_losses(scenario, replace(cfg, alpha=alpha, beta=beta), policy)
 
-    return evaluate_triple
+    return evaluate
 
 
 def report_to_dict(report: EvalReport) -> dict[str, Any]:

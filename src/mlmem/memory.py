@@ -17,7 +17,7 @@ function of them, so replaying a session sequence reproduces bit-identical state
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,7 +117,6 @@ class EpisodicMemory:
 class AttributeValue:
     value: str
     session_index: int
-    superseded: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def node_text(entity_id: str, attributes: dict[str, AttributeValue]) -> str:
 
 @dataclass(frozen=True)
 class SemanticGraph:
-    """Entity-event graph: attributed nodes plus deduplicated relation edges."""
+    """Attributed nodes plus the fact history: one edge per (node, predicate, value) stated, at its last session."""
 
     nodes: dict[str, EntityNode] = field(default_factory=dict)
     edges: tuple[tuple[str, str, str, int, float], ...] = ()
@@ -267,9 +266,11 @@ def merge_semantic(
 
     A triple lands on an exact entity_id match, else on the highest-cosine node
     at or above tau_s (ties to the lexicographically smaller id), else a new
-    node. Same-attribute conflicts resolve recency-wins with the old value kept
-    in the superseded list. Past C_s nodes, those with the lowest
-    (importance, last_updated) are evicted and their edges dropped.
+    node. A triple whose edge was last stated in this session is skipped;
+    otherwise its edge keeps its latest session, and recency wins: the triple
+    becomes the attribute's value unless the attribute was set at a later
+    session. Past C_s nodes, those with the lowest (importance, last_updated)
+    are evicted and their edges dropped.
 
     The match is decided by ``cosine``: ``shortlist(..., 1)`` over a row
     buffer of the node vectors keeps every node that may hold the best cosine,
@@ -327,14 +328,8 @@ def merge_semantic(
 
         attributes = dict(node.attributes)
         record = attributes.get(predicate)
-        if record is None:
+        if record is None or session_index >= record.session_index:
             attributes[predicate] = AttributeValue(value, session_index)
-        elif record.value == value:
-            attributes[predicate] = replace(record, session_index=max(record.session_index, session_index))
-        elif session_index >= record.session_index:
-            attributes[predicate] = AttributeValue(value, session_index, record.superseded + (record.value,))
-        else:
-            attributes[predicate] = replace(record, superseded=record.superseded + (value,))
 
         nodes[target_id] = EntityNode(
             target_id,

@@ -1,9 +1,9 @@
 """Retention drift between semantic graphs, the combined objective, and a grid tuner.
 
 Drift is the summed squared displacement of entity embeddings shared by two
-consecutive graphs; births and deaths contribute zero. The tuner sweeps
-(alpha, beta, lambda) triples through a caller-supplied evaluation handle and
-returns the argmin of gen_loss + lambda * ret_loss.
+consecutive graphs; births and deaths contribute zero. The tuner evaluates
+each (alpha, beta) pair once through a caller-supplied handle, scores every
+lambda from that result, and returns the argmin of gen_loss + lambda * ret_loss.
 """
 
 from __future__ import annotations
@@ -94,17 +94,18 @@ def objective(gen_loss: float, ret_loss: float, lambda_: float) -> ObjectiveValu
 
 
 def tune(
-    evaluate_triple: Callable[[float, float, float], tuple[float, float]],
+    evaluate: Callable[[float, float], tuple[float, float]],
     alphas: Sequence[float],
     betas: Sequence[float],
     lambdas: Sequence[float],
 ) -> TuneResult:
     """Exhaustive sweep over the (alpha, beta, lambda) grid.
 
-    ``evaluate_triple`` runs the full engine for one triple and returns
-    (gen_loss, ret_loss). The winner is the minimal objective total; exact ties
-    go to the lexicographically smallest triple. The grid is preserved in
-    evaluation order (alphas outermost, lambdas innermost).
+    ``evaluate`` runs the full engine once per (alpha, beta) and returns (gen_loss,
+    ret_loss), which every lambda reuses; a failure names the pair's first triple.
+    The winner is the minimal objective total; exact ties go to the
+    lexicographically smallest triple. The grid is preserved in evaluation order
+    (alphas outermost, lambdas innermost).
     """
     if not alphas or not betas or not lambdas:
         raise ValueError("all grid axes must be non-empty")
@@ -119,12 +120,12 @@ def tune(
             raise ValueError(f"lambda must be non-negative, got {lambda_}")
 
     grid: list[GridPoint] = []
-    for alpha, beta, lambda_ in itertools.product(alphas, betas, lambdas):
+    for alpha, beta in itertools.product(alphas, betas):
         try:
-            gen_loss, ret_loss = evaluate_triple(alpha, beta, lambda_)
+            gen_loss, ret_loss = evaluate(alpha, beta)
         except Exception as exc:
-            raise TuneError(f"engine failed for (alpha={alpha}, beta={beta}, lambda={lambda_}): {exc}") from exc
-        grid.append(GridPoint(alpha, beta, lambda_, objective(gen_loss, ret_loss, lambda_)))
+            raise TuneError(f"engine failed for (alpha={alpha}, beta={beta}, lambda={lambdas[0]}): {exc}") from exc
+        grid.extend(GridPoint(alpha, beta, lambda_, objective(gen_loss, ret_loss, lambda_)) for lambda_ in lambdas)
 
     best = min(grid, key=lambda p: (p.objective.total, (p.alpha, p.beta, p.lambda_)))
     return TuneResult((best.alpha, best.beta, best.lambda_), best.objective, tuple(grid))

@@ -12,13 +12,18 @@ Snapshot wire format (single JSON document)::
       }
     }
 
-Layer bounds live in the config only (k, C_w, C_e, alpha, C_s). Older
-snapshots also carry them in the state, plus the retired config keys ``seed``
-and ``lambda``; loading ignores those keys.
+A node is ``{"entity_id": str, "attributes": [[name, {"value": str,
+"session": int}], ..], "embedding": [float...], "importance": float,
+"last_updated": int}``; the edges are the graph's one fact history (see
+``memory.SemanticGraph``). Layer bounds live in the config only (k, C_w, C_e,
+alpha, C_s). Older snapshots also carry them in the state, the retired config
+keys ``seed`` and ``lambda``, and a ``superseded`` list per attribute; loading
+ignores those keys.
 
 Loading raises ``ValueError("malformed snapshot: ...")`` when an int, float or
-str field of the loaded state holds another JSON type (a bool is no int; vectors
-are left to numpy), and when the layers exceed the config's k, C_w, C_e or C_s.
+str field of the loaded state holds another JSON type (a bool is no int), when a
+vector holds a non-finite coordinate (JSON ``NaN`` or ``Infinity``), and when
+the layers exceed the config's k, C_w, C_e or C_s.
 A config scalar (snapshot, report or config file) of another JSON type than its
 field annotation allows raises ``ValueError("malformed config: ...")``.
 
@@ -64,7 +69,10 @@ def _vector_to_list(embedding: Embedding) -> list[float]:
 
 
 def _vector_from_list(values: list[float], dim: int) -> Embedding:
-    return Embedding(np.asarray(values, dtype=np.float64), dim)
+    vector = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(vector).all():
+        raise ValueError("malformed snapshot: vector holds a non-finite coordinate")
+    return Embedding(vector, dim)
 
 
 # The JSON types a loaded value may have, by annotation: a bool is no int, an int is a float.
@@ -88,7 +96,7 @@ def _check_records(*groups: Sequence[Any]) -> None:
 
 
 def _check_state(state: MemoryState) -> None:
-    """_check_types over every int, float and str field of a loaded state; vectors are left to numpy."""
+    """_check_types over every int, float and str field of a loaded state; _vector_from_list checks vectors."""
     utterances = tuple(map(itemgetter(0), state.working.entries))
     nodes = tuple(state.semantic.nodes.values())
     attributes = tuple(chain.from_iterable(node.attributes.items() for node in nodes))
@@ -96,7 +104,6 @@ def _check_state(state: MemoryState) -> None:
     facts = tuple(chain.from_iterable(u.annotations for u in utterances))
     _check_records((state,), utterances, facts, state.episodic.log, nodes, attribute_values)
     _check_types("attribute name", "str", map(itemgetter(0), attributes))
-    _check_types("superseded value", "str", chain.from_iterable(map(attrgetter("superseded"), attribute_values)))
     for i, (annotation, column) in enumerate(zip(_EDGE, zip(*state.semantic.edges))):
         _check_types(f"edge field {i}", annotation, column)
 
@@ -137,6 +144,8 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
         if is_dataclass(default):
             value = _from_dict(type(default), value)
         elif isinstance(default, tuple):
+            if not isinstance(value, list):
+                raise TypeError(f"{cls.__name__}.{key} must be a list, got {type(value).__name__}")
             value = tuple(value)
         else:
             _check_types(f"{cls.__name__}.{key}", annotations[key], (value,))
@@ -199,7 +208,7 @@ def _node_to_dict(node: EntityNode) -> dict[str, Any]:
     return {
         "entity_id": node.entity_id,
         "attributes": [
-            [name, {"value": rec.value, "session": rec.session_index, "superseded": list(rec.superseded)}]
+            [name, {"value": rec.value, "session": rec.session_index}]
             for name, rec in node.attributes.items()
         ],
         "embedding": _vector_to_list(node.embedding),
@@ -209,10 +218,7 @@ def _node_to_dict(node: EntityNode) -> dict[str, Any]:
 
 
 def _node_from_dict(data: dict[str, Any], dim: int) -> EntityNode:
-    attributes = {
-        name: AttributeValue(rec["value"], rec["session"], tuple(rec["superseded"]))
-        for name, rec in data["attributes"]
-    }
+    attributes = {name: AttributeValue(rec["value"], rec["session"]) for name, rec in data["attributes"]}
     return EntityNode(
         data["entity_id"],
         attributes,

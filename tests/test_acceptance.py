@@ -430,5 +430,5 @@ def test_criterion_11_tuner_argmin_matches_independent_recomputation():
         assert any(p.objective.ret_loss > 0 for p in result.grid)
 
         # documented tie-break: equal objectives resolve to the smallest triple
-        flat = tune(lambda a, b, l: (0.5, 0.0), [0.9, 0.1], [2.0, 1.0], [1.0])
+        flat = tune(lambda a, b: (0.5, 0.0), [0.9, 0.1], [2.0, 1.0], [1.0])
         assert flat.best == (0.1, 1.0, 1.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -156,7 +157,19 @@ def test_bad_config_is_validation_error(tmp_path, sessions_file):
     assert code == 2
 
 
-@pytest.mark.parametrize("bad", [{"tau": 0.1}, {"embedder": {"dimm": 32}}, [1], {"embedder": None}])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"tau": 0.1},
+        {"embedder": {"dimm": 32}},
+        [1],
+        {"embedder": None},
+        {"enabled_layers": "ws"},
+        {"enabled_layers": ["w", "w"]},
+        {"epsilon": float("nan")},
+        {"epsilon": float("inf")},
+    ],
+)
 def test_malformed_config_is_validation_error(tmp_path, capsys, bad):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(bad))
@@ -227,8 +240,15 @@ def _mistype(path: str, value):
         _mistype("working.entries.0.0.text", 5),
         _mistype("episodic.log.0.salience", "x"),
         _mistype("semantic.edges.0.3", "x"),
+        _mistype("semantic.nodes.0.embedding.0", float("nan")),
+        _mistype("working.entries.0.1.3", float("inf")),
+        _mistype("episodic.state.5", float("-inf")),
+        _mistype("episodic.log.0.embedding.7", float("nan")),
     ],
-    ids=["cursor", "importance", "last_updated", "text", "salience", "edge_session"],
+    ids=[
+        "cursor", "importance", "last_updated", "text", "salience", "edge_session",
+        "node_vector_nan", "working_vector_inf", "episodic_state_inf", "log_vector_nan",
+    ],
 )
 def test_mistyped_snapshot_scalar_is_validation_error(tmp_path, sessions_file, capsys, edit):
     snapshot = tmp_path / "state.json"
@@ -295,3 +315,55 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "success_rate=" in result.stdout
+
+
+# sha256 of each artifact for the default config, scenario seed 0, and the
+# sessions of generate_scenario(6, 30, seed=2); any change to one is an output
+# change and must be stated as one.
+_PINNED = {
+    "sessions.jsonl": "7251a0fd0d24f50e29addf72bc0141e38aa552394eff0cda8b4b1964cd8d843e",
+    "ingest": "94063aabf05be6382ab9e740e7e59f88e4cd61f9ec43da23dc789191421cfaf5",
+    "query alice lives_in": "39a8419dd6b47588a5352a3a3ea97ce01f5418edd7719823b4e8a3089934ddbf",
+    "query --top-j 1 --budget 6": "22a793ccf1df4e481d73215e4df14bc7ce194a5dc82db6907e409c33b091b11d",
+    "query bob works --budget 3": "936876c8d97bcff2f397b4b03354b8e232d4ea2843681a10d928eaddeeb320ff",
+    "eval": "a53c466b98eb600c3a86953b7e06a7ec3fe0be3da3945c895fe902169f1b2f34",
+    "eval tau_s=0.3": "2604a285fa8a9138fef3cc4f58ae7f5145706d519a3e2408d7db163a50a9d8ef",
+    "ablate": "c6977a58c14047e379eeaf152da459691985ad6472f56a5a82662d0aa9d29c8e",
+    "sweep": "3542a1a639e957e7e18f009e9a824ce03141a1eb459d16a98f8165ad97140eb4",
+}
+
+
+def test_cli_artifacts_match_pinned_digests(tmp_path, capsys):
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    def stdout_of(argv):
+        capsys.readouterr()
+        assert main(argv) == 0
+        return capsys.readouterr().out.encode()
+
+    def file_of(path, *argv):
+        """The bytes main(argv) writes to path, which it takes as the last argument."""
+        assert main([*argv, str(path)]) == 0
+        return path.read_bytes()
+
+    sessions = tmp_path / "sessions.jsonl"
+    write_sessions_jsonl(generate_scenario(6, 30, seed=2).sessions, str(sessions))
+    snapshot = tmp_path / "state.json"
+    tau = tmp_path / "tau.json"
+    tau.write_text(json.dumps({"tau_s": 0.3}))
+    query = ["query", "--snapshot", str(snapshot), "--text"]
+    scenario = ["--scenario-seed", "0"]
+    grid = ["--alphas", "0.3,0.7", "--betas", "2,6", "--lambdas", "0,1"]
+    actual = {
+        "sessions.jsonl": digest(sessions.read_bytes()),
+        "ingest": digest(file_of(snapshot, "ingest", "--input", str(sessions), "--snapshot")),
+        "query alice lives_in": digest(stdout_of([*query, "alice lives_in"])),
+        "query --top-j 1 --budget 6": digest(stdout_of([*query, "alice lives_in", "--top-j", "1", "--budget", "6"])),
+        "query bob works --budget 3": digest(stdout_of([*query, "bob works", "--budget", "3"])),
+        "eval": digest(file_of(tmp_path / "eval.json", "eval", *scenario, "--out")),
+        "eval tau_s=0.3": digest(file_of(tmp_path / "eval_tau.json", "eval", *scenario, "--config", str(tau), "--out")),
+        "ablate": digest(file_of(tmp_path / "ablate.json", "ablate", *scenario, "--out")),
+        "sweep": digest(file_of(tmp_path / "grid.csv", "sweep", *scenario, *grid, "--out")),
+    }
+    assert actual == _PINNED

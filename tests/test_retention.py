@@ -180,9 +180,9 @@ def test_objective_rejects_negative_and_non_finite():
 # ------------------------------------------------------------------------ tune
 
 def _table_handle(table):
-    def evaluate_triple(alpha, beta, lambda_):
+    def evaluate(alpha, beta):
         return table[(alpha, beta)]
-    return evaluate_triple
+    return evaluate
 
 
 def test_tune_single_triple_wins():
@@ -221,7 +221,7 @@ def test_tune_grid_preserved_in_evaluation_order():
 
 
 def test_tune_failure_identifies_triple():
-    def broken(alpha, beta, lambda_):
+    def broken(alpha, beta):
         raise RuntimeError("boom")
     with pytest.raises(TuneError, match=r"alpha=0.5.*beta=2.0.*lambda=1.0"):
         tune(broken, [0.5], [2.0], [1.0])

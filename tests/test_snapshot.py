@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -92,6 +93,42 @@ def test_older_format_snapshot_loads_to_the_same_state_and_query(tmp_path, capsy
         assert main(["query", "--snapshot", str(tmp_path / name), "--text", "alice lives_in"]) == 0
         answers.append(capsys.readouterr().out)
     assert answers[0] == answers[1]
+
+
+def test_older_snapshot_with_superseded_lists_loads_and_redumps_without_them(tmp_path, capsys):
+    cities = ["london", "paris", "rome", "paris", "london", "oslo"]
+    sessions = [
+        Session(i, (Utterance.from_text(i, 0, "alice", f"alice lives in {city}"),
+                    Utterance.from_text(i, 1, "bob", f"bob likes {cities[-1 - i]}")))
+        for i, city in enumerate(cities)
+    ]
+    blob = dumps_state(run(sessions, None, CFG)[-1].state, CFG)
+    data = json.loads(blob)
+    # the format that kept each attribute's displaced values, repeats included
+    superseded = {
+        "alice": ["london", "paris", "rome", "paris", "london"],
+        "bob": ["oslo", "london", "paris", "rome", "paris"],
+    }
+    for node in data["state"]["semantic"]["nodes"]:
+        for name, record in node["attributes"]:
+            assert set(record) == {"value", "session"}
+            record["superseded"] = superseded[node["entity_id"]]
+    legacy = json.dumps(data, sort_keys=True)
+    # sha256 of the snapshot that format's dumps_state wrote for these sessions
+    assert hashlib.sha256(legacy.encode()).hexdigest() == (
+        "b2574e5be1ae89fd1f2c552bb2c59334e005ce17787751f08baa0d41f680d90f"
+    )
+
+    loaded, cfg = loads_state(legacy)
+    assert dumps_state(loaded, cfg) == blob
+    answers = []
+    for name, text in (("new.json", blob), ("old.json", legacy)):
+        (tmp_path / name).write_text(text)
+        for query in ("alice lives_in", "bob likes"):
+            assert main(["query", "--snapshot", str(tmp_path / name), "--text", query]) == 0
+            answers.append(capsys.readouterr().out)
+    assert answers[:2] == answers[2:]
+    assert "alice lives_in oslo" in answers[0] and "bob likes london" in answers[1]
 
 
 @pytest.mark.parametrize("name", ["k", "C_w", "C_e", "C_s"])
