@@ -1,6 +1,6 @@
 """Layered conversational memory: bounded consolidation, gated retrieval, drift control."""
 
-from .embedding import Embedding, EmbedderConfig, EmbeddingServiceError, cosine, embed
+from .embedding import EmbedderConfig, EmbeddingServiceError, cosine, embed
 from .engine import (
     EngineConfig,
     EngineRunError,

@@ -1,19 +1,24 @@
 """Deterministic text embeddings via feature hashing, plus a remote HTTP client.
 
 All similarity math in the engine consumes the unit vectors produced here.
-The deterministic mode needs no model weights: tokens are hashed into d
-buckets with a seeded keyed hash and a +/-1 sign, then L2-normalized, so two
-processes with the same (text, dim, seed) produce bit-equal vectors.
+An embedding is a 1-d float64 numpy array of length dim, made read-only by
+``frozen``; the states hold such arrays, so no holder can change a shared
+vector in place. The deterministic mode needs no model weights: tokens are
+hashed into d buckets with a seeded keyed hash and a +/-1 sign, then
+L2-normalized, so two processes with the same (text, dim, seed) produce
+bit-equal vectors.
 
 Remote mode POSTs ``{"texts": [str]}`` and expects ``{"vectors": [[float]]}``;
-vectors are L2-normalized on receipt. The ``MLMEM_EMBED_ENDPOINT`` environment
-variable overrides the configured endpoint.
+a vector of another shape than (dim,) is rejected, the others are
+L2-normalized on receipt. The ``MLMEM_EMBED_ENDPOINT`` environment variable
+overrides the configured endpoint.
 
 ``cosine`` decides every similarity question: a match against ``tau_s``, a
-top-j ranking, a tie-break. A scan over many vectors first narrows them with
-``shortlist``, one matrix-vector product whose approximate cosines keep every
-row within ``SHORTLIST_SLACK`` of the cut, and then scores only the kept rows
-with ``cosine``, so it decides exactly as scoring every row would.
+top-j ranking, a tie-break; vectors of different shapes raise ValueError. A
+scan over many vectors first narrows them with ``shortlist``, one
+matrix-vector product whose approximate cosines keep every row within
+``SHORTLIST_SLACK`` of the cut, and then scores only the kept rows with
+``cosine``, so it decides exactly as scoring every row would.
 """
 
 from __future__ import annotations
@@ -51,31 +56,10 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True, eq=False)
-class Embedding:
-    """Fixed-dimension real vector; unit norm for non-degenerate text, else zero."""
-
-    values: np.ndarray
-    dim: int
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("embedding values must be a 1-d vector")
-        if arr.shape[0] != self.dim:
-            raise ValueError(f"embedding has {arr.shape[0]} values, declared dim {self.dim}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def zeros(cls, dim: int) -> "Embedding":
-        return cls(np.zeros(dim), dim)
-
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+def frozen(vec: np.ndarray) -> np.ndarray:
+    """The vector itself, made read-only so that no holder can change it in place."""
+    vec.setflags(write=False)
+    return vec
 
 
 @dataclass(frozen=True)
@@ -108,7 +92,7 @@ class EmbedderConfig:
         return self.remote_endpoint
 
 
-def embed(text: str, cfg: EmbedderConfig) -> Embedding:
+def embed(text: str, cfg: EmbedderConfig) -> np.ndarray:
     """Map text to a unit vector (or the zero vector when no tokens survive)."""
     if cfg.mode == "remote":
         return _embed_remote(text, cfg)
@@ -119,7 +103,7 @@ def _seed_key(seed: int) -> bytes:
     return seed.to_bytes(8, "little", signed=True)
 
 
-def _embed_hash(text: str, cfg: EmbedderConfig) -> Embedding:
+def _embed_hash(text: str, cfg: EmbedderConfig) -> np.ndarray:
     vec = np.zeros(cfg.dim)
     key = _seed_key(cfg.seed)
     for token in tokenize(text):
@@ -130,10 +114,10 @@ def _embed_hash(text: str, cfg: EmbedderConfig) -> Embedding:
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:
         vec /= norm
-    return Embedding(vec, cfg.dim)
+    return frozen(vec)
 
 
-def _embed_remote(text: str, cfg: EmbedderConfig) -> Embedding:
+def _embed_remote(text: str, cfg: EmbedderConfig) -> np.ndarray:
     endpoint = cfg.resolved_endpoint()
     payload = json.dumps({"texts": [text]}).encode("utf-8")
     request = urllib.request.Request(
@@ -158,18 +142,18 @@ def _embed_remote(text: str, cfg: EmbedderConfig) -> Embedding:
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:
         vec = vec / norm
-    return Embedding(vec, cfg.dim)
+    return frozen(vec)
 
 
-def cosine(a: Embedding, b: Embedding) -> float:
-    """Cosine similarity in [-1, 1]; 0 when either vector is zero."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    na = math.sqrt(float(a.values.dot(a.values)))
-    nb = math.sqrt(float(b.values.dot(b.values)))
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity in [-1, 1]; 0 when either vector is zero; ValueError when the shapes differ."""
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    na = math.sqrt(float(a.dot(a)))
+    nb = math.sqrt(float(b.dot(b)))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    value = float(np.dot(a.values, b.values)) / (na * nb)
+    value = float(np.dot(a, b)) / (na * nb)
     return max(-1.0, min(1.0, value))
 
 

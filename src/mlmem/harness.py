@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .embedding import Embedding, cosine, embed
+from .embedding import cosine, embed
 from .engine import EngineConfig, StepOutput, answer, policy_config, run
 from .memory import FactTriple, MemoryState, Session, Utterance
 from .retrieval import FusedState, make_query
@@ -317,7 +317,7 @@ def run_losses(scenario: Scenario, cfg: EngineConfig, policy: str = "mlmf") -> t
     run_cfg, outputs, answered = _answer_probes(scenario, cfg, policy, ("true_fact",))
     ret_loss = float(sum(o.drift.total for o in outputs))
     losses = [
-        1.0 - cosine(Embedding(fused.vector, run_cfg.embedder.dim), embed(probe.gold_value, run_cfg.embedder))
+        1.0 - cosine(fused.vector, embed(probe.gold_value, run_cfg.embedder))
         for probe, _, fused in answered
     ]
     gen_loss = sum(losses) / len(losses) if losses else 0.0

@@ -9,9 +9,11 @@ scans the graph for an unseen subject with one matrix-vector product
 (``embedding.shortlist``) and decides the match by ``cosine`` over the
 shortlisted nodes only.
 
-The layers hold data only: each update takes its bounds (k, C_w, alpha, C_e,
-C_s) as arguments, raising ValueError when one is out of range, and is a pure
-function of them, so replaying a session sequence reproduces bit-identical states.
+Every vector a layer holds is a read-only embedding array (see ``embedding``);
+the updates build new arrays and never write one in place. The layers hold
+data only: each update takes its bounds (k, C_w, alpha, C_e, C_s) as
+arguments, raising ValueError when one is out of range, and is a pure function
+of them, so replaying a session sequence reproduces bit-identical states.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import Embedding, EmbedderConfig, cosine, embed, shortlist
+from .embedding import EmbedderConfig, cosine, embed, frozen, shortlist
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class Session:
 class WorkingMemory:
     """Most recent session's tail; ``update_working`` bounds it by k and C_w."""
 
-    entries: tuple[tuple[Utterance, Embedding], ...] = ()
+    entries: tuple[tuple[Utterance, np.ndarray], ...] = ()
 
     def token_count(self) -> int:
         return sum(u.token_count for u, _ in self.entries)
@@ -97,7 +99,7 @@ class WorkingMemory:
 class SummaryRecord:
     session_index: int
     text: str
-    embedding: Embedding
+    embedding: np.ndarray
     salience: float
 
 
@@ -105,12 +107,12 @@ class SummaryRecord:
 class EpisodicMemory:
     """Decayed blend of summary embeddings plus a ring buffer of the summaries."""
 
-    state: Embedding
+    state: np.ndarray
     log: tuple[SummaryRecord, ...] = ()
 
     @classmethod
     def empty(cls, dim: int) -> "EpisodicMemory":
-        return cls(Embedding.zeros(dim))
+        return cls(frozen(np.zeros(dim)))
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ class AttributeValue:
 class EntityNode:
     entity_id: str
     attributes: dict[str, AttributeValue]
-    embedding: Embedding
+    embedding: np.ndarray
     importance: float
     last_updated: int
 
@@ -185,9 +187,7 @@ def summarize(session: Session, m: int, embedder: EmbedderConfig) -> SummaryReco
     if m < 1:
         raise ValueError("summary size m must be >= 1")
     embeddings = [embed(u.text, embedder) for u in session.utterances]
-    centroid = Embedding(
-        np.mean([e.values for e in embeddings], axis=0), embedder.dim
-    )
+    centroid = np.mean(embeddings, axis=0)
     scores = [cosine(e, centroid) for e in embeddings]
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], session.utterances[i].turn_index))
     chosen = sorted(order[:m])
@@ -206,12 +206,12 @@ def update_episodic(
     """
     if not 0.0 <= alpha <= 1.0 or C_e < 1:
         raise ValueError(f"alpha must lie in [0, 1] and C_e be >= 1, got {alpha}, {C_e}")
-    blended = alpha * prev.state.values + (1.0 - alpha) * summary.embedding.values
+    blended = alpha * prev.state + (1.0 - alpha) * summary.embedding
     if renormalize:
         norm = float(np.linalg.norm(blended))
         if norm > 1.0:
             blended = blended / norm
-    return EpisodicMemory(Embedding(blended, prev.state.dim), (prev.log + (summary,))[-C_e:])
+    return EpisodicMemory(frozen(blended), (prev.log + (summary,))[-C_e:])
 
 
 _FACT_PATTERNS = (
@@ -301,12 +301,12 @@ def merge_semantic(
             candidate = embed(candidate_text, embedder)
             if matrix is None:
                 matrix = np.zeros((len(nodes) + len(facts), embedder.dim))
-                np.stack([node.embedding.values for node in nodes.values()], out=matrix[: len(nodes)])
+                np.stack([node.embedding for node in nodes.values()], out=matrix[: len(nodes)])
                 rows = {nid: row for row, nid in enumerate(nodes)}
             ids = list(nodes)
             scores = {
                 ids[i]: cosine(candidate, nodes[ids[i]].embedding)
-                for i in shortlist(matrix[: len(ids)], candidate.values, 1)
+                for i in shortlist(matrix[: len(ids)], candidate, 1)
             }
             best_score = max(scores.values())
             if best_score >= tau_s:
@@ -314,7 +314,7 @@ def merge_semantic(
 
         if target_id is None:
             target_id = subject
-            nodes[target_id] = EntityNode(target_id, {}, Embedding.zeros(embedder.dim), 0.0, session_index)
+            nodes[target_id] = EntityNode(target_id, {}, frozen(np.zeros(embedder.dim)), 0.0, session_index)
             if matrix is not None:
                 rows[target_id] = len(rows)
 
@@ -339,7 +339,7 @@ def merge_semantic(
             max(node.last_updated, session_index),
         )
         if matrix is not None:
-            matrix[rows[target_id]] = nodes[target_id].embedding.values
+            matrix[rows[target_id]] = nodes[target_id].embedding
 
     if len(nodes) > C_s:
         ranked = sorted(nodes.values(), key=lambda n: (n.importance, n.last_updated, n.entity_id))

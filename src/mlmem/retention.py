@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .embedding import Embedding
+import numpy as np
+
 from .memory import SemanticGraph
 
 
@@ -52,7 +53,7 @@ class TuneResult:
     grid: tuple[GridPoint, ...]
 
 
-def entity_projection(graph: SemanticGraph) -> dict[str, Embedding]:
+def entity_projection(graph: SemanticGraph) -> dict[str, np.ndarray]:
     """Entity id -> node embedding for every node; empty graph -> empty map."""
     return {entity_id: node.embedding for entity_id, node in graph.nodes.items()}
 
@@ -67,9 +68,9 @@ def drift(prev: SemanticGraph, curr: SemanticGraph) -> DriftReport:
             continue
         a = before[entity_id]
         b = after[entity_id]
-        if a.dim != b.dim:
-            raise ValueError(f"embedding dim mismatch for {entity_id!r}: {a.dim} vs {b.dim}")
-        delta = a.values - b.values
+        if a.shape != b.shape:
+            raise ValueError(f"embedding shape mismatch for {entity_id!r}: {a.shape} vs {b.shape}")
+        delta = a - b
         per_entity[entity_id] = float(delta @ delta)
     born = frozenset(after) - frozenset(before)
     died = frozenset(before) - frozenset(after)

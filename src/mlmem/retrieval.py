@@ -11,6 +11,8 @@ one tuple in admission order. Fusion mixes the query with the retrieval vector a
 sharpens it until the entropy of its magnitude distribution falls under the
 configured bound. The layer order is ``LAYERS``. Inside the package,
 ``engine.answer`` is the only code that chains them under an ``EngineConfig``.
+Every vector is a plain numpy array: the episodic layer's representation is
+the state's own read-only array, and the other vectors are new ones.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .embedding import Embedding, EmbedderConfig, cosine, embed, shortlist
+from .embedding import EmbedderConfig, cosine, embed, shortlist
 from .memory import MemoryState, node_text
 
 LAYERS = ("w", "e", "s")
@@ -36,7 +38,7 @@ class EntropyBoundError(RuntimeError):
 @dataclass(frozen=True)
 class Query:
     text: str
-    embedding: Embedding
+    embedding: np.ndarray
     session_index: int
 
 
@@ -94,37 +96,31 @@ class FusedState:
     context_tokens: int
 
 
-def layer_representation(state: MemoryState, layer: str) -> Embedding:
+def layer_representation(state: MemoryState, layer: str) -> np.ndarray:
     """One vector per layer: working mean, episodic state, importance-weighted node mean.
 
     Means are renormalized to unit length; an empty layer yields the zero vector.
     """
-    dim = state.episodic.state.dim
     if layer == "w":
         if not state.working.entries:
-            return Embedding.zeros(dim)
-        mean = np.mean([e.values for _, e in state.working.entries], axis=0)
-        return _renormalized(mean, dim)
+            return np.zeros_like(state.episodic.state)
+        return _renormalized(np.mean([e for _, e in state.working.entries], axis=0))
     if layer == "e":
         return state.episodic.state
     if layer == "s":
         nodes = list(state.semantic.nodes.values())
-        if not nodes:
-            return Embedding.zeros(dim)
         total = sum(n.importance for n in nodes)
         if total <= 0.0:
-            return Embedding.zeros(dim)
-        weighted = np.stack([n.embedding.values for n in nodes])
+            return np.zeros_like(state.episodic.state)
+        weighted = np.stack([n.embedding for n in nodes])
         weighted *= (np.array([n.importance for n in nodes]) / total)[:, None]
-        return _renormalized(weighted.sum(axis=0), dim)
+        return _renormalized(weighted.sum(axis=0))
     raise ValueError(f"unknown layer {layer!r}")
 
 
-def _renormalized(vec: np.ndarray, dim: int) -> Embedding:
+def _renormalized(vec: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return Embedding.zeros(dim)
-    return Embedding(vec / norm, dim)
+    return np.zeros_like(vec) if norm == 0.0 else vec / norm
 
 
 def softmax_weights(relevances: tuple[float, float, float], beta: float) -> tuple[float, float, float]:
@@ -138,7 +134,7 @@ def softmax_weights(relevances: tuple[float, float, float], beta: float) -> tupl
     return tuple(e / total for e in exps)
 
 
-def gate(query: Query, representations: tuple[Embedding, ...], beta: float) -> GatingWeights:
+def gate(query: Query, representations: tuple[np.ndarray, ...], beta: float) -> GatingWeights:
     """Softmax over the query's cosine to each layer representation, in LAYERS order."""
     relevances = tuple(cosine(query.embedding, rep) for rep in representations)
     gamma_w, gamma_e, gamma_s = softmax_weights(relevances, beta)
@@ -147,7 +143,7 @@ def gate(query: Query, representations: tuple[Embedding, ...], beta: float) -> G
 
 def _layer_items(
     state: MemoryState, layer: str
-) -> tuple[Sequence[tuple[Any, Embedding]], Callable[[Any], tuple[int, int, str, str]]]:
+) -> tuple[Sequence[tuple[Any, np.ndarray]], Callable[[Any], tuple[int, int, str, str]]]:
     """The layer's (record, vector) pairs, and the row (session, turn, text, speaker) of a record."""
     if layer == "w":
         return state.working.entries, lambda u: (u.session_index, u.turn_index, u.text, u.speaker)
@@ -174,7 +170,7 @@ def _layer_candidates(
     if not items:
         return []
     q = query.embedding
-    picked = shortlist(np.stack([e.values for _, e in items]), q.values, top_j)
+    picked = shortlist(np.stack([e for _, e in items]), q, top_j)
     rows = [(cosine(items[i][1], q), *row(items[i][0])) for i in picked]
     rows.sort(key=lambda r: (-r[0], r[1], r[2], r[3]))
     return [
@@ -208,10 +204,10 @@ def retrieve(
     if weights is None:
         weights = gate(query, representations, beta)
 
-    vector = np.zeros(state.episodic.state.dim)
+    vector = np.zeros_like(state.episodic.state)
     candidates: list[RetrievedItem] = []
     for layer, rep, gamma in zip(LAYERS, representations, weights.as_tuple()):
-        vector += gamma * rep.values
+        vector += gamma * rep
         candidates += _layer_candidates(query, state, layer, top_j, gamma)
     candidates.sort(key=lambda i: (-i.score, i.session_index, i.turn_index, LAYERS.index(i.layer), i.text))
 
@@ -257,7 +253,7 @@ def fuse(query: Query, retrieval: RetrievalResult, mix: float, epsilon: float) -
     """
     if not 0.0 <= mix <= 1.0:
         raise ValueError(f"mix must lie in [0, 1], got {mix}")
-    raw = mix * query.embedding.values + (1.0 - mix) * retrieval.vector
+    raw = mix * query.embedding + (1.0 - mix) * retrieval.vector
     vector = raw
     h = entropy(raw)
     if h > epsilon:

@@ -21,9 +21,11 @@ keys ``seed`` and ``lambda``, and a ``superseded`` list per attribute; loading
 ignores those keys.
 
 Loading raises ``ValueError("malformed snapshot: ...")`` when an int, float or
-str field of the loaded state holds another JSON type (a bool is no int), when a
-vector holds a non-finite coordinate (JSON ``NaN`` or ``Infinity``), and when
-the layers exceed the config's k, C_w, C_e or C_s.
+str field of the loaded state holds another JSON type (a bool is no int, and
+``NaN`` or ``Infinity`` is no JSON number), when a vector is not a list of the
+config's ``embedder.dim`` finite numbers, and when the layers exceed the
+config's k, C_w, C_e or C_s. Vectors load as read-only arrays, as ``embed``
+makes them.
 A config scalar (snapshot, report or config file) of another JSON type than its
 field annotation allows raises ``ValueError("malformed config: ...")``.
 
@@ -35,12 +37,15 @@ Session JSONL carries one session per line:
 ``{"index": int, "utterances": [{"turn": int, "speaker": str, "text": str, "facts": [...]?}]}``
 with optional fact annotations ``{"s": str, "p": str, "o": str, "c": float}``.
 Reading raises ``ValueError("path:N: malformed session record: ...")`` on a
-line that is no such record, a mistyped field included (same checker as snapshots).
+line that is no such record: a mistyped field (same checker as snapshots), a
+non-finite ``c``, turns that do not strictly increase, no utterances, or a
+blank text.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, is_dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -48,7 +53,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .embedding import Embedding
+from .embedding import frozen
 from .engine import EngineConfig, check_layer_bounds
 from .memory import (
     AttributeValue,
@@ -64,15 +69,14 @@ from .memory import (
 )
 
 
-def _vector_to_list(embedding: Embedding) -> list[float]:
-    return embedding.values.tolist()
-
-
-def _vector_from_list(values: list[float], dim: int) -> Embedding:
+def _vector_from_list(values: list[float], dim: int) -> np.ndarray:
+    """The read-only vector; ValueError unless it has shape (dim,) and finite coordinates."""
     vector = np.asarray(values, dtype=np.float64)
+    if vector.shape != (dim,):
+        raise ValueError(f"malformed snapshot: vector has shape {vector.shape}, expected ({dim},)")
     if not np.isfinite(vector).all():
         raise ValueError("malformed snapshot: vector holds a non-finite coordinate")
-    return Embedding(vector, dim)
+    return frozen(vector)
 
 
 # The JSON types a loaded value may have, by annotation: a bool is no int, an int is a float.
@@ -81,10 +85,16 @@ _EDGE = ("str", "str", "str", "int", "float")
 
 
 def _check_types(name: str, annotation: str, values: Iterable[Any]) -> None:
-    """TypeError unless each value's exact type is one _KINDS allows; runs at C speed over a column."""
+    """TypeError unless each value's exact type is one _KINDS allows and, in a float field, is finite.
+
+    NaN and Infinity are no JSON numbers, so a float field that holds one is mistyped too.
+    """
+    values = tuple(values)
     odd = set(map(type, values)).difference(_KINDS[annotation])
     if odd:
         raise TypeError(f"{name} must be {annotation}, got {odd.pop().__name__}")
+    if annotation == "float" and not all(-math.inf < value < math.inf for value in values):
+        raise TypeError(f"{name} must be finite")
 
 
 def _check_records(*groups: Sequence[Any]) -> None:
@@ -193,7 +203,7 @@ def _summary_to_dict(record: SummaryRecord) -> dict[str, Any]:
     return {
         "session": record.session_index,
         "text": record.text,
-        "embedding": _vector_to_list(record.embedding),
+        "embedding": record.embedding.tolist(),
         "salience": record.salience,
     }
 
@@ -211,7 +221,7 @@ def _node_to_dict(node: EntityNode) -> dict[str, Any]:
             [name, {"value": rec.value, "session": rec.session_index}]
             for name, rec in node.attributes.items()
         ],
-        "embedding": _vector_to_list(node.embedding),
+        "embedding": node.embedding.tolist(),
         "importance": node.importance,
         "last_updated": node.last_updated,
     }
@@ -235,12 +245,12 @@ def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
             "session_cursor": state.session_cursor,
             "working": {
                 "entries": [
-                    [{"session": u.session_index, **_utterance_to_dict(u)}, _vector_to_list(e)]
+                    [{"session": u.session_index, **_utterance_to_dict(u)}, e.tolist()]
                     for u, e in state.working.entries
                 ],
             },
             "episodic": {
-                "state": _vector_to_list(state.episodic.state),
+                "state": state.episodic.state.tolist(),
                 "log": [_summary_to_dict(r) for r in state.episodic.log],
             },
             "semantic": {
@@ -320,6 +330,6 @@ def read_sessions_jsonl(path: str) -> list[Session]:
                 continue
             try:
                 sessions.append(session_from_dict(json.loads(line)))
-            except (KeyError, TypeError, AttributeError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise ValueError(f"{path}:{line_number}: malformed session record: {exc}") from exc
     return sessions

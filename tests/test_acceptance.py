@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from mlmem.embedding import Embedding, EmbedderConfig
+from mlmem.embedding import EmbedderConfig
 from mlmem.engine import EngineConfig, run
 from mlmem.harness import (
     Persona,
@@ -96,12 +96,12 @@ def test_criterion_2_episodic_closed_form():
             for i in range(steps):
                 vec = np.array([rng.uniform(-2.0, 2.0) for _ in range(dim)])
                 summaries.append(vec)
-                record = SummaryRecord(i, "s", Embedding(vec, dim), 1.0)
+                record = SummaryRecord(i, "s", vec, 1.0)
                 memory = update_episodic(memory, record, alpha, 32, renormalize=False)
             expected = np.zeros(dim)
             for i, vec in enumerate(summaries, start=1):
                 expected += (1.0 - alpha) * alpha ** (steps - i) * vec
-            assert np.max(np.abs(memory.state.values - expected)) <= 1e-6
+            assert np.max(np.abs(memory.state - expected)) <= 1e-6
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
@@ -113,7 +113,7 @@ def _random_graph(rng: random.Random, entities: list[str], dim: int) -> Semantic
     for name in entities:
         vec = np.array([rng.uniform(-1.0, 1.0) for _ in range(dim)])
         nodes[name] = EntityNode(
-            name, {"a": AttributeValue("v", 0)}, Embedding(vec, dim), 1.0, 0
+            name, {"a": AttributeValue("v", 0)}, vec, 1.0, 0
         )
     return SemanticGraph(nodes)
 
@@ -136,8 +136,8 @@ def test_criterion_3_retention_loss_correctness():
                 for name in prev.nodes:
                     if name not in curr.nodes:
                         continue
-                    a = prev.nodes[name].embedding.values
-                    b = curr.nodes[name].embedding.values
+                    a = prev.nodes[name].embedding
+                    b = curr.nodes[name].embedding
                     pair_total += sum((float(x) - float(y)) ** 2 for x, y in zip(a, b))
                 report = drift(prev, curr)
                 assert abs(report.total - pair_total) <= 1e-9

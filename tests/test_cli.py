@@ -244,10 +244,15 @@ def _mistype(path: str, value):
         _mistype("working.entries.0.1.3", float("inf")),
         _mistype("episodic.state.5", float("-inf")),
         _mistype("episodic.log.0.embedding.7", float("nan")),
+        _mistype("semantic.edges.0.4", float("nan")),
+        _mistype("working.entries.3.0.facts.0.c", float("inf")),
+        _mistype("semantic.nodes.0.embedding", [0.1, 0.2, 0.3]),
+        _mistype("episodic.state", [[0.0] * 256]),
     ],
     ids=[
         "cursor", "importance", "last_updated", "text", "salience", "edge_session",
         "node_vector_nan", "working_vector_inf", "episodic_state_inf", "log_vector_nan",
+        "edge_confidence_nan", "working_fact_confidence_inf", "node_vector_short", "episodic_state_2d",
     ],
 )
 def test_mistyped_snapshot_scalar_is_validation_error(tmp_path, sessions_file, capsys, edit):
@@ -276,8 +281,18 @@ def _session_line(index=0, turn=0, speaker="alice", text="alice lives in paris",
         _session_line(c="high"),
         _session_line(turn="0"),
         _session_line(index="0"),
+        _session_line(c=float("nan")),
+        _session_line(c=float("inf")),
+        json.dumps({"index": 0, "utterances": [
+            {"turn": 1, "speaker": "alice", "text": "hello"}, {"turn": 1, "speaker": "alice", "text": "again"},
+        ]}),
+        json.dumps({"index": 0, "utterances": []}),
+        _session_line(text=" "),
     ],
-    ids=["text", "fact_subject", "speaker", "fact_confidence", "turn", "index"],
+    ids=[
+        "text", "fact_subject", "speaker", "fact_confidence", "turn", "index",
+        "confidence_nan", "confidence_inf", "turn_repeated", "no_utterances", "blank_text",
+    ],
 )
 def test_mistyped_session_field_is_validation_error(tmp_path, capsys, line):
     sessions = tmp_path / "sessions.jsonl"

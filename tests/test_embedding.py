@@ -1,4 +1,4 @@
-"""Embedding determinism, normalization, cosine math, and the remote protocol."""
+"""Text embedding determinism, normalization, cosine math, and the remote protocol."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmem.embedding import (
-    Embedding,
     EmbedderConfig,
     EmbeddingServiceError,
     REMOTE_ENDPOINT_ENV,
@@ -39,30 +38,30 @@ def _scalar_loop_cosine(a: list[float], b: list[float]) -> float:
 def test_empty_text_gives_zero_vector():
     cfg = EmbedderConfig(dim=8)
     vec = embed("", cfg)
-    assert vec.dim == 8
-    assert vec.is_zero()
-    assert list(vec.values) == [0.0] * 8
+    assert vec.shape == (8,)
+    assert not vec.any()
+    assert list(vec) == [0.0] * 8
 
 
 def test_degenerate_text_without_alnum_tokens_gives_zero_vector():
     cfg = EmbedderConfig(dim=16)
-    assert embed("!!! ... ---", cfg).is_zero()
+    assert not embed("!!! ... ---", cfg).any()
 
 
 def test_embed_is_deterministic_and_unit_norm():
     cfg = EmbedderConfig(dim=256, seed=7)
     a = embed("alice", cfg)
     b = embed("alice", cfg)
-    assert np.array_equal(a.values, b.values)
-    assert abs(a.norm() - 1.0) <= 1e-9
+    assert np.array_equal(a, b)
+    assert abs(np.linalg.norm(a) - 1.0) <= 1e-9
 
 
 def test_embed_bit_equal_across_processes():
     cfg = EmbedderConfig(dim=64, seed=123)
-    local = embed("the quick brown fox", cfg).values.tobytes().hex()
+    local = embed("the quick brown fox", cfg).tobytes().hex()
     script = (
         "from mlmem.embedding import EmbedderConfig, embed;"
-        "print(embed('the quick brown fox', EmbedderConfig(dim=64, seed=123)).values.tobytes().hex())"
+        "print(embed('the quick brown fox', EmbedderConfig(dim=64, seed=123)).tobytes().hex())"
     )
     remote = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
@@ -75,8 +74,8 @@ def test_related_texts_are_closer_than_unrelated():
     base = embed("alice likes jazz", cfg)
     near = embed("alice likes jazz music", cfg)
     far = embed("bob hates rain", cfg)
-    sim_near = _scalar_loop_cosine(list(base.values), list(near.values))
-    sim_far = _scalar_loop_cosine(list(base.values), list(far.values))
+    sim_near = _scalar_loop_cosine(list(base), list(near))
+    sim_far = _scalar_loop_cosine(list(base), list(far))
     assert sim_near > sim_far
     assert cosine(base, near) == pytest.approx(sim_near, abs=1e-12)
     assert cosine(base, far) == pytest.approx(sim_far, abs=1e-12)
@@ -85,7 +84,7 @@ def test_related_texts_are_closer_than_unrelated():
 def test_seed_changes_the_vector():
     a = embed("alice", EmbedderConfig(dim=64, seed=1))
     b = embed("alice", EmbedderConfig(dim=64, seed=2))
-    assert not np.array_equal(a.values, b.values)
+    assert not np.array_equal(a, b)
 
 
 def test_tokenize_is_lowercase_alnum():
@@ -96,7 +95,7 @@ def test_norm_property_over_sample_texts():
     cfg = EmbedderConfig(dim=32, seed=5)
     texts = ["", "a", "a b c", "repeated repeated repeated", "Mixed CASE text", "42 7 13", "?!"]
     for text in texts:
-        norm = embed(text, cfg).norm()
+        norm = np.linalg.norm(embed(text, cfg))
         assert norm == 0.0 or abs(norm - 1.0) <= 1e-9
 
 
@@ -106,20 +105,20 @@ def test_cosine_self_similarity():
 
 
 def test_cosine_orthogonal_basis_vectors():
-    e1 = Embedding(np.array([1.0, 0.0, 0.0, 0.0]), 4)
-    e2 = Embedding(np.array([0.0, 1.0, 0.0, 0.0]), 4)
+    e1 = np.array([1.0, 0.0, 0.0, 0.0])
+    e2 = np.array([0.0, 1.0, 0.0, 0.0])
     assert cosine(e1, e2) == 0.0
 
 
 def test_cosine_hand_value():
-    a = Embedding(np.array([0.6, 0.8]), 2)
-    b = Embedding(np.array([1.0, 0.0]), 2)
+    a = np.array([0.6, 0.8])
+    b = np.array([1.0, 0.0])
     assert cosine(a, b) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_cosine_zero_vector_returns_zero():
-    z = Embedding.zeros(4)
-    v = Embedding(np.array([1.0, 0.0, 0.0, 0.0]), 4)
+    z = np.zeros(4)
+    v = np.array([1.0, 0.0, 0.0, 0.0])
     assert cosine(z, v) == 0.0
     assert cosine(v, z) == 0.0
 
@@ -132,30 +131,30 @@ def test_cosine_symmetry():
 
 
 def test_cosine_dimension_mismatch_raises():
-    a = Embedding.zeros(4)
-    b = Embedding.zeros(8)
+    a = np.zeros(4)
+    b = np.zeros(8)
     with pytest.raises(ValueError):
         cosine(a, b)
 
 
-def _linalg_cosine(a: Embedding, b: Embedding) -> float:
+def _linalg_cosine(a: np.ndarray, b: np.ndarray) -> float:
     # reference: cosine with its norms taken by np.linalg.norm
-    na = float(np.linalg.norm(a.values))
-    nb = float(np.linalg.norm(b.values))
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return max(-1.0, min(1.0, float(np.dot(a.values, b.values)) / (na * nb)))
+    return max(-1.0, min(1.0, float(np.dot(a, b)) / (na * nb)))
 
 
 def test_cosine_norms_are_bit_identical_to_linalg_norm():
     cfg = EmbedderConfig(dim=256)
     vectors = [embed(f"e{i} lives in city{i % 7} works as job{i % 5} e{i // 3}", cfg) for i in range(120)]
-    vectors.append(Embedding.zeros(256))
+    vectors.append(np.zeros(256))
     rng = np.random.default_rng(11)
     for scale in (1e-150, 1e-30, 1.0, 1e30, 1e150):
-        vectors.append(Embedding(rng.standard_normal(256) * scale, 256))
+        vectors.append(rng.standard_normal(256) * scale)
     for v in vectors:
-        assert math.sqrt(float(v.values.dot(v.values))) == float(np.linalg.norm(v.values))
+        assert math.sqrt(float(v.dot(v))) == float(np.linalg.norm(v))
     for a in vectors:
         for b in vectors[::5]:
             assert cosine(a, b) == _linalg_cosine(a, b)
@@ -189,9 +188,7 @@ def _shortlist_cases(draw):
 @given(_shortlist_cases())
 def test_shortlist_keeps_every_row_reaching_the_exact_top_count(case):
     matrix, query, count = case
-    dim = matrix.shape[1]
-    q = Embedding(query, dim)
-    exact = [cosine(Embedding(row, dim), q) for row in matrix]
+    exact = [cosine(row, query) for row in matrix]
     picked = shortlist(matrix, query, count).tolist()
     assert picked == sorted(set(picked))
     assert all(0 <= i < len(matrix) for i in picked)
@@ -204,8 +201,8 @@ def test_shortlist_keeps_every_row_reaching_the_exact_top_count(case):
 
 def test_shortlist_without_ties_keeps_only_the_best_row():
     cfg = EmbedderConfig(dim=256)
-    matrix = np.stack([embed(f"alpha{i} beta{i} gamma{i % 3}", cfg).values for i in range(50)])
-    assert shortlist(matrix, embed("alpha7 beta7 gamma1", cfg).values, 1).tolist() == [7]
+    matrix = np.stack([embed(f"alpha{i} beta{i} gamma{i % 3}", cfg) for i in range(50)])
+    assert shortlist(matrix, embed("alpha7 beta7 gamma1", cfg), 1).tolist() == [7]
 
 
 def test_config_validation():
@@ -259,9 +256,9 @@ def test_remote_embedding_normalized_on_receipt(embed_server):
     _EmbedHandler.response_body = json.dumps({"vectors": [[3.0, 4.0] + [0.0] * 6]}).encode()
     cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server))
     vec = embed("hello", cfg)
-    assert abs(vec.norm() - 1.0) <= 1e-9
-    assert vec.values[0] == pytest.approx(0.6)
-    assert vec.values[1] == pytest.approx(0.8)
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
+    assert vec[0] == pytest.approx(0.6)
+    assert vec[1] == pytest.approx(0.8)
     assert _EmbedHandler.requests == [{"texts": ["hello"]}]
 
 
@@ -298,7 +295,7 @@ def test_env_var_overrides_endpoint(embed_server, monkeypatch):
     monkeypatch.setenv(REMOTE_ENDPOINT_ENV, _endpoint(embed_server))
     cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint="http://127.0.0.1:9/dead")
     vec = embed("hello", cfg)
-    assert vec.values[0] == pytest.approx(1.0)
+    assert vec[0] == pytest.approx(1.0)
 
 
 def test_env_var_allows_remote_config_without_endpoint(monkeypatch):

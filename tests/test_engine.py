@@ -77,8 +77,8 @@ def test_step_drift_equals_touched_entity_displacement():
     out0 = step(state0, intro, make_query("alice", CFG.embedder, 0), CFG, TemplateResponder())
     out1 = step(out0.state, update, make_query("alice", CFG.embedder, 1), CFG, TemplateResponder())
     # hand pipeline: node text before and after the value flip
-    before = embed("alice lives_in london", CFG.embedder).values
-    after = embed("alice lives_in paris", CFG.embedder).values
+    before = embed("alice lives_in london", CFG.embedder)
+    after = embed("alice lives_in paris", CFG.embedder)
     expected = float(((before - after) ** 2).sum())
     assert out1.drift.total == pytest.approx(expected, abs=1e-12)
     assert out1.drift.total > 0.0
@@ -177,7 +177,7 @@ def test_layer_disabled_configs_keep_layers_empty():
     window_cfg = policy_config(CFG, "window_only")
     outputs = run(sessions, None, window_cfg)
     final = outputs[-1].state
-    assert final.episodic.state.is_zero()
+    assert not final.episodic.state.any()
     assert final.episodic.log == ()
     assert final.semantic.nodes == {}
     summary_cfg = policy_config(CFG, "summary_only")
@@ -299,7 +299,7 @@ def _run_fingerprint(cfg: EngineConfig, start_state=None) -> list[tuple]:
             o.drift.total,
             o.context_usage,
             tuple(o.state.semantic.nodes),
-            o.state.episodic.state.values.tobytes(),
+            o.state.episodic.state.tobytes(),
             tuple(r.text for r in o.state.episodic.log),
         )
         for o in outputs
@@ -435,6 +435,6 @@ def test_shortlisting_is_invisible(monkeypatch):
     total = sum(n.importance for n in nodes)
     mean = np.zeros(cfg.embedder.dim)
     for node in nodes:
-        mean += (node.importance / total) * node.embedding.values
+        mean += (node.importance / total) * node.embedding
     expected = mean / float(np.linalg.norm(mean))
-    assert layer_representation(state, "s").values.tobytes() == expected.tobytes()
+    assert layer_representation(state, "s").tobytes() == expected.tobytes()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmem.embedding import Embedding, EmbedderConfig, cosine, embed
+from mlmem.embedding import EmbedderConfig, cosine, embed
 from mlmem.engine import EngineConfig
 from mlmem.memory import (
     EpisodicMemory,
@@ -101,7 +101,7 @@ def test_working_replaces_prior_session_entirely():
 def test_working_entries_carry_matching_embeddings():
     out = update_working(_session(0, ["alice likes jazz"]), 3, 100, CFG)
     (utterance, embedding), = out.entries
-    assert np.array_equal(embedding.values, embed(utterance.text, CFG).values)
+    assert np.array_equal(embedding, embed(utterance.text, CFG))
 
 
 def test_working_bounds_hold_under_random_updates():
@@ -123,7 +123,7 @@ def test_summary_of_single_utterance_is_itself():
     record = summarize(_session(0, ["alice likes jazz"]), 3, CFG)
     assert record.text == "alice likes jazz"
     assert record.salience == pytest.approx(1.0, abs=1e-9)
-    assert np.array_equal(record.embedding.values, embed(record.text, CFG).values)
+    assert np.array_equal(record.embedding, embed(record.text, CFG))
 
 
 def test_summary_m1_picks_max_centroid_cosine():
@@ -131,7 +131,7 @@ def test_summary_m1_picks_max_centroid_cosine():
     session = _session(0, texts)
     # independent loop oracle over all candidates
     embeddings = [embed(t, CFG) for t in texts]
-    centroid = Embedding(np.mean([e.values for e in embeddings], axis=0), CFG.dim)
+    centroid = np.mean(embeddings, axis=0)
     scores = [cosine(e, centroid) for e in embeddings]
     expected = texts[max(range(3), key=lambda i: (scores[i], -i))]
     record = summarize(session, 1, CFG)
@@ -156,35 +156,35 @@ def test_summary_selection_keeps_original_order():
 # ------------------------------------------------------------ update_episodic
 
 def _summary_with(vec: np.ndarray, session_index: int = 0) -> SummaryRecord:
-    return SummaryRecord(session_index, "stub", Embedding(vec, vec.shape[0]), 1.0)
+    return SummaryRecord(session_index, "stub", vec, 1.0)
 
 
 def test_episodic_alpha_one_keeps_state_but_appends_log():
-    prev = EpisodicMemory(Embedding(np.array([1.0, 0.0]), 2))
+    prev = EpisodicMemory(np.array([1.0, 0.0]))
     out = update_episodic(prev, _summary_with(np.array([0.0, 1.0])), 1.0, 4)
-    assert np.array_equal(out.state.values, np.array([1.0, 0.0]))
+    assert np.array_equal(out.state, np.array([1.0, 0.0]))
     assert len(out.log) == 1
 
 
 def test_episodic_alpha_zero_replaces_state():
-    prev = EpisodicMemory(Embedding(np.array([1.0, 0.0]), 2))
+    prev = EpisodicMemory(np.array([1.0, 0.0]))
     out = update_episodic(prev, _summary_with(np.array([0.0, 1.0])), 0.0, 4)
-    assert np.array_equal(out.state.values, np.array([0.0, 1.0]))
+    assert np.array_equal(out.state, np.array([0.0, 1.0]))
 
 
 def test_episodic_blend_stays_unrenormalized_below_unit_norm():
     # alpha=0.5, [1,0] blended with [0,1] -> [0.5,0.5]; norm 0.707 <= 1, untouched
-    prev = EpisodicMemory(Embedding(np.array([1.0, 0.0]), 2))
+    prev = EpisodicMemory(np.array([1.0, 0.0]))
     out = update_episodic(prev, _summary_with(np.array([0.0, 1.0])), 0.5, 4)
-    assert out.state.values == pytest.approx([0.5, 0.5], abs=1e-12)
+    assert out.state == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_episodic_renormalizes_only_past_unit_norm():
-    prev = EpisodicMemory(Embedding(np.array([2.0, 0.0]), 2))
+    prev = EpisodicMemory(np.array([2.0, 0.0]))
     out = update_episodic(prev, _summary_with(np.array([0.0, 3.0])), 1.0, 4)
-    assert out.state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(out.state) == pytest.approx(1.0, abs=1e-12)
     raw = update_episodic(prev, _summary_with(np.array([0.0, 3.0])), 1.0, 4, renormalize=False)
-    assert np.array_equal(raw.state.values, np.array([2.0, 0.0]))
+    assert np.array_equal(raw.state, np.array([2.0, 0.0]))
 
 
 def test_episodic_log_is_a_ring_buffer():
@@ -208,7 +208,7 @@ def test_episodic_closed_form_without_renormalization():
         expected = np.zeros(3)
         for i, vec in enumerate(vectors, start=1):
             expected += (1 - alpha) * alpha ** (steps - i) * vec
-        assert np.allclose(mem.state.values, expected, atol=1e-6)
+        assert np.allclose(mem.state, expected, atol=1e-6)
 
 
 def test_episodic_alpha_validated_at_construction():
@@ -371,11 +371,11 @@ def test_merge_tie_breaks_to_lexicographically_smaller_id():
 
 def test_merge_node_embedding_tracks_attribute_changes():
     graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "london")], 0)
-    before = graph.nodes["alice"].embedding.values.copy()
+    before = graph.nodes["alice"].embedding.copy()
     graph = _merge(graph, [FactTriple("alice", "lives_in", "paris")], 1)
-    after = graph.nodes["alice"].embedding.values
+    after = graph.nodes["alice"].embedding
     assert not np.array_equal(before, after)
-    assert np.array_equal(after, embed("alice lives_in paris", CFG).values)
+    assert np.array_equal(after, embed("alice lives_in paris", CFG))
 
 
 def test_merge_importance_at_least_distinct_attributes():
@@ -401,7 +401,7 @@ def test_merge_replay_is_bit_identical():
     assert list(a.nodes) == list(b.nodes)
     assert a.edges == b.edges
     for key in a.nodes:
-        assert np.array_equal(a.nodes[key].embedding.values, b.nodes[key].embedding.values)
+        assert np.array_equal(a.nodes[key].embedding, b.nodes[key].embedding)
 
 
 # Sessions of triples over few subjects, predicates and values, so that

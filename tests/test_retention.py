@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from mlmem.embedding import Embedding, EmbedderConfig
+from mlmem.embedding import EmbedderConfig
 from mlmem.memory import AttributeValue, EntityNode, FactTriple, SemanticGraph, merge_semantic
 from mlmem.retention import (
     TuneError,
@@ -24,7 +24,7 @@ CFG = EmbedderConfig(dim=16, seed=1)
 
 def _graph(entities: dict[str, np.ndarray], dim: int = 16) -> SemanticGraph:
     nodes = {
-        name: EntityNode(name, {"a": AttributeValue("v", 0)}, Embedding(vec, dim), 1.0, 0)
+        name: EntityNode(name, {"a": AttributeValue("v", 0)}, vec, 1.0, 0)
         for name, vec in entities.items()
     }
     return SemanticGraph(nodes)
@@ -42,7 +42,7 @@ def test_projection_maps_ids_to_embeddings():
     graph = _graph({"alice": vec})
     projection = entity_projection(graph)
     assert set(projection) == {"alice"}
-    assert np.array_equal(projection["alice"].values, vec)
+    assert np.array_equal(projection["alice"], vec)
 
 
 def test_projection_changes_only_at_touched_entity():
@@ -51,7 +51,7 @@ def test_projection_changes_only_at_touched_entity():
     before = entity_projection(graph)
     updated = merge_semantic(graph, [FactTriple("alice", "likes", "blues")], 1, 0.9, 8, CFG)
     after = entity_projection(updated)
-    changed = {k for k in before if not np.array_equal(before[k].values, after[k].values)}
+    changed = {k for k in before if not np.array_equal(before[k], after[k])}
     assert changed == {"alice"}
 
 

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from mlmem.embedding import Embedding, EmbedderConfig, cosine, embed
+from mlmem.embedding import EmbedderConfig, cosine, embed
 from mlmem.engine import EngineConfig, initial_state
 from mlmem.memory import (
     AttributeValue,
@@ -39,10 +39,10 @@ CFG = EmbedderConfig(dim=64, seed=9)
 DIM = CFG.dim
 
 
-def _unit(direction: int, dim: int = DIM) -> Embedding:
+def _unit(direction: int, dim: int = DIM) -> np.ndarray:
     vec = np.zeros(dim)
     vec[direction] = 1.0
-    return Embedding(vec, dim)
+    return vec
 
 
 def _utterance(text: str, session: int = 0, turn: int = 0) -> Utterance:
@@ -59,13 +59,13 @@ def _state(
 ) -> MemoryState:
     return MemoryState(
         WorkingMemory(tuple(working_entries)),
-        EpisodicMemory(episodic_state or Embedding.zeros(dim), tuple(log)),
+        EpisodicMemory(np.zeros(dim) if episodic_state is None else episodic_state, tuple(log)),
         SemanticGraph(nodes or {}),
         cursor,
     )
 
 
-def _node(entity_id: str, embedding: Embedding, importance: float, last_updated: int = 0) -> EntityNode:
+def _node(entity_id: str, embedding: np.ndarray, importance: float, last_updated: int = 0) -> EntityNode:
     return EntityNode(entity_id, {"likes": AttributeValue("x", last_updated)}, embedding, importance, last_updated)
 
 
@@ -74,14 +74,14 @@ def _node(entity_id: str, embedding: Embedding, importance: float, last_updated:
 def test_empty_layers_give_zero_vectors():
     state = _state()
     for layer in ("w", "e", "s"):
-        assert layer_representation(state, layer).is_zero()
+        assert not layer_representation(state, layer).any()
 
 
 def test_working_representation_of_single_entry_is_that_embedding():
     emb = embed("alice likes jazz", CFG)
     state = _state(working_entries=[(_utterance("alice likes jazz"), emb)])
     rep = layer_representation(state, "w")
-    assert np.allclose(rep.values, emb.values, atol=1e-12)
+    assert np.allclose(rep, emb, atol=1e-12)
 
 
 def test_semantic_representation_is_importance_weighted_mean():
@@ -89,15 +89,15 @@ def test_semantic_representation_is_importance_weighted_mean():
     nodes = {"a": _node("a", e1, 1.0), "b": _node("b", e2, 3.0)}
     state = _state(nodes=nodes)
     rep = layer_representation(state, "s")
-    expected = 0.25 * e1.values + 0.75 * e2.values
+    expected = 0.25 * e1 + 0.75 * e2
     expected = expected / np.linalg.norm(expected)
-    assert np.allclose(rep.values, expected, atol=1e-12)
+    assert np.allclose(rep, expected, atol=1e-12)
 
 
 def test_episodic_representation_is_the_state_vector():
-    vec = Embedding(np.full(DIM, 0.1), DIM)
+    vec = np.full(DIM, 0.1)
     state = _state(episodic_state=vec)
-    assert np.array_equal(layer_representation(state, "e").values, vec.values)
+    assert np.array_equal(layer_representation(state, "e"), vec)
 
 
 # ---------------------------------------------------------------------- gate
@@ -204,7 +204,7 @@ def test_retrieve_greedy_admission_skips_and_continues():
         vec = np.zeros(DIM)
         vec[0] = direction_weight
         vec[1] = math.sqrt(1 - direction_weight**2)
-        return (_utterance(text, 0, turn), Embedding(vec, DIM))
+        return (_utterance(text, 0, turn), vec)
     state = _state(
         working_entries=[
             item(0.9, "one two three four five six", 0),
@@ -240,7 +240,7 @@ def test_retrieve_vector_is_weighted_layer_blend():
     result = retrieve(query, state, 4.0, top_j=2, token_budget=64)
     expected = np.zeros(DIM)
     for layer, gamma in zip(("w", "e", "s"), result.weights.as_tuple()):
-        expected += gamma * layer_representation(state, layer).values
+        expected += gamma * layer_representation(state, layer)
     assert np.allclose(result.vector, expected, atol=1e-12)
 
 
@@ -364,7 +364,7 @@ def _empty_retrieval(query: Query, dim: int = DIM):
 def test_fuse_identity_endpoint_with_zero_retrieval():
     query = make_query("alice likes jazz", CFG, 0)
     fused = fuse(query, _empty_retrieval(query), mix=1.0, epsilon=50.0)
-    assert np.array_equal(fused.vector, query.embedding.values)
+    assert np.array_equal(fused.vector, query.embedding)
 
 
 def test_fuse_one_hot_has_zero_entropy_and_no_sharpening():
@@ -373,15 +373,15 @@ def test_fuse_one_hot_has_zero_entropy_and_no_sharpening():
     retrieval = retrieve(query, state, 4.0, 1, 8)
     fused = fuse(query, retrieval, mix=1.0, epsilon=0.001)
     assert fused.entropy == 0.0
-    assert np.array_equal(fused.vector, query.embedding.values)
+    assert np.array_equal(fused.vector, query.embedding)
 
 
 def test_fuse_sharpens_uniform_vector_under_bound():
     # |raw| uniform over d=8: initial entropy ln 8 ~ 2.079 > 1.0
-    vec = Embedding(np.full(8, 1 / math.sqrt(8)), 8)
+    vec = np.full(8, 1 / math.sqrt(8))
     query = Query("q", vec, 0)
     retrieval = _empty_retrieval(query, dim=8)
-    raw = 1.0 * vec.values
+    raw = 1.0 * vec
     assert entropy(raw) == pytest.approx(math.log(8), abs=1e-12)
     fused = fuse(query, retrieval, mix=1.0, epsilon=1.0)
     assert fused.entropy <= 1.0
@@ -393,7 +393,7 @@ def test_fuse_never_increases_entropy():
     rng = random.Random(4)
     for _ in range(40):
         vec = np.array([rng.uniform(-1, 1) for _ in range(16)])
-        query = Query("q", Embedding(vec, 16), 0)
+        query = Query("q", vec, 0)
         retrieval = _empty_retrieval(query, dim=16)
         eps = rng.uniform(0.2, 3.0)
         fused = fuse(query, retrieval, mix=1.0, epsilon=eps)
@@ -402,14 +402,14 @@ def test_fuse_never_increases_entropy():
 
 
 def test_fuse_zero_vector_has_zero_entropy():
-    query = Query("q", Embedding.zeros(8), 0)
+    query = Query("q", np.zeros(8), 0)
     fused = fuse(query, _empty_retrieval(query, dim=8), mix=1.0, epsilon=0.5)
     assert fused.entropy == 0.0
     assert not fused.vector.any()
 
 
 def test_fuse_infeasible_bound_raises():
-    vec = Embedding(np.full(8, 1 / math.sqrt(8)), 8)
+    vec = np.full(8, 1 / math.sqrt(8))
     query = Query("q", vec, 0)
     with pytest.raises(EntropyBoundError):
         fuse(query, _empty_retrieval(query, dim=8), mix=1.0, epsilon=-0.5)

@@ -8,9 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from mlmem.embedding import EmbedderConfig
+from mlmem.embedding import EmbedderConfig, embed
 from mlmem.cli import main
-from mlmem.engine import EngineConfig, run
+from mlmem.engine import EngineConfig, initial_state, run
 from mlmem.harness import generate_scenario
 from mlmem.memory import FactTriple, Session, Utterance
 from mlmem.snapshot import (
@@ -48,13 +48,35 @@ def test_loaded_state_preserves_structure_and_vectors():
     assert loaded.semantic.edges == state.semantic.edges
     for key in state.semantic.nodes:
         assert np.array_equal(
-            loaded.semantic.nodes[key].embedding.values,
-            state.semantic.nodes[key].embedding.values,
+            loaded.semantic.nodes[key].embedding,
+            state.semantic.nodes[key].embedding,
         )
         assert loaded.semantic.nodes[key].attributes == state.semantic.nodes[key].attributes
-    assert np.array_equal(loaded.episodic.state.values, state.episodic.state.values)
+    assert np.array_equal(loaded.episodic.state, state.episodic.state)
     assert [r.text for r in loaded.episodic.log] == [r.text for r in state.episodic.log]
     assert [u.text for u, _ in loaded.working.entries] == [u.text for u, _ in state.working.entries]
+
+
+def _state_vectors(state):
+    """Every vector a state holds: working entries, episodic state and log, node embeddings."""
+    yield from (vector for _, vector in state.working.entries)
+    yield state.episodic.state
+    yield from (record.embedding for record in state.episodic.log)
+    yield from (node.embedding for node in state.semantic.nodes.values())
+
+
+def test_state_vectors_and_embeddings_are_read_only():
+    outputs = run(generate_scenario(6, 6, seed=1).sessions, None, CFG)
+    loaded, _ = loads_state(dumps_state(outputs[-1].state, CFG))
+    states = [initial_state(CFG), *(o.state for o in outputs), loaded]
+    vectors = [v for state in states for v in _state_vectors(state)]
+    vectors.append(embed("alice lives in paris", CFG.embedder))
+    assert len(vectors) > len(states) * 2
+    for vector in vectors:
+        assert vector.dtype == np.float64 and vector.shape == (CFG.embedder.dim,)
+        assert not vector.flags.writeable
+        with pytest.raises(ValueError):
+            vector[0] = 1.0
 
 
 def test_loaded_state_continues_identically():
