@@ -5,8 +5,9 @@ engine.answer + response; --top-j / --budget override the snapshot's config),
 eval / ablate (synthetic scenarios -> metric reports), sweep (grid tuner ->
 CSV), plotdata (report -> period,retention CSV).
 
-Exit codes: 0 success, 2 validation error, 3 runtime error. All randomness
-derives from --scenario-seed and embedder.seed.
+Exit codes: 0 success, 2 validation error (a ValueError or OSError), 3 runtime
+error (any other exception). All randomness derives from --scenario-seed and
+embedder.seed.
 """
 
 from __future__ import annotations
@@ -14,17 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .engine import EngineConfig, TemplateResponder, answer, initial_state, run
-from .harness import (
-    ablate,
-    evaluate,
-    generate_scenario,
-    objective_handle,
-    report_from_dict,
-    report_to_dict,
-)
+from .harness import Scenario, ablate, evaluate, generate_scenario, objective_handle
 from .retention import grid_csv, tune
 from .retrieval import make_query
 from .snapshot import (
@@ -32,6 +26,8 @@ from .snapshot import (
     dumps_state,
     loads_state,
     read_sessions_jsonl,
+    report_from_dict,
+    report_to_dict,
 )
 
 EXIT_OK = 0
@@ -44,6 +40,17 @@ def _load_config(path: str | None) -> EngineConfig:
         return EngineConfig()
     with open(path, "r", encoding="utf-8") as handle:
         return config_from_dict(json.load(handle))
+
+
+def _load_scenario(args: argparse.Namespace) -> tuple[Scenario, EngineConfig]:
+    cfg = _load_config(args.config)
+    return generate_scenario(args.personas, args.periods, args.facts, args.distractors, args.scenario_seed), cfg
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -69,12 +76,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     retrieval, fused = answer(query, state, cfg)
     response = TemplateResponder().generate(fused, query)
     result = {
-        "weights": {
-            "gamma_w": retrieval.weights.gamma_w,
-            "gamma_e": retrieval.weights.gamma_e,
-            "gamma_s": retrieval.weights.gamma_s,
-            "beta": retrieval.weights.beta,
-        },
+        "weights": asdict(retrieval.weights),
         "items": [
             {
                 "layer": item.layer,
@@ -95,14 +97,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    scenario = generate_scenario(
-        args.personas, args.periods, args.facts, args.distractors, args.scenario_seed
-    )
+    scenario, cfg = _load_scenario(args)
     report = evaluate(scenario, cfg, args.policy)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report_to_dict(report), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(args.out, report_to_dict(report))
     print(
         f"policy={args.policy} success_rate={report.success_rate:.4f} "
         f"fmr={report.fmr:.4f} context={report.mean_context_usage:.4f}"
@@ -111,15 +108,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    scenario = generate_scenario(
-        args.personas, args.periods, args.facts, args.distractors, args.scenario_seed
-    )
+    scenario, cfg = _load_scenario(args)
     reports = ablate(scenario, cfg)
-    payload = {name: report_to_dict(report) for name, report in reports.items()}
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(args.out, {name: report_to_dict(report) for name, report in reports.items()})
     max_gap = max(reports["full"].retention_at) if reports["full"].retention_at else 0
     for name, report in reports.items():
         value = report.retention_at.get(max_gap, 0.0)
@@ -135,13 +126,8 @@ def _parse_floats(raw: str, name: str) -> list[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    scenario = generate_scenario(
-        args.personas, args.periods, args.facts, args.distractors, args.scenario_seed
-    )
-    handle_fn = objective_handle(scenario, cfg)
     result = tune(
-        handle_fn,
+        objective_handle(*_load_scenario(args)),
         _parse_floats(args.alphas, "alphas"),
         _parse_floats(args.betas, "betas"),
         _parse_floats(args.lambdas, "lambdas"),
@@ -228,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:

@@ -17,13 +17,11 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Any
 
 from .embedding import cosine, embed
 from .engine import EngineConfig, StepOutput, answer, policy_config, run
 from .memory import FactTriple, MemoryState, Session, Utterance
 from .retrieval import FusedState, make_query
-from .snapshot import config_from_dict, config_to_dict
 
 PERSONA_NAMES = (
     "alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi",
@@ -308,13 +306,13 @@ def ablate(scenario: Scenario, cfg: EngineConfig) -> dict[str, EvalReport]:
     }
 
 
-def run_losses(scenario: Scenario, cfg: EngineConfig, policy: str = "mlmf") -> tuple[float, float]:
+def run_losses(scenario: Scenario, cfg: EngineConfig) -> tuple[float, float]:
     """(gen_loss, ret_loss) for one engine run over the scenario.
 
     gen_loss is the mean over true probes of 1 - cosine(fused vector, embedded
     gold value); ret_loss is the cumulative semantic drift of the run.
     """
-    run_cfg, outputs, answered = _answer_probes(scenario, cfg, policy, ("true_fact",))
+    run_cfg, outputs, answered = _answer_probes(scenario, cfg, "mlmf", ("true_fact",))
     ret_loss = float(sum(o.drift.total for o in outputs))
     losses = [
         1.0 - cosine(fused.vector, embed(probe.gold_value, run_cfg.embedder))
@@ -324,32 +322,11 @@ def run_losses(scenario: Scenario, cfg: EngineConfig, policy: str = "mlmf") -> t
     return gen_loss, ret_loss
 
 
-def objective_handle(scenario: Scenario, cfg: EngineConfig, policy: str = "mlmf"):
+def objective_handle(scenario: Scenario, cfg: EngineConfig):
     """Evaluation handle for ``tune``: (alpha, beta) -> run_losses under cfg with those values."""
 
     def evaluate(alpha: float, beta: float) -> tuple[float, float]:
-        return run_losses(scenario, replace(cfg, alpha=alpha, beta=beta), policy)
+        return run_losses(scenario, replace(cfg, alpha=alpha, beta=beta))
 
     return evaluate
 
-
-def report_to_dict(report: EvalReport) -> dict[str, Any]:
-    return {
-        "retention_at": {str(gap): value for gap, value in report.retention_at.items()},
-        "fmr": report.fmr,
-        "mean_context_usage": report.mean_context_usage,
-        "success_rate": report.success_rate,
-        "drift_curve": list(report.drift_curve),
-        "config": config_to_dict(report.config_echo),
-    }
-
-
-def report_from_dict(data: dict[str, Any]) -> EvalReport:
-    return EvalReport(
-        retention_at={int(gap): value for gap, value in data["retention_at"].items()},
-        fmr=data["fmr"],
-        mean_context_usage=data["mean_context_usage"],
-        success_rate=data["success_rate"],
-        drift_curve=tuple(data["drift_curve"]),
-        config_echo=config_from_dict(data["config"]),
-    )

@@ -1,4 +1,4 @@
-"""Lossless JSON serialization for states, configs, and session files.
+"""Every wire format: states, configs, session files and eval reports, as JSON.
 
 Snapshot wire format (single JSON document)::
 
@@ -20,15 +20,6 @@ alpha, C_s). Older snapshots also carry them in the state, the retired config
 keys ``seed`` and ``lambda``, and a ``superseded`` list per attribute; loading
 ignores those keys.
 
-Loading raises ``ValueError("malformed snapshot: ...")`` when an int, float or
-str field of the loaded state holds another JSON type (a bool is no int, and
-``NaN`` or ``Infinity`` is no JSON number), when a vector is not a list of the
-config's ``embedder.dim`` finite numbers, and when the layers exceed the
-config's k, C_w, C_e or C_s. Vectors load as read-only arrays, as ``embed``
-makes them.
-A config scalar (snapshot, report or config file) of another JSON type than its
-field annotation allows raises ``ValueError("malformed config: ...")``.
-
 Node attributes, entries, and log records are serialized as ordered lists so a
 round-trip preserves iteration order exactly; floats survive via repr, so
 dump -> load -> dump is byte-identical.
@@ -36,10 +27,21 @@ dump -> load -> dump is byte-identical.
 Session JSONL carries one session per line:
 ``{"index": int, "utterances": [{"turn": int, "speaker": str, "text": str, "facts": [...]?}]}``
 with optional fact annotations ``{"s": str, "p": str, "o": str, "c": float}``.
-Reading raises ``ValueError("path:N: malformed session record: ...")`` on a
-line that is no such record: a mistyped field (same checker as snapshots), a
-non-finite ``c``, turns that do not strictly increase, no utterances, or a
-blank text.
+
+An eval report is ``{"retention_at": {"gap": float, ..}, "fmr": float,
+"mean_context_usage": float, "success_rate": float, "drift_curve": [float...],
+"config": config}``.
+
+One rule rejects outside input: it is malformed when reading it raises one of
+``_MALFORMED``, as a missing key, a field of another JSON type than its
+annotation (a bool is no int, an int is a float, ``NaN``, ``Infinity`` and an
+int too large for a float are no numbers), a vector that is not a list of
+``embedder.dim`` numbers, or a record its dataclass refuses does. Each reader
+catches these once and raises ValueError with its prefix: ``config_from_dict``
+"malformed config: ", ``loads_state`` "malformed snapshot: " (also for invalid
+JSON and layers over the config's k, C_w, C_e or C_s), ``read_sessions_jsonl``
+"path:N: malformed session record: ", ``report_from_dict`` "malformed report: ".
+Vectors load as read-only arrays, as ``embed`` makes them.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ import numpy as np
 
 from .embedding import frozen
 from .engine import EngineConfig, check_layer_bounds
+from .harness import EvalReport
 from .memory import (
     AttributeValue,
     EntityNode,
@@ -69,31 +72,35 @@ from .memory import (
 )
 
 
-def _vector_from_list(values: list[float], dim: int) -> np.ndarray:
-    """The read-only vector; ValueError unless it has shape (dim,) and finite coordinates."""
-    vector = np.asarray(values, dtype=np.float64)
-    if vector.shape != (dim,):
-        raise ValueError(f"malformed snapshot: vector has shape {vector.shape}, expected ({dim},)")
-    if not np.isfinite(vector).all():
-        raise ValueError("malformed snapshot: vector holds a non-finite coordinate")
-    return frozen(vector)
-
+# What a reader counts as malformed input (see the module docstring).
+_MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError, OverflowError)
 
 # The JSON types a loaded value may have, by annotation: a bool is no int, an int is a float.
 _KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "str | None": (str, type(None))}
 _EDGE = ("str", "str", "str", "int", "float")
 
 
+def _vector_from_list(values: list[float], dim: int) -> np.ndarray:
+    """The read-only vector; TypeError unless values holds JSON numbers only, ValueError unless dim finite ones."""
+    odd = set(map(type, values)).difference(_KINDS["float"])
+    if odd:
+        raise TypeError(f"vector coordinate must be float, got {odd.pop().__name__}")
+    vector = np.asarray(values, dtype=np.float64)
+    if vector.shape != (dim,) or not np.isfinite(vector).all():
+        raise ValueError(f"vector must hold {dim} finite coordinates, got shape {vector.shape}")
+    return frozen(vector)
+
+
 def _check_types(name: str, annotation: str, values: Iterable[Any]) -> None:
     """TypeError unless each value's exact type is one _KINDS allows and, in a float field, is finite.
 
-    NaN and Infinity are no JSON numbers, so a float field that holds one is mistyped too.
+    NaN and Infinity are no JSON numbers, and an int too large for a float raises OverflowError.
     """
     values = tuple(values)
     odd = set(map(type, values)).difference(_KINDS[annotation])
     if odd:
         raise TypeError(f"{name} must be {annotation}, got {odd.pop().__name__}")
-    if annotation == "float" and not all(-math.inf < value < math.inf for value in values):
+    if annotation == "float" and not all(map(math.isfinite, values)):
         raise TypeError(f"{name} must be finite")
 
 
@@ -163,13 +170,17 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
     return cls(**kwargs)
 
 
-def config_from_dict(data: dict[str, Any]) -> EngineConfig:
-    """Raises ValueError on an unknown key and on a scalar of the wrong JSON type."""
+def _config_from_dict(data: dict[str, Any]) -> EngineConfig:
     if isinstance(data, dict):
         data = {key: value for key, value in data.items() if key not in _RETIRED_KEYS}
+    return _from_dict(EngineConfig, data)
+
+
+def config_from_dict(data: dict[str, Any]) -> EngineConfig:
+    """Raises ValueError("malformed config: ...") on an unknown key and on a scalar of the wrong JSON type."""
     try:
-        return _from_dict(EngineConfig, data)
-    except TypeError as exc:
+        return _config_from_dict(data)
+    except _MALFORMED as exc:
         raise ValueError(f"malformed config: {exc}") from exc
 
 
@@ -262,8 +273,8 @@ def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
 
 
 def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
-    """Raises TypeError on a mistyped field and ValueError when the layers exceed the config's bounds."""
-    cfg = config_from_dict(data["config"])
+    """Raises one of _MALFORMED on a malformed snapshot; loads_state names it as one."""
+    cfg = _config_from_dict(data["config"])
     dim = cfg.embedder.dim
     raw = data["state"]
     working = WorkingMemory(
@@ -278,14 +289,11 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     )
     semantic = SemanticGraph(
         {n["entity_id"]: _node_from_dict(n, dim) for n in raw["semantic"]["nodes"]},
-        tuple((e[0], e[1], e[2], e[3], e[4]) for e in raw["semantic"]["edges"]),
+        tuple((s, r, o, t, c) for s, r, o, t, c in raw["semantic"]["edges"]),
     )
     state = MemoryState(working, episodic, semantic, raw["session_cursor"])
     _check_state(state)
-    try:
-        check_layer_bounds(state, cfg)
-    except ValueError as exc:
-        raise ValueError(f"malformed snapshot: {exc}") from exc
+    check_layer_bounds(state, cfg)
     return state, cfg
 
 
@@ -294,12 +302,11 @@ def dumps_state(state: MemoryState, cfg: EngineConfig) -> str:
 
 
 def loads_state(text: str) -> tuple[MemoryState, EngineConfig]:
-    """Raises ValueError on invalid JSON and on a malformed snapshot (see the module docstring)."""
-    data = json.loads(text)
+    """Raises ValueError("malformed snapshot: ...") on invalid JSON and on a malformed snapshot."""
     try:
-        return state_from_dict(data)
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise ValueError(f"malformed snapshot: {exc!r}") from exc
+        return state_from_dict(json.loads(text))
+    except _MALFORMED as exc:
+        raise ValueError(f"malformed snapshot: {exc}") from exc
 
 
 def session_to_dict(session: Session) -> dict[str, Any]:
@@ -307,7 +314,7 @@ def session_to_dict(session: Session) -> dict[str, Any]:
 
 
 def session_from_dict(data: dict[str, Any]) -> Session:
-    """Raises TypeError when an int, float or str field of the session holds another JSON type."""
+    """Raises one of _MALFORMED on a malformed session; read_sessions_jsonl names it as one."""
     index = data["index"]
     session = Session(index, tuple(_utterance_from_dict(u, index) for u in data["utterances"]))
     facts = tuple(chain.from_iterable(u.annotations for u in session.utterances))
@@ -330,6 +337,36 @@ def read_sessions_jsonl(path: str) -> list[Session]:
                 continue
             try:
                 sessions.append(session_from_dict(json.loads(line)))
-            except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            except _MALFORMED as exc:
                 raise ValueError(f"{path}:{line_number}: malformed session record: {exc}") from exc
     return sessions
+
+
+def report_to_dict(report: EvalReport) -> dict[str, Any]:
+    return {
+        "retention_at": {str(gap): value for gap, value in report.retention_at.items()},
+        "fmr": report.fmr,
+        "mean_context_usage": report.mean_context_usage,
+        "success_rate": report.success_rate,
+        "drift_curve": list(report.drift_curve),
+        "config": config_to_dict(report.config_echo),
+    }
+
+
+def report_from_dict(data: dict[str, Any]) -> EvalReport:
+    """Raises ValueError("malformed report: ...") on a missing key or a field of the wrong JSON type."""
+    try:
+        report = EvalReport(
+            retention_at={int(gap): value for gap, value in data["retention_at"].items()},
+            fmr=data["fmr"],
+            mean_context_usage=data["mean_context_usage"],
+            success_rate=data["success_rate"],
+            drift_curve=tuple(data["drift_curve"]),
+            config_echo=_config_from_dict(data["config"]),
+        )
+        _check_records((report,))
+        _check_types("EvalReport.retention_at", "float", report.retention_at.values())
+        _check_types("EvalReport.drift_curve", "float", report.drift_curve)
+    except _MALFORMED as exc:
+        raise ValueError(f"malformed report: {exc}") from exc
+    return report

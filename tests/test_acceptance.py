@@ -24,7 +24,6 @@ from mlmem.harness import (
     evaluate,
     generate_scenario,
     objective_handle,
-    report_to_dict,
 )
 from mlmem.memory import (
     AttributeValue,
@@ -39,7 +38,7 @@ from mlmem.memory import (
 from mlmem.memory import update_episodic
 from mlmem.retention import cumulative_retention_loss, drift, tune
 from mlmem.retrieval import softmax_weights
-from mlmem.snapshot import dumps_state, loads_state
+from mlmem.snapshot import dumps_state, loads_state, report_to_dict
 
 
 def _report(number: int, name: str, ok: bool) -> None:

@@ -146,6 +146,37 @@ def test_plotdata_emits_period_retention_rows(tmp_path, capsys):
     assert lines[1].startswith("1,")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda report: report["retention_at"].update({"1": "abc"}),
+        lambda report: report.update(retention_at=[1.0, 0.5]),
+        lambda report: report.pop("fmr"),
+    ],
+    ids=["retention_str", "retention_list", "no_fmr"],
+)
+def test_malformed_report_is_validation_error(tmp_path, capsys, edit):
+    report = tmp_path / "report.json"
+    main(["eval", "--scenario-seed", "4", "--personas", "2", "--periods", "3", "--out", str(report)])
+    data = json.loads(report.read_text())
+    edit(data)
+    report.write_text(json.dumps(data))
+    capsys.readouterr()
+    curves = tmp_path / "curves.csv"
+    assert main(["plotdata", "--report", str(report), "--out", str(curves)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed report: ")
+    assert not curves.exists()
+
+
+def test_internal_key_error_is_runtime_error(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("gap")
+
+    monkeypatch.setattr("mlmem.cli.evaluate", broken)
+    assert main(["eval", "--scenario-seed", "1", "--personas", "2", "--periods", "2", "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err.startswith("runtime error: ")
+
+
 def test_missing_input_is_validation_error(tmp_path):
     assert main(["ingest", "--input", str(tmp_path / "nope.jsonl"), "--snapshot", str(tmp_path / "s.json")]) == 2
 
@@ -208,14 +239,16 @@ def test_well_typed_config_scalars_ingest(tmp_path, sessions_file):
 @pytest.mark.parametrize(
     "document",
     [
-        {"config": {}, "state": None},
-        [1, 2],
-        {"config": {}, "state": {"session_cursor": 0, "working": {"entries": 5}}},
+        json.dumps({"config": {}, "state": None}),
+        json.dumps([1, 2]),
+        json.dumps({"config": {}, "state": {"session_cursor": 0, "working": {"entries": 5}}}),
+        '{"config": {}, "state": {"session_cursor": 0',
     ],
+    ids=["document0", "document1", "document2", "truncated"],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):
     snapshot = tmp_path / "state.json"
-    snapshot.write_text(json.dumps(document))
+    snapshot.write_text(document)
     assert main(["query", "--snapshot", str(snapshot), "--text", "alice lives_in"]) == 2
     assert capsys.readouterr().err.startswith("error: malformed snapshot")
 
@@ -248,11 +281,25 @@ def _mistype(path: str, value):
         _mistype("working.entries.3.0.facts.0.c", float("inf")),
         _mistype("semantic.nodes.0.embedding", [0.1, 0.2, 0.3]),
         _mistype("episodic.state", [[0.0] * 256]),
+        _mistype("semantic.nodes.0.embedding", ["0.5"] * 256),
+        _mistype("episodic.state.0", True),
+        _mistype("working.entries.0.0.text", " "),
+        _mistype("episodic.state", [[1.0], [1.0, 2.0]]),
+        _mistype("working.entries.0.0.turn", -1),
+        _mistype("semantic.edges.0.0", "nobody"),
+        _mistype("semantic.nodes.0.attributes.0", ["a"]),
+        _mistype("semantic.nodes.0.embedding.0", 10**400),
+        _mistype("semantic.nodes.0.importance", 10**400),
+        _mistype("semantic.edges.0.4", 10**400),
+        _mistype("semantic.edges.0", ["alice", "lives_in", "paris", 0, 1.0, "extra"]),
     ],
     ids=[
         "cursor", "importance", "last_updated", "text", "salience", "edge_session",
         "node_vector_nan", "working_vector_inf", "episodic_state_inf", "log_vector_nan",
         "edge_confidence_nan", "working_fact_confidence_inf", "node_vector_short", "episodic_state_2d",
+        "node_vector_str", "episodic_state_bool", "blank_text", "episodic_state_ragged", "negative_turn",
+        "orphan_edge", "attribute_pair_short", "node_vector_huge_int", "importance_huge_int", "edge_confidence_huge_int",
+        "edge_extra_field",
     ],
 )
 def test_mistyped_snapshot_scalar_is_validation_error(tmp_path, sessions_file, capsys, edit):

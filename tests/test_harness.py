@@ -17,9 +17,8 @@ from mlmem.harness import (
     ablate,
     evaluate,
     generate_scenario,
-    report_from_dict,
-    report_to_dict,
 )
+from mlmem.snapshot import report_from_dict, report_to_dict
 
 CFG = EngineConfig(embedder=EmbedderConfig(dim=64, seed=6))
 

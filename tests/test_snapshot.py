@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlmem.embedding import EmbedderConfig, embed
 from mlmem.cli import main
@@ -256,3 +258,62 @@ def test_snapshot_size_depends_on_capacities_not_history_length():
     sizes = [len(dumps_state(o.state, small).encode()) for o in outputs]
     late = sizes[15:]
     assert (max(late) - min(late)) / max(late) < 0.10
+
+
+
+def _paths(node, path=()):
+    """(path, value) of every node under a JSON tree, keys and list indices as path steps."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+def _is_vector(value) -> bool:
+    return isinstance(value, list) and len(value) == CFG.embedder.dim and all(type(v) is float for v in value)
+
+
+_SNAPSHOT = dumps_state(_built_state(), CFG)
+_NODES = dict(_paths(json.loads(_SNAPSHOT)))
+_COORDINATES = [path for path in _NODES if path and _is_vector(_NODES[path[:-1]])]
+_SCALARS = [path for path, value in _NODES.items() if not isinstance(value, (dict, list)) and path not in _COORDINATES]
+_KEYS = [path for path in _NODES if path and isinstance(_NODES[path[:-1]], dict)]
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+# See test_embedding.py: keeps a reported failure from becoming an INTERNALERROR.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_an_edited_snapshot_loads_or_is_malformed(data):
+    """One leaf of another JSON type, or one key fewer: the snapshot loads or is malformed, never more.
+
+    A non-number in place of a number never loads.
+    """
+    document = json.loads(_SNAPSHOT)
+    replace = data.draw(st.booleans(), label="replace")
+    if replace:
+        path = data.draw(st.one_of(st.sampled_from(_SCALARS), st.sampled_from(_COORDINATES)), label="leaf")
+        value = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(_NODES[path])), label="value")
+    else:
+        path = data.draw(st.sampled_from(_KEYS), label="deleted key")
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if replace:
+        parent[path[-1]] = value
+    else:
+        del parent[path[-1]]
+    try:
+        loads_state(json.dumps(document))
+    except ValueError as exc:
+        assert str(exc).startswith("malformed snapshot: "), exc
+    else:
+        assert not (replace and _json_type(_NODES[path]) == "number"), f"{value!r} in place of the number at {path} loaded"
