@@ -22,11 +22,11 @@ from .harness import Scenario, ablate, evaluate, generate_scenario, objective_ha
 from .retention import grid_csv, tune
 from .retrieval import make_query
 from .snapshot import (
-    config_from_dict,
     dumps_state,
+    loads_config,
+    loads_report,
     loads_state,
     read_sessions_jsonl,
-    report_from_dict,
     report_to_dict,
 )
 
@@ -39,7 +39,7 @@ def _load_config(path: str | None) -> EngineConfig:
     if path is None:
         return EngineConfig()
     with open(path, "r", encoding="utf-8") as handle:
-        return config_from_dict(json.load(handle))
+        return loads_config(handle.read())
 
 
 def _load_scenario(args: argparse.Namespace) -> tuple[Scenario, EngineConfig]:
@@ -143,7 +143,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     with open(args.report, "r", encoding="utf-8") as handle:
-        report = report_from_dict(json.load(handle))
+        report = loads_report(handle.read())
     lines = ["period,retention"]
     for gap in sorted(report.retention_at):
         lines.append(f"{gap},{report.retention_at[gap]!r}")

@@ -3,9 +3,11 @@
 Working memory is a bounded tail of the latest session, episodic memory is a
 decayed running blend of session-summary embeddings plus a ring-buffered log,
 and semantic memory is an entity graph with similarity-thresholded merging,
-recency-wins conflict resolution, and (importance, recency) eviction. Graph
-facts are mined from raw utterances, not from the episodic summary. A merge
-scans the graph for an unseen subject with one matrix-vector product
+recency-wins conflict resolution, and (importance, recency) eviction. It
+states each fact once: the edge mapping is the fact history, and node
+attributes name only the current values, whose sessions are their edges'.
+Graph facts are mined from raw utterances, not from the episodic summary. A
+merge scans the graph for an unseen subject with one matrix-vector product
 (``embedding.shortlist``) and decides the match by ``cosine`` over the
 shortlisted nodes only.
 
@@ -116,46 +118,45 @@ class EpisodicMemory:
 
 
 @dataclass(frozen=True)
-class AttributeValue:
-    value: str
-    session_index: int
-
-
-@dataclass(frozen=True)
 class EntityNode:
     entity_id: str
-    attributes: dict[str, AttributeValue]
+    attributes: dict[str, str]
     embedding: np.ndarray
     importance: float
     last_updated: int
 
 
-def node_text(entity_id: str, attributes: dict[str, AttributeValue]) -> str:
+def node_text(entity_id: str, attributes: dict[str, str]) -> str:
     """Canonical node rendering, attributes sorted by name; also the embedding source."""
     parts = [entity_id]
     for name in sorted(attributes):
-        parts.append(f"{name} {attributes[name].value}")
+        parts.append(f"{name} {attributes[name]}")
     return " ".join(parts)
 
 
 @dataclass(frozen=True)
 class SemanticGraph:
-    """Attributed nodes plus the fact history: one edge per (node, predicate, value) stated, at its last session."""
+    """Attributed nodes plus the fact history: (node, predicate, value) -> (last session, confidence).
+
+    Edges keep the order facts were first stated. Each attribute's current value has its edge, whose
+    session is the attribute's, and each edge's node exists; ValueError otherwise.
+    """
 
     nodes: dict[str, EntityNode] = field(default_factory=dict)
-    edges: tuple[tuple[str, str, str, int, float], ...] = ()
+    edges: dict[tuple[str, str, str], tuple[int, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for edge in self.edges:
-            if edge[0] not in self.nodes:
-                raise ValueError(f"edge subject {edge[0]!r} has no node")
+        for subject, _, _ in self.edges:
+            if subject not in self.nodes:
+                raise ValueError(f"edge subject {subject!r} has no node")
+        for node_id, node in self.nodes.items():
+            for predicate, value in node.attributes.items():
+                if (node_id, predicate, value) not in self.edges:
+                    raise ValueError(f"attribute {node_id!r} {predicate!r} value {value!r} has no edge")
 
     def current_value(self, subject: str, attribute: str) -> str | None:
-        node = self.nodes.get(subject.lower().strip())
-        if node is None:
-            return None
-        record = node.attributes.get(attribute)
-        return None if record is None else record.value
+        node = self.nodes.get(_canonical(subject))
+        return None if node is None else node.attributes.get(attribute)
 
 
 @dataclass(frozen=True)
@@ -266,11 +267,12 @@ def merge_semantic(
 
     A triple lands on an exact entity_id match, else on the highest-cosine node
     at or above tau_s (ties to the lexicographically smaller id), else a new
-    node. A triple whose edge was last stated in this session is skipped;
-    otherwise its edge keeps its latest session, and recency wins: the triple
-    becomes the attribute's value unless the attribute was set at a later
-    session. Past C_s nodes, those with the lowest (importance, last_updated)
-    are evicted and their edges dropped.
+    node. The merge edits a copy of the edge mapping. A triple whose edge was
+    last stated in this session is skipped; otherwise its edge keeps its latest
+    session, and recency wins: the triple becomes the attribute's value unless
+    the current value's edge was stated at a later session. Past C_s nodes,
+    those with the lowest (importance, last_updated) are evicted and their
+    edges dropped.
 
     The match is decided by ``cosine``: ``shortlist(..., 1)`` over a row
     buffer of the node vectors keeps every node that may hold the best cosine,
@@ -280,9 +282,7 @@ def merge_semantic(
     if not 0.0 <= tau_s <= 1.0 or C_s < 1:
         raise ValueError(f"tau_s must lie in [0, 1] and C_s be >= 1, got {tau_s}, {C_s}")
     nodes = dict(graph.nodes)
-    edges: dict[tuple[str, str, str], tuple[str, str, str, int, float]] = {
-        (e[0], e[1], e[2]): e for e in graph.edges
-    }
+    edges = dict(graph.edges)
     # The node vectors in `nodes` order plus a spare row per triple, built at
     # the first unseen subject and kept current; the merge's only scan reads it.
     matrix: np.ndarray | None = None
@@ -297,7 +297,7 @@ def merge_semantic(
 
         target_id = subject if subject in nodes else None
         if target_id is None and nodes:
-            candidate_text = node_text(subject, {predicate: AttributeValue(value, session_index)})
+            candidate_text = node_text(subject, {predicate: value})
             candidate = embed(candidate_text, embedder)
             if matrix is None:
                 matrix = np.zeros((len(nodes) + len(facts), embedder.dim))
@@ -320,16 +320,16 @@ def merge_semantic(
 
         node = nodes[target_id]
         edge_key = (target_id, predicate, value)
-        existing_edge = edges.get(edge_key)
-        if existing_edge is not None and existing_edge[3] == session_index:
+        stated = edges.get(edge_key)
+        if stated is not None and stated[0] == session_index:
             continue
-        if existing_edge is None or session_index > existing_edge[3]:
-            edges[edge_key] = (target_id, predicate, value, session_index, triple.confidence)
+        if stated is None or session_index > stated[0]:
+            edges[edge_key] = (session_index, triple.confidence)
 
         attributes = dict(node.attributes)
-        record = attributes.get(predicate)
-        if record is None or session_index >= record.session_index:
-            attributes[predicate] = AttributeValue(value, session_index)
+        current = attributes.get(predicate)
+        if current is None or session_index >= edges[(target_id, predicate, current)][0]:
+            attributes[predicate] = value
 
         nodes[target_id] = EntityNode(
             target_id,
@@ -345,6 +345,6 @@ def merge_semantic(
         ranked = sorted(nodes.values(), key=lambda n: (n.importance, n.last_updated, n.entity_id))
         doomed = {n.entity_id for n in ranked[: len(nodes) - C_s]}
         nodes = {nid: node for nid, node in nodes.items() if nid not in doomed}
-        edges = {k: e for k, e in edges.items() if e[0] not in doomed}
+        edges = {key: edge for key, edge in edges.items() if key[0] not in doomed}
 
-    return SemanticGraph(nodes, tuple(edges.values()))
+    return SemanticGraph(nodes, edges)

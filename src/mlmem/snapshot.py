@@ -14,11 +14,14 @@ Snapshot wire format (single JSON document)::
 
 A node is ``{"entity_id": str, "attributes": [[name, {"value": str,
 "session": int}], ..], "embedding": [float...], "importance": float,
-"last_updated": int}``; the edges are the graph's one fact history (see
-``memory.SemanticGraph``). Layer bounds live in the config only (k, C_w, C_e,
-alpha, C_s). Older snapshots also carry them in the state, the retired config
-keys ``seed`` and ``lambda``, and a ``superseded`` list per attribute; loading
-ignores those keys.
+"last_updated": int}``. The edges are the graph's one fact history (see
+``memory.SemanticGraph``), one row per (node, predicate, value) key, in the
+order of the graph's edge mapping. An attribute's ``"session"`` is not held in
+the state: it is written from, and must load equal to, its value's edge
+session. Layer bounds live in the config only (k, C_w, C_e, alpha, C_s).
+Older snapshots also carry them in the state, the retired config keys ``seed``
+and ``lambda``, and a ``superseded`` list per attribute; loading ignores those
+keys.
 
 Node attributes, entries, and log records are serialized as ordered lists so a
 round-trip preserves iteration order exactly; floats survive via repr, so
@@ -36,11 +39,18 @@ One rule rejects outside input: it is malformed when reading it raises one of
 ``_MALFORMED``, as a missing key, a field of another JSON type than its
 annotation (a bool is no int, an int is a float, ``NaN``, ``Infinity`` and an
 int too large for a float are no numbers), a vector that is not a list of
-``embedder.dim`` numbers, or a record its dataclass refuses does. Each reader
-catches these once and raises ValueError with its prefix: ``config_from_dict``
-"malformed config: ", ``loads_state`` "malformed snapshot: " (also for invalid
-JSON and layers over the config's k, C_w, C_e or C_s), ``read_sessions_jsonl``
-"path:N: malformed session record: ", ``report_from_dict`` "malformed report: ".
+``embedder.dim`` numbers, or a record its dataclass refuses does; so do a
+node that repeats an entity_id or an attribute name, an edge row that repeats
+a key, an attribute value without its edge, an attribute ``"session"`` that is
+not its edge's session as an int, and a ``retention_at`` key that does not
+spell its gap as ``str(int)`` does (so two spellings of one gap cannot
+collide). Each reader catches these once and raises ValueError with its
+prefix: ``config_from_dict`` and ``loads_config`` "malformed config: ",
+``loads_state`` "malformed snapshot: " (also for layers over the config's k,
+C_w, C_e or C_s), ``read_sessions_jsonl``
+"path:N: malformed session record: ", ``report_from_dict`` and
+``loads_report`` "malformed report: ". The ``loads_*`` readers parse JSON
+text, so invalid JSON is malformed input too.
 Vectors load as read-only arrays, as ``embed`` makes them.
 """
 
@@ -51,7 +61,7 @@ import math
 from dataclasses import fields, is_dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -59,7 +69,6 @@ from .embedding import frozen
 from .engine import EngineConfig, check_layer_bounds
 from .harness import EvalReport
 from .memory import (
-    AttributeValue,
     EntityNode,
     EpisodicMemory,
     FactTriple,
@@ -114,15 +123,22 @@ def _check_records(*groups: Sequence[Any]) -> None:
 
 def _check_state(state: MemoryState) -> None:
     """_check_types over every int, float and str field of a loaded state; _vector_from_list checks vectors."""
+    # Attribute names and values must be edge key fields (SemanticGraph), so the edge columns check them.
     utterances = tuple(map(itemgetter(0), state.working.entries))
-    nodes = tuple(state.semantic.nodes.values())
-    attributes = tuple(chain.from_iterable(node.attributes.items() for node in nodes))
-    attribute_values = tuple(map(itemgetter(1), attributes))
     facts = tuple(chain.from_iterable(u.annotations for u in utterances))
-    _check_records((state,), utterances, facts, state.episodic.log, nodes, attribute_values)
-    _check_types("attribute name", "str", map(itemgetter(0), attributes))
-    for i, (annotation, column) in enumerate(zip(_EDGE, zip(*state.semantic.edges))):
+    _check_records((state,), utterances, facts, state.episodic.log, tuple(state.semantic.nodes.values()))
+    edges = state.semantic.edges
+    for i, (annotation, column) in enumerate(zip(_EDGE, (*zip(*edges), *zip(*edges.values())))):
         _check_types(f"edge field {i}", annotation, column)
+
+
+def _check_attribute_sessions(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
+    """ValueError unless each node record's attribute "session" is its value's edge session, as a JSON int."""
+    for node in nodes:
+        for name, record in node["attributes"]:
+            session = record["session"]
+            if type(session) is not int or session != graph.edges[node["entity_id"], name, record["value"]][0]:
+                raise ValueError(f"attribute {node['entity_id']!r} {name!r} session {session!r} is not its edge's")
 
 
 # Top-level config keys of fields that never reached the engine; older
@@ -176,12 +192,22 @@ def _config_from_dict(data: dict[str, Any]) -> EngineConfig:
     return _from_dict(EngineConfig, data)
 
 
+def _read(what: str, read: Callable[[Any], Any], load: Callable[[], Any]) -> Any:
+    """read(load()); raises ValueError("malformed <what>: ...") when either raises one of _MALFORMED."""
+    try:
+        return read(load())
+    except _MALFORMED as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
+
+
 def config_from_dict(data: dict[str, Any]) -> EngineConfig:
     """Raises ValueError("malformed config: ...") on an unknown key and on a scalar of the wrong JSON type."""
-    try:
-        return _config_from_dict(data)
-    except _MALFORMED as exc:
-        raise ValueError(f"malformed config: {exc}") from exc
+    return _read("config", _config_from_dict, lambda: data)
+
+
+def loads_config(text: str) -> EngineConfig:
+    """config_from_dict of a JSON document; invalid JSON is a malformed config too."""
+    return _read("config", _config_from_dict, lambda: json.loads(text))
 
 
 def _fact_to_dict(fact: FactTriple) -> dict[str, Any]:
@@ -225,12 +251,13 @@ def _summary_from_dict(data: dict[str, Any], dim: int) -> SummaryRecord:
     )
 
 
-def _node_to_dict(node: EntityNode) -> dict[str, Any]:
+def _node_to_dict(node: EntityNode, graph: SemanticGraph) -> dict[str, Any]:
+    """The node record; each attribute's "session" is its value's edge session."""
     return {
         "entity_id": node.entity_id,
         "attributes": [
-            [name, {"value": rec.value, "session": rec.session_index}]
-            for name, rec in node.attributes.items()
+            [name, {"value": value, "session": graph.edges[node.entity_id, name, value][0]}]
+            for name, value in node.attributes.items()
         ],
         "embedding": node.embedding.tolist(),
         "importance": node.importance,
@@ -239,7 +266,9 @@ def _node_to_dict(node: EntityNode) -> dict[str, Any]:
 
 
 def _node_from_dict(data: dict[str, Any], dim: int) -> EntityNode:
-    attributes = {name: AttributeValue(rec["value"], rec["session"]) for name, rec in data["attributes"]}
+    attributes = {name: record["value"] for name, record in data["attributes"]}
+    if len(attributes) != len(data["attributes"]):
+        raise ValueError(f"node {data['entity_id']!r} repeats an attribute name")
     return EntityNode(
         data["entity_id"],
         attributes,
@@ -265,8 +294,8 @@ def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
                 "log": [_summary_to_dict(r) for r in state.episodic.log],
             },
             "semantic": {
-                "nodes": [_node_to_dict(n) for n in state.semantic.nodes.values()],
-                "edges": [list(e) for e in state.semantic.edges],
+                "nodes": [_node_to_dict(n, state.semantic) for n in state.semantic.nodes.values()],
+                "edges": [[*key, *edge] for key, edge in state.semantic.edges.items()],
             },
         },
     }
@@ -287,10 +316,15 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
         _vector_from_list(raw["episodic"]["state"], dim),
         tuple(_summary_from_dict(r, dim) for r in raw["episodic"]["log"]),
     )
-    semantic = SemanticGraph(
-        {n["entity_id"]: _node_from_dict(n, dim) for n in raw["semantic"]["nodes"]},
-        tuple((s, r, o, t, c) for s, r, o, t, c in raw["semantic"]["edges"]),
-    )
+    rows = raw["semantic"]["edges"]
+    edges = {(s, r, o): (t, c) for s, r, o, t, c in rows}
+    if len(edges) != len(rows):
+        raise ValueError(f"{len(rows) - len(edges)} edge(s) repeat a (node, predicate, value) key")
+    nodes = raw["semantic"]["nodes"]
+    semantic = SemanticGraph({n["entity_id"]: _node_from_dict(n, dim) for n in nodes}, edges)
+    if len(semantic.nodes) != len(nodes):
+        raise ValueError(f"{len(nodes) - len(semantic.nodes)} node(s) repeat an entity_id")
+    _check_attribute_sessions(nodes, semantic)
     state = MemoryState(working, episodic, semantic, raw["session_cursor"])
     _check_state(state)
     check_layer_bounds(state, cfg)
@@ -303,10 +337,7 @@ def dumps_state(state: MemoryState, cfg: EngineConfig) -> str:
 
 def loads_state(text: str) -> tuple[MemoryState, EngineConfig]:
     """Raises ValueError("malformed snapshot: ...") on invalid JSON and on a malformed snapshot."""
-    try:
-        return state_from_dict(json.loads(text))
-    except _MALFORMED as exc:
-        raise ValueError(f"malformed snapshot: {exc}") from exc
+    return _read("snapshot", state_from_dict, lambda: json.loads(text))
 
 
 def session_to_dict(session: Session) -> dict[str, Any]:
@@ -353,20 +384,30 @@ def report_to_dict(report: EvalReport) -> dict[str, Any]:
     }
 
 
+def _report_from_dict(data: dict[str, Any]) -> EvalReport:
+    """Raises one of _MALFORMED on a malformed report; a retention_at key must spell its gap as str(int) does."""
+    report = EvalReport(
+        retention_at={int(gap): value for gap, value in data["retention_at"].items()},
+        fmr=data["fmr"],
+        mean_context_usage=data["mean_context_usage"],
+        success_rate=data["success_rate"],
+        drift_curve=tuple(data["drift_curve"]),
+        config_echo=_config_from_dict(data["config"]),
+    )
+    keys = list(data["retention_at"])
+    if list(map(str, report.retention_at)) != keys:
+        raise ValueError(f"retention_at keys must spell distinct gaps as str(int) does, got {keys}")
+    _check_records((report,))
+    _check_types("EvalReport.retention_at", "float", report.retention_at.values())
+    _check_types("EvalReport.drift_curve", "float", report.drift_curve)
+    return report
+
+
 def report_from_dict(data: dict[str, Any]) -> EvalReport:
     """Raises ValueError("malformed report: ...") on a missing key or a field of the wrong JSON type."""
-    try:
-        report = EvalReport(
-            retention_at={int(gap): value for gap, value in data["retention_at"].items()},
-            fmr=data["fmr"],
-            mean_context_usage=data["mean_context_usage"],
-            success_rate=data["success_rate"],
-            drift_curve=tuple(data["drift_curve"]),
-            config_echo=_config_from_dict(data["config"]),
-        )
-        _check_records((report,))
-        _check_types("EvalReport.retention_at", "float", report.retention_at.values())
-        _check_types("EvalReport.drift_curve", "float", report.drift_curve)
-    except _MALFORMED as exc:
-        raise ValueError(f"malformed report: {exc}") from exc
-    return report
+    return _read("report", _report_from_dict, lambda: data)
+
+
+def loads_report(text: str) -> EvalReport:
+    """report_from_dict of a JSON document; invalid JSON is a malformed report too."""
+    return _read("report", _report_from_dict, lambda: json.loads(text))

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from mlmem import engine
 from mlmem.cli import main
 from mlmem.engine import answer
 from mlmem.harness import generate_scenario
@@ -152,20 +153,49 @@ def test_plotdata_emits_period_retention_rows(tmp_path, capsys):
         lambda report: report["retention_at"].update({"1": "abc"}),
         lambda report: report.update(retention_at=[1.0, 0.5]),
         lambda report: report.pop("fmr"),
+        lambda report: report["retention_at"].update({"01": 0.25}),
+        lambda report: json.dumps(report)[:50],
     ],
-    ids=["retention_str", "retention_list", "no_fmr"],
+    ids=["retention_str", "retention_list", "no_fmr", "retention_gap_respelled", "truncated"],
 )
 def test_malformed_report_is_validation_error(tmp_path, capsys, edit):
+    """An edit changes the report in place, or returns the str to write instead."""
     report = tmp_path / "report.json"
     main(["eval", "--scenario-seed", "4", "--personas", "2", "--periods", "3", "--out", str(report)])
     data = json.loads(report.read_text())
-    edit(data)
-    report.write_text(json.dumps(data))
+    text = edit(data)
+    report.write_text(text if isinstance(text, str) else json.dumps(data))
     capsys.readouterr()
     curves = tmp_path / "curves.csv"
     assert main(["plotdata", "--report", str(report), "--out", str(curves)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed report: ")
     assert not curves.exists()
+
+
+def test_failing_engine_step_is_runtime_error(tmp_path, sessions_file, monkeypatch, capsys):
+    original = engine.merge_semantic
+
+    def failing(graph, facts, session_index, *args):
+        if session_index == 1:
+            raise RuntimeError("graph store offline")
+        return original(graph, facts, session_index, *args)
+
+    monkeypatch.setattr(engine, "merge_semantic", failing)
+    snapshot = tmp_path / "s.json"
+    assert main(["ingest", "--input", str(sessions_file), "--snapshot", str(snapshot)]) == 3
+    assert capsys.readouterr().err == "runtime error: step for session 1 failed: graph store offline\n"
+    assert not snapshot.exists()
+
+
+def test_sweep_rejects_a_malformed_float_list(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    code = main([
+        "sweep", "--scenario-seed", "2", "--personas", "2", "--periods", "2",
+        "--alphas", "0.3,x", "--betas", "2.0", "--lambdas", "0.0", "--out", str(out),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --alphas must be a comma-separated float list, got '0.3,x'\n"
+    assert not out.exists()
 
 
 def test_internal_key_error_is_runtime_error(tmp_path, monkeypatch, capsys):
@@ -199,17 +229,19 @@ def test_bad_config_is_validation_error(tmp_path, sessions_file):
         {"enabled_layers": ["w", "w"]},
         {"epsilon": float("nan")},
         {"epsilon": float("inf")},
+        '{"k": 8,',
     ],
 )
 def test_malformed_config_is_validation_error(tmp_path, capsys, bad):
+    """A config object, or a str: the file text as it is."""
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(bad))
+    config.write_text(bad if isinstance(bad, str) else json.dumps(bad))
     code = main([
         "eval", "--scenario-seed", "1", "--personas", "2", "--periods", "2",
         "--config", str(config), "--out", str(tmp_path / "r.json"),
     ])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: malformed config: ")
     assert not (tmp_path / "r.json").exists()
 
 
@@ -264,6 +296,27 @@ def _mistype(path: str, value):
     return edit
 
 
+def _repeat_first(path: str):
+    """Append a copy of the first record of the list at path (dot-separated, under the semantic graph)."""
+    def edit(data):
+        records = data["state"]["semantic"]
+        for key in path.split("."):
+            records = records[int(key) if key.isdigit() else key]
+        records.append(json.loads(json.dumps(records[0])))
+    return edit
+
+
+def _attribute_session(session, edge_session: int):
+    """Set the first node's first attribute "session" to session and its value's edge session to edge_session."""
+    def edit(data):
+        semantic = data["state"]["semantic"]
+        node = semantic["nodes"][0]
+        name, record = node["attributes"][0]
+        edge = next(e for e in semantic["edges"] if e[:3] == [node["entity_id"], name, record["value"]])
+        record["session"], edge[3] = session, edge_session
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -292,6 +345,12 @@ def _mistype(path: str, value):
         _mistype("semantic.nodes.0.importance", 10**400),
         _mistype("semantic.edges.0.4", 10**400),
         _mistype("semantic.edges.0", ["alice", "lives_in", "paris", 0, 1.0, "extra"]),
+        _repeat_first("edges"),
+        _repeat_first("nodes"),
+        _repeat_first("nodes.0.attributes"),
+        _attribute_session(0, 1),
+        _attribute_session(True, 1),
+        _mistype("semantic.nodes.0.attributes.0.1.value", "atlantis"),
     ],
     ids=[
         "cursor", "importance", "last_updated", "text", "salience", "edge_session",
@@ -299,7 +358,8 @@ def _mistype(path: str, value):
         "edge_confidence_nan", "working_fact_confidence_inf", "node_vector_short", "episodic_state_2d",
         "node_vector_str", "episodic_state_bool", "blank_text", "episodic_state_ragged", "negative_turn",
         "orphan_edge", "attribute_pair_short", "node_vector_huge_int", "importance_huge_int", "edge_confidence_huge_int",
-        "edge_extra_field",
+        "edge_extra_field", "edge_repeated", "node_repeated", "attribute_repeated", "attribute_session_not_edge",
+        "attribute_session_true", "attribute_value_without_edge",
     ],
 )
 def test_mistyped_snapshot_scalar_is_validation_error(tmp_path, sessions_file, capsys, edit):

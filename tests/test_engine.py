@@ -12,6 +12,7 @@ from mlmem import engine, memory, retrieval
 from mlmem.embedding import EmbedderConfig, cosine, embed
 from mlmem.engine import (
     EngineConfig,
+    EngineRunError,
     TemplateResponder,
     answer,
     initial_state,
@@ -161,6 +162,35 @@ def test_run_explicit_queries_override_default():
     queries = {0: make_query("custom probe", CFG.embedder, 0)}
     outputs = run(sessions, queries, CFG)
     assert outputs[0].response.endswith("answer to: custom probe")
+
+
+def _failing_summarize(monkeypatch, at: int, error: Exception) -> None:
+    """Make the episodic summary raise error at session index at."""
+    original = engine.summarize
+
+    def failing(session, *args):
+        if session.index == at:
+            raise error
+        return original(session, *args)
+
+    monkeypatch.setattr(engine, "summarize", failing)
+
+
+def test_run_names_the_session_whose_step_failed(monkeypatch):
+    _failing_summarize(monkeypatch, 2, RuntimeError("disk on fire"))
+    sessions = [_session(i, [f"alice note {i}"]) for i in range(4)]
+    with pytest.raises(EngineRunError, match=r"^step for session 2 failed: disk on fire$") as info:
+        run(sessions, None, CFG)
+    assert isinstance(info.value.__cause__, RuntimeError)
+
+
+def test_run_passes_a_value_error_through_unwrapped(monkeypatch):
+    error = ValueError("bound out of range")
+    _failing_summarize(monkeypatch, 1, error)
+    sessions = [_session(i, [f"alice note {i}"]) for i in range(3)]
+    with pytest.raises(ValueError) as info:
+        run(sessions, None, CFG)
+    assert info.value is error
 
 
 def test_context_usage_bounded_and_budget_respected():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,30 +271,33 @@ def _merge(graph, facts, session_index, tau=0.9, C_s=8):
     return merge_semantic(graph, facts, session_index, tau, C_s, CFG)
 
 
+def _history(graph):
+    """(node, predicate, value, session) of each edge, in the graph's edge order."""
+    return [(*key, session) for key, (session, _) in graph.edges.items()]
+
+
 def test_merge_inserts_node_and_edge():
     graph = _merge(SemanticGraph(), [FactTriple("alice", "likes", "jazz")], 0)
     assert set(graph.nodes) == {"alice"}
     assert len(graph.edges) == 1
-    assert graph.edges[0][:4] == ("alice", "likes", "jazz", 0)
+    assert _history(graph)[0] == ("alice", "likes", "jazz", 0)
     assert graph.current_value("alice", "likes") == "jazz"
 
 
 def test_merge_recency_wins_and_supersedes():
     graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "london")], 1)
     graph = _merge(graph, [FactTriple("alice", "lives_in", "paris")], 4)
-    record = graph.nodes["alice"].attributes["lives_in"]
-    assert record.value == "paris"
-    assert record.session_index == 4
-    assert [e[:4] for e in graph.edges] == [("alice", "lives_in", "london", 1), ("alice", "lives_in", "paris", 4)]
+    assert graph.nodes["alice"].attributes["lives_in"] == "paris"
+    assert graph.edges["alice", "lives_in", "paris"][0] == 4
+    assert _history(graph) == [("alice", "lives_in", "london", 1), ("alice", "lives_in", "paris", 4)]
 
 
 def test_merge_out_of_order_write_goes_to_superseded():
     graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "paris")], 4)
     graph = _merge(graph, [FactTriple("alice", "lives_in", "london")], 1)
-    record = graph.nodes["alice"].attributes["lives_in"]
-    assert record.value == "paris"
-    assert record.session_index == 4
-    assert ("alice", "lives_in", "london", 1) in [e[:4] for e in graph.edges]
+    assert graph.nodes["alice"].attributes["lives_in"] == "paris"
+    assert graph.edges["alice", "lives_in", "paris"][0] == 4
+    assert ("alice", "lives_in", "london", 1) in _history(graph)
 
 
 def test_merge_same_session_conflict_goes_to_the_later_triple():
@@ -305,7 +309,7 @@ def test_merge_same_session_conflict_goes_to_the_later_triple():
     # a value already stated in this session is skipped, so a flip back does not land
     graph = _merge(graph, [paris], 3)
     assert graph.current_value("alice", "lives_in") == "rome"
-    assert [e[2:4] for e in graph.edges] == [("london", 3), ("paris", 3), ("rome", 3)]
+    assert [e[2:4] for e in _history(graph)] == [("london", 3), ("paris", 3), ("rome", 3)]
 
 
 def test_merge_eviction_drops_lowest_importance():
@@ -330,7 +334,7 @@ def test_merge_idempotent_for_identical_triple_same_session():
     once = _merge(SemanticGraph(), [triple], 2)
     twice = _merge(once, [triple], 2)
     assert twice.nodes["alice"].importance == once.nodes["alice"].importance
-    assert twice.edges == once.edges
+    assert list(twice.edges.items()) == list(once.edges.items())
     assert twice.nodes["alice"].attributes == once.nodes["alice"].attributes
 
 
@@ -339,10 +343,10 @@ def test_merge_restatement_at_later_session_refreshes_recency():
     graph = _merge(SemanticGraph(), [triple], 0)
     graph = _merge(graph, [triple], 5)
     assert len(graph.edges) == 1
-    assert graph.edges[0][3] == 5
+    assert _history(graph)[0][3] == 5
     assert graph.nodes["alice"].last_updated == 5
     assert graph.nodes["alice"].importance == 2.0
-    assert graph.nodes["alice"].attributes["likes"].session_index == 5
+    assert graph.nodes["alice"].attributes["likes"] == "jazz"
 
 
 def test_merge_similarity_match_absorbs_near_duplicate_entities():
@@ -362,7 +366,7 @@ def test_merge_tie_breaks_to_lexicographically_smaller_id():
     node = base.nodes["bob"]
     clone = dict(base.nodes)
     clone["abe"] = node.__class__("abe", dict(node.attributes), node.embedding, node.importance, node.last_updated)
-    tied = SemanticGraph(clone, base.edges)
+    tied = SemanticGraph(clone, {**base.edges, ("abe", "likes", "jazz"): base.edges["bob", "likes", "jazz"]})
     merged = merge_semantic(tied, [FactTriple("zed", "likes", "jazz")], 1, 0.2, 8, cfg)
     # equal cosine to both tied nodes: the lexicographically smaller id wins
     assert "zed" not in merged.nodes
@@ -399,7 +403,7 @@ def test_merge_replay_is_bit_identical():
         return graph
     a, b = build(), build()
     assert list(a.nodes) == list(b.nodes)
-    assert a.edges == b.edges
+    assert list(a.edges.items()) == list(b.edges.items())
     for key in a.nodes:
         assert np.array_equal(a.nodes[key].embedding, b.nodes[key].embedding)
 
@@ -424,16 +428,24 @@ def test_merge_keeps_capacity_and_every_current_value_in_the_edge_history(stream
     for session_index, facts in stream:
         graph = merge_semantic(graph, facts, session_index, tau_s, C_s, CFG)
         assert len(graph.nodes) <= C_s
-        edges = {e[:3]: e[3] for e in graph.edges}
-        assert len(edges) == len(graph.edges)
         for node_id, node in graph.nodes.items():
-            for predicate, record in node.attributes.items():
-                # the current value is an edge stated last at the attribute's session,
-                # the latest session of any value the attribute was given (recency wins)
-                assert edges[(node_id, predicate, record.value)] == record.session_index
-                assert record.session_index == max(
-                    session for (nid, p, _), session in edges.items() if (nid, p) == (node_id, predicate)
+            for predicate, value in node.attributes.items():
+                # the current value's edge holds the attribute's session: the latest
+                # session of any value the attribute was given (recency wins)
+                assert graph.edges[node_id, predicate, value][0] == max(
+                    session for (nid, p, _), (session, _) in graph.edges.items() if (nid, p) == (node_id, predicate)
                 )
+
+
+def test_graph_rejects_an_attribute_value_without_its_edge():
+    graph = _merge(SemanticGraph(), [FactTriple("alice", "likes", "jazz")], 0)
+    node = graph.nodes["alice"]
+    with pytest.raises(ValueError, match="'alice' 'likes' value 'blues' has no edge"):
+        SemanticGraph({"alice": replace(node, attributes={"likes": "blues"})}, graph.edges)
+    with pytest.raises(ValueError, match="has no edge"):
+        SemanticGraph(graph.nodes, {})
+    with pytest.raises(ValueError, match="has no node"):
+        SemanticGraph({}, graph.edges)
 
 
 def test_alternating_attribute_keeps_the_serialized_graph_flat():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mlmem.embedding import EmbedderConfig
-from mlmem.memory import AttributeValue, EntityNode, FactTriple, SemanticGraph, merge_semantic
+from mlmem.memory import EntityNode, FactTriple, SemanticGraph, merge_semantic
 from mlmem.retention import (
     TuneError,
     cumulative_retention_loss,
@@ -24,10 +24,10 @@ CFG = EmbedderConfig(dim=16, seed=1)
 
 def _graph(entities: dict[str, np.ndarray], dim: int = 16) -> SemanticGraph:
     nodes = {
-        name: EntityNode(name, {"a": AttributeValue("v", 0)}, vec, 1.0, 0)
+        name: EntityNode(name, {"a": "v"}, vec, 1.0, 0)
         for name, vec in entities.items()
     }
-    return SemanticGraph(nodes)
+    return SemanticGraph(nodes, {(name, "a", "v"): (0, 1.0) for name in nodes})
 
 
 # ------------------------------------------------------------ entity_projection

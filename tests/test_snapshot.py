@@ -47,7 +47,7 @@ def test_loaded_state_preserves_structure_and_vectors():
     loaded, _ = loads_state(dumps_state(state, CFG))
     assert loaded.session_cursor == state.session_cursor
     assert list(loaded.semantic.nodes) == list(state.semantic.nodes)
-    assert loaded.semantic.edges == state.semantic.edges
+    assert list(loaded.semantic.edges.items()) == list(state.semantic.edges.items())
     for key in state.semantic.nodes:
         assert np.array_equal(
             loaded.semantic.nodes[key].embedding,
