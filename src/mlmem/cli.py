@@ -7,13 +7,15 @@ CSV), plotdata (report -> period,retention CSV).
 
 Exit codes: 0 success, 2 validation error (a ValueError or OSError), 3 runtime
 error (any other exception). All randomness derives from --scenario-seed and
-embedder.seed.
+embedder.seed. Each output file is written whole or not at all: a temp file
+beside it, renamed over it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -47,10 +49,20 @@ def _load_scenario(args: argparse.Namespace) -> tuple[Scenario, EngineConfig]:
     return generate_scenario(args.personas, args.periods, args.facts, args.distractors, args.scenario_seed), cfg
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text to a temp file beside path, then rename it over path: a failure leaves path as it was."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temp, path)
+    finally:
+        if os.path.exists(temp):
+            os.remove(temp)
+
+
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -58,8 +70,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     sessions = read_sessions_jsonl(args.input)
     outputs = run(sessions, None, cfg)
     state = outputs[-1].state if outputs else initial_state(cfg)
-    with open(args.snapshot, "w", encoding="utf-8") as handle:
-        handle.write(dumps_state(state, cfg))
+    _write_text(args.snapshot, dumps_state(state, cfg))
     print(f"ingested {len(sessions)} sessions -> {args.snapshot}")
     return EXIT_OK
 
@@ -132,8 +143,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _parse_floats(args.betas, "betas"),
         _parse_floats(args.lambdas, "lambdas"),
     )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(grid_csv(result))
+    _write_text(args.out, grid_csv(result))
     alpha, beta, lambda_ = result.best
     print(
         f"best alpha={alpha} beta={beta} lambda={lambda_} total={result.objective.total!r}"
@@ -147,8 +157,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     lines = ["period,retention"]
     for gap in sorted(report.retention_at):
         lines.append(f"{gap},{report.retention_at[gap]!r}")
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(report.retention_at)} rows -> {args.out}")
     return EXIT_OK
 

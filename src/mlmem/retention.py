@@ -68,6 +68,9 @@ def drift(prev: SemanticGraph, curr: SemanticGraph) -> DriftReport:
             continue
         a = before[entity_id]
         b = after[entity_id]
+        if a is b:  # a node the merge left alone keeps its (read-only) array
+            per_entity[entity_id] = 0.0
+            continue
         if a.shape != b.shape:
             raise ValueError(f"embedding shape mismatch for {entity_id!r}: {a.shape} vs {b.shape}")
         delta = a - b

@@ -42,7 +42,8 @@ int too large for a float are no numbers), a vector that is not a list of
 ``embedder.dim`` numbers, or a record its dataclass refuses does; so do a
 node that repeats an entity_id or an attribute name, an edge row that repeats
 a key, an attribute value without its edge, an attribute ``"session"`` that is
-not its edge's session as an int, and a ``retention_at`` key that does not
+not its edge's session as an int or is older than another edge of its (node,
+predicate) (recency wins), and a ``retention_at`` key that does not
 spell its gap as ``str(int)`` does (so two spellings of one gap cannot
 collide). Each reader catches these once and raises ValueError with its
 prefix: ``config_from_dict`` and ``loads_config`` "malformed config: ",
@@ -133,12 +134,21 @@ def _check_state(state: MemoryState) -> None:
 
 
 def _check_attribute_sessions(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
-    """ValueError unless each node record's attribute "session" is its value's edge session, as a JSON int."""
+    """ValueError unless each node record's attribute "session" is its value's edge session, as a JSON int,
+    and no edge of the same (node, predicate) is later: recency wins (values stated in one session tie)."""
+    current: dict[tuple[str, str], int] = {}
     for node in nodes:
         for name, record in node["attributes"]:
             session = record["session"]
             if type(session) is not int or session != graph.edges[node["entity_id"], name, record["value"]][0]:
                 raise ValueError(f"attribute {node['entity_id']!r} {name!r} session {session!r} is not its edge's")
+            current[node["entity_id"], name] = session
+    for (node_id, predicate, value), (session, _) in graph.edges.items():
+        if session > current.get((node_id, predicate), session):
+            raise ValueError(
+                f"attribute {node_id!r} {predicate!r} is of session {current[node_id, predicate]}, "
+                f"but {value!r} was stated later, at session {session}"
+            )
 
 
 # Top-level config keys of fields that never reached the engine; older
@@ -324,9 +334,9 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     semantic = SemanticGraph({n["entity_id"]: _node_from_dict(n, dim) for n in nodes}, edges)
     if len(semantic.nodes) != len(nodes):
         raise ValueError(f"{len(nodes) - len(semantic.nodes)} node(s) repeat an entity_id")
-    _check_attribute_sessions(nodes, semantic)
     state = MemoryState(working, episodic, semantic, raw["session_cursor"])
     _check_state(state)
+    _check_attribute_sessions(nodes, semantic)
     check_layer_bounds(state, cfg)
     return state, cfg
 

@@ -9,12 +9,13 @@ import sys
 
 import pytest
 
-from mlmem import engine
+from mlmem import cli, engine
 from mlmem.cli import main
-from mlmem.engine import answer
+from mlmem.engine import EngineConfig, answer, run
 from mlmem.harness import generate_scenario
+from mlmem.memory import Session, Utterance
 from mlmem.retrieval import make_query
-from mlmem.snapshot import loads_state, write_sessions_jsonl
+from mlmem.snapshot import dumps_state, loads_state, write_sessions_jsonl
 
 
 @pytest.fixture()
@@ -268,6 +269,19 @@ def test_well_typed_config_scalars_ingest(tmp_path, sessions_file):
     assert json.loads(snapshot.read_text())["config"]["uniform_gating"] is True
 
 
+def _lives_in_snapshot(cities_by_session: list[list[str]], current: str, session: int) -> str:
+    """alice lives in each city in turn, then the snapshot's attribute rewritten to name current at session."""
+    sessions = [
+        Session(i, tuple(Utterance.from_text(i, t, "alice", f"alice lives in {city}") for t, city in enumerate(cities)))
+        for i, cities in enumerate(cities_by_session)
+    ]
+    cfg = EngineConfig()
+    data = json.loads(dumps_state(run(sessions, None, cfg)[-1].state, cfg))
+    (node,) = data["state"]["semantic"]["nodes"]
+    node["attributes"] = [["lives_in", {"value": current, "session": session}]]
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -275,14 +289,53 @@ def test_well_typed_config_scalars_ingest(tmp_path, sessions_file):
         json.dumps([1, 2]),
         json.dumps({"config": {}, "state": {"session_cursor": 0, "working": {"entries": 5}}}),
         '{"config": {}, "state": {"session_cursor": 0',
+        _lives_in_snapshot([["london"], ["paris"], ["rome"]], "london", 0),
     ],
-    ids=["document0", "document1", "document2", "truncated"],
+    ids=["document0", "document1", "document2", "truncated", "attribute_older_than_an_edge"],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):
     snapshot = tmp_path / "state.json"
     snapshot.write_text(document)
     assert main(["query", "--snapshot", str(snapshot), "--text", "alice lives_in"]) == 2
     assert capsys.readouterr().err.startswith("error: malformed snapshot")
+
+
+def test_attribute_tied_with_a_later_stated_value_loads(tmp_path, capsys):
+    """Two values stated in one session tie, so the attribute may name either."""
+    snapshot = tmp_path / "state.json"
+    snapshot.write_text(_lives_in_snapshot([["oslo"], ["london", "paris"]], "london", 1))
+    assert loads_state(snapshot.read_text())[0].semantic.current_value("alice", "lives_in") == "london"
+    assert main(["query", "--snapshot", str(snapshot), "--text", "alice lives_in"]) == 0
+
+
+def test_failing_dump_leaves_the_old_snapshot(tmp_path, sessions_file, monkeypatch, capsys):
+    snapshot = tmp_path / "state.json"
+    assert main(["ingest", "--input", str(sessions_file), "--snapshot", str(snapshot)]) == 0
+    before = snapshot.read_bytes()
+
+    def failing(state, cfg):
+        raise RuntimeError("dump failed")
+
+    monkeypatch.setattr(cli, "dumps_state", failing)
+    assert main(["ingest", "--input", str(sessions_file), "--snapshot", str(snapshot)]) == 3
+    assert capsys.readouterr().err.endswith("runtime error: dump failed\n")
+    assert snapshot.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sessions.jsonl", "state.json"]
+
+
+def test_failing_rename_leaves_the_old_report_and_no_temp_file(tmp_path, monkeypatch, capsys):
+    report = tmp_path / "r.json"
+    report.write_text("old")
+
+    def failing(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+    code = main(["eval", "--scenario-seed", "1", "--personas", "2", "--periods", "2", "--out", str(report)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: rename failed\n"
+    assert report.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
 
 def _mistype(path: str, value):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import re
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -281,6 +283,7 @@ def test_step_answers_through_answer(uniform):
 
 @pytest.mark.parametrize("uniform", [False, True])
 def test_answer_and_step_build_each_layer_representation_once(monkeypatch, uniform):
+    """Once per state: the step builds them, later answers on that state reuse them, an equal copy builds anew."""
     cfg = replace(CFG, uniform_gating=uniform)
     built: list[str] = []
     original = retrieval.layer_representation
@@ -296,6 +299,11 @@ def test_answer_and_step_build_each_layer_representation_once(monkeypatch, unifo
     assert built == ["w", "e", "s"]
     built.clear()
     answer(query, output.state, cfg)
+    answer(make_query("bob chess", cfg.embedder, 0), output.state, cfg)
+    assert built == []
+    copy, _ = loads_state(dumps_state(output.state, cfg))
+    assert dumps_state(copy, cfg) == dumps_state(output.state, cfg) and copy is not output.state
+    answer(query, copy, cfg)
     assert built == ["w", "e", "s"]
 
 
@@ -468,3 +476,44 @@ def test_shortlisting_is_invisible(monkeypatch):
         mean += (node.importance / total) * node.embedding
     expected = mean / float(np.linalg.norm(mean))
     assert layer_representation(state, "s").tobytes() == expected.tobytes()
+
+
+def _answer_bytes(result_and_fused) -> tuple:
+    result, fused = result_and_fused
+    return result.items, result.vector.tobytes(), result.weights, fused.context_text
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_read_index_is_invisible(monkeypatch, uniform):
+    """Retrieves interleaved over states A, B, A and a loaded copy of A equal cold builds with the slot cleared."""
+    cfg = EngineConfig(C_s=96, tau_s=0.7, uniform_gating=uniform)
+    outputs = run(_tie_heavy_wide_sessions(), None, cfg)
+    states = {"A": outputs[-1].state, "B": outputs[4].state}
+    states["A loaded"], _ = loads_state(dumps_state(states["A"], cfg))
+    probes = ("e001 lives_in", "e150 works", "city2", "job1 city3", "e299 lives_in city1")
+
+    def asked(key: str, text: str):
+        return answer(make_query(text, cfg.embedder, states[key].session_cursor), states[key], cfg)
+
+    cold = {}
+    for key in states:
+        for text in probes:
+            monkeypatch.setattr(retrieval, "_READ_SLOT", None)
+            cold[key, text] = _answer_bytes(asked(key, text))
+    assert all(cold["A loaded", text] == cold["A", text] for text in probes)
+    assert any(cold["B", text] != cold["A", text] for text in probes)
+
+    for key in ("A", "B", "A", "A loaded", "A", "B"):
+        for text in probes:
+            assert _answer_bytes(asked(key, text)) == cold[key, text]
+
+
+def test_read_index_keeps_no_state_alive():
+    outputs = run([_session(0, ["alice likes jazz"]), _session(1, ["bob plays chess"])], None, CFG)
+    state = outputs[-1].state
+    answer(make_query("alice", CFG.embedder, 1), state, CFG)
+    assert retrieval._READ_SLOT[0]() is state
+    ref = weakref.ref(state)
+    del outputs, state
+    gc.collect()
+    assert ref() is None

@@ -97,6 +97,24 @@ def test_drift_symmetry_over_shared_entities():
     assert forward.died == backward.born
 
 
+def test_drift_over_a_merge_equals_the_full_computation():
+    """Untouched nodes share their arrays across a merge; their 0.0 equals subtracting them."""
+    facts = [FactTriple(f"p{i}", "likes", f"thing{i}") for i in range(6)]
+    prev = merge_semantic(SemanticGraph(), facts, 0, 0.99, 6, CFG)
+    update = [FactTriple("p1", "likes", "other"), FactTriple("p4", "plays", "chess"), FactTriple("q9", "likes", "x")]
+    curr = merge_semantic(prev, update * 2, 1, 0.99, 6, CFG)
+    shared = [n for n in prev.nodes if n in curr.nodes]
+    assert {n for n in shared if prev.nodes[n].embedding is curr.nodes[n].embedding} == set(shared) - {"p1", "p4"}
+    assert {"p1", "p4"} <= set(shared) and set(prev.nodes) - set(curr.nodes)
+    deltas = {n: prev.nodes[n].embedding - curr.nodes[n].embedding for n in shared}
+    full = {n: float(delta @ delta) for n, delta in deltas.items()}
+    report = drift(prev, curr)
+    assert report.per_entity == full and list(report.per_entity) == shared
+    assert report.total == float(sum(full.values()))
+    assert report.born == frozenset(curr.nodes) - frozenset(prev.nodes) == {"q9"}
+    assert report.died == frozenset(prev.nodes) - frozenset(curr.nodes)
+
+
 def test_drift_dimension_mismatch_raises():
     a = _graph({"alice": np.zeros(16)}, dim=16)
     b = _graph({"alice": np.zeros(8)}, dim=8)
