@@ -1,24 +1,20 @@
-"""Deterministic text embeddings via feature hashing, plus a remote HTTP client.
+"""Text embeddings (seeded feature hashing or a remote service) and the rules every vector follows.
 
-All similarity math in the engine consumes the unit vectors produced here.
-An embedding is a 1-d float64 numpy array of length dim, made read-only by
-``frozen``; the states hold such arrays, so no holder can change a shared
-vector in place. The deterministic mode needs no model weights: tokens are
-hashed into d buckets with a seeded keyed hash and a +/-1 sign, then
-L2-normalized, so two processes with the same (text, dim, seed) produce
-bit-equal vectors.
+An embedding is a read-only (``frozen``) 1-d float64 array of length dim. The
+deterministic mode hashes tokens into dim buckets with a seeded keyed hash and
+a +/-1 sign, so equal (text, dim, seed) give bit-equal vectors in any process.
+Remote mode POSTs ``{"texts": [str]}`` to the configured endpoint (the
+``MLMEM_EMBED_ENDPOINT`` environment variable overrides it) and expects
+``{"vectors": [[float]]}`` holding one vector; any other answer raises
+``EmbeddingServiceError``. Three rules hold for every vector, here only:
 
-Remote mode POSTs ``{"texts": [str]}`` and expects ``{"vectors": [[float]]}``;
-a vector of another shape than (dim,) is rejected, the others are
-L2-normalized on receipt. The ``MLMEM_EMBED_ENDPOINT`` environment variable
-overrides the configured endpoint.
-
-``cosine`` decides every similarity question: a match against ``tau_s``, a
-top-j ranking, a tie-break; vectors of different shapes raise ValueError. A
-scan over many vectors first narrows them with ``shortlist``, one
-matrix-vector product whose approximate cosines keep every row within
-``SHORTLIST_SLACK`` of the cut, and then scores only the kept rows with
-``cosine``, so it decides exactly as scoring every row would.
+- ``vector_from_json`` reads each outside vector (remote responses and
+  snapshots): dim finite JSON numbers, where a bool or a string is no number.
+- ``unit`` is the one L2 normalization; the zero vector stays zero.
+- ``cosine`` decides every similarity question, and ``nearest`` is the one
+  scan: ``shortlist``'s matrix-vector product keeps every row within
+  ``SHORTLIST_SLACK`` of the cut and only those are scored, so a scan decides
+  exactly as scoring every row would.
 """
 
 from __future__ import annotations
@@ -111,10 +107,7 @@ def _embed_hash(text: str, cfg: EmbedderConfig) -> np.ndarray:
         h = int.from_bytes(digest, "little")
         sign = 1.0 if h & (1 << 63) else -1.0
         vec[h % cfg.dim] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return frozen(vec)
+    return unit(vec)
 
 
 def _embed_remote(text: str, cfg: EmbedderConfig) -> np.ndarray:
@@ -129,20 +122,27 @@ def _embed_remote(text: str, cfg: EmbedderConfig) -> np.ndarray:
     except (urllib.error.URLError, OSError) as exc:
         raise EmbeddingServiceError(f"embedding request to {endpoint} failed: {exc}") from exc
     try:
-        parsed = json.loads(body.decode("utf-8"))
-        vectors = parsed["vectors"]
-        raw = vectors[0]
-        vec = np.asarray(raw, dtype=np.float64)
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
-        raise EmbeddingServiceError(f"malformed embedding response from {endpoint}") from exc
-    if vec.ndim != 1 or vec.shape[0] != cfg.dim:
-        raise EmbeddingServiceError(
-            f"embedding response has shape {vec.shape}, expected ({cfg.dim},)"
-        )
+        (raw,) = json.loads(body.decode("utf-8"))["vectors"]
+        return unit(vector_from_json(raw, cfg.dim))
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise EmbeddingServiceError(f"malformed embedding response from {endpoint}: {exc}") from exc
+
+
+def vector_from_json(values: list[float], dim: int) -> np.ndarray:
+    """The read-only vector; TypeError unless values holds JSON numbers only, ValueError unless dim finite ones."""
+    odd = set(map(type, values)).difference((int, float))
+    if odd:
+        raise TypeError(f"vector coordinate must be float, got {odd.pop().__name__}")
+    vector = np.asarray(values, dtype=np.float64)
+    if vector.shape != (dim,) or not np.isfinite(vector).all():
+        raise ValueError(f"vector must hold {dim} finite coordinates, got shape {vector.shape}")
+    return frozen(vector)
+
+
+def unit(vec: np.ndarray) -> np.ndarray:
+    """vec scaled to L2 norm 1 as a read-only array; a zero vec is returned as it is, made read-only."""
     norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec = vec / norm
-    return frozen(vec)
+    return frozen(vec / norm if norm > 0.0 else vec)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -164,8 +164,8 @@ def shortlist(matrix: np.ndarray, query: np.ndarray, count: int) -> np.ndarray:
     query and clamped to [-1, 1] as in ``cosine`` (``fmin``/``fmax`` map NaN to
     1.0 as Python's ``min``/``max`` do there). Every row within
     ``SHORTLIST_SLACK`` of the count-th best is kept, so rows tied with the
-    count-th best exact cosine are kept too; the caller ranks the kept rows by
-    ``cosine``. With count >= the row count, every row is kept.
+    count-th best exact cosine are kept too; ``nearest`` scores the kept rows
+    by ``cosine``. With count >= the row count, every row is kept.
     """
     rows = matrix.shape[0]
     if count >= rows:
@@ -175,3 +175,8 @@ def shortlist(matrix: np.ndarray, query: np.ndarray, count: int) -> np.ndarray:
     approx = np.fmax(-1.0, np.fmin(1.0, approx))
     cut = np.partition(approx, rows - count)[rows - count]
     return np.flatnonzero(approx >= cut - SHORTLIST_SLACK)
+
+
+def nearest(matrix: np.ndarray, query: np.ndarray, count: int) -> list[tuple[int, float]]:
+    """(row, cosine(matrix[row], query)) for each row ``shortlist`` keeps: the top count, ties included."""
+    return [(i, cosine(matrix[i], query)) for i in shortlist(matrix, query, count).tolist()]

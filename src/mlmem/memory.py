@@ -6,10 +6,8 @@ and semantic memory is an entity graph with similarity-thresholded merging,
 recency-wins conflict resolution, and (importance, recency) eviction. It
 states each fact once: the edge mapping is the fact history, and node
 attributes name only the current values, whose sessions are their edges'.
-Graph facts are mined from raw utterances, not from the episodic summary. A
-merge scans the graph for an unseen subject with one matrix-vector product
-(``embedding.shortlist``) and decides the match by ``cosine`` over the
-shortlisted nodes only.
+Graph facts are mined from raw utterances, not from the episodic summary.
+The summary's and the merge's scans go through ``embedding.nearest``.
 
 Every vector a layer holds is a read-only embedding array (see ``embedding``);
 the updates build new arrays and never write one in place. The layers hold
@@ -25,17 +23,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbedderConfig, cosine, embed, frozen, shortlist
+from .embedding import EmbedderConfig, embed, frozen, nearest
 
 
 @dataclass(frozen=True)
 class FactTriple:
-    """(subject, attribute-or-relation, value) with extraction confidence."""
+    """(subject, attribute-or-relation, value) with extraction confidence; ValueError when a part is blank."""
 
     subject: str
     predicate: str
     object: str
     confidence: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (self.subject.strip() and self.predicate.strip() and self.object.strip()):
+            raise ValueError(f"fact parts must not be blank, got {(self.subject, self.predicate, self.object)!r}")
 
 
 @dataclass(frozen=True)
@@ -187,13 +189,11 @@ def summarize(session: Session, m: int, embedder: EmbedderConfig) -> SummaryReco
     """
     if m < 1:
         raise ValueError("summary size m must be >= 1")
-    embeddings = [embed(u.text, embedder) for u in session.utterances]
-    centroid = np.mean(embeddings, axis=0)
-    scores = [cosine(e, centroid) for e in embeddings]
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], session.utterances[i].turn_index))
-    chosen = sorted(order[:m])
-    text = " ".join(session.utterances[i].text for i in chosen)
-    salience = max(0.0, min(1.0, sum(scores[i] for i in chosen) / len(chosen)))
+    matrix = np.stack([embed(u.text, embedder) for u in session.utterances])
+    hits = nearest(matrix, matrix.mean(axis=0), m)
+    chosen = sorted(sorted(hits, key=lambda h: (-h[1], session.utterances[h[0]].turn_index))[:m])
+    text = " ".join(session.utterances[i].text for i, _ in chosen)
+    salience = max(0.0, min(1.0, sum(score for _, score in chosen) / len(chosen)))
     return SummaryRecord(session.index, text, embed(text, embedder), salience)
 
 
@@ -274,10 +274,8 @@ def merge_semantic(
     those with the lowest (importance, last_updated) are evicted and their
     edges dropped.
 
-    The match is decided by ``cosine``: ``shortlist(..., 1)`` over a row
-    buffer of the node vectors keeps every node that may hold the best cosine,
-    ties included, and only those are scored. The buffer lives for this call
-    only, so the graph holds each vector once.
+    The match scans a row buffer of the node vectors with ``nearest``. The
+    buffer lives for this call only, so the graph holds each vector once.
     """
     if not 0.0 <= tau_s <= 1.0 or C_s < 1:
         raise ValueError(f"tau_s must lie in [0, 1] and C_s be >= 1, got {tau_s}, {C_s}")
@@ -292,8 +290,6 @@ def merge_semantic(
         subject = _canonical(triple.subject)
         predicate = _canonical(triple.predicate)
         value = _canonical(triple.object)
-        if not subject:
-            continue
 
         target_id = subject if subject in nodes else None
         if target_id is None and nodes:
@@ -304,10 +300,7 @@ def merge_semantic(
                 np.stack([node.embedding for node in nodes.values()], out=matrix[: len(nodes)])
                 rows = {nid: row for row, nid in enumerate(nodes)}
             ids = list(nodes)
-            scores = {
-                ids[i]: cosine(candidate, nodes[ids[i]].embedding)
-                for i in shortlist(matrix[: len(ids)], candidate, 1)
-            }
+            scores = {ids[i]: score for i, score in nearest(matrix[: len(ids)], candidate, 1)}
             best_score = max(scores.values())
             if best_score >= tau_s:
                 target_id = min(nid for nid, score in scores.items() if score == best_score)

@@ -120,8 +120,8 @@ def tune(
         if not (beta > 0.0 and math.isfinite(beta)):
             raise ValueError(f"beta must be finite and > 0, got {beta}")
     for lambda_ in lambdas:
-        if lambda_ < 0.0:
-            raise ValueError(f"lambda must be non-negative, got {lambda_}")
+        if not (lambda_ >= 0.0 and math.isfinite(lambda_)):
+            raise ValueError(f"lambda must be finite and >= 0, got {lambda_}")
 
     grid: list[GridPoint] = []
     for alpha, beta in itertools.product(alphas, betas):

@@ -3,11 +3,9 @@
 Retrieval builds the three layer representation vectors once per state, gates
 them (the query's cosine to each, softmaxed at temperature beta into a
 probability simplex), blends them with those weights, and admits each layer's
-top items greedily under a token budget. A layer's top items are found by one
-matrix-vector product over its stacked vectors (``embedding.shortlist``) and
-ranked by ``cosine`` over the shortlisted items only, so the ranking is the
-one that scoring every item gives. Its result carries the admitted items as
-one tuple in admission order. Fusion mixes the query with the retrieval vector and
+top items (found by ``embedding.nearest`` over its stacked vectors) greedily
+under a token budget. Its result carries the admitted items as one tuple in
+admission order. Fusion mixes the query with the retrieval vector and
 sharpens it until the entropy of its magnitude distribution falls under the
 configured bound. The layer order is ``LAYERS``. Inside the package,
 ``engine.answer`` is the only code that chains them under an ``EngineConfig``.
@@ -37,7 +35,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .embedding import EmbedderConfig, cosine, embed, shortlist
+from .embedding import EmbedderConfig, cosine, embed, nearest, unit
 from .memory import MemoryState, node_text
 
 LAYERS = ("w", "e", "s")
@@ -113,12 +111,12 @@ class FusedState:
 def layer_representation(state: MemoryState, layer: str) -> np.ndarray:
     """One vector per layer: working mean, episodic state, importance-weighted node mean.
 
-    Means are renormalized to unit length; an empty layer yields the zero vector.
+    Means are scaled to unit length by ``unit``; an empty layer yields the zero vector.
     """
     if layer == "w":
         if not state.working.entries:
             return np.zeros_like(state.episodic.state)
-        return _renormalized(np.mean([e for _, e in state.working.entries], axis=0))
+        return unit(np.mean([e for _, e in state.working.entries], axis=0))
     if layer == "e":
         return state.episodic.state
     if layer == "s":
@@ -128,18 +126,13 @@ def layer_representation(state: MemoryState, layer: str) -> np.ndarray:
             return np.zeros_like(state.episodic.state)
         weighted = _stacked([n.embedding for n in nodes])
         weighted *= (np.array([n.importance for n in nodes]) / total)[:, None]
-        return _renormalized(weighted.sum(axis=0))
+        return unit(weighted.sum(axis=0))
     raise ValueError(f"unknown layer {layer!r}")
 
 
 def _stacked(vectors: Sequence[np.ndarray]) -> np.ndarray:
     """The vectors as the rows of a new matrix: the bytes of ``np.stack``, at less cost for many rows."""
     return np.concatenate(vectors).reshape(len(vectors), -1)
-
-
-def _renormalized(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    return np.zeros_like(vec) if norm == 0.0 else vec / norm
 
 
 def softmax_weights(relevances: tuple[float, float, float], beta: float) -> tuple[float, float, float]:
@@ -214,19 +207,16 @@ def _read_index(state: MemoryState) -> _ReadIndex:
 def _layer_candidates(query: Query, layer: str, index: _LayerIndex, top_j: int, gamma: float) -> list[RetrievedItem]:
     """The layer's top-j by (-similarity, session, turn, text), each scored gamma * similarity.
 
-    ``shortlist(..., top_j)`` over the stacked item vectors keeps every item
-    whose cosine may reach the top-j, ties included; only those are scored by
-    ``cosine`` and rendered as rows (similarity, session, turn, text,
-    speaker), so a node's text is built for the shortlist only. An item's
-    token count is its text's whitespace token count, which an utterance's
-    token_count is checked to equal.
+    Only the items ``nearest`` keeps are rendered as rows (similarity,
+    session, turn, text, speaker), so a node's text is built for those only.
+    An item's token count is its text's whitespace token count, which an
+    utterance's token_count is checked to equal.
     """
     items, row, vectors, matrix = index
     if not items:
         return []
-    q = query.embedding
-    picked = shortlist(_stacked(vectors) if matrix is None else matrix, q, top_j)
-    rows = [(cosine(items[i][1], q), *row(items[i][0])) for i in picked]
+    hits = nearest(_stacked(vectors) if matrix is None else matrix, query.embedding, top_j)
+    rows = [(sim, *row(items[i][0])) for i, sim in hits]
     rows.sort(key=lambda r: (-r[0], r[1], r[2], r[3]))
     return [
         RetrievedItem(layer, text, sim, gamma * sim, sess, turn, speaker, len(text.split()))

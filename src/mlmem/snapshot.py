@@ -39,11 +39,15 @@ One rule rejects outside input: it is malformed when reading it raises one of
 ``_MALFORMED``, as a missing key, a field of another JSON type than its
 annotation (a bool is no int, an int is a float, ``NaN``, ``Infinity`` and an
 int too large for a float are no numbers), a vector that is not a list of
-``embedder.dim`` numbers, or a record its dataclass refuses does; so do a
+``embedder.dim`` numbers (``embedding.vector_from_json``), or a record its
+dataclass refuses (a blank fact part, say) does; so do a
 node that repeats an entity_id or an attribute name, an edge row that repeats
-a key, an attribute value without its edge, an attribute ``"session"`` that is
-not its edge's session as an int or is older than another edge of its (node,
-predicate) (recency wins), and a ``retention_at`` key that does not
+a key, an attribute value without its edge, an edge whose (node, predicate)
+has no current value, an attribute ``"session"`` that is not its edge's
+session as an int or is older than another edge of its (node, predicate)
+(recency wins), a ``session_cursor`` below -1 or a recorded session (a working
+entry's, a log record's, an edge's, a node's ``last_updated``) outside [0,
+cursor], and a ``retention_at`` key that does not
 spell its gap as ``str(int)`` does (so two spellings of one gap cannot
 collide). Each reader catches these once and raises ValueError with its
 prefix: ``config_from_dict`` and ``loads_config`` "malformed config: ",
@@ -64,9 +68,7 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
-import numpy as np
-
-from .embedding import frozen
+from .embedding import vector_from_json
 from .engine import EngineConfig, check_layer_bounds
 from .harness import EvalReport
 from .memory import (
@@ -88,17 +90,6 @@ _MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError, Overf
 # The JSON types a loaded value may have, by annotation: a bool is no int, an int is a float.
 _KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "str | None": (str, type(None))}
 _EDGE = ("str", "str", "str", "int", "float")
-
-
-def _vector_from_list(values: list[float], dim: int) -> np.ndarray:
-    """The read-only vector; TypeError unless values holds JSON numbers only, ValueError unless dim finite ones."""
-    odd = set(map(type, values)).difference(_KINDS["float"])
-    if odd:
-        raise TypeError(f"vector coordinate must be float, got {odd.pop().__name__}")
-    vector = np.asarray(values, dtype=np.float64)
-    if vector.shape != (dim,) or not np.isfinite(vector).all():
-        raise ValueError(f"vector must hold {dim} finite coordinates, got shape {vector.shape}")
-    return frozen(vector)
 
 
 def _check_types(name: str, annotation: str, values: Iterable[Any]) -> None:
@@ -123,7 +114,7 @@ def _check_records(*groups: Sequence[Any]) -> None:
 
 
 def _check_state(state: MemoryState) -> None:
-    """_check_types over every int, float and str field of a loaded state; _vector_from_list checks vectors."""
+    """_check_types over every int, float and str field of a loaded state; vector_from_json checks vectors."""
     # Attribute names and values must be edge key fields (SemanticGraph), so the edge columns check them.
     utterances = tuple(map(itemgetter(0), state.working.entries))
     facts = tuple(chain.from_iterable(u.annotations for u in utterances))
@@ -133,9 +124,19 @@ def _check_state(state: MemoryState) -> None:
         _check_types(f"edge field {i}", annotation, column)
 
 
+def _check_sessions(state: MemoryState) -> None:
+    """ValueError unless the cursor is >= -1 and each recorded session (a working entry's, a log record's,
+    an edge's, a node's last_updated) lies in [0, cursor]."""
+    cursor = state.session_cursor
+    recorded = [u.session_index for u, _ in state.working.entries] + [r.session_index for r in state.episodic.log]
+    recorded += [s for s, _ in state.semantic.edges.values()] + [n.last_updated for n in state.semantic.nodes.values()]
+    if cursor < -1 or min(recorded, default=0) < 0 or max(recorded, default=cursor) > cursor:
+        raise ValueError(f"session_cursor {cursor} is below -1, or a recorded session lies outside [0, {cursor}]")
+
+
 def _check_attribute_sessions(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
-    """ValueError unless each node record's attribute "session" is its value's edge session, as a JSON int,
-    and no edge of the same (node, predicate) is later: recency wins (values stated in one session tie)."""
+    """ValueError unless each node record's attribute "session" is its value's edge session, as a JSON int, and
+    each edge's (node, predicate) has a current value no edge of it is later than (values of one session tie)."""
     current: dict[tuple[str, str], int] = {}
     for node in nodes:
         for name, record in node["attributes"]:
@@ -144,7 +145,9 @@ def _check_attribute_sessions(nodes: list[dict[str, Any]], graph: SemanticGraph)
                 raise ValueError(f"attribute {node['entity_id']!r} {name!r} session {session!r} is not its edge's")
             current[node["entity_id"], name] = session
     for (node_id, predicate, value), (session, _) in graph.edges.items():
-        if session > current.get((node_id, predicate), session):
+        if (node_id, predicate) not in current:
+            raise ValueError(f"edge {node_id!r} {predicate!r} {value!r} has no current value on its node")
+        if session > current[node_id, predicate]:
             raise ValueError(
                 f"attribute {node_id!r} {predicate!r} is of session {current[node_id, predicate]}, "
                 f"but {value!r} was stated later, at session {session}"
@@ -257,7 +260,7 @@ def _summary_to_dict(record: SummaryRecord) -> dict[str, Any]:
 
 def _summary_from_dict(data: dict[str, Any], dim: int) -> SummaryRecord:
     return SummaryRecord(
-        data["session"], data["text"], _vector_from_list(data["embedding"], dim), data["salience"]
+        data["session"], data["text"], vector_from_json(data["embedding"], dim), data["salience"]
     )
 
 
@@ -282,7 +285,7 @@ def _node_from_dict(data: dict[str, Any], dim: int) -> EntityNode:
     return EntityNode(
         data["entity_id"],
         attributes,
-        _vector_from_list(data["embedding"], dim),
+        vector_from_json(data["embedding"], dim),
         data["importance"],
         data["last_updated"],
     )
@@ -318,12 +321,12 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     raw = data["state"]
     working = WorkingMemory(
         tuple(
-            (_utterance_from_dict(u, u["session"]), _vector_from_list(e, dim))
+            (_utterance_from_dict(u, u["session"]), vector_from_json(e, dim))
             for u, e in raw["working"]["entries"]
         )
     )
     episodic = EpisodicMemory(
-        _vector_from_list(raw["episodic"]["state"], dim),
+        vector_from_json(raw["episodic"]["state"], dim),
         tuple(_summary_from_dict(r, dim) for r in raw["episodic"]["log"]),
     )
     rows = raw["semantic"]["edges"]
@@ -336,6 +339,7 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
         raise ValueError(f"{len(nodes) - len(semantic.nodes)} node(s) repeat an entity_id")
     state = MemoryState(working, episodic, semantic, raw["session_cursor"])
     _check_state(state)
+    _check_sessions(state)
     _check_attribute_sessions(nodes, semantic)
     check_layer_bounds(state, cfg)
     return state, cfg

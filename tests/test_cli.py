@@ -11,7 +11,7 @@ import pytest
 
 from mlmem import cli, engine
 from mlmem.cli import main
-from mlmem.engine import EngineConfig, answer, run
+from mlmem.engine import EngineConfig, answer, initial_state, run
 from mlmem.harness import generate_scenario
 from mlmem.memory import Session, Utterance
 from mlmem.retrieval import make_query
@@ -230,6 +230,8 @@ def test_bad_config_is_validation_error(tmp_path, sessions_file):
         {"enabled_layers": ["w", "w"]},
         {"epsilon": float("nan")},
         {"epsilon": float("inf")},
+        {"tau_s": 1.5},
+        {"mix": -0.5},
         '{"k": 8,',
     ],
 )
@@ -282,6 +284,17 @@ def _lives_in_snapshot(cities_by_session: list[list[str]], current: str, session
     return json.dumps(data)
 
 
+def _edited(document: str, edit) -> str:
+    """The snapshot document with edit applied to its "state" object."""
+    data = json.loads(document)
+    edit(data["state"])
+    return json.dumps(data)
+
+
+_EMPTY_SNAPSHOT = dumps_state(initial_state(EngineConfig()), EngineConfig())
+_ALICE_SNAPSHOT = _lives_in_snapshot([["london"], ["paris"], ["rome"]], "rome", 2)
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -290,8 +303,14 @@ def _lives_in_snapshot(cities_by_session: list[list[str]], current: str, session
         json.dumps({"config": {}, "state": {"session_cursor": 0, "working": {"entries": 5}}}),
         '{"config": {}, "state": {"session_cursor": 0',
         _lives_in_snapshot([["london"], ["paris"], ["rome"]], "london", 0),
+        _edited(_EMPTY_SNAPSHOT, lambda state: state.update(session_cursor=-7)),
+        _edited(_ALICE_SNAPSHOT, lambda state: state.update(session_cursor=0)),
+        _edited(_ALICE_SNAPSHOT, lambda state: state["semantic"]["nodes"][0].update(attributes=[])),
     ],
-    ids=["document0", "document1", "document2", "truncated", "attribute_older_than_an_edge"],
+    ids=[
+        "document0", "document1", "document2", "truncated", "attribute_older_than_an_edge",
+        "cursor_below_minus_one", "cursor_before_recorded_sessions", "edge_without_current_value",
+    ],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):
     snapshot = tmp_path / "state.json"
@@ -404,6 +423,11 @@ def _attribute_session(session, edge_session: int):
         _attribute_session(0, 1),
         _attribute_session(True, 1),
         _mistype("semantic.nodes.0.attributes.0.1.value", "atlantis"),
+        _mistype("working.entries.3.0.facts.0.s", " "),
+        _mistype("working.entries.0.0.session", 3),
+        _mistype("episodic.log.0.session", -1),
+        _attribute_session(3, 3),
+        _mistype("semantic.nodes.0.last_updated", 3),
     ],
     ids=[
         "cursor", "importance", "last_updated", "text", "salience", "edge_session",
@@ -412,7 +436,9 @@ def _attribute_session(session, edge_session: int):
         "node_vector_str", "episodic_state_bool", "blank_text", "episodic_state_ragged", "negative_turn",
         "orphan_edge", "attribute_pair_short", "node_vector_huge_int", "importance_huge_int", "edge_confidence_huge_int",
         "edge_extra_field", "edge_repeated", "node_repeated", "attribute_repeated", "attribute_session_not_edge",
-        "attribute_session_true", "attribute_value_without_edge",
+        "attribute_session_true", "attribute_value_without_edge", "working_fact_blank_subject",
+        "working_session_after_cursor", "log_session_negative", "edge_session_after_cursor",
+        "node_last_updated_after_cursor",
     ],
 )
 def test_mistyped_snapshot_scalar_is_validation_error(tmp_path, sessions_file, capsys, edit):
@@ -426,8 +452,10 @@ def test_mistyped_snapshot_scalar_is_validation_error(tmp_path, sessions_file, c
     assert capsys.readouterr().err.startswith("error: malformed snapshot")
 
 
-def _session_line(index=0, turn=0, speaker="alice", text="alice lives in paris", s="alice", c=1.0):
-    fact = {"s": s, "p": "lives_in", "o": "paris", "c": c}
+def _session_line(
+    index=0, turn=0, speaker="alice", text="alice lives in paris", s="alice", p="lives_in", o="paris", c=1.0
+):
+    fact = {"s": s, "p": p, "o": o, "c": c}
     utterance = {"turn": turn, "speaker": speaker, "text": text, "facts": [fact]}
     return json.dumps({"index": index, "utterances": [utterance]})
 
@@ -448,10 +476,13 @@ def _session_line(index=0, turn=0, speaker="alice", text="alice lives in paris",
         ]}),
         json.dumps({"index": 0, "utterances": []}),
         _session_line(text=" "),
+        _session_line(s=" "),
+        _session_line(p="", o=""),
     ],
     ids=[
         "text", "fact_subject", "speaker", "fact_confidence", "turn", "index",
         "confidence_nan", "confidence_inf", "turn_repeated", "no_utterances", "blank_text",
+        "blank_fact_subject", "blank_fact_predicate_and_object",
     ],
 )
 def test_mistyped_session_field_is_validation_error(tmp_path, capsys, line):

@@ -20,6 +20,7 @@ from mlmem.embedding import (
     REMOTE_ENDPOINT_ENV,
     cosine,
     embed,
+    nearest,
     shortlist,
     tokenize,
 )
@@ -195,6 +196,7 @@ def test_shortlist_keeps_every_row_reaching_the_exact_top_count(case):
     if count >= len(matrix):
         assert picked == list(range(len(matrix)))
         return
+    assert nearest(matrix, query, count) == [(i, exact[i]) for i in picked]
     cut = sorted(exact, reverse=True)[count - 1]
     assert {i for i, score in enumerate(exact) if score >= cut} <= set(picked)
 
@@ -214,6 +216,10 @@ def test_config_validation():
         EmbedderConfig(remote_endpoint="http://x")  # deterministic mode
     with pytest.raises(ValueError):
         EmbedderConfig(mode="remote")  # no endpoint, no env
+    with pytest.raises(ValueError):
+        EmbedderConfig(seed=2**63)
+    with pytest.raises(ValueError):
+        EmbedderConfig(seed=-(2**63) - 1)
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
@@ -273,6 +279,25 @@ def test_remote_wrong_dimension_raises(embed_server):
     _EmbedHandler.response_body = json.dumps({"vectors": [[1.0, 2.0]]}).encode()
     cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server))
     with pytest.raises(EmbeddingServiceError):
+        embed("hello", cfg)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"vectors": [[NaN, 1, 0, 0, 0, 0, 0, 0]]}',
+        '{"vectors": [[Infinity, 1, 0, 0, 0, 0, 0, 0]]}',
+        '{"vectors": [[true, 1, 0, 0, 0, 0, 0, 0]]}',
+        '{"vectors": [["0.5", 1, 0, 0, 0, 0, 0, 0]]}',
+        '{"vectors": [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]]}',
+    ],
+    ids=["nan", "infinity", "bool", "str", "two_vectors"],
+)
+def test_remote_vector_is_read_as_a_snapshot_vector_is(embed_server, body):
+    """A response vector is exactly one list of dim finite JSON numbers; anything else is a typed error."""
+    _EmbedHandler.response_body = body.encode()
+    cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server))
+    with pytest.raises(EmbeddingServiceError, match="malformed embedding response"):
         embed("hello", cfg)
 
 

@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from mlmem import engine, memory, retrieval
+from mlmem import embedding, engine, retrieval
 from mlmem.embedding import EmbedderConfig, cosine, embed
 from mlmem.engine import (
     EngineConfig,
@@ -443,15 +443,15 @@ def test_shortlisting_is_invisible(monkeypatch):
     sessions = _tie_heavy_wide_sessions()
     probes = ("e001 lives_in", "e150 works", "city2", "job1 city3", "e299 lives_in city1")
     calls: list[tuple[int, int, int]] = []
-    original = memory.shortlist
+    original = embedding.shortlist
 
     def spy(matrix, query, count):
         picked = original(matrix, query, count)
         calls.append((len(matrix), len(picked), count))
         return picked
 
-    monkeypatch.setattr(memory, "shortlist", spy)
-    monkeypatch.setattr(retrieval, "shortlist", spy)
+    # every scan (summarize, the merge's entity match, each layer's top-j) goes through embedding.nearest
+    monkeypatch.setattr(embedding, "shortlist", spy)
     state, dumps, answers = _run_with_probes(sessions, cfg, probes)
     # the scans pruned rows, kept ties past count, evicted, and merged subjects away by similarity
     assert any(kept < rows for rows, kept, _ in calls)
@@ -463,8 +463,7 @@ def test_shortlisting_is_invisible(monkeypatch):
     def every_row(matrix, query, count):
         return np.arange(len(matrix))
 
-    monkeypatch.setattr(memory, "shortlist", every_row)
-    monkeypatch.setattr(retrieval, "shortlist", every_row)
+    monkeypatch.setattr(embedding, "shortlist", every_row)
     _, exhaustive_dumps, exhaustive_answers = _run_with_probes(sessions, cfg, probes)
     assert dumps == exhaustive_dumps
     assert answers == exhaustive_answers

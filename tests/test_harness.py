@@ -14,6 +14,7 @@ from mlmem.harness import (
     FACT_VALUES,
     FALSE_VALUES,
     PERSONA_NAMES,
+    Probe,
     ablate,
     evaluate,
     generate_scenario,
@@ -115,6 +116,12 @@ def test_scenario_validation():
         generate_scenario(1, 1)
     with pytest.raises(ValueError):
         generate_scenario(1, 2, facts_per_persona=9)
+    with pytest.raises(ValueError):
+        generate_scenario(1, 2, distractors_per_session=-1)
+    with pytest.raises(ValueError, match="unknown probe kind"):
+        Probe(1, "alice lives_in", "alice", "lives_in", "paris", "rumour", 0)
+    with pytest.raises(ValueError, match="after the fact was introduced"):
+        Probe(1, "alice lives_in", "alice", "lives_in", "paris", "true_fact", 1)
 
 
 def test_personas_do_not_share_values_at_default_sizes():
@@ -122,6 +129,14 @@ def test_personas_do_not_share_values_at_default_sizes():
     for attribute in FACT_ATTRIBUTES[:3]:
         values = [v for p in scenario.personas for a, v in p.facts if a == attribute]
         assert len(values) == len(set(values))
+
+
+def test_personas_past_a_value_pool_draw_from_the_whole_vocabulary():
+    """21 personas exhaust the 20 lives_in values, so the last draws one already taken."""
+    scenario = generate_scenario(21, 2, facts_per_persona=1, seed=5)
+    values = [v for p in scenario.personas for _, v in p.facts]
+    assert len(values) == 21
+    assert set(values) == set(FACT_VALUES["lives_in"])
 
 
 # ------------------------------------------------------------------- evaluate

@@ -61,6 +61,12 @@ def test_session_turn_indices_strictly_increasing():
         Session(0, (a, b))
 
 
+@pytest.mark.parametrize("parts", [(" ", "lives_in", "paris"), ("alice", "", ""), ("alice", "likes", "\t")])
+def test_fact_triple_rejects_a_blank_part(parts):
+    with pytest.raises(ValueError, match="must not be blank"):
+        FactTriple(*parts)
+
+
 def test_session_index_mismatch_rejected():
     u = Utterance.from_text(1, 0, "x", "hello there")
     with pytest.raises(ValueError):
@@ -226,8 +232,9 @@ def test_episodic_alpha_validated_at_construction():
         lambda: update_episodic(EpisodicMemory.empty(2), _summary_with(np.array([1.0, 0.0])), -0.1, 4),
         lambda: update_episodic(EpisodicMemory.empty(2), _summary_with(np.array([1.0, 0.0])), 0.5, 0),
         lambda: merge_semantic(SemanticGraph(), [FactTriple("alice", "likes", "jazz")], 0, 0.9, 0, CFG),
+        lambda: summarize(_session(0, ["a b"]), 0, CFG),
     ],
-    ids=["k", "C_w", "alpha", "C_e", "C_s"],
+    ids=["k", "C_w", "alpha", "C_e", "C_s", "summary_m"],
 )
 def test_updates_reject_out_of_range_bounds(update):
     with pytest.raises(ValueError):

@@ -257,6 +257,19 @@ def test_tune_validates_grid_ranges():
         tune(handle, [0.5], [1.0], [-1.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_tune_rejects_a_non_finite_lambda_before_any_engine_run(bad):
+    calls = []
+
+    def handle(alpha, beta):
+        calls.append((alpha, beta))
+        return 0.1, 0.1
+
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        tune(handle, [0.5], [1.0], [1.0, bad])
+    assert calls == []
+
+
 def test_grid_csv_format():
     result = tune(_table_handle({(0.5, 2.0): (0.25, 0.5)}), [0.5], [2.0], [2.0])
     text = grid_csv(result)

@@ -188,6 +188,20 @@ def test_retrieve_empty_state_zero_vector_uniform_no_items():
     assert result.token_cost == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda query: retrieve(query, _state(), 4.0, top_j=0, token_budget=64),
+        lambda query: retrieve(query, _state(), 4.0, top_j=4, token_budget=0),
+        lambda query: layer_representation(_state(), "q"),
+    ],
+    ids=["top_j", "token_budget", "unknown_layer"],
+)
+def test_retrieval_rejects_out_of_range_arguments(call):
+    with pytest.raises(ValueError):
+        call(make_query("anything", CFG, 0))
+
+
 def test_retrieve_budget_binds_items_but_not_vector():
     emb = embed("alice likes jazz and long stories", CFG)
     state = _state(working_entries=[(_utterance("alice likes jazz and long stories"), emb)])

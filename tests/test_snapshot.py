@@ -215,6 +215,7 @@ def test_session_jsonl_round_trip(tmp_path):
     ]
     path = tmp_path / "sessions.jsonl"
     write_sessions_jsonl(sessions, str(path))
+    path.write_text(path.read_text().replace("\n", "\n \n", 1))  # a blank line is skipped
     loaded = read_sessions_jsonl(str(path))
     assert loaded == sessions
 
