@@ -3,10 +3,15 @@
 An embedding is a read-only (``frozen``) 1-d float64 array of length dim. The
 deterministic mode hashes tokens into dim buckets with a seeded keyed hash and
 a +/-1 sign, so equal (text, dim, seed) give bit-equal vectors in any process.
-Remote mode POSTs ``{"texts": [str]}`` to the configured endpoint (the
-``MLMEM_EMBED_ENDPOINT`` environment variable overrides it) and expects
-``{"vectors": [[float]]}`` holding one vector; any other answer raises
-``EmbeddingServiceError``. Three rules hold for every vector, here only:
+It is memoized: ``functools.lru_cache`` keeps the arrays of the
+``EMBED_CACHE_ENTRIES`` most recently used (text, dim, seed) keys, so a text
+repeated while it is cached is hashed once and every caller shares its
+read-only array. Remote mode is never cached, since the service may change
+and its errors must surface on every call. It POSTs ``{"texts": [str]}`` to
+the configured endpoint (the ``MLMEM_EMBED_ENDPOINT`` environment variable
+overrides it) and expects ``{"vectors": [[float]]}`` holding one vector; any
+other answer raises ``EmbeddingServiceError``. Three rules hold for every
+vector, here only:
 
 - ``vector_from_json`` reads each outside vector (remote responses and
   snapshots): dim finite JSON numbers, where a bool or a string is no number.
@@ -19,6 +24,7 @@ Remote mode POSTs ``{"texts": [str]}`` to the configured endpoint (the
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -41,6 +47,8 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # keeps every row whose exact cosine reaches the exact count-th best, ties
 # included. The margin past that only costs a few extra ``cosine`` calls.
 SHORTLIST_SLACK = 1e-9
+
+EMBED_CACHE_ENTRIES = 256  # chat_long step time stops falling past 128-256; 4096 cost +9 MB peak RSS
 
 
 class EmbeddingServiceError(RuntimeError):
@@ -89,24 +97,31 @@ class EmbedderConfig:
 
 
 def embed(text: str, cfg: EmbedderConfig) -> np.ndarray:
-    """Map text to a unit vector (or the zero vector when no tokens survive)."""
+    """Map text to a unit vector (or the zero vector when no tokens survive).
+
+    In deterministic mode equal (text, dim, seed) may return the very same
+    read-only array an earlier call returned; remote mode asks the service on
+    every call.
+    """
     if cfg.mode == "remote":
         return _embed_remote(text, cfg)
-    return _embed_hash(text, cfg)
+    return _embed_hash(text, cfg.dim, cfg.seed)
 
 
 def _seed_key(seed: int) -> bytes:
     return seed.to_bytes(8, "little", signed=True)
 
 
-def _embed_hash(text: str, cfg: EmbedderConfig) -> np.ndarray:
-    vec = np.zeros(cfg.dim)
-    key = _seed_key(cfg.seed)
+# typed: a float dim fails in np.zeros as it did uncached, never hitting its int twin's entry
+@functools.lru_cache(maxsize=EMBED_CACHE_ENTRIES, typed=True)
+def _embed_hash(text: str, dim: int, seed: int) -> np.ndarray:
+    vec = np.zeros(dim)
+    key = _seed_key(seed)
     for token in tokenize(text):
         digest = hashlib.blake2b(token.encode("utf-8"), key=key, digest_size=8).digest()
         h = int.from_bytes(digest, "little")
         sign = 1.0 if h & (1 << 63) else -1.0
-        vec[h % cfg.dim] += sign
+        vec[h % dim] += sign
     return unit(vec)
 
 

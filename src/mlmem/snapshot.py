@@ -45,12 +45,13 @@ node that repeats an entity_id or an attribute name, an edge row that repeats
 a key, an attribute value without its edge, an edge whose (node, predicate)
 has no current value, an attribute ``"session"`` that is not its edge's
 session as an int or is older than another edge of its (node, predicate)
-(recency wins), a ``session_cursor`` below -1 or a recorded session (a working
-entry's, a log record's, an edge's, a node's ``last_updated``) outside [0,
-cursor], and a ``retention_at`` key that does not
-spell its gap as ``str(int)`` does (so two spellings of one gap cannot
-collide). Each reader catches these once and raises ValueError with its
-prefix: ``config_from_dict`` and ``loads_config`` "malformed config: ",
+(recency wins), a node ``importance`` below 1 (each merge into a node adds 1),
+a ``session_cursor`` below -1, a recorded session (a working entry's, a log
+record's, an edge's, a node's ``last_updated``) outside [0, cursor], an
+episodic log whose sessions do not strictly increase, and a ``retention_at``
+key that does not spell its gap as ``str(int)`` does (so two spellings of one
+gap cannot collide). Each reader catches these once and raises ValueError
+with its prefix: ``config_from_dict`` and ``loads_config`` "malformed config: ",
 ``loads_state`` "malformed snapshot: " (also for layers over the config's k,
 C_w, C_e or C_s), ``read_sessions_jsonl``
 "path:N: malformed session record: ", ``report_from_dict`` and
@@ -125,13 +126,24 @@ def _check_state(state: MemoryState) -> None:
 
 
 def _check_sessions(state: MemoryState) -> None:
-    """ValueError unless the cursor is >= -1 and each recorded session (a working entry's, a log record's,
-    an edge's, a node's last_updated) lies in [0, cursor]."""
+    """ValueError unless the cursor is >= -1, each recorded session (a working entry's, a log record's,
+    an edge's, a node's last_updated) lies in [0, cursor], and the log's sessions strictly increase
+    (``update_episodic`` evicts the oldest record by position)."""
     cursor = state.session_cursor
-    recorded = [u.session_index for u, _ in state.working.entries] + [r.session_index for r in state.episodic.log]
+    log = [r.session_index for r in state.episodic.log]
+    recorded = [u.session_index for u, _ in state.working.entries] + log
     recorded += [s for s, _ in state.semantic.edges.values()] + [n.last_updated for n in state.semantic.nodes.values()]
     if cursor < -1 or min(recorded, default=0) < 0 or max(recorded, default=cursor) > cursor:
         raise ValueError(f"session_cursor {cursor} is below -1, or a recorded session lies outside [0, {cursor}]")
+    if any(earlier >= later for earlier, later in zip(log, log[1:])):
+        raise ValueError(f"episodic log sessions {log} do not strictly increase")
+
+
+def _check_importance(graph: SemanticGraph) -> None:
+    """ValueError unless every node's importance is at least 1, as each merge into a node leaves it."""
+    low = [n.entity_id for n in graph.nodes.values() if n.importance < 1.0]
+    if low:
+        raise ValueError(f"node {low[0]!r} has importance below 1")
 
 
 def _check_attribute_sessions(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
@@ -340,6 +352,7 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     state = MemoryState(working, episodic, semantic, raw["session_cursor"])
     _check_state(state)
     _check_sessions(state)
+    _check_importance(semantic)
     _check_attribute_sessions(nodes, semantic)
     check_layer_bounds(state, cfg)
     return state, cfg

@@ -293,6 +293,13 @@ def _edited(document: str, edit) -> str:
 
 _EMPTY_SNAPSHOT = dumps_state(initial_state(EngineConfig()), EngineConfig())
 _ALICE_SNAPSHOT = _lives_in_snapshot([["london"], ["paris"], ["rome"]], "rome", 2)
+_SCENARIO_STATE = run(generate_scenario(3, 3, seed=5).sessions, None, EngineConfig())[-1].state
+_SCENARIO_SNAPSHOT = dumps_state(_SCENARIO_STATE, EngineConfig())
+
+
+def _importance_below_one(state) -> None:
+    for node in state["semantic"]["nodes"]:
+        node["importance"] = -1.0
 
 
 @pytest.mark.parametrize(
@@ -306,10 +313,13 @@ _ALICE_SNAPSHOT = _lives_in_snapshot([["london"], ["paris"], ["rome"]], "rome", 
         _edited(_EMPTY_SNAPSHOT, lambda state: state.update(session_cursor=-7)),
         _edited(_ALICE_SNAPSHOT, lambda state: state.update(session_cursor=0)),
         _edited(_ALICE_SNAPSHOT, lambda state: state["semantic"]["nodes"][0].update(attributes=[])),
+        _edited(_SCENARIO_SNAPSHOT, _importance_below_one),
+        _edited(_SCENARIO_SNAPSHOT, lambda state: state["episodic"]["log"].reverse()),
     ],
     ids=[
         "document0", "document1", "document2", "truncated", "attribute_older_than_an_edge",
         "cursor_below_minus_one", "cursor_before_recorded_sessions", "edge_without_current_value",
+        "importance_below_one", "log_out_of_session_order",
     ],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):

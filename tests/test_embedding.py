@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlmem import embedding
 from mlmem.embedding import (
+    EMBED_CACHE_ENTRIES,
     EmbedderConfig,
     EmbeddingServiceError,
     REMOTE_ENDPOINT_ENV,
@@ -86,6 +88,24 @@ def test_seed_changes_the_vector():
     a = embed("alice", EmbedderConfig(dim=64, seed=1))
     b = embed("alice", EmbedderConfig(dim=64, seed=2))
     assert not np.array_equal(a, b)
+
+
+def test_embed_cache_holds_at_most_its_bound():
+    cfg = EmbedderConfig(dim=8)
+    for i in range(EMBED_CACHE_ENTRIES + 1):
+        embed(f"text {i}", cfg)
+    info = embedding._embed_hash.cache_info()
+    assert (info.misses, info.currsize) == (EMBED_CACHE_ENTRIES + 1, EMBED_CACHE_ENTRIES)
+
+
+def test_embed_returns_a_read_only_array_even_when_cached():
+    cfg = EmbedderConfig(dim=8)
+    first = embed("alice likes jazz", cfg)
+    again = embed("alice likes jazz", cfg)
+    assert again is first
+    assert not again.flags.writeable
+    with pytest.raises(ValueError):
+        again[0] = 1.0
 
 
 def test_tokenize_is_lowercase_alnum():
@@ -266,6 +286,16 @@ def test_remote_embedding_normalized_on_receipt(embed_server):
     assert vec[0] == pytest.approx(0.6)
     assert vec[1] == pytest.approx(0.8)
     assert _EmbedHandler.requests == [{"texts": ["hello"]}]
+
+
+def test_remote_embedding_is_never_cached(embed_server):
+    _EmbedHandler.response_body = json.dumps({"vectors": [[1.0] + [0.0] * 7]}).encode()
+    cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server))
+    embed("hello", cfg)
+    _EmbedHandler.status = 500
+    with pytest.raises(EmbeddingServiceError):
+        embed("hello", cfg)
+    assert _EmbedHandler.requests == [{"texts": ["hello"]}] * 2
 
 
 def test_remote_malformed_response_raises(embed_server):

@@ -477,6 +477,30 @@ def test_shortlisting_is_invisible(monkeypatch):
     assert layer_representation(state, "s").tobytes() == expected.tobytes()
 
 
+def test_embed_cache_is_invisible(monkeypatch):
+    """Every step's snapshot and every probe's answer equal an uncached run's, byte for byte."""
+    cfg = EngineConfig(C_s=96, tau_s=0.7)
+    sessions = _tie_heavy_wide_sessions()
+    probes = ("e001 lives_in", "e150 works", "city2", "job1 city3", "e299 lives_in city1")
+    cached = _run_with_probes(sessions, cfg, probes)[1:]
+    assert embedding._embed_hash.cache_info().hits > 0
+
+    monkeypatch.setattr(embedding, "_embed_hash", embedding._embed_hash.__wrapped__)
+    monkeypatch.setattr(retrieval, "_READ_SLOT", None)
+    assert _run_with_probes(sessions, cfg, probes)[1:] == cached
+
+
+def test_embed_cache_keys_on_text_dim_and_seed():
+    text = "alice lives in paris"
+    base = embed(text, EmbedderConfig())
+    for other in (EmbedderConfig(seed=1), EmbedderConfig(dim=128), EmbedderConfig(dim=128, seed=1)):
+        vec = embed(text, other)
+        assert vec.tobytes() == embedding._embed_hash.__wrapped__(text, other.dim, other.seed).tobytes()
+        assert vec.tobytes() != base.tobytes()
+    with pytest.raises(TypeError):
+        embed(text, EmbedderConfig(dim=256.0))
+
+
 def _answer_bytes(result_and_fused) -> tuple:
     result, fused = result_and_fused
     return result.items, result.vector.tobytes(), result.weights, fused.context_text
