@@ -45,7 +45,6 @@ from .retention import (
     TuneResult,
     cumulative_retention_loss,
     drift,
-    entity_projection,
     grid_csv,
     objective,
     tune,

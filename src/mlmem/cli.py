@@ -1,9 +1,9 @@
 """Command line front end.
 
-Subcommands: ingest (JSONL sessions -> snapshot), query (snapshot ->
-engine.answer + response; --top-j / --budget override the snapshot's config),
-eval / ablate (synthetic scenarios -> metric reports), sweep (grid tuner ->
-CSV), plotdata (report -> period,retention CSV).
+Subcommands: ingest (JSONL sessions -> snapshot, holding one state at a
+time), query (snapshot -> engine.answer + response; --top-j / --budget
+override the snapshot's config), eval / ablate (synthetic scenarios -> metric
+reports), sweep (grid tuner -> CSV), plotdata (report -> period,retention CSV).
 
 Exit codes: 0 success, 2 validation error (a ValueError or OSError), 3 runtime
 error (any other exception). All randomness derives from --scenario-seed and
@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-from .engine import EngineConfig, TemplateResponder, answer, initial_state, run
+from .engine import EngineConfig, TemplateResponder, answer, initial_state, steps
 from .harness import Scenario, ablate, evaluate, generate_scenario, objective_handle
 from .retention import grid_csv, tune
 from .retrieval import make_query
@@ -68,8 +68,9 @@ def _write_json(path: str, payload: dict) -> None:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     sessions = read_sessions_jsonl(args.input)
-    outputs = run(sessions, None, cfg)
-    state = outputs[-1].state if outputs else initial_state(cfg)
+    state = initial_state(cfg)
+    for output in steps(sessions, None, cfg):
+        state = output.state
     _write_text(args.snapshot, dumps_state(state, cfg))
     print(f"ingested {len(sessions)} sessions -> {args.snapshot}")
     return EXIT_OK

@@ -76,12 +76,12 @@ class EmbedderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 8:
-            raise ValueError(f"dim must be >= 8, got {self.dim}")
+        if type(self.dim) is not int or self.dim < 8:
+            raise ValueError(f"dim must be an int >= 8 (a bool is no int), got {self.dim!r}")
         if self.mode not in ("deterministic", "remote"):
             raise ValueError(f"unknown embedder mode {self.mode!r}")
-        if not -(2**63) <= self.seed < 2**63:
-            raise ValueError("seed must fit in a signed 64-bit integer")
+        if type(self.seed) is not int or not -(2**63) <= self.seed < 2**63:
+            raise ValueError(f"seed must be an int that fits in a signed 64-bit integer, got {self.seed!r}")
         if self.mode == "deterministic" and self.remote_endpoint is not None:
             raise ValueError("remote_endpoint is only valid in remote mode")
         if self.mode == "remote" and self.remote_endpoint is None and not os.environ.get(REMOTE_ENDPOINT_ENV):
@@ -112,8 +112,7 @@ def _seed_key(seed: int) -> bytes:
     return seed.to_bytes(8, "little", signed=True)
 
 
-# typed: a float dim fails in np.zeros as it did uncached, never hitting its int twin's entry
-@functools.lru_cache(maxsize=EMBED_CACHE_ENTRIES, typed=True)
+@functools.lru_cache(maxsize=EMBED_CACHE_ENTRIES)
 def _embed_hash(text: str, dim: int, seed: int) -> np.ndarray:
     vec = np.zeros(dim)
     key = _seed_key(seed)

@@ -9,14 +9,15 @@ the semantic drift against the pre-step graph. The layer bounds come from the
 step's cfg alone, so a state built under another config is resumed under the
 given one; a layer the cfg disables is carried over as it is, and the step
 raises ValueError when it exceeds the cfg's bounds. A run folds steps from the
-zero state; replaying the same sessions reproduces bit-identical outputs.
+zero state, one step per output asked for (``steps``; ``run`` keeps them all);
+replaying the same sessions reproduces bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Mapping, Protocol, Sequence
+from typing import Any, Iterator, Mapping, Protocol, Sequence
 
 from .embedding import EmbedderConfig
 from .memory import (
@@ -82,8 +83,9 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "int" and getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "int" and (type(value) is not int or value < 1):
+                raise ValueError(f"{f.name} must be an int >= 1 (a bool is no int), got {value!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
@@ -195,7 +197,7 @@ def step(
     return StepOutput(new_state, retrieval, fused, step_drift, response, usage)
 
 
-def run(
+def steps(
     sessions: Sequence[Session],
     queries: Mapping[int, Query] | None,
     cfg: EngineConfig,
@@ -203,8 +205,8 @@ def run(
     *,
     start_state: MemoryState | None = None,
     history_tokens: int = 0,
-) -> list[StepOutput]:
-    """Fold step over the sessions from the zero state (or a snapshot to resume).
+) -> Iterator[StepOutput]:
+    """Fold step over the sessions from the zero state (or a snapshot to resume), one step per output asked for.
 
     Steps without an explicit query default to the session's final utterance
     text. The first failing step aborts the run with its index.
@@ -212,7 +214,6 @@ def run(
     responder = responder if responder is not None else TemplateResponder()
     queries = queries or {}
     state = start_state if start_state is not None else initial_state(cfg)
-    outputs: list[StepOutput] = []
     history = history_tokens
     for session in sessions:
         query = queries.get(session.index)
@@ -224,10 +225,14 @@ def run(
             raise
         except Exception as exc:
             raise EngineRunError(f"step for session {session.index} failed: {exc}") from exc
-        outputs.append(output)
+        yield output
         state = output.state
         history += session.token_count()
-    return outputs
+
+
+def run(*args: Any, **kwargs: Any) -> list[StepOutput]:
+    """``list(steps(...))`` over the same arguments: every step's output, in session order."""
+    return list(steps(*args, **kwargs))
 
 
 def policy_config(cfg: EngineConfig, policy: str) -> EngineConfig:

@@ -11,7 +11,8 @@ The summary's and the merge's scans go through ``embedding.nearest``.
 
 Every vector a layer holds is a read-only embedding array (see ``embedding``);
 the updates build new arrays and never write one in place. The layers hold
-data only: each update takes its bounds (k, C_w, alpha, C_e, C_s) as
+data only and check nothing when built; the loader checks a graph from outside
+(see ``snapshot``). Each update takes its bounds (k, C_w, alpha, C_e, C_s) as
 arguments, raising ValueError when one is out of range, and is a pure function
 of them, so replaying a session sequence reproduces bit-identical states.
 """
@@ -141,24 +142,16 @@ class SemanticGraph:
     """Attributed nodes plus the fact history: (node, predicate, value) -> (last session, confidence).
 
     Edges keep the order facts were first stated. Each attribute's current value has its edge, whose
-    session is the attribute's, and each edge's node exists; ValueError otherwise.
+    session is the attribute's, and each edge's node exists: ``merge_semantic`` keeps this by
+    construction, and ``snapshot`` checks it where a graph is loaded.
     """
 
     nodes: dict[str, EntityNode] = field(default_factory=dict)
     edges: dict[tuple[str, str, str], tuple[int, float]] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        for subject, _, _ in self.edges:
-            if subject not in self.nodes:
-                raise ValueError(f"edge subject {subject!r} has no node")
-        for node_id, node in self.nodes.items():
-            for predicate, value in node.attributes.items():
-                if (node_id, predicate, value) not in self.edges:
-                    raise ValueError(f"attribute {node_id!r} {predicate!r} value {value!r} has no edge")
-
     def current_value(self, subject: str, attribute: str) -> str | None:
         node = self.nodes.get(_canonical(subject))
-        return None if node is None else node.attributes.get(attribute)
+        return None if node is None else node.attributes.get(_canonical(attribute))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Retention drift between semantic graphs, the combined objective, and a grid tuner.
 
 Drift is the summed squared displacement of entity embeddings shared by two
-consecutive graphs; births and deaths contribute zero. The tuner evaluates
-each (alpha, beta) pair once through a caller-supplied handle, scores every
-lambda from that result, and returns the argmin of gen_loss + lambda * ret_loss.
+consecutive graphs, read from their nodes directly; births and deaths
+contribute zero. The tuner evaluates each (alpha, beta) pair once through a
+caller-supplied handle, scores every lambda from that result, and returns the
+argmin of gen_loss + lambda * ret_loss.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .memory import SemanticGraph
 
@@ -53,21 +52,14 @@ class TuneResult:
     grid: tuple[GridPoint, ...]
 
 
-def entity_projection(graph: SemanticGraph) -> dict[str, np.ndarray]:
-    """Entity id -> node embedding for every node; empty graph -> empty map."""
-    return {entity_id: node.embedding for entity_id, node in graph.nodes.items()}
-
-
 def drift(prev: SemanticGraph, curr: SemanticGraph) -> DriftReport:
     """Squared embedding displacement per shared entity; born/died tracked separately."""
-    before = entity_projection(prev)
-    after = entity_projection(curr)
     per_entity: dict[str, float] = {}
-    for entity_id in before:
-        if entity_id not in after:
+    for entity_id, node in prev.nodes.items():
+        after = curr.nodes.get(entity_id)
+        if after is None:
             continue
-        a = before[entity_id]
-        b = after[entity_id]
+        a, b = node.embedding, after.embedding
         if a is b:  # a node the merge left alone keeps its (read-only) array
             per_entity[entity_id] = 0.0
             continue
@@ -75,8 +67,8 @@ def drift(prev: SemanticGraph, curr: SemanticGraph) -> DriftReport:
             raise ValueError(f"embedding shape mismatch for {entity_id!r}: {a.shape} vs {b.shape}")
         delta = a - b
         per_entity[entity_id] = float(delta @ delta)
-    born = frozenset(after) - frozenset(before)
-    died = frozenset(before) - frozenset(after)
+    born = frozenset(curr.nodes.keys() - prev.nodes.keys())
+    died = frozenset(prev.nodes.keys() - curr.nodes.keys())
     return DriftReport(per_entity, float(sum(per_entity.values())), born, died)
 
 

@@ -42,15 +42,15 @@ int too large for a float are no numbers), a vector that is not a list of
 ``embedder.dim`` numbers (``embedding.vector_from_json``), or a record its
 dataclass refuses (a blank fact part, say) does; so do a
 node that repeats an entity_id or an attribute name, an edge row that repeats
-a key, an attribute value without its edge, an edge whose (node, predicate)
+a key, a graph no merge could build (``_check_graph``: an attribute value
+without its edge, an edge whose subject has no node or whose (node, predicate)
 has no current value, an attribute ``"session"`` that is not its edge's
 session as an int or is older than another edge of its (node, predicate)
-(recency wins), a node ``importance`` below 1 (each merge into a node adds 1),
-a ``session_cursor`` below -1, a recorded session (a working entry's, a log
-record's, an edge's, a node's ``last_updated``) outside [0, cursor], an
-episodic log whose sessions do not strictly increase, and a ``retention_at``
-key that does not spell its gap as ``str(int)`` does (so two spellings of one
-gap cannot collide). Each reader catches these once and raises ValueError
+(recency wins), a node ``importance`` below 1), a ``session_cursor`` below -1,
+a recorded session (a working entry's, a log record's, an edge's, a node's
+``last_updated``) outside [0, cursor], an episodic log whose sessions do not
+strictly increase, and a ``retention_at`` key that does not spell its gap as
+``str(int)`` does (so two spellings of one gap cannot collide). Each reader catches these once and raises ValueError
 with its prefix: ``config_from_dict`` and ``loads_config`` "malformed config: ",
 ``loads_state`` "malformed snapshot: " (also for layers over the config's k,
 C_w, C_e or C_s), ``read_sessions_jsonl``
@@ -116,7 +116,7 @@ def _check_records(*groups: Sequence[Any]) -> None:
 
 def _check_state(state: MemoryState) -> None:
     """_check_types over every int, float and str field of a loaded state; vector_from_json checks vectors."""
-    # Attribute names and values must be edge key fields (SemanticGraph), so the edge columns check them.
+    # Attribute names and values must be edge key fields (_check_graph), so the edge columns check them.
     utterances = tuple(map(itemgetter(0), state.working.entries))
     facts = tuple(chain.from_iterable(u.annotations for u in utterances))
     _check_records((state,), utterances, facts, state.episodic.log, tuple(state.semantic.nodes.values()))
@@ -139,24 +139,29 @@ def _check_sessions(state: MemoryState) -> None:
         raise ValueError(f"episodic log sessions {log} do not strictly increase")
 
 
-def _check_importance(graph: SemanticGraph) -> None:
-    """ValueError unless every node's importance is at least 1, as each merge into a node leaves it."""
-    low = [n.entity_id for n in graph.nodes.values() if n.importance < 1.0]
-    if low:
-        raise ValueError(f"node {low[0]!r} has importance below 1")
+def _check_graph(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
+    """ValueError unless the graph is one ``merge_semantic`` could build, the only check of its invariants.
 
-
-def _check_attribute_sessions(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
-    """ValueError unless each node record's attribute "session" is its value's edge session, as a JSON int, and
-    each edge's (node, predicate) has a current value no edge of it is later than (values of one session tie)."""
+    A node record's importance is at least 1 (each merge into a node adds 1), and each attribute value has its
+    edge, whose session its "session" is as a JSON int. An edge's subject is a node, and its (node, predicate)
+    has a current value no edge of it is later than (values of one session tie).
+    """
     current: dict[tuple[str, str], int] = {}
     for node in nodes:
+        node_id = node["entity_id"]
+        if node["importance"] < 1.0:
+            raise ValueError(f"node {node_id!r} has importance below 1")
         for name, record in node["attributes"]:
-            session = record["session"]
-            if type(session) is not int or session != graph.edges[node["entity_id"], name, record["value"]][0]:
-                raise ValueError(f"attribute {node['entity_id']!r} {name!r} session {session!r} is not its edge's")
-            current[node["entity_id"], name] = session
+            value, session = record["value"], record["session"]
+            edge = graph.edges.get((node_id, name, value))
+            if edge is None:
+                raise ValueError(f"attribute {node_id!r} {name!r} value {value!r} has no edge")
+            if type(session) is not int or session != edge[0]:
+                raise ValueError(f"attribute {node_id!r} {name!r} session {session!r} is not its edge's")
+            current[node_id, name] = session
     for (node_id, predicate, value), (session, _) in graph.edges.items():
+        if node_id not in graph.nodes:
+            raise ValueError(f"edge subject {node_id!r} has no node")
         if (node_id, predicate) not in current:
             raise ValueError(f"edge {node_id!r} {predicate!r} {value!r} has no current value on its node")
         if session > current[node_id, predicate]:
@@ -352,8 +357,7 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     state = MemoryState(working, episodic, semantic, raw["session_cursor"])
     _check_state(state)
     _check_sessions(state)
-    _check_importance(semantic)
-    _check_attribute_sessions(nodes, semantic)
+    _check_graph(nodes, semantic)
     check_layer_bounds(state, cfg)
     return state, cfg
 

@@ -462,6 +462,18 @@ def test_mistyped_snapshot_scalar_is_validation_error(tmp_path, sessions_file, c
     assert capsys.readouterr().err.startswith("error: malformed snapshot")
 
 
+def test_edge_whose_subject_has_no_node_is_validation_error(tmp_path, sessions_file, capsys):
+    snapshot = tmp_path / "state.json"
+    assert main(["ingest", "--input", str(sessions_file), "--snapshot", str(snapshot)]) == 0
+    data = json.loads(snapshot.read_text())
+    data["state"]["semantic"]["edges"].append(["nobody", "likes", "jazz", 0, 1.0])
+    snapshot.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["query", "--snapshot", str(snapshot), "--text", "alice lives_in"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed snapshot") and "has no node" in err
+
+
 def _session_line(
     index=0, turn=0, speaker="alice", text="alice lives in paris", s="alice", p="lives_in", o="paris", c=1.0
 ):

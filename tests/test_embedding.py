@@ -240,6 +240,9 @@ def test_config_validation():
         EmbedderConfig(seed=2**63)
     with pytest.raises(ValueError):
         EmbedderConfig(seed=-(2**63) - 1)
+    for bad in ({"dim": 256.0}, {"seed": True}):
+        with pytest.raises(ValueError):
+            EmbedderConfig(**bad)
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):

@@ -21,6 +21,7 @@ from mlmem.engine import (
     policy_config,
     run,
     step,
+    steps,
 )
 from mlmem.harness import generate_scenario
 from mlmem.memory import FactTriple, Session, Utterance
@@ -166,6 +167,21 @@ def test_run_explicit_queries_override_default():
     assert outputs[0].response.endswith("answer to: custom probe")
 
 
+def test_steps_runs_one_step_per_output_asked_for(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].index)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "step", counting)
+    sessions = [_session(i, [f"alice note {i}"]) for i in range(3)]
+    outputs = steps(sessions, None, CFG)
+    assert calls == []
+    assert next(outputs).state.session_cursor == 0
+    assert calls == [0]
+
+
 def _failing_summarize(monkeypatch, at: int, error: Exception) -> None:
     """Make the episodic summary raise error at session index at."""
     original = engine.summarize
@@ -233,8 +249,9 @@ def test_uniform_gating_flag_forces_uniform_weights():
 
 
 def test_engine_config_validation():
-    with pytest.raises(ValueError):
-        EngineConfig(k=0)
+    for bad in ({"k": 0}, {"top_j": 2.5}, {"k": True}):
+        with pytest.raises(ValueError):
+            EngineConfig(**bad)
     with pytest.raises(ValueError):
         EngineConfig(alpha=1.5)
     with pytest.raises(ValueError):
@@ -497,8 +514,8 @@ def test_embed_cache_keys_on_text_dim_and_seed():
         vec = embed(text, other)
         assert vec.tobytes() == embedding._embed_hash.__wrapped__(text, other.dim, other.seed).tobytes()
         assert vec.tobytes() != base.tobytes()
-    with pytest.raises(TypeError):
-        embed(text, EmbedderConfig(dim=256.0))
+    with pytest.raises(ValueError):
+        EmbedderConfig(dim=256.0)
 
 
 def _answer_bytes(result_and_fused) -> tuple:

@@ -13,7 +13,6 @@ from mlmem.retention import (
     TuneError,
     cumulative_retention_loss,
     drift,
-    entity_projection,
     grid_csv,
     objective,
     tune,
@@ -30,28 +29,13 @@ def _graph(entities: dict[str, np.ndarray], dim: int = 16) -> SemanticGraph:
     return SemanticGraph(nodes, {(name, "a", "v"): (0, 1.0) for name in nodes})
 
 
-# ------------------------------------------------------------ entity_projection
-
-def test_projection_of_empty_graph_is_empty():
-    assert entity_projection(SemanticGraph()) == {}
-
-
-def test_projection_maps_ids_to_embeddings():
-    vec = np.zeros(16)
-    vec[0] = 1.0
-    graph = _graph({"alice": vec})
-    projection = entity_projection(graph)
-    assert set(projection) == {"alice"}
-    assert np.array_equal(projection["alice"], vec)
-
+# ------------------------------------------------------------ node embeddings
 
 def test_projection_changes_only_at_touched_entity():
     graph = merge_semantic(SemanticGraph(), [FactTriple("alice", "likes", "jazz")], 0, 0.9, 8, CFG)
     graph = merge_semantic(graph, [FactTriple("bob", "plays", "chess")], 0, 0.9, 8, CFG)
-    before = entity_projection(graph)
     updated = merge_semantic(graph, [FactTriple("alice", "likes", "blues")], 1, 0.9, 8, CFG)
-    after = entity_projection(updated)
-    changed = {k for k in before if not np.array_equal(before[k], after[k])}
+    changed = {k for k in graph.nodes if not np.array_equal(graph.nodes[k].embedding, updated.nodes[k].embedding)}
     assert changed == {"alice"}
 
 
