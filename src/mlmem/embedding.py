@@ -15,7 +15,7 @@ vector, here only:
 
 - ``vector_from_json`` reads each outside vector (remote responses and
   snapshots): dim finite JSON numbers, where a bool or a string is no number.
-- ``unit`` is the one L2 normalization; the zero vector stays zero.
+- ``unit`` is the one L2 normalization (the zero vector stays zero); ``stacked`` the one row stacking.
 - ``cosine`` decides every similarity question, and ``nearest`` is the one
   scan: ``shortlist``'s matrix-vector product keeps every row within
   ``SHORTLIST_SLACK`` of the cut and only those are scored, so a scan decides
@@ -32,7 +32,8 @@ import os
 import re
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -50,6 +51,9 @@ SHORTLIST_SLACK = 1e-9
 
 EMBED_CACHE_ENTRIES = 256  # chat_long step time stops falling past 128-256; 4096 cost +9 MB peak RSS
 
+# The exact types a field of each annotation holds, built in Python or read by ``snapshot``: a bool is no int.
+FIELD_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "str | None": (str, type(None))}
+
 
 class EmbeddingServiceError(RuntimeError):
     """The remote embedding endpoint failed or returned a malformed response."""
@@ -58,6 +62,14 @@ class EmbeddingServiceError(RuntimeError):
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric word split."""
     return _TOKEN_RE.findall(text.lower())
+
+
+def check_field_kinds(record: Any) -> None:
+    """ValueError unless each field whose annotation ``FIELD_KINDS`` names holds a value of one of its types."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if type(value) not in FIELD_KINDS.get(f.type, (type(value),)):
+            raise ValueError(f"{type(record).__name__}.{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
 
 
 def frozen(vec: np.ndarray) -> np.ndarray:
@@ -76,11 +88,12 @@ class EmbedderConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if type(self.dim) is not int or self.dim < 8:
-            raise ValueError(f"dim must be an int >= 8 (a bool is no int), got {self.dim!r}")
+        check_field_kinds(self)
+        if self.dim < 8:
+            raise ValueError(f"dim must be >= 8, got {self.dim!r}")
         if self.mode not in ("deterministic", "remote"):
             raise ValueError(f"unknown embedder mode {self.mode!r}")
-        if type(self.seed) is not int or not -(2**63) <= self.seed < 2**63:
+        if not -(2**63) <= self.seed < 2**63:
             raise ValueError(f"seed must be an int that fits in a signed 64-bit integer, got {self.seed!r}")
         if self.mode == "deterministic" and self.remote_endpoint is not None:
             raise ValueError("remote_endpoint is only valid in remote mode")
@@ -157,6 +170,11 @@ def unit(vec: np.ndarray) -> np.ndarray:
     """vec scaled to L2 norm 1 as a read-only array; a zero vec is returned as it is, made read-only."""
     norm = float(np.linalg.norm(vec))
     return frozen(vec / norm if norm > 0.0 else vec)
+
+
+def stacked(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """The vectors as the rows of a new writable matrix: the bytes of ``np.stack``, at less cost for many rows."""
+    return np.concatenate(vectors).reshape(len(vectors), -1)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

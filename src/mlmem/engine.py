@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterator, Mapping, Protocol, Sequence
 
-from .embedding import EmbedderConfig
+from .embedding import EmbedderConfig, check_field_kinds
 from .memory import (
     EpisodicMemory,
     MemoryState,
@@ -82,10 +82,13 @@ class EngineConfig:
     uniform_gating: bool = False
 
     def __post_init__(self) -> None:
+        check_field_kinds(self)
+        if type(self.embedder) is not EmbedderConfig:
+            raise ValueError(f"embedder must be an EmbedderConfig, got {self.embedder!r}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (type(value) is not int or value < 1):
-                raise ValueError(f"{f.name} must be an int >= 1 (a bool is no int), got {value!r}")
+            if f.type == "int" and value < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {value!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
@@ -96,8 +99,10 @@ class EngineConfig:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0.0 <= self.mix <= 1.0:
             raise ValueError(f"mix must lie in [0, 1], got {self.mix}")
-        if not self.enabled_layers or len(set(self.enabled_layers) & set(LAYERS)) < len(self.enabled_layers):
-            raise ValueError(f"enabled_layers must list one or more of {LAYERS} once each, got {self.enabled_layers}")
+        layers = self.enabled_layers
+        once_each = type(layers) is tuple and all(x in LAYERS for x in layers) and len(set(layers)) == len(layers)
+        if not (layers and once_each):
+            raise ValueError(f"enabled_layers must be a tuple naming one or more of {LAYERS} once each, got {layers!r}")
 
 
 # Each layer's bounds in EngineConfig, in the order check_layer_bounds reads the sizes.

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbedderConfig, embed, frozen, nearest
+from .embedding import EmbedderConfig, embed, frozen, nearest, stacked
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,13 @@ class SemanticGraph:
         return None if node is None else node.attributes.get(_canonical(attribute))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemoryState:
-    """The full layered state; session_cursor is -1 before anything is ingested."""
+    """The full layered state; session_cursor is -1 before anything is ingested.
+
+    It hashes and compares by identity, so it can key ``retrieval``'s read index: field-wise ``==`` would
+    ask numpy arrays for one truth value, and dicts do not hash. Compare states by ``dumps_state`` bytes.
+    """
 
     working: WorkingMemory
     episodic: EpisodicMemory
@@ -182,7 +186,7 @@ def summarize(session: Session, m: int, embedder: EmbedderConfig) -> SummaryReco
     """
     if m < 1:
         raise ValueError("summary size m must be >= 1")
-    matrix = np.stack([embed(u.text, embedder) for u in session.utterances])
+    matrix = stacked([embed(u.text, embedder) for u in session.utterances])
     hits = nearest(matrix, matrix.mean(axis=0), m)
     chosen = sorted(sorted(hits, key=lambda h: (-h[1], session.utterances[h[0]].turn_index))[:m])
     text = " ".join(session.utterances[i].text for i, _ in chosen)
@@ -289,8 +293,7 @@ def merge_semantic(
             candidate_text = node_text(subject, {predicate: value})
             candidate = embed(candidate_text, embedder)
             if matrix is None:
-                matrix = np.zeros((len(nodes) + len(facts), embedder.dim))
-                np.stack([node.embedding for node in nodes.values()], out=matrix[: len(nodes)])
+                matrix = stacked([node.embedding for node in nodes.values()] + [np.zeros(embedder.dim)] * len(facts))
                 rows = {nid: row for row, nid in enumerate(nodes)}
             ids = list(nodes)
             scores = {ids[i]: score for i, score in nearest(matrix[: len(ids)], candidate, 1)}

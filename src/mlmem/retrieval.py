@@ -14,28 +14,27 @@ the state's own read-only array, and the other vectors are new ones.
 
 The first ``retrieve`` against a state builds its read index: the three
 representations, each layer's items and row function, and the stacked
-working and episodic matrices. One module-level slot keeps the last index
-beside a weak reference to its state; a retrieve against that same state
-object reuses it, and any other state replaces it. States and their vectors
-are immutable, so an index cannot go stale. The weak reference keeps no state
-alive, and the one slot bounds the extra memory to one index however many
-states a caller keeps (a memo on each state would hold one per kept state).
-The semantic node matrix, the largest, is not held: on the 1,024-node bench
-graph, holding it kept 2 MB alive through each checkpoint and raised peak RSS
-by 5.5%, so each retrieve stacks it with one ``np.concatenate``.
-``layer_representation`` stays the uncached builder.
+working and episodic matrices. ``_read_index`` is a one-entry
+``functools.lru_cache`` keyed on the state, which hashes by identity, so a
+retrieve against that same state object reuses it, any other state replaces
+it, and a concurrent retrieve cannot pair one state with another's index.
+States are immutable, so an index cannot go stale, and the one entry holds one
+index and its state however many states a caller keeps. The semantic node
+matrix, the largest, is not held: on the 1,024-node bench graph holding it
+raised peak RSS 5.5-6.4%, so each retrieve stacks it with
+``embedding.stacked``. ``layer_representation`` stays the uncached builder.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .embedding import EmbedderConfig, cosine, embed, nearest, unit
+from .embedding import EmbedderConfig, cosine, embed, frozen, nearest, stacked, unit
 from .memory import MemoryState, node_text
 
 LAYERS = ("w", "e", "s")
@@ -124,15 +123,10 @@ def layer_representation(state: MemoryState, layer: str) -> np.ndarray:
         total = sum(n.importance for n in nodes)
         if total <= 0.0:
             return np.zeros_like(state.episodic.state)
-        weighted = _stacked([n.embedding for n in nodes])
+        weighted = stacked([n.embedding for n in nodes])
         weighted *= (np.array([n.importance for n in nodes]) / total)[:, None]
         return unit(weighted.sum(axis=0))
     raise ValueError(f"unknown layer {layer!r}")
-
-
-def _stacked(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """The vectors as the rows of a new matrix: the bytes of ``np.stack``, at less cost for many rows."""
-    return np.concatenate(vectors).reshape(len(vectors), -1)
 
 
 def softmax_weights(relevances: tuple[float, float, float], beta: float) -> tuple[float, float, float]:
@@ -180,28 +174,15 @@ class _ReadIndex(NamedTuple):
     layers: tuple[_LayerIndex, ...]
 
 
-# The read index of the state last retrieved against, beside a weak reference to that state.
-_READ_SLOT: tuple[weakref.ref, _ReadIndex] | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def _read_index(state: MemoryState) -> _ReadIndex:
-    """The state's read side, from the slot if it holds this very state, else built and put in the slot.
-
-    The semantic layer's matrix is not held (``_LayerIndex.matrix`` is None):
-    each call stacks it from the held vectors.
-    """
-    global _READ_SLOT
-    slot = _READ_SLOT  # read once: a concurrent swap cannot pair this state with another's index
-    if slot is not None and slot[0]() is state:
-        return slot[1]
+    """The state's read side, kept for the last state asked about; the semantic layer's matrix is not held."""
     layers = []
     for layer in LAYERS:
         items, row = _layer_items(state, layer)
         vectors = [e for _, e in items]
-        layers.append(_LayerIndex(items, row, vectors, _stacked(vectors) if vectors and layer != "s" else None))
-    index = _ReadIndex(tuple(layer_representation(state, layer) for layer in LAYERS), tuple(layers))
-    _READ_SLOT = (weakref.ref(state), index)
-    return index
+        layers.append(_LayerIndex(items, row, vectors, frozen(stacked(vectors)) if vectors and layer != "s" else None))
+    return _ReadIndex(tuple(layer_representation(state, layer) for layer in LAYERS), tuple(layers))
 
 
 def _layer_candidates(query: Query, layer: str, index: _LayerIndex, top_j: int, gamma: float) -> list[RetrievedItem]:
@@ -215,7 +196,7 @@ def _layer_candidates(query: Query, layer: str, index: _LayerIndex, top_j: int, 
     items, row, vectors, matrix = index
     if not items:
         return []
-    hits = nearest(_stacked(vectors) if matrix is None else matrix, query.embedding, top_j)
+    hits = nearest(stacked(vectors) if matrix is None else matrix, query.embedding, top_j)
     rows = [(sim, *row(items[i][0])) for i, sim in hits]
     rows.sort(key=lambda r: (-r[0], r[1], r[2], r[3]))
     return [
@@ -293,33 +274,29 @@ def fuse(query: Query, retrieval: RetrievalResult, mix: float, epsilon: float) -
 
     Sharpening replaces the vector with softmax(|raw| / tau) at tau halved per
     iteration; after 64 halvings (only exact magnitude ties survive that long)
-    it falls back to a first-argmax one-hot. A bound below the one-hot limit
-    raises EntropyBoundError. Context is the admitted items' prefixed texts
-    joined newest-last.
+    it falls back to a first-argmax one-hot, whose entropy 0 meets any bound.
+    A bound that is not >= 0 (NaN included) raises EntropyBoundError before any
+    work. Context is the admitted items' prefixed texts joined newest-last.
     """
     if not 0.0 <= mix <= 1.0:
         raise ValueError(f"mix must lie in [0, 1], got {mix}")
+    if not epsilon >= 0.0:
+        raise EntropyBoundError(f"cannot satisfy entropy bound {epsilon} (the one-hot limit is 0)")
     raw = mix * query.embedding + (1.0 - mix) * retrieval.vector
     vector = raw
     h = entropy(raw)
     if h > epsilon:
         magnitudes = np.abs(raw)
-        solved = False
         for k in range(1, SHARPEN_MAX_ITERATIONS + 1):
             candidate = _softmax_sharpened(magnitudes, 0.5**k)
             ch = entropy(candidate)
             if ch <= epsilon:
-                vector, h, solved = candidate, ch, True
+                vector, h = candidate, ch
                 break
-        if not solved:
-            one_hot = np.zeros_like(raw)
-            one_hot[int(np.argmax(magnitudes))] = 1.0
-            h = entropy(one_hot)
-            if h > epsilon:
-                raise EntropyBoundError(
-                    f"cannot satisfy entropy bound {epsilon} (one-hot limit is {h})"
-                )
-            vector = one_hot
+        else:
+            vector = np.zeros_like(raw)
+            vector[int(np.argmax(magnitudes))] = 1.0
+            h = entropy(vector)
 
     ordered = sorted(
         retrieval.items,

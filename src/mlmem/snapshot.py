@@ -69,7 +69,7 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
-from .embedding import vector_from_json
+from .embedding import FIELD_KINDS, vector_from_json
 from .engine import EngineConfig, check_layer_bounds
 from .harness import EvalReport
 from .memory import (
@@ -88,18 +88,16 @@ from .memory import (
 # What a reader counts as malformed input (see the module docstring).
 _MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError, OverflowError)
 
-# The JSON types a loaded value may have, by annotation: a bool is no int, an int is a float.
-_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "str | None": (str, type(None))}
 _EDGE = ("str", "str", "str", "int", "float")
 
 
 def _check_types(name: str, annotation: str, values: Iterable[Any]) -> None:
-    """TypeError unless each value's exact type is one _KINDS allows and, in a float field, is finite.
+    """TypeError unless each value's exact type is one FIELD_KINDS allows and, in a float field, is finite.
 
     NaN and Infinity are no JSON numbers, and an int too large for a float raises OverflowError.
     """
     values = tuple(values)
-    odd = set(map(type, values)).difference(_KINDS[annotation])
+    odd = set(map(type, values)).difference(FIELD_KINDS[annotation])
     if odd:
         raise TypeError(f"{name} must be {annotation}, got {odd.pop().__name__}")
     if annotation == "float" and not all(map(math.isfinite, values)):
@@ -110,7 +108,7 @@ def _check_records(*groups: Sequence[Any]) -> None:
     """_check_types over each int, float and str field of each group of same-type records."""
     for records in groups:
         for f in fields(records[0]) if records else ():
-            if f.type in _KINDS:
+            if f.type in FIELD_KINDS:
                 _check_types(f"{type(records[0]).__name__}.{f.name}", f.type, map(attrgetter(f.name), records))
 
 
@@ -192,12 +190,11 @@ def config_to_dict(cfg: Any) -> dict[str, Any]:
 def _from_dict(cls: type, data: dict[str, Any]) -> Any:
     """Inverse of config_to_dict: missing keys keep the field default, unknown keys raise ValueError.
 
-    A scalar whose JSON type its field annotation does not allow raises TypeError.
+    A list field is read as a tuple; the config's constructor checks each value's kind (``FIELD_KINDS``).
     """
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
-    annotations = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(data) - set(annotations))
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
     defaults = cls()
@@ -210,8 +207,6 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
             if not isinstance(value, list):
                 raise TypeError(f"{cls.__name__}.{key} must be a list, got {type(value).__name__}")
             value = tuple(value)
-        else:
-            _check_types(f"{cls.__name__}.{key}", annotations[key], (value,))
         kwargs[key] = value
     return cls(**kwargs)
 

@@ -10,4 +10,4 @@ from mlmem import embedding, retrieval
 @pytest.fixture(autouse=True)
 def cold_caches():
     embedding._embed_hash.cache_clear()
-    retrieval._READ_SLOT = None
+    retrieval._read_index.cache_clear()

@@ -240,7 +240,7 @@ def test_config_validation():
         EmbedderConfig(seed=2**63)
     with pytest.raises(ValueError):
         EmbedderConfig(seed=-(2**63) - 1)
-    for bad in ({"dim": 256.0}, {"seed": True}):
+    for bad in ({"dim": 256.0}, {"seed": True}, {"mode": "remote", "remote_endpoint": 5}, {"mode": 1}):
         with pytest.raises(ValueError):
             EmbedderConfig(**bad)
 

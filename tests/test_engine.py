@@ -249,7 +249,20 @@ def test_uniform_gating_flag_forces_uniform_weights():
 
 
 def test_engine_config_validation():
-    for bad in ({"k": 0}, {"top_j": 2.5}, {"k": True}):
+    for bad in (
+        {"k": 0},
+        {"top_j": 2.5},
+        {"k": True},
+        {"uniform_gating": "false"},
+        {"uniform_gating": 1},
+        {"alpha": True},
+        {"beta": True},
+        {"mix": False},
+        {"enabled_layers": "ws"},
+        {"enabled_layers": ["w", "s"]},
+        {"enabled_layers": (["w"],)},
+        {"embedder": {"dim": 8}},
+    ):
         with pytest.raises(ValueError):
             EngineConfig(**bad)
     with pytest.raises(ValueError):
@@ -503,7 +516,7 @@ def test_embed_cache_is_invisible(monkeypatch):
     assert embedding._embed_hash.cache_info().hits > 0
 
     monkeypatch.setattr(embedding, "_embed_hash", embedding._embed_hash.__wrapped__)
-    monkeypatch.setattr(retrieval, "_READ_SLOT", None)
+    monkeypatch.setattr(retrieval, "_read_index", retrieval._read_index.__wrapped__)
     assert _run_with_probes(sessions, cfg, probes)[1:] == cached
 
 
@@ -525,11 +538,13 @@ def _answer_bytes(result_and_fused) -> tuple:
 
 @pytest.mark.parametrize("uniform", [False, True])
 def test_read_index_is_invisible(monkeypatch, uniform):
-    """Retrieves interleaved over states A, B, A and a loaded copy of A equal cold builds with the slot cleared."""
+    """Retrieves interleaved over states A, B, a loaded copy of A and a state C at A's cursor equal cold builds."""
     cfg = EngineConfig(C_s=96, tau_s=0.7, uniform_gating=uniform)
     outputs = run(_tie_heavy_wide_sessions(), None, cfg)
     states = {"A": outputs[-1].state, "B": outputs[4].state}
     states["A loaded"], _ = loads_state(dumps_state(states["A"], cfg))
+    states["C"] = run(_tie_heavy_wide_sessions(), None, replace(cfg, C_s=48))[-1].state
+    assert states["C"].session_cursor == states["A"].session_cursor
     probes = ("e001 lives_in", "e150 works", "city2", "job1 city3", "e299 lives_in city1")
 
     def asked(key: str, text: str):
@@ -538,22 +553,25 @@ def test_read_index_is_invisible(monkeypatch, uniform):
     cold = {}
     for key in states:
         for text in probes:
-            monkeypatch.setattr(retrieval, "_READ_SLOT", None)
+            retrieval._read_index.cache_clear()
             cold[key, text] = _answer_bytes(asked(key, text))
     assert all(cold["A loaded", text] == cold["A", text] for text in probes)
     assert any(cold["B", text] != cold["A", text] for text in probes)
+    assert any(cold["C", text] != cold["A", text] for text in probes)
 
-    for key in ("A", "B", "A", "A loaded", "A", "B"):
+    for key in ("A", "B", "A", "A loaded", "C", "A", "B", "C"):
         for text in probes:
             assert _answer_bytes(asked(key, text)) == cold[key, text]
 
 
-def test_read_index_keeps_no_state_alive():
+def test_read_index_holds_one_state():
+    """Once a retrieve against B has replaced A's read index, nothing the engine keeps holds A alive."""
     outputs = run([_session(0, ["alice likes jazz"]), _session(1, ["bob plays chess"])], None, CFG)
-    state = outputs[-1].state
-    answer(make_query("alice", CFG.embedder, 1), state, CFG)
-    assert retrieval._READ_SLOT[0]() is state
-    ref = weakref.ref(state)
-    del outputs, state
+    a, b = outputs[0].state, outputs[1].state
+    answer(make_query("alice", CFG.embedder, 0), a, CFG)
+    answer(make_query("bob", CFG.embedder, 1), b, CFG)
+    ref = weakref.ref(a)
+    del outputs, a
     gc.collect()
     assert ref() is None
+    assert retrieval._read_index.cache_info().currsize == 1

@@ -426,8 +426,9 @@ def test_fuse_zero_vector_has_zero_entropy():
 def test_fuse_infeasible_bound_raises():
     vec = np.full(8, 1 / math.sqrt(8))
     query = Query("q", vec, 0)
-    with pytest.raises(EntropyBoundError):
-        fuse(query, _empty_retrieval(query, dim=8), mix=1.0, epsilon=-0.5)
+    for epsilon in (-0.5, float("nan")):
+        with pytest.raises(EntropyBoundError):
+            fuse(query, _empty_retrieval(query, dim=8), mix=1.0, epsilon=epsilon)
 
 
 def test_fuse_context_joined_newest_last_with_speaker_prefixes():
