@@ -10,11 +10,15 @@ read-only array. Remote mode is never cached, since the service may change
 and its errors must surface on every call. It POSTs ``{"texts": [str]}`` to
 the configured endpoint (the ``MLMEM_EMBED_ENDPOINT`` environment variable
 overrides it) and expects ``{"vectors": [[float]]}`` holding one vector; any
-other answer raises ``EmbeddingServiceError``. Three rules hold for every
-vector, here only:
+other answer, and any transport failure, raises ``EmbeddingServiceError``.
+``FIELD_KINDS`` is the one kind rule, the exact types a field of each
+annotation holds (a bool is no int, a float is ``finite``); ``check_field_kinds``
+applies it, with ValueError, in both configs' constructors and in every
+``snapshot`` reader. Three rules hold for every vector, here only:
 
 - ``vector_from_json`` reads each outside vector (remote responses and
-  snapshots): dim finite JSON numbers, where a bool or a string is no number.
+  snapshots): dim finite JSON numbers, where a bool or a string is no number,
+  and an ``embedded`` one unit (within ``UNIT_TOLERANCE``) or zero.
 - ``unit`` is the one L2 normalization (the zero vector stays zero); ``stacked`` the one row stacking.
 - ``cosine`` decides every similarity question, and ``nearest`` is the one
   scan: ``shortlist``'s matrix-vector product keeps every row within
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import http.client
 import json
 import math
 import os
@@ -33,7 +38,8 @@ import re
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, fields
-from typing import Any, Sequence
+from operator import attrgetter
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -49,10 +55,9 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # included. The margin past that only costs a few extra ``cosine`` calls.
 SHORTLIST_SLACK = 1e-9
 
-EMBED_CACHE_ENTRIES = 256  # chat_long step time stops falling past 128-256; 4096 cost +9 MB peak RSS
+UNIT_TOLERANCE = 1e-12  # |L2 norm - 1| of a loaded embedded vector: ``unit`` rounds by ~1e-16; far below SHORTLIST_SLACK
 
-# The exact types a field of each annotation holds, built in Python or read by ``snapshot``: a bool is no int.
-FIELD_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "str | None": (str, type(None))}
+EMBED_CACHE_ENTRIES = 256  # chat_long step time stops falling past 128-256; 4096 cost +9 MB peak RSS
 
 
 class EmbeddingServiceError(RuntimeError):
@@ -62,14 +67,6 @@ class EmbeddingServiceError(RuntimeError):
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric word split."""
     return _TOKEN_RE.findall(text.lower())
-
-
-def check_field_kinds(record: Any) -> None:
-    """ValueError unless each field whose annotation ``FIELD_KINDS`` names holds a value of one of its types."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if type(value) not in FIELD_KINDS.get(f.type, (type(value),)):
-            raise ValueError(f"{type(record).__name__}.{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
 
 
 def frozen(vec: np.ndarray) -> np.ndarray:
@@ -109,6 +106,37 @@ class EmbedderConfig:
         return self.remote_endpoint
 
 
+# The exact types a field of each annotation holds, built in Python or read from JSON: a bool is no int.
+FIELD_KINDS = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,), "str | None": (str, type(None)),
+               "tuple[str, ...]": (tuple,), "EmbedderConfig": (EmbedderConfig,)}
+
+
+def finite(*values: Any) -> bool:
+    """True when every value is a finite number; an int too large for a float is not finite."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
+def check_kinds(name: str, annotation: str, values: Iterable[Any]) -> None:
+    """ValueError unless each value's exact type is one ``FIELD_KINDS[annotation]`` allows and, for "float", is finite."""
+    values = tuple(values)
+    odd = set(map(type, values)).difference(FIELD_KINDS[annotation])
+    if odd:
+        value = next(v for v in values if type(v) in odd)
+        raise ValueError(f"{name} must be {annotation}, got {type(value).__name__} {value!r}")
+    if annotation == "float" and not finite(*values):
+        raise ValueError(f"{name} must be finite")
+
+
+def check_field_kinds(*records: Any) -> None:
+    """check_kinds over each field ``FIELD_KINDS`` names, one column across records of one dataclass."""
+    for f in fields(records[0]) if records else ():
+        if f.type in FIELD_KINDS:
+            check_kinds(f"{type(records[0]).__name__}.{f.name}", f.type, map(attrgetter(f.name), records))
+
+
 def embed(text: str, cfg: EmbedderConfig) -> np.ndarray:
     """Map text to a unit vector (or the zero vector when no tokens survive).
 
@@ -146,7 +174,7 @@ def _embed_remote(text: str, cfg: EmbedderConfig) -> np.ndarray:
     try:
         with urllib.request.urlopen(request, timeout=REMOTE_TIMEOUT_SECONDS) as response:
             body = response.read()
-    except (urllib.error.URLError, OSError) as exc:
+    except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
         raise EmbeddingServiceError(f"embedding request to {endpoint} failed: {exc}") from exc
     try:
         (raw,) = json.loads(body.decode("utf-8"))["vectors"]
@@ -155,14 +183,18 @@ def _embed_remote(text: str, cfg: EmbedderConfig) -> np.ndarray:
         raise EmbeddingServiceError(f"malformed embedding response from {endpoint}: {exc}") from exc
 
 
-def vector_from_json(values: list[float], dim: int) -> np.ndarray:
-    """The read-only vector; TypeError unless values holds JSON numbers only, ValueError unless dim finite ones."""
-    odd = set(map(type, values)).difference((int, float))
+def vector_from_json(values: list[float], dim: int, *, embedded: bool = False) -> np.ndarray:
+    """The read-only vector; TypeError unless values holds JSON numbers only, ValueError unless dim finite ones
+    and, when embedded (``embed`` made it), unless its L2 norm is exactly 0 or within UNIT_TOLERANCE of 1."""
+    odd = set(map(type, values)).difference(FIELD_KINDS["float"])
     if odd:
         raise TypeError(f"vector coordinate must be float, got {odd.pop().__name__}")
     vector = np.asarray(values, dtype=np.float64)
     if vector.shape != (dim,) or not np.isfinite(vector).all():
         raise ValueError(f"vector must hold {dim} finite coordinates, got shape {vector.shape}")
+    norm = math.sqrt(float(vector.dot(vector))) if embedded else 0.0
+    if norm != 0.0 and abs(norm - 1.0) > UNIT_TOLERANCE:
+        raise ValueError(f"an embedded vector must have L2 norm 0 or 1, got {norm!r}")
     return frozen(vector)
 
 

@@ -15,7 +15,6 @@ replaying the same sessions reproduces bit-identical outputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterator, Mapping, Protocol, Sequence
 
@@ -83,25 +82,16 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         check_field_kinds(self)
-        if type(self.embedder) is not EmbedderConfig:
-            raise ValueError(f"embedder must be an EmbedderConfig, got {self.embedder!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and value < 1:
                 raise ValueError(f"{f.name} must be >= 1, got {value!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
-        if not 0.0 <= self.tau_s <= 1.0:
-            raise ValueError(f"tau_s must lie in [0, 1], got {self.tau_s}")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not 0.0 <= self.mix <= 1.0:
-            raise ValueError(f"mix must lie in [0, 1], got {self.mix}")
+            if f.name in ("alpha", "tau_s", "mix") and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{f.name} must lie in [0, 1], got {value}")
+            if f.name in ("beta", "epsilon") and not value > 0.0:
+                raise ValueError(f"{f.name} must be > 0, got {value}")
         layers = self.enabled_layers
-        once_each = type(layers) is tuple and all(x in LAYERS for x in layers) and len(set(layers)) == len(layers)
-        if not (layers and once_each):
+        if not (layers and all(x in LAYERS for x in layers) and len(set(layers)) == len(layers)):
             raise ValueError(f"enabled_layers must be a tuple naming one or more of {LAYERS} once each, got {layers!r}")
 
 

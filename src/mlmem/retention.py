@@ -10,10 +10,10 @@ argmin of gen_loss + lambda * ret_loss.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .embedding import finite
 from .memory import SemanticGraph
 
 
@@ -82,10 +82,8 @@ def cumulative_retention_loss(trajectory: Sequence[SemanticGraph]) -> float:
 def objective(gen_loss: float, ret_loss: float, lambda_: float) -> ObjectiveValue:
     """gen_loss + lambda * ret_loss with all inputs finite and non-negative."""
     for name, value in (("gen_loss", gen_loss), ("ret_loss", ret_loss), ("lambda", lambda_)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-        if value < 0.0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
+        if not (value >= 0.0 and finite(value)):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
     return ObjectiveValue(gen_loss, ret_loss, lambda_, gen_loss + lambda_ * ret_loss)
 
 
@@ -109,10 +107,10 @@ def tune(
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     for beta in betas:
-        if not (beta > 0.0 and math.isfinite(beta)):
+        if not (beta > 0.0 and finite(beta)):
             raise ValueError(f"beta must be finite and > 0, got {beta}")
     for lambda_ in lambdas:
-        if not (lambda_ >= 0.0 and math.isfinite(lambda_)):
+        if not (lambda_ >= 0.0 and finite(lambda_)):
             raise ValueError(f"lambda must be finite and >= 0, got {lambda_}")
 
     grid: list[GridPoint] = []

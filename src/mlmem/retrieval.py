@@ -34,7 +34,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .embedding import EmbedderConfig, cosine, embed, frozen, nearest, stacked, unit
+from .embedding import EmbedderConfig, cosine, embed, finite, frozen, nearest, stacked, unit
 from .memory import MemoryState, node_text
 
 LAYERS = ("w", "e", "s")
@@ -131,7 +131,7 @@ def layer_representation(state: MemoryState, layer: str) -> np.ndarray:
 
 def softmax_weights(relevances: tuple[float, float, float], beta: float) -> tuple[float, float, float]:
     """Overflow-safe softmax of beta-scaled relevances."""
-    if not (beta > 0.0 and math.isfinite(beta)):
+    if not (beta > 0.0 and finite(beta)):
         raise ValueError(f"beta must be finite and > 0, got {beta}")
     scaled = [beta * r for r in relevances]
     top = max(scaled)

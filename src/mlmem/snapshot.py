@@ -36,11 +36,12 @@ An eval report is ``{"retention_at": {"gap": float, ..}, "fmr": float,
 "config": config}``.
 
 One rule rejects outside input: it is malformed when reading it raises one of
-``_MALFORMED``, as a missing key, a field of another JSON type than its
-annotation (a bool is no int, an int is a float, ``NaN``, ``Infinity`` and an
-int too large for a float are no numbers), a vector that is not a list of
-``embedder.dim`` numbers (``embedding.vector_from_json``), or a record its
-dataclass refuses (a blank fact part, say) does; so do a
+``_MALFORMED``, as a missing key, a field the kind rule refuses (every reader
+runs ``embedding.check_field_kinds`` on the records it builds), a vector that
+is not a list of ``embedder.dim`` numbers, a working entry's, log record's or
+node's vector whose L2 norm is neither 0 nor within 1e-12 of 1
+(``embedding.vector_from_json``), or a record its dataclass refuses (a blank
+fact part, say) does; so do a
 node that repeats an entity_id or an attribute name, an edge row that repeats
 a key, a graph no merge could build (``_check_graph``: an attribute value
 without its edge, an edge whose subject has no node or whose (node, predicate)
@@ -63,13 +64,12 @@ Vectors load as read-only arrays, as ``embed`` makes them.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import fields, is_dataclass
 from itertools import chain
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable
 
-from .embedding import FIELD_KINDS, vector_from_json
+from .embedding import check_field_kinds, check_kinds, vector_from_json
 from .engine import EngineConfig, check_layer_bounds
 from .harness import EvalReport
 from .memory import (
@@ -91,36 +91,16 @@ _MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError, Overf
 _EDGE = ("str", "str", "str", "int", "float")
 
 
-def _check_types(name: str, annotation: str, values: Iterable[Any]) -> None:
-    """TypeError unless each value's exact type is one FIELD_KINDS allows and, in a float field, is finite.
-
-    NaN and Infinity are no JSON numbers, and an int too large for a float raises OverflowError.
-    """
-    values = tuple(values)
-    odd = set(map(type, values)).difference(FIELD_KINDS[annotation])
-    if odd:
-        raise TypeError(f"{name} must be {annotation}, got {odd.pop().__name__}")
-    if annotation == "float" and not all(map(math.isfinite, values)):
-        raise TypeError(f"{name} must be finite")
-
-
-def _check_records(*groups: Sequence[Any]) -> None:
-    """_check_types over each int, float and str field of each group of same-type records."""
-    for records in groups:
-        for f in fields(records[0]) if records else ():
-            if f.type in FIELD_KINDS:
-                _check_types(f"{type(records[0]).__name__}.{f.name}", f.type, map(attrgetter(f.name), records))
-
-
 def _check_state(state: MemoryState) -> None:
-    """_check_types over every int, float and str field of a loaded state; vector_from_json checks vectors."""
+    """The kind check over every scalar field of a loaded state; vector_from_json checks vectors."""
     # Attribute names and values must be edge key fields (_check_graph), so the edge columns check them.
     utterances = tuple(map(itemgetter(0), state.working.entries))
     facts = tuple(chain.from_iterable(u.annotations for u in utterances))
-    _check_records((state,), utterances, facts, state.episodic.log, tuple(state.semantic.nodes.values()))
+    for records in ((state,), utterances, facts, state.episodic.log, tuple(state.semantic.nodes.values())):
+        check_field_kinds(*records)
     edges = state.semantic.edges
     for i, (annotation, column) in enumerate(zip(_EDGE, (*zip(*edges), *zip(*edges.values())))):
-        _check_types(f"edge field {i}", annotation, column)
+        check_kinds(f"edge field {i}", annotation, column)
 
 
 def _check_sessions(state: MemoryState) -> None:
@@ -190,7 +170,7 @@ def config_to_dict(cfg: Any) -> dict[str, Any]:
 def _from_dict(cls: type, data: dict[str, Any]) -> Any:
     """Inverse of config_to_dict: missing keys keep the field default, unknown keys raise ValueError.
 
-    A list field is read as a tuple; the config's constructor checks each value's kind (``FIELD_KINDS``).
+    A list for a tuple field is read as a tuple; the config's constructor checks each value's kind.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
@@ -203,9 +183,7 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
         default = getattr(defaults, key)
         if is_dataclass(default):
             value = _from_dict(type(default), value)
-        elif isinstance(default, tuple):
-            if not isinstance(value, list):
-                raise TypeError(f"{cls.__name__}.{key} must be a list, got {type(value).__name__}")
+        elif isinstance(default, tuple) and isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
     return cls(**kwargs)
@@ -272,7 +250,7 @@ def _summary_to_dict(record: SummaryRecord) -> dict[str, Any]:
 
 def _summary_from_dict(data: dict[str, Any], dim: int) -> SummaryRecord:
     return SummaryRecord(
-        data["session"], data["text"], vector_from_json(data["embedding"], dim), data["salience"]
+        data["session"], data["text"], vector_from_json(data["embedding"], dim, embedded=True), data["salience"]
     )
 
 
@@ -297,7 +275,7 @@ def _node_from_dict(data: dict[str, Any], dim: int) -> EntityNode:
     return EntityNode(
         data["entity_id"],
         attributes,
-        vector_from_json(data["embedding"], dim),
+        vector_from_json(data["embedding"], dim, embedded=True),
         data["importance"],
         data["last_updated"],
     )
@@ -333,7 +311,7 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     raw = data["state"]
     working = WorkingMemory(
         tuple(
-            (_utterance_from_dict(u, u["session"]), vector_from_json(e, dim))
+            (_utterance_from_dict(u, u["session"]), vector_from_json(e, dim, embedded=True))
             for u, e in raw["working"]["entries"]
         )
     )
@@ -375,7 +353,8 @@ def session_from_dict(data: dict[str, Any]) -> Session:
     index = data["index"]
     session = Session(index, tuple(_utterance_from_dict(u, index) for u in data["utterances"]))
     facts = tuple(chain.from_iterable(u.annotations for u in session.utterances))
-    _check_records((session,), session.utterances, facts)
+    for records in ((session,), session.utterances, facts):
+        check_field_kinds(*records)
     return session
 
 
@@ -423,9 +402,9 @@ def _report_from_dict(data: dict[str, Any]) -> EvalReport:
     keys = list(data["retention_at"])
     if list(map(str, report.retention_at)) != keys:
         raise ValueError(f"retention_at keys must spell distinct gaps as str(int) does, got {keys}")
-    _check_records((report,))
-    _check_types("EvalReport.retention_at", "float", report.retention_at.values())
-    _check_types("EvalReport.drift_curve", "float", report.drift_curve)
+    check_field_kinds(report)
+    check_kinds("EvalReport.retention_at", "float", report.retention_at.values())
+    check_kinds("EvalReport.drift_curve", "float", report.drift_curve)
     return report
 
 

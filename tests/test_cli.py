@@ -302,6 +302,11 @@ def _importance_below_one(state) -> None:
         node["importance"] = -1.0
 
 
+def _node_vector_times_three(state) -> None:
+    node = state["semantic"]["nodes"][0]
+    node["embedding"] = [3.0 * x for x in node["embedding"]]
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -315,11 +320,12 @@ def _importance_below_one(state) -> None:
         _edited(_ALICE_SNAPSHOT, lambda state: state["semantic"]["nodes"][0].update(attributes=[])),
         _edited(_SCENARIO_SNAPSHOT, _importance_below_one),
         _edited(_SCENARIO_SNAPSHOT, lambda state: state["episodic"]["log"].reverse()),
+        _edited(_SCENARIO_SNAPSHOT, _node_vector_times_three),
     ],
     ids=[
         "document0", "document1", "document2", "truncated", "attribute_older_than_an_edge",
         "cursor_below_minus_one", "cursor_before_recorded_sessions", "edge_without_current_value",
-        "importance_below_one", "log_out_of_session_order",
+        "importance_below_one", "log_out_of_session_order", "node_vector_times_three",
     ],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):

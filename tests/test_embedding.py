@@ -248,12 +248,16 @@ def test_config_validation():
 class _EmbedHandler(BaseHTTPRequestHandler):
     response_body: bytes = b"{}"
     status: int = 200
+    raw_reply: bytes | None = None  # when set, the bytes sent in place of a well-formed HTTP reply
     requests: list[dict] = []
 
     def do_POST(self):  # noqa: N802 (http.server API)
         length = int(self.headers.get("Content-Length", "0"))
         payload = json.loads(self.rfile.read(length))
         type(self).requests.append(payload)
+        if self.raw_reply is not None:
+            self.wfile.write(self.raw_reply)
+            return
         self.send_response(self.status)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -270,6 +274,7 @@ def embed_server():
     thread.start()
     _EmbedHandler.requests = []
     _EmbedHandler.status = 200
+    _EmbedHandler.raw_reply = None
     yield server
     server.shutdown()
     server.server_close()
@@ -339,6 +344,20 @@ def test_remote_http_error_raises(embed_server):
     _EmbedHandler.response_body = b"{}"
     cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server))
     with pytest.raises(EmbeddingServiceError):
+        embed("hello", cfg)
+
+
+def test_remote_reply_that_is_not_http_raises(embed_server):
+    _EmbedHandler.raw_reply = b"hello, this is no HTTP status line\r\n\r\n"
+    cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server))
+    with pytest.raises(EmbeddingServiceError, match=f"request to {_endpoint(embed_server)} failed"):
+        embed("hello", cfg)
+
+
+def test_remote_body_shorter_than_its_content_length_raises(embed_server):
+    _EmbedHandler.raw_reply = b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{\"vectors\": "
+    cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server))
+    with pytest.raises(EmbeddingServiceError, match=f"request to {_endpoint(embed_server)} failed"):
         embed("hello", cfg)
 
 

@@ -262,6 +262,8 @@ def test_engine_config_validation():
         {"enabled_layers": ["w", "s"]},
         {"enabled_layers": (["w"],)},
         {"embedder": {"dim": 8}},
+        {"beta": 10**400},
+        {"epsilon": 10**400},
     ):
         with pytest.raises(ValueError):
             EngineConfig(**bad)

@@ -177,6 +177,8 @@ def test_objective_rejects_negative_and_non_finite():
         objective(0.1, 0.2, -1.0)
     with pytest.raises(ValueError):
         objective(float("inf"), 0.2, 1.0)
+    with pytest.raises(ValueError):
+        objective(0.1, 10**400, 1.0)
 
 
 # ------------------------------------------------------------------------ tune
@@ -239,9 +241,11 @@ def test_tune_validates_grid_ranges():
         tune(handle, [0.5], [0.0], [1.0])
     with pytest.raises(ValueError):
         tune(handle, [0.5], [1.0], [-1.0])
+    with pytest.raises(ValueError):
+        tune(handle, [0.5], [10**400], [1.0])
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10**400])
 def test_tune_rejects_a_non_finite_lambda_before_any_engine_run(bad):
     calls = []
 
@@ -252,6 +256,12 @@ def test_tune_rejects_a_non_finite_lambda_before_any_engine_run(bad):
     with pytest.raises(ValueError, match="lambda must be finite"):
         tune(handle, [0.5], [1.0], [1.0, bad])
     assert calls == []
+
+
+def test_tune_accepts_numpy_floats():
+    """The finiteness rule takes any real number here, not only the exact kinds a loaded field holds."""
+    result = tune(lambda alpha, beta: (alpha, beta), list(np.linspace(0.1, 0.9, 5)), [np.float64(2.0)], [np.float64(0.5)])
+    assert result.best == (0.1, 2.0, 0.5)
 
 
 def test_grid_csv_format():

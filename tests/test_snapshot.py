@@ -67,6 +67,16 @@ def _state_vectors(state):
     yield from (node.embedding for node in state.semantic.nodes.values())
 
 
+def test_zero_vectors_load():
+    """A text with no [a-z0-9] token embeds to the zero vector, which loads: a stored vector is unit or zero."""
+    state = run([Session(0, (Utterance.from_text(0, 0, "bob", "?? !!"),))], None, CFG)[-1].state
+    ((_, entry),) = state.working.entries
+    (record,) = state.episodic.log
+    assert not entry.any() and not record.embedding.any()
+    blob = dumps_state(state, CFG)
+    assert dumps_state(*loads_state(blob)) == blob
+
+
 def test_state_vectors_and_embeddings_are_read_only():
     outputs = run(generate_scenario(6, 6, seed=1).sessions, None, CFG)
     loaded, _ = loads_state(dumps_state(outputs[-1].state, CFG))
