@@ -21,9 +21,10 @@ applies it, with ValueError, in both configs' constructors and in every
   and an ``embedded`` one unit (within ``UNIT_TOLERANCE``) or zero.
 - ``unit`` is the one L2 normalization (the zero vector stays zero); ``stacked`` the one row stacking.
 - ``cosine`` decides every similarity question, and ``nearest`` is the one
-  scan: ``shortlist``'s matrix-vector product keeps every row within
-  ``SHORTLIST_SLACK`` of the cut and only those are scored, so a scan decides
-  exactly as scoring every row would.
+  scan over rows that are unit or zero, as ``embed`` and ``embedded`` reads give:
+  ``shortlist``'s one matrix-vector product with the unit query keeps every
+  row within ``SHORTLIST_SLACK`` of the cut and only those are scored, so a
+  scan decides exactly as scoring every row would.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ REMOTE_TIMEOUT_SECONDS = 10.0
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 # How far below the count-th best approximate cosine ``shortlist`` still keeps
-# a row. The matvec and ``cosine`` round differently, by ~1e-14 on unit
-# vectors of dim 256; a slack of at least twice the largest such difference
-# keeps every row whose exact cosine reaches the exact count-th best, ties
-# included. The margin past that only costs a few extra ``cosine`` calls.
+# a row. A unit-or-zero row's inner product with the unit query is its cosine
+# to within UNIT_TOLERANCE (1e-12) plus ~1e-14 of rounding at dim 256; a slack
+# of at least twice that keeps every row whose exact cosine reaches the exact
+# count-th best, ties included. The margin only costs a few extra ``cosine`` calls.
 SHORTLIST_SLACK = 1e-9
 
 UNIT_TOLERANCE = 1e-12  # |L2 norm - 1| of a loaded embedded vector: ``unit`` rounds by ~1e-16; far below SHORTLIST_SLACK
@@ -224,9 +225,11 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 def shortlist(matrix: np.ndarray, query: np.ndarray, count: int) -> np.ndarray:
     """Row indices, ascending, that hold every row whose cosine to query ranks in the top count.
 
-    One matvec gives each row's approximate cosine, 0 for a zero row or a zero
-    query and clamped to [-1, 1] as in ``cosine`` (``fmin``/``fmax`` map NaN to
-    1.0 as Python's ``min``/``max`` do there). Every row within
+    Each row must be unit (L2 norm within ``UNIT_TOLERANCE`` of 1) or zero,
+    else the best row may be dropped; the query may be any vector. One matvec
+    with the unit query gives each row's approximate cosine, 0 for a zero row
+    or a zero query and clamped to [-1, 1] as in ``cosine`` (``fmin``/``fmax``
+    map NaN to 1.0 as Python's ``min``/``max`` do there). Every row within
     ``SHORTLIST_SLACK`` of the count-th best is kept, so rows tied with the
     count-th best exact cosine are kept too; ``nearest`` scores the kept rows
     by ``cosine``. With count >= the row count, every row is kept.
@@ -234,13 +237,12 @@ def shortlist(matrix: np.ndarray, query: np.ndarray, count: int) -> np.ndarray:
     rows = matrix.shape[0]
     if count >= rows:
         return np.arange(rows)
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) * math.sqrt(float(query.dot(query)))
-    approx = np.divide(matrix @ query, norms, out=np.zeros(rows), where=norms != 0.0)
-    approx = np.fmax(-1.0, np.fmin(1.0, approx))
+    norm = math.sqrt(float(query.dot(query)))
+    approx = np.fmax(-1.0, np.fmin(1.0, matrix @ (query / norm))) if norm > 0.0 else np.zeros(rows)
     cut = np.partition(approx, rows - count)[rows - count]
     return np.flatnonzero(approx >= cut - SHORTLIST_SLACK)
 
 
 def nearest(matrix: np.ndarray, query: np.ndarray, count: int) -> list[tuple[int, float]]:
-    """(row, cosine(matrix[row], query)) for each row ``shortlist`` keeps: the top count, ties included."""
+    """(row, cosine(matrix[row], query)) for the top count rows, ties included; rows unit or zero, any query."""
     return [(i, cosine(matrix[i], query)) for i in shortlist(matrix, query, count).tolist()]

@@ -7,7 +7,8 @@ recency-wins conflict resolution, and (importance, recency) eviction. It
 states each fact once: the edge mapping is the fact history, and node
 attributes name only the current values, whose sessions are their edges'.
 Graph facts are mined from raw utterances, not from the episodic summary.
-The summary's and the merge's scans go through ``embedding.nearest``.
+The summary's and the merge's scans go through ``embedding.nearest``; a merge
+embeds each node it changes once, however many of its triples touch it.
 
 Every vector a layer holds is a read-only embedding array (see ``embedding``);
 the updates build new arrays and never write one in place. The layers hold
@@ -20,7 +21,7 @@ of them, so replaying a session sequence reproduces bit-identical states.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -272,16 +273,27 @@ def merge_semantic(
     edges dropped.
 
     The match scans a row buffer of the node vectors with ``nearest``. The
-    buffer lives for this call only, so the graph holds each vector once.
+    buffer lives for this call only, so the graph holds each vector once. A
+    node whose attributes change is re-embedded once, before a scan reads its
+    row or at the end unless evicted, as folding one triple per call would see.
     """
     if not 0.0 <= tau_s <= 1.0 or C_s < 1:
         raise ValueError(f"tau_s must lie in [0, 1] and C_s be >= 1, got {tau_s}, {C_s}")
     nodes = dict(graph.nodes)
     edges = dict(graph.edges)
     # The node vectors in `nodes` order plus a spare row per triple, built at
-    # the first unseen subject and kept current; the merge's only scan reads it.
+    # the first unseen subject; the merge's only scan reads it after `refresh`
+    # re-embeds the `stale` nodes, whose vector and row lag their attributes.
     matrix: np.ndarray | None = None
     rows: dict[str, int] = {}
+    stale: dict[str, None] = {}
+
+    def refresh() -> None:
+        for nid in filter(nodes.__contains__, stale):  # an evicted node is not re-embedded
+            nodes[nid] = replace(nodes[nid], embedding=embed(node_text(nid, nodes[nid].attributes), embedder))
+            if matrix is not None:
+                matrix[rows[nid]] = nodes[nid].embedding
+        stale.clear()
 
     for triple in facts:
         subject = _canonical(triple.subject)
@@ -290,8 +302,8 @@ def merge_semantic(
 
         target_id = subject if subject in nodes else None
         if target_id is None and nodes:
-            candidate_text = node_text(subject, {predicate: value})
-            candidate = embed(candidate_text, embedder)
+            candidate = embed(node_text(subject, {predicate: value}), embedder)
+            refresh()
             if matrix is None:
                 matrix = stacked([node.embedding for node in nodes.values()] + [np.zeros(embedder.dim)] * len(facts))
                 rows = {nid: row for row, nid in enumerate(nodes)}
@@ -319,21 +331,20 @@ def merge_semantic(
         current = attributes.get(predicate)
         if current is None or session_index >= edges[(target_id, predicate, current)][0]:
             attributes[predicate] = value
+        if attributes != node.attributes:
+            stale[target_id] = None
 
         nodes[target_id] = EntityNode(
-            target_id,
-            attributes,
-            embed(node_text(target_id, attributes), embedder),
-            node.importance + 1.0,
-            max(node.last_updated, session_index),
+            target_id, attributes, node.embedding, node.importance + 1.0, max(node.last_updated, session_index)
         )
-        if matrix is not None:
-            matrix[rows[target_id]] = nodes[target_id].embedding
 
     if len(nodes) > C_s:
         ranked = sorted(nodes.values(), key=lambda n: (n.importance, n.last_updated, n.entity_id))
         doomed = {n.entity_id for n in ranked[: len(nodes) - C_s]}
-        nodes = {nid: node for nid, node in nodes.items() if nid not in doomed}
-        edges = {key: edge for key, edge in edges.items() if key[0] not in doomed}
+        for nid in doomed:
+            del nodes[nid]
+        for key in [key for key in edges if key[0] in doomed]:
+            del edges[key]
+    refresh()
 
     return SemanticGraph(nodes, edges)

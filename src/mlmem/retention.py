@@ -101,7 +101,7 @@ def tune(
     lexicographically smallest triple. The grid is preserved in evaluation order
     (alphas outermost, lambdas innermost).
     """
-    if not alphas or not betas or not lambdas:
+    if 0 in map(len, (alphas, betas, lambdas)):  # len, since a numpy array has no one truth value
         raise ValueError("all grid axes must be non-empty")
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:

@@ -20,11 +20,13 @@ from mlmem.embedding import (
     EmbedderConfig,
     EmbeddingServiceError,
     REMOTE_ENDPOINT_ENV,
+    UNIT_TOLERANCE,
     cosine,
     embed,
     nearest,
     shortlist,
     tokenize,
+    unit,
 )
 
 
@@ -190,12 +192,15 @@ _ELEMENT = st.one_of(
 
 @st.composite
 def _shortlist_cases(draw):
+    """Rows as ``shortlist`` takes them, unit or zero, some off unit by UNIT_TOLERANCE; any query."""
     dim = draw(st.integers(1, 6))
     vector = st.lists(_ELEMENT, min_size=dim, max_size=dim)
-    distinct = draw(st.lists(vector, min_size=1, max_size=5))
-    # -1 picks a zero row; repeated picks are duplicate rows, exact ties
+    distinct = [unit(np.array(v, dtype=np.float64)) for v in draw(st.lists(vector, min_size=1, max_size=5))]
+    # -1 picks a zero row; repeated picks are duplicate rows, exact ties unless one is scaled
     picks = draw(st.lists(st.integers(-1, len(distinct) - 1), min_size=1, max_size=12))
-    matrix = np.array([[0.0] * dim if p < 0 else distinct[p] for p in picks], dtype=np.float64).reshape(-1, dim)
+    scales = st.sampled_from([1.0, 1.0 + UNIT_TOLERANCE, 1.0 - UNIT_TOLERANCE])
+    rows = [np.zeros(dim) if p < 0 else distinct[p] * draw(scales) for p in picks]
+    matrix = np.array(rows, dtype=np.float64).reshape(-1, dim)
     query = np.array(draw(st.one_of(st.just([0.0] * dim), vector)), dtype=np.float64)
     count = draw(st.integers(1, len(picks) + 1))
     return matrix, query, count

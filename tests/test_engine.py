@@ -470,20 +470,31 @@ def _run_with_probes(sessions: list[Session], cfg: EngineConfig, probes: tuple[s
     return state, dumps, answers
 
 
-def test_shortlisting_is_invisible(monkeypatch):
-    cfg = EngineConfig(C_s=96, tau_s=0.7)
-    sessions = _tie_heavy_wide_sessions()
-    probes = ("e001 lives_in", "e150 works", "city2", "job1 city3", "e299 lives_in city1")
+def _unit_rows_spy(monkeypatch) -> list[tuple[int, int, int]]:
+    """Spy on every scan: each row it reads has L2 norm 0 or within UNIT_TOLERANCE of 1, as ``shortlist`` needs.
+
+    Returns the (rows, kept, count) of each scan, appended as scans run.
+    """
     calls: list[tuple[int, int, int]] = []
     original = embedding.shortlist
 
     def spy(matrix, query, count):
+        norms = np.linalg.norm(matrix, axis=1)
+        assert np.all((norms == 0.0) | (np.abs(norms - 1.0) <= embedding.UNIT_TOLERANCE)), norms
         picked = original(matrix, query, count)
         calls.append((len(matrix), len(picked), count))
         return picked
 
     # every scan (summarize, the merge's entity match, each layer's top-j) goes through embedding.nearest
     monkeypatch.setattr(embedding, "shortlist", spy)
+    return calls
+
+
+def test_shortlisting_is_invisible(monkeypatch):
+    cfg = EngineConfig(C_s=96, tau_s=0.7)
+    sessions = _tie_heavy_wide_sessions()
+    probes = ("e001 lives_in", "e150 works", "city2", "job1 city3", "e299 lives_in city1")
+    calls = _unit_rows_spy(monkeypatch)
     state, dumps, answers = _run_with_probes(sessions, cfg, probes)
     # the scans pruned rows, kept ties past count, evicted, and merged subjects away by similarity
     assert any(kept < rows for rows, kept, _ in calls)
@@ -507,6 +518,27 @@ def test_shortlisting_is_invisible(monkeypatch):
         mean += (node.importance / total) * node.embedding
     expected = mean / float(np.linalg.norm(mean))
     assert layer_representation(state, "s").tobytes() == expected.tobytes()
+
+
+def test_scans_of_a_resumed_run_read_unit_or_zero_rows(monkeypatch):
+    cfg = EngineConfig(C_s=96, tau_s=0.7)
+    sessions = _tie_heavy_wide_sessions()
+    # the last session before the checkpoint has no tokens, so the loaded state holds zero working and log vectors
+    state = initial_state(cfg)
+    for session in sessions[:6] + [_session(6, ["?? !!", "-- .."])]:
+        state = step(state, session, make_query(session.utterances[-1].text, cfg.embedder, session.index), cfg,
+                     TemplateResponder()).state
+    resumed, loaded_cfg = loads_state(dumps_state(state, cfg))
+    calls = _unit_rows_spy(monkeypatch)
+    probes = ("e001 lives_in", "?? !!", "city2 job1")
+    for text in probes:
+        answer(make_query(text, cfg.embedder, 6), resumed, loaded_cfg)
+    for session in sessions[7:]:
+        resumed = step(resumed, session, make_query(session.utterances[-1].text, cfg.embedder, session.index),
+                       loaded_cfg, TemplateResponder()).state
+        for text in probes:
+            answer(make_query(text, cfg.embedder, session.index), resumed, loaded_cfg)
+    assert any(rows > 1 for rows, _, _ in calls)
 
 
 def test_embed_cache_is_invisible(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlmem import memory
 from mlmem.embedding import EmbedderConfig, cosine, embed
 from mlmem.engine import EngineConfig
 from mlmem.memory import (
@@ -446,6 +447,53 @@ def test_merge_keeps_capacity_and_every_current_value_in_the_edge_history(stream
                 assert graph.edges[node_id, predicate, value][0] == max(
                     session for (nid, p, _), (session, _) in graph.edges.items() if (nid, p) == (node_id, predicate)
                 )
+
+
+# Subjects that differ in one token and share predicates and values, so that
+# candidates often tie with, or merge by similarity into, nodes made in the same call.
+_TIE_TRIPLE = st.builds(
+    FactTriple,
+    st.sampled_from(["e0", "e1", "e2", "e3", "e4 x", "e5 x"]),
+    st.sampled_from(["likes", "lives_in", "works"]),
+    st.sampled_from(["city0", "city1", "job0"]),
+    st.sampled_from([0.5, 1.0]),
+)
+
+
+def _graph_rows(graph):
+    nodes = [(nid, n.attributes, n.embedding.tobytes(), n.importance, n.last_updated) for nid, n in graph.nodes.items()]
+    return nodes, list(graph.edges.items())
+
+
+# See test_embedding.py: keeps a reported failure from becoming an INTERNALERROR.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(deadline=None, database=None)
+@given(st.lists(_TIE_TRIPLE, max_size=6), st.lists(_TIE_TRIPLE, max_size=10), st.sampled_from([0.5, 0.7, 0.9]))
+def test_one_merge_equals_folding_its_triples_one_call_at_a_time(earlier, facts, tau_s):
+    C_s = 64  # above any node count here, so nothing is evicted
+    graph = merge_semantic(SemanticGraph(), earlier, 0, tau_s, C_s, CFG)
+    folded = graph
+    for triple in facts:
+        folded = merge_semantic(folded, [triple], 1, tau_s, C_s, CFG)
+    assert _graph_rows(merge_semantic(graph, facts, 1, tau_s, C_s, CFG)) == _graph_rows(folded)
+
+
+def test_a_new_subject_stated_three_times_in_one_merge_costs_one_node_embed(monkeypatch):
+    graph = _merge(SemanticGraph(), [FactTriple("bob", "likes", "tea")], 0)
+    texts: list[str] = []
+
+    def spy(text, cfg):
+        texts.append(text)
+        return embed(text, cfg)
+
+    monkeypatch.setattr(memory, "embed", spy)
+    facts = [FactTriple("zed", "lives_in", "mars"), FactTriple("zed", "works", "pilot"),
+             FactTriple("zed", "likes", "jazz")]
+    merged = _merge(graph, facts, 1)
+    # the unseen subject's candidate, then the node once, from its final attributes
+    assert texts == ["zed lives_in mars", "zed likes jazz lives_in mars works pilot"]
+    assert merged.nodes["zed"].embedding.tobytes() == embed(texts[-1], CFG).tobytes()
+    assert merged.nodes["bob"].embedding is graph.nodes["bob"].embedding
 
 
 def test_alternating_attribute_keeps_the_serialized_graph_flat():

@@ -264,6 +264,17 @@ def test_tune_accepts_numpy_floats():
     assert result.best == (0.1, 2.0, 0.5)
 
 
+def test_tune_accepts_numpy_array_axes():
+    def handle(alpha, beta):
+        return alpha, beta
+
+    result = tune(handle, np.linspace(0.1, 0.9, 5), np.array([2.0]), np.array([0.5]))
+    assert result.best == (0.1, 2.0, 0.5)
+    assert [p.alpha for p in result.grid] == list(np.linspace(0.1, 0.9, 5))
+    with pytest.raises(ValueError, match="all grid axes must be non-empty"):
+        tune(handle, np.linspace(0.1, 0.9, 0), [2.0], [0.5])
+
+
 def test_grid_csv_format():
     result = tune(_table_handle({(0.5, 2.0): (0.25, 0.5)}), [0.5], [2.0], [2.0])
     text = grid_csv(result)
