@@ -50,7 +50,6 @@ from .retention import (
     tune,
 )
 from .retrieval import (
-    EntropyBoundError,
     FusedState,
     GatingWeights,
     Query,

@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .embedding import finite
 from .memory import SemanticGraph
 
@@ -126,12 +128,10 @@ def tune(
 
 
 def grid_csv(result: TuneResult) -> str:
-    """CSV of the sweep: alpha,beta,lambda,gen_loss,ret_loss,total with header."""
+    """CSV of the sweep: alpha,beta,lambda,gen_loss,ret_loss,total with header; a numpy scalar as its Python number."""
     lines = ["alpha,beta,lambda,gen_loss,ret_loss,total"]
     for point in result.grid:
         obj = point.objective
-        lines.append(
-            f"{point.alpha!r},{point.beta!r},{point.lambda_!r},"
-            f"{obj.gen_loss!r},{obj.ret_loss!r},{obj.total!r}"
-        )
+        values = (point.alpha, point.beta, point.lambda_, obj.gen_loss, obj.ret_loss, obj.total)
+        lines.append(",".join(repr(v.item() if isinstance(v, np.generic) else v) for v in values))
     return "\n".join(lines) + "\n"

@@ -12,17 +12,18 @@ configured bound. The layer order is ``LAYERS``. Inside the package,
 Every vector is a plain numpy array: the episodic layer's representation is
 the state's own read-only array, and the other vectors are new ones.
 
-The first ``retrieve`` against a state builds its read index: the three
-representations, each layer's items and row function, and the stacked
-working and episodic matrices. ``_read_index`` is a one-entry
+Each layer is walked by ``_layer_view`` alone: its records, their vectors and
+a record's row. The first ``retrieve`` against a state builds its read index:
+the three representations and each layer's view, the working and episodic
+vectors held as read-only matrices. ``_read_index`` is a one-entry
 ``functools.lru_cache`` keyed on the state, which hashes by identity, so a
 retrieve against that same state object reuses it, any other state replaces
 it, and a concurrent retrieve cannot pair one state with another's index.
 States are immutable, so an index cannot go stale, and the one entry holds one
 index and its state however many states a caller keeps. The semantic node
 matrix, the largest, is not held: on the 1,024-node bench graph holding it
-raised peak RSS 5.5-6.4%, so each retrieve stacks it with
-``embedding.stacked``. ``layer_representation`` stays the uncached builder.
+raised peak RSS by 4.2-6.4% against a 5% bound, so each retrieve stacks it
+with ``embedding.stacked``. ``layer_representation`` stays the uncached builder.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -41,9 +43,9 @@ LAYERS = ("w", "e", "s")
 
 SHARPEN_MAX_ITERATIONS = 64
 
-
-class EntropyBoundError(RuntimeError):
-    """Sharpening could not bring the fused vector under the entropy bound."""
+# A layer's records, their vectors in order (a list, or the read index's read-only matrix), and the row
+# (session, turn, text, speaker) of a record, the fields its retrieved item is ranked and built from.
+_View = tuple[Sequence[Any], np.ndarray | list[np.ndarray], Callable[[Any], tuple[int, int, str, str]]]
 
 
 @dataclass(frozen=True)
@@ -112,21 +114,17 @@ def layer_representation(state: MemoryState, layer: str) -> np.ndarray:
 
     Means are scaled to unit length by ``unit``; an empty layer yields the zero vector.
     """
-    if layer == "w":
-        if not state.working.entries:
-            return np.zeros_like(state.episodic.state)
-        return unit(np.mean([e for _, e in state.working.entries], axis=0))
     if layer == "e":
         return state.episodic.state
-    if layer == "s":
-        nodes = list(state.semantic.nodes.values())
-        total = sum(n.importance for n in nodes)
-        if total <= 0.0:
-            return np.zeros_like(state.episodic.state)
-        weighted = stacked([n.embedding for n in nodes])
-        weighted *= (np.array([n.importance for n in nodes]) / total)[:, None]
-        return unit(weighted.sum(axis=0))
-    raise ValueError(f"unknown layer {layer!r}")
+    records, vectors, _ = _layer_view(state, layer)
+    if layer == "w":
+        return unit(np.mean(vectors, axis=0)) if vectors else np.zeros_like(state.episodic.state)
+    total = sum(n.importance for n in records)
+    if total <= 0.0:
+        return np.zeros_like(state.episodic.state)
+    weighted = stacked(vectors)
+    weighted *= (np.array([n.importance for n in records]) / total)[:, None]
+    return unit(weighted.sum(axis=0))
 
 
 def softmax_weights(relevances: tuple[float, float, float], beta: float) -> tuple[float, float, float]:
@@ -147,45 +145,40 @@ def gate(query: Query, representations: tuple[np.ndarray, ...], beta: float) -> 
     return GatingWeights(gamma_w, gamma_e, gamma_s, beta)
 
 
-def _layer_items(
-    state: MemoryState, layer: str
-) -> tuple[Sequence[tuple[Any, np.ndarray]], Callable[[Any], tuple[int, int, str, str]]]:
-    """The layer's (record, vector) pairs, and the row (session, turn, text, speaker) of a record."""
+def _layer_view(state: MemoryState, layer: str) -> _View:
+    """The one walk of a layer: its records, their vectors in order, and a record's row; ValueError if unknown."""
     if layer == "w":
-        return state.working.entries, lambda u: (u.session_index, u.turn_index, u.text, u.speaker)
+        entries = state.working.entries
+        row = attrgetter("session_index", "turn_index", "text", "speaker")
+        return [u for u, _ in entries], [e for _, e in entries], row
     if layer == "e":
-        return [(r, r.embedding) for r in state.episodic.log], lambda r: (r.session_index, -1, r.text, "summary")
-    return [(n, n.embedding) for n in state.semantic.nodes.values()], lambda n: (
-        n.last_updated, -1, node_text(n.entity_id, n.attributes), "fact"
-    )
-
-
-class _LayerIndex(NamedTuple):
-    """A layer's (record, vector) pairs, its row function, its item vectors, and their matrix if held."""
-
-    items: Sequence[tuple[Any, np.ndarray]]
-    row: Callable[[Any], tuple[int, int, str, str]]
-    vectors: list[np.ndarray]
-    matrix: np.ndarray | None
+        log = state.episodic.log
+        return log, [r.embedding for r in log], lambda r: (r.session_index, -1, r.text, "summary")
+    if layer == "s":
+        nodes = list(state.semantic.nodes.values())
+        return nodes, [n.embedding for n in nodes], lambda n: (
+            n.last_updated, -1, node_text(n.entity_id, n.attributes), "fact"
+        )
+    raise ValueError(f"unknown layer {layer!r}")
 
 
 class _ReadIndex(NamedTuple):
     representations: tuple[np.ndarray, ...]
-    layers: tuple[_LayerIndex, ...]
+    layers: tuple[_View, ...]
 
 
 @functools.lru_cache(maxsize=1)
 def _read_index(state: MemoryState) -> _ReadIndex:
-    """The state's read side, kept for the last state asked about; the semantic layer's matrix is not held."""
+    """The state's read side, kept for the last state asked about: each layer's view, with the working and
+    episodic vectors held as a read-only matrix (the semantic layer's are left a list), and its representation."""
     layers = []
     for layer in LAYERS:
-        items, row = _layer_items(state, layer)
-        vectors = [e for _, e in items]
-        layers.append(_LayerIndex(items, row, vectors, frozen(stacked(vectors)) if vectors and layer != "s" else None))
+        records, vectors, row = _layer_view(state, layer)
+        layers.append((records, frozen(stacked(vectors)) if vectors and layer != "s" else vectors, row))
     return _ReadIndex(tuple(layer_representation(state, layer) for layer in LAYERS), tuple(layers))
 
 
-def _layer_candidates(query: Query, layer: str, index: _LayerIndex, top_j: int, gamma: float) -> list[RetrievedItem]:
+def _layer_candidates(query: Query, layer: str, view: _View, top_j: int, gamma: float) -> list[RetrievedItem]:
     """The layer's top-j by (-similarity, session, turn, text), each scored gamma * similarity.
 
     Only the items ``nearest`` keeps are rendered as rows (similarity,
@@ -193,11 +186,11 @@ def _layer_candidates(query: Query, layer: str, index: _LayerIndex, top_j: int, 
     An item's token count is its text's whitespace token count, which an
     utterance's token_count is checked to equal.
     """
-    items, row, vectors, matrix = index
-    if not items:
+    records, vectors, row = view
+    if not records:
         return []
-    hits = nearest(stacked(vectors) if matrix is None else matrix, query.embedding, top_j)
-    rows = [(sim, *row(items[i][0])) for i, sim in hits]
+    hits = nearest(stacked(vectors) if isinstance(vectors, list) else vectors, query.embedding, top_j)
+    rows = [(sim, *row(records[i])) for i, sim in hits]
     rows.sort(key=lambda r: (-r[0], r[1], r[2], r[3]))
     return [
         RetrievedItem(layer, text, sim, gamma * sim, sess, turn, speaker, len(text.split()))
@@ -233,9 +226,9 @@ def retrieve(
 
     vector = np.zeros_like(state.episodic.state)
     candidates: list[RetrievedItem] = []
-    for layer, rep, index, gamma in zip(LAYERS, representations, layers, weights.as_tuple()):
+    for layer, rep, view, gamma in zip(LAYERS, representations, layers, weights.as_tuple()):
         vector += gamma * rep
-        candidates += _layer_candidates(query, layer, index, top_j, gamma)
+        candidates += _layer_candidates(query, layer, view, top_j, gamma)
     candidates.sort(key=lambda i: (-i.score, i.session_index, i.turn_index, LAYERS.index(i.layer), i.text))
 
     items: list[RetrievedItem] = []
@@ -275,13 +268,13 @@ def fuse(query: Query, retrieval: RetrievalResult, mix: float, epsilon: float) -
     Sharpening replaces the vector with softmax(|raw| / tau) at tau halved per
     iteration; after 64 halvings (only exact magnitude ties survive that long)
     it falls back to a first-argmax one-hot, whose entropy 0 meets any bound.
-    A bound that is not >= 0 (NaN included) raises EntropyBoundError before any
-    work. Context is the admitted items' prefixed texts joined newest-last.
+    A bound that is not >= 0 (NaN included) or a mix outside [0, 1] raises
+    ValueError before any work. Context is the admitted items' prefixed texts joined newest-last.
     """
     if not 0.0 <= mix <= 1.0:
         raise ValueError(f"mix must lie in [0, 1], got {mix}")
     if not epsilon >= 0.0:
-        raise EntropyBoundError(f"cannot satisfy entropy bound {epsilon} (the one-hot limit is 0)")
+        raise ValueError(f"epsilon must be >= 0 (the one-hot limit), got {epsilon}")
     raw = mix * query.embedding + (1.0 - mix) * retrieval.vector
     vector = raw
     h = entropy(raw)

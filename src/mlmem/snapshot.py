@@ -44,10 +44,10 @@ node's vector whose L2 norm is neither 0 nor within 1e-12 of 1
 fact part, say) does; so do a
 node that repeats an entity_id or an attribute name, an edge row that repeats
 a key, a graph no merge could build (``_check_graph``: an attribute value
-without its edge, an edge whose subject has no node or whose (node, predicate)
-has no current value, an attribute ``"session"`` that is not its edge's
-session as an int or is older than another edge of its (node, predicate)
-(recency wins), a node ``importance`` below 1), a ``session_cursor`` below -1,
+without its edge, an edge whose subject has no node or a node older than the
+edge, or whose (node, predicate) has no current value, an attribute
+``"session"`` that is not its edge's session as an int or is older than
+another edge of its (node, predicate) (recency wins), a node ``importance`` below 1), a ``session_cursor`` below -1,
 a recorded session (a working entry's, a log record's, an edge's, a node's
 ``last_updated``) outside [0, cursor], an episodic log whose sessions do not
 strictly increase, and a ``retention_at`` key that does not spell its gap as
@@ -121,8 +121,9 @@ def _check_graph(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
     """ValueError unless the graph is one ``merge_semantic`` could build, the only check of its invariants.
 
     A node record's importance is at least 1 (each merge into a node adds 1), and each attribute value has its
-    edge, whose session its "session" is as a JSON int. An edge's subject is a node, and its (node, predicate)
-    has a current value no edge of it is later than (values of one session tie).
+    edge, whose session its "session" is as a JSON int. An edge's subject is a node no older than it
+    (``last_updated``), and its (node, predicate) has a current value no edge of it is later than (values of
+    one session tie).
     """
     current: dict[tuple[str, str], int] = {}
     for node in nodes:
@@ -140,6 +141,8 @@ def _check_graph(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
     for (node_id, predicate, value), (session, _) in graph.edges.items():
         if node_id not in graph.nodes:
             raise ValueError(f"edge subject {node_id!r} has no node")
+        if session > graph.nodes[node_id].last_updated:
+            raise ValueError(f"node {node_id!r} is older than its edge {predicate!r} {value!r} of session {session}")
         if (node_id, predicate) not in current:
             raise ValueError(f"edge {node_id!r} {predicate!r} {value!r} has no current value on its node")
         if session > current[node_id, predicate]:

@@ -318,6 +318,7 @@ def _node_vector_times_three(state) -> None:
         _edited(_EMPTY_SNAPSHOT, lambda state: state.update(session_cursor=-7)),
         _edited(_ALICE_SNAPSHOT, lambda state: state.update(session_cursor=0)),
         _edited(_ALICE_SNAPSHOT, lambda state: state["semantic"]["nodes"][0].update(attributes=[])),
+        _edited(_ALICE_SNAPSHOT, lambda state: state["semantic"]["nodes"][0].update(last_updated=0)),
         _edited(_SCENARIO_SNAPSHOT, _importance_below_one),
         _edited(_SCENARIO_SNAPSHOT, lambda state: state["episodic"]["log"].reverse()),
         _edited(_SCENARIO_SNAPSHOT, _node_vector_times_three),
@@ -325,7 +326,7 @@ def _node_vector_times_three(state) -> None:
     ids=[
         "document0", "document1", "document2", "truncated", "attribute_older_than_an_edge",
         "cursor_below_minus_one", "cursor_before_recorded_sessions", "edge_without_current_value",
-        "importance_below_one", "log_out_of_session_order", "node_vector_times_three",
+        "node_older_than_an_edge", "importance_below_one", "log_out_of_session_order", "node_vector_times_three",
     ],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):

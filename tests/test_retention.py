@@ -275,6 +275,16 @@ def test_tune_accepts_numpy_array_axes():
         tune(handle, np.linspace(0.1, 0.9, 0), [2.0], [0.5])
 
 
+def test_grid_csv_writes_numpy_axes_as_python_numbers():
+    def handle(alpha, beta):
+        return alpha, beta
+
+    alphas = np.linspace(0.1, 0.9, 2)
+    assert grid_csv(tune(handle, alphas, [1.0], [0.5])) == grid_csv(tune(handle, alphas.tolist(), [1.0], [0.5]))
+    assert grid_csv(tune(handle, np.array([1]), np.array([2]), [0])) == grid_csv(tune(handle, [1], [2], [0]))
+    assert grid_csv(tune(handle, [1], [2], [0])).splitlines()[1].startswith("1,2,0,")
+
+
 def test_grid_csv_format():
     result = tune(_table_handle({(0.5, 2.0): (0.25, 0.5)}), [0.5], [2.0], [2.0])
     text = grid_csv(result)

@@ -22,7 +22,6 @@ from mlmem.memory import (
 )
 from mlmem.retrieval import (
     LAYERS,
-    EntropyBoundError,
     GatingWeights,
     Query,
     entropy,
@@ -184,7 +183,7 @@ def test_retrieve_empty_state_zero_vector_uniform_no_items():
     result = retrieve(query, _state(), 4.0, top_j=4, token_budget=64)
     assert not result.vector.any()
     assert result.weights.as_tuple() == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
-    assert result.all_items() == ()
+    assert result.items == ()
     assert result.token_cost == 0
 
 
@@ -207,7 +206,7 @@ def test_retrieve_budget_binds_items_but_not_vector():
     state = _state(working_entries=[(_utterance("alice likes jazz and long stories"), emb)])
     query = make_query("alice likes jazz", CFG, 0)
     result = retrieve(query, state, 4.0, top_j=4, token_budget=1)
-    assert result.all_items() == ()
+    assert result.items == ()
     assert result.token_cost == 0
     assert result.vector.any()
 
@@ -228,7 +227,7 @@ def test_retrieve_greedy_admission_skips_and_continues():
         ]
     )
     result = retrieve(query, state, 4.0, top_j=4, token_budget=8)
-    admitted = [i.token_count for i in result.all_items()]
+    admitted = [i.token_count for i in result.items]
     assert admitted == [6, 2]
     assert result.token_cost == 8
     # independent brute-force greedy oracle over the same candidates
@@ -356,7 +355,6 @@ def test_retrieve_items_match_admission_oracle_under_a_tight_budget():
         (i.layer, i.text, i.score, i.session_index, i.turn_index, i.speaker, i.token_count) for i in result.items
     ] == admitted
     assert result.token_cost == sum(c[6] for c in admitted)
-    assert result.all_items() == result.items
 
 
 def test_fuse_context_is_items_in_session_turn_layer_text_order():
@@ -427,7 +425,7 @@ def test_fuse_infeasible_bound_raises():
     vec = np.full(8, 1 / math.sqrt(8))
     query = Query("q", vec, 0)
     for epsilon in (-0.5, float("nan")):
-        with pytest.raises(EntropyBoundError):
+        with pytest.raises(ValueError):
             fuse(query, _empty_retrieval(query, dim=8), mix=1.0, epsilon=epsilon)
 
 
