@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-from .engine import EngineConfig, TemplateResponder, answer, initial_state, steps
+from .engine import POLICIES, EngineConfig, TemplateResponder, answer, initial_state, steps
 from .harness import Scenario, ablate, evaluate, generate_scenario, objective_handle
 from .retention import grid_csv, tune
 from .retrieval import make_query
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     eval_cmd = sub.add_parser("eval", help="score a synthetic scenario under one policy")
     _add_scenario_args(eval_cmd, personas_default=20, periods_default=8)
-    eval_cmd.add_argument("--policy", choices=("mlmf", "window_only", "summary_only"), default="mlmf")
+    eval_cmd.add_argument("--policy", choices=tuple(POLICIES), default="mlmf")
     eval_cmd.add_argument("--out", required=True)
     eval_cmd.set_defaults(func=_cmd_eval)
 

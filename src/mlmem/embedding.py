@@ -24,7 +24,8 @@ applies it, with ValueError, in both configs' constructors and in every
   scan over rows that are unit or zero, as ``embed`` and ``embedded`` reads give:
   ``shortlist``'s one matrix-vector product with the unit query keeps every
   row within ``SHORTLIST_SLACK`` of the cut and only those are scored, so a
-  scan decides exactly as scoring every row would.
+  scan decides exactly as scoring every row would. It also ranks, best first
+  with ties by the key each caller passes, so no caller re-ranks its result.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ import re
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Any, Iterable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -243,6 +244,13 @@ def shortlist(matrix: np.ndarray, query: np.ndarray, count: int) -> np.ndarray:
     return np.flatnonzero(approx >= cut - SHORTLIST_SLACK)
 
 
-def nearest(matrix: np.ndarray, query: np.ndarray, count: int) -> list[tuple[int, float]]:
-    """(row, cosine(matrix[row], query)) for the top count rows, ties included; rows unit or zero, any query."""
-    return [(i, cosine(matrix[i], query)) for i in shortlist(matrix, query, count).tolist()]
+def nearest(
+    matrix: np.ndarray, query: np.ndarray, count: int, key: Callable[[int], Any] = int
+) -> list[tuple[Any, float]]:
+    """(key(row), cosine(matrix[row], query)) for the count best rows, best first; rows unit or zero, any query.
+
+    Equal cosines go by ascending key, equal keys by row order; key is called once per row ``shortlist`` keeps."""
+    hits = [(key(i), cosine(matrix[i], query)) for i in shortlist(matrix, query, count).tolist()]
+    hits.sort(key=itemgetter(0))
+    hits.sort(key=itemgetter(1), reverse=True)  # stable, so equal cosines stay in key order
+    return hits[:count]

@@ -230,12 +230,12 @@ def run(*args: Any, **kwargs: Any) -> list[StepOutput]:
     return list(steps(*args, **kwargs))
 
 
+# The baseline policies and the layers each keeps; mlmf (None) runs the config as it is.
+POLICIES = {"mlmf": None, "window_only": ("w",), "summary_only": ("e",)}
+
+
 def policy_config(cfg: EngineConfig, policy: str) -> EngineConfig:
-    """Baseline policies: mlmf keeps all layers, the others keep exactly one."""
-    if policy == "mlmf":
-        return cfg
-    if policy == "window_only":
-        return replace(cfg, enabled_layers=("w",))
-    if policy == "summary_only":
-        return replace(cfg, enabled_layers=("e",))
-    raise ValueError(f"unknown policy {policy!r}")
+    """cfg under a ``POLICIES`` name: mlmf keeps all layers, the others keep exactly one; ValueError if unknown."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    return cfg if POLICIES[policy] is None else replace(cfg, enabled_layers=POLICIES[policy])

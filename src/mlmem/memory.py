@@ -7,8 +7,10 @@ recency-wins conflict resolution, and (importance, recency) eviction. It
 states each fact once: the edge mapping is the fact history, and node
 attributes name only the current values, whose sessions are their edges'.
 Graph facts are mined from raw utterances, not from the episodic summary.
-The summary's and the merge's scans go through ``embedding.nearest``; a merge
-embeds each node it changes once, however many of its triples touch it.
+The summary's and the merge's scans go through ``embedding.nearest``, which
+ranks and breaks ties by the key each passes: the summary's row index (its
+turn order) and the merge's node id. A merge embeds each node it changes
+once, however many of its triples touch it.
 
 Every vector a layer holds is a read-only embedding array (see ``embedding``);
 the updates build new arrays and never write one in place. The layers hold
@@ -188,8 +190,7 @@ def summarize(session: Session, m: int, embedder: EmbedderConfig) -> SummaryReco
     if m < 1:
         raise ValueError("summary size m must be >= 1")
     matrix = stacked([embed(u.text, embedder) for u in session.utterances])
-    hits = nearest(matrix, matrix.mean(axis=0), m)
-    chosen = sorted(sorted(hits, key=lambda h: (-h[1], session.utterances[h[0]].turn_index))[:m])
+    chosen = sorted(nearest(matrix, matrix.mean(axis=0), m))
     text = " ".join(session.utterances[i].text for i, _ in chosen)
     salience = max(0.0, min(1.0, sum(score for _, score in chosen) / len(chosen)))
     return SummaryRecord(session.index, text, embed(text, embedder), salience)
@@ -308,10 +309,9 @@ def merge_semantic(
                 matrix = stacked([node.embedding for node in nodes.values()] + [np.zeros(embedder.dim)] * len(facts))
                 rows = {nid: row for row, nid in enumerate(nodes)}
             ids = list(nodes)
-            scores = {ids[i]: score for i, score in nearest(matrix[: len(ids)], candidate, 1)}
-            best_score = max(scores.values())
-            if best_score >= tau_s:
-                target_id = min(nid for nid, score in scores.items() if score == best_score)
+            ((best_id, score),) = nearest(matrix[: len(ids)], candidate, 1, ids.__getitem__)
+            if score >= tau_s:
+                target_id = best_id
 
         if target_id is None:
             target_id = subject

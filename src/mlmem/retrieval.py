@@ -3,14 +3,16 @@
 Retrieval builds the three layer representation vectors once per state, gates
 them (the query's cosine to each, softmaxed at temperature beta into a
 probability simplex), blends them with those weights, and admits each layer's
-top items (found by ``embedding.nearest`` over its stacked vectors) greedily
-under a token budget. Its result carries the admitted items as one tuple in
-admission order. Fusion mixes the query with the retrieval vector and
-sharpens it until the entropy of its magnitude distribution falls under the
-configured bound. The layer order is ``LAYERS``. Inside the package,
-``engine.answer`` is the only code that chains them under an ``EngineConfig``.
-Every vector is a plain numpy array: the episodic layer's representation is
-the state's own read-only array, and the other vectors are new ones.
+top items greedily under a token budget: ``embedding.nearest`` ranks each
+layer, its ties broken by the layer's row (session, turn, text, speaker) as
+key, and the items are built from the rows it returns. Its result carries the
+admitted items as one tuple in admission order. Fusion mixes the query with
+the retrieval vector and sharpens it until the entropy of its magnitude
+distribution falls under the configured bound. The layer order is ``LAYERS``.
+Inside the package, ``engine.answer`` is the only code that chains them under
+an ``EngineConfig``. Every vector is a plain numpy array: the episodic layer's
+representation is the state's own read-only array, and the other vectors are
+new ones.
 
 Each layer is walked by ``_layer_view`` alone: its records, their vectors and
 a record's row. The first ``retrieve`` against a state builds its read index:
@@ -32,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -162,40 +164,15 @@ def _layer_view(state: MemoryState, layer: str) -> _View:
     raise ValueError(f"unknown layer {layer!r}")
 
 
-class _ReadIndex(NamedTuple):
-    representations: tuple[np.ndarray, ...]
-    layers: tuple[_View, ...]
-
-
 @functools.lru_cache(maxsize=1)
-def _read_index(state: MemoryState) -> _ReadIndex:
-    """The state's read side, kept for the last state asked about: each layer's view, with the working and
-    episodic vectors held as a read-only matrix (the semantic layer's are left a list), and its representation."""
+def _read_index(state: MemoryState) -> tuple[tuple[np.ndarray, ...], tuple[_View, ...]]:
+    """The state's read side, kept for the last state asked about: its representations, and each layer's view
+    with the working and episodic vectors held as a read-only matrix (the semantic layer's are left a list)."""
     layers = []
     for layer in LAYERS:
         records, vectors, row = _layer_view(state, layer)
         layers.append((records, frozen(stacked(vectors)) if vectors and layer != "s" else vectors, row))
-    return _ReadIndex(tuple(layer_representation(state, layer) for layer in LAYERS), tuple(layers))
-
-
-def _layer_candidates(query: Query, layer: str, view: _View, top_j: int, gamma: float) -> list[RetrievedItem]:
-    """The layer's top-j by (-similarity, session, turn, text), each scored gamma * similarity.
-
-    Only the items ``nearest`` keeps are rendered as rows (similarity,
-    session, turn, text, speaker), so a node's text is built for those only.
-    An item's token count is its text's whitespace token count, which an
-    utterance's token_count is checked to equal.
-    """
-    records, vectors, row = view
-    if not records:
-        return []
-    hits = nearest(stacked(vectors) if isinstance(vectors, list) else vectors, query.embedding, top_j)
-    rows = [(sim, *row(records[i])) for i, sim in hits]
-    rows.sort(key=lambda r: (-r[0], r[1], r[2], r[3]))
-    return [
-        RetrievedItem(layer, text, sim, gamma * sim, sess, turn, speaker, len(text.split()))
-        for sim, sess, turn, text, speaker in rows[:top_j]
-    ]
+    return tuple(layer_representation(state, layer) for layer in LAYERS), tuple(layers)
 
 
 def retrieve(
@@ -211,7 +188,8 @@ def retrieve(
     Items are scored layer-cosine times the layer's gate weight and admitted in
     descending score, skipping any item that would overflow the budget (ties:
     lower session_index, then lower turn_index, then LAYERS order, then text).
-    The result's items are the admitted ones in that order. Passing ``weights``
+    The result's items are the admitted ones in that order; an item costs its
+    text's whitespace tokens, as an utterance's token_count. Passing ``weights``
     overrides the softmax gate (used for forced-uniform gating). Each layer
     representation is built once per state and serves both the gate and the
     blend.
@@ -226,9 +204,13 @@ def retrieve(
 
     vector = np.zeros_like(state.episodic.state)
     candidates: list[RetrievedItem] = []
-    for layer, rep, view, gamma in zip(LAYERS, representations, layers, weights.as_tuple()):
+    for layer, rep, (records, vectors, row), gamma in zip(LAYERS, representations, layers, weights.as_tuple()):
         vector += gamma * rep
-        candidates += _layer_candidates(query, layer, view, top_j, gamma)
+        if records:
+            matrix = stacked(vectors) if isinstance(vectors, list) else vectors
+            hits = nearest(matrix, query.embedding, top_j, lambda i: row(records[i]))
+            candidates += [RetrievedItem(layer, text, sim, gamma * sim, sess, turn, speaker, len(text.split()))
+                           for (sess, turn, text, speaker), sim in hits]
     candidates.sort(key=lambda i: (-i.score, i.session_index, i.turn_index, LAYERS.index(i.layer), i.text))
 
     items: list[RetrievedItem] = []

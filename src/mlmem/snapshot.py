@@ -40,8 +40,9 @@ One rule rejects outside input: it is malformed when reading it raises one of
 runs ``embedding.check_field_kinds`` on the records it builds), a vector that
 is not a list of ``embedder.dim`` numbers, a working entry's, log record's or
 node's vector whose L2 norm is neither 0 nor within 1e-12 of 1
-(``embedding.vector_from_json``), or a record its dataclass refuses (a blank
-fact part, say) does; so do a
+(``embedding.vector_from_json``), an episodic state whose L2 norm exceeds
+1 + 1e-12 (no ``update_episodic`` blend does), or a record its dataclass
+refuses (a blank fact part, say) does; so do a
 node that repeats an entity_id or an attribute name, an edge row that repeats
 a key, a graph no merge could build (``_check_graph``: an attribute value
 without its edge, an edge whose subject has no node or a node older than the
@@ -64,12 +65,13 @@ Vectors load as read-only arrays, as ``embed`` makes them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, is_dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
-from .embedding import check_field_kinds, check_kinds, vector_from_json
+from .embedding import UNIT_TOLERANCE, check_field_kinds, check_kinds, vector_from_json
 from .engine import EngineConfig, check_layer_bounds
 from .harness import EvalReport
 from .memory import (
@@ -322,6 +324,9 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
         vector_from_json(raw["episodic"]["state"], dim),
         tuple(_summary_from_dict(r, dim) for r in raw["episodic"]["log"]),
     )
+    norm = math.sqrt(float(episodic.state.dot(episodic.state)))
+    if norm > 1.0 + UNIT_TOLERANCE:
+        raise ValueError(f"the episodic state must have L2 norm at most 1, as every blend has, got {norm!r}")
     rows = raw["semantic"]["edges"]
     edges = {(s, r, o): (t, c) for s, r, o, t, c in rows}
     if len(edges) != len(rows):

@@ -307,6 +307,10 @@ def _node_vector_times_three(state) -> None:
     node["embedding"] = [3.0 * x for x in node["embedding"]]
 
 
+def _episodic_state_times_five(state) -> None:
+    state["episodic"]["state"] = [5.0 * x for x in state["episodic"]["state"]]
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -322,11 +326,13 @@ def _node_vector_times_three(state) -> None:
         _edited(_SCENARIO_SNAPSHOT, _importance_below_one),
         _edited(_SCENARIO_SNAPSHOT, lambda state: state["episodic"]["log"].reverse()),
         _edited(_SCENARIO_SNAPSHOT, _node_vector_times_three),
+        _edited(_SCENARIO_SNAPSHOT, _episodic_state_times_five),
     ],
     ids=[
         "document0", "document1", "document2", "truncated", "attribute_older_than_an_edge",
         "cursor_below_minus_one", "cursor_before_recorded_sessions", "edge_without_current_value",
         "node_older_than_an_edge", "importance_below_one", "log_out_of_session_order", "node_vector_times_three",
+        "episodic_state_times_five",
     ],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):
@@ -532,6 +538,14 @@ def test_well_typed_session_line_ingests(tmp_path):
 def test_bad_arguments_are_validation_errors(tmp_path):
     assert main(["eval", "--scenario-seed", "1", "--policy", "bogus", "--out", str(tmp_path / "r.json")]) == 2
     assert main(["unknown-command"]) == 2
+
+
+def test_policy_choices_are_the_engine_policies():
+    base = EngineConfig()
+    for name, layers in engine.POLICIES.items():
+        args = cli.build_parser().parse_args(["eval", "--scenario-seed", "1", "--policy", name, "--out", "r.json"])
+        cfg = engine.policy_config(base, args.policy)
+        assert cfg is base if layers is None else cfg.enabled_layers == layers
 
 
 def test_remote_embedder_failure_is_runtime_error(tmp_path, sessions_file):

@@ -203,7 +203,7 @@ def _shortlist_cases(draw):
     matrix = np.array(rows, dtype=np.float64).reshape(-1, dim)
     query = np.array(draw(st.one_of(st.just([0.0] * dim), vector)), dtype=np.float64)
     count = draw(st.integers(1, len(picks) + 1))
-    return matrix, query, count
+    return matrix, query, count, draw(st.permutations(range(len(picks))))
 
 
 # On a failure, hypothesis's pytest plugin imports libcst to write a patch, and
@@ -213,15 +213,24 @@ def _shortlist_cases(draw):
 @settings(deadline=None, database=None)
 @given(_shortlist_cases())
 def test_shortlist_keeps_every_row_reaching_the_exact_top_count(case):
-    matrix, query, count = case
+    matrix, query, count, permutation = case
     exact = [cosine(row, query) for row in matrix]
     picked = shortlist(matrix, query, count).tolist()
     assert picked == sorted(set(picked))
     assert all(0 <= i < len(matrix) for i in picked)
+
+    def reference(key):
+        """One stable sort of every row by (-cosine, key), cut at count."""
+        return sorted(((key(i), exact[i]) for i in range(len(matrix))), key=lambda hit: (-hit[1], hit[0]))[:count]
+
+    assert nearest(matrix, query, count) == reference(int)
+    keyed: list[int] = []
+    permuted = nearest(matrix, query, count, lambda i: keyed.append(i) or permutation[i])
+    assert permuted == reference(permutation.__getitem__)
+    assert keyed == picked  # key is called once per shortlisted row
     if count >= len(matrix):
         assert picked == list(range(len(matrix)))
         return
-    assert nearest(matrix, query, count) == [(i, exact[i]) for i in picked]
     cut = sorted(exact, reverse=True)[count - 1]
     assert {i for i, score in enumerate(exact) if score >= cut} <= set(picked)
 
