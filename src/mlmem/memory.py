@@ -162,7 +162,8 @@ class MemoryState:
     """The full layered state; session_cursor is -1 before anything is ingested.
 
     It hashes and compares by identity, so it can key ``retrieval``'s read index: field-wise ``==`` would
-    ask numpy arrays for one truth value, and dicts do not hash. Compare states by ``dumps_state`` bytes.
+    ask numpy arrays for one truth value, and dicts do not hash. Compare states by ``dumps_state`` bytes, which
+    in deterministic mode fix each working, log and node vector by its text alone (see ``snapshot``).
     """
 
     working: WorkingMemory

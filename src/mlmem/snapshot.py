@@ -1,20 +1,39 @@
 """Every wire format: states, configs, session files and eval reports, as JSON.
 
-Snapshot wire format (single JSON document)::
+Snapshot wire format, version 2 (single JSON document)::
 
     {
       "config": {"k": 8, "C_w": 256, ..., "embedder": {"dim": 256, ...}},
+      "format_version": 2,
       "state": {
         "session_cursor": 3,
-        "working": {"entries": [[utterance, [float...]], ..]},
+        "working": {"entries": [entry, ..]},
         "episodic": {"state": [float...], "log": [summary, ..]},
         "semantic": {"nodes": [node, ..], "edges": [[s, r, o, t, c], ..]}
       }
     }
 
-A node is ``{"entity_id": str, "attributes": [[name, {"value": str,
-"session": int}], ..], "embedding": [float...], "importance": float,
-"last_updated": int}``. The edges are the graph's one fact history (see
+An entry is its utterance ``{"session": int, "turn": int, "speaker": str,
+"text": str, "facts": [...]?}``, a summary ``{"session": int, "text": str,
+"salience": float}``, and a node ``{"entity_id": str, "attributes": [[name,
+{"value": str, "session": int}], ..], "importance": float, "last_updated":
+int}``. Each entry, summary and node holds a vector that is ``embed`` of its
+text: the utterance's text, the summary's text, and ``memory.node_text`` of
+the node's id and attributes. A deterministic dump writes none of these
+vectors, since each is ``embed(text, cfg.embedder)``, and loading rebuilds
+them so; only the episodic state, a blend, is written. In remote mode, whose
+vectors no load may ask the service for again, each entry, summary and node
+carries its vector as ``"embedding": [float...]``, and loading reads it. A
+deterministic document that carries one of these vectors, and a remote one that
+lacks one, is malformed.
+
+Version 1, written before, has no ``"format_version"`` key (loading accepts
+``1`` too): each entry is an ``[utterance, [float...]]`` pair and every
+summary and node carries its ``"embedding"``, in either mode. In deterministic
+mode a v1 vector must equal ``embed`` of its text bit for bit, else the
+snapshot is malformed, so that it re-dumps as v2 without change.
+
+The edges are the graph's one fact history (see
 ``memory.SemanticGraph``), one row per (node, predicate, value) key, in the
 order of the graph's edge mapping. An attribute's ``"session"`` is not held in
 the state: it is written from, and must load equal to, its value's edge
@@ -36,7 +55,8 @@ An eval report is ``{"retention_at": {"gap": float, ..}, "fmr": float,
 "config": config}``.
 
 One rule rejects outside input: it is malformed when reading it raises one of
-``_MALFORMED``, as a missing key, a field the kind rule refuses (every reader
+``_MALFORMED``, as a missing key, a ``format_version`` other than the int 1
+or 2, a field the kind rule refuses (every reader
 runs ``embedding.check_field_kinds`` on the records it builds), a vector that
 is not a list of ``embedder.dim`` numbers, a working entry's, log record's or
 node's vector whose L2 norm is neither 0 nor within 1e-12 of 1
@@ -64,6 +84,7 @@ Vectors load as read-only arrays, as ``embed`` makes them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import fields, is_dataclass
@@ -71,7 +92,9 @@ from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable
 
-from .embedding import UNIT_TOLERANCE, check_field_kinds, check_kinds, vector_from_json
+import numpy as np
+
+from .embedding import UNIT_TOLERANCE, EmbedderConfig, check_field_kinds, check_kinds, embed, vector_from_json
 from .engine import EngineConfig, check_layer_bounds
 from .harness import EvalReport
 from .memory import (
@@ -84,6 +107,7 @@ from .memory import (
     SummaryRecord,
     Utterance,
     WorkingMemory,
+    node_text,
 )
 
 
@@ -91,6 +115,8 @@ from .memory import (
 _MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError, OverflowError)
 
 _EDGE = ("str", "str", "str", "int", "float")
+
+FORMAT_VERSION = 2  # what dumps_state writes; loads_state reads 1 and 2 (see the module docstring)
 
 
 def _check_state(state: MemoryState) -> None:
@@ -244,19 +270,34 @@ def _utterance_from_dict(data: dict[str, Any], session_index: int) -> Utterance:
     )
 
 
+# _vector with its embedder and version bound: (record, text) -> vector
+_Vector = Callable[[dict[str, Any], str], np.ndarray]
+
+
+def _vector(record: dict[str, Any], text: str, embedder: EmbedderConfig, version: int) -> np.ndarray:
+    """The vector of a loaded working entry, log record or node, whose "embedding" the document may carry.
+
+    A remote record carries it. A deterministic one gets ``embed(text)``: a v2 record carries none, and a v1
+    record's must be that vector bit for bit.
+    """
+    if embedder.mode == "remote":
+        return vector_from_json(record["embedding"], embedder.dim, embedded=True)
+    derived = embed(text, embedder)
+    if version == 2:
+        if "embedding" in record:
+            raise ValueError(f"a deterministic v2 snapshot carries no working, log or node vector; {text!r} has one")
+        return derived
+    if vector_from_json(record["embedding"], embedder.dim, embedded=True).tobytes() != derived.tobytes():
+        raise ValueError(f"the stored vector of {text!r} is not its embedding")
+    return derived
+
+
 def _summary_to_dict(record: SummaryRecord) -> dict[str, Any]:
-    return {
-        "session": record.session_index,
-        "text": record.text,
-        "embedding": record.embedding.tolist(),
-        "salience": record.salience,
-    }
+    return {"session": record.session_index, "text": record.text, "salience": record.salience}
 
 
-def _summary_from_dict(data: dict[str, Any], dim: int) -> SummaryRecord:
-    return SummaryRecord(
-        data["session"], data["text"], vector_from_json(data["embedding"], dim, embedded=True), data["salience"]
-    )
+def _summary_from_dict(data: dict[str, Any], vector: _Vector) -> SummaryRecord:
+    return SummaryRecord(data["session"], data["text"], vector(data, data["text"]), data["salience"])
 
 
 def _node_to_dict(node: EntityNode, graph: SemanticGraph) -> dict[str, Any]:
@@ -267,42 +308,44 @@ def _node_to_dict(node: EntityNode, graph: SemanticGraph) -> dict[str, Any]:
             [name, {"value": value, "session": graph.edges[node.entity_id, name, value][0]}]
             for name, value in node.attributes.items()
         ],
-        "embedding": node.embedding.tolist(),
         "importance": node.importance,
         "last_updated": node.last_updated,
     }
 
 
-def _node_from_dict(data: dict[str, Any], dim: int) -> EntityNode:
+def _node_from_dict(data: dict[str, Any], vector: _Vector) -> EntityNode:
+    node_id = data["entity_id"]
     attributes = {name: record["value"] for name, record in data["attributes"]}
     if len(attributes) != len(data["attributes"]):
-        raise ValueError(f"node {data['entity_id']!r} repeats an attribute name")
+        raise ValueError(f"node {node_id!r} repeats an attribute name")
     return EntityNode(
-        data["entity_id"],
-        attributes,
-        vector_from_json(data["embedding"], dim, embedded=True),
-        data["importance"],
-        data["last_updated"],
+        node_id, attributes, vector(data, node_text(node_id, attributes)), data["importance"], data["last_updated"]
     )
 
 
 def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
+    """The v2 document; only in remote mode does a working entry, log record or node carry its vector."""
+    carried = cfg.embedder.mode == "remote"
+
+    def record(fields: dict[str, Any], vector: np.ndarray) -> dict[str, Any]:
+        return {**fields, "embedding": vector.tolist()} if carried else fields
+
     return {
         "config": config_to_dict(cfg),
+        "format_version": FORMAT_VERSION,
         "state": {
             "session_cursor": state.session_cursor,
             "working": {
                 "entries": [
-                    [{"session": u.session_index, **_utterance_to_dict(u)}, e.tolist()]
-                    for u, e in state.working.entries
+                    record({"session": u.session_index, **_utterance_to_dict(u)}, e) for u, e in state.working.entries
                 ],
             },
             "episodic": {
                 "state": state.episodic.state.tolist(),
-                "log": [_summary_to_dict(r) for r in state.episodic.log],
+                "log": [record(_summary_to_dict(r), r.embedding) for r in state.episodic.log],
             },
             "semantic": {
-                "nodes": [_node_to_dict(n, state.semantic) for n in state.semantic.nodes.values()],
+                "nodes": [record(_node_to_dict(n, state.semantic), n.embedding) for n in state.semantic.nodes.values()],
                 "edges": [[*key, *edge] for key, edge in state.semantic.edges.items()],
             },
         },
@@ -311,18 +354,19 @@ def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
 
 def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     """Raises one of _MALFORMED on a malformed snapshot; loads_state names it as one."""
+    version = data.get("format_version", 1)
+    if type(version) is not int or version not in (1, 2):
+        raise ValueError(f"format_version must be 1 or 2, got {version!r}")
     cfg = _config_from_dict(data["config"])
-    dim = cfg.embedder.dim
+    vector = functools.partial(_vector, embedder=cfg.embedder, version=version)
     raw = data["state"]
-    working = WorkingMemory(
-        tuple(
-            (_utterance_from_dict(u, u["session"]), vector_from_json(e, dim, embedded=True))
-            for u, e in raw["working"]["entries"]
-        )
-    )
+    entries = raw["working"]["entries"]
+    if version == 1:  # an [utterance, vector] pair
+        entries = [{**u, "embedding": e} for u, e in entries]
+    working = WorkingMemory(tuple((_utterance_from_dict(u, u["session"]), vector(u, u["text"])) for u in entries))
     episodic = EpisodicMemory(
-        vector_from_json(raw["episodic"]["state"], dim),
-        tuple(_summary_from_dict(r, dim) for r in raw["episodic"]["log"]),
+        vector_from_json(raw["episodic"]["state"], cfg.embedder.dim),
+        tuple(_summary_from_dict(r, vector) for r in raw["episodic"]["log"]),
     )
     norm = math.sqrt(float(episodic.state.dot(episodic.state)))
     if norm > 1.0 + UNIT_TOLERANCE:
@@ -332,7 +376,7 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     if len(edges) != len(rows):
         raise ValueError(f"{len(rows) - len(edges)} edge(s) repeat a (node, predicate, value) key")
     nodes = raw["semantic"]["nodes"]
-    semantic = SemanticGraph({n["entity_id"]: _node_from_dict(n, dim) for n in nodes}, edges)
+    semantic = SemanticGraph({n["entity_id"]: _node_from_dict(n, vector) for n in nodes}, edges)
     if len(semantic.nodes) != len(nodes):
         raise ValueError(f"{len(nodes) - len(semantic.nodes)} node(s) repeat an entity_id")
     state = MemoryState(working, episodic, semantic, raw["session_cursor"])
@@ -344,6 +388,11 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
 
 
 def dumps_state(state: MemoryState, cfg: EngineConfig) -> str:
+    """The snapshot of a state the engine built under cfg, as v2 JSON (see the module docstring).
+
+    A deterministic dump records each working, log and node vector as ``embed(text, cfg.embedder)`` of its
+    record's text, by writing the text alone; ``loads_state`` rebuilds the vector so.
+    """
     return json.dumps(state_to_dict(state, cfg), sort_keys=True)
 
 

@@ -38,6 +38,7 @@ from mlmem.memory import update_episodic
 from mlmem.retention import cumulative_retention_loss, drift, tune
 from mlmem.retrieval import softmax_weights
 from mlmem.snapshot import dumps_state, loads_state, report_to_dict
+from state_vectors import state_bytes
 
 
 def _report(number: int, name: str, ok: bool) -> None:
@@ -218,16 +219,16 @@ def test_criterion_4_capacity_invariants_fuzz():
 
 # --------------------------------------------------------------- criterion 5
 
-def _run_fingerprint(outputs, cfg) -> str:
+def _run_fingerprint(outputs, cfg) -> list:
     parts = []
     for output in outputs:
-        parts.append(dumps_state(output.state, cfg))
+        parts.append(state_bytes(output.state, cfg))
         parts.append(output.response)
         parts.append(output.fused.context_text)
         parts.append(repr(output.drift.total))
         parts.append(repr(output.context_usage))
         parts.append(repr(list(map(float, output.fused.vector))))
-    return chr(0).join(parts)
+    return parts
 
 
 def test_criterion_5_determinism_and_prefix_consistency():
@@ -248,7 +249,7 @@ def test_criterion_5_determinism_and_prefix_consistency():
             assert _run_fingerprint(first, cfg) == _run_fingerprint(second, cfg)
             cut = rng.randint(1, len(sessions))
             prefix = run(sessions[:cut], None, cfg)
-            assert dumps_state(prefix[-1].state, cfg) == dumps_state(first[cut - 1].state, cfg)
+            assert state_bytes(prefix[-1].state, cfg) == state_bytes(first[cut - 1].state, cfg)
 
 
 # --------------------------------------------------------------- criterion 6
@@ -360,8 +361,9 @@ def test_criterion_10_snapshot_round_trip():
             head = run(sessions[:cut], None, cfg)
             blob = dumps_state(head[-1].state, cfg)
             loaded_state, loaded_cfg = loads_state(blob)
-            # byte-identical round trip
+            # byte-identical round trip, every held vector included
             assert dumps_state(loaded_state, loaded_cfg) == blob
+            assert state_bytes(loaded_state, loaded_cfg) == state_bytes(head[-1].state, cfg)
             # resuming from the loaded state reproduces the original run exactly
             history = sum(s.token_count() for s in sessions[:cut])
             original = run(sessions[cut:], None, cfg, start_state=head[-1].state, history_tokens=history)

@@ -11,11 +11,13 @@ import pytest
 
 from mlmem import cli, engine
 from mlmem.cli import main
+from mlmem.embedding import EmbedderConfig, embed
 from mlmem.engine import EngineConfig, answer, initial_state, run
 from mlmem.harness import generate_scenario
 from mlmem.memory import Session, Utterance
 from mlmem.retrieval import make_query
 from mlmem.snapshot import dumps_state, loads_state, write_sessions_jsonl
+from state_vectors import v1_document
 
 
 @pytest.fixture()
@@ -295,6 +297,10 @@ _EMPTY_SNAPSHOT = dumps_state(initial_state(EngineConfig()), EngineConfig())
 _ALICE_SNAPSHOT = _lives_in_snapshot([["london"], ["paris"], ["rome"]], "rome", 2)
 _SCENARIO_STATE = run(generate_scenario(3, 3, seed=5).sessions, None, EngineConfig())[-1].state
 _SCENARIO_SNAPSHOT = dumps_state(_SCENARIO_STATE, EngineConfig())
+_SCENARIO_V1 = v1_document(_SCENARIO_STATE, EngineConfig())
+# the remote v2 snapshot carries every vector; loading it sends no request, so the endpoint is never dialled
+_REMOTE = EngineConfig(embedder=EmbedderConfig(mode="remote", remote_endpoint="http://127.0.0.1:9/unused"))
+_REMOTE_SNAPSHOT = dumps_state(_SCENARIO_STATE, _REMOTE)
 
 
 def _importance_below_one(state) -> None:
@@ -311,6 +317,23 @@ def _episodic_state_times_five(state) -> None:
     state["episodic"]["state"] = [5.0 * x for x in state["episodic"]["state"]]
 
 
+# the vectors the scenario state holds for its first working entry, log record and node; a deterministic v2
+# snapshot may not carry even these
+_FIRST_VECTORS = [
+    _SCENARIO_STATE.working.entries[0][1].tolist(),
+    _SCENARIO_STATE.episodic.log[0].embedding.tolist(),
+    next(iter(_SCENARIO_STATE.semantic.nodes.values())).embedding.tolist(),
+]
+# a v1 working, log or node vector that is unit, as every stored vector must be, but embeds another text
+_OTHER_VECTOR = embed("not the text of this record", EngineConfig().embedder).tolist()
+
+
+def _versioned(version) -> str:
+    data = json.loads(_SCENARIO_SNAPSHOT)
+    data["format_version"] = version
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -325,14 +348,35 @@ def _episodic_state_times_five(state) -> None:
         _edited(_ALICE_SNAPSHOT, lambda state: state["semantic"]["nodes"][0].update(last_updated=0)),
         _edited(_SCENARIO_SNAPSHOT, _importance_below_one),
         _edited(_SCENARIO_SNAPSHOT, lambda state: state["episodic"]["log"].reverse()),
-        _edited(_SCENARIO_SNAPSHOT, _node_vector_times_three),
+        _edited(_SCENARIO_V1, _node_vector_times_three),
         _edited(_SCENARIO_SNAPSHOT, _episodic_state_times_five),
+        _versioned(3),
+        _versioned(0),
+        _versioned("2"),
+        _versioned(2.0),
+        _versioned(True),
+        _versioned(None),
+        _edited(_SCENARIO_SNAPSHOT, lambda state: state["working"]["entries"][0].update(embedding=_FIRST_VECTORS[0])),
+        _edited(_SCENARIO_SNAPSHOT, lambda state: state["episodic"]["log"][0].update(embedding=_FIRST_VECTORS[1])),
+        _edited(_SCENARIO_SNAPSHOT, lambda state: state["semantic"]["nodes"][0].update(embedding=_FIRST_VECTORS[2])),
+        _edited(_REMOTE_SNAPSHOT, lambda state: state["working"]["entries"][0].pop("embedding")),
+        _edited(_REMOTE_SNAPSHOT, lambda state: state["episodic"]["log"][0].pop("embedding")),
+        _edited(_REMOTE_SNAPSHOT, lambda state: state["semantic"]["nodes"][0].pop("embedding")),
+        _edited(_SCENARIO_V1, lambda state: state["working"]["entries"][0].__setitem__(1, _OTHER_VECTOR)),
+        _edited(_SCENARIO_V1, lambda state: state["episodic"]["log"][0].update(embedding=_OTHER_VECTOR)),
+        _edited(_SCENARIO_V1, lambda state: state["semantic"]["nodes"][0].update(embedding=_OTHER_VECTOR)),
+        _edited(_SCENARIO_V1, lambda state: state["semantic"]["nodes"][0].update(
+            embedding=[-x for x in state["semantic"]["nodes"][0]["embedding"]])),
     ],
     ids=[
         "document0", "document1", "document2", "truncated", "attribute_older_than_an_edge",
         "cursor_below_minus_one", "cursor_before_recorded_sessions", "edge_without_current_value",
         "node_older_than_an_edge", "importance_below_one", "log_out_of_session_order", "node_vector_times_three",
-        "episodic_state_times_five",
+        "episodic_state_times_five", "format_version_3", "format_version_0", "format_version_str",
+        "format_version_float", "format_version_true", "format_version_null", "v2_carries_a_working_vector",
+        "v2_carries_a_log_vector", "v2_carries_a_node_vector", "remote_v2_lacks_a_working_vector",
+        "remote_v2_lacks_a_log_vector", "remote_v2_lacks_a_node_vector", "v1_working_vector_of_another_text",
+        "v1_log_vector_of_another_text", "v1_node_vector_of_another_text", "v1_node_vector_negated",
     ],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):
@@ -391,6 +435,16 @@ def _mistype(path: str, value):
     return edit
 
 
+def _on_v1(edit):
+    """edit applied to the version 1 document of the snapshot's state, which carries every vector."""
+    def on_v1(data):
+        v1 = json.loads(v1_document(*loads_state(json.dumps(data))))
+        data.clear()
+        data.update(v1)
+        edit(data)
+    return on_v1
+
+
 def _repeat_first(path: str):
     """Append a copy of the first record of the list at path (dot-separated, under the semantic graph)."""
     def edit(data):
@@ -418,25 +472,25 @@ def _attribute_session(session, edge_session: int):
         _mistype("session_cursor", "x"),
         _mistype("semantic.nodes.0.importance", "x"),
         _mistype("semantic.nodes.0.last_updated", "x"),
-        _mistype("working.entries.0.0.text", 5),
+        _mistype("working.entries.0.text", 5),
         _mistype("episodic.log.0.salience", "x"),
         _mistype("semantic.edges.0.3", "x"),
-        _mistype("semantic.nodes.0.embedding.0", float("nan")),
-        _mistype("working.entries.0.1.3", float("inf")),
+        _on_v1(_mistype("semantic.nodes.0.embedding.0", float("nan"))),
+        _on_v1(_mistype("working.entries.0.1.3", float("inf"))),
         _mistype("episodic.state.5", float("-inf")),
-        _mistype("episodic.log.0.embedding.7", float("nan")),
+        _on_v1(_mistype("episodic.log.0.embedding.7", float("nan"))),
         _mistype("semantic.edges.0.4", float("nan")),
-        _mistype("working.entries.3.0.facts.0.c", float("inf")),
-        _mistype("semantic.nodes.0.embedding", [0.1, 0.2, 0.3]),
+        _mistype("working.entries.3.facts.0.c", float("inf")),
+        _on_v1(_mistype("semantic.nodes.0.embedding", [0.1, 0.2, 0.3])),
         _mistype("episodic.state", [[0.0] * 256]),
-        _mistype("semantic.nodes.0.embedding", ["0.5"] * 256),
+        _on_v1(_mistype("semantic.nodes.0.embedding", ["0.5"] * 256)),
         _mistype("episodic.state.0", True),
-        _mistype("working.entries.0.0.text", " "),
+        _mistype("working.entries.0.text", " "),
         _mistype("episodic.state", [[1.0], [1.0, 2.0]]),
-        _mistype("working.entries.0.0.turn", -1),
+        _mistype("working.entries.0.turn", -1),
         _mistype("semantic.edges.0.0", "nobody"),
         _mistype("semantic.nodes.0.attributes.0", ["a"]),
-        _mistype("semantic.nodes.0.embedding.0", 10**400),
+        _on_v1(_mistype("semantic.nodes.0.embedding.0", 10**400)),
         _mistype("semantic.nodes.0.importance", 10**400),
         _mistype("semantic.edges.0.4", 10**400),
         _mistype("semantic.edges.0", ["alice", "lives_in", "paris", 0, 1.0, "extra"]),
@@ -446,8 +500,8 @@ def _attribute_session(session, edge_session: int):
         _attribute_session(0, 1),
         _attribute_session(True, 1),
         _mistype("semantic.nodes.0.attributes.0.1.value", "atlantis"),
-        _mistype("working.entries.3.0.facts.0.s", " "),
-        _mistype("working.entries.0.0.session", 3),
+        _mistype("working.entries.3.facts.0.s", " "),
+        _mistype("working.entries.0.session", 3),
         _mistype("episodic.log.0.session", -1),
         _attribute_session(3, 3),
         _mistype("semantic.nodes.0.last_updated", 3),
@@ -571,7 +625,7 @@ def test_console_entry_point_runs(tmp_path):
 # change and must be stated as one.
 _PINNED = {
     "sessions.jsonl": "7251a0fd0d24f50e29addf72bc0141e38aa552394eff0cda8b4b1964cd8d843e",
-    "ingest": "94063aabf05be6382ab9e740e7e59f88e4cd61f9ec43da23dc789191421cfaf5",
+    "ingest": "4018826c9ef29af8c3fa4b28b6e0fb1e15f8d0aa629d1174a90c694d13a3287f",
     "query alice lives_in": "39a8419dd6b47588a5352a3a3ea97ce01f5418edd7719823b4e8a3089934ddbf",
     "query --top-j 1 --budget 6": "22a793ccf1df4e481d73215e4df14bc7ce194a5dc82db6907e409c33b091b11d",
     "query bob works --budget 3": "936876c8d97bcff2f397b4b03354b8e232d4ea2843681a10d928eaddeeb320ff",

@@ -28,6 +28,10 @@ from mlmem.embedding import (
     tokenize,
     unit,
 )
+from mlmem.engine import EngineConfig, run
+from mlmem.memory import Session, Utterance
+from mlmem.snapshot import dumps_state, loads_state
+from state_vectors import state_bytes, v1_document
 
 
 def _scalar_loop_cosine(a: list[float], b: list[float]) -> float:
@@ -351,6 +355,28 @@ def test_remote_vector_is_read_as_a_snapshot_vector_is(embed_server, body):
     cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server))
     with pytest.raises(EmbeddingServiceError, match="malformed embedding response"):
         embed("hello", cfg)
+
+
+def test_loading_a_remote_snapshot_sends_no_request(embed_server):
+    """A remote snapshot carries every vector, v2 as v1 did, so loading it reads them and asks the service nothing."""
+    _EmbedHandler.response_body = json.dumps({"vectors": [[3.0, 4.0] + [0.0] * 6]}).encode()
+    cfg = EngineConfig(embedder=EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server)))
+    sessions = [
+        Session(i, (Utterance.from_text(i, 0, "alice", f"alice lives in {city}"), Utterance.from_text(i, 1, "bob", "?? !!")))
+        for i, city in enumerate(["paris", "rome"])
+    ]
+    state = run(sessions, None, cfg)[-1].state
+    asked = len(_EmbedHandler.requests)
+    assert asked > 0
+    blob = dumps_state(state, cfg)
+    document = json.loads(blob)["state"]
+    assert json.loads(blob)["format_version"] == 2
+    for records in (document["working"]["entries"], document["episodic"]["log"], document["semantic"]["nodes"]):
+        assert records and all(record["embedding"] == [0.6, 0.8] + [0.0] * 6 for record in records)
+    for text in (blob, v1_document(state, cfg)):
+        loaded, loaded_cfg = loads_state(text)
+        assert state_bytes(loaded, loaded_cfg) == state_bytes(state, cfg)
+    assert len(_EmbedHandler.requests) == asked
 
 
 def test_remote_http_error_raises(embed_server):

@@ -28,6 +28,7 @@ from mlmem.memory import FactTriple, Session, Utterance
 from mlmem.retention import cumulative_retention_loss
 from mlmem.retrieval import layer_representation, make_query
 from mlmem.snapshot import dumps_state, loads_state
+from state_vectors import state_bytes
 
 CFG = EngineConfig(embedder=EmbedderConfig(dim=64, seed=2))
 
@@ -66,7 +67,7 @@ def test_step_is_deterministic():
     query = make_query("alice", CFG.embedder, 0)
     a = step(initial_state(CFG), session, query, CFG, TemplateResponder())
     b = step(initial_state(CFG), session, query, CFG, TemplateResponder())
-    assert dumps_state(a.state, CFG) == dumps_state(b.state, CFG)
+    assert state_bytes(a.state, CFG) == state_bytes(b.state, CFG)
     assert a.response == b.response
     assert a.fused.context_text == b.fused.context_text
     assert np.array_equal(a.fused.vector, b.fused.vector)
@@ -96,9 +97,9 @@ def test_step_rejects_out_of_order_session():
 
 def test_step_does_not_mutate_input_state():
     state = initial_state(CFG)
-    snapshot_before = dumps_state(state, CFG)
+    snapshot_before = state_bytes(state, CFG)
     step(state, _session(0, ["alice likes jazz"]), make_query("alice", CFG.embedder, 0), CFG, TemplateResponder())
-    assert dumps_state(state, CFG) == snapshot_before
+    assert state_bytes(state, CFG) == snapshot_before
     assert state.session_cursor == -1
 
 
@@ -131,7 +132,7 @@ def test_run_replay_is_bit_identical():
     first = run(sessions, None, CFG)
     second = run(sessions, None, CFG)
     for a, b in zip(first, second):
-        assert dumps_state(a.state, CFG) == dumps_state(b.state, CFG)
+        assert state_bytes(a.state, CFG) == state_bytes(b.state, CFG)
         assert a.response == b.response
         assert np.array_equal(a.fused.vector, b.fused.vector)
 
@@ -141,7 +142,7 @@ def test_run_prefix_consistency():
     full = run(sessions, None, CFG)
     for t in (0, 2, 4):
         prefix = run(sessions[: t + 1], None, CFG)
-        assert dumps_state(prefix[-1].state, CFG) == dumps_state(full[t].state, CFG)
+        assert state_bytes(prefix[-1].state, CFG) == state_bytes(full[t].state, CFG)
 
 
 def test_run_resumes_from_snapshot_state():
@@ -150,7 +151,7 @@ def test_run_resumes_from_snapshot_state():
     head = run(sessions[:2], None, CFG)
     tail = run(sessions[2:], None, CFG, start_state=head[-1].state,
                history_tokens=sum(s.token_count() for s in sessions[:2]))
-    assert dumps_state(tail[-1].state, CFG) == dumps_state(full[-1].state, CFG)
+    assert state_bytes(tail[-1].state, CFG) == state_bytes(full[-1].state, CFG)
     assert tail[0].context_usage == full[2].context_usage
 
 
@@ -334,7 +335,7 @@ def test_answer_and_step_build_each_layer_representation_once(monkeypatch, unifo
     answer(make_query("bob chess", cfg.embedder, 0), output.state, cfg)
     assert built == []
     copy, _ = loads_state(dumps_state(output.state, cfg))
-    assert dumps_state(copy, cfg) == dumps_state(output.state, cfg) and copy is not output.state
+    assert state_bytes(copy, cfg) == state_bytes(output.state, cfg) and copy is not output.state
     answer(query, copy, cfg)
     assert built == ["w", "e", "s"]
 
@@ -420,8 +421,8 @@ def test_run_resumed_with_a_disabled_layer_within_bounds_round_trips():
     cfg = replace(EngineConfig(), enabled_layers=("s",))
     state = run(sessions[2:], None, cfg, start_state=start)[-1].state
     assert state.working is start.working and state.episodic is start.episodic
-    text = dumps_state(state, cfg)
-    assert dumps_state(*loads_state(text)) == text
+    loaded, loaded_cfg = loads_state(dumps_state(state, cfg))
+    assert state_bytes(loaded, loaded_cfg) == state_bytes(state, cfg)
 
 
 @pytest.mark.parametrize("layers", [("w", "e", "s"), ("w", "s"), ("s",), ("w",), ("e",)])
@@ -463,7 +464,7 @@ def _run_with_probes(sessions: list[Session], cfg: EngineConfig, probes: tuple[s
     for session in sessions:
         query = make_query(session.utterances[-1].text, cfg.embedder, session.index)
         state = step(state, session, query, cfg, TemplateResponder()).state
-        dumps.append(dumps_state(state, cfg))
+        dumps.append(state_bytes(state, cfg))
         for text in probes:
             result, fused = answer(make_query(text, cfg.embedder, session.index), state, cfg)
             answers.append((result.items, result.vector.tobytes(), fused.context_text))
@@ -500,7 +501,7 @@ def test_shortlisting_is_invisible(monkeypatch):
     assert any(kept < rows for rows, kept, _ in calls)
     assert any(count < kept < rows for rows, kept, count in calls)
     assert len(state.semantic.nodes) == cfg.C_s
-    named = {node_id for text in dumps for node_id in re.findall(r'"entity_id": "(e\d+)"', text)}
+    named = {node_id for blob in dumps for node_id in re.findall(rb'"entity_id": "(e\d+)"', blob)}
     assert len(named) < 300
 
     def every_row(matrix, query, count):
@@ -542,7 +543,7 @@ def test_scans_of_a_resumed_run_read_unit_or_zero_rows(monkeypatch):
 
 
 def test_embed_cache_is_invisible(monkeypatch):
-    """Every step's snapshot and every probe's answer equal an uncached run's, byte for byte."""
+    """Every step's state and every probe's answer equal an uncached run's, byte for byte."""
     cfg = EngineConfig(C_s=96, tau_s=0.7)
     sessions = _tie_heavy_wide_sessions()
     probes = ("e001 lives_in", "e150 works", "city2", "job1 city3", "e299 lives_in city1")

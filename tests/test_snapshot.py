@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import itemgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlmem import embedding
 from mlmem.embedding import EmbedderConfig, embed
 from mlmem.cli import main
-from mlmem.engine import EngineConfig, initial_state, run
+from mlmem.engine import EngineConfig, initial_state, run, steps
 from mlmem.harness import generate_scenario
 from mlmem.memory import FactTriple, Session, Utterance
 from mlmem.snapshot import (
@@ -25,6 +27,7 @@ from mlmem.snapshot import (
     session_to_dict,
     write_sessions_jsonl,
 )
+from state_vectors import held_vectors, state_bytes, v1_document
 
 CFG = EngineConfig(embedder=EmbedderConfig(dim=32, seed=4))
 
@@ -57,14 +60,7 @@ def test_loaded_state_preserves_structure_and_vectors():
     assert np.array_equal(loaded.episodic.state, state.episodic.state)
     assert [r.text for r in loaded.episodic.log] == [r.text for r in state.episodic.log]
     assert [u.text for u, _ in loaded.working.entries] == [u.text for u, _ in state.working.entries]
-
-
-def _state_vectors(state):
-    """Every vector a state holds: working entries, episodic state and log, node embeddings."""
-    yield from (vector for _, vector in state.working.entries)
-    yield state.episodic.state
-    yield from (record.embedding for record in state.episodic.log)
-    yield from (node.embedding for node in state.semantic.nodes.values())
+    assert state_bytes(loaded, CFG) == state_bytes(state, CFG)
 
 
 def test_zero_vectors_load():
@@ -73,15 +69,15 @@ def test_zero_vectors_load():
     ((_, entry),) = state.working.entries
     (record,) = state.episodic.log
     assert not entry.any() and not record.embedding.any()
-    blob = dumps_state(state, CFG)
-    assert dumps_state(*loads_state(blob)) == blob
+    loaded, cfg = loads_state(dumps_state(state, CFG))
+    assert state_bytes(loaded, cfg) == state_bytes(state, CFG)
 
 
 def test_state_vectors_and_embeddings_are_read_only():
     outputs = run(generate_scenario(6, 6, seed=1).sessions, None, CFG)
     loaded, _ = loads_state(dumps_state(outputs[-1].state, CFG))
     states = [initial_state(CFG), *(o.state for o in outputs), loaded]
-    vectors = [v for state in states for v in _state_vectors(state)]
+    vectors = [v for state in states for v in (state.episodic.state, *(vector for _, vector in held_vectors(state)))]
     vectors.append(embed("alice lives in paris", CFG.embedder))
     assert len(vectors) > len(states) * 2
     for vector in vectors:
@@ -100,13 +96,14 @@ def test_loaded_state_continues_identically():
     original_tail = run(sessions[2:], None, CFG, start_state=head[-1].state, history_tokens=history)
     loaded_tail = run(sessions[2:], None, cfg, start_state=loaded, history_tokens=history)
     for a, b in zip(original_tail, loaded_tail):
-        assert dumps_state(a.state, CFG) == dumps_state(b.state, CFG)
+        assert state_bytes(a.state, CFG) == state_bytes(b.state, CFG)
         assert a.response == b.response
 
 
 def test_older_format_snapshot_loads_to_the_same_state_and_query(tmp_path, capsys):
-    blob = dumps_state(_built_state(), CFG)
-    data = json.loads(blob)
+    state = _built_state()
+    blob = dumps_state(state, CFG)
+    data = json.loads(v1_document(state, CFG))
     assert not {"seed", "lambda"} & set(data["config"])
     assert not {"window_k", "capacity_tokens"} & set(data["state"]["working"])
     assert not {"alpha", "capacity"} & set(data["state"]["episodic"])
@@ -121,6 +118,7 @@ def test_older_format_snapshot_loads_to_the_same_state_and_query(tmp_path, capsy
     loaded, cfg = loads_state(legacy)
     assert cfg == CFG
     assert dumps_state(loaded, cfg) == blob
+    assert state_bytes(loaded, cfg) == state_bytes(state, CFG)
     answers = []
     for name, text in (("new.json", blob), ("old.json", legacy)):
         (tmp_path / name).write_text(text)
@@ -136,8 +134,9 @@ def test_older_snapshot_with_superseded_lists_loads_and_redumps_without_them(tmp
                     Utterance.from_text(i, 1, "bob", f"bob likes {cities[-1 - i]}")))
         for i, city in enumerate(cities)
     ]
-    blob = dumps_state(run(sessions, None, CFG)[-1].state, CFG)
-    data = json.loads(blob)
+    state = run(sessions, None, CFG)[-1].state
+    blob = dumps_state(state, CFG)
+    data = json.loads(v1_document(state, CFG))
     # the format that kept each attribute's displaced values, repeats included
     superseded = {
         "alice": ["london", "paris", "rome", "paris", "london"],
@@ -155,6 +154,7 @@ def test_older_snapshot_with_superseded_lists_loads_and_redumps_without_them(tmp
 
     loaded, cfg = loads_state(legacy)
     assert dumps_state(loaded, cfg) == blob
+    assert state_bytes(loaded, cfg) == state_bytes(state, CFG)
     answers = []
     for name, text in (("new.json", blob), ("old.json", legacy)):
         (tmp_path / name).write_text(text)
@@ -163,6 +163,86 @@ def test_older_snapshot_with_superseded_lists_loads_and_redumps_without_them(tmp
             answers.append(capsys.readouterr().out)
     assert answers[:2] == answers[2:]
     assert "alice lives_in oslo" in answers[0] and "bob likes london" in answers[1]
+
+
+def _assert_held_vectors_are_embeddings(state, embedder: EmbedderConfig) -> None:
+    """Every working, log and node vector is the uncached embedding of its text, which is what v2 relies on."""
+    for text, vector in held_vectors(state):
+        assert vector.tobytes() == embedding._embed_hash.__wrapped__(text, embedder.dim, embedder.seed).tobytes(), text
+
+
+def _assert_v2_rebuilds_the_vectors(state, cfg: EngineConfig) -> None:
+    """A v2 load rebuilds every vector the state holds bit for bit, and v1 -> v2 -> v2 keeps the bytes."""
+    blob = dumps_state(state, cfg)
+    loaded, loaded_cfg = loads_state(blob)
+    assert state_bytes(loaded, loaded_cfg) == state_bytes(state, cfg)
+    from_v1, v1_cfg = loads_state(v1_document(state, cfg))
+    assert state_bytes(from_v1, v1_cfg) == state_bytes(state, cfg)
+    again = dumps_state(*loads_state(dumps_state(from_v1, v1_cfg)))
+    assert again == blob
+
+
+def test_v2_rebuilds_the_stored_v1_vectors_through_updates_similarity_merges_and_eviction():
+    cfg = EngineConfig(k=3, C_e=2, C_s=2, tau_s=0.7, embedder=CFG.embedder)
+    texts = [
+        ["alice lives in london", "bob likes jazz"],
+        ["alice lives in paris", "?? !!"],  # an update; a text with no token embeds to zero
+        ["alicia lives in paris"],  # merges into alice by similarity
+        ["carol works as chef", "carol likes tea", "dave is tall"],  # past C_s=2: evicts
+        ["alice lives in paris", "?? !!"],  # a restatement
+    ]
+    sessions = [
+        Session(i, tuple(Utterance.from_text(i, t, "spk", text) for t, text in enumerate(turns)))
+        for i, turns in enumerate(texts)
+    ]
+    outputs = run(sessions, None, cfg)
+    nodes = [o.state.semantic.nodes for o in outputs]
+    assert nodes[1]["alice"].attributes == {"lives_in": "paris"}
+    assert "alicia" not in nodes[2] and nodes[2]["alice"].importance == 3.0
+    assert set(nodes[2]) == {"alice", "bob"} and set(nodes[3]) == {"alice", "carol"}  # bob and dave evicted
+    assert not outputs[-1].state.working.entries[-1][1].any()
+    for output in outputs:
+        _assert_held_vectors_are_embeddings(output.state, cfg.embedder)
+        _assert_v2_rebuilds_the_vectors(output.state, cfg)
+    blob = dumps_state(outputs[-1].state, cfg)
+    assert '"embedding"' not in blob
+    # only the episodic state is written as a vector
+    assert sum(map(_is_vector, map(itemgetter(1), _paths(json.loads(blob))))) == 1
+    v1 = json.loads(v1_document(outputs[-1].state, cfg))
+    v1["format_version"] = 1
+    assert dumps_state(*loads_state(json.dumps(v1))) == blob
+
+
+_UTTERANCES = st.one_of(
+    st.builds(
+        "{} {} {}".format,
+        st.sampled_from(["alice", "alicia", "bob", "bobby"]),
+        st.sampled_from(["lives in", "works as", "likes"]),
+        st.sampled_from(["paris", "rome", "jazz"]),
+    ),
+    st.sampled_from(["?? !!", "-- ..", "the ferry horn echoed"]),
+)
+
+
+# See test_embedding.py: keeps a reported failure from becoming an INTERNALERROR.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(deadline=None, database=None)
+@given(
+    st.lists(st.lists(_UTTERANCES, min_size=1, max_size=4), min_size=1, max_size=6),
+    st.sampled_from([0.5, 0.7, 0.9]),
+    st.integers(1, 4),
+    st.integers(1, 3),
+)
+def test_every_held_vector_is_the_embedding_of_its_text_and_v2_rebuilds_it(texts, tau_s, C_s, k):
+    """Random streams of restatements, updates, similarity merges, eviction and token-less texts, step by step."""
+    cfg = EngineConfig(k=k, C_e=2, C_s=C_s, tau_s=tau_s, embedder=CFG.embedder)
+    sessions = [
+        Session(i, tuple(Utterance.from_text(i, t, "spk", text) for t, text in enumerate(turns)))
+        for i, turns in enumerate(texts)
+    ]
+    for output in steps(sessions, None, cfg):
+        _assert_held_vectors_are_embeddings(output.state, cfg.embedder)
+        _assert_v2_rebuilds_the_vectors(output.state, cfg)
 
 
 @pytest.mark.parametrize("name", ["k", "C_w", "C_e", "C_s"])
@@ -284,11 +364,17 @@ def _is_vector(value) -> bool:
     return isinstance(value, list) and len(value) == CFG.embedder.dim and all(type(v) is float for v in value)
 
 
-_SNAPSHOT = dumps_state(_built_state(), CFG)
-_NODES = dict(_paths(json.loads(_SNAPSHOT)))
-_COORDINATES = [path for path in _NODES if path and _is_vector(_NODES[path[:-1]])]
-_SCALARS = [path for path, value in _NODES.items() if not isinstance(value, (dict, list)) and path not in _COORDINATES]
-_KEYS = [path for path in _NODES if path and isinstance(_NODES[path[:-1]], dict)]
+def _tree(snapshot: str):
+    """The snapshot, each path's node, and the paths of its vector coordinates, its other scalars and its keys."""
+    nodes = dict(_paths(json.loads(snapshot)))
+    coordinates = [path for path in nodes if path and _is_vector(nodes[path[:-1]])]
+    scalars = [path for path, value in nodes.items() if not isinstance(value, (dict, list)) and path not in coordinates]
+    keys = [path for path in nodes if path and isinstance(nodes[path[:-1]], dict)]
+    return snapshot, nodes, coordinates, scalars, keys
+
+
+# the v2 snapshot writes only the episodic state's coordinates; the v1 document of its state stores every vector
+_TREES = {"v2": _tree(dumps_state(_built_state(), CFG)), "v1": _tree(v1_document(_built_state(), CFG))}
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
     st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
@@ -308,13 +394,14 @@ def test_an_edited_snapshot_loads_or_is_malformed(data):
 
     A non-number in place of a number never loads.
     """
-    document = json.loads(_SNAPSHOT)
+    snapshot, nodes, coordinates, scalars, keys = _TREES[data.draw(st.sampled_from(sorted(_TREES)), label="version")]
+    document = json.loads(snapshot)
     replace = data.draw(st.booleans(), label="replace")
     if replace:
-        path = data.draw(st.one_of(st.sampled_from(_SCALARS), st.sampled_from(_COORDINATES)), label="leaf")
-        value = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(_NODES[path])), label="value")
+        path = data.draw(st.one_of(st.sampled_from(scalars), st.sampled_from(coordinates)), label="leaf")
+        value = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(nodes[path])), label="value")
     else:
-        path = data.draw(st.sampled_from(_KEYS), label="deleted key")
+        path = data.draw(st.sampled_from(keys), label="deleted key")
     parent = document
     for key in path[:-1]:
         parent = parent[key]
@@ -327,4 +414,4 @@ def test_an_edited_snapshot_loads_or_is_malformed(data):
     except ValueError as exc:
         assert str(exc).startswith("malformed snapshot: "), exc
     else:
-        assert not (replace and _json_type(_NODES[path]) == "number"), f"{value!r} in place of the number at {path} loaded"
+        assert not (replace and _json_type(nodes[path]) == "number"), f"{value!r} in place of the number at {path} loaded"
