@@ -3,10 +3,17 @@
 An embedding is a read-only (``frozen``) 1-d float64 array of length dim. The
 deterministic mode hashes tokens into dim buckets with a seeded keyed hash and
 a +/-1 sign, so equal (text, dim, seed) give bit-equal vectors in any process.
-It is memoized: ``functools.lru_cache`` keeps the arrays of the
+It is memoized on two levels. ``functools.lru_cache`` keeps the arrays of the
 ``EMBED_CACHE_ENTRIES`` most recently used (text, dim, seed) keys, so a text
-repeated while it is cached is hashed once and every caller shares its
-read-only array. Remote mode is never cached, since the service may change
+repeated while it is cached is embedded once and every caller shares its
+read-only array. Under it, a token memo for each of the ``TOKEN_MEMOS`` most
+recently used (dim, seed) maps a token to its signed slot (the bucket for +1,
+bucket - dim for -1), so the keyed hash runs once per distinct token, not once
+per token of every uncached text; it holds at most ``TOKEN_MEMO_ENTRIES``
+tokens and is cleared when full. Neither level can change a bit: a slot is a
+pure function of (token, dim, seed), a bucket's count is a sum of +/-1.0 that
+float64 holds exactly in any order, and ``unit`` then divides by the norm.
+Remote mode is never cached, since the service may change
 and its errors must surface on every call. It POSTs ``{"texts": [str]}`` to
 the configured endpoint (the ``MLMEM_EMBED_ENDPOINT`` environment variable
 overrides it) and expects ``{"vectors": [[float]]}`` holding one vector; any
@@ -59,7 +66,11 @@ SHORTLIST_SLACK = 1e-9
 
 UNIT_TOLERANCE = 1e-12  # |L2 norm - 1| of a loaded embedded vector: ``unit`` rounds by ~1e-16; far below SHORTLIST_SLACK
 
-EMBED_CACHE_ENTRIES = 256  # chat_long step time stops falling past 128-256; 4096 cost +9 MB peak RSS
+EMBED_CACHE_ENTRIES = 256  # under the token memo, 64 slows chat_long steps ~5%; 1024 speeds no step, costs +1 MB RSS
+
+# The token memo's bounds: graph_wide, the widest benchmark workload, has 6,314 distinct tokens.
+TOKEN_MEMO_ENTRIES = 2**14  # tokens per (dim, seed) memo; a full memo is cleared
+TOKEN_MEMOS = 4  # (dim, seed) memos kept, most recently used first
 
 
 class EmbeddingServiceError(RuntimeError):
@@ -151,19 +162,31 @@ def embed(text: str, cfg: EmbedderConfig) -> np.ndarray:
     return _embed_hash(text, cfg.dim, cfg.seed)
 
 
-def _seed_key(seed: int) -> bytes:
-    return seed.to_bytes(8, "little", signed=True)
+def _signed_slot(token: str, dim: int, seed: int) -> int:
+    """The token's bucket when its hash signs it +1, else bucket - dim: ``vec[slot]`` is the bucket either way."""
+    key = seed.to_bytes(8, "little", signed=True)
+    digest = hashlib.blake2b(token.encode("utf-8"), key=key, digest_size=8).digest()
+    h = int.from_bytes(digest, "little")
+    return h % dim if h & (1 << 63) else h % dim - dim
+
+
+@functools.lru_cache(maxsize=TOKEN_MEMOS)
+def _token_memo(dim: int, seed: int) -> dict[str, int]:
+    """The one (dim, seed)'s token -> ``_signed_slot`` memo; ``_embed_hash`` clears it when full."""
+    return {}
 
 
 @functools.lru_cache(maxsize=EMBED_CACHE_ENTRIES)
 def _embed_hash(text: str, dim: int, seed: int) -> np.ndarray:
     vec = np.zeros(dim)
-    key = _seed_key(seed)
+    slots = _token_memo(dim, seed)
     for token in tokenize(text):
-        digest = hashlib.blake2b(token.encode("utf-8"), key=key, digest_size=8).digest()
-        h = int.from_bytes(digest, "little")
-        sign = 1.0 if h & (1 << 63) else -1.0
-        vec[h % dim] += sign
+        slot = slots.get(token)
+        if slot is None:
+            if len(slots) >= TOKEN_MEMO_ENTRIES:
+                slots.clear()
+            slot = slots[token] = _signed_slot(token, dim, seed)
+        vec[slot] += 1.0 if slot >= 0 else -1.0
     return unit(vec)
 
 
@@ -202,7 +225,7 @@ def vector_from_json(values: list[float], dim: int, *, embedded: bool = False) -
 
 def unit(vec: np.ndarray) -> np.ndarray:
     """vec scaled to L2 norm 1 as a read-only array; a zero vec is returned as it is, made read-only."""
-    norm = float(np.linalg.norm(vec))
+    norm = math.sqrt(float(vec.dot(vec)))  # np.linalg.norm's own arithmetic for a 1-d float64 vec, without its wrapper
     return frozen(vec / norm if norm > 0.0 else vec)
 
 

@@ -109,6 +109,13 @@ def check_layer_bounds(state: MemoryState, cfg: EngineConfig, layers: Sequence[s
             raise ValueError(f"layer size {size} exceeds the config's {name}={bound}")
 
 
+def check_embedder(state: MemoryState, cfg: EngineConfig) -> None:
+    """ValueError unless cfg's embedder made the state's vectors; the zero state (cursor -1) has none but its
+    zero episodic state, so it takes any embedder of that dim."""
+    if state.embedder != cfg.embedder and (state.session_cursor >= 0 or state.embedder.dim != cfg.embedder.dim):
+        raise ValueError(f"the state was built under {state.embedder}, not the config's {cfg.embedder}")
+
+
 def answer(query: Query, state: MemoryState, cfg: EngineConfig) -> tuple[RetrievalResult, FusedState]:
     """Gate, retrieve and fuse one query against a state under cfg's retrieval knobs."""
     weights = GatingWeights.uniform(cfg.beta) if cfg.uniform_gating else None
@@ -140,7 +147,7 @@ class TemplateResponder:
 
 def initial_state(cfg: EngineConfig) -> MemoryState:
     """The zero state: empty layers, cursor -1; only cfg's embedding dim shapes it."""
-    return MemoryState(WorkingMemory(), EpisodicMemory.empty(cfg.embedder.dim), SemanticGraph(), -1)
+    return MemoryState(WorkingMemory(), EpisodicMemory.empty(cfg.embedder.dim), SemanticGraph(), -1, cfg.embedder)
 
 
 def step(
@@ -154,8 +161,9 @@ def step(
 ) -> StepOutput:
     """One consolidate-answer-respond step; the input state is untouched.
 
-    Raises ValueError when the session is out of order or a layer that cfg
-    disables exceeds cfg's bounds on it.
+    Raises ValueError when the session is out of order, when another embedder
+    built the state (``check_embedder``), or when a layer that cfg disables
+    exceeds cfg's bounds on it.
 
     ``history_tokens`` is the raw token total of previously ingested sessions;
     run() threads it so context_usage is measured against the full history.
@@ -164,6 +172,7 @@ def step(
         raise ValueError(
             f"session {session.index} out of order; expected {state.session_cursor + 1}"
         )
+    check_embedder(state, cfg)
 
     disabled = tuple(layer for layer in LAYERS if layer not in cfg.enabled_layers)
     if disabled:
@@ -181,7 +190,7 @@ def step(
         facts = extract_facts(session)
         semantic = merge_semantic(state.semantic, facts, session.index, cfg.tau_s, cfg.C_s, cfg.embedder)
 
-    new_state = MemoryState(working, episodic, semantic, session.index)
+    new_state = MemoryState(working, episodic, semantic, session.index, cfg.embedder)
 
     retrieval, fused = answer(query, new_state, cfg)
     response = responder.generate(fused, query)

@@ -159,7 +159,7 @@ class SemanticGraph:
 
 @dataclass(frozen=True, eq=False)
 class MemoryState:
-    """The full layered state; session_cursor is -1 before anything is ingested.
+    """The full layered state; session_cursor is -1 before anything is ingested; embedder made its vectors.
 
     It hashes and compares by identity, so it can key ``retrieval``'s read index: field-wise ``==`` would
     ask numpy arrays for one truth value, and dicts do not hash. Compare states by ``dumps_state`` bytes, which
@@ -170,6 +170,7 @@ class MemoryState:
     episodic: EpisodicMemory
     semantic: SemanticGraph
     session_cursor: int
+    embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
 
 
 def update_working(session: Session, k: int, C_w: int, embedder: EmbedderConfig) -> WorkingMemory:

@@ -21,7 +21,9 @@ int}``. Each entry, summary and node holds a vector that is ``embed`` of its
 text: the utterance's text, the summary's text, and ``memory.node_text`` of
 the node's id and attributes. A deterministic dump writes none of these
 vectors, since each is ``embed(text, cfg.embedder)``, and loading rebuilds
-them so; only the episodic state, a blend, is written. In remote mode, whose
+them so; only the episodic state, a blend, is written. A state records the
+embedder that built it, and dumping it under another raises ValueError, so a
+load never rebuilds other vectors than the state held. In remote mode, whose
 vectors no load may ask the service for again, each entry, summary and node
 carries its vector as ``"embedding": [float...]``, and loading reads it. A
 deterministic document that carries one of these vectors, and a remote one that
@@ -95,7 +97,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .embedding import UNIT_TOLERANCE, EmbedderConfig, check_field_kinds, check_kinds, embed, vector_from_json
-from .engine import EngineConfig, check_layer_bounds
+from .engine import EngineConfig, check_embedder, check_layer_bounds
 from .harness import EvalReport
 from .memory import (
     EntityNode,
@@ -324,7 +326,10 @@ def _node_from_dict(data: dict[str, Any], vector: _Vector) -> EntityNode:
 
 
 def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
-    """The v2 document; only in remote mode does a working entry, log record or node carry its vector."""
+    """The v2 document; only in remote mode does a working entry, log record or node carry its vector.
+
+    ValueError unless cfg's embedder built the state (``engine.check_embedder``)."""
+    check_embedder(state, cfg)
     carried = cfg.embedder.mode == "remote"
 
     def record(fields: dict[str, Any], vector: np.ndarray) -> dict[str, Any]:
@@ -379,7 +384,7 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     semantic = SemanticGraph({n["entity_id"]: _node_from_dict(n, vector) for n in nodes}, edges)
     if len(semantic.nodes) != len(nodes):
         raise ValueError(f"{len(nodes) - len(semantic.nodes)} node(s) repeat an entity_id")
-    state = MemoryState(working, episodic, semantic, raw["session_cursor"])
+    state = MemoryState(working, episodic, semantic, raw["session_cursor"], cfg.embedder)
     _check_state(state)
     _check_sessions(state)
     _check_graph(nodes, semantic)

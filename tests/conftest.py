@@ -10,4 +10,5 @@ from mlmem import embedding, retrieval
 @pytest.fixture(autouse=True)
 def cold_caches():
     embedding._embed_hash.cache_clear()
+    embedding._token_memo.cache_clear()
     retrieval._read_index.cache_clear()

@@ -2,16 +2,19 @@
 
 ``state_bytes`` is what tests compare states by: the snapshot plus every held
 vector's bytes. ``v1_document`` writes the snapshot format that carried every
-vector, as its writer did, so the v1 reader stays tested.
+vector, as its writer did, so the v1 reader stays tested. ``reference_embed``
+is the deterministic embedding as the README states it, with no memo at all.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Iterator
 
 import numpy as np
 
+from mlmem.embedding import tokenize
 from mlmem.engine import EngineConfig
 from mlmem.memory import MemoryState, node_text
 from mlmem.snapshot import dumps_state
@@ -45,3 +48,16 @@ def v1_document(state: MemoryState, cfg: EngineConfig) -> str:
     for record, node in zip(raw["semantic"]["nodes"], state.semantic.nodes.values()):
         record["embedding"] = node.embedding.tolist()
     return json.dumps(data, sort_keys=True)
+
+
+def reference_embed(text: str, dim: int, seed: int) -> np.ndarray:
+    """The hashed embedding of text, hashing every token afresh: each token's 8-byte blake2b digest under the
+    seed's 8-byte little-endian signed key, read little-endian as h, adds +1 to bucket h % dim when h's top bit
+    is set and -1 otherwise; the counts are then scaled to L2 norm 1 (a zero count vector stays zero)."""
+    counts = np.zeros(dim)
+    key = seed.to_bytes(8, "little", signed=True)
+    for token in tokenize(text):
+        h = int.from_bytes(hashlib.blake2b(token.encode("utf-8"), key=key, digest_size=8).digest(), "little")
+        counts[h % dim] += 1.0 if h >> 63 else -1.0
+    norm = np.linalg.norm(counts)
+    return counts / norm if norm > 0.0 else counts

@@ -6,6 +6,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -298,9 +299,10 @@ _ALICE_SNAPSHOT = _lives_in_snapshot([["london"], ["paris"], ["rome"]], "rome", 
 _SCENARIO_STATE = run(generate_scenario(3, 3, seed=5).sessions, None, EngineConfig())[-1].state
 _SCENARIO_SNAPSHOT = dumps_state(_SCENARIO_STATE, EngineConfig())
 _SCENARIO_V1 = v1_document(_SCENARIO_STATE, EngineConfig())
-# the remote v2 snapshot carries every vector; loading it sends no request, so the endpoint is never dialled
+# the remote v2 snapshot carries every vector; loading it sends no request, so the endpoint is never dialled.
+# The scenario state stands in for one the remote embedder built, so it is relabelled with that embedder.
 _REMOTE = EngineConfig(embedder=EmbedderConfig(mode="remote", remote_endpoint="http://127.0.0.1:9/unused"))
-_REMOTE_SNAPSHOT = dumps_state(_SCENARIO_STATE, _REMOTE)
+_REMOTE_SNAPSHOT = dumps_state(replace(_SCENARIO_STATE, embedder=_REMOTE.embedder), _REMOTE)
 
 
 def _importance_below_one(state) -> None:

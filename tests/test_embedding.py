@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import threading
+from unittest import mock
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 from mlmem import embedding
 from mlmem.embedding import (
     EMBED_CACHE_ENTRIES,
+    TOKEN_MEMO_ENTRIES,
+    TOKEN_MEMOS,
     EmbedderConfig,
     EmbeddingServiceError,
     REMOTE_ENDPOINT_ENV,
@@ -31,7 +34,7 @@ from mlmem.embedding import (
 from mlmem.engine import EngineConfig, run
 from mlmem.memory import Session, Utterance
 from mlmem.snapshot import dumps_state, loads_state
-from state_vectors import state_bytes, v1_document
+from state_vectors import reference_embed, state_bytes, v1_document
 
 
 def _scalar_loop_cosine(a: list[float], b: list[float]) -> float:
@@ -102,6 +105,86 @@ def test_embed_cache_holds_at_most_its_bound():
         embed(f"text {i}", cfg)
     info = embedding._embed_hash.cache_info()
     assert (info.misses, info.currsize) == (EMBED_CACHE_ENTRIES + 1, EMBED_CACHE_ENTRIES)
+
+
+def test_token_memo_holds_at_most_its_bound_and_a_clear_changes_no_bit():
+    cfg = EmbedderConfig(dim=100, seed=-7)
+    memo = embedding._token_memo(cfg.dim, cfg.seed)
+    first = "alice lives in paris and alice stays"
+    before = embed(first, cfg)
+    assert set(memo) == set(tokenize(first))
+    # TOKEN_MEMO_ENTRIES + 1 fresh tokens, 1,000 to a text: the memo fills, is cleared once, and refills
+    tokens = [f"t{i}" for i in range(TOKEN_MEMO_ENTRIES + 1)]
+    for start in range(0, len(tokens), 1000):
+        text = " ".join(tokens[start:start + 1000])
+        assert embed(text, cfg).tobytes() == reference_embed(text, cfg.dim, cfg.seed).tobytes()
+        assert len(memo) <= TOKEN_MEMO_ENTRIES
+    assert "alice" not in memo and len(memo) < TOKEN_MEMO_ENTRIES
+    embedding._embed_hash.cache_clear()
+    again = embed(first, cfg)
+    assert again is not before
+    assert again.tobytes() == before.tobytes() == reference_embed(first, cfg.dim, cfg.seed).tobytes()
+
+
+def test_token_memos_are_kept_for_at_most_their_bound_of_embedders():
+    for seed in range(TOKEN_MEMOS + 1):
+        embed("alice", EmbedderConfig(dim=8, seed=seed))
+    info = embedding._token_memo.cache_info()
+    assert (info.misses, info.currsize) == (TOKEN_MEMOS + 1, TOKEN_MEMOS)
+
+
+# Pairs that share a dim or a seed, a negative seed, the seed range's ends and dims that are no power of two:
+# a memo keyed without dim or without seed would hand one pair's slots to another.
+_MEMO_KEYS = [(256, 0), (100, 0), (256, -7), (8, 2**63 - 1), (100, -(2**63))]
+_MEMO_WORDS = ["alice", "bob", "paris", "lives", "in", "jazz", "7", "x1", "zz"]
+
+
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(deadline=None, database=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_MEMO_KEYS), st.lists(st.sampled_from(_MEMO_WORDS), max_size=6).map(" ".join)),
+        min_size=1,
+        max_size=30,
+    ),
+    st.sampled_from([2, 5, TOKEN_MEMO_ENTRIES]),
+)
+def test_embed_equals_the_uncached_reference_over_interleaved_embedders(calls, bound):
+    """Each call, from cold caches, over several (dim, seed) memos and, under a small bound, across clears."""
+    embedding._embed_hash.cache_clear()
+    embedding._token_memo.cache_clear()
+    with mock.patch.object(embedding, "TOKEN_MEMO_ENTRIES", bound):
+        for (dim, seed), text in calls:
+            vec = embed(text, EmbedderConfig(dim=dim, seed=seed))
+            assert vec.tobytes() == reference_embed(text, dim, seed).tobytes(), (dim, seed, text)
+
+
+def test_threads_sharing_the_token_memo_get_the_uncached_vectors():
+    """More threads than cores race on two (dim, seed) memos small enough to be cleared all the time."""
+    keys = [(100, 0), (256, -7)]
+    texts = [" ".join(_MEMO_WORDS[(i + j) % len(_MEMO_WORDS)] for j in range(i % 5 + 1)) + f" t{i}" for i in range(200)]
+    expected = {(key, text): reference_embed(text, *key).tobytes() for key in keys for text in texts}
+    wrong: list[tuple] = []
+
+    def work(offset: int) -> None:
+        for i in range(len(texts)):
+            key, text = keys[(i + offset) % 2], texts[(i * 7 + offset) % len(texts)]
+            if embed(text, EmbedderConfig(dim=key[0], seed=key[1])).tobytes() != expected[key, text]:
+                wrong.append((key, text))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(embedding, "TOKEN_MEMO_ENTRIES", 3):
+            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_embed_returns_a_read_only_array_even_when_cached():

@@ -28,7 +28,7 @@ from mlmem.memory import FactTriple, Session, Utterance
 from mlmem.retention import cumulative_retention_loss
 from mlmem.retrieval import layer_representation, make_query
 from mlmem.snapshot import dumps_state, loads_state
-from state_vectors import state_bytes
+from state_vectors import reference_embed, state_bytes
 
 CFG = EngineConfig(embedder=EmbedderConfig(dim=64, seed=2))
 
@@ -425,6 +425,38 @@ def test_run_resumed_with_a_disabled_layer_within_bounds_round_trips():
     assert state_bytes(loaded, loaded_cfg) == state_bytes(state, cfg)
 
 
+def test_a_state_built_under_one_embedder_is_neither_stepped_nor_dumped_under_another():
+    sessions = generate_scenario(8, 4, seed=1).sessions
+    state = run(sessions[:3], None, EngineConfig())[-1].state
+    assert state.embedder == EmbedderConfig()
+    other = EngineConfig(embedder=EmbedderConfig(seed=5))
+    with pytest.raises(ValueError, match="the state was built under"):
+        run(sessions[3:4], None, other, start_state=state)
+    with pytest.raises(ValueError, match="the state was built under"):
+        dumps_state(state, other)
+    # a loaded state records the snapshot's embedder, so it resumes under that one only
+    loaded, loaded_cfg = loads_state(dumps_state(state, EngineConfig()))
+    assert loaded.embedder == loaded_cfg.embedder
+    assert run(sessions[3:4], None, loaded_cfg, start_state=loaded)[-1].state.embedder == loaded_cfg.embedder
+    with pytest.raises(ValueError, match="the state was built under"):
+        run(sessions[3:4], None, other, start_state=loaded)
+
+
+def test_the_zero_state_takes_any_embedder_at_its_first_step():
+    sessions = generate_scenario(8, 4, seed=1).sessions
+    other = EngineConfig(embedder=EmbedderConfig(seed=5))
+    zero = initial_state(EngineConfig())
+    loaded_zero, _ = loads_state(dumps_state(zero, other))
+    expected = state_bytes(run(sessions, None, other)[-1].state, other)
+    for start in (zero, loaded_zero):
+        state = run(sessions, None, other, start_state=start)[-1].state
+        assert state.embedder == other.embedder
+        assert state_bytes(state, other) == expected
+    # its episodic state is a zero vector of its own dim, which no other dim can blend with
+    with pytest.raises(ValueError, match="the state was built under"):
+        run(sessions, None, EngineConfig(embedder=EmbedderConfig(dim=8)), start_state=zero)
+
+
 @pytest.mark.parametrize("layers", [("w", "e", "s"), ("w", "s"), ("s",), ("w",), ("e",)])
 def test_step_summarizes_only_when_episodic_is_enabled(monkeypatch, layers):
     calls: list[int] = []
@@ -549,8 +581,10 @@ def test_embed_cache_is_invisible(monkeypatch):
     probes = ("e001 lives_in", "e150 works", "city2", "job1 city3", "e299 lives_in city1")
     cached = _run_with_probes(sessions, cfg, probes)[1:]
     assert embedding._embed_hash.cache_info().hits > 0
+    assert len(embedding._token_memo(cfg.embedder.dim, cfg.embedder.seed)) > 0
 
-    monkeypatch.setattr(embedding, "_embed_hash", embedding._embed_hash.__wrapped__)
+    # the reference hashes every token of every call: neither the text cache nor the token memo is left
+    monkeypatch.setattr(embedding, "_embed_hash", reference_embed)
     monkeypatch.setattr(retrieval, "_read_index", retrieval._read_index.__wrapped__)
     assert _run_with_probes(sessions, cfg, probes)[1:] == cached
 
@@ -560,7 +594,7 @@ def test_embed_cache_keys_on_text_dim_and_seed():
     base = embed(text, EmbedderConfig())
     for other in (EmbedderConfig(seed=1), EmbedderConfig(dim=128), EmbedderConfig(dim=128, seed=1)):
         vec = embed(text, other)
-        assert vec.tobytes() == embedding._embed_hash.__wrapped__(text, other.dim, other.seed).tobytes()
+        assert vec.tobytes() == reference_embed(text, other.dim, other.seed).tobytes()
         assert vec.tobytes() != base.tobytes()
     with pytest.raises(ValueError):
         EmbedderConfig(dim=256.0)

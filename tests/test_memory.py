@@ -439,7 +439,7 @@ def test_merge_keeps_capacity_and_every_current_value_in_the_edge_history(stream
         graph = merge_semantic(graph, facts, session_index, tau_s, C_s, CFG)
         assert len(graph.nodes) <= C_s
         # every graph a merge builds passes the loader's graph checks
-        loads_state(dumps_state(MemoryState(WorkingMemory(), EpisodicMemory.empty(CFG.dim), graph, 6), cfg))
+        loads_state(dumps_state(MemoryState(WorkingMemory(), EpisodicMemory.empty(CFG.dim), graph, 6, CFG), cfg))
         for node_id, node in graph.nodes.items():
             for predicate, value in node.attributes.items():
                 # the current value's edge holds the attribute's session: the latest
@@ -498,7 +498,7 @@ def test_a_new_subject_stated_three_times_in_one_merge_costs_one_node_embed(monk
 
 def test_alternating_attribute_keeps_the_serialized_graph_flat():
     def semantic_size(graph):
-        state = MemoryState(WorkingMemory(), EpisodicMemory.empty(CFG.dim), graph, 0)
+        state = MemoryState(WorkingMemory(), EpisodicMemory.empty(CFG.dim), graph, 0, CFG)
         return len(json.dumps(state_to_dict(state, EngineConfig(embedder=CFG))["state"]["semantic"]))
 
     graph = _merge(SemanticGraph(), [FactTriple("bob", "likes", "tea")], 0)

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmem import embedding
 from mlmem.embedding import EmbedderConfig, embed
 from mlmem.cli import main
 from mlmem.engine import EngineConfig, initial_state, run, steps
@@ -27,7 +26,7 @@ from mlmem.snapshot import (
     session_to_dict,
     write_sessions_jsonl,
 )
-from state_vectors import held_vectors, state_bytes, v1_document
+from state_vectors import held_vectors, reference_embed, state_bytes, v1_document
 
 CFG = EngineConfig(embedder=EmbedderConfig(dim=32, seed=4))
 
@@ -168,7 +167,7 @@ def test_older_snapshot_with_superseded_lists_loads_and_redumps_without_them(tmp
 def _assert_held_vectors_are_embeddings(state, embedder: EmbedderConfig) -> None:
     """Every working, log and node vector is the uncached embedding of its text, which is what v2 relies on."""
     for text, vector in held_vectors(state):
-        assert vector.tobytes() == embedding._embed_hash.__wrapped__(text, embedder.dim, embedder.seed).tobytes(), text
+        assert vector.tobytes() == reference_embed(text, embedder.dim, embedder.seed).tobytes(), text
 
 
 def _assert_v2_rebuilds_the_vectors(state, cfg: EngineConfig) -> None:
