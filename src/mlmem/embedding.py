@@ -27,12 +27,13 @@ applies it, with ValueError, in both configs' constructors and in every
   snapshots): dim finite JSON numbers, where a bool or a string is no number,
   and an ``embedded`` one unit (within ``UNIT_TOLERANCE``) or zero.
 - ``unit`` is the one L2 normalization (the zero vector stays zero); ``stacked`` the one row stacking.
-- ``cosine`` decides every similarity question, and ``nearest`` is the one
-  scan over rows that are unit or zero, as ``embed`` and ``embedded`` reads give:
-  ``shortlist``'s one matrix-vector product with the unit query keeps every
-  row within ``SHORTLIST_SLACK`` of the cut and only those are scored, so a
-  scan decides exactly as scoring every row would. It also ranks, best first
-  with ties by the key each caller passes, so no caller re-ranks its result.
+- ``nearest`` is the one scan, with one score: over rows that are unit or
+  zero, as ``embed`` and ``embedded`` reads give, a row's score is its inner
+  product with the unit query from one matrix-vector product, clamped and
+  rounded to the ``SCORE_DECIMALS`` grid, so mathematically equal cosines
+  score equal. It ranks best first, ties by the key each caller passes and
+  then by row, so no caller re-ranks its result. ``cosine`` answers every
+  other similarity question, over any two vectors.
 """
 
 from __future__ import annotations
@@ -57,14 +58,13 @@ REMOTE_TIMEOUT_SECONDS = 10.0
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-# How far below the count-th best approximate cosine ``shortlist`` still keeps
-# a row. A unit-or-zero row's inner product with the unit query is its cosine
-# to within UNIT_TOLERANCE (1e-12) plus ~1e-14 of rounding at dim 256; a slack
-# of at least twice that keeps every row whose exact cosine reaches the exact
-# count-th best, ties included. The margin only costs a few extra ``cosine`` calls.
-SHORTLIST_SLACK = 1e-9
+UNIT_TOLERANCE = 1e-12  # |L2 norm - 1| of a loaded embedded vector: ``unit`` rounds by ~1e-16
 
-UNIT_TOLERANCE = 1e-12  # |L2 norm - 1| of a loaded embedded vector: ``unit`` rounds by ~1e-16; far below SHORTLIST_SLACK
+# ``nearest`` rounds each score to this grid, 1e-12 = UNIT_TOLERANCE. A row that ``unit`` made has its inner
+# product with the unit query within ~1e-15 of its cosine at dim 256, and mathematically equal cosines split by
+# an ulp or so of summation order and row norm; rounding puts them on one grid point, so the key decides between
+# them. A split that straddles a rounding edge (a chance of ~1e-4 per equal pair) still orders them by score.
+SCORE_DECIMALS = 12
 
 EMBED_CACHE_ENTRIES = 256  # under the token memo, 64 slows chat_long steps ~5%; 1024 speeds no step, costs +1 MB RSS
 
@@ -246,34 +246,25 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return max(-1.0, min(1.0, value))
 
 
-def shortlist(matrix: np.ndarray, query: np.ndarray, count: int) -> np.ndarray:
-    """Row indices, ascending, that hold every row whose cosine to query ranks in the top count.
-
-    Each row must be unit (L2 norm within ``UNIT_TOLERANCE`` of 1) or zero,
-    else the best row may be dropped; the query may be any vector. One matvec
-    with the unit query gives each row's approximate cosine, 0 for a zero row
-    or a zero query and clamped to [-1, 1] as in ``cosine`` (``fmin``/``fmax``
-    map NaN to 1.0 as Python's ``min``/``max`` do there). Every row within
-    ``SHORTLIST_SLACK`` of the count-th best is kept, so rows tied with the
-    count-th best exact cosine are kept too; ``nearest`` scores the kept rows
-    by ``cosine``. With count >= the row count, every row is kept.
-    """
-    rows = matrix.shape[0]
-    if count >= rows:
-        return np.arange(rows)
-    norm = math.sqrt(float(query.dot(query)))
-    approx = np.fmax(-1.0, np.fmin(1.0, matrix @ (query / norm))) if norm > 0.0 else np.zeros(rows)
-    cut = np.partition(approx, rows - count)[rows - count]
-    return np.flatnonzero(approx >= cut - SHORTLIST_SLACK)
-
-
 def nearest(
     matrix: np.ndarray, query: np.ndarray, count: int, key: Callable[[int], Any] = int
 ) -> list[tuple[Any, float]]:
-    """(key(row), cosine(matrix[row], query)) for the count best rows, best first; rows unit or zero, any query.
+    """(key(row), score) for the count best rows, best first; rows unit or zero, any query.
 
-    Equal cosines go by ascending key, equal keys by row order; key is called once per row ``shortlist`` keeps."""
-    hits = [(key(i), cosine(matrix[i], query)) for i in shortlist(matrix, query, count).tolist()]
+    A row's score is its inner product with the unit query, clamped to [-1, 1]
+    and rounded to ``SCORE_DECIMALS`` (0 for a zero row or a zero query;
+    ``fmin``/``fmax`` map NaN to 1.0 as Python's ``min``/``max`` do in
+    ``cosine``), so cosines that are mathematically equal score equal. Equal
+    scores go by ascending key, equal keys by row order; key is called once per
+    row scoring at least the count-th best, and for no other row.
+    """
+    rows = matrix.shape[0]
+    norm = math.sqrt(float(query.dot(query)))
+    raw = np.fmax(-1.0, np.fmin(1.0, matrix @ (query / norm))) if norm > 0.0 else np.zeros(rows)
+    scores = np.round(raw, SCORE_DECIMALS)
+    cut = np.partition(scores, rows - count)[rows - count] if count < rows else -1.0  # no score is below -1
+    kept = np.flatnonzero(scores >= cut)
+    hits = [(key(i), score) for i, score in zip(kept.tolist(), scores[kept].tolist())]
     hits.sort(key=itemgetter(0))
-    hits.sort(key=itemgetter(1), reverse=True)  # stable, so equal cosines stay in key order
+    hits.sort(key=itemgetter(1), reverse=True)  # stable, so equal scores stay in key order, then row order
     return hits[:count]

@@ -7,10 +7,10 @@ recency-wins conflict resolution, and (importance, recency) eviction. It
 states each fact once: the edge mapping is the fact history, and node
 attributes name only the current values, whose sessions are their edges'.
 Graph facts are mined from raw utterances, not from the episodic summary.
-The summary's and the merge's scans go through ``embedding.nearest``, which
-ranks and breaks ties by the key each passes: the summary's row index (its
-turn order) and the merge's node id. A merge embeds each node it changes
-once, however many of its triples touch it.
+The summary's and the merge's scans go through ``embedding.nearest``, whose
+score is each row's similarity here and whose ties go to the key each passes:
+the summary's row index (its turn order) and the merge's node id. A merge
+embeds each node it changes once, however many of its triples touch it.
 
 Every vector a layer holds is a read-only embedding array (see ``embedding``);
 the updates build new arrays and never write one in place. The layers hold
@@ -184,10 +184,10 @@ def update_working(session: Session, k: int, C_w: int, embedder: EmbedderConfig)
 
 
 def summarize(session: Session, m: int, embedder: EmbedderConfig) -> SummaryRecord:
-    """Extractive summary: the top-m utterances by cosine to the session centroid.
+    """Extractive summary: the top-m utterances by ``nearest``'s score against the session centroid.
 
     Ties go to the lower turn_index; selected utterances are concatenated in
-    original order; salience is the mean selected cosine clamped to [0, 1].
+    original order; salience is the mean selected score clamped to [0, 1].
     """
     if m < 1:
         raise ValueError("summary size m must be >= 1")
@@ -266,7 +266,7 @@ def merge_semantic(
 ) -> SemanticGraph:
     """Fold triples into the graph with thresholded entity matching and eviction.
 
-    A triple lands on an exact entity_id match, else on the highest-cosine node
+    A triple lands on an exact entity_id match, else on the top ``nearest`` node
     at or above tau_s (ties to the lexicographically smaller id), else a new
     node. The merge edits a copy of the edge mapping. A triple whose edge was
     last stated in this session is skipped; otherwise its edge keeps its latest

@@ -4,8 +4,10 @@ Retrieval builds the three layer representation vectors once per state, gates
 them (the query's cosine to each, softmaxed at temperature beta into a
 probability simplex), blends them with those weights, and admits each layer's
 top items greedily under a token budget: ``embedding.nearest`` ranks each
-layer, its ties broken by the layer's row (session, turn, text, speaker) as
-key, and the items are built from the rows it returns. Its result carries the
+layer by its grid score, which is the item's similarity, its ties broken by
+the layer's row (session, turn, text, speaker) as key, and the items are built
+from the rows it returns. The gate keeps ``cosine``, as a representation need
+not be unit. Its result carries the
 admitted items as one tuple in admission order. Fusion mixes the query with
 the retrieval vector and sharpens it until the entropy of its magnitude
 distribution falls under the configured bound. The layer order is ``LAYERS``.
@@ -185,7 +187,7 @@ def retrieve(
 ) -> RetrievalResult:
     """Gated retrieval vector plus greedy token-budgeted item admission.
 
-    Items are scored layer-cosine times the layer's gate weight and admitted in
+    Items are scored similarity times the layer's gate weight and admitted in
     descending score, skipping any item that would overflow the budget (ties:
     lower session_index, then lower turn_index, then LAYERS order, then text).
     The result's items are the admitted ones in that order; an item costs its

@@ -3,14 +3,16 @@
 ``state_bytes`` is what tests compare states by: the snapshot plus every held
 vector's bytes. ``v1_document`` writes the snapshot format that carried every
 vector, as its writer did, so the v1 reader stays tested. ``reference_embed``
-is the deterministic embedding as the README states it, with no memo at all.
+is the deterministic embedding as the README states it, with no memo at all,
+from the exact integer ``hash_counts``. ``reference_nearest`` is the scan as
+the README states it: every row scored on the grid, keyed and sorted.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -50,14 +52,37 @@ def v1_document(state: MemoryState, cfg: EngineConfig) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def reference_embed(text: str, dim: int, seed: int) -> np.ndarray:
-    """The hashed embedding of text, hashing every token afresh: each token's 8-byte blake2b digest under the
+def hash_counts(text: str, dim: int, seed: int) -> np.ndarray:
+    """The hashed count vector of text, hashing every token afresh: each token's 8-byte blake2b digest under the
     seed's 8-byte little-endian signed key, read little-endian as h, adds +1 to bucket h % dim when h's top bit
-    is set and -1 otherwise; the counts are then scaled to L2 norm 1 (a zero count vector stays zero)."""
+    is set and -1 otherwise. Its entries are small integers, held exactly."""
     counts = np.zeros(dim)
     key = seed.to_bytes(8, "little", signed=True)
     for token in tokenize(text):
         h = int.from_bytes(hashlib.blake2b(token.encode("utf-8"), key=key, digest_size=8).digest(), "little")
         counts[h % dim] += 1.0 if h >> 63 else -1.0
+    return counts
+
+
+def reference_embed(text: str, dim: int, seed: int) -> np.ndarray:
+    """``hash_counts`` scaled to L2 norm 1 (a zero count vector stays zero)."""
+    counts = hash_counts(text, dim, seed)
     norm = np.linalg.norm(counts)
     return counts / norm if norm > 0.0 else counts
+
+
+def grid_scores(matrix: np.ndarray, query: np.ndarray) -> list[float]:
+    """Each row's scan score: its inner product with the unit query, clamped to [-1, 1] and rounded to 12
+    decimals; all 0 for a zero query. The product is one matrix-vector product, as the scan takes it."""
+    norm = np.linalg.norm(query)
+    if norm == 0.0:
+        return [0.0] * len(matrix)
+    return np.round(np.clip(matrix @ (query / norm), -1.0, 1.0), 12).tolist()
+
+
+def reference_nearest(
+    matrix: np.ndarray, query: np.ndarray, count: int, key: Callable[[int], Any] = int
+) -> list[tuple[Any, float]]:
+    """Every row's (key(row), grid score), in one stable sort by (-score, key), cut at count."""
+    hits = [(key(row), score) for row, score in enumerate(grid_scores(matrix, query))]
+    return sorted(hits, key=lambda hit: (-hit[1], hit[0]))[:count]

@@ -627,12 +627,12 @@ def test_console_entry_point_runs(tmp_path):
 # change and must be stated as one.
 _PINNED = {
     "sessions.jsonl": "7251a0fd0d24f50e29addf72bc0141e38aa552394eff0cda8b4b1964cd8d843e",
-    "ingest": "4018826c9ef29af8c3fa4b28b6e0fb1e15f8d0aa629d1174a90c694d13a3287f",
-    "query alice lives_in": "39a8419dd6b47588a5352a3a3ea97ce01f5418edd7719823b4e8a3089934ddbf",
-    "query --top-j 1 --budget 6": "22a793ccf1df4e481d73215e4df14bc7ce194a5dc82db6907e409c33b091b11d",
-    "query bob works --budget 3": "936876c8d97bcff2f397b4b03354b8e232d4ea2843681a10d928eaddeeb320ff",
+    "ingest": "123a037ed5e311770dfac9db0becf443df43f721317ad988dca46cd1f843f74c",
+    "query alice lives_in": "8b06fdef565d7afeaa122138b029382cc3dd5a4797ba2ca06940c9328a89bf1e",
+    "query --top-j 1 --budget 6": "9be617a87d4ad1e34ef1763b0745783c38c4cef35484196aa3a08d587de81d83",
+    "query bob works --budget 3": "3279e11a593df78532a2feab7f751eea38fbfb462565bad6a107b2b890baa8d6",
     "eval": "a53c466b98eb600c3a86953b7e06a7ec3fe0be3da3945c895fe902169f1b2f34",
-    "eval tau_s=0.3": "2604a285fa8a9138fef3cc4f58ae7f5145706d519a3e2408d7db163a50a9d8ef",
+    "eval tau_s=0.3": "36c22130ccc0ab22eabc5d6b83e66ee862e99e9876a0416bcb9d51c62e2f984c",
     "ablate": "c6977a58c14047e379eeaf152da459691985ad6472f56a5a82662d0aa9d29c8e",
     "sweep": "3542a1a639e957e7e18f009e9a824ce03141a1eb459d16a98f8165ad97140eb4",
 }

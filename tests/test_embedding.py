@@ -7,12 +7,13 @@ import math
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from unittest import mock
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlmem import embedding
@@ -27,14 +28,13 @@ from mlmem.embedding import (
     cosine,
     embed,
     nearest,
-    shortlist,
     tokenize,
     unit,
 )
 from mlmem.engine import EngineConfig, run
-from mlmem.memory import Session, Utterance
+from mlmem.memory import Session, Utterance, node_text
 from mlmem.snapshot import dumps_state, loads_state
-from state_vectors import reference_embed, state_bytes, v1_document
+from state_vectors import grid_scores, hash_counts, reference_embed, reference_nearest, state_bytes, v1_document
 
 
 def _scalar_loop_cosine(a: list[float], b: list[float]) -> float:
@@ -278,8 +278,8 @@ _ELEMENT = st.one_of(
 
 
 @st.composite
-def _shortlist_cases(draw):
-    """Rows as ``shortlist`` takes them, unit or zero, some off unit by UNIT_TOLERANCE; any query."""
+def _scan_cases(draw):
+    """Rows as ``nearest`` takes them, unit or zero, some off unit by UNIT_TOLERANCE; any query."""
     dim = draw(st.integers(1, 6))
     vector = st.lists(_ELEMENT, min_size=dim, max_size=dim)
     distinct = [unit(np.array(v, dtype=np.float64)) for v in draw(st.lists(vector, min_size=1, max_size=5))]
@@ -298,34 +298,74 @@ def _shortlist_cases(draw):
 # warning would turn the reported failure into an INTERNALERROR.
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(deadline=None, database=None)
-@given(_shortlist_cases())
-def test_shortlist_keeps_every_row_reaching_the_exact_top_count(case):
+@given(_scan_cases())
+def test_nearest_is_one_stable_sort_of_every_row_by_grid_score_and_key(case):
     matrix, query, count, permutation = case
-    exact = [cosine(row, query) for row in matrix]
-    picked = shortlist(matrix, query, count).tolist()
-    assert picked == sorted(set(picked))
-    assert all(0 <= i < len(matrix) for i in picked)
-
-    def reference(key):
-        """One stable sort of every row by (-cosine, key), cut at count."""
-        return sorted(((key(i), exact[i]) for i in range(len(matrix))), key=lambda hit: (-hit[1], hit[0]))[:count]
-
-    assert nearest(matrix, query, count) == reference(int)
+    scores = grid_scores(matrix, query)
+    # the grid score is the cosine, to within the grid and the rows' distance from unit
+    assert all(abs(score - cosine(row, query)) <= 2e-12 for row, score in zip(matrix, scores))
+    assert nearest(matrix, query, count) == reference_nearest(matrix, query, count)
     keyed: list[int] = []
     permuted = nearest(matrix, query, count, lambda i: keyed.append(i) or permutation[i])
-    assert permuted == reference(permutation.__getitem__)
-    assert keyed == picked  # key is called once per shortlisted row
-    if count >= len(matrix):
-        assert picked == list(range(len(matrix)))
-        return
-    cut = sorted(exact, reverse=True)[count - 1]
-    assert {i for i, score in enumerate(exact) if score >= cut} <= set(picked)
+    assert permuted == reference_nearest(matrix, query, count, permutation.__getitem__)
+    # key is called once for each row at or above the cut, in row order, and for no other row
+    cut = sorted(scores, reverse=True)[min(count, len(matrix)) - 1]
+    assert keyed == [i for i, score in enumerate(scores) if score >= cut]
 
 
-def test_shortlist_without_ties_keeps_only_the_best_row():
+def test_nearest_without_ties_keys_only_the_best_row():
     cfg = EmbedderConfig(dim=256)
     matrix = np.stack([embed(f"alpha{i} beta{i} gamma{i % 3}", cfg) for i in range(50)])
-    assert shortlist(matrix, embed("alpha7 beta7 gamma1", cfg), 1).tolist() == [7]
+    keyed: list[int] = []
+    assert nearest(matrix, embed("alpha7 beta7 gamma1", cfg), 1, lambda i: keyed.append(i) or i)[0][0] == 7
+    assert keyed == [7]
+
+
+_PREDICATES = st.sampled_from(["lives_in", "works", "likes"])
+_VALUES = st.sampled_from(["paris", "tokyo", "chef", "tailor", "jazz", "chess"])
+
+# The graph at the seed-2, tau_s 0.3 merge of "heidi works clerk": the candidate's cosine to each of bob..grace
+# is 1/sqrt(15), which per-row arithmetic gives as 0.25819888974716115 for bob and 0.2581988897471612 for grace.
+_SEED_2_NODES = [("alice", {"lives_in": "athens", "works": "sailor", "likes": "jazz"}),
+                 ("bob", {"works": "tailor", "likes": "poetry"}), ("carol", {"works": "scribe", "likes": "knitting"}),
+                 ("dave", {"works": "guard", "likes": "rowing"}), ("erin", {"works": "lawyer", "likes": "cycling"}),
+                 ("frank", {"works": "tutor", "likes": "karate"}), ("grace", {"works": "teacher", "likes": "skiing"})]
+
+
+@st.composite
+def _equal_cosine_cases(draw):
+    """Node texts and a merge candidate over few words, so that many rows' cosines to it are mathematically
+    equal, and a permutation that moves rows only within their class of equal cosine (exact, from the counts)."""
+    seed = draw(st.integers(0, 3))
+    keys = [f"p{n}" for n in draw(st.lists(st.integers(0, 99), min_size=2, max_size=16, unique=True))]
+    texts = [node_text(key, draw(st.dictionaries(_PREDICATES, _VALUES, min_size=1))) for key in keys]
+    query = node_text(f"q{draw(st.integers(0, 9))}", {draw(_PREDICATES): draw(_VALUES)})
+    q = hash_counts(query, 256, seed)
+    classes: dict[Fraction, list[int]] = {}
+    for row, text in enumerate(texts):
+        counts = hash_counts(text, 256, seed)
+        dot = int(counts @ q)
+        classes.setdefault(Fraction(dot * abs(dot), int(counts @ counts)), []).append(row)
+    permutation = list(range(len(texts)))
+    for rows in classes.values():
+        for row, moved in zip(rows, draw(st.permutations(rows))):
+            permutation[row] = moved
+    return seed, keys, texts, query, draw(st.integers(1, len(texts))), permutation
+
+
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(deadline=None, database=None)
+@given(_equal_cosine_cases())
+@example((0, [key for key, _ in _SEED_2_NODES], [node_text(*node) for node in _SEED_2_NODES],
+          "heidi works clerk", 1, [0, 6, 2, 3, 4, 5, 1]))
+def test_permuting_rows_of_equal_cosine_never_changes_a_pick(case):
+    seed, keys, texts, query_text, count, permutation = case
+    cfg = EmbedderConfig(seed=seed)
+    matrix = np.stack([embed(text, cfg) for text in texts])
+    query = embed(query_text, cfg)
+    picks = nearest(matrix, query, count, keys.__getitem__)
+    # each key keeps its row's cosine, only the vector's rounding moves, so the picks stay
+    assert nearest(matrix[permutation], query, count, keys.__getitem__) == picks
 
 
 def test_config_validation():

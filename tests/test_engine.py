@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from mlmem import embedding, engine, retrieval
+from mlmem import embedding, engine, memory, retrieval
 from mlmem.embedding import EmbedderConfig, cosine, embed
 from mlmem.engine import (
     EngineConfig,
@@ -28,7 +28,7 @@ from mlmem.memory import FactTriple, Session, Utterance
 from mlmem.retention import cumulative_retention_loss
 from mlmem.retrieval import layer_representation, make_query
 from mlmem.snapshot import dumps_state, loads_state
-from state_vectors import reference_embed, state_bytes
+from state_vectors import reference_embed, reference_nearest, state_bytes
 
 CFG = EngineConfig(embedder=EmbedderConfig(dim=64, seed=2))
 
@@ -503,46 +503,50 @@ def _run_with_probes(sessions: list[Session], cfg: EngineConfig, probes: tuple[s
     return state, dumps, answers
 
 
-def _unit_rows_spy(monkeypatch) -> list[tuple[int, int, int]]:
-    """Spy on every scan: each row it reads has L2 norm 0 or within UNIT_TOLERANCE of 1, as ``shortlist`` needs.
+def _patch_nearest(monkeypatch, scan) -> None:
+    """Every scan (summarize, the merge's entity match, each layer's top-j) calls scan in place of nearest."""
+    for module in (embedding, memory, retrieval):
+        monkeypatch.setattr(module, "nearest", scan)
 
-    Returns the (rows, kept, count) of each scan, appended as scans run.
+
+def _unit_rows_spy(monkeypatch) -> list[tuple[int, int, int]]:
+    """Spy on every scan: each row it reads has L2 norm 0 or within UNIT_TOLERANCE of 1, as ``nearest`` needs.
+
+    Returns the (rows, keyed, count) of each scan, keyed being how many rows it called key for, appended as
+    scans run.
     """
     calls: list[tuple[int, int, int]] = []
-    original = embedding.shortlist
+    original = embedding.nearest
 
-    def spy(matrix, query, count):
+    def spy(matrix, query, count, key=int):
         norms = np.linalg.norm(matrix, axis=1)
         assert np.all((norms == 0.0) | (np.abs(norms - 1.0) <= embedding.UNIT_TOLERANCE)), norms
-        picked = original(matrix, query, count)
-        calls.append((len(matrix), len(picked), count))
-        return picked
+        keyed: list[int] = []
+        hits = original(matrix, query, count, lambda i: keyed.append(i) or key(i))
+        calls.append((len(matrix), len(keyed), count))
+        return hits
 
-    # every scan (summarize, the merge's entity match, each layer's top-j) goes through embedding.nearest
-    monkeypatch.setattr(embedding, "shortlist", spy)
+    _patch_nearest(monkeypatch, spy)
     return calls
 
 
-def test_shortlisting_is_invisible(monkeypatch):
+def test_scans_equal_the_all_rows_reference_sort(monkeypatch):
     cfg = EngineConfig(C_s=96, tau_s=0.7)
     sessions = _tie_heavy_wide_sessions()
     probes = ("e001 lives_in", "e150 works", "city2", "job1 city3", "e299 lives_in city1")
     calls = _unit_rows_spy(monkeypatch)
     state, dumps, answers = _run_with_probes(sessions, cfg, probes)
-    # the scans pruned rows, kept ties past count, evicted, and merged subjects away by similarity
-    assert any(kept < rows for rows, kept, _ in calls)
-    assert any(count < kept < rows for rows, kept, count in calls)
+    # the scans keyed only some rows, keyed ties past count, evicted, and merged subjects away by similarity
+    assert any(keyed < rows for rows, keyed, _ in calls)
+    assert any(count < keyed < rows for rows, keyed, count in calls)
     assert len(state.semantic.nodes) == cfg.C_s
     named = {node_id for blob in dumps for node_id in re.findall(rb'"entity_id": "(e\d+)"', blob)}
     assert len(named) < 300
 
-    def every_row(matrix, query, count):
-        return np.arange(len(matrix))
-
-    monkeypatch.setattr(embedding, "shortlist", every_row)
-    _, exhaustive_dumps, exhaustive_answers = _run_with_probes(sessions, cfg, probes)
-    assert dumps == exhaustive_dumps
-    assert answers == exhaustive_answers
+    _patch_nearest(monkeypatch, reference_nearest)
+    _, reference_dumps, reference_answers = _run_with_probes(sessions, cfg, probes)
+    assert dumps == reference_dumps
+    assert answers == reference_answers
 
     nodes = list(state.semantic.nodes.values())
     total = sum(n.importance for n in nodes)

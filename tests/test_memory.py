@@ -382,6 +382,28 @@ def test_merge_tie_breaks_to_lexicographically_smaller_id():
     assert merged.nodes["abe"].importance == node.importance + 1
 
 
+def test_merge_tie_of_mathematically_equal_cosines_goes_to_the_smaller_id():
+    # the seed-2, tau_s 0.3 graph when "heidi works clerk" is merged: each persona's "lives_in" merged into alice
+    personas = [("alice", "london", "sailor", "jazz"), ("bob", "tokyo", "tailor", "poetry"),
+                ("carol", "seoul", "scribe", "knitting"), ("dave", "dublin", "guard", "rowing"),
+                ("erin", "cairo", "lawyer", "cycling"), ("frank", "warsaw", "tutor", "karate"),
+                ("grace", "athens", "teacher", "skiing")]
+    facts = [FactTriple(name, predicate, value) for name, city, job, hobby in personas
+             for predicate, value in (("lives_in", city), ("works", job), ("likes", hobby))]
+    cfg = EmbedderConfig()
+    graph = merge_semantic(SemanticGraph(), facts, 0, 0.3, 64, cfg)
+    assert sorted(graph.nodes) == [name for name, *_ in personas]
+    triple = FactTriple("heidi", "works", "clerk")
+    candidate = embed("heidi works clerk", cfg)
+    # bob..grace are each 1/sqrt(15) from it, which per-row arithmetic splits by an ulp in grace's favour
+    assert cosine(graph.nodes["grace"].embedding, candidate) > cosine(graph.nodes["bob"].embedding, candidate)
+    assert "heidi" in merge_semantic(graph, [triple], 1, 0.3, 64, cfg).nodes  # 1/sqrt(15) < 0.3
+    merged = merge_semantic(graph, [triple], 1, 0.25, 64, cfg)
+    assert "heidi" not in merged.nodes
+    assert merged.current_value("bob", "works") == "clerk"
+    assert merged.current_value("grace", "works") == "teacher"
+
+
 def test_merge_node_embedding_tracks_attribute_changes():
     graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "london")], 0)
     before = graph.nodes["alice"].embedding.copy()

@@ -32,6 +32,7 @@ from mlmem.retrieval import (
     retrieve,
     softmax_weights,
 )
+from state_vectors import grid_scores
 
 CFG = EmbedderConfig(dim=64, seed=9)
 DIM = CFG.dim
@@ -316,16 +317,20 @@ def _three_layer_state() -> MemoryState:
 
 
 def _admission_oracle(query: Query, state: MemoryState, top_j: int, budget: int):
-    """(layer, text, score, session, turn, speaker, tokens) rows admitted, in admission order."""
-    q = query.embedding
-    rows = {
-        "w": [(cosine(e, q), u.session_index, u.turn_index, u.text, u.speaker) for u, e in state.working.entries],
-        "e": [(cosine(r.embedding, q), r.session_index, -1, r.text, "summary") for r in state.episodic.log],
+    """(layer, text, score, session, turn, speaker, tokens) rows admitted, in admission order; a row's
+    similarity is its grid score, the query's inner product with it rounded to 12 decimals."""
+    records = {
+        "w": [(e, u.session_index, u.turn_index, u.text, u.speaker) for u, e in state.working.entries],
+        "e": [(r.embedding, r.session_index, -1, r.text, "summary") for r in state.episodic.log],
         "s": [
-            (cosine(n.embedding, q), n.last_updated, -1, node_text(n.entity_id, n.attributes), "fact")
+            (n.embedding, n.last_updated, -1, node_text(n.entity_id, n.attributes), "fact")
             for n in state.semantic.nodes.values()
         ],
     }
+    rows = {}
+    for layer, layer_rows in records.items():
+        sims = grid_scores(np.stack([vector for vector, *_ in layer_rows]), query.embedding)
+        rows[layer] = [(sim, *row) for sim, (_, *row) in zip(sims, layer_rows)]
     weights = gate(query, tuple(layer_representation(state, layer) for layer in LAYERS), 4.0)
     candidates = []
     for layer, gamma in zip(LAYERS, weights.as_tuple()):

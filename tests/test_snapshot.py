@@ -146,9 +146,9 @@ def test_older_snapshot_with_superseded_lists_loads_and_redumps_without_them(tmp
             assert set(record) == {"value", "session"}
             record["superseded"] = superseded[node["entity_id"]]
     legacy = json.dumps(data, sort_keys=True)
-    # sha256 of the snapshot that format's dumps_state wrote for these sessions
+    # sha256 of the snapshot that format's dumps_state writes for the state these sessions build
     assert hashlib.sha256(legacy.encode()).hexdigest() == (
-        "b2574e5be1ae89fd1f2c552bb2c59334e005ce17787751f08baa0d41f680d90f"
+        "5b9849c903e7d3aa53b2a5c038d01d3064365bf25bc3de889686b345326a1050"
     )
 
     loaded, cfg = loads_state(legacy)
