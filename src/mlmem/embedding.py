@@ -32,8 +32,13 @@ applies it, with ValueError, in both configs' constructors and in every
   product with the unit query from one matrix-vector product, clamped and
   rounded to the ``SCORE_DECIMALS`` grid, so mathematically equal cosines
   score equal. It ranks best first, ties by the key each caller passes and
-  then by row, so no caller re-ranks its result. ``cosine`` answers every
-  other similarity question, over any two vectors.
+  then by row, so no caller re-ranks its result. A caller's floor drops the
+  rows scoring below it; above -1, the product over the query's nonzero
+  columns bounds every row first, and a scan that no row can pass returns []
+  without the full product. The bound is exact: its slack, dim * eps plus one
+  grid step, covers the rounding of both products and of the grid, so it
+  drops no row the full product would keep. ``cosine`` answers every other
+  similarity question, over any two vectors.
 """
 
 from __future__ import annotations
@@ -247,23 +252,41 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def nearest(
-    matrix: np.ndarray, query: np.ndarray, count: int, key: Callable[[int], Any] = int
+    matrix: np.ndarray, query: np.ndarray, count: int, key: Callable[[int], Any] = int, floor: float = -1.0
 ) -> list[tuple[Any, float]]:
-    """(key(row), score) for the count best rows, best first; rows unit or zero, any query.
+    """(key(row), score) for the count best rows scoring at least floor, best first; rows unit or zero, any query.
 
     A row's score is its inner product with the unit query, clamped to [-1, 1]
     and rounded to ``SCORE_DECIMALS`` (0 for a zero row or a zero query;
     ``fmin``/``fmax`` map NaN to 1.0 as Python's ``min``/``max`` do in
     ``cosine``), so cosines that are mathematically equal score equal. Equal
     scores go by ascending key, equal keys by row order; key is called once per
-    row scoring at least the count-th best, and for no other row.
+    row scoring at least both floor and the count-th best, and for no other row.
+    The default floor, -1, is below no score. Above it, a nonzero query is first
+    scored over its nonzero columns only, and when no row can reach floor the
+    scan returns [] without the full product; that bound rejects no row the
+    full product would keep, so the result is the same.
     """
-    rows = matrix.shape[0]
+    rows, dim = matrix.shape
     norm = math.sqrt(float(query.dot(query)))
+    if norm > 0.0 and floor > -1.0:
+        # The bound is exact. This product and the full one sum the same nonzero terms r[j] * q[j] of a row r and
+        # the unit query q (a zero column adds an exact 0), in whatever order BLAS takes. Each sum is within
+        # gamma(dim) * |r| * |q| of the exact inner product (Higham, Accuracy and Stability of Numerical Algorithms,
+        # 3.1), where gamma(dim) = u * dim / (1 - u * dim), u = eps / 2, and |r| * |q| is 1 within UNIT_TOLERANCE
+        # and q's rounding, so the two differ by at most dim * eps to first order. Rounding to the grid moves a
+        # score by at most half a step, 10**-SCORE_DECIMALS / 2, and the clamp lowers no score above -1; the
+        # other half step covers the second-order terms and an ulp of np.round's own error. So a row whose grid
+        # score is at least floor has a product here of at least floor - (dim * eps + 10**-SCORE_DECIMALS), and
+        # when no row reaches that, no row reaches floor.
+        cols = np.flatnonzero(query)
+        bound = (matrix[:, cols] @ (query[cols] / norm)).max(initial=-math.inf)
+        if bound < floor - (dim * math.ulp(1.0) + 10.0**-SCORE_DECIMALS):
+            return []
     raw = np.fmax(-1.0, np.fmin(1.0, matrix @ (query / norm))) if norm > 0.0 else np.zeros(rows)
     scores = np.round(raw, SCORE_DECIMALS)
     cut = np.partition(scores, rows - count)[rows - count] if count < rows else -1.0  # no score is below -1
-    kept = np.flatnonzero(scores >= cut)
+    kept = np.flatnonzero(scores >= max(cut, floor))
     hits = [(key(i), score) for i, score in zip(kept.tolist(), scores[kept].tolist())]
     hits.sort(key=itemgetter(0))
     hits.sort(key=itemgetter(1), reverse=True)  # stable, so equal scores stay in key order, then row order

@@ -4,7 +4,10 @@ A scenario states each persona's facts in period 0 (as annotated utterances),
 fills later periods with distractor chatter and occasional restatements, and
 probes period-0 facts at every later period. True probes measure retention;
 false probes carry values drawn from a vocabulary disjoint from every session
-text, so a false memory can only arise from an erroneous graph merge.
+text. No context and no graph value can then contain a false probe's value,
+however entities merge, so the containment false memory rate is 0 by
+construction (ROADMAP item 12 measured 0.0 at tau_s 0.9, 0.5, 0.2 and 0.0
+over seeds 0-2, and plans an attributed answer that can fail).
 
 Retention is containment-based: a probe counts as recalled when its gold value
 appears in the probe's assembled context or in the graph's current value for

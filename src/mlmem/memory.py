@@ -9,8 +9,9 @@ attributes name only the current values, whose sessions are their edges'.
 Graph facts are mined from raw utterances, not from the episodic summary.
 The summary's and the merge's scans go through ``embedding.nearest``, whose
 score is each row's similarity here and whose ties go to the key each passes:
-the summary's row index (its turn order) and the merge's node id. A merge
-embeds each node it changes once, however many of its triples touch it.
+the summary's row index (its turn order) and the merge's node id. The merge
+passes tau_s as the scan's floor. A merge embeds each node it changes once,
+however many of its triples touch it.
 
 Every vector a layer holds is a read-only embedding array (see ``embedding``);
 the updates build new arrays and never write one in place. The layers hold
@@ -22,6 +23,7 @@ of them, so replaying a session sequence reproduces bit-identical states.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field, replace
 
@@ -268,12 +270,14 @@ def merge_semantic(
 
     A triple lands on an exact entity_id match, else on the top ``nearest`` node
     at or above tau_s (ties to the lexicographically smaller id), else a new
-    node. The merge edits a copy of the edge mapping. A triple whose edge was
-    last stated in this session is skipped; otherwise its edge keeps its latest
-    session, and recency wins: the triple becomes the attribute's value unless
-    the current value's edge was stated at a later session. Past C_s nodes,
-    those with the lowest (importance, last_updated) are evicted and their
-    edges dropped.
+    node. tau_s is the scan's floor, so a candidate that no node can reach over
+    the candidate's nonzero columns costs no full scan, and the bound is exact
+    (see ``nearest``). The merge edits a copy of the edge mapping. A triple
+    whose edge was last stated in this session is skipped; otherwise its edge
+    keeps its latest session, and recency wins: the triple becomes the
+    attribute's value unless the current value's edge was stated at a later
+    session. Past C_s nodes, those with the lowest (importance, last_updated,
+    entity_id) are evicted and their edges dropped.
 
     The match scans a row buffer of the node vectors with ``nearest``. The
     buffer lives for this call only, so the graph holds each vector once. A
@@ -288,6 +292,7 @@ def merge_semantic(
     # the first unseen subject; the merge's only scan reads it after `refresh`
     # re-embeds the `stale` nodes, whose vector and row lag their attributes.
     matrix: np.ndarray | None = None
+    ids: list[str] = []
     rows: dict[str, int] = {}
     stale: dict[str, None] = {}
 
@@ -309,17 +314,18 @@ def merge_semantic(
             refresh()
             if matrix is None:
                 matrix = stacked([node.embedding for node in nodes.values()] + [np.zeros(embedder.dim)] * len(facts))
-                rows = {nid: row for row, nid in enumerate(nodes)}
-            ids = list(nodes)
-            ((best_id, score),) = nearest(matrix[: len(ids)], candidate, 1, ids.__getitem__)
-            if score >= tau_s:
-                target_id = best_id
+                ids = list(nodes)
+                rows = {nid: row for row, nid in enumerate(ids)}
+            hits = nearest(matrix[: len(ids)], candidate, 1, ids.__getitem__, floor=tau_s)
+            if hits:
+                ((target_id, _),) = hits
 
         if target_id is None:
             target_id = subject
             nodes[target_id] = EntityNode(target_id, {}, frozen(np.zeros(embedder.dim)), 0.0, session_index)
             if matrix is not None:
-                rows[target_id] = len(rows)
+                rows[target_id] = len(ids)
+                ids.append(target_id)
 
         node = nodes[target_id]
         edge_key = (target_id, predicate, value)
@@ -341,8 +347,9 @@ def merge_semantic(
         )
 
     if len(nodes) > C_s:
-        ranked = sorted(nodes.values(), key=lambda n: (n.importance, n.last_updated, n.entity_id))
-        doomed = {n.entity_id for n in ranked[: len(nodes) - C_s]}
+        # the key is a total order over nodes, so the doomed set does not depend on the nodes' order
+        doomed = {n.entity_id for n in heapq.nsmallest(
+            len(nodes) - C_s, nodes.values(), lambda n: (n.importance, n.last_updated, n.entity_id))}
         for nid in doomed:
             del nodes[nid]
         for key in [key for key in edges if key[0] in doomed]:

@@ -5,7 +5,8 @@ vector's bytes. ``v1_document`` writes the snapshot format that carried every
 vector, as its writer did, so the v1 reader stays tested. ``reference_embed``
 is the deterministic embedding as the README states it, with no memo at all,
 from the exact integer ``hash_counts``. ``reference_nearest`` is the scan as
-the README states it: every row scored on the grid, keyed and sorted.
+the README states it: every row scored on the grid, the rows below the floor
+dropped, the rest keyed and sorted.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ def grid_scores(matrix: np.ndarray, query: np.ndarray) -> list[float]:
 
 
 def reference_nearest(
-    matrix: np.ndarray, query: np.ndarray, count: int, key: Callable[[int], Any] = int
+    matrix: np.ndarray, query: np.ndarray, count: int, key: Callable[[int], Any] = int, floor: float = -1.0
 ) -> list[tuple[Any, float]]:
-    """Every row's (key(row), grid score), in one stable sort by (-score, key), cut at count."""
-    hits = [(key(row), score) for row, score in enumerate(grid_scores(matrix, query))]
+    """Every row's (key(row), grid score) that is at least floor, in one stable sort by (-score, key), cut at count.
+    It scores every row in full: floor only filters, it never skips a product."""
+    hits = [(key(row), score) for row, score in enumerate(grid_scores(matrix, query)) if score >= floor]
     return sorted(hits, key=lambda hit: (-hit[1], hit[0]))[:count]

@@ -279,7 +279,7 @@ _ELEMENT = st.one_of(
 
 @st.composite
 def _scan_cases(draw):
-    """Rows as ``nearest`` takes them, unit or zero, some off unit by UNIT_TOLERANCE; any query."""
+    """Rows as ``nearest`` takes them, unit or zero, some off unit by UNIT_TOLERANCE; any query; a floor."""
     dim = draw(st.integers(1, 6))
     vector = st.lists(_ELEMENT, min_size=dim, max_size=dim)
     distinct = [unit(np.array(v, dtype=np.float64)) for v in draw(st.lists(vector, min_size=1, max_size=5))]
@@ -290,7 +290,11 @@ def _scan_cases(draw):
     matrix = np.array(rows, dtype=np.float64).reshape(-1, dim)
     query = np.array(draw(st.one_of(st.just([0.0] * dim), vector)), dtype=np.float64)
     count = draw(st.integers(1, len(picks) + 1))
-    return matrix, query, count, draw(st.permutations(range(len(picks))))
+    # the default floor, any floor, or one at an attained grid score or just either side of it
+    attained = st.sampled_from(grid_scores(matrix, query))
+    near = st.tuples(attained, st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12])).map(sum)
+    floor = draw(st.one_of(st.just(-1.0), st.floats(-1.0, 1.0), near))
+    return matrix, query, count, floor, draw(st.permutations(range(len(picks))))
 
 
 # On a failure, hypothesis's pytest plugin imports libcst to write a patch, and
@@ -299,17 +303,21 @@ def _scan_cases(draw):
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(deadline=None, database=None)
 @given(_scan_cases())
+# a row whose product 0.5 - 3e-13 rounds up to the grid point 0.5, with floor 0.5: a bound without the grid's
+# slack would drop it
+@example((np.array([[0.5 - 3e-13, math.sqrt(1.0 - (0.5 - 3e-13) ** 2)]]), np.array([1.0, 0.0]), 1, 0.5, [0]))
 def test_nearest_is_one_stable_sort_of_every_row_by_grid_score_and_key(case):
-    matrix, query, count, permutation = case
+    matrix, query, count, floor, permutation = case
     scores = grid_scores(matrix, query)
     # the grid score is the cosine, to within the grid and the rows' distance from unit
     assert all(abs(score - cosine(row, query)) <= 2e-12 for row, score in zip(matrix, scores))
     assert nearest(matrix, query, count) == reference_nearest(matrix, query, count)
+    assert nearest(matrix, query, count, floor=floor) == reference_nearest(matrix, query, count, floor=floor)
     keyed: list[int] = []
-    permuted = nearest(matrix, query, count, lambda i: keyed.append(i) or permutation[i])
-    assert permuted == reference_nearest(matrix, query, count, permutation.__getitem__)
-    # key is called once for each row at or above the cut, in row order, and for no other row
-    cut = sorted(scores, reverse=True)[min(count, len(matrix)) - 1]
+    permuted = nearest(matrix, query, count, lambda i: keyed.append(i) or permutation[i], floor)
+    assert permuted == reference_nearest(matrix, query, count, permutation.__getitem__, floor)
+    # key is called once for each row at or above both the cut and the floor, in row order, and for no other row
+    cut = max(floor, sorted(scores, reverse=True)[min(count, len(matrix)) - 1])
     assert keyed == [i for i, score in enumerate(scores) if score >= cut]
 
 

@@ -518,11 +518,11 @@ def _unit_rows_spy(monkeypatch) -> list[tuple[int, int, int]]:
     calls: list[tuple[int, int, int]] = []
     original = embedding.nearest
 
-    def spy(matrix, query, count, key=int):
+    def spy(matrix, query, count, key=int, floor=-1.0):
         norms = np.linalg.norm(matrix, axis=1)
         assert np.all((norms == 0.0) | (np.abs(norms - 1.0) <= embedding.UNIT_TOLERANCE)), norms
         keyed: list[int] = []
-        hits = original(matrix, query, count, lambda i: keyed.append(i) or key(i))
+        hits = original(matrix, query, count, lambda i: keyed.append(i) or key(i), floor)
         calls.append((len(matrix), len(keyed), count))
         return hits
 
