@@ -6,13 +6,13 @@ a +/-1 sign, so equal (text, dim, seed) give bit-equal vectors in any process.
 It is memoized on two levels. ``functools.lru_cache`` keeps the arrays of the
 ``EMBED_CACHE_ENTRIES`` most recently used (text, dim, seed) keys, so a text
 repeated while it is cached is embedded once and every caller shares its
-read-only array. Under it, a token memo for each of the ``TOKEN_MEMOS`` most
-recently used (dim, seed) maps a token to its signed slot (the bucket for +1,
-bucket - dim for -1), so the keyed hash runs once per distinct token, not once
-per token of every uncached text; it holds at most ``TOKEN_MEMO_ENTRIES``
-tokens and is cleared when full. Neither level can change a bit: a slot is a
-pure function of (token, dim, seed), a bucket's count is a sum of +/-1.0 that
-float64 holds exactly in any order, and ``unit`` then divides by the norm.
+read-only array. Under it, a second ``functools.lru_cache`` keeps the signed
+slot (the bucket for +1, bucket - dim for -1) of the ``TOKEN_MEMO_ENTRIES``
+most recently used (token, dim, seed), so the keyed hash runs once per distinct
+token, not once per token of every uncached text. Neither level can change a
+bit: a slot is a pure function of (token, dim, seed), a bucket's count is a sum
+of +/-1.0 that float64 holds exactly in any order, and ``unit`` then divides by
+the norm.
 Remote mode is never cached, since the service may change
 and its errors must surface on every call. It POSTs ``{"texts": [str]}`` to
 the configured endpoint (the ``MLMEM_EMBED_ENDPOINT`` environment variable
@@ -72,10 +72,7 @@ UNIT_TOLERANCE = 1e-12  # |L2 norm - 1| of a loaded embedded vector: ``unit`` ro
 SCORE_DECIMALS = 12
 
 EMBED_CACHE_ENTRIES = 256  # under the token memo, 64 slows chat_long steps ~5%; 1024 speeds no step, costs +1 MB RSS
-
-# The token memo's bounds: graph_wide, the widest benchmark workload, has 6,314 distinct tokens.
-TOKEN_MEMO_ENTRIES = 2**14  # tokens per (dim, seed) memo; a full memo is cleared
-TOKEN_MEMOS = 4  # (dim, seed) memos kept, most recently used first
+TOKEN_MEMO_ENTRIES = 2**14  # (token, dim, seed) slots kept; graph_wide, the widest benchmark workload, has 6,314 tokens
 
 
 class EmbeddingServiceError(RuntimeError):
@@ -167,6 +164,7 @@ def embed(text: str, cfg: EmbedderConfig) -> np.ndarray:
     return _embed_hash(text, cfg.dim, cfg.seed)
 
 
+@functools.lru_cache(maxsize=TOKEN_MEMO_ENTRIES)
 def _signed_slot(token: str, dim: int, seed: int) -> int:
     """The token's bucket when its hash signs it +1, else bucket - dim: ``vec[slot]`` is the bucket either way."""
     key = seed.to_bytes(8, "little", signed=True)
@@ -175,22 +173,11 @@ def _signed_slot(token: str, dim: int, seed: int) -> int:
     return h % dim if h & (1 << 63) else h % dim - dim
 
 
-@functools.lru_cache(maxsize=TOKEN_MEMOS)
-def _token_memo(dim: int, seed: int) -> dict[str, int]:
-    """The one (dim, seed)'s token -> ``_signed_slot`` memo; ``_embed_hash`` clears it when full."""
-    return {}
-
-
 @functools.lru_cache(maxsize=EMBED_CACHE_ENTRIES)
 def _embed_hash(text: str, dim: int, seed: int) -> np.ndarray:
     vec = np.zeros(dim)
-    slots = _token_memo(dim, seed)
     for token in tokenize(text):
-        slot = slots.get(token)
-        if slot is None:
-            if len(slots) >= TOKEN_MEMO_ENTRIES:
-                slots.clear()
-            slot = slots[token] = _signed_slot(token, dim, seed)
+        slot = _signed_slot(token, dim, seed)
         vec[slot] += 1.0 if slot >= 0 else -1.0
     return unit(vec)
 

@@ -56,6 +56,16 @@ def test_query_respects_budget_and_top_j(tmp_path, sessions_file, capsys):
     assert out["token_cost"] <= 4
 
 
+def test_query_on_an_empty_ingest_prints_no_negative_zero_entropy(tmp_path, capsys):
+    """A one-token query against the zero state fuses a one-hot, whose entropy prints as 0.0, not -0.0."""
+    empty, snapshot = tmp_path / "empty.jsonl", tmp_path / "state.json"
+    empty.write_text("")
+    assert main(["ingest", "--input", str(empty), "--snapshot", str(snapshot)]) == 0
+    capsys.readouterr()
+    assert main(["query", "--snapshot", str(snapshot), "--text", "alice"]) == 0
+    assert '"entropy": 0.0,' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("uniform", [False, True])
 def test_query_prints_engine_answer(tmp_path, sessions_file, capsys, uniform):
     config = tmp_path / "cfg.json"

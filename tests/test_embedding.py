@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import subprocess
@@ -20,14 +21,15 @@ from mlmem import embedding
 from mlmem.embedding import (
     EMBED_CACHE_ENTRIES,
     TOKEN_MEMO_ENTRIES,
-    TOKEN_MEMOS,
     EmbedderConfig,
     EmbeddingServiceError,
     REMOTE_ENDPOINT_ENV,
     UNIT_TOLERANCE,
     cosine,
     embed,
+    frozen,
     nearest,
+    stacked,
     tokenize,
     unit,
 )
@@ -107,36 +109,36 @@ def test_embed_cache_holds_at_most_its_bound():
     assert (info.misses, info.currsize) == (EMBED_CACHE_ENTRIES + 1, EMBED_CACHE_ENTRIES)
 
 
-def test_token_memo_holds_at_most_its_bound_and_a_clear_changes_no_bit():
+def test_token_memo_holds_at_most_its_bound_and_an_eviction_changes_no_bit():
     cfg = EmbedderConfig(dim=100, seed=-7)
-    memo = embedding._token_memo(cfg.dim, cfg.seed)
     first = "alice lives in paris and alice stays"
     before = embed(first, cfg)
-    assert set(memo) == set(tokenize(first))
-    # TOKEN_MEMO_ENTRIES + 1 fresh tokens, 1,000 to a text: the memo fills, is cleared once, and refills
+    distinct = len(set(tokenize(first)))
+    assert embedding._signed_slot.cache_info().currsize == distinct
+    # TOKEN_MEMO_ENTRIES + 1 fresh tokens, 1,000 to a text: the memo fills and evicts first's tokens
     tokens = [f"t{i}" for i in range(TOKEN_MEMO_ENTRIES + 1)]
     for start in range(0, len(tokens), 1000):
         text = " ".join(tokens[start:start + 1000])
         assert embed(text, cfg).tobytes() == reference_embed(text, cfg.dim, cfg.seed).tobytes()
-        assert len(memo) <= TOKEN_MEMO_ENTRIES
-    assert "alice" not in memo and len(memo) < TOKEN_MEMO_ENTRIES
+        assert embedding._signed_slot.cache_info().currsize <= TOKEN_MEMO_ENTRIES
+    info = embedding._signed_slot.cache_info()
+    assert (info.misses, info.currsize) == (distinct + TOKEN_MEMO_ENTRIES + 1, TOKEN_MEMO_ENTRIES)
     embedding._embed_hash.cache_clear()
     again = embed(first, cfg)
     assert again is not before
+    assert embedding._signed_slot.cache_info().misses == info.misses + distinct  # first's slots were evicted
     assert again.tobytes() == before.tobytes() == reference_embed(first, cfg.dim, cfg.seed).tobytes()
-
-
-def test_token_memos_are_kept_for_at_most_their_bound_of_embedders():
-    for seed in range(TOKEN_MEMOS + 1):
-        embed("alice", EmbedderConfig(dim=8, seed=seed))
-    info = embedding._token_memo.cache_info()
-    assert (info.misses, info.currsize) == (TOKEN_MEMOS + 1, TOKEN_MEMOS)
 
 
 # Pairs that share a dim or a seed, a negative seed, the seed range's ends and dims that are no power of two:
 # a memo keyed without dim or without seed would hand one pair's slots to another.
 _MEMO_KEYS = [(256, 0), (100, 0), (256, -7), (8, 2**63 - 1), (100, -(2**63))]
 _MEMO_WORDS = ["alice", "bob", "paris", "lives", "in", "jazz", "7", "x1", "zz"]
+
+
+def _bounded_signed_slot(bound: int):
+    """A fresh ``_signed_slot`` memo of bound entries: ``lru_cache`` fixes its bound when it wraps the function."""
+    return functools.lru_cache(maxsize=bound)(embedding._signed_slot.__wrapped__)
 
 
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
@@ -150,20 +152,20 @@ _MEMO_WORDS = ["alice", "bob", "paris", "lives", "in", "jazz", "7", "x1", "zz"]
     st.sampled_from([2, 5, TOKEN_MEMO_ENTRIES]),
 )
 def test_embed_equals_the_uncached_reference_over_interleaved_embedders(calls, bound):
-    """Each call, from cold caches, over several (dim, seed) memos and, under a small bound, across clears."""
+    """Each call, from cold caches, over several (dim, seed) and, under a small bound, across evictions."""
     embedding._embed_hash.cache_clear()
-    embedding._token_memo.cache_clear()
-    with mock.patch.object(embedding, "TOKEN_MEMO_ENTRIES", bound):
+    with mock.patch.object(embedding, "_signed_slot", _bounded_signed_slot(bound)):
         for (dim, seed), text in calls:
             vec = embed(text, EmbedderConfig(dim=dim, seed=seed))
             assert vec.tobytes() == reference_embed(text, dim, seed).tobytes(), (dim, seed, text)
 
 
 def test_threads_sharing_the_token_memo_get_the_uncached_vectors():
-    """More threads than cores race on two (dim, seed) memos small enough to be cleared all the time."""
+    """More threads than cores race on two (dim, seed) through a memo small enough to evict all the time."""
     keys = [(100, 0), (256, -7)]
     texts = [" ".join(_MEMO_WORDS[(i + j) % len(_MEMO_WORDS)] for j in range(i % 5 + 1)) + f" t{i}" for i in range(200)]
     expected = {(key, text): reference_embed(text, *key).tobytes() for key in keys for text in texts}
+    slots = _bounded_signed_slot(3)
     wrong: list[tuple] = []
 
     def work(offset: int) -> None:
@@ -175,7 +177,7 @@ def test_threads_sharing_the_token_memo_get_the_uncached_vectors():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(embedding, "TOKEN_MEMO_ENTRIES", 3):
+        with mock.patch.object(embedding, "_signed_slot", slots):
             threads = [threading.Thread(target=work, args=(offset,)) for offset in range(6)]
             for thread in threads:
                 thread.start()
@@ -185,6 +187,8 @@ def test_threads_sharing_the_token_memo_get_the_uncached_vectors():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+    distinct = {(token, *key) for key in keys for text in texts for token in tokenize(text)}
+    assert slots.cache_info().misses > len(distinct)  # evicted slots were hashed again, so the race was run
 
 
 def test_embed_returns_a_read_only_array_even_when_cached():
@@ -195,6 +199,19 @@ def test_embed_returns_a_read_only_array_even_when_cached():
     assert not again.flags.writeable
     with pytest.raises(ValueError):
         again[0] = 1.0
+
+
+@pytest.mark.parametrize("rows", [1, 2, 1024])
+def test_stacked_is_a_new_writable_copy_of_np_stack(rows):
+    """``layer_representation`` scales the result in place, so it must own its bytes."""
+    rng = np.random.default_rng(rows)
+    vectors = [frozen(rng.standard_normal(256)) for _ in range(rows)]
+    matrix = stacked(vectors)
+    expected = np.stack(vectors)
+    assert (matrix.shape, matrix.dtype) == (expected.shape, expected.dtype)
+    assert matrix.tobytes() == expected.tobytes()
+    assert matrix.flags.writeable
+    assert not any(np.shares_memory(matrix, vec) for vec in vectors)
 
 
 def test_tokenize_is_lowercase_alnum():

@@ -394,6 +394,15 @@ def test_fuse_one_hot_has_zero_entropy_and_no_sharpening():
     assert np.array_equal(fused.vector, query.embedding)
 
 
+def test_entropy_of_a_one_hot_is_positive_zero_directly_and_through_the_fuse_fallback():
+    assert math.copysign(1.0, entropy(_unit(3, 8))) == 1.0
+    # equal magnitudes stay uniform under every sharpening, so fuse falls back to its one-hot
+    query = Query("q", np.full(8, 1 / math.sqrt(8)), 0)
+    fused = fuse(query, _empty_retrieval(query, dim=8), mix=1.0, epsilon=0.0)
+    assert np.count_nonzero(fused.vector) == 1
+    assert math.copysign(1.0, fused.entropy) == 1.0
+
+
 def test_fuse_sharpens_uniform_vector_under_bound():
     # |raw| uniform over d=8: initial entropy ln 8 ~ 2.079 > 1.0
     vec = np.full(8, 1 / math.sqrt(8))
