@@ -3,17 +3,22 @@
 An embedding is a read-only (``frozen``) 1-d float64 array of length dim. The
 deterministic mode hashes tokens into dim buckets with a seeded keyed hash and
 a +/-1 sign, so equal (text, dim, seed) give bit-equal vectors in any process.
-It is memoized on two levels. ``functools.lru_cache`` keeps the arrays of the
-``EMBED_CACHE_ENTRIES`` most recently used (text, dim, seed) keys, so a text
-repeated while it is cached is embedded once and every caller shares its
-read-only array. Under it, a second ``functools.lru_cache`` keeps the signed
-slot (the bucket for +1, bucket - dim for -1) of the ``TOKEN_MEMO_ENTRIES``
-most recently used (token, dim, seed), so the keyed hash runs once per distinct
-token, not once per token of every uncached text. Neither level can change a
-bit: a slot is a pure function of (token, dim, seed), a bucket's count is a sum
-of +/-1.0 that float64 holds exactly in any order, and ``unit`` then divides by
-the norm.
-Remote mode is never cached, since the service may change
+It is memoized on three levels. ``functools.lru_cache`` keeps the arrays of
+the ``EMBED_CACHE_ENTRIES`` most recently used (text, dim, seed) keys, so a
+text repeated while it is cached is embedded once and every caller shares its
+read-only array. Under it, the held map keeps a weak reference to each array
+it made, by (text, dim, seed): on a text-cache miss, an array some holder (a
+live state, say) still keeps alive is returned again, so a load or a merge
+gets the very array a live state holds for its text. It keeps no array alive,
+and it sweeps its dead entries once it has doubled since its last sweep. Under
+both, a second ``functools.lru_cache`` keeps the signed slot (the bucket for
++1, bucket - dim for -1) of the ``TOKEN_MEMO_ENTRIES`` most recently used
+(token, dim, seed), so the keyed hash runs once per distinct token, not once
+per token of every uncached text. No level can change a bit: the held map
+returns only an array made for the same key, a slot is a pure function of
+(token, dim, seed), a bucket's count is a sum of +/-1.0 that float64 holds
+exactly in any order, and ``unit`` then divides by the norm.
+Remote mode is never cached or held, since the service may change
 and its errors must surface on every call. It POSTs ``{"texts": [str]}`` to
 the configured endpoint (the ``MLMEM_EMBED_ENDPOINT`` environment variable
 overrides it) and expects ``{"vectors": [[float]]}`` holding one vector; any
@@ -52,6 +57,7 @@ import os
 import re
 import urllib.error
 import urllib.request
+import weakref
 from dataclasses import dataclass, fields
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Sequence
@@ -156,8 +162,8 @@ def embed(text: str, cfg: EmbedderConfig) -> np.ndarray:
     """Map text to a unit vector (or the zero vector when no tokens survive).
 
     In deterministic mode equal (text, dim, seed) may return the very same
-    read-only array an earlier call returned; remote mode asks the service on
-    every call.
+    read-only array an earlier call returned, and do while the text cache or
+    any holder keeps that array; remote mode asks the service on every call.
     """
     if cfg.mode == "remote":
         return _embed_remote(text, cfg)
@@ -173,13 +179,34 @@ def _signed_slot(token: str, dim: int, seed: int) -> int:
     return h % dim if h & (1 << 63) else h % dim - dim
 
 
+# The held map: (text, dim, seed) -> a weak reference, with no callback, to the array ``_embed_hash`` made for
+# that key (a WeakValueDictionary's removal callbacks cost more per embed than the sweep). It holds no array alive.
+# Dead entries are swept once the map has doubled since the last sweep, so it holds at most twice the entries that
+# were live then.
+_held: dict[tuple[str, int, int], weakref.ref] = {}
+_held_sweep_at = 0
+
+
 @functools.lru_cache(maxsize=EMBED_CACHE_ENTRIES)
 def _embed_hash(text: str, dim: int, seed: int) -> np.ndarray:
-    vec = np.zeros(dim)
-    for token in tokenize(text):
-        slot = _signed_slot(token, dim, seed)
-        vec[slot] += 1.0 if slot >= 0 else -1.0
-    return unit(vec)
+    global _held_sweep_at
+    key = (text, dim, seed)
+    ref = _held.get(key)
+    vec = None if ref is None else ref()
+    if vec is None:
+        counts = np.zeros(dim)
+        for token in tokenize(text):
+            slot = _signed_slot(token, dim, seed)
+            counts[slot] += 1.0 if slot >= 0 else -1.0
+        vec = unit(counts)
+        _held[key] = weakref.ref(vec)
+        if len(_held) > _held_sweep_at:
+            # A race with another thread's insert can drop a live entry, which costs a re-hash and changes no bit.
+            for old, old_ref in list(_held.items()):
+                if old_ref() is None:
+                    _held.pop(old, None)
+            _held_sweep_at = 2 * len(_held)
+    return vec
 
 
 def _embed_remote(text: str, cfg: EmbedderConfig) -> np.ndarray:

@@ -21,9 +21,11 @@ int}``. Each entry, summary and node holds a vector that is ``embed`` of its
 text: the utterance's text, the summary's text, and ``memory.node_text`` of
 the node's id and attributes. A deterministic dump writes none of these
 vectors, since each is ``embed(text, cfg.embedder)``, and loading rebuilds
-them so; only the episodic state, a blend, is written. A state records the
-embedder that built it, and dumping it under another raises ValueError, so a
-load never rebuilds other vectors than the state held. In remote mode, whose
+them so; only the episodic state, a blend, is written. A load's ``embed(text)``
+returns the very array a live state holds for that text (``embedding``'s held
+map), so loading beside the state it was dumped from allocates none of them.
+A state records the embedder that built it, and dumping it under another
+raises ValueError, so a load never rebuilds other vectors than the state held. In remote mode, whose
 vectors no load may ask the service for again, each entry, summary and node
 carries its vector as ``"embedding": [float...]``, and loading reads it. A
 deterministic document that carries one of these vectors, and a remote one that
@@ -72,9 +74,11 @@ edge, or whose (node, predicate) has no current value, an attribute
 ``"session"`` that is not its edge's session as an int or is older than
 another edge of its (node, predicate) (recency wins), a node ``importance`` below 1), a ``session_cursor`` below -1,
 a recorded session (a working entry's, a log record's, an edge's, a node's
-``last_updated``) outside [0, cursor], an episodic log whose sessions do not
-strictly increase, and a ``retention_at`` key that does not spell its gap as
-``str(int)`` does (so two spellings of one gap cannot collide). Each reader catches these once and raises ValueError
+``last_updated``) outside [0, cursor], working entries that are not of one
+session in strictly increasing turn order (``update_working`` keeps the tail
+of one session), an episodic log whose sessions do not strictly increase, and
+a ``retention_at`` key that does not spell its gap as ``str(int)`` does (so
+two spellings of one gap cannot collide). Each reader catches these once and raises ValueError
 with its prefix: ``config_from_dict`` and ``loads_config`` "malformed config: ",
 ``loads_state`` "malformed snapshot: " (also for layers over the config's k,
 C_w, C_e or C_s), ``read_sessions_jsonl``
@@ -135,14 +139,19 @@ def _check_state(state: MemoryState) -> None:
 
 def _check_sessions(state: MemoryState) -> None:
     """ValueError unless the cursor is >= -1, each recorded session (a working entry's, a log record's,
-    an edge's, a node's last_updated) lies in [0, cursor], and the log's sessions strictly increase
+    an edge's, a node's last_updated) lies in [0, cursor], the working entries are of one session in strictly
+    increasing turn order (``update_working`` keeps a session's tail), and the log's sessions strictly increase
     (``update_episodic`` evicts the oldest record by position)."""
     cursor = state.session_cursor
     log = [r.session_index for r in state.episodic.log]
-    recorded = [u.session_index for u, _ in state.working.entries] + log
+    sessions = [u.session_index for u, _ in state.working.entries]
+    turns = [u.turn_index for u, _ in state.working.entries]
+    recorded = sessions + log
     recorded += [s for s, _ in state.semantic.edges.values()] + [n.last_updated for n in state.semantic.nodes.values()]
     if cursor < -1 or min(recorded, default=0) < 0 or max(recorded, default=cursor) > cursor:
         raise ValueError(f"session_cursor {cursor} is below -1, or a recorded session lies outside [0, {cursor}]")
+    if len(set(sessions)) > 1 or any(earlier >= later for earlier, later in zip(turns, turns[1:])):
+        raise ValueError(f"working entries of sessions {sessions}, turns {turns} are not one session's tail")
     if any(earlier >= later for earlier, later in zip(log, log[1:])):
         raise ValueError(f"episodic log sessions {log} do not strictly increase")
 

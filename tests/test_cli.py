@@ -379,6 +379,10 @@ def _versioned(version) -> str:
         _edited(_SCENARIO_V1, lambda state: state["semantic"]["nodes"][0].update(embedding=_OTHER_VECTOR)),
         _edited(_SCENARIO_V1, lambda state: state["semantic"]["nodes"][0].update(
             embedding=[-x for x in state["semantic"]["nodes"][0]["embedding"]])),
+        _edited(_SCENARIO_SNAPSHOT, lambda state: state["working"]["entries"][0].update(session=0)),
+        _edited(_SCENARIO_SNAPSHOT, lambda state: state["working"]["entries"].reverse()),
+        _edited(_SCENARIO_SNAPSHOT, lambda state: state["working"]["entries"].__setitem__(
+            1, dict(state["working"]["entries"][0]))),
     ],
     ids=[
         "document0", "document1", "document2", "truncated", "attribute_older_than_an_edge",
@@ -389,6 +393,7 @@ def _versioned(version) -> str:
         "v2_carries_a_log_vector", "v2_carries_a_node_vector", "remote_v2_lacks_a_working_vector",
         "remote_v2_lacks_a_log_vector", "remote_v2_lacks_a_node_vector", "v1_working_vector_of_another_text",
         "v1_log_vector_of_another_text", "v1_node_vector_of_another_text", "v1_node_vector_negated",
+        "working_entry_of_another_session", "working_entries_reversed", "working_turn_repeated",
     ],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlmem import embedding
 from mlmem.embedding import EmbedderConfig, embed
 from mlmem.cli import main
 from mlmem.engine import EngineConfig, initial_state, run, steps
@@ -210,6 +211,19 @@ def test_v2_rebuilds_the_stored_v1_vectors_through_updates_similarity_merges_and
     v1 = json.loads(v1_document(outputs[-1].state, cfg))
     v1["format_version"] = 1
     assert dumps_state(*loads_state(json.dumps(v1))) == blob
+
+
+def test_a_load_beside_its_live_source_shares_every_vector_with_it():
+    """With the text cache cleared, a load gets each working, log and node array from the held map: the very array
+    the live state holds, which is the uncached embedding of its text."""
+    state = _built_state()
+    embedding._embed_hash.cache_clear()
+    loaded, _ = loads_state(dumps_state(state, CFG))
+    assert state.working.entries and state.episodic.log and state.semantic.nodes
+    for (text, vector), (loaded_text, loaded_vector) in zip(held_vectors(state), held_vectors(loaded), strict=True):
+        assert loaded_text == text
+        assert loaded_vector is vector, text
+    _assert_held_vectors_are_embeddings(loaded, CFG.embedder)
 
 
 _UTTERANCES = st.one_of(
