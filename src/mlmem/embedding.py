@@ -3,22 +3,20 @@
 An embedding is a read-only (``frozen``) 1-d float64 array of length dim. The
 deterministic mode hashes tokens into dim buckets with a seeded keyed hash and
 a +/-1 sign, so equal (text, dim, seed) give bit-equal vectors in any process.
-It is memoized on three levels. ``functools.lru_cache`` keeps the arrays of
-the ``EMBED_CACHE_ENTRIES`` most recently used (text, dim, seed) keys, so a
-text repeated while it is cached is embedded once and every caller shares its
-read-only array. Under it, the held map keeps a weak reference to each array
-it made, by (text, dim, seed): on a text-cache miss, an array some holder (a
-live state, say) still keeps alive is returned again, so a load or a merge
-gets the very array a live state holds for its text. It keeps no array alive,
-and it sweeps its dead entries once it has doubled since its last sweep. Under
-both, a second ``functools.lru_cache`` keeps the signed slot (the bucket for
-+1, bucket - dim for -1) of the ``TOKEN_MEMO_ENTRIES`` most recently used
-(token, dim, seed), so the keyed hash runs once per distinct token, not once
-per token of every uncached text. No level can change a bit: the held map
-returns only an array made for the same key, a slot is a pure function of
-(token, dim, seed), a bucket's count is a sum of +/-1.0 that float64 holds
-exactly in any order, and ``unit`` then divides by the norm.
-Remote mode is never cached or held, since the service may change
+It is memoized on two levels. ``functools.lru_cache`` keeps the arrays of the
+``EMBED_CACHE_ENTRIES`` most recently used (text, dim, seed) keys, so a text
+repeated while it is cached is embedded once and every caller shares its
+read-only array. Under it, a second ``functools.lru_cache`` keeps the signed
+slot (the bucket for +1, bucket - dim for -1) of the ``TOKEN_MEMO_ENTRIES``
+most recently used (token, dim, seed), so the keyed hash runs once per distinct
+token, not once per token of every uncached text. Neither level can change a
+bit: a slot is a pure function of (token, dim, seed), a bucket's count is a sum
+of +/-1.0 that float64 holds exactly in any order, and ``unit`` then divides by
+the norm. ``embed_all`` embeds many texts at once (a snapshot load does). More
+texts than the text cache holds it embeds as a batch, with the same bits as
+``embed``: it looks each distinct token's slot up once and counts
+``EMBED_BLOCK_ROWS`` texts in one matrix, bypassing the text cache.
+Remote mode is never cached, since the service may change
 and its errors must surface on every call. It POSTs ``{"texts": [str]}`` to
 the configured endpoint (the ``MLMEM_EMBED_ENDPOINT`` environment variable
 overrides it) and expects ``{"vectors": [[float]]}`` holding one vector; any
@@ -57,8 +55,8 @@ import os
 import re
 import urllib.error
 import urllib.request
-import weakref
 from dataclasses import dataclass, fields
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
@@ -79,6 +77,10 @@ SCORE_DECIMALS = 12
 
 EMBED_CACHE_ENTRIES = 256  # under the token memo, 64 slows chat_long steps ~5%; 1024 speeds no step, costs +1 MB RSS
 TOKEN_MEMO_ENTRIES = 2**14  # (token, dim, seed) slots kept; graph_wide, the widest benchmark workload, has 6,314 tokens
+# Texts ``embed_all`` counts in one matrix, 64 KB at dim 256. With blocks this small and one array per vector, as
+# ``embed`` makes it, graph_wide peak RSS read +1.1% over per-text embedding (10 pairs); one matrix of every row,
+# with row views as vectors, read +2.4% to +4.0% (9 pairs).
+EMBED_BLOCK_ROWS = 32
 
 
 class EmbeddingServiceError(RuntimeError):
@@ -162,12 +164,41 @@ def embed(text: str, cfg: EmbedderConfig) -> np.ndarray:
     """Map text to a unit vector (or the zero vector when no tokens survive).
 
     In deterministic mode equal (text, dim, seed) may return the very same
-    read-only array an earlier call returned, and do while the text cache or
-    any holder keeps that array; remote mode asks the service on every call.
+    read-only array an earlier call returned; remote mode asks the service on
+    every call.
     """
     if cfg.mode == "remote":
         return _embed_remote(text, cfg)
     return _embed_hash(text, cfg.dim, cfg.seed)
+
+
+def embed_all(texts: Sequence[str], cfg: EmbedderConfig) -> list[np.ndarray]:
+    """``[embed(text, cfg) for text in texts]``, bit for bit, for a caller that needs many texts at once (a load).
+
+    No more texts than the text cache holds go through ``embed``, since each may be a cache hit, far cheaper than
+    any batch (all 50 texts of a chat_long load are). More cannot all be hits, and in deterministic mode they are
+    embedded as a batch that neither reads nor fills the text cache: each distinct token's signed slot is looked up
+    once, the slots of ``EMBED_BLOCK_ROWS`` texts at a time fill a count matrix, and each row is normalized as
+    ``unit`` does it. A count is a sum of +/-1.0 and a squared norm a sum of squared integers, both exact in float64
+    in any order, and the division is the same one. Each vector is a read-only copy of its row, so no vector keeps
+    a block alive.
+    """
+    if cfg.mode == "remote" or len(texts) <= EMBED_CACHE_ENTRIES:
+        return [embed(text, cfg) for text in texts]
+    dim, seed = cfg.dim, cfg.seed
+    tokens = [tokenize(text) for text in texts]
+    slot = {token: _signed_slot(token, dim, seed) for token in dict.fromkeys(chain.from_iterable(tokens))}
+    vectors: list[np.ndarray] = []
+    for start in range(0, len(texts), EMBED_BLOCK_ROWS):
+        block = tokens[start:start + EMBED_BLOCK_ROWS]
+        flat = np.fromiter(map(slot.__getitem__, chain.from_iterable(block)), np.int64)
+        cells = np.repeat(np.arange(len(block)) * dim, list(map(len, block))) + flat % dim
+        counts = np.bincount(cells, np.where(flat >= 0, 1.0, -1.0), len(block) * dim).reshape(len(block), dim)
+        counts = counts.astype(np.float64, copy=False)  # bincount counts in int64 when no text has a token
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+        counts /= np.where(norms > 0.0, norms, 1.0)[:, None]  # a zero row stays zero
+        vectors += (frozen(row.copy()) for row in counts)
+    return vectors
 
 
 @functools.lru_cache(maxsize=TOKEN_MEMO_ENTRIES)
@@ -179,34 +210,13 @@ def _signed_slot(token: str, dim: int, seed: int) -> int:
     return h % dim if h & (1 << 63) else h % dim - dim
 
 
-# The held map: (text, dim, seed) -> a weak reference, with no callback, to the array ``_embed_hash`` made for
-# that key (a WeakValueDictionary's removal callbacks cost more per embed than the sweep). It holds no array alive.
-# Dead entries are swept once the map has doubled since the last sweep, so it holds at most twice the entries that
-# were live then.
-_held: dict[tuple[str, int, int], weakref.ref] = {}
-_held_sweep_at = 0
-
-
 @functools.lru_cache(maxsize=EMBED_CACHE_ENTRIES)
 def _embed_hash(text: str, dim: int, seed: int) -> np.ndarray:
-    global _held_sweep_at
-    key = (text, dim, seed)
-    ref = _held.get(key)
-    vec = None if ref is None else ref()
-    if vec is None:
-        counts = np.zeros(dim)
-        for token in tokenize(text):
-            slot = _signed_slot(token, dim, seed)
-            counts[slot] += 1.0 if slot >= 0 else -1.0
-        vec = unit(counts)
-        _held[key] = weakref.ref(vec)
-        if len(_held) > _held_sweep_at:
-            # A race with another thread's insert can drop a live entry, which costs a re-hash and changes no bit.
-            for old, old_ref in list(_held.items()):
-                if old_ref() is None:
-                    _held.pop(old, None)
-            _held_sweep_at = 2 * len(_held)
-    return vec
+    vec = np.zeros(dim)
+    for token in tokenize(text):
+        slot = _signed_slot(token, dim, seed)
+        vec[slot] += 1.0 if slot >= 0 else -1.0
+    return unit(vec)
 
 
 def _embed_remote(text: str, cfg: EmbedderConfig) -> np.ndarray:

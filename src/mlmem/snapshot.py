@@ -21,11 +21,10 @@ int}``. Each entry, summary and node holds a vector that is ``embed`` of its
 text: the utterance's text, the summary's text, and ``memory.node_text`` of
 the node's id and attributes. A deterministic dump writes none of these
 vectors, since each is ``embed(text, cfg.embedder)``, and loading rebuilds
-them so; only the episodic state, a blend, is written. A load's ``embed(text)``
-returns the very array a live state holds for that text (``embedding``'s held
-map), so loading beside the state it was dumped from allocates none of them.
-A state records the embedder that built it, and dumping it under another
-raises ValueError, so a load never rebuilds other vectors than the state held. In remote mode, whose
+them so, every text in one ``embedding.embed_all`` call; only the episodic
+state, a blend, is written. A state records the
+embedder that built it, and dumping it under another raises ValueError, so a
+load never rebuilds other vectors than the state held. In remote mode, whose
 vectors no load may ask the service for again, each entry, summary and node
 carries its vector as ``"embedding": [float...]``, and loading reads it. A
 deterministic document that carries one of these vectors, and a remote one that
@@ -90,7 +89,6 @@ Vectors load as read-only arrays, as ``embed`` makes them.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import fields, is_dataclass
@@ -100,7 +98,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .embedding import UNIT_TOLERANCE, EmbedderConfig, check_field_kinds, check_kinds, embed, vector_from_json
+from .embedding import UNIT_TOLERANCE, EmbedderConfig, check_field_kinds, check_kinds, embed_all, vector_from_json
 from .engine import EngineConfig, check_embedder, check_layer_bounds
 from .harness import EvalReport
 from .memory import (
@@ -164,6 +162,7 @@ def _check_graph(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
     (``last_updated``), and its (node, predicate) has a current value no edge of it is later than (values of
     one session tie).
     """
+    edges, graph_nodes = graph.edges, graph.nodes
     current: dict[tuple[str, str], int] = {}
     for node in nodes:
         node_id = node["entity_id"]
@@ -171,22 +170,24 @@ def _check_graph(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
             raise ValueError(f"node {node_id!r} has importance below 1")
         for name, record in node["attributes"]:
             value, session = record["value"], record["session"]
-            edge = graph.edges.get((node_id, name, value))
+            edge = edges.get((node_id, name, value))
             if edge is None:
                 raise ValueError(f"attribute {node_id!r} {name!r} value {value!r} has no edge")
             if type(session) is not int or session != edge[0]:
                 raise ValueError(f"attribute {node_id!r} {name!r} session {session!r} is not its edge's")
             current[node_id, name] = session
-    for (node_id, predicate, value), (session, _) in graph.edges.items():
-        if node_id not in graph.nodes:
+    for (node_id, predicate, value), (session, _) in edges.items():
+        node = graph_nodes.get(node_id)
+        if node is None:
             raise ValueError(f"edge subject {node_id!r} has no node")
-        if session > graph.nodes[node_id].last_updated:
+        if session > node.last_updated:
             raise ValueError(f"node {node_id!r} is older than its edge {predicate!r} {value!r} of session {session}")
-        if (node_id, predicate) not in current:
+        latest = current.get((node_id, predicate))
+        if latest is None:
             raise ValueError(f"edge {node_id!r} {predicate!r} {value!r} has no current value on its node")
-        if session > current[node_id, predicate]:
+        if session > latest:
             raise ValueError(
-                f"attribute {node_id!r} {predicate!r} is of session {current[node_id, predicate]}, "
+                f"attribute {node_id!r} {predicate!r} is of session {latest}, "
                 f"but {value!r} was stated later, at session {session}"
             )
 
@@ -281,25 +282,25 @@ def _utterance_from_dict(data: dict[str, Any], session_index: int) -> Utterance:
     )
 
 
-# _vector with its embedder and version bound: (record, text) -> vector
-_Vector = Callable[[dict[str, Any], str], np.ndarray]
+def _vectors(
+    records: list[dict[str, Any]], texts: list[str], embedder: EmbedderConfig, version: int
+) -> list[np.ndarray]:
+    """The vectors of loaded working entries, log records or nodes, whose "embedding" the document may carry.
 
-
-def _vector(record: dict[str, Any], text: str, embedder: EmbedderConfig, version: int) -> np.ndarray:
-    """The vector of a loaded working entry, log record or node, whose "embedding" the document may carry.
-
-    A remote record carries it. A deterministic one gets ``embed(text)``: a v2 record carries none, and a v1
+    A remote record carries it. Deterministic ones get ``embed_all(texts)``: a v2 record carries none, and a v1
     record's must be that vector bit for bit.
     """
     if embedder.mode == "remote":
-        return vector_from_json(record["embedding"], embedder.dim, embedded=True)
-    derived = embed(text, embedder)
-    if version == 2:
-        if "embedding" in record:
-            raise ValueError(f"a deterministic v2 snapshot carries no working, log or node vector; {text!r} has one")
-        return derived
-    if vector_from_json(record["embedding"], embedder.dim, embedded=True).tobytes() != derived.tobytes():
-        raise ValueError(f"the stored vector of {text!r} is not its embedding")
+        return [vector_from_json(record["embedding"], embedder.dim, embedded=True) for record in records]
+    derived = embed_all(texts, embedder)
+    for record, text, vector in zip(records, texts, derived):
+        if version == 2:
+            if "embedding" in record:
+                raise ValueError(
+                    f"a deterministic v2 snapshot carries no working, log or node vector; {text!r} has one"
+                )
+        elif vector_from_json(record["embedding"], embedder.dim, embedded=True).tobytes() != vector.tobytes():
+            raise ValueError(f"the stored vector of {text!r} is not its embedding")
     return derived
 
 
@@ -307,8 +308,8 @@ def _summary_to_dict(record: SummaryRecord) -> dict[str, Any]:
     return {"session": record.session_index, "text": record.text, "salience": record.salience}
 
 
-def _summary_from_dict(data: dict[str, Any], vector: _Vector) -> SummaryRecord:
-    return SummaryRecord(data["session"], data["text"], vector(data, data["text"]), data["salience"])
+def _summary_from_dict(data: dict[str, Any], vector: np.ndarray) -> SummaryRecord:
+    return SummaryRecord(data["session"], data["text"], vector, data["salience"])
 
 
 def _node_to_dict(node: EntityNode, graph: SemanticGraph) -> dict[str, Any]:
@@ -324,14 +325,11 @@ def _node_to_dict(node: EntityNode, graph: SemanticGraph) -> dict[str, Any]:
     }
 
 
-def _node_from_dict(data: dict[str, Any], vector: _Vector) -> EntityNode:
-    node_id = data["entity_id"]
+def _node_attributes(data: dict[str, Any]) -> dict[str, str]:
     attributes = {name: record["value"] for name, record in data["attributes"]}
     if len(attributes) != len(data["attributes"]):
-        raise ValueError(f"node {node_id!r} repeats an attribute name")
-    return EntityNode(
-        node_id, attributes, vector(data, node_text(node_id, attributes)), data["importance"], data["last_updated"]
-    )
+        raise ValueError(f"node {data['entity_id']!r} repeats an attribute name")
+    return attributes
 
 
 def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
@@ -372,15 +370,21 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     if type(version) is not int or version not in (1, 2):
         raise ValueError(f"format_version must be 1 or 2, got {version!r}")
     cfg = _config_from_dict(data["config"])
-    vector = functools.partial(_vector, embedder=cfg.embedder, version=version)
     raw = data["state"]
     entries = raw["working"]["entries"]
     if version == 1:  # an [utterance, vector] pair
         entries = [{**u, "embedding": e} for u, e in entries]
-    working = WorkingMemory(tuple((_utterance_from_dict(u, u["session"]), vector(u, u["text"])) for u in entries))
+    utterances = [_utterance_from_dict(u, u["session"]) for u in entries]
+    log = raw["episodic"]["log"]
+    nodes = raw["semantic"]["nodes"]
+    attributes = [_node_attributes(n) for n in nodes]
+    texts = [u.text for u in utterances] + [r["text"] for r in log]
+    texts += [node_text(n["entity_id"], a) for n, a in zip(nodes, attributes)]
+    # one embed_all call for every text; the layers below take their vectors from it in this order
+    vectors = iter(_vectors([*entries, *log, *nodes], texts, cfg.embedder, version))
+    working = WorkingMemory(tuple(zip(utterances, vectors)))
     episodic = EpisodicMemory(
-        vector_from_json(raw["episodic"]["state"], cfg.embedder.dim),
-        tuple(_summary_from_dict(r, vector) for r in raw["episodic"]["log"]),
+        vector_from_json(raw["episodic"]["state"], cfg.embedder.dim), tuple(map(_summary_from_dict, log, vectors))
     )
     norm = math.sqrt(float(episodic.state.dot(episodic.state)))
     if norm > 1.0 + UNIT_TOLERANCE:
@@ -389,8 +393,10 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     edges = {(s, r, o): (t, c) for s, r, o, t, c in rows}
     if len(edges) != len(rows):
         raise ValueError(f"{len(rows) - len(edges)} edge(s) repeat a (node, predicate, value) key")
-    nodes = raw["semantic"]["nodes"]
-    semantic = SemanticGraph({n["entity_id"]: _node_from_dict(n, vector) for n in nodes}, edges)
+    semantic = SemanticGraph({
+        n["entity_id"]: EntityNode(n["entity_id"], a, vector, n["importance"], n["last_updated"])
+        for n, a, vector in zip(nodes, attributes, vectors)
+    }, edges)
     if len(semantic.nodes) != len(nodes):
         raise ValueError(f"{len(nodes) - len(semantic.nodes)} node(s) repeat an entity_id")
     state = MemoryState(working, episodic, semantic, raw["session_cursor"], cfg.embedder)

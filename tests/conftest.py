@@ -3,34 +3,22 @@
 from __future__ import annotations
 
 import sys
-import weakref
 
 import pytest
 
 import mlmem  # noqa: F401  (the package imports its modules, so each memo below is loaded before the first test)
 
 # The package's memos today. The fixture finds every memo in the loaded modules, so one added later is cleared too.
-_KNOWN_MEMOS = {
-    "mlmem.embedding._embed_hash",
-    "mlmem.embedding._held",
-    "mlmem.embedding._signed_slot",
-    "mlmem.retrieval._read_index",
-}
+_KNOWN_MEMOS = {"mlmem.embedding._embed_hash", "mlmem.embedding._signed_slot", "mlmem.retrieval._read_index"}
 
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Clears every memo in the loaded modules: each ``lru_cache``, and each plain dict of weak references (an empty
-    dict holds none, and clearing it changes nothing)."""
     cleared = set()
     for name, module in list(sys.modules.items()):
         if name.startswith("mlmem."):
             for attr, value in list(vars(module).items()):
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
-                elif type(value) is dict and all(type(ref) is weakref.ref for ref in value.values()):
-                    value.clear()
-                else:
-                    continue
-                cleared.add(f"{name}.{attr}")
+                    cleared.add(f"{name}.{attr}")
     assert _KNOWN_MEMOS <= cleared, f"memos not found: {sorted(_KNOWN_MEMOS - cleared)}"

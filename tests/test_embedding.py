@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
-from itertools import chain
 from unittest import mock
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -18,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlmem import embedding, retrieval
+from mlmem import embedding
 from mlmem.embedding import (
+    EMBED_BLOCK_ROWS,
     EMBED_CACHE_ENTRIES,
     TOKEN_MEMO_ENTRIES,
     EmbedderConfig,
@@ -28,6 +28,7 @@ from mlmem.embedding import (
     UNIT_TOLERANCE,
     cosine,
     embed,
+    embed_all,
     frozen,
     nearest,
     stacked,
@@ -35,7 +36,6 @@ from mlmem.embedding import (
     unit,
 )
 from mlmem.engine import EngineConfig, run
-from mlmem.harness import generate_scenario
 from mlmem.memory import Session, Utterance, node_text
 from mlmem.snapshot import dumps_state, loads_state
 from state_vectors import grid_scores, hash_counts, reference_embed, reference_nearest, state_bytes, v1_document
@@ -114,7 +114,7 @@ def test_embed_cache_holds_at_most_its_bound():
 def test_token_memo_holds_at_most_its_bound_and_an_eviction_changes_no_bit():
     cfg = EmbedderConfig(dim=100, seed=-7)
     first = "alice lives in paris and alice stays"
-    before = embed(first, cfg).tobytes()  # the bytes alone: a live array would be served again from the held map
+    before = embed(first, cfg)
     distinct = len(set(tokenize(first)))
     assert embedding._signed_slot.cache_info().currsize == distinct
     # TOKEN_MEMO_ENTRIES + 1 fresh tokens, 1,000 to a text: the memo fills and evicts first's tokens
@@ -129,7 +129,7 @@ def test_token_memo_holds_at_most_its_bound_and_an_eviction_changes_no_bit():
     again = embed(first, cfg)
     assert again is not before
     assert embedding._signed_slot.cache_info().misses == info.misses + distinct  # first's slots were evicted
-    assert again.tobytes() == before == reference_embed(first, cfg.dim, cfg.seed).tobytes()
+    assert again.tobytes() == before.tobytes() == reference_embed(first, cfg.dim, cfg.seed).tobytes()
 
 
 # Pairs that share a dim or a seed, a negative seed, the seed range's ends and dims that are no power of two:
@@ -193,82 +193,54 @@ def test_threads_sharing_the_token_memo_get_the_uncached_vectors():
     assert slots.cache_info().misses > len(distinct)  # evicted slots were hashed again, so the race was run
 
 
-def _bounded_embed_hash(bound: int):
-    """A fresh ``_embed_hash`` text cache of bound entries over the module's one held map."""
-    return functools.lru_cache(maxsize=bound)(embedding._embed_hash.__wrapped__)
+_TEXTS = st.lists(st.sampled_from([*_MEMO_WORDS, "", "!?"]), max_size=6).map(" ".join)
 
 
-def test_a_held_vector_outlives_the_text_cache_and_is_keyed_on_text_dim_and_seed():
-    """Under a one-entry text cache every call misses it, so the held map answers each key while all stay alive,
-    with no token hashed or looked up again."""
-    text = "alice lives in paris"
-    with mock.patch.object(embedding, "_embed_hash", _bounded_embed_hash(1)):
-        kept = [embed(text, EmbedderConfig(dim=dim, seed=seed)) for dim, seed in _MEMO_KEYS]
-        slots = embedding._signed_slot.cache_info()
-        again = [embed(text, EmbedderConfig(dim=dim, seed=seed)) for dim, seed in _MEMO_KEYS]
-        assert embedding._embed_hash.cache_info().hits == 0
-    assert embedding._signed_slot.cache_info() == slots
-    for (dim, seed), vec, same in zip(_MEMO_KEYS, kept, again):
-        assert vec.tobytes() == reference_embed(text, dim, seed).tobytes(), (dim, seed)
-        assert same is vec
+@settings(deadline=None, database=None)
+@given(
+    st.sampled_from(_MEMO_KEYS),
+    st.lists(_TEXTS, max_size=40),
+    st.sampled_from([1, 3, EMBED_BLOCK_ROWS]),
+    st.sampled_from([0, 5, EMBED_CACHE_ENTRIES]),
+)
+@example((8, 0), ["", "!? !?"], 1, 0)  # a block in which no text has a token
+@example((100, 0), ["alice", "!?", "alice", ""], 3, 0)  # a repeated text, and a last block of one token-free text
+@example((8, 0), ["w10", "w34 w10"], 1, 0)  # slot 0 (bucket 0, sign +1) and slot -8 (bucket 0, sign -1)
+def test_embed_all_equals_the_reference_bit_for_bit_across_blocks(key, texts, rows, cached):
+    """Empty and token-free texts, repeats, no text at all, blocks of one row or that split the texts, and batches
+    on either side of the text cache's size (patched to ``cached``)."""
+    dim, seed = key
+    with mock.patch.multiple(embedding, EMBED_BLOCK_ROWS=rows, EMBED_CACHE_ENTRIES=cached):
+        vectors = embed_all(texts, EmbedderConfig(dim=dim, seed=seed))
+    assert len(vectors) == len(texts)
+    for text, vec in zip(texts, vectors):
+        assert (vec.dtype, vec.shape) == (np.float64, (dim,))
+        assert vec.tobytes() == reference_embed(text, dim, seed).tobytes(), (dim, seed, text)
 
 
-def test_dead_vectors_are_swept_once_the_held_map_doubles():
-    cfg = EngineConfig(embedder=EmbedderConfig(dim=32))
-    states = [run(generate_scenario(3, 2, seed=seed).sessions, None, cfg)[-1].state for seed in range(3)]
-    assert embedding._held
-    del states
-    embedding._embed_hash.cache_clear()
-    retrieval._read_index.cache_clear()  # its matrices key on the states
-    assert all(ref() is None for ref in embedding._held.values())  # the states are gone, and so are their arrays
-    kept = []
-    for i in range(embedding._held_sweep_at + 1):
-        kept.append(embed(f"fresh text {i}", cfg.embedder))
-        assert len(embedding._held) <= embedding._held_sweep_at
-        if len(embedding._held) == len(kept):
-            break
-    assert len(embedding._held) == len(kept), "no sweep ran"
-    assert all(ref() is not None for ref in embedding._held.values())
-    assert embedding._held_sweep_at == 2 * len(kept)
+def test_embed_all_goes_through_the_text_cache_up_to_its_size():
+    cfg = EmbedderConfig(dim=16)
+    texts = [f"alice t{i}" for i in range(EMBED_CACHE_ENTRIES)]
+    first = [embed(text, cfg) for text in texts]
+    info = embedding._embed_hash.cache_info()
+    assert all(vec is old for vec, old in zip(embed_all(texts, cfg), first, strict=True))  # every one a hit
+    assert embedding._embed_hash.cache_info().hits == info.hits + len(texts)
+    info = embedding._embed_hash.cache_info()
+    assert len(embed_all([*texts, "bob"], cfg)) == len(texts) + 1
+    assert embedding._embed_hash.cache_info() == info  # one more text than it holds: a batch, which reads none
 
 
-def test_threads_sharing_the_held_map_get_the_reference_vectors():
-    """More threads than cores race through a two-entry text cache on three (dim, seed) that share a dim or a seed.
-    Each keeps the vectors of the even-numbered texts and drops the rest, so the held map serves the kept ones and
-    sweeps the dropped ones."""
-    keys = [(100, 0), (256, 0), (256, -7)]
-    texts = [f"{_MEMO_WORDS[i % len(_MEMO_WORDS)]} held t{i}" for i in range(60)]
-    expected = {(key, text): reference_embed(text, *key).tobytes() for key in keys for text in texts}
-    kept: list[list[tuple]] = [[] for _ in range(6)]
-    wrong: list[tuple] = []
-
-    def work(offset: int) -> None:
-        for i in range(len(expected)):
-            key, j = keys[(i // len(texts) + offset) % 3], (i * 7 + offset) % len(texts)
-            vec = embed(texts[j], EmbedderConfig(dim=key[0], seed=key[1]))
-            if vec.tobytes() != expected[key, texts[j]]:
-                wrong.append((key, texts[j]))
-            if j % 2 == 0:
-                kept[offset].append((key, texts[j], vec))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(embedding, "_embed_hash", _bounded_embed_hash(2)):
-            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
-    arrays: dict[tuple, set[int]] = {}
-    for key, text, vec in chain.from_iterable(kept):
-        arrays.setdefault((key, text), set()).add(id(vec))
-    # every thread keeps each of these pairs; without the held map each would hold its own array
-    assert sum(map(len, arrays.values())) < 1.5 * len(arrays)
+def test_embed_all_gives_each_text_its_own_read_only_array_and_leaves_the_text_cache_alone():
+    cfg = EmbedderConfig(dim=16)
+    texts = [f"alice t{i % (EMBED_BLOCK_ROWS + 3)}" for i in range(EMBED_CACHE_ENTRIES + 1)]
+    info = embedding._embed_hash.cache_info()
+    vectors = embed_all(texts, cfg)
+    assert embedding._embed_hash.cache_info() == info  # neither read nor filled
+    for vec in vectors:
+        assert vec.flags.owndata and not vec.flags.writeable  # no vector is a view that keeps its block alive
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(vectors) for b in vectors[i + 1:])
 
 
 def test_embed_returns_a_read_only_array_even_when_cached():
@@ -607,15 +579,12 @@ def test_loading_a_remote_snapshot_sends_no_request(embed_server):
     assert len(_EmbedHandler.requests) == asked
 
 
-def test_remote_vectors_are_never_held(embed_server):
+def test_embed_all_in_remote_mode_asks_the_service_once_per_text(embed_server):
     _EmbedHandler.response_body = json.dumps({"vectors": [[3.0, 4.0] + [0.0] * 6]}).encode()
-    cfg = EngineConfig(embedder=EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server)))
-    sessions = [Session(i, (Utterance.from_text(i, 0, "alice", f"alice lives in {city}"),)) for i, city in
-                enumerate(["paris", "rome"])]
-    state = run(sessions, None, cfg)[-1].state
-    loads_state(dumps_state(state, cfg))
-    assert embed("alice lives in rome", cfg.embedder) is not embed("alice lives in rome", cfg.embedder)
-    assert embedding._held == {}
+    cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server))
+    vectors = embed_all(["alice", "bob", "alice"], cfg)
+    assert _EmbedHandler.requests == [{"texts": ["alice"]}, {"texts": ["bob"]}, {"texts": ["alice"]}]
+    assert [vec.tolist() for vec in vectors] == [[0.6, 0.8] + [0.0] * 6] * 3
 
 
 def test_remote_http_error_raises(embed_server):

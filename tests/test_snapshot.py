@@ -5,13 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 from operator import itemgetter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmem import embedding
+from mlmem import embedding, snapshot
 from mlmem.embedding import EmbedderConfig, embed
 from mlmem.cli import main
 from mlmem.engine import EngineConfig, initial_state, run, steps
@@ -213,17 +214,20 @@ def test_v2_rebuilds_the_stored_v1_vectors_through_updates_similarity_merges_and
     assert dumps_state(*loads_state(json.dumps(v1))) == blob
 
 
-def test_a_load_beside_its_live_source_shares_every_vector_with_it():
-    """With the text cache cleared, a load gets each working, log and node array from the held map: the very array
-    the live state holds, which is the uncached embedding of its text."""
+def test_a_load_embeds_every_text_in_one_call():
+    """Working entries, log records and nodes, in that order, go through one ``embed_all`` call, which embeds more
+    texts than the text cache holds as a batch (the cache's size is patched below this state's text count)."""
     state = _built_state()
-    embedding._embed_hash.cache_clear()
-    loaded, _ = loads_state(dumps_state(state, CFG))
+    blob = dumps_state(state, CFG)
+    texts = [text for text, _ in held_vectors(state)]
     assert state.working.entries and state.episodic.log and state.semantic.nodes
-    for (text, vector), (loaded_text, loaded_vector) in zip(held_vectors(state), held_vectors(loaded), strict=True):
-        assert loaded_text == text
-        assert loaded_vector is vector, text
+    alone = mock.Mock(side_effect=AssertionError("a text was embedded alone"))
+    with mock.patch.object(snapshot, "embed_all", wraps=embedding.embed_all) as calls:
+        with mock.patch.multiple(embedding, EMBED_CACHE_ENTRIES=len(texts) - 1, _embed_hash=alone):
+            loaded, _ = loads_state(blob)
+    assert [call.args[0] for call in calls.call_args_list] == [texts]
     _assert_held_vectors_are_embeddings(loaded, CFG.embedder)
+    assert dumps_state(loaded, CFG) == blob
 
 
 _UTTERANCES = st.one_of(
