@@ -48,13 +48,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import http.client
 import json
 import math
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, fields
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -220,6 +217,11 @@ def _embed_hash(text: str, dim: int, seed: int) -> np.ndarray:
 
 
 def _embed_remote(text: str, cfg: EmbedderConfig) -> np.ndarray:
+    # imported here, as only remote mode sends requests: a deterministic CLI call skips http.client's import
+    import http.client
+    import urllib.error
+    import urllib.request
+
     endpoint = cfg.resolved_endpoint()
     payload = json.dumps({"texts": [text]}).encode("utf-8")
     request = urllib.request.Request(

@@ -4,8 +4,9 @@ Working memory is a bounded tail of the latest session, episodic memory is a
 decayed running blend of session-summary embeddings plus a ring-buffered log,
 and semantic memory is an entity graph with similarity-thresholded merging,
 recency-wins conflict resolution, and (importance, recency) eviction. It
-states each fact once: the edge mapping is the fact history, and node
-attributes name only the current values, whose sessions are their edges'.
+keeps one edge per node attribute, the current value's: a value that is
+displaced takes its edge with it, so the graph holds at most C_s nodes and
+their attributes, and no fact history.
 Graph facts are mined from raw utterances, not from the episodic summary.
 The summary's and the merge's scans go through ``embedding.nearest``, whose
 score is each row's similarity here and whose ties go to the key each passes:
@@ -144,11 +145,11 @@ def node_text(entity_id: str, attributes: dict[str, str]) -> str:
 
 @dataclass(frozen=True)
 class SemanticGraph:
-    """Attributed nodes plus the fact history: (node, predicate, value) -> (last session, confidence).
+    """Attributed nodes plus one edge per attribute: (node, predicate, value) -> (last session, confidence).
 
-    Edges keep the order facts were first stated. Each attribute's current value has its edge, whose
-    session is the attribute's, and each edge's node exists: ``merge_semantic`` keeps this by
-    construction, and ``snapshot`` checks it where a graph is loaded.
+    The edge keys are exactly the nodes' (id, name, value) attributes, in the order their values became
+    current; an edge's session is its attribute's. ``merge_semantic`` keeps this by construction, and
+    ``snapshot`` checks a loaded graph and keeps only these edges.
     """
 
     nodes: dict[str, EntityNode] = field(default_factory=dict)
@@ -273,11 +274,13 @@ def merge_semantic(
     node. tau_s is the scan's floor, so a candidate that no node can reach over
     the candidate's nonzero columns costs no full scan, and the bound is exact
     (see ``nearest``). The merge edits a copy of the edge mapping. A triple
-    whose edge was last stated in this session is skipped; otherwise its edge
-    keeps its latest session, and recency wins: the triple becomes the
-    attribute's value unless the current value's edge was stated at a later
-    session. Past C_s nodes, those with the lowest (importance, last_updated,
-    entity_id) are evicted and their edges dropped.
+    that restates the current value at its edge's session is skipped. Recency
+    wins: a triple at that session or later becomes the value, so within a
+    session the last statement wins. A new value's edge replaces the old
+    value's, and a restated value's edge takes the session in place. An older
+    triple changes no attribute and no edge. Each triple not skipped adds 1 to
+    its node's importance. Past C_s nodes, those with the lowest (importance,
+    last_updated, entity_id) are evicted with their edges.
 
     The match scans a row buffer of the node vectors with ``nearest``. The
     buffer lives for this call only, so the graph holds each vector once. A
@@ -328,19 +331,17 @@ def merge_semantic(
                 ids.append(target_id)
 
         node = nodes[target_id]
-        edge_key = (target_id, predicate, value)
-        stated = edges.get(edge_key)
-        if stated is not None and stated[0] == session_index:
-            continue
-        if stated is None or session_index > stated[0]:
-            edges[edge_key] = (session_index, triple.confidence)
-
-        attributes = dict(node.attributes)
+        attributes = node.attributes
         current = attributes.get(predicate)
-        if current is None or session_index >= edges[(target_id, predicate, current)][0]:
-            attributes[predicate] = value
-        if attributes != node.attributes:
-            stale[target_id] = None
+        stated = None if current is None else edges[target_id, predicate, current][0]
+        if current == value and stated == session_index:
+            continue
+        if stated is None or session_index >= stated:
+            if current != value:
+                edges.pop((target_id, predicate, current), None)
+                attributes = {**attributes, predicate: value}
+                stale[target_id] = None
+            edges[target_id, predicate, value] = (session_index, triple.confidence)
 
         nodes[target_id] = EntityNode(
             target_id, attributes, node.embedding, node.importance + 1.0, max(node.last_updated, session_index)
@@ -348,12 +349,11 @@ def merge_semantic(
 
     if len(nodes) > C_s:
         # the key is a total order over nodes, so the doomed set does not depend on the nodes' order
-        doomed = {n.entity_id for n in heapq.nsmallest(
-            len(nodes) - C_s, nodes.values(), lambda n: (n.importance, n.last_updated, n.entity_id))}
-        for nid in doomed:
-            del nodes[nid]
-        for key in [key for key in edges if key[0] in doomed]:
-            del edges[key]
+        for doomed in heapq.nsmallest(
+                len(nodes) - C_s, nodes.values(), lambda n: (n.importance, n.last_updated, n.entity_id)):
+            del nodes[doomed.entity_id]
+            for name, value in doomed.attributes.items():
+                del edges[doomed.entity_id, name, value]
     refresh()
 
     return SemanticGraph(nodes, edges)

@@ -28,22 +28,17 @@ load never rebuilds other vectors than the state held. In remote mode, whose
 vectors no load may ask the service for again, each entry, summary and node
 carries its vector as ``"embedding": [float...]``, and loading reads it. A
 deterministic document that carries one of these vectors, and a remote one that
-lacks one, is malformed.
+lacks one, is malformed. Version 2 is the one format loading reads: a document
+of version 1 (written before, with no ``"format_version"`` key) is malformed.
 
-Version 1, written before, has no ``"format_version"`` key (loading accepts
-``1`` too): each entry is an ``[utterance, [float...]]`` pair and every
-summary and node carries its ``"embedding"``, in either mode. In deterministic
-mode a v1 vector must equal ``embed`` of its text bit for bit, else the
-snapshot is malformed, so that it re-dumps as v2 without change.
-
-The edges are the graph's one fact history (see
-``memory.SemanticGraph``), one row per (node, predicate, value) key, in the
-order of the graph's edge mapping. An attribute's ``"session"`` is not held in
-the state: it is written from, and must load equal to, its value's edge
-session. Layer bounds live in the config only (k, C_w, C_e, alpha, C_s).
-Older snapshots also carry them in the state, the retired config keys ``seed``
-and ``lambda``, and a ``superseded`` list per attribute; loading ignores those
-keys.
+The edges hold one row per node attribute, its current value's (see
+``memory.SemanticGraph``), in the order of the graph's edge mapping. An
+attribute's ``"session"`` is not held in the state: it is written from, and
+must load equal to, its value's edge session. Older v2 snapshots also carry a
+row for each value an attribute held before; loading checks every row as
+written, then keeps only the current values' rows, so such a snapshot
+re-dumps without them. Layer bounds live in the config only (k, C_w, C_e,
+alpha, C_s).
 
 Node attributes, entries, and log records are serialized as ordered lists so a
 round-trip preserves iteration order exactly; floats survive via repr, so
@@ -58,8 +53,9 @@ An eval report is ``{"retention_at": {"gap": float, ..}, "fmr": float,
 "config": config}``.
 
 One rule rejects outside input: it is malformed when reading it raises one of
-``_MALFORMED``, as a missing key, a ``format_version`` other than the int 1
-or 2, a field the kind rule refuses (every reader
+``_MALFORMED``, as a missing key, a ``format_version`` other than the int 2
+(a missing one is version 1), a config key no config field has (the retired
+``seed`` and ``lambda`` too), a field the kind rule refuses (every reader
 runs ``embedding.check_field_kinds`` on the records it builds), a vector that
 is not a list of ``embedder.dim`` numbers, a working entry's, log record's or
 node's vector whose L2 norm is neither 0 nor within 1e-12 of 1
@@ -92,6 +88,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields, is_dataclass
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable
@@ -120,7 +117,7 @@ _MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError, Overf
 
 _EDGE = ("str", "str", "str", "int", "float")
 
-FORMAT_VERSION = 2  # what dumps_state writes; loads_state reads 1 and 2 (see the module docstring)
+FORMAT_VERSION = 2  # what dumps_state writes and the one version loads_state reads
 
 
 def _check_state(state: MemoryState) -> None:
@@ -160,7 +157,7 @@ def _check_graph(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
     A node record's importance is at least 1 (each merge into a node adds 1), and each attribute value has its
     edge, whose session its "session" is as a JSON int. An edge's subject is a node no older than it
     (``last_updated``), and its (node, predicate) has a current value no edge of it is later than (values of
-    one session tie).
+    one session tie). It checks every row as written, the rows of displaced values an older writer kept too.
     """
     edges, graph_nodes = graph.edges, graph.nodes
     current: dict[tuple[str, str], int] = {}
@@ -190,11 +187,6 @@ def _check_graph(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
                 f"attribute {node_id!r} {predicate!r} is of session {latest}, "
                 f"but {value!r} was stated later, at session {session}"
             )
-
-
-# Top-level config keys of fields that never reached the engine; older
-# snapshots and reports carry them, so loading accepts and ignores them.
-_RETIRED_KEYS = ("seed", "lambda")
 
 
 def config_to_dict(cfg: Any) -> dict[str, Any]:
@@ -232,10 +224,7 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
     return cls(**kwargs)
 
 
-def _config_from_dict(data: dict[str, Any]) -> EngineConfig:
-    if isinstance(data, dict):
-        data = {key: value for key, value in data.items() if key not in _RETIRED_KEYS}
-    return _from_dict(EngineConfig, data)
+_config_from_dict = partial(_from_dict, EngineConfig)
 
 
 def _read(what: str, read: Callable[[Any], Any], load: Callable[[], Any]) -> Any:
@@ -282,26 +271,15 @@ def _utterance_from_dict(data: dict[str, Any], session_index: int) -> Utterance:
     )
 
 
-def _vectors(
-    records: list[dict[str, Any]], texts: list[str], embedder: EmbedderConfig, version: int
-) -> list[np.ndarray]:
-    """The vectors of loaded working entries, log records or nodes, whose "embedding" the document may carry.
-
-    A remote record carries it. Deterministic ones get ``embed_all(texts)``: a v2 record carries none, and a v1
-    record's must be that vector bit for bit.
-    """
+def _vectors(records: list[dict[str, Any]], texts: list[str], embedder: EmbedderConfig) -> list[np.ndarray]:
+    """The vectors of loaded working entries, log records or nodes: a remote record carries its "embedding", and
+    deterministic ones, which carry none, get ``embed_all(texts)``."""
     if embedder.mode == "remote":
         return [vector_from_json(record["embedding"], embedder.dim, embedded=True) for record in records]
-    derived = embed_all(texts, embedder)
-    for record, text, vector in zip(records, texts, derived):
-        if version == 2:
-            if "embedding" in record:
-                raise ValueError(
-                    f"a deterministic v2 snapshot carries no working, log or node vector; {text!r} has one"
-                )
-        elif vector_from_json(record["embedding"], embedder.dim, embedded=True).tobytes() != vector.tobytes():
-            raise ValueError(f"the stored vector of {text!r} is not its embedding")
-    return derived
+    for record, text in zip(records, texts):
+        if "embedding" in record:
+            raise ValueError(f"a deterministic snapshot carries no working, log or node vector; {text!r} has one")
+    return embed_all(texts, embedder)
 
 
 def _summary_to_dict(record: SummaryRecord) -> dict[str, Any]:
@@ -366,14 +344,12 @@ def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
 
 def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     """Raises one of _MALFORMED on a malformed snapshot; loads_state names it as one."""
-    version = data.get("format_version", 1)
-    if type(version) is not int or version not in (1, 2):
-        raise ValueError(f"format_version must be 1 or 2, got {version!r}")
+    version = data.get("format_version", 1)  # a version 1 document has no such key
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"format_version {version!r} is not {FORMAT_VERSION}, the one version loading reads")
     cfg = _config_from_dict(data["config"])
     raw = data["state"]
     entries = raw["working"]["entries"]
-    if version == 1:  # an [utterance, vector] pair
-        entries = [{**u, "embedding": e} for u, e in entries]
     utterances = [_utterance_from_dict(u, u["session"]) for u in entries]
     log = raw["episodic"]["log"]
     nodes = raw["semantic"]["nodes"]
@@ -381,7 +357,7 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     texts = [u.text for u in utterances] + [r["text"] for r in log]
     texts += [node_text(n["entity_id"], a) for n, a in zip(nodes, attributes)]
     # one embed_all call for every text; the layers below take their vectors from it in this order
-    vectors = iter(_vectors([*entries, *log, *nodes], texts, cfg.embedder, version))
+    vectors = iter(_vectors([*entries, *log, *nodes], texts, cfg.embedder))
     working = WorkingMemory(tuple(zip(utterances, vectors)))
     episodic = EpisodicMemory(
         vector_from_json(raw["episodic"]["state"], cfg.embedder.dim), tuple(map(_summary_from_dict, log, vectors))
@@ -404,6 +380,9 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     _check_sessions(state)
     _check_graph(nodes, semantic)
     check_layer_bounds(state, cfg)
+    # the rows of displaced values an older writer kept pass the checks above; the state holds current values only
+    for key in [key for key in edges if semantic.nodes[key[0]].attributes[key[1]] != key[2]]:
+        del edges[key]
     return state, cfg
 
 

@@ -1,10 +1,8 @@
 """Test helpers for the vectors a state holds, which a deterministic snapshot does not write.
 
 ``state_bytes`` is what tests compare states by: the snapshot plus every held
-vector's bytes. ``v1_document`` writes the snapshot format that carried every
-vector, as its writer did, so the v1 reader stays tested. ``reference_embed``
-is the deterministic embedding as the README states it, with no memo at all,
-from the exact integer ``hash_counts``. ``reference_nearest`` is the scan as
+vector's bytes. ``reference_embed`` is the deterministic embedding as the
+README states it, with no memo at all, from the exact integer ``hash_counts``. ``reference_nearest`` is the scan as
 the README states it: every row scored on the grid, the rows below the floor
 dropped, the rest keyed and sorted.
 """
@@ -12,7 +10,6 @@ dropped, the rest keyed and sorted.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -34,23 +31,6 @@ def state_bytes(state: MemoryState, cfg: EngineConfig) -> bytes:
     """The state's snapshot, then the bytes of the episodic state and of every held vector."""
     vectors = [state.episodic.state, *(vector for _, vector in held_vectors(state))]
     return dumps_state(state, cfg).encode() + b"".join(vector.tobytes() for vector in vectors)
-
-
-def v1_document(state: MemoryState, cfg: EngineConfig) -> str:
-    """The version 1 snapshot of the state: no "format_version", each working entry an [utterance, vector] pair,
-    and every log record and node with its "embedding", each vector the one the state holds."""
-    data = json.loads(dumps_state(state, cfg))
-    del data["format_version"]
-    raw = data["state"]
-    raw["working"]["entries"] = [
-        [{key: value for key, value in entry.items() if key != "embedding"}, vector.tolist()]
-        for entry, (_, vector) in zip(raw["working"]["entries"], state.working.entries)
-    ]
-    for record, summary in zip(raw["episodic"]["log"], state.episodic.log):
-        record["embedding"] = summary.embedding.tolist()
-    for record, node in zip(raw["semantic"]["nodes"], state.semantic.nodes.values()):
-        record["embedding"] = node.embedding.tolist()
-    return json.dumps(data, sort_keys=True)
 
 
 def hash_counts(text: str, dim: int, seed: int) -> np.ndarray:

@@ -12,13 +12,12 @@ import pytest
 
 from mlmem import cli, engine
 from mlmem.cli import main
-from mlmem.embedding import EmbedderConfig, embed
+from mlmem.embedding import EmbedderConfig
 from mlmem.engine import EngineConfig, answer, initial_state, run
 from mlmem.harness import generate_scenario
 from mlmem.memory import Session, Utterance
 from mlmem.retrieval import make_query
 from mlmem.snapshot import dumps_state, loads_state, write_sessions_jsonl
-from state_vectors import v1_document
 
 
 @pytest.fixture()
@@ -246,6 +245,8 @@ def test_bad_config_is_validation_error(tmp_path, sessions_file):
         {"tau_s": 1.5},
         {"mix": -0.5},
         '{"k": 8,',
+        {"seed": 3},
+        {"lambda": 0.25},
     ],
 )
 def test_malformed_config_is_validation_error(tmp_path, capsys, bad):
@@ -285,13 +286,16 @@ def test_well_typed_config_scalars_ingest(tmp_path, sessions_file):
 
 
 def _lives_in_snapshot(cities_by_session: list[list[str]], current: str, session: int) -> str:
-    """alice lives in each city in turn, then the snapshot's attribute rewritten to name current at session."""
+    """alice lives in each city in turn, as an older writer's snapshot: an edge row per city, at the last session
+    it was stated, in the order first stated; then the attribute is rewritten to name current at session."""
     sessions = [
         Session(i, tuple(Utterance.from_text(i, t, "alice", f"alice lives in {city}") for t, city in enumerate(cities)))
         for i, cities in enumerate(cities_by_session)
     ]
     cfg = EngineConfig()
     data = json.loads(dumps_state(run(sessions, None, cfg)[-1].state, cfg))
+    stated = {city: i for i, cities in enumerate(cities_by_session) for city in cities}
+    data["state"]["semantic"]["edges"] = [["alice", "lives_in", city, i, 1.0] for city, i in stated.items()]
     (node,) = data["state"]["semantic"]["nodes"]
     node["attributes"] = [["lives_in", {"value": current, "session": session}]]
     return json.dumps(data)
@@ -308,7 +312,6 @@ _EMPTY_SNAPSHOT = dumps_state(initial_state(EngineConfig()), EngineConfig())
 _ALICE_SNAPSHOT = _lives_in_snapshot([["london"], ["paris"], ["rome"]], "rome", 2)
 _SCENARIO_STATE = run(generate_scenario(3, 3, seed=5).sessions, None, EngineConfig())[-1].state
 _SCENARIO_SNAPSHOT = dumps_state(_SCENARIO_STATE, EngineConfig())
-_SCENARIO_V1 = v1_document(_SCENARIO_STATE, EngineConfig())
 # the remote v2 snapshot carries every vector; loading it sends no request, so the endpoint is never dialled.
 # The scenario state stands in for one the remote embedder built, so it is relabelled with that embedder.
 _REMOTE = EngineConfig(embedder=EmbedderConfig(mode="remote", remote_endpoint="http://127.0.0.1:9/unused"))
@@ -336,8 +339,6 @@ _FIRST_VECTORS = [
     _SCENARIO_STATE.episodic.log[0].embedding.tolist(),
     next(iter(_SCENARIO_STATE.semantic.nodes.values())).embedding.tolist(),
 ]
-# a v1 working, log or node vector that is unit, as every stored vector must be, but embeds another text
-_OTHER_VECTOR = embed("not the text of this record", EngineConfig().embedder).tolist()
 
 
 def _versioned(version) -> str:
@@ -360,7 +361,7 @@ def _versioned(version) -> str:
         _edited(_ALICE_SNAPSHOT, lambda state: state["semantic"]["nodes"][0].update(last_updated=0)),
         _edited(_SCENARIO_SNAPSHOT, _importance_below_one),
         _edited(_SCENARIO_SNAPSHOT, lambda state: state["episodic"]["log"].reverse()),
-        _edited(_SCENARIO_V1, _node_vector_times_three),
+        _edited(_REMOTE_SNAPSHOT, _node_vector_times_three),
         _edited(_SCENARIO_SNAPSHOT, _episodic_state_times_five),
         _versioned(3),
         _versioned(0),
@@ -374,11 +375,6 @@ def _versioned(version) -> str:
         _edited(_REMOTE_SNAPSHOT, lambda state: state["working"]["entries"][0].pop("embedding")),
         _edited(_REMOTE_SNAPSHOT, lambda state: state["episodic"]["log"][0].pop("embedding")),
         _edited(_REMOTE_SNAPSHOT, lambda state: state["semantic"]["nodes"][0].pop("embedding")),
-        _edited(_SCENARIO_V1, lambda state: state["working"]["entries"][0].__setitem__(1, _OTHER_VECTOR)),
-        _edited(_SCENARIO_V1, lambda state: state["episodic"]["log"][0].update(embedding=_OTHER_VECTOR)),
-        _edited(_SCENARIO_V1, lambda state: state["semantic"]["nodes"][0].update(embedding=_OTHER_VECTOR)),
-        _edited(_SCENARIO_V1, lambda state: state["semantic"]["nodes"][0].update(
-            embedding=[-x for x in state["semantic"]["nodes"][0]["embedding"]])),
         _edited(_SCENARIO_SNAPSHOT, lambda state: state["working"]["entries"][0].update(session=0)),
         _edited(_SCENARIO_SNAPSHOT, lambda state: state["working"]["entries"].reverse()),
         _edited(_SCENARIO_SNAPSHOT, lambda state: state["working"]["entries"].__setitem__(
@@ -391,9 +387,8 @@ def _versioned(version) -> str:
         "episodic_state_times_five", "format_version_3", "format_version_0", "format_version_str",
         "format_version_float", "format_version_true", "format_version_null", "v2_carries_a_working_vector",
         "v2_carries_a_log_vector", "v2_carries_a_node_vector", "remote_v2_lacks_a_working_vector",
-        "remote_v2_lacks_a_log_vector", "remote_v2_lacks_a_node_vector", "v1_working_vector_of_another_text",
-        "v1_log_vector_of_another_text", "v1_node_vector_of_another_text", "v1_node_vector_negated",
-        "working_entry_of_another_session", "working_entries_reversed", "working_turn_repeated",
+        "remote_v2_lacks_a_log_vector", "remote_v2_lacks_a_node_vector", "working_entry_of_another_session",
+        "working_entries_reversed", "working_turn_repeated",
     ],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):
@@ -404,11 +399,16 @@ def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):
 
 
 def test_attribute_tied_with_a_later_stated_value_loads(tmp_path, capsys):
-    """Two values stated in one session tie, so the attribute may name either."""
+    """Two values stated in one session tie, so an older writer's attribute may name either; the load keeps only
+    its value's row."""
     snapshot = tmp_path / "state.json"
     snapshot.write_text(_lives_in_snapshot([["oslo"], ["london", "paris"]], "london", 1))
-    assert loads_state(snapshot.read_text())[0].semantic.current_value("alice", "lives_in") == "london"
+    loaded, cfg = loads_state(snapshot.read_text())
+    assert loaded.semantic.current_value("alice", "lives_in") == "london"
+    edges = json.loads(dumps_state(loaded, cfg))["state"]["semantic"]["edges"]
+    assert edges == [["alice", "lives_in", "london", 1, 1.0]]
     assert main(["query", "--snapshot", str(snapshot), "--text", "alice lives_in"]) == 0
+    assert "alice lives_in london" in capsys.readouterr().out
 
 
 def test_failing_dump_leaves_the_old_snapshot(tmp_path, sessions_file, monkeypatch, capsys):
@@ -452,14 +452,13 @@ def _mistype(path: str, value):
     return edit
 
 
-def _on_v1(edit):
-    """edit applied to the version 1 document of the snapshot's state, which carries every vector."""
-    def on_v1(data):
-        v1 = json.loads(v1_document(*loads_state(json.dumps(data))))
-        data.clear()
-        data.update(v1)
+def _on_remote(edit):
+    """edit applied to the remote-mode snapshot of the document's state, which carries every vector."""
+    def on_remote(data):
+        state, _ = loads_state(json.dumps(data))
+        data.update(json.loads(dumps_state(replace(state, embedder=_REMOTE.embedder), _REMOTE)))
         edit(data)
-    return on_v1
+    return on_remote
 
 
 def _repeat_first(path: str):
@@ -492,22 +491,22 @@ def _attribute_session(session, edge_session: int):
         _mistype("working.entries.0.text", 5),
         _mistype("episodic.log.0.salience", "x"),
         _mistype("semantic.edges.0.3", "x"),
-        _on_v1(_mistype("semantic.nodes.0.embedding.0", float("nan"))),
-        _on_v1(_mistype("working.entries.0.1.3", float("inf"))),
+        _on_remote(_mistype("semantic.nodes.0.embedding.0", float("nan"))),
+        _on_remote(_mistype("working.entries.0.embedding.3", float("inf"))),
         _mistype("episodic.state.5", float("-inf")),
-        _on_v1(_mistype("episodic.log.0.embedding.7", float("nan"))),
+        _on_remote(_mistype("episodic.log.0.embedding.7", float("nan"))),
         _mistype("semantic.edges.0.4", float("nan")),
         _mistype("working.entries.3.facts.0.c", float("inf")),
-        _on_v1(_mistype("semantic.nodes.0.embedding", [0.1, 0.2, 0.3])),
+        _on_remote(_mistype("semantic.nodes.0.embedding", [0.1, 0.2, 0.3])),
         _mistype("episodic.state", [[0.0] * 256]),
-        _on_v1(_mistype("semantic.nodes.0.embedding", ["0.5"] * 256)),
+        _on_remote(_mistype("semantic.nodes.0.embedding", ["0.5"] * 256)),
         _mistype("episodic.state.0", True),
         _mistype("working.entries.0.text", " "),
         _mistype("episodic.state", [[1.0], [1.0, 2.0]]),
         _mistype("working.entries.0.turn", -1),
         _mistype("semantic.edges.0.0", "nobody"),
         _mistype("semantic.nodes.0.attributes.0", ["a"]),
-        _on_v1(_mistype("semantic.nodes.0.embedding.0", 10**400)),
+        _on_remote(_mistype("semantic.nodes.0.embedding.0", 10**400)),
         _mistype("semantic.nodes.0.importance", 10**400),
         _mistype("semantic.edges.0.4", 10**400),
         _mistype("semantic.edges.0", ["alice", "lives_in", "paris", 0, 1.0, "extra"]),

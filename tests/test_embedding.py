@@ -38,7 +38,7 @@ from mlmem.embedding import (
 from mlmem.engine import EngineConfig, run
 from mlmem.memory import Session, Utterance, node_text
 from mlmem.snapshot import dumps_state, loads_state
-from state_vectors import grid_scores, hash_counts, reference_embed, reference_nearest, state_bytes, v1_document
+from state_vectors import grid_scores, hash_counts, reference_embed, reference_nearest, state_bytes
 
 
 def _scalar_loop_cosine(a: list[float], b: list[float]) -> float:
@@ -558,7 +558,7 @@ def test_remote_vector_is_read_as_a_snapshot_vector_is(embed_server, body):
 
 
 def test_loading_a_remote_snapshot_sends_no_request(embed_server):
-    """A remote snapshot carries every vector, v2 as v1 did, so loading it reads them and asks the service nothing."""
+    """A remote snapshot carries every vector, so loading it reads them and asks the service nothing."""
     _EmbedHandler.response_body = json.dumps({"vectors": [[3.0, 4.0] + [0.0] * 6]}).encode()
     cfg = EngineConfig(embedder=EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server)))
     sessions = [
@@ -573,9 +573,8 @@ def test_loading_a_remote_snapshot_sends_no_request(embed_server):
     assert json.loads(blob)["format_version"] == 2
     for records in (document["working"]["entries"], document["episodic"]["log"], document["semantic"]["nodes"]):
         assert records and all(record["embedding"] == [0.6, 0.8] + [0.0] * 6 for record in records)
-    for text in (blob, v1_document(state, cfg)):
-        loaded, loaded_cfg = loads_state(text)
-        assert state_bytes(loaded, loaded_cfg) == state_bytes(state, cfg)
+    loaded, loaded_cfg = loads_state(blob)
+    assert state_bytes(loaded, loaded_cfg) == state_bytes(state, cfg)
     assert len(_EmbedHandler.requests) == asked
 
 

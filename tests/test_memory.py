@@ -286,6 +286,12 @@ def _history(graph):
     return [(*key, session) for key, (session, _) in graph.edges.items()]
 
 
+def _assert_one_edge_per_attribute(graph):
+    """The edge keys are exactly the nodes' (id, name, value) attributes."""
+    attributes = [(nid, name, value) for nid, node in graph.nodes.items() for name, value in node.attributes.items()]
+    assert sorted(graph.edges) == sorted(attributes)
+
+
 def test_merge_inserts_node_and_edge():
     graph = _merge(SemanticGraph(), [FactTriple("alice", "likes", "jazz")], 0)
     assert set(graph.nodes) == {"alice"}
@@ -300,28 +306,35 @@ def test_merge_recency_wins_and_supersedes():
     graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "london")], 1)
     graph = _merge(graph, [FactTriple("alice", "lives_in", "paris")], 4)
     assert graph.nodes["alice"].attributes["lives_in"] == "paris"
-    assert graph.edges["alice", "lives_in", "paris"][0] == 4
-    assert _history(graph) == [("alice", "lives_in", "london", 1), ("alice", "lives_in", "paris", 4)]
+    assert _history(graph) == [("alice", "lives_in", "paris", 4)]
 
 
 def test_merge_out_of_order_write_goes_to_superseded():
+    """An older triple is superseded as it arrives: it changes no attribute and no edge, and adds importance."""
     graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "paris")], 4)
-    graph = _merge(graph, [FactTriple("alice", "lives_in", "london")], 1)
-    assert graph.nodes["alice"].attributes["lives_in"] == "paris"
-    assert graph.edges["alice", "lives_in", "paris"][0] == 4
-    assert ("alice", "lives_in", "london", 1) in _history(graph)
+    older = _merge(graph, [FactTriple("alice", "lives_in", "london")], 1)
+    assert older.nodes["alice"].attributes == {"lives_in": "paris"}
+    assert list(older.edges.items()) == list(graph.edges.items())
+    assert older.nodes["alice"].embedding is graph.nodes["alice"].embedding
+    assert (older.nodes["alice"].importance, older.nodes["alice"].last_updated) == (2.0, 4)
 
 
 def test_merge_same_session_conflict_goes_to_the_later_triple():
     london, paris = FactTriple("alice", "lives_in", "london"), FactTriple("alice", "lives_in", "paris")
-    graph = _merge(SemanticGraph(), [london, paris], 3)
+    bob = FactTriple("bob", "likes", "jazz")
+    graph = _merge(SemanticGraph(), [london, bob, paris], 3)
     assert graph.current_value("alice", "lives_in") == "paris"
+    assert _history(graph) == [("bob", "likes", "jazz", 3), ("alice", "lives_in", "paris", 3)]
     graph = _merge(graph, [FactTriple("alice", "lives_in", "rome")], 3)
     assert graph.current_value("alice", "lives_in") == "rome"
-    # a value already stated in this session is skipped, so a flip back does not land
+    # the last statement of a session wins, a flip back to a value displaced in it too
     graph = _merge(graph, [paris], 3)
-    assert graph.current_value("alice", "lives_in") == "rome"
-    assert [e[2:4] for e in _history(graph)] == [("london", 3), ("paris", 3), ("rome", 3)]
+    assert graph.current_value("alice", "lives_in") == "paris"
+    assert graph.nodes["alice"].importance == 4.0
+    assert _history(graph) == [("bob", "likes", "jazz", 3), ("alice", "lives_in", "paris", 3)]
+    # restating the current value in its session is skipped, in one call or another
+    for restated in ([paris], [paris, paris]):
+        assert _merge(graph, restated, 3).nodes["alice"].importance == 4.0
 
 
 def test_merge_eviction_drops_lowest_importance():
@@ -369,10 +382,10 @@ def test_merge_idempotent_for_identical_triple_same_session():
 
 def test_merge_restatement_at_later_session_refreshes_recency():
     triple = FactTriple("alice", "likes", "jazz")
-    graph = _merge(SemanticGraph(), [triple], 0)
+    graph = _merge(SemanticGraph(), [triple, FactTriple("bob", "likes", "tea")], 0)
     graph = _merge(graph, [triple], 5)
-    assert len(graph.edges) == 1
-    assert _history(graph)[0][3] == 5
+    # the restated value's edge takes the session in place, so the edge order is kept
+    assert _history(graph) == [("alice", "likes", "jazz", 5), ("bob", "likes", "tea", 0)]
     assert graph.nodes["alice"].last_updated == 5
     assert graph.nodes["alice"].importance == 2.0
     assert graph.nodes["alice"].attributes["likes"] == "jazz"
@@ -500,13 +513,7 @@ def test_merge_keeps_capacity_and_every_current_value_in_the_edge_history(stream
         assert len(graph.nodes) <= C_s
         # every graph a merge builds passes the loader's graph checks
         loads_state(dumps_state(MemoryState(WorkingMemory(), EpisodicMemory.empty(CFG.dim), graph, 6, CFG), cfg))
-        for node_id, node in graph.nodes.items():
-            for predicate, value in node.attributes.items():
-                # the current value's edge holds the attribute's session: the latest
-                # session of any value the attribute was given (recency wins)
-                assert graph.edges[node_id, predicate, value][0] == max(
-                    session for (nid, p, _), (session, _) in graph.edges.items() if (nid, p) == (node_id, predicate)
-                )
+        _assert_one_edge_per_attribute(graph)
 
 
 # See test_embedding.py: keeps a reported failure from becoming an INTERNALERROR.
@@ -518,6 +525,7 @@ def test_merges_equal_merges_through_the_all_rows_reference_scan(stream, tau_s, 
         graph = SemanticGraph()
         for session_index, facts in stream:
             graph = merge_semantic(graph, facts, session_index, tau_s, C_s, CFG)
+            _assert_one_edge_per_attribute(graph)
             yield _graph_rows(graph)
 
     fast = list(merged())
@@ -551,6 +559,7 @@ def test_one_merge_equals_folding_its_triples_one_call_at_a_time(earlier, facts,
     folded = graph
     for triple in facts:
         folded = merge_semantic(folded, [triple], 1, tau_s, C_s, CFG)
+        _assert_one_edge_per_attribute(folded)
     assert _graph_rows(merge_semantic(graph, facts, 1, tau_s, C_s, CFG)) == _graph_rows(folded)
 
 
@@ -584,6 +593,6 @@ def test_alternating_attribute_keeps_the_serialized_graph_flat():
         graph = _merge(graph, [FactTriple("alice", "likes", value)], session_index)
         sizes[session_index] = semantic_size(graph)
     assert set(graph.nodes) == {"alice", "bob"}
-    assert len(graph.edges) == 3
+    assert len(graph.edges) == 2
     # both ends of the second half state the same value with 3-digit sessions
     assert sizes[150] == sizes[300]

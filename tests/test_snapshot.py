@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
+import dataclasses
 import json
+import re
 from operator import itemgetter
 from unittest import mock
 
@@ -16,19 +17,22 @@ from mlmem import embedding, snapshot
 from mlmem.embedding import EmbedderConfig, embed
 from mlmem.cli import main
 from mlmem.engine import EngineConfig, initial_state, run, steps
-from mlmem.harness import generate_scenario
+from mlmem.harness import EvalReport, generate_scenario
 from mlmem.memory import FactTriple, Session, Utterance
 from mlmem.snapshot import (
     config_from_dict,
     config_to_dict,
     dumps_state,
+    loads_report,
     loads_state,
     read_sessions_jsonl,
+    report_to_dict,
     session_from_dict,
     session_to_dict,
+    state_to_dict,
     write_sessions_jsonl,
 )
-from state_vectors import held_vectors, reference_embed, state_bytes, v1_document
+from state_vectors import held_vectors, reference_embed, state_bytes
 
 CFG = EngineConfig(embedder=EmbedderConfig(dim=32, seed=4))
 
@@ -101,34 +105,37 @@ def test_loaded_state_continues_identically():
         assert a.response == b.response
 
 
-def test_older_format_snapshot_loads_to_the_same_state_and_query(tmp_path, capsys):
-    state = _built_state()
-    blob = dumps_state(state, CFG)
-    data = json.loads(v1_document(state, CFG))
-    assert not {"seed", "lambda"} & set(data["config"])
-    assert not {"window_k", "capacity_tokens"} & set(data["state"]["working"])
-    assert not {"alpha", "capacity"} & set(data["state"]["episodic"])
-    assert "capacity_nodes" not in data["state"]["semantic"]
-    # the format written before the layer bounds lived in the config only
-    data["config"].update({"seed": 7, "lambda": 0.25})
-    data["state"]["working"].update({"window_k": CFG.k, "capacity_tokens": CFG.C_w})
-    data["state"]["episodic"].update({"alpha": CFG.alpha, "capacity": CFG.C_e})
-    data["state"]["semantic"]["capacity_nodes"] = CFG.C_s
-    legacy = json.dumps(data, sort_keys=True)
-
-    loaded, cfg = loads_state(legacy)
-    assert cfg == CFG
-    assert dumps_state(loaded, cfg) == blob
-    assert state_bytes(loaded, cfg) == state_bytes(state, CFG)
-    answers = []
-    for name, text in (("new.json", blob), ("old.json", legacy)):
-        (tmp_path / name).write_text(text)
-        assert main(["query", "--snapshot", str(tmp_path / name), "--text", "alice lives_in"]) == 0
-        answers.append(capsys.readouterr().out)
-    assert answers[0] == answers[1]
+def test_older_format_snapshot_and_retired_config_keys_are_refused(tmp_path, capsys):
+    """Version 2 is the one format that loads, and the retired top-level config keys are unknown keys: a version 1
+    document and a snapshot, config or report that carries ``seed`` or ``lambda`` are malformed, and say why."""
+    data = state_to_dict(_built_state(), CFG)
+    documents = [
+        ("format_version 1 is not 2", {key: value for key, value in data.items() if key != "format_version"}),
+        ("format_version 1 is not 2", {**data, "format_version": 1}),
+        ("unknown EngineConfig key(s): seed", {**data, "config": {**data["config"], "seed": 7}}),
+        ("unknown EngineConfig key(s): lambda", {**data, "config": {**data["config"], "lambda": 0.25}}),
+    ]
+    for message, document in documents:
+        with pytest.raises(ValueError, match=re.escape(f"malformed snapshot: {message}")):
+            loads_state(json.dumps(document))
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(document))
+        assert main(["query", "--snapshot", str(path), "--text", "alice lives_in"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed snapshot: {message}")
+    report = report_to_dict(EvalReport({1: 1.0}, 0.0, 0.25, 1.0, (0.0,), CFG))
+    assert loads_report(json.dumps(report)) == EvalReport({1: 1.0}, 0.0, 0.25, 1.0, (0.0,), CFG)
+    for key, value in (("seed", 3), ("lambda", 0.25)):
+        with pytest.raises(ValueError, match=re.escape(f"malformed config: unknown EngineConfig key(s): {key}")):
+            config_from_dict({**data["config"], key: value})
+        with pytest.raises(ValueError, match=re.escape(f"malformed report: unknown EngineConfig key(s): {key}")):
+            loads_report(json.dumps({**report, "config": {**report["config"], key: value}}))
 
 
 def test_older_snapshot_with_superseded_lists_loads_and_redumps_without_them(tmp_path, capsys):
+    """The writer that kept each attribute's displaced values wrote them twice: a ``superseded`` list per attribute
+    and an edge row per value ever stated, at the last session it was stated, in the order first stated. Under a
+    v2 header such a snapshot loads, its rows checked as written; it answers as the engine's own snapshot does and
+    re-dumps with the current values' rows only."""
     cities = ["london", "paris", "rome", "paris", "london", "oslo"]
     sessions = [
         Session(i, (Utterance.from_text(i, 0, "alice", f"alice lives in {city}"),
@@ -137,8 +144,16 @@ def test_older_snapshot_with_superseded_lists_loads_and_redumps_without_them(tmp
     ]
     state = run(sessions, None, CFG)[-1].state
     blob = dumps_state(state, CFG)
-    data = json.loads(v1_document(state, CFG))
-    # the format that kept each attribute's displaced values, repeats included
+    data = json.loads(blob)
+    current_rows = [["alice", "lives_in", "oslo", 5, 1.0], ["bob", "likes", "london", 5, 1.0]]
+    assert data["state"]["semantic"]["edges"] == current_rows
+    # the rows that writer kept
+    stated = {}
+    for i, city in enumerate(cities):
+        stated["alice", "lives_in", city] = i
+        stated["bob", "likes", cities[-1 - i]] = i
+    data["state"]["semantic"]["edges"] = [[*key, session, 1.0] for key, session in stated.items()]
+    assert len(data["state"]["semantic"]["edges"]) == 8
     superseded = {
         "alice": ["london", "paris", "rome", "paris", "london"],
         "bob": ["oslo", "london", "paris", "rome", "paris"],
@@ -148,14 +163,14 @@ def test_older_snapshot_with_superseded_lists_loads_and_redumps_without_them(tmp
             assert set(record) == {"value", "session"}
             record["superseded"] = superseded[node["entity_id"]]
     legacy = json.dumps(data, sort_keys=True)
-    # sha256 of the snapshot that format's dumps_state writes for the state these sessions build
-    assert hashlib.sha256(legacy.encode()).hexdigest() == (
-        "5b9849c903e7d3aa53b2a5c038d01d3064365bf25bc3de889686b345326a1050"
-    )
 
     loaded, cfg = loads_state(legacy)
-    assert dumps_state(loaded, cfg) == blob
-    assert state_bytes(loaded, cfg) == state_bytes(state, CFG)
+    redumped = dumps_state(loaded, cfg)
+    # the current values' rows are kept in the order written, where bob's value was stated first
+    expected = json.loads(blob)
+    expected["state"]["semantic"]["edges"] = current_rows[::-1]
+    assert json.loads(redumped) == expected
+    assert dumps_state(*loads_state(redumped)) == redumped
     answers = []
     for name, text in (("new.json", blob), ("old.json", legacy)):
         (tmp_path / name).write_text(text)
@@ -173,17 +188,12 @@ def _assert_held_vectors_are_embeddings(state, embedder: EmbedderConfig) -> None
 
 
 def _assert_v2_rebuilds_the_vectors(state, cfg: EngineConfig) -> None:
-    """A v2 load rebuilds every vector the state holds bit for bit, and v1 -> v2 -> v2 keeps the bytes."""
-    blob = dumps_state(state, cfg)
-    loaded, loaded_cfg = loads_state(blob)
+    """A v2 load rebuilds every vector the state holds bit for bit."""
+    loaded, loaded_cfg = loads_state(dumps_state(state, cfg))
     assert state_bytes(loaded, loaded_cfg) == state_bytes(state, cfg)
-    from_v1, v1_cfg = loads_state(v1_document(state, cfg))
-    assert state_bytes(from_v1, v1_cfg) == state_bytes(state, cfg)
-    again = dumps_state(*loads_state(dumps_state(from_v1, v1_cfg)))
-    assert again == blob
 
 
-def test_v2_rebuilds_the_stored_v1_vectors_through_updates_similarity_merges_and_eviction():
+def test_v2_rebuilds_held_vectors_through_updates_similarity_merges_and_eviction():
     cfg = EngineConfig(k=3, C_e=2, C_s=2, tau_s=0.7, embedder=CFG.embedder)
     texts = [
         ["alice lives in london", "bob likes jazz"],
@@ -209,9 +219,6 @@ def test_v2_rebuilds_the_stored_v1_vectors_through_updates_similarity_merges_and
     assert '"embedding"' not in blob
     # only the episodic state is written as a vector
     assert sum(map(_is_vector, map(itemgetter(1), _paths(json.loads(blob))))) == 1
-    v1 = json.loads(v1_document(outputs[-1].state, cfg))
-    v1["format_version"] = 1
-    assert dumps_state(*loads_state(json.dumps(v1))) == blob
 
 
 def test_a_load_embeds_every_text_in_one_call():
@@ -282,14 +289,8 @@ def test_loads_state_rejects_layers_over_the_config_bounds(name, tmp_path):
     assert main(["query", "--snapshot", str(path), "--text", "alice lives_in"]) == 2
 
 
-def test_config_json_accepts_and_drops_retired_keys():
-    data = config_to_dict(CFG)
-    assert not {"lambda", "lambda_", "seed"} & set(data)
-    assert config_from_dict({**data, "lambda": 0.25, "seed": 3}) == CFG
-
-
 def test_config_from_partial_dict_fills_defaults():
-    cfg = config_from_dict({"k": 3, "lambda": 0.25})
+    cfg = config_from_dict({"k": 3})
     assert cfg.k == 3
     assert cfg.C_w == EngineConfig().C_w
 
@@ -305,7 +306,12 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"embedder": None})
     with pytest.raises(ValueError, match="lambda"):
         config_from_dict({"embedder": {"lambda": 0.5}})
-    assert config_from_dict({"seed": 3, "embedder": {"seed": 5}}) == EngineConfig(embedder=EmbedderConfig(seed=5))
+    # the retired top-level keys are unknown keys too; the embedder's own seed is a field
+    assert not {"lambda", "lambda_", "seed"} & set(config_to_dict(CFG))
+    for retired in ({"seed": 3}, {"lambda": 0.25}):
+        with pytest.raises(ValueError, match=re.escape(f"unknown EngineConfig key(s): {next(iter(retired))}")):
+            config_from_dict({**config_to_dict(CFG), **retired})
+    assert config_from_dict({"embedder": {"seed": 5}}) == EngineConfig(embedder=EmbedderConfig(seed=5))
 
 
 def test_session_jsonl_round_trip(tmp_path):
@@ -358,8 +364,6 @@ def test_malformed_jsonl_identifies_the_line(tmp_path):
 
 
 def test_snapshot_size_depends_on_capacities_not_history_length():
-    import dataclasses
-
     small = dataclasses.replace(CFG, k=4, C_w=48, C_e=4, C_s=6)
     scenario = generate_scenario(6, 30, facts_per_persona=2, distractors_per_session=3, seed=2)
     outputs = run(scenario.sessions, None, small)
@@ -390,8 +394,13 @@ def _tree(snapshot: str):
     return snapshot, nodes, coordinates, scalars, keys
 
 
-# the v2 snapshot writes only the episodic state's coordinates; the v1 document of its state stores every vector
-_TREES = {"v2": _tree(dumps_state(_built_state(), CFG)), "v1": _tree(v1_document(_built_state(), CFG))}
+# the v2 snapshot writes only the episodic state's coordinates, and a remote one every vector as well: the built
+# state stands in for one the remote embedder built, and loading it asks the service nothing
+_REMOTE = EngineConfig(embedder=dataclasses.replace(CFG.embedder, mode="remote", remote_endpoint="http://127.0.0.1:9/"))
+_TREES = {
+    "v2": _tree(dumps_state(_built_state(), CFG)),
+    "remote_v2": _tree(dumps_state(dataclasses.replace(_built_state(), embedder=_REMOTE.embedder), _REMOTE)),
+}
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
     st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
