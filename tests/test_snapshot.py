@@ -306,11 +306,17 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"embedder": None})
     with pytest.raises(ValueError, match="lambda"):
         config_from_dict({"embedder": {"lambda": 0.5}})
-    # the retired top-level keys are unknown keys too; the embedder's own seed is a field
-    assert not {"lambda", "lambda_", "seed"} & set(config_to_dict(CFG))
+
+
+def test_config_json_accepts_and_drops_retired_keys():
+    """The config JSON accepts the embedder's own ``seed`` field and drops the retired top-level ``seed`` and
+    ``lambda`` keys: it never writes them, and a config that carries one is refused as an unknown key."""
+    data = config_to_dict(CFG)
+    assert not {"lambda", "lambda_", "seed"} & set(data)
+    assert config_from_dict(data) == CFG
     for retired in ({"seed": 3}, {"lambda": 0.25}):
         with pytest.raises(ValueError, match=re.escape(f"unknown EngineConfig key(s): {next(iter(retired))}")):
-            config_from_dict({**config_to_dict(CFG), **retired})
+            config_from_dict({**data, **retired})
     assert config_from_dict({"embedder": {"seed": 5}}) == EngineConfig(embedder=EmbedderConfig(seed=5))
 
 
