@@ -3,10 +3,10 @@
 Working memory is a bounded tail of the latest session, episodic memory is a
 decayed running blend of session-summary embeddings plus a ring-buffered log,
 and semantic memory is an entity graph with similarity-thresholded merging,
-recency-wins conflict resolution, and (importance, recency) eviction. It
-keeps one edge per node attribute, the current value's: a value that is
-displaced takes its edge with it, so the graph holds at most C_s nodes and
-their attributes, and no fact history.
+recency-wins conflict resolution, and (importance, recency) eviction. Each
+node attribute holds its current value with the session it was last stated
+at and that statement's confidence: a displaced value is gone, so the graph
+holds at most C_s nodes and their attributes, and no fact history.
 Graph facts are mined from raw utterances, not from the episodic summary.
 The summary's and the merge's scans go through ``embedding.nearest``, whose
 score is each row's similarity here and whose ties go to the key each passes:
@@ -27,15 +27,17 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .embedding import EmbedderConfig, embed, frozen, nearest, stacked
+from .embedding import EmbedderConfig, check_kinds, embed, frozen, nearest, stacked
 
 
 @dataclass(frozen=True)
 class FactTriple:
-    """(subject, attribute-or-relation, value) with extraction confidence; ValueError when a part is blank."""
+    """(subject, attribute-or-relation, value) with extraction confidence; ValueError when a part is blank or the
+    confidence is no finite number (``check_kinds``), so a snapshot can carry every triple the engine folds."""
 
     subject: str
     predicate: str
@@ -45,6 +47,7 @@ class FactTriple:
     def __post_init__(self) -> None:
         if not (self.subject.strip() and self.predicate.strip() and self.object.strip()):
             raise ValueError(f"fact parts must not be blank, got {(self.subject, self.predicate, self.object)!r}")
+        check_kinds("FactTriple.confidence", "float", (self.confidence,))
 
 
 @dataclass(frozen=True)
@@ -126,38 +129,53 @@ class EpisodicMemory:
         return cls(frozen(np.zeros(dim)))
 
 
+class Attribute(NamedTuple):
+    """A node attribute's current value, the last session it was stated at, and that statement's confidence."""
+
+    value: str
+    session: int
+    confidence: float
+
+
 @dataclass(frozen=True)
 class EntityNode:
     entity_id: str
-    attributes: dict[str, str]
+    attributes: dict[str, Attribute]
     embedding: np.ndarray
     importance: float
     last_updated: int
 
 
-def node_text(entity_id: str, attributes: dict[str, str]) -> str:
-    """Canonical node rendering, attributes sorted by name; also the embedding source."""
+def node_text(entity_id: str, attributes: dict[str, Attribute]) -> str:
+    """Canonical node rendering, attribute values sorted by name; also the embedding source."""
     parts = [entity_id]
     for name in sorted(attributes):
-        parts.append(f"{name} {attributes[name]}")
+        parts.append(f"{name} {attributes[name].value}")
     return " ".join(parts)
 
 
 @dataclass(frozen=True)
 class SemanticGraph:
-    """Attributed nodes plus one edge per attribute: (node, predicate, value) -> (last session, confidence).
+    """Attributed nodes; each attribute is the graph's one fact about its (node, predicate).
 
-    The edge keys are exactly the nodes' (id, name, value) attributes, in the order their values became
-    current; an edge's session is its attribute's. ``merge_semantic`` keeps this by construction, and
-    ``snapshot`` checks a loaded graph and keeps only these edges.
+    ``edges`` derives the (node, predicate, value) -> (session, confidence) view of the attributes on each read.
+    Nothing in the engine reads it; it stays because the benchmark (``perfbench``) reports its size.
     """
 
     nodes: dict[str, EntityNode] = field(default_factory=dict)
-    edges: dict[tuple[str, str, str], tuple[int, float]] = field(default_factory=dict)
+
+    @property
+    def edges(self) -> dict[tuple[str, str, str], tuple[int, float]]:
+        return {
+            (node_id, name, attribute.value): (attribute.session, attribute.confidence)
+            for node_id, node in self.nodes.items()
+            for name, attribute in node.attributes.items()
+        }
 
     def current_value(self, subject: str, attribute: str) -> str | None:
         node = self.nodes.get(_canonical(subject))
-        return None if node is None else node.attributes.get(_canonical(attribute))
+        current = None if node is None else node.attributes.get(_canonical(attribute))
+        return None if current is None else current.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,24 +291,21 @@ def merge_semantic(
     at or above tau_s (ties to the lexicographically smaller id), else a new
     node. tau_s is the scan's floor, so a candidate that no node can reach over
     the candidate's nonzero columns costs no full scan, and the bound is exact
-    (see ``nearest``). The merge edits a copy of the edge mapping. A triple
-    that restates the current value at its edge's session is skipped. Recency
-    wins: a triple at that session or later becomes the value, so within a
-    session the last statement wins. A new value's edge replaces the old
-    value's, and a restated value's edge takes the session in place. An older
-    triple changes no attribute and no edge. Each triple not skipped adds 1 to
-    its node's importance. Past C_s nodes, those with the lowest (importance,
-    last_updated, entity_id) are evicted with their edges.
+    (see ``nearest``). A triple that restates an attribute's value at the
+    attribute's session is skipped. Recency wins: a triple at that session or
+    later becomes the attribute, its value, session and confidence, so within
+    a session the last statement wins. An older triple changes no attribute.
+    Each triple not skipped adds 1 to its node's importance. Past C_s nodes,
+    those with the lowest (importance, last_updated, entity_id) are evicted.
 
     The match scans a row buffer of the node vectors with ``nearest``. The
     buffer lives for this call only, so the graph holds each vector once. A
-    node whose attributes change is re-embedded once, before a scan reads its
-    row or at the end unless evicted, as folding one triple per call would see.
+    node whose attribute values change is re-embedded once, before a scan reads
+    its row or at the end unless evicted, as folding one triple per call would see.
     """
     if not 0.0 <= tau_s <= 1.0 or C_s < 1:
         raise ValueError(f"tau_s must lie in [0, 1] and C_s be >= 1, got {tau_s}, {C_s}")
     nodes = dict(graph.nodes)
-    edges = dict(graph.edges)
     # The node vectors in `nodes` order plus a spare row per triple, built at
     # the first unseen subject; the merge's only scan reads it after `refresh`
     # re-embeds the `stale` nodes, whose vector and row lag their attributes.
@@ -309,11 +324,11 @@ def merge_semantic(
     for triple in facts:
         subject = _canonical(triple.subject)
         predicate = _canonical(triple.predicate)
-        value = _canonical(triple.object)
+        stated = Attribute(_canonical(triple.object), session_index, triple.confidence)
 
         target_id = subject if subject in nodes else None
         if target_id is None and nodes:
-            candidate = embed(node_text(subject, {predicate: value}), embedder)
+            candidate = embed(node_text(subject, {predicate: stated}), embedder)
             refresh()
             if matrix is None:
                 matrix = stacked([node.embedding for node in nodes.values()] + [np.zeros(embedder.dim)] * len(facts))
@@ -333,15 +348,12 @@ def merge_semantic(
         node = nodes[target_id]
         attributes = node.attributes
         current = attributes.get(predicate)
-        stated = None if current is None else edges[target_id, predicate, current][0]
-        if current == value and stated == session_index:
+        if current is not None and current.value == stated.value and current.session == session_index:
             continue
-        if stated is None or session_index >= stated:
-            if current != value:
-                edges.pop((target_id, predicate, current), None)
-                attributes = {**attributes, predicate: value}
+        if current is None or session_index >= current.session:
+            attributes = {**attributes, predicate: stated}
+            if current is None or current.value != stated.value:
                 stale[target_id] = None
-            edges[target_id, predicate, value] = (session_index, triple.confidence)
 
         nodes[target_id] = EntityNode(
             target_id, attributes, node.embedding, node.importance + 1.0, max(node.last_updated, session_index)
@@ -352,8 +364,6 @@ def merge_semantic(
         for doomed in heapq.nsmallest(
                 len(nodes) - C_s, nodes.values(), lambda n: (n.importance, n.last_updated, n.entity_id)):
             del nodes[doomed.entity_id]
-            for name, value in doomed.attributes.items():
-                del edges[doomed.entity_id, name, value]
     refresh()
 
-    return SemanticGraph(nodes, edges)
+    return SemanticGraph(nodes)

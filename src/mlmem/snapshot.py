@@ -1,23 +1,24 @@
 """Every wire format: states, configs, session files and eval reports, as JSON.
 
-Snapshot wire format, version 2 (single JSON document)::
+Snapshot wire format, version 3 (single JSON document)::
 
     {
       "config": {"k": 8, "C_w": 256, ..., "embedder": {"dim": 256, ...}},
-      "format_version": 2,
+      "format_version": 3,
       "state": {
         "session_cursor": 3,
         "working": {"entries": [entry, ..]},
         "episodic": {"state": [float...], "log": [summary, ..]},
-        "semantic": {"nodes": [node, ..], "edges": [[s, r, o, t, c], ..]}
+        "semantic": {"nodes": [node, ..]}
       }
     }
 
 An entry is its utterance ``{"session": int, "turn": int, "speaker": str,
 "text": str, "facts": [...]?}``, a summary ``{"session": int, "text": str,
 "salience": float}``, and a node ``{"entity_id": str, "attributes": [[name,
-{"value": str, "session": int}], ..], "importance": float, "last_updated":
-int}``. Each entry, summary and node holds a vector that is ``embed`` of its
+value, session, confidence], ..], "importance": float, "last_updated": int}``,
+each attribute row a ``memory.Attribute`` after its name, so each fact is
+written once. Each entry, summary and node holds a vector that is ``embed`` of its
 text: the utterance's text, the summary's text, and ``memory.node_text`` of
 the node's id and attributes. A deterministic dump writes none of these
 vectors, since each is ``embed(text, cfg.embedder)``, and loading rebuilds
@@ -28,17 +29,10 @@ load never rebuilds other vectors than the state held. In remote mode, whose
 vectors no load may ask the service for again, each entry, summary and node
 carries its vector as ``"embedding": [float...]``, and loading reads it. A
 deterministic document that carries one of these vectors, and a remote one that
-lacks one, is malformed. Version 2 is the one format loading reads: a document
-of version 1 (written before, with no ``"format_version"`` key) is malformed.
-
-The edges hold one row per node attribute, its current value's (see
-``memory.SemanticGraph``), in the order of the graph's edge mapping. An
-attribute's ``"session"`` is not held in the state: it is written from, and
-must load equal to, its value's edge session. Older v2 snapshots also carry a
-row for each value an attribute held before; loading checks every row as
-written, then keeps only the current values' rows, so such a snapshot
-re-dumps without them. Layer bounds live in the config only (k, C_w, C_e,
-alpha, C_s).
+lacks one, is malformed. Version 3 is the one format loading reads: a document
+of version 1 (written before, with no ``"format_version"`` key) or version 2
+(whose edge rows restated every attribute) is malformed. Layer bounds live in
+the config only (k, C_w, C_e, alpha, C_s).
 
 Node attributes, entries, and log records are serialized as ordered lists so a
 round-trip preserves iteration order exactly; floats survive via repr, so
@@ -53,22 +47,21 @@ An eval report is ``{"retention_at": {"gap": float, ..}, "fmr": float,
 "config": config}``.
 
 One rule rejects outside input: it is malformed when reading it raises one of
-``_MALFORMED``, as a missing key, a ``format_version`` other than the int 2
+``_MALFORMED``, as a missing key, a ``format_version`` other than the int 3
 (a missing one is version 1), a config key no config field has (the retired
-``seed`` and ``lambda`` too), a field the kind rule refuses (every reader
+``seed`` and ``lambda`` too), a snapshot key no v3 writer writes (``_check_keys``;
+``"embedding"`` is written in remote mode only), a field the kind rule refuses (every reader
 runs ``embedding.check_field_kinds`` on the records it builds), a vector that
 is not a list of ``embedder.dim`` numbers, a working entry's, log record's or
 node's vector whose L2 norm is neither 0 nor within 1e-12 of 1
 (``embedding.vector_from_json``), an episodic state whose L2 norm exceeds
 1 + 1e-12 (no ``update_episodic`` blend does), or a record its dataclass
 refuses (a blank fact part, say) does; so do a
-node that repeats an entity_id or an attribute name, an edge row that repeats
-a key, a graph no merge could build (``_check_graph``: an attribute value
-without its edge, an edge whose subject has no node or a node older than the
-edge, or whose (node, predicate) has no current value, an attribute
-``"session"`` that is not its edge's session as an int or is older than
-another edge of its (node, predicate) (recency wins), a node ``importance`` below 1), a ``session_cursor`` below -1,
-a recorded session (a working entry's, a log record's, an edge's, a node's
+node that repeats an entity_id or an attribute name, an attribute row that is
+not four fields long, a graph no merge could build (``_check_graph``: a node
+``importance`` below 1, an attribute session later than its node's
+``last_updated``), a ``session_cursor`` below -1,
+a recorded session (a working entry's, a log record's, an attribute's, a node's
 ``last_updated``) outside [0, cursor], working entries that are not of one
 session in strictly increasing turn order (``update_working`` keeps the tail
 of one session), an episodic log whose sessions do not strictly increase, and
@@ -91,7 +84,7 @@ from dataclasses import fields, is_dataclass
 from functools import partial
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, get_type_hints
 
 import numpy as np
 
@@ -99,6 +92,7 @@ from .embedding import UNIT_TOLERANCE, EmbedderConfig, check_field_kinds, check_
 from .engine import EngineConfig, check_embedder, check_layer_bounds
 from .harness import EvalReport
 from .memory import (
+    Attribute,
     EntityNode,
     EpisodicMemory,
     FactTriple,
@@ -115,26 +109,49 @@ from .memory import (
 # What a reader counts as malformed input (see the module docstring).
 _MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError, OverflowError)
 
-_EDGE = ("str", "str", "str", "int", "float")
+FORMAT_VERSION = 3  # what dumps_state writes and the one version loads_state reads
 
-FORMAT_VERSION = 2  # what dumps_state writes and the one version loads_state reads
+# (field, kind) of each column of an attribute row: its name, then the ``memory.Attribute`` fields.
+_ATTRIBUTE_ROW = [("name", "str"), *((name, kind.__name__) for name, kind in get_type_hints(Attribute).items())]
+
+
+def _check_keys(data: dict[str, Any], remote: bool) -> None:
+    """ValueError naming a key no v3 writer writes in the document, its state, a layer, or a working entry, log
+    record, node or fact record; only a remote document's entries, log records and nodes carry "embedding"."""
+    raw = data["state"]
+    entries = raw["working"]["entries"]
+    vector = {"embedding"} if remote else set()
+    for kind, keys, records in (
+        ("document", {"config", "format_version", "state"}, [data]),
+        ("state", {"session_cursor", "working", "episodic", "semantic"}, [raw]),
+        ("working", {"entries"}, [raw["working"]]),
+        ("episodic", {"state", "log"}, [raw["episodic"]]),
+        ("semantic", {"nodes"}, [raw["semantic"]]),
+        ("working entry", {"session", "turn", "speaker", "text", "facts", *vector}, entries),
+        ("log record", {"session", "text", "salience", *vector}, raw["episodic"]["log"]),
+        ("node", {"entity_id", "attributes", "importance", "last_updated", *vector}, raw["semantic"]["nodes"]),
+        ("fact", {"s", "p", "o", "c"}, chain.from_iterable(entry.get("facts", ()) for entry in entries)),
+    ):
+        for record in records:
+            if not record.keys() <= keys:
+                raise ValueError(f"unknown {kind} key(s): {', '.join(sorted(record.keys() - keys))}")
 
 
 def _check_state(state: MemoryState) -> None:
     """The kind check over every scalar field of a loaded state; vector_from_json checks vectors."""
-    # Attribute names and values must be edge key fields (_check_graph), so the edge columns check them.
     utterances = tuple(map(itemgetter(0), state.working.entries))
     facts = tuple(chain.from_iterable(u.annotations for u in utterances))
-    for records in ((state,), utterances, facts, state.episodic.log, tuple(state.semantic.nodes.values())):
+    nodes = tuple(state.semantic.nodes.values())
+    for records in ((state,), utterances, facts, state.episodic.log, nodes):
         check_field_kinds(*records)
-    edges = state.semantic.edges
-    for i, (annotation, column) in enumerate(zip(_EDGE, (*zip(*edges), *zip(*edges.values())))):
-        check_kinds(f"edge field {i}", annotation, column)
+    rows = [(name, *attribute) for node in nodes for name, attribute in node.attributes.items()]
+    for (name, kind), column in zip(_ATTRIBUTE_ROW, zip(*rows)):
+        check_kinds(f"attribute {name}", kind, column)
 
 
 def _check_sessions(state: MemoryState) -> None:
     """ValueError unless the cursor is >= -1, each recorded session (a working entry's, a log record's,
-    an edge's, a node's last_updated) lies in [0, cursor], the working entries are of one session in strictly
+    an attribute's, a node's last_updated) lies in [0, cursor], the working entries are of one session in strictly
     increasing turn order (``update_working`` keeps a session's tail), and the log's sessions strictly increase
     (``update_episodic`` evicts the oldest record by position)."""
     cursor = state.session_cursor
@@ -142,7 +159,8 @@ def _check_sessions(state: MemoryState) -> None:
     sessions = [u.session_index for u, _ in state.working.entries]
     turns = [u.turn_index for u, _ in state.working.entries]
     recorded = sessions + log
-    recorded += [s for s, _ in state.semantic.edges.values()] + [n.last_updated for n in state.semantic.nodes.values()]
+    for node in state.semantic.nodes.values():
+        recorded += [a.session for a in node.attributes.values()] + [node.last_updated]
     if cursor < -1 or min(recorded, default=0) < 0 or max(recorded, default=cursor) > cursor:
         raise ValueError(f"session_cursor {cursor} is below -1, or a recorded session lies outside [0, {cursor}]")
     if len(set(sessions)) > 1 or any(earlier >= later for earlier, later in zip(turns, turns[1:])):
@@ -151,42 +169,16 @@ def _check_sessions(state: MemoryState) -> None:
         raise ValueError(f"episodic log sessions {log} do not strictly increase")
 
 
-def _check_graph(nodes: list[dict[str, Any]], graph: SemanticGraph) -> None:
-    """ValueError unless the graph is one ``merge_semantic`` could build, the only check of its invariants.
-
-    A node record's importance is at least 1 (each merge into a node adds 1), and each attribute value has its
-    edge, whose session its "session" is as a JSON int. An edge's subject is a node no older than it
-    (``last_updated``), and its (node, predicate) has a current value no edge of it is later than (values of
-    one session tie). It checks every row as written, the rows of displaced values an older writer kept too.
-    """
-    edges, graph_nodes = graph.edges, graph.nodes
-    current: dict[tuple[str, str], int] = {}
-    for node in nodes:
-        node_id = node["entity_id"]
-        if node["importance"] < 1.0:
-            raise ValueError(f"node {node_id!r} has importance below 1")
-        for name, record in node["attributes"]:
-            value, session = record["value"], record["session"]
-            edge = edges.get((node_id, name, value))
-            if edge is None:
-                raise ValueError(f"attribute {node_id!r} {name!r} value {value!r} has no edge")
-            if type(session) is not int or session != edge[0]:
-                raise ValueError(f"attribute {node_id!r} {name!r} session {session!r} is not its edge's")
-            current[node_id, name] = session
-    for (node_id, predicate, value), (session, _) in edges.items():
-        node = graph_nodes.get(node_id)
-        if node is None:
-            raise ValueError(f"edge subject {node_id!r} has no node")
-        if session > node.last_updated:
-            raise ValueError(f"node {node_id!r} is older than its edge {predicate!r} {value!r} of session {session}")
-        latest = current.get((node_id, predicate))
-        if latest is None:
-            raise ValueError(f"edge {node_id!r} {predicate!r} {value!r} has no current value on its node")
-        if session > latest:
-            raise ValueError(
-                f"attribute {node_id!r} {predicate!r} is of session {latest}, "
-                f"but {value!r} was stated later, at session {session}"
-            )
+def _check_graph(graph: SemanticGraph) -> None:
+    """ValueError unless each node's importance is at least 1 (each merge into a node adds 1) and none of its
+    attributes is of a session later than its ``last_updated`` (a merge moves both to its session)."""
+    for node in graph.nodes.values():
+        if node.importance < 1.0:
+            raise ValueError(f"node {node.entity_id!r} has importance below 1")
+        for name, attribute in node.attributes.items():
+            if attribute.session > node.last_updated:
+                raise ValueError(f"node {node.entity_id!r} is older than its attribute {name!r} of session "
+                                 f"{attribute.session}")
 
 
 def config_to_dict(cfg: Any) -> dict[str, Any]:
@@ -273,12 +265,9 @@ def _utterance_from_dict(data: dict[str, Any], session_index: int) -> Utterance:
 
 def _vectors(records: list[dict[str, Any]], texts: list[str], embedder: EmbedderConfig) -> list[np.ndarray]:
     """The vectors of loaded working entries, log records or nodes: a remote record carries its "embedding", and
-    deterministic ones, which carry none, get ``embed_all(texts)``."""
+    deterministic ones, which carry none (``_check_keys``), get ``embed_all(texts)``."""
     if embedder.mode == "remote":
         return [vector_from_json(record["embedding"], embedder.dim, embedded=True) for record in records]
-    for record, text in zip(records, texts):
-        if "embedding" in record:
-            raise ValueError(f"a deterministic snapshot carries no working, log or node vector; {text!r} has one")
     return embed_all(texts, embedder)
 
 
@@ -290,28 +279,27 @@ def _summary_from_dict(data: dict[str, Any], vector: np.ndarray) -> SummaryRecor
     return SummaryRecord(data["session"], data["text"], vector, data["salience"])
 
 
-def _node_to_dict(node: EntityNode, graph: SemanticGraph) -> dict[str, Any]:
-    """The node record; each attribute's "session" is its value's edge session."""
+def _node_to_dict(node: EntityNode) -> dict[str, Any]:
+    """The node record; each attribute is one [name, value, session, confidence] row."""
     return {
         "entity_id": node.entity_id,
-        "attributes": [
-            [name, {"value": value, "session": graph.edges[node.entity_id, name, value][0]}]
-            for name, value in node.attributes.items()
-        ],
+        "attributes": [[name, *attribute] for name, attribute in node.attributes.items()],
         "importance": node.importance,
         "last_updated": node.last_updated,
     }
 
 
-def _node_attributes(data: dict[str, Any]) -> dict[str, str]:
-    attributes = {name: record["value"] for name, record in data["attributes"]}
+def _node_attributes(data: dict[str, Any]) -> dict[str, Attribute]:
+    attributes = {
+        name: Attribute(value, session, confidence) for name, value, session, confidence in data["attributes"]
+    }
     if len(attributes) != len(data["attributes"]):
         raise ValueError(f"node {data['entity_id']!r} repeats an attribute name")
     return attributes
 
 
 def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
-    """The v2 document; only in remote mode does a working entry, log record or node carry its vector.
+    """The v3 document; only in remote mode does a working entry, log record or node carry its vector.
 
     ValueError unless cfg's embedder built the state (``engine.check_embedder``)."""
     check_embedder(state, cfg)
@@ -335,8 +323,7 @@ def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
                 "log": [record(_summary_to_dict(r), r.embedding) for r in state.episodic.log],
             },
             "semantic": {
-                "nodes": [record(_node_to_dict(n, state.semantic), n.embedding) for n in state.semantic.nodes.values()],
-                "edges": [[*key, *edge] for key, edge in state.semantic.edges.items()],
+                "nodes": [record(_node_to_dict(n), n.embedding) for n in state.semantic.nodes.values()],
             },
         },
     }
@@ -348,6 +335,7 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"format_version {version!r} is not {FORMAT_VERSION}, the one version loading reads")
     cfg = _config_from_dict(data["config"])
+    _check_keys(data, cfg.embedder.mode == "remote")
     raw = data["state"]
     entries = raw["working"]["entries"]
     utterances = [_utterance_from_dict(u, u["session"]) for u in entries]
@@ -365,29 +353,22 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     norm = math.sqrt(float(episodic.state.dot(episodic.state)))
     if norm > 1.0 + UNIT_TOLERANCE:
         raise ValueError(f"the episodic state must have L2 norm at most 1, as every blend has, got {norm!r}")
-    rows = raw["semantic"]["edges"]
-    edges = {(s, r, o): (t, c) for s, r, o, t, c in rows}
-    if len(edges) != len(rows):
-        raise ValueError(f"{len(rows) - len(edges)} edge(s) repeat a (node, predicate, value) key")
     semantic = SemanticGraph({
         n["entity_id"]: EntityNode(n["entity_id"], a, vector, n["importance"], n["last_updated"])
         for n, a, vector in zip(nodes, attributes, vectors)
-    }, edges)
+    })
     if len(semantic.nodes) != len(nodes):
         raise ValueError(f"{len(nodes) - len(semantic.nodes)} node(s) repeat an entity_id")
     state = MemoryState(working, episodic, semantic, raw["session_cursor"], cfg.embedder)
     _check_state(state)
     _check_sessions(state)
-    _check_graph(nodes, semantic)
+    _check_graph(semantic)
     check_layer_bounds(state, cfg)
-    # the rows of displaced values an older writer kept pass the checks above; the state holds current values only
-    for key in [key for key in edges if semantic.nodes[key[0]].attributes[key[1]] != key[2]]:
-        del edges[key]
     return state, cfg
 
 
 def dumps_state(state: MemoryState, cfg: EngineConfig) -> str:
-    """The snapshot of a state the engine built under cfg, as v2 JSON (see the module docstring).
+    """The snapshot of a state the engine built under cfg, as v3 JSON (see the module docstring).
 
     A deterministic dump records each working, log and node vector as ``embed(text, cfg.embedder)`` of its
     record's text, by writing the text alone; ``loads_state`` rebuilds the vector so.

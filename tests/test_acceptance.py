@@ -26,6 +26,7 @@ from mlmem.harness import (
     objective_handle,
 )
 from mlmem.memory import (
+    Attribute,
     EntityNode,
     EpisodicMemory,
     FactTriple,
@@ -112,9 +113,9 @@ def _random_graph(rng: random.Random, entities: list[str], dim: int) -> Semantic
     for name in entities:
         vec = np.array([rng.uniform(-1.0, 1.0) for _ in range(dim)])
         nodes[name] = EntityNode(
-            name, {"a": "v"}, vec, 1.0, 0
+            name, {"a": Attribute("v", 0, 1.0)}, vec, 1.0, 0
         )
-    return SemanticGraph(nodes, {(name, "a", "v"): (0, 1.0) for name in nodes})
+    return SemanticGraph(nodes)
 
 
 def test_criterion_3_retention_loss_correctness():

@@ -285,22 +285,6 @@ def test_well_typed_config_scalars_ingest(tmp_path, sessions_file):
     assert json.loads(snapshot.read_text())["config"]["uniform_gating"] is True
 
 
-def _lives_in_snapshot(cities_by_session: list[list[str]], current: str, session: int) -> str:
-    """alice lives in each city in turn, as an older writer's snapshot: an edge row per city, at the last session
-    it was stated, in the order first stated; then the attribute is rewritten to name current at session."""
-    sessions = [
-        Session(i, tuple(Utterance.from_text(i, t, "alice", f"alice lives in {city}") for t, city in enumerate(cities)))
-        for i, cities in enumerate(cities_by_session)
-    ]
-    cfg = EngineConfig()
-    data = json.loads(dumps_state(run(sessions, None, cfg)[-1].state, cfg))
-    stated = {city: i for i, cities in enumerate(cities_by_session) for city in cities}
-    data["state"]["semantic"]["edges"] = [["alice", "lives_in", city, i, 1.0] for city, i in stated.items()]
-    (node,) = data["state"]["semantic"]["nodes"]
-    node["attributes"] = [["lives_in", {"value": current, "session": session}]]
-    return json.dumps(data)
-
-
 def _edited(document: str, edit) -> str:
     """The snapshot document with edit applied to its "state" object."""
     data = json.loads(document)
@@ -309,10 +293,13 @@ def _edited(document: str, edit) -> str:
 
 
 _EMPTY_SNAPSHOT = dumps_state(initial_state(EngineConfig()), EngineConfig())
-_ALICE_SNAPSHOT = _lives_in_snapshot([["london"], ["paris"], ["rome"]], "rome", 2)
+# alice lives in london, paris, then rome, one city a session: her node holds ["lives_in", "rome", 2, 1.0]
+_ALICE_SESSIONS = [Session(i, (Utterance.from_text(i, 0, "alice", f"alice lives in {city}"),))
+                   for i, city in enumerate(["london", "paris", "rome"])]
+_ALICE_SNAPSHOT = dumps_state(run(_ALICE_SESSIONS, None, EngineConfig())[-1].state, EngineConfig())
 _SCENARIO_STATE = run(generate_scenario(3, 3, seed=5).sessions, None, EngineConfig())[-1].state
 _SCENARIO_SNAPSHOT = dumps_state(_SCENARIO_STATE, EngineConfig())
-# the remote v2 snapshot carries every vector; loading it sends no request, so the endpoint is never dialled.
+# the remote snapshot carries every vector; loading it sends no request, so the endpoint is never dialled.
 # The scenario state stands in for one the remote embedder built, so it is relabelled with that embedder.
 _REMOTE = EngineConfig(embedder=EmbedderConfig(mode="remote", remote_endpoint="http://127.0.0.1:9/unused"))
 _REMOTE_SNAPSHOT = dumps_state(replace(_SCENARIO_STATE, embedder=_REMOTE.embedder), _REMOTE)
@@ -332,7 +319,7 @@ def _episodic_state_times_five(state) -> None:
     state["episodic"]["state"] = [5.0 * x for x in state["episodic"]["state"]]
 
 
-# the vectors the scenario state holds for its first working entry, log record and node; a deterministic v2
+# the vectors the scenario state holds for its first working entry, log record and node; a deterministic
 # snapshot may not carry even these
 _FIRST_VECTORS = [
     _SCENARIO_STATE.working.entries[0][1].tolist(),
@@ -347,6 +334,51 @@ def _versioned(version) -> str:
     return json.dumps(data)
 
 
+def _v2(document: str) -> str:
+    """The document as a version 2 writer wrote it: attribute rows [name, {"value": .., "session": ..}] and an
+    edge row [node, name, value, session, confidence] per attribute."""
+    data = json.loads(document)
+    semantic = data["state"]["semantic"]
+    semantic["edges"] = [[node["entity_id"], *row] for node in semantic["nodes"] for row in node["attributes"]]
+    for node in semantic["nodes"]:
+        node["attributes"] = [[name, {"value": v, "session": session}] for name, v, session, _ in node["attributes"]]
+    data["format_version"] = 2
+    return json.dumps(data)
+
+
+def _with_key(path: str, key: str, value=0) -> str:
+    """The scenario snapshot with key set to value on the object at path (dot-separated keys and list indices)."""
+    data = json.loads(_SCENARIO_SNAPSHOT)
+    target = data
+    for step in filter(None, path.split(".")):
+        target = target[int(step) if step.isdigit() else step]
+    target[key] = value
+    return json.dumps(data)
+
+
+# A key no v3 writer writes, on each kind of object a snapshot holds, and the message naming it.
+_UNKNOWN_KEYS = {
+    "unknown_document_key": (_with_key("", "format_verison", 3), "unknown document key(s): format_verison"),
+    "unknown_state_key": (_with_key("state", "session_cursr", 2), "unknown state key(s): session_cursr"),
+    "working_layer_bound": (_with_key("state.working", "k", 8), "unknown working key(s): k"),
+    "episodic_layer_bound": (_with_key("state.episodic", "C_e", 64), "unknown episodic key(s): C_e"),
+    "semantic_edges": (_with_key("state.semantic", "edges", []), "unknown semantic key(s): edges"),
+    "unknown_working_entry_key": (_with_key("state.working.entries.0", "speakr", "x"),
+                                  "unknown working entry key(s): speakr"),
+    "unknown_log_record_key": (_with_key("state.episodic.log.0", "salince", 0.5), "unknown log record key(s): salince"),
+    "unknown_node_key": (_with_key("state.semantic.nodes.0", "importanc", 1.0), "unknown node key(s): importanc"),
+    "node_with_superseded_list": (_with_key("state.semantic.nodes.0", "superseded", ["paris"]),
+                                  "unknown node key(s): superseded"),
+    "unknown_fact_key": (_with_key("state.working.entries.3.facts.0", "conf", 1.0), "unknown fact key(s): conf"),
+}
+_V2_SNAPSHOT = _v2(_SCENARIO_SNAPSHOT)
+# the fragment of its message that names what is malformed, for the documents that have one
+_NAMED = {
+    _V2_SNAPSHOT: "malformed snapshot: format_version 2 is not 3",
+    **dict(_UNKNOWN_KEYS.values()),
+}
+
+
 @pytest.mark.parametrize(
     "document",
     [
@@ -354,16 +386,15 @@ def _versioned(version) -> str:
         json.dumps([1, 2]),
         json.dumps({"config": {}, "state": {"session_cursor": 0, "working": {"entries": 5}}}),
         '{"config": {}, "state": {"session_cursor": 0',
-        _lives_in_snapshot([["london"], ["paris"], ["rome"]], "london", 0),
         _edited(_EMPTY_SNAPSHOT, lambda state: state.update(session_cursor=-7)),
         _edited(_ALICE_SNAPSHOT, lambda state: state.update(session_cursor=0)),
-        _edited(_ALICE_SNAPSHOT, lambda state: state["semantic"]["nodes"][0].update(attributes=[])),
         _edited(_ALICE_SNAPSHOT, lambda state: state["semantic"]["nodes"][0].update(last_updated=0)),
         _edited(_SCENARIO_SNAPSHOT, _importance_below_one),
         _edited(_SCENARIO_SNAPSHOT, lambda state: state["episodic"]["log"].reverse()),
         _edited(_REMOTE_SNAPSHOT, _node_vector_times_three),
         _edited(_SCENARIO_SNAPSHOT, _episodic_state_times_five),
-        _versioned(3),
+        _V2_SNAPSHOT,
+        _versioned(4),
         _versioned(0),
         _versioned("2"),
         _versioned(2.0),
@@ -379,36 +410,25 @@ def _versioned(version) -> str:
         _edited(_SCENARIO_SNAPSHOT, lambda state: state["working"]["entries"].reverse()),
         _edited(_SCENARIO_SNAPSHOT, lambda state: state["working"]["entries"].__setitem__(
             1, dict(state["working"]["entries"][0]))),
+        *(document for document, _ in _UNKNOWN_KEYS.values()),
     ],
     ids=[
-        "document0", "document1", "document2", "truncated", "attribute_older_than_an_edge",
-        "cursor_below_minus_one", "cursor_before_recorded_sessions", "edge_without_current_value",
+        "document0", "document1", "document2", "truncated",
+        "cursor_below_minus_one", "cursor_before_recorded_sessions",
         "node_older_than_an_edge", "importance_below_one", "log_out_of_session_order", "node_vector_times_three",
-        "episodic_state_times_five", "format_version_3", "format_version_0", "format_version_str",
+        "episodic_state_times_five", "format_version_2", "format_version_4", "format_version_0", "format_version_str",
         "format_version_float", "format_version_true", "format_version_null", "v2_carries_a_working_vector",
         "v2_carries_a_log_vector", "v2_carries_a_node_vector", "remote_v2_lacks_a_working_vector",
         "remote_v2_lacks_a_log_vector", "remote_v2_lacks_a_node_vector", "working_entry_of_another_session",
-        "working_entries_reversed", "working_turn_repeated",
+        "working_entries_reversed", "working_turn_repeated", *_UNKNOWN_KEYS,
     ],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):
     snapshot = tmp_path / "state.json"
     snapshot.write_text(document)
     assert main(["query", "--snapshot", str(snapshot), "--text", "alice lives_in"]) == 2
-    assert capsys.readouterr().err.startswith("error: malformed snapshot")
-
-
-def test_attribute_tied_with_a_later_stated_value_loads(tmp_path, capsys):
-    """Two values stated in one session tie, so an older writer's attribute may name either; the load keeps only
-    its value's row."""
-    snapshot = tmp_path / "state.json"
-    snapshot.write_text(_lives_in_snapshot([["oslo"], ["london", "paris"]], "london", 1))
-    loaded, cfg = loads_state(snapshot.read_text())
-    assert loaded.semantic.current_value("alice", "lives_in") == "london"
-    edges = json.loads(dumps_state(loaded, cfg))["state"]["semantic"]["edges"]
-    assert edges == [["alice", "lives_in", "london", 1, 1.0]]
-    assert main(["query", "--snapshot", str(snapshot), "--text", "alice lives_in"]) == 0
-    assert "alice lives_in london" in capsys.readouterr().out
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed snapshot") and _NAMED.get(document, "") in err
 
 
 def test_failing_dump_leaves_the_old_snapshot(tmp_path, sessions_file, monkeypatch, capsys):
@@ -471,17 +491,6 @@ def _repeat_first(path: str):
     return edit
 
 
-def _attribute_session(session, edge_session: int):
-    """Set the first node's first attribute "session" to session and its value's edge session to edge_session."""
-    def edit(data):
-        semantic = data["state"]["semantic"]
-        node = semantic["nodes"][0]
-        name, record = node["attributes"][0]
-        edge = next(e for e in semantic["edges"] if e[:3] == [node["entity_id"], name, record["value"]])
-        record["session"], edge[3] = session, edge_session
-    return edit
-
-
 @pytest.mark.parametrize(
     "edit",
     [
@@ -490,12 +499,12 @@ def _attribute_session(session, edge_session: int):
         _mistype("semantic.nodes.0.last_updated", "x"),
         _mistype("working.entries.0.text", 5),
         _mistype("episodic.log.0.salience", "x"),
-        _mistype("semantic.edges.0.3", "x"),
+        _mistype("semantic.nodes.0.attributes.0.2", "x"),
         _on_remote(_mistype("semantic.nodes.0.embedding.0", float("nan"))),
         _on_remote(_mistype("working.entries.0.embedding.3", float("inf"))),
         _mistype("episodic.state.5", float("-inf")),
         _on_remote(_mistype("episodic.log.0.embedding.7", float("nan"))),
-        _mistype("semantic.edges.0.4", float("nan")),
+        _mistype("semantic.nodes.0.attributes.0.3", float("nan")),
         _mistype("working.entries.3.facts.0.c", float("inf")),
         _on_remote(_mistype("semantic.nodes.0.embedding", [0.1, 0.2, 0.3])),
         _mistype("episodic.state", [[0.0] * 256]),
@@ -504,22 +513,21 @@ def _attribute_session(session, edge_session: int):
         _mistype("working.entries.0.text", " "),
         _mistype("episodic.state", [[1.0], [1.0, 2.0]]),
         _mistype("working.entries.0.turn", -1),
-        _mistype("semantic.edges.0.0", "nobody"),
         _mistype("semantic.nodes.0.attributes.0", ["a"]),
         _on_remote(_mistype("semantic.nodes.0.embedding.0", 10**400)),
         _mistype("semantic.nodes.0.importance", 10**400),
-        _mistype("semantic.edges.0.4", 10**400),
-        _mistype("semantic.edges.0", ["alice", "lives_in", "paris", 0, 1.0, "extra"]),
-        _repeat_first("edges"),
+        _mistype("semantic.nodes.0.attributes.0.3", 10**400),
+        _mistype("semantic.nodes.0.attributes.0", ["lives_in", "paris", 0, 1.0, "extra"]),
         _repeat_first("nodes"),
         _repeat_first("nodes.0.attributes"),
-        _attribute_session(0, 1),
-        _attribute_session(True, 1),
-        _mistype("semantic.nodes.0.attributes.0.1.value", "atlantis"),
+        _mistype("semantic.nodes.0.attributes.0.2", True),
+        _mistype("semantic.nodes.0.attributes.0.1", 5),
+        _mistype("semantic.nodes.0.attributes.0.0", None),
         _mistype("working.entries.3.facts.0.s", " "),
         _mistype("working.entries.0.session", 3),
         _mistype("episodic.log.0.session", -1),
-        _attribute_session(3, 3),
+        _mistype("semantic.nodes.0.attributes.0.2", 3),
+        _mistype("semantic.nodes.0.attributes.0.2", -1),
         _mistype("semantic.nodes.0.last_updated", 3),
     ],
     ids=[
@@ -527,11 +535,11 @@ def _attribute_session(session, edge_session: int):
         "node_vector_nan", "working_vector_inf", "episodic_state_inf", "log_vector_nan",
         "edge_confidence_nan", "working_fact_confidence_inf", "node_vector_short", "episodic_state_2d",
         "node_vector_str", "episodic_state_bool", "blank_text", "episodic_state_ragged", "negative_turn",
-        "orphan_edge", "attribute_pair_short", "node_vector_huge_int", "importance_huge_int", "edge_confidence_huge_int",
-        "edge_extra_field", "edge_repeated", "node_repeated", "attribute_repeated", "attribute_session_not_edge",
-        "attribute_session_true", "attribute_value_without_edge", "working_fact_blank_subject",
+        "attribute_pair_short", "node_vector_huge_int", "importance_huge_int", "edge_confidence_huge_int",
+        "edge_extra_field", "node_repeated", "attribute_repeated",
+        "attribute_session_true", "attribute_value_int", "attribute_name_null", "working_fact_blank_subject",
         "working_session_after_cursor", "log_session_negative", "edge_session_after_cursor",
-        "node_last_updated_after_cursor",
+        "attribute_session_negative", "node_last_updated_after_cursor",
     ],
 )
 def test_mistyped_snapshot_scalar_is_validation_error(tmp_path, sessions_file, capsys, edit):
@@ -543,18 +551,6 @@ def test_mistyped_snapshot_scalar_is_validation_error(tmp_path, sessions_file, c
     capsys.readouterr()
     assert main(["query", "--snapshot", str(snapshot), "--text", "alice lives_in"]) == 2
     assert capsys.readouterr().err.startswith("error: malformed snapshot")
-
-
-def test_edge_whose_subject_has_no_node_is_validation_error(tmp_path, sessions_file, capsys):
-    snapshot = tmp_path / "state.json"
-    assert main(["ingest", "--input", str(sessions_file), "--snapshot", str(snapshot)]) == 0
-    data = json.loads(snapshot.read_text())
-    data["state"]["semantic"]["edges"].append(["nobody", "likes", "jazz", 0, 1.0])
-    snapshot.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert main(["query", "--snapshot", str(snapshot), "--text", "alice lives_in"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: malformed snapshot") and "has no node" in err
 
 
 def _session_line(
@@ -641,7 +637,7 @@ def test_console_entry_point_runs(tmp_path):
 # change and must be stated as one.
 _PINNED = {
     "sessions.jsonl": "7251a0fd0d24f50e29addf72bc0141e38aa552394eff0cda8b4b1964cd8d843e",
-    "ingest": "123a037ed5e311770dfac9db0becf443df43f721317ad988dca46cd1f843f74c",
+    "ingest": "696c8b90b744e01c61f0571a7559d6abf6285a761816320bd0d0fda347735d23",
     "query alice lives_in": "8b06fdef565d7afeaa122138b029382cc3dd5a4797ba2ca06940c9328a89bf1e",
     "query --top-j 1 --budget 6": "9be617a87d4ad1e34ef1763b0745783c38c4cef35484196aa3a08d587de81d83",
     "query bob works --budget 3": "3279e11a593df78532a2feab7f751eea38fbfb462565bad6a107b2b890baa8d6",

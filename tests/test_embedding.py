@@ -36,7 +36,7 @@ from mlmem.embedding import (
     unit,
 )
 from mlmem.engine import EngineConfig, run
-from mlmem.memory import Session, Utterance, node_text
+from mlmem.memory import Attribute, Session, Utterance, node_text
 from mlmem.snapshot import dumps_state, loads_state
 from state_vectors import grid_scores, hash_counts, reference_embed, reference_nearest, state_bytes
 
@@ -409,14 +409,19 @@ _SEED_2_NODES = [("alice", {"lives_in": "athens", "works": "sailor", "likes": "j
                  ("frank", {"works": "tutor", "likes": "karate"}), ("grace", {"works": "teacher", "likes": "skiing"})]
 
 
+def _node_text(entity_id: str, values: dict[str, str]) -> str:
+    """``node_text`` of a node whose attributes hold these values."""
+    return node_text(entity_id, {name: Attribute(value, 0, 1.0) for name, value in values.items()})
+
+
 @st.composite
 def _equal_cosine_cases(draw):
     """Node texts and a merge candidate over few words, so that many rows' cosines to it are mathematically
     equal, and a permutation that moves rows only within their class of equal cosine (exact, from the counts)."""
     seed = draw(st.integers(0, 3))
     keys = [f"p{n}" for n in draw(st.lists(st.integers(0, 99), min_size=2, max_size=16, unique=True))]
-    texts = [node_text(key, draw(st.dictionaries(_PREDICATES, _VALUES, min_size=1))) for key in keys]
-    query = node_text(f"q{draw(st.integers(0, 9))}", {draw(_PREDICATES): draw(_VALUES)})
+    texts = [_node_text(key, draw(st.dictionaries(_PREDICATES, _VALUES, min_size=1))) for key in keys]
+    query = _node_text(f"q{draw(st.integers(0, 9))}", {draw(_PREDICATES): draw(_VALUES)})
     q = hash_counts(query, 256, seed)
     classes: dict[Fraction, list[int]] = {}
     for row, text in enumerate(texts):
@@ -433,7 +438,7 @@ def _equal_cosine_cases(draw):
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(deadline=None, database=None)
 @given(_equal_cosine_cases())
-@example((0, [key for key, _ in _SEED_2_NODES], [node_text(*node) for node in _SEED_2_NODES],
+@example((0, [key for key, _ in _SEED_2_NODES], [_node_text(*node) for node in _SEED_2_NODES],
           "heidi works clerk", 1, [0, 6, 2, 3, 4, 5, 1]))
 def test_permuting_rows_of_equal_cosine_never_changes_a_pick(case):
     seed, keys, texts, query_text, count, permutation = case
@@ -570,7 +575,7 @@ def test_loading_a_remote_snapshot_sends_no_request(embed_server):
     assert asked > 0
     blob = dumps_state(state, cfg)
     document = json.loads(blob)["state"]
-    assert json.loads(blob)["format_version"] == 2
+    assert json.loads(blob)["format_version"] == 3
     for records in (document["working"]["entries"], document["episodic"]["log"], document["semantic"]["nodes"]):
         assert records and all(record["embedding"] == [0.6, 0.8] + [0.0] * 6 for record in records)
     loaded, loaded_cfg = loads_state(blob)

@@ -16,6 +16,7 @@ from mlmem import memory
 from mlmem.embedding import EmbedderConfig, cosine, embed
 from mlmem.engine import EngineConfig
 from mlmem.memory import (
+    Attribute,
     EpisodicMemory,
     FactTriple,
     MemoryState,
@@ -68,6 +69,14 @@ def test_session_turn_indices_strictly_increasing():
 def test_fact_triple_rejects_a_blank_part(parts):
     with pytest.raises(ValueError, match="must not be blank"):
         FactTriple(*parts)
+
+
+@pytest.mark.parametrize("confidence", [float("nan"), float("inf"), -float("inf"), True, 10**400, "1.0", None],
+                         ids=["nan", "inf", "minus_inf", "bool", "huge_int", "str", "none"])
+def test_fact_triple_rejects_a_confidence_a_snapshot_cannot_carry(confidence):
+    """Every triple the engine folds is one its snapshot loads: the confidence passes the kind rule or is refused."""
+    with pytest.raises(ValueError, match="FactTriple.confidence must be"):
+        FactTriple("alice", "likes", "jazz", confidence)
 
 
 def test_session_index_mismatch_rejected():
@@ -282,21 +291,23 @@ def _merge(graph, facts, session_index, tau=0.9, C_s=8):
 
 
 def _history(graph):
-    """(node, predicate, value, session) of each edge, in the graph's edge order."""
-    return [(*key, session) for key, (session, _) in graph.edges.items()]
+    """(node, predicate, value, session) of each attribute, in node and attribute order."""
+    return [(nid, name, a.value, a.session) for nid, node in graph.nodes.items() for name, a in node.attributes.items()]
 
 
-def _assert_one_edge_per_attribute(graph):
-    """The edge keys are exactly the nodes' (id, name, value) attributes."""
-    attributes = [(nid, name, value) for nid, node in graph.nodes.items() for name, value in node.attributes.items()]
-    assert sorted(graph.edges) == sorted(attributes)
+def _assert_attribute_sessions(graph, latest):
+    """Each attribute's session is at most its node's last_updated, which is at most the latest merge session."""
+    for node in graph.nodes.values():
+        assert all(a.session <= node.last_updated for a in node.attributes.values())
+        assert node.last_updated <= latest
 
 
 def test_merge_inserts_node_and_edge():
-    graph = _merge(SemanticGraph(), [FactTriple("alice", "likes", "jazz")], 0)
+    graph = _merge(SemanticGraph(), [FactTriple("alice", "likes", "jazz", 0.75)], 0)
     assert set(graph.nodes) == {"alice"}
-    assert len(graph.edges) == 1
-    assert _history(graph)[0] == ("alice", "likes", "jazz", 0)
+    assert graph.nodes["alice"].attributes == {"likes": Attribute("jazz", 0, 0.75)}
+    # the derived edge view holds the one attribute as its edge
+    assert graph.edges == {("alice", "likes", "jazz"): (0, 0.75)}
     assert graph.current_value("alice", "likes") == "jazz"
     graph = _merge(graph, [FactTriple("Alice", "Lives_In", "Paris")], 1)
     assert graph.current_value("Alice", "Lives_In") == graph.current_value("alice", "lives_in") == "paris"
@@ -305,16 +316,16 @@ def test_merge_inserts_node_and_edge():
 def test_merge_recency_wins_and_supersedes():
     graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "london")], 1)
     graph = _merge(graph, [FactTriple("alice", "lives_in", "paris")], 4)
-    assert graph.nodes["alice"].attributes["lives_in"] == "paris"
+    assert graph.nodes["alice"].attributes["lives_in"] == Attribute("paris", 4, 1.0)
     assert _history(graph) == [("alice", "lives_in", "paris", 4)]
 
 
 def test_merge_out_of_order_write_goes_to_superseded():
-    """An older triple is superseded as it arrives: it changes no attribute and no edge, and adds importance."""
+    """An older triple is superseded as it arrives: it changes no attribute, and adds importance."""
     graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "paris")], 4)
-    older = _merge(graph, [FactTriple("alice", "lives_in", "london")], 1)
-    assert older.nodes["alice"].attributes == {"lives_in": "paris"}
-    assert list(older.edges.items()) == list(graph.edges.items())
+    older = _merge(graph, [FactTriple("alice", "lives_in", "london", 0.5)], 1)
+    assert older.nodes["alice"].attributes == {"lives_in": Attribute("paris", 4, 1.0)}
+    assert older.nodes["alice"].attributes == graph.nodes["alice"].attributes
     assert older.nodes["alice"].embedding is graph.nodes["alice"].embedding
     assert (older.nodes["alice"].importance, older.nodes["alice"].last_updated) == (2.0, 4)
 
@@ -324,14 +335,14 @@ def test_merge_same_session_conflict_goes_to_the_later_triple():
     bob = FactTriple("bob", "likes", "jazz")
     graph = _merge(SemanticGraph(), [london, bob, paris], 3)
     assert graph.current_value("alice", "lives_in") == "paris"
-    assert _history(graph) == [("bob", "likes", "jazz", 3), ("alice", "lives_in", "paris", 3)]
+    assert _history(graph) == [("alice", "lives_in", "paris", 3), ("bob", "likes", "jazz", 3)]
     graph = _merge(graph, [FactTriple("alice", "lives_in", "rome")], 3)
     assert graph.current_value("alice", "lives_in") == "rome"
     # the last statement of a session wins, a flip back to a value displaced in it too
     graph = _merge(graph, [paris], 3)
     assert graph.current_value("alice", "lives_in") == "paris"
     assert graph.nodes["alice"].importance == 4.0
-    assert _history(graph) == [("bob", "likes", "jazz", 3), ("alice", "lives_in", "paris", 3)]
+    assert _history(graph) == [("alice", "lives_in", "paris", 3), ("bob", "likes", "jazz", 3)]
     # restating the current value in its session is skipped, in one call or another
     for restated in ([paris], [paris, paris]):
         assert _merge(graph, restated, 3).nodes["alice"].importance == 4.0
@@ -350,7 +361,6 @@ def test_merge_eviction_drops_lowest_importance():
     expected_evicted = min(scores, key=lambda k: scores[k])
     assert expected_evicted == "bbb"
     assert set(graph.nodes) == {"aaa", "ccc"}
-    assert all(e[0] != "bbb" for e in graph.edges)
     assert len(graph.nodes) <= 2
 
 
@@ -368,7 +378,6 @@ def test_merge_eviction_breaks_importance_ties_by_recency_then_id(batches, kept)
         graph = _merge(graph, facts, session_index, C_s=2)
     assert {n.importance for n in graph.nodes.values()} == {1.0}
     assert set(graph.nodes) == kept
-    assert {key[0] for key in graph.edges} == kept
 
 
 def test_merge_idempotent_for_identical_triple_same_session():
@@ -376,7 +385,6 @@ def test_merge_idempotent_for_identical_triple_same_session():
     once = _merge(SemanticGraph(), [triple], 2)
     twice = _merge(once, [triple], 2)
     assert twice.nodes["alice"].importance == once.nodes["alice"].importance
-    assert list(twice.edges.items()) == list(once.edges.items())
     assert twice.nodes["alice"].attributes == once.nodes["alice"].attributes
 
 
@@ -384,11 +392,14 @@ def test_merge_restatement_at_later_session_refreshes_recency():
     triple = FactTriple("alice", "likes", "jazz")
     graph = _merge(SemanticGraph(), [triple, FactTriple("bob", "likes", "tea")], 0)
     graph = _merge(graph, [triple], 5)
-    # the restated value's edge takes the session in place, so the edge order is kept
+    # the restated attribute takes the session in place, so the attribute order is kept
     assert _history(graph) == [("alice", "likes", "jazz", 5), ("bob", "likes", "tea", 0)]
     assert graph.nodes["alice"].last_updated == 5
     assert graph.nodes["alice"].importance == 2.0
-    assert graph.nodes["alice"].attributes["likes"] == "jazz"
+    # a restatement also takes its triple's confidence
+    restated = _merge(graph, [FactTriple("alice", "likes", "jazz", 0.5)], 6).nodes["alice"]
+    assert restated.attributes == {"likes": Attribute("jazz", 6, 0.5)}
+    assert restated.embedding is graph.nodes["alice"].embedding
 
 
 def test_merge_similarity_match_absorbs_near_duplicate_entities():
@@ -408,7 +419,7 @@ def test_merge_tie_breaks_to_lexicographically_smaller_id():
     node = base.nodes["bob"]
     clone = dict(base.nodes)
     clone["abe"] = node.__class__("abe", dict(node.attributes), node.embedding, node.importance, node.last_updated)
-    tied = SemanticGraph(clone, {**base.edges, ("abe", "likes", "jazz"): base.edges["bob", "likes", "jazz"]})
+    tied = SemanticGraph(clone)
     merged = merge_semantic(tied, [FactTriple("zed", "likes", "jazz")], 1, 0.2, 8, cfg)
     # equal cosine to both tied nodes: the lexicographically smaller id wins
     assert "zed" not in merged.nodes
@@ -485,8 +496,8 @@ def test_merge_replay_is_bit_identical():
         return graph
     a, b = build(), build()
     assert list(a.nodes) == list(b.nodes)
-    assert list(a.edges.items()) == list(b.edges.items())
     for key in a.nodes:
+        assert a.nodes[key].attributes == b.nodes[key].attributes
         assert np.array_equal(a.nodes[key].embedding, b.nodes[key].embedding)
 
 
@@ -508,12 +519,14 @@ _STREAM = st.lists(st.tuples(st.integers(0, 6), st.lists(_TRIPLE, max_size=4)), 
 def test_merge_keeps_capacity_and_every_current_value_in_the_edge_history(stream, tau_s, C_s):
     cfg = EngineConfig(C_s=C_s, embedder=CFG)
     graph = SemanticGraph()
+    latest = 0
     for session_index, facts in stream:
         graph = merge_semantic(graph, facts, session_index, tau_s, C_s, CFG)
+        latest = max(latest, session_index)
         assert len(graph.nodes) <= C_s
         # every graph a merge builds passes the loader's graph checks
         loads_state(dumps_state(MemoryState(WorkingMemory(), EpisodicMemory.empty(CFG.dim), graph, 6, CFG), cfg))
-        _assert_one_edge_per_attribute(graph)
+        _assert_attribute_sessions(graph, latest)
 
 
 # See test_embedding.py: keeps a reported failure from becoming an INTERNALERROR.
@@ -523,9 +536,11 @@ def test_merge_keeps_capacity_and_every_current_value_in_the_edge_history(stream
 def test_merges_equal_merges_through_the_all_rows_reference_scan(stream, tau_s, C_s):
     def merged():
         graph = SemanticGraph()
+        latest = 0
         for session_index, facts in stream:
             graph = merge_semantic(graph, facts, session_index, tau_s, C_s, CFG)
-            _assert_one_edge_per_attribute(graph)
+            latest = max(latest, session_index)
+            _assert_attribute_sessions(graph, latest)
             yield _graph_rows(graph)
 
     fast = list(merged())
@@ -545,8 +560,7 @@ _TIE_TRIPLE = st.builds(
 
 
 def _graph_rows(graph):
-    nodes = [(nid, n.attributes, n.embedding.tobytes(), n.importance, n.last_updated) for nid, n in graph.nodes.items()]
-    return nodes, list(graph.edges.items())
+    return [(nid, n.attributes, n.embedding.tobytes(), n.importance, n.last_updated) for nid, n in graph.nodes.items()]
 
 
 # See test_embedding.py: keeps a reported failure from becoming an INTERNALERROR.
@@ -559,7 +573,7 @@ def test_one_merge_equals_folding_its_triples_one_call_at_a_time(earlier, facts,
     folded = graph
     for triple in facts:
         folded = merge_semantic(folded, [triple], 1, tau_s, C_s, CFG)
-        _assert_one_edge_per_attribute(folded)
+        _assert_attribute_sessions(folded, 1)
     assert _graph_rows(merge_semantic(graph, facts, 1, tau_s, C_s, CFG)) == _graph_rows(folded)
 
 
@@ -593,6 +607,6 @@ def test_alternating_attribute_keeps_the_serialized_graph_flat():
         graph = _merge(graph, [FactTriple("alice", "likes", value)], session_index)
         sizes[session_index] = semantic_size(graph)
     assert set(graph.nodes) == {"alice", "bob"}
-    assert len(graph.edges) == 2
+    assert [len(node.attributes) for node in graph.nodes.values()] == [1, 1]
     # both ends of the second half state the same value with 3-digit sessions
     assert sizes[150] == sizes[300]

@@ -11,6 +11,7 @@ import pytest
 from mlmem.embedding import EmbedderConfig, cosine, embed
 from mlmem.engine import EngineConfig, initial_state
 from mlmem.memory import (
+    Attribute,
     EntityNode,
     EpisodicMemory,
     MemoryState,
@@ -56,18 +57,16 @@ def _state(
     cursor: int = 0,
     dim: int = DIM,
 ) -> MemoryState:
-    nodes = nodes or {}
-    edges = {(nid, "likes", "x"): (node.last_updated, 1.0) for nid, node in nodes.items()}
     return MemoryState(
         WorkingMemory(tuple(working_entries)),
         EpisodicMemory(np.zeros(dim) if episodic_state is None else episodic_state, tuple(log)),
-        SemanticGraph(nodes, edges),
+        SemanticGraph(nodes or {}),
         cursor,
     )
 
 
 def _node(entity_id: str, embedding: np.ndarray, importance: float, last_updated: int = 0) -> EntityNode:
-    return EntityNode(entity_id, {"likes": "x"}, embedding, importance, last_updated)
+    return EntityNode(entity_id, {"likes": Attribute("x", last_updated, 1.0)}, embedding, importance, last_updated)
 
 
 # ------------------------------------------------------- layer_representation

@@ -18,7 +18,7 @@ from mlmem.embedding import EmbedderConfig, embed
 from mlmem.cli import main
 from mlmem.engine import EngineConfig, initial_state, run, steps
 from mlmem.harness import EvalReport, generate_scenario
-from mlmem.memory import FactTriple, Session, Utterance
+from mlmem.memory import Attribute, FactTriple, Session, Utterance
 from mlmem.snapshot import (
     config_from_dict,
     config_to_dict,
@@ -55,7 +55,6 @@ def test_loaded_state_preserves_structure_and_vectors():
     loaded, _ = loads_state(dumps_state(state, CFG))
     assert loaded.session_cursor == state.session_cursor
     assert list(loaded.semantic.nodes) == list(state.semantic.nodes)
-    assert list(loaded.semantic.edges.items()) == list(state.semantic.edges.items())
     for key in state.semantic.nodes:
         assert np.array_equal(
             loaded.semantic.nodes[key].embedding,
@@ -106,12 +105,13 @@ def test_loaded_state_continues_identically():
 
 
 def test_older_format_snapshot_and_retired_config_keys_are_refused(tmp_path, capsys):
-    """Version 2 is the one format that loads, and the retired top-level config keys are unknown keys: a version 1
-    document and a snapshot, config or report that carries ``seed`` or ``lambda`` are malformed, and say why."""
+    """Version 3 is the one format that loads, and the retired top-level config keys are unknown keys: a version 1
+    or 2 document and a snapshot, config or report that carries ``seed`` or ``lambda`` are malformed, and say why."""
     data = state_to_dict(_built_state(), CFG)
     documents = [
-        ("format_version 1 is not 2", {key: value for key, value in data.items() if key != "format_version"}),
-        ("format_version 1 is not 2", {**data, "format_version": 1}),
+        ("format_version 1 is not 3", {key: value for key, value in data.items() if key != "format_version"}),
+        ("format_version 1 is not 3", {**data, "format_version": 1}),
+        ("format_version 2 is not 3", {**data, "format_version": 2}),
         ("unknown EngineConfig key(s): seed", {**data, "config": {**data["config"], "seed": 7}}),
         ("unknown EngineConfig key(s): lambda", {**data, "config": {**data["config"], "lambda": 0.25}}),
     ]
@@ -131,64 +131,16 @@ def test_older_format_snapshot_and_retired_config_keys_are_refused(tmp_path, cap
             loads_report(json.dumps({**report, "config": {**report["config"], key: value}}))
 
 
-def test_older_snapshot_with_superseded_lists_loads_and_redumps_without_them(tmp_path, capsys):
-    """The writer that kept each attribute's displaced values wrote them twice: a ``superseded`` list per attribute
-    and an edge row per value ever stated, at the last session it was stated, in the order first stated. Under a
-    v2 header such a snapshot loads, its rows checked as written; it answers as the engine's own snapshot does and
-    re-dumps with the current values' rows only."""
-    cities = ["london", "paris", "rome", "paris", "london", "oslo"]
-    sessions = [
-        Session(i, (Utterance.from_text(i, 0, "alice", f"alice lives in {city}"),
-                    Utterance.from_text(i, 1, "bob", f"bob likes {cities[-1 - i]}")))
-        for i, city in enumerate(cities)
-    ]
-    state = run(sessions, None, CFG)[-1].state
-    blob = dumps_state(state, CFG)
-    data = json.loads(blob)
-    current_rows = [["alice", "lives_in", "oslo", 5, 1.0], ["bob", "likes", "london", 5, 1.0]]
-    assert data["state"]["semantic"]["edges"] == current_rows
-    # the rows that writer kept
-    stated = {}
-    for i, city in enumerate(cities):
-        stated["alice", "lives_in", city] = i
-        stated["bob", "likes", cities[-1 - i]] = i
-    data["state"]["semantic"]["edges"] = [[*key, session, 1.0] for key, session in stated.items()]
-    assert len(data["state"]["semantic"]["edges"]) == 8
-    superseded = {
-        "alice": ["london", "paris", "rome", "paris", "london"],
-        "bob": ["oslo", "london", "paris", "rome", "paris"],
-    }
-    for node in data["state"]["semantic"]["nodes"]:
-        for name, record in node["attributes"]:
-            assert set(record) == {"value", "session"}
-            record["superseded"] = superseded[node["entity_id"]]
-    legacy = json.dumps(data, sort_keys=True)
-
-    loaded, cfg = loads_state(legacy)
-    redumped = dumps_state(loaded, cfg)
-    # the current values' rows are kept in the order written, where bob's value was stated first
-    expected = json.loads(blob)
-    expected["state"]["semantic"]["edges"] = current_rows[::-1]
-    assert json.loads(redumped) == expected
-    assert dumps_state(*loads_state(redumped)) == redumped
-    answers = []
-    for name, text in (("new.json", blob), ("old.json", legacy)):
-        (tmp_path / name).write_text(text)
-        for query in ("alice lives_in", "bob likes"):
-            assert main(["query", "--snapshot", str(tmp_path / name), "--text", query]) == 0
-            answers.append(capsys.readouterr().out)
-    assert answers[:2] == answers[2:]
-    assert "alice lives_in oslo" in answers[0] and "bob likes london" in answers[1]
-
-
 def _assert_held_vectors_are_embeddings(state, embedder: EmbedderConfig) -> None:
-    """Every working, log and node vector is the uncached embedding of its text, which is what v2 relies on."""
+    """Every working, log and node vector is the uncached embedding of its text, which a deterministic snapshot
+    relies on."""
     for text, vector in held_vectors(state):
         assert vector.tobytes() == reference_embed(text, embedder.dim, embedder.seed).tobytes(), text
 
 
-def _assert_v2_rebuilds_the_vectors(state, cfg: EngineConfig) -> None:
-    """A v2 load rebuilds every vector the state holds bit for bit."""
+def _assert_a_load_rebuilds_the_vectors(state, cfg: EngineConfig) -> None:
+    """A deterministic load rebuilds every vector the state holds bit for bit (test names say "v2", the format that
+    first wrote no such vector)."""
     loaded, loaded_cfg = loads_state(dumps_state(state, cfg))
     assert state_bytes(loaded, loaded_cfg) == state_bytes(state, cfg)
 
@@ -208,13 +160,13 @@ def test_v2_rebuilds_held_vectors_through_updates_similarity_merges_and_eviction
     ]
     outputs = run(sessions, None, cfg)
     nodes = [o.state.semantic.nodes for o in outputs]
-    assert nodes[1]["alice"].attributes == {"lives_in": "paris"}
+    assert nodes[1]["alice"].attributes == {"lives_in": Attribute("paris", 1, 1.0)}
     assert "alicia" not in nodes[2] and nodes[2]["alice"].importance == 3.0
     assert set(nodes[2]) == {"alice", "bob"} and set(nodes[3]) == {"alice", "carol"}  # bob and dave evicted
     assert not outputs[-1].state.working.entries[-1][1].any()
     for output in outputs:
         _assert_held_vectors_are_embeddings(output.state, cfg.embedder)
-        _assert_v2_rebuilds_the_vectors(output.state, cfg)
+        _assert_a_load_rebuilds_the_vectors(output.state, cfg)
     blob = dumps_state(outputs[-1].state, cfg)
     assert '"embedding"' not in blob
     # only the episodic state is written as a vector
@@ -266,7 +218,7 @@ def test_every_held_vector_is_the_embedding_of_its_text_and_v2_rebuilds_it(texts
     ]
     for output in steps(sessions, None, cfg):
         _assert_held_vectors_are_embeddings(output.state, cfg.embedder)
-        _assert_v2_rebuilds_the_vectors(output.state, cfg)
+        _assert_a_load_rebuilds_the_vectors(output.state, cfg)
 
 
 @pytest.mark.parametrize("name", ["k", "C_w", "C_e", "C_s"])
@@ -400,12 +352,12 @@ def _tree(snapshot: str):
     return snapshot, nodes, coordinates, scalars, keys
 
 
-# the v2 snapshot writes only the episodic state's coordinates, and a remote one every vector as well: the built
-# state stands in for one the remote embedder built, and loading it asks the service nothing
+# the deterministic snapshot writes only the episodic state's coordinates, and a remote one every vector as well:
+# the built state stands in for one the remote embedder built, and loading it asks the service nothing
 _REMOTE = EngineConfig(embedder=dataclasses.replace(CFG.embedder, mode="remote", remote_endpoint="http://127.0.0.1:9/"))
 _TREES = {
-    "v2": _tree(dumps_state(_built_state(), CFG)),
-    "remote_v2": _tree(dumps_state(dataclasses.replace(_built_state(), embedder=_REMOTE.embedder), _REMOTE)),
+    "deterministic": _tree(dumps_state(_built_state(), CFG)),
+    "remote": _tree(dumps_state(dataclasses.replace(_built_state(), embedder=_REMOTE.embedder), _REMOTE)),
 }
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
@@ -426,7 +378,7 @@ def test_an_edited_snapshot_loads_or_is_malformed(data):
 
     A non-number in place of a number never loads.
     """
-    snapshot, nodes, coordinates, scalars, keys = _TREES[data.draw(st.sampled_from(sorted(_TREES)), label="version")]
+    snapshot, nodes, coordinates, scalars, keys = _TREES[data.draw(st.sampled_from(sorted(_TREES)), label="mode")]
     document = json.loads(snapshot)
     replace = data.draw(st.booleans(), label="replace")
     if replace:
