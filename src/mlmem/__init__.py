@@ -64,9 +64,10 @@ from .retrieval import (
     softmax_weights,
 )
 from .snapshot import (
-    config_from_dict,
     config_to_dict,
     dumps_state,
+    loads_config,
+    loads_report,
     loads_state,
     read_sessions_jsonl,
     write_sessions_jsonl,

@@ -24,12 +24,12 @@ from .harness import Scenario, ablate, evaluate, generate_scenario, objective_ha
 from .retention import grid_csv, tune
 from .retrieval import make_query
 from .snapshot import (
+    config_to_dict,
     dumps_state,
     loads_config,
     loads_report,
     loads_state,
     read_sessions_jsonl,
-    report_to_dict,
 )
 
 EXIT_OK = 0
@@ -111,7 +111,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     scenario, cfg = _load_scenario(args)
     report = evaluate(scenario, cfg, args.policy)
-    _write_json(args.out, report_to_dict(report))
+    _write_json(args.out, config_to_dict(report))
     print(
         f"policy={args.policy} success_rate={report.success_rate:.4f} "
         f"fmr={report.fmr:.4f} context={report.mean_context_usage:.4f}"
@@ -122,7 +122,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     scenario, cfg = _load_scenario(args)
     reports = ablate(scenario, cfg)
-    _write_json(args.out, {name: report_to_dict(report) for name, report in reports.items()})
+    _write_json(args.out, {name: config_to_dict(report) for name, report in reports.items()})
     max_gap = max(reports["full"].retention_at) if reports["full"].retention_at else 0
     for name, report in reports.items():
         value = report.retention_at.get(max_gap, 0.0)

@@ -131,7 +131,7 @@ class EvalReport:
     mean_context_usage: float
     success_rate: float
     drift_curve: tuple[float, ...]
-    config_echo: EngineConfig
+    config: EngineConfig
 
 
 def _fact_utterance(session_index: int, turn: int, name: str, attribute: str, value: str) -> Utterance:
@@ -291,7 +291,7 @@ def evaluate(scenario: Scenario, cfg: EngineConfig, policy: str = "mlmf") -> Eva
         ),
         success_rate=sum(retained.values()) / true_total if true_total else 0.0,
         drift_curve=tuple(o.drift.total for o in outputs),
-        config_echo=run_cfg,
+        config=run_cfg,
     )
 
 

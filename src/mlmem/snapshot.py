@@ -40,16 +40,17 @@ dump -> load -> dump is byte-identical.
 
 Session JSONL carries one session per line:
 ``{"index": int, "utterances": [{"turn": int, "speaker": str, "text": str, "facts": [...]?}]}``
-with optional fact annotations ``{"s": str, "p": str, "o": str, "c": float}``.
+with optional fact annotations ``{"s": str, "p": str, "o": str, "c": float?}``.
 
-An eval report is ``{"retention_at": {"gap": float, ..}, "fmr": float,
-"mean_context_usage": float, "success_rate": float, "drift_curve": [float...],
-"config": config}``.
+Configs and eval reports share one codec: ``config_to_dict`` writes every field of an ``EngineConfig`` or a
+``harness.EvalReport`` under its name (a nested dataclass as an object, a tuple as a list, a mapping's keys as
+strings, so a report's ``retention_at`` is ``{"gap": float, ..}``), and ``_from_dict`` reads it back from the
+field annotations.
 
 One rule rejects outside input: it is malformed when reading it raises one of
 ``_MALFORMED``, as a missing key, a ``format_version`` other than the int 3
-(a missing one is version 1), a config key no config field has (the retired
-``seed`` and ``lambda`` too), a snapshot key no v3 writer writes (``_check_keys``;
+(a missing one is version 1), a config or report key no field has (the retired
+``seed`` and ``lambda`` too), a snapshot or session key no v3 writer writes (``_check_keys``;
 ``"embedding"`` is written in remote mode only), a field the kind rule refuses (every reader
 runs ``embedding.check_field_kinds`` on the records it builds), a vector that
 is not a list of ``embedder.dim`` numbers, a working entry's, log record's or
@@ -58,7 +59,7 @@ node's vector whose L2 norm is neither 0 nor within 1e-12 of 1
 1 + 1e-12 (no ``update_episodic`` blend does), or a record its dataclass
 refuses (a blank fact part, say) does; so do a
 node that repeats an entity_id or an attribute name, an attribute row that is
-not four fields long, a graph no merge could build (``_check_graph``: a node
+not four fields long (the message names its node), a graph no merge could build (``_check_graph``: a node
 ``importance`` below 1, an attribute session later than its node's
 ``last_updated``), a ``session_cursor`` below -1,
 a recorded session (a working entry's, a log record's, an attribute's, a node's
@@ -67,12 +68,9 @@ session in strictly increasing turn order (``update_working`` keeps the tail
 of one session), an episodic log whose sessions do not strictly increase, and
 a ``retention_at`` key that does not spell its gap as ``str(int)`` does (so
 two spellings of one gap cannot collide). Each reader catches these once and raises ValueError
-with its prefix: ``config_from_dict`` and ``loads_config`` "malformed config: ",
-``loads_state`` "malformed snapshot: " (also for layers over the config's k,
-C_w, C_e or C_s), ``read_sessions_jsonl``
-"path:N: malformed session record: ", ``report_from_dict`` and
-``loads_report`` "malformed report: ". The ``loads_*`` readers parse JSON
-text, so invalid JSON is malformed input too.
+with its prefix: ``loads_config`` "malformed config: ", ``loads_state`` "malformed snapshot: " (also for layers
+over the config's k, C_w, C_e or C_s), ``read_sessions_jsonl`` "path:N: malformed session record: ", and
+``loads_report`` "malformed report: ". Each parses JSON text, so invalid JSON is malformed input too.
 Vectors load as read-only arrays, as ``embed`` makes them.
 """
 
@@ -81,10 +79,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields, is_dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Iterable, get_type_hints
+from typing import AbstractSet, Any, Callable, Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -115,23 +113,15 @@ FORMAT_VERSION = 3  # what dumps_state writes and the one version loads_state re
 _ATTRIBUTE_ROW = [("name", "str"), *((name, kind.__name__) for name, kind in get_type_hints(Attribute).items())]
 
 
-def _check_keys(data: dict[str, Any], remote: bool) -> None:
-    """ValueError naming a key no v3 writer writes in the document, its state, a layer, or a working entry, log
-    record, node or fact record; only a remote document's entries, log records and nodes carry "embedding"."""
-    raw = data["state"]
-    entries = raw["working"]["entries"]
-    vector = {"embedding"} if remote else set()
-    for kind, keys, records in (
-        ("document", {"config", "format_version", "state"}, [data]),
-        ("state", {"session_cursor", "working", "episodic", "semantic"}, [raw]),
-        ("working", {"entries"}, [raw["working"]]),
-        ("episodic", {"state", "log"}, [raw["episodic"]]),
-        ("semantic", {"nodes"}, [raw["semantic"]]),
-        ("working entry", {"session", "turn", "speaker", "text", "facts", *vector}, entries),
-        ("log record", {"session", "text", "salience", *vector}, raw["episodic"]["log"]),
-        ("node", {"entity_id", "attributes", "importance", "last_updated", *vector}, raw["semantic"]["nodes"]),
-        ("fact", {"s", "p", "o", "c"}, chain.from_iterable(entry.get("facts", ()) for entry in entries)),
-    ):
+# The keys a v3 writer writes on a working entry and on a fact; a session line's utterance is a working entry
+# without its "session", which the session record carries.
+_ENTRY_KEYS = frozenset({"session", "turn", "speaker", "text", "facts"})
+_FACT_KEYS = frozenset({"s", "p", "o", "c"})
+
+
+def _check_keys(*checks: tuple[str, AbstractSet[str], Iterable[dict[str, Any]]]) -> None:
+    """ValueError naming the keys a record carries that no writer writes, for each (kind, keys, records)."""
+    for kind, keys, records in checks:
         for record in records:
             if not record.keys() <= keys:
                 raise ValueError(f"unknown {kind} key(s): {', '.join(sorted(record.keys() - keys))}")
@@ -181,60 +171,66 @@ def _check_graph(graph: SemanticGraph) -> None:
                                  f"{attribute.session}")
 
 
-def config_to_dict(cfg: Any) -> dict[str, Any]:
-    """Every config field under its name; nested configs recurse, tuples become lists."""
+def config_to_dict(record: Any) -> dict[str, Any]:
+    """Every field of a config or report under its name; nested dataclasses recurse, tuples become lists, and a
+    mapping's keys become strings, so ``sort_keys`` orders retention_at's gaps as text: 1, 10, 2."""
     out: dict[str, Any] = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
+    for f in fields(record):
+        value = getattr(record, f.name)
         if is_dataclass(value):
             value = config_to_dict(value)
         elif isinstance(value, tuple):
             value = list(value)
+        elif isinstance(value, dict):
+            value = {str(key): item for key, item in value.items()}
         out[f.name] = value
     return out
 
 
-def _from_dict(cls: type, data: dict[str, Any]) -> Any:
-    """Inverse of config_to_dict: missing keys keep the field default, unknown keys raise ValueError.
+@cache
+def _field_hints(cls: type) -> dict[str, Any]:
+    """The resolved annotation of each field of dataclass cls, looked up once per class."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
-    A list for a tuple field is read as a tuple; the config's constructor checks each value's kind.
+
+def _from_dict(cls: type, data: dict[str, Any]) -> Any:
+    """Inverse of config_to_dict: missing keys keep the field default (TypeError for a field without one), unknown
+    keys raise ValueError, and the dataclass's constructor checks each value's kind.
+
+    A field's annotation says how its JSON value reads: a nested dataclass by ``_from_dict``, a list for a tuple as
+    a tuple, and a mapping's string keys as its key type.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    hints = _field_hints(cls)
+    unknown = sorted(data.keys() - hints.keys())
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
-    defaults = cls()
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
-        default = getattr(defaults, key)
-        if is_dataclass(default):
-            value = _from_dict(type(default), value)
-        elif isinstance(default, tuple) and isinstance(value, list):
+        hint = hints[key]
+        if is_dataclass(hint):
+            value = _from_dict(hint, value)
+        elif get_origin(hint) is tuple and isinstance(value, list):
             value = tuple(value)
+        elif get_origin(hint) is dict:
+            value = {get_args(hint)[0](k): item for k, item in value.items()}
         kwargs[key] = value
     return cls(**kwargs)
 
 
-_config_from_dict = partial(_from_dict, EngineConfig)
-
-
-def _read(what: str, read: Callable[[Any], Any], load: Callable[[], Any]) -> Any:
-    """read(load()); raises ValueError("malformed <what>: ...") when either raises one of _MALFORMED."""
+def _read(what: str, read: Callable[[Any], Any], text: str) -> Any:
+    """read(json.loads(text)); raises ValueError("malformed <what>: ...") when either raises one of _MALFORMED."""
     try:
-        return read(load())
+        return read(json.loads(text))
     except _MALFORMED as exc:
         raise ValueError(f"malformed {what}: {exc}") from exc
 
 
-def config_from_dict(data: dict[str, Any]) -> EngineConfig:
-    """Raises ValueError("malformed config: ...") on an unknown key and on a scalar of the wrong JSON type."""
-    return _read("config", _config_from_dict, lambda: data)
-
-
 def loads_config(text: str) -> EngineConfig:
-    """config_from_dict of a JSON document; invalid JSON is a malformed config too."""
-    return _read("config", _config_from_dict, lambda: json.loads(text))
+    """Raises ValueError("malformed config: ...") on invalid JSON, an unknown key and a value of the wrong JSON type."""
+    return _read("config", partial(_from_dict, EngineConfig), text)
 
 
 def _fact_to_dict(fact: FactTriple) -> dict[str, Any]:
@@ -290,9 +286,13 @@ def _node_to_dict(node: EntityNode) -> dict[str, Any]:
 
 
 def _node_attributes(data: dict[str, Any]) -> dict[str, Attribute]:
-    attributes = {
-        name: Attribute(value, session, confidence) for name, value, session, confidence in data["attributes"]
-    }
+    try:
+        attributes = {
+            name: Attribute(value, session, confidence) for name, value, session, confidence in data["attributes"]
+        }
+    except ValueError as exc:  # a row of other than four fields
+        row = ", ".join(name for name, _ in _ATTRIBUTE_ROW)
+        raise ValueError(f"node {data['entity_id']!r} has an attribute row that is not [{row}]: {exc}") from exc
     if len(attributes) != len(data["attributes"]):
         raise ValueError(f"node {data['entity_id']!r} repeats an attribute name")
     return attributes
@@ -334,13 +334,24 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     version = data.get("format_version", 1)  # a version 1 document has no such key
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"format_version {version!r} is not {FORMAT_VERSION}, the one version loading reads")
-    cfg = _config_from_dict(data["config"])
-    _check_keys(data, cfg.embedder.mode == "remote")
+    cfg = _from_dict(EngineConfig, data["config"])
     raw = data["state"]
     entries = raw["working"]["entries"]
-    utterances = [_utterance_from_dict(u, u["session"]) for u in entries]
     log = raw["episodic"]["log"]
     nodes = raw["semantic"]["nodes"]
+    vector = {"embedding"} if cfg.embedder.mode == "remote" else set()  # a remote record carries its vector
+    _check_keys(
+        ("document", {"config", "format_version", "state"}, [data]),
+        ("state", {"session_cursor", "working", "episodic", "semantic"}, [raw]),
+        ("working", {"entries"}, [raw["working"]]),
+        ("episodic", {"state", "log"}, [raw["episodic"]]),
+        ("semantic", {"nodes"}, [raw["semantic"]]),
+        ("working entry", _ENTRY_KEYS | vector, entries),
+        ("log record", {"session", "text", "salience", *vector}, log),
+        ("node", {"entity_id", "attributes", "importance", "last_updated", *vector}, nodes),
+        ("fact", _FACT_KEYS, chain.from_iterable(entry.get("facts", ()) for entry in entries)),
+    )
+    utterances = [_utterance_from_dict(u, u["session"]) for u in entries]
     attributes = [_node_attributes(n) for n in nodes]
     texts = [u.text for u in utterances] + [r["text"] for r in log]
     texts += [node_text(n["entity_id"], a) for n, a in zip(nodes, attributes)]
@@ -378,7 +389,7 @@ def dumps_state(state: MemoryState, cfg: EngineConfig) -> str:
 
 def loads_state(text: str) -> tuple[MemoryState, EngineConfig]:
     """Raises ValueError("malformed snapshot: ...") on invalid JSON and on a malformed snapshot."""
-    return _read("snapshot", state_from_dict, lambda: json.loads(text))
+    return _read("snapshot", state_from_dict, text)
 
 
 def session_to_dict(session: Session) -> dict[str, Any]:
@@ -386,9 +397,16 @@ def session_to_dict(session: Session) -> dict[str, Any]:
 
 
 def session_from_dict(data: dict[str, Any]) -> Session:
-    """Raises one of _MALFORMED on a malformed session; read_sessions_jsonl names it as one."""
+    """Raises one of _MALFORMED on a malformed session, such as one carrying a key no writer writes;
+    read_sessions_jsonl names it as one."""
+    utterances = data["utterances"]
+    _check_keys(
+        ("session", {"index", "utterances"}, [data]),
+        ("utterance", _ENTRY_KEYS - {"session"}, utterances),
+        ("fact", _FACT_KEYS, chain.from_iterable(u.get("facts", ()) for u in utterances)),
+    )
     index = data["index"]
-    session = Session(index, tuple(_utterance_from_dict(u, index) for u in data["utterances"]))
+    session = Session(index, tuple(_utterance_from_dict(u, index) for u in utterances))
     facts = tuple(chain.from_iterable(u.annotations for u in session.utterances))
     for records in ((session,), session.utterances, facts):
         check_field_kinds(*records)
@@ -415,27 +433,9 @@ def read_sessions_jsonl(path: str) -> list[Session]:
     return sessions
 
 
-def report_to_dict(report: EvalReport) -> dict[str, Any]:
-    return {
-        "retention_at": {str(gap): value for gap, value in report.retention_at.items()},
-        "fmr": report.fmr,
-        "mean_context_usage": report.mean_context_usage,
-        "success_rate": report.success_rate,
-        "drift_curve": list(report.drift_curve),
-        "config": config_to_dict(report.config_echo),
-    }
-
-
 def _report_from_dict(data: dict[str, Any]) -> EvalReport:
     """Raises one of _MALFORMED on a malformed report; a retention_at key must spell its gap as str(int) does."""
-    report = EvalReport(
-        retention_at={int(gap): value for gap, value in data["retention_at"].items()},
-        fmr=data["fmr"],
-        mean_context_usage=data["mean_context_usage"],
-        success_rate=data["success_rate"],
-        drift_curve=tuple(data["drift_curve"]),
-        config_echo=_config_from_dict(data["config"]),
-    )
+    report = _from_dict(EvalReport, data)
     keys = list(data["retention_at"])
     if list(map(str, report.retention_at)) != keys:
         raise ValueError(f"retention_at keys must spell distinct gaps as str(int) does, got {keys}")
@@ -445,11 +445,7 @@ def _report_from_dict(data: dict[str, Any]) -> EvalReport:
     return report
 
 
-def report_from_dict(data: dict[str, Any]) -> EvalReport:
-    """Raises ValueError("malformed report: ...") on a missing key or a field of the wrong JSON type."""
-    return _read("report", _report_from_dict, lambda: data)
-
-
 def loads_report(text: str) -> EvalReport:
-    """report_from_dict of a JSON document; invalid JSON is a malformed report too."""
-    return _read("report", _report_from_dict, lambda: json.loads(text))
+    """Raises ValueError("malformed report: ...") on invalid JSON, a missing or unknown key and a value of the wrong
+    JSON type."""
+    return _read("report", _report_from_dict, text)

@@ -38,7 +38,7 @@ from mlmem.memory import (
 from mlmem.memory import update_episodic
 from mlmem.retention import cumulative_retention_loss, drift, tune
 from mlmem.retrieval import softmax_weights
-from mlmem.snapshot import dumps_state, loads_state, report_to_dict
+from mlmem.snapshot import config_to_dict, dumps_state, loads_state
 from state_vectors import state_bytes
 
 
@@ -374,8 +374,8 @@ def test_criterion_10_snapshot_round_trip():
             before = evaluate(scenario, cfg, "mlmf")
             after = evaluate(scenario, loaded_cfg, "mlmf")
             assert before == after
-            assert json.dumps(report_to_dict(before), sort_keys=True) == json.dumps(
-                report_to_dict(after), sort_keys=True
+            assert json.dumps(config_to_dict(before), sort_keys=True) == json.dumps(
+                config_to_dict(after), sort_keys=True
             )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ from mlmem.harness import (
     evaluate,
     generate_scenario,
 )
-from mlmem.snapshot import report_from_dict, report_to_dict
+from mlmem.snapshot import config_to_dict, loads_report
 
 CFG = EngineConfig(embedder=EmbedderConfig(dim=64, seed=6))
 
@@ -250,7 +251,7 @@ def test_ablate_returns_all_four_variants():
 def test_ablate_no_gating_forces_uniform_weights():
     scenario = generate_scenario(2, 2, facts_per_persona=1, seed=0)
     reports = ablate(scenario, CFG)
-    cfg = reports["no_gating"].config_echo
+    cfg = reports["no_gating"].config
     assert cfg.uniform_gating
     outputs = run(scenario.sessions, None, cfg)
     for output in outputs:
@@ -260,7 +261,7 @@ def test_ablate_no_gating_forces_uniform_weights():
 def test_ablate_no_semantic_leaves_graph_empty():
     scenario = generate_scenario(2, 2, facts_per_persona=1, seed=0)
     reports = ablate(scenario, CFG)
-    cfg = reports["no_semantic"].config_echo
+    cfg = reports["no_semantic"].config
     outputs = run(scenario.sessions, None, cfg)
     assert outputs[-1].state.semantic.nodes == {}
 
@@ -277,4 +278,4 @@ def test_ablate_full_at_least_matches_no_semantic_on_saturating_scenario():
 def test_report_round_trips_through_dict():
     scenario = generate_scenario(3, 3, seed=8)
     report = evaluate(scenario, CFG, "mlmf")
-    assert report_from_dict(report_to_dict(report)) == report
+    assert loads_report(json.dumps(config_to_dict(report))) == report

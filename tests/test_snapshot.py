@@ -20,13 +20,12 @@ from mlmem.engine import EngineConfig, initial_state, run, steps
 from mlmem.harness import EvalReport, generate_scenario
 from mlmem.memory import Attribute, FactTriple, Session, Utterance
 from mlmem.snapshot import (
-    config_from_dict,
     config_to_dict,
     dumps_state,
+    loads_config,
     loads_report,
     loads_state,
     read_sessions_jsonl,
-    report_to_dict,
     session_from_dict,
     session_to_dict,
     state_to_dict,
@@ -122,11 +121,11 @@ def test_older_format_snapshot_and_retired_config_keys_are_refused(tmp_path, cap
         path.write_text(json.dumps(document))
         assert main(["query", "--snapshot", str(path), "--text", "alice lives_in"]) == 2
         assert capsys.readouterr().err.startswith(f"error: malformed snapshot: {message}")
-    report = report_to_dict(EvalReport({1: 1.0}, 0.0, 0.25, 1.0, (0.0,), CFG))
+    report = config_to_dict(EvalReport({1: 1.0}, 0.0, 0.25, 1.0, (0.0,), CFG))
     assert loads_report(json.dumps(report)) == EvalReport({1: 1.0}, 0.0, 0.25, 1.0, (0.0,), CFG)
     for key, value in (("seed", 3), ("lambda", 0.25)):
         with pytest.raises(ValueError, match=re.escape(f"malformed config: unknown EngineConfig key(s): {key}")):
-            config_from_dict({**data["config"], key: value})
+            loads_config(json.dumps({**data["config"], key: value}))
         with pytest.raises(ValueError, match=re.escape(f"malformed report: unknown EngineConfig key(s): {key}")):
             loads_report(json.dumps({**report, "config": {**report["config"], key: value}}))
 
@@ -242,22 +241,22 @@ def test_loads_state_rejects_layers_over_the_config_bounds(name, tmp_path):
 
 
 def test_config_from_partial_dict_fills_defaults():
-    cfg = config_from_dict({"k": 3})
+    cfg = loads_config(json.dumps({"k": 3}))
     assert cfg.k == 3
     assert cfg.C_w == EngineConfig().C_w
 
 
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="tau"):
-        config_from_dict({"tau": 0.1})
+        loads_config(json.dumps({"tau": 0.1}))
     with pytest.raises(ValueError, match="lambda_"):
-        config_from_dict({"lambda_": 0.1})
+        loads_config(json.dumps({"lambda_": 0.1}))
     with pytest.raises(ValueError, match="dimm"):
-        config_from_dict({"embedder": {"dimm": 32}})
+        loads_config(json.dumps({"embedder": {"dimm": 32}}))
     with pytest.raises(ValueError, match="EmbedderConfig must be a JSON object"):
-        config_from_dict({"embedder": None})
+        loads_config(json.dumps({"embedder": None}))
     with pytest.raises(ValueError, match="lambda"):
-        config_from_dict({"embedder": {"lambda": 0.5}})
+        loads_config(json.dumps({"embedder": {"lambda": 0.5}}))
 
 
 def test_config_json_accepts_and_drops_retired_keys():
@@ -265,11 +264,11 @@ def test_config_json_accepts_and_drops_retired_keys():
     ``lambda`` keys: it never writes them, and a config that carries one is refused as an unknown key."""
     data = config_to_dict(CFG)
     assert not {"lambda", "lambda_", "seed"} & set(data)
-    assert config_from_dict(data) == CFG
+    assert loads_config(json.dumps(data)) == CFG
     for retired in ({"seed": 3}, {"lambda": 0.25}):
         with pytest.raises(ValueError, match=re.escape(f"unknown EngineConfig key(s): {next(iter(retired))}")):
-            config_from_dict({**data, **retired})
-    assert config_from_dict({"embedder": {"seed": 5}}) == EngineConfig(embedder=EmbedderConfig(seed=5))
+            loads_config(json.dumps({**data, **retired}))
+    assert loads_config(json.dumps({"embedder": {"seed": 5}})) == EngineConfig(embedder=EmbedderConfig(seed=5))
 
 
 def test_session_jsonl_round_trip(tmp_path):
