@@ -135,6 +135,7 @@ class EvalReport:
 
 
 def _fact_utterance(session_index: int, turn: int, name: str, attribute: str, value: str) -> Utterance:
+    """The one way a scenario states a fact, introduced or restated: its text annotated with its triple."""
     return Utterance.from_text(
         session_index,
         turn,
@@ -185,30 +186,22 @@ def generate_scenario(
             facts.append((attribute, value))
         personas.append(Persona(name, tuple(facts)))
 
-    sessions = []
-    intro_utterances = []
-    turn = 0
-    for persona in personas:
-        for attribute, value in persona.facts:
-            intro_utterances.append(_fact_utterance(0, turn, persona.name, attribute, value))
-            turn += 1
-    sessions.append(Session(0, tuple(intro_utterances)))
+    # every (name, attribute, value) a persona states, in persona order; period 0 states each once
+    stated = [(persona.name, attribute, value) for persona in personas for attribute, value in persona.facts]
+    sessions = [Session(0, tuple(_fact_utterance(0, turn, *fact) for turn, fact in enumerate(stated)))]
 
     for period in range(1, periods):
-        body: list[tuple[str, str, tuple[FactTriple, ...]]] = []
-        for _ in range(distractors_per_session):
-            body.append(("narrator", rng.choice(DISTRACTOR_SENTENCES), ()))
-        for persona in personas:
-            for attribute, value in persona.facts:
-                if rng.random() < 0.1:
-                    body.append(
-                        (persona.name, f"{persona.name} {attribute} {value}",
-                         (FactTriple(persona.name, attribute, value, 1.0),))
-                    )
+        body: list[str | tuple[str, str, str]] = [
+            rng.choice(DISTRACTOR_SENTENCES) for _ in range(distractors_per_session)
+        ]
+        body += [fact for fact in stated if rng.random() < 0.1]
         rng.shuffle(body)
         utterances = [Utterance.from_text(period, 0, "narrator", f"day {period} began")]
-        for offset, (speaker, text, annotations) in enumerate(body, start=1):
-            utterances.append(Utterance.from_text(period, offset, speaker, text, annotations))
+        for turn, line in enumerate(body, start=1):
+            if isinstance(line, str):
+                utterances.append(Utterance.from_text(period, turn, "narrator", line))
+            else:
+                utterances.append(_fact_utterance(period, turn, *line))
         sessions.append(Session(period, tuple(utterances)))
 
     probes = []

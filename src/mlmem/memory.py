@@ -7,7 +7,12 @@ recency-wins conflict resolution, and (importance, recency) eviction. Each
 node attribute holds its current value with the session it was last stated
 at and that statement's confidence: a displaced value is gone, so the graph
 holds at most C_s nodes and their attributes, and no fact history.
-Graph facts are mined from raw utterances, not from the episodic summary.
+Graph facts are mined from raw utterances, not from the episodic summary: a
+line states one when, case-folded and with trailing whitespace and ``.,;:!?``
+trimmed, it reads ``subject verb value``, the subject one ``[a-z0-9_]`` token
+and the verb ``lives in`` (relation ``lives_in``), ``works as`` or ``works at``
+(``works``), or ``likes``, ``loves``, ``hates`` or ``is`` (each its own
+relation); ``_VERBS`` is that table.
 The summary's and the merge's scans go through ``embedding.nearest``, whose
 score is each row's similarity here and whose ties go to the key each passes:
 the summary's row index (its turn order) and the merge's node id. The merge
@@ -173,8 +178,8 @@ class SemanticGraph:
         }
 
     def current_value(self, subject: str, attribute: str) -> str | None:
-        node = self.nodes.get(_canonical(subject))
-        current = None if node is None else node.attributes.get(_canonical(attribute))
+        node = self.nodes.get(canonical(subject))
+        current = None if node is None else node.attributes.get(canonical(attribute))
         return None if current is None else current.value
 
 
@@ -237,12 +242,10 @@ def update_episodic(
     return EpisodicMemory(frozen(blended), (prev.log + (summary,))[-C_e:])
 
 
-_FACT_PATTERNS = (
-    (re.compile(r"^([a-z0-9_]+)\s+lives\s+in\s+(.+)$"), "lives_in"),
-    (re.compile(r"^([a-z0-9_]+)\s+works\s+(?:as|at)\s+(.+)$"), "works"),
-    (re.compile(r"^([a-z0-9_]+)\s+(likes|loves|hates)\s+(.+)$"), None),
-    (re.compile(r"^([a-z0-9_]+)\s+is\s+(.+)$"), "is"),
-)
+# Each verb form a fact line may state, and the relation its triple names; _FACT_LINE matches any of them.
+_VERBS = {"lives in": "lives_in", "works as": "works", "works at": "works", "likes": "likes", "loves": "loves",
+          "hates": "hates", "is": "is"}
+_FACT_LINE = re.compile(r"^([a-z0-9_]+)\s+(" + "|".join(v.replace(" ", r"\s+") for v in _VERBS) + r")\s+(.+)$")
 
 _TRAILING_PUNCT = re.compile(r"[\s.,;:!?]+$")
 
@@ -251,30 +254,23 @@ def extract_facts(session: Session) -> list[FactTriple]:
     """Pattern-based triples over the session's utterances plus annotation passthrough.
 
     Triples are mined from the raw utterances, not from the session summary, so
-    annotation-carried ground truth is never lost to summarization. Unmatched
-    utterances yield nothing.
+    annotation-carried ground truth is never lost to summarization. A line
+    that ``_FACT_LINE`` matches (see the module docstring) yields (subject,
+    its verb's relation, value); other lines yield nothing.
     """
     triples: list[FactTriple] = []
     for utterance in session.utterances:
-        text = _TRAILING_PUNCT.sub("", utterance.text.lower().strip())
-        for pattern, relation in _FACT_PATTERNS:
-            match = pattern.match(text)
-            if match is None:
-                continue
-            if relation is None:
-                subject, verb, obj = match.groups()
-                triples.append(FactTriple(subject, verb, obj.strip(), 1.0))
-            else:
-                subject, obj = match.groups()
-                triples.append(FactTriple(subject, relation, obj.strip(), 1.0))
-            break
-        for annotation in utterance.annotations:
-            triples.append(annotation)
+        match = _FACT_LINE.match(_TRAILING_PUNCT.sub("", utterance.text.lower().strip()))
+        if match is not None:
+            subject, verb, value = match.groups()
+            triples.append(FactTriple(subject, _VERBS[" ".join(verb.split())], value, 1.0))
+        triples.extend(utterance.annotations)
     return triples
 
 
-def _canonical(value: str) -> str:
-    return value.lower().strip()
+def canonical(text: str) -> str:
+    """The form ``merge_semantic`` stores each entity id, attribute name and value in."""
+    return text.lower().strip()
 
 
 def merge_semantic(
@@ -322,9 +318,9 @@ def merge_semantic(
         stale.clear()
 
     for triple in facts:
-        subject = _canonical(triple.subject)
-        predicate = _canonical(triple.predicate)
-        stated = Attribute(_canonical(triple.object), session_index, triple.confidence)
+        subject = canonical(triple.subject)
+        predicate = canonical(triple.predicate)
+        stated = Attribute(canonical(triple.object), session_index, triple.confidence)
 
         target_id = subject if subject in nodes else None
         if target_id is None and nodes:

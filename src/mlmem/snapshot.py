@@ -60,12 +60,14 @@ node's vector whose L2 norm is neither 0 nor within 1e-12 of 1
 refuses (a blank fact part, say) does; so do a
 node that repeats an entity_id or an attribute name, an attribute row that is
 not four fields long (the message names its node), a graph no merge could build (``_check_graph``: a node
-``importance`` below 1, an attribute session later than its node's
-``last_updated``), a ``session_cursor`` below -1,
+``importance`` below 1, an entity_id, attribute name or value that is not
+lowercase and stripped as ``memory.canonical`` leaves it, an attribute session
+later than its node's ``last_updated``), a ``session_cursor`` below -1,
 a recorded session (a working entry's, a log record's, an attribute's, a node's
-``last_updated``) outside [0, cursor], working entries that are not of one
-session in strictly increasing turn order (``update_working`` keeps the tail
-of one session), an episodic log whose sessions do not strictly increase, and
+``last_updated``) outside [0, cursor], working entries that ``memory.Session``
+refuses as one session (``update_working`` keeps the tail of one session), an
+episodic log whose sessions do not strictly increase, a config or report tuple
+field whose value is not a list, and
 a ``retention_at`` key that does not spell its gap as ``str(int)`` does (so
 two spellings of one gap cannot collide). Each reader catches these once and raises ValueError
 with its prefix: ``loads_config`` "malformed config: ", ``loads_state`` "malformed snapshot: " (also for layers
@@ -100,6 +102,7 @@ from .memory import (
     SummaryRecord,
     Utterance,
     WorkingMemory,
+    canonical,
     node_text,
 )
 
@@ -141,34 +144,39 @@ def _check_state(state: MemoryState) -> None:
 
 def _check_sessions(state: MemoryState) -> None:
     """ValueError unless the cursor is >= -1, each recorded session (a working entry's, a log record's,
-    an attribute's, a node's last_updated) lies in [0, cursor], the working entries are of one session in strictly
-    increasing turn order (``update_working`` keeps a session's tail), and the log's sessions strictly increase
-    (``update_episodic`` evicts the oldest record by position)."""
+    an attribute's, a node's last_updated) lies in [0, cursor], the working entries make a ``Session`` (one
+    session in strictly increasing turn order, as ``update_working`` keeps a session's tail), and the log's sessions
+    strictly increase (``update_episodic`` evicts the oldest record by position)."""
     cursor = state.session_cursor
     log = [r.session_index for r in state.episodic.log]
-    sessions = [u.session_index for u, _ in state.working.entries]
-    turns = [u.turn_index for u, _ in state.working.entries]
-    recorded = sessions + log
+    utterances = tuple(u for u, _ in state.working.entries)
+    recorded = [u.session_index for u in utterances] + log
     for node in state.semantic.nodes.values():
         recorded += [a.session for a in node.attributes.values()] + [node.last_updated]
     if cursor < -1 or min(recorded, default=0) < 0 or max(recorded, default=cursor) > cursor:
         raise ValueError(f"session_cursor {cursor} is below -1, or a recorded session lies outside [0, {cursor}]")
-    if len(set(sessions)) > 1 or any(earlier >= later for earlier, later in zip(turns, turns[1:])):
-        raise ValueError(f"working entries of sessions {sessions}, turns {turns} are not one session's tail")
+    if utterances:
+        Session(utterances[0].session_index, utterances)  # its constructor refuses any other tail
     if any(earlier >= later for earlier, later in zip(log, log[1:])):
         raise ValueError(f"episodic log sessions {log} do not strictly increase")
 
 
 def _check_graph(graph: SemanticGraph) -> None:
-    """ValueError unless each node's importance is at least 1 (each merge into a node adds 1) and none of its
-    attributes is of a session later than its ``last_updated`` (a merge moves both to its session)."""
+    """ValueError unless each node's importance is at least 1 (each merge into a node adds 1), its entity_id and
+    each attribute's name and value are in the ``canonical`` form a merge stores, and none of its attributes is of a
+    session later than its ``last_updated`` (a merge moves both to its session)."""
     for node in graph.nodes.values():
         if node.importance < 1.0:
             raise ValueError(f"node {node.entity_id!r} has importance below 1")
+        if node.entity_id != canonical(node.entity_id):
+            raise ValueError(f"node {node.entity_id!r} is not lowercase and stripped, as a merge writes its id")
         for name, attribute in node.attributes.items():
             if attribute.session > node.last_updated:
                 raise ValueError(f"node {node.entity_id!r} is older than its attribute {name!r} of session "
                                  f"{attribute.session}")
+            if name != canonical(name) or attribute.value != canonical(attribute.value):
+                raise ValueError(f"node {node.entity_id!r} has attribute {name!r} = {attribute.value!r}, not "
+                                 "lowercase and stripped, as a merge writes each")
 
 
 def config_to_dict(record: Any) -> dict[str, Any]:
@@ -198,8 +206,8 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
     """Inverse of config_to_dict: missing keys keep the field default (TypeError for a field without one), unknown
     keys raise ValueError, and the dataclass's constructor checks each value's kind.
 
-    A field's annotation says how its JSON value reads: a nested dataclass by ``_from_dict``, a list for a tuple as
-    a tuple, and a mapping's string keys as its key type.
+    A field's annotation says how its JSON value reads: a nested dataclass by ``_from_dict``, a tuple from a list
+    (ValueError naming the field for any other value), and a mapping's string keys as its key type.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
@@ -212,7 +220,9 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
         hint = hints[key]
         if is_dataclass(hint):
             value = _from_dict(hint, value)
-        elif get_origin(hint) is tuple and isinstance(value, list):
+        elif get_origin(hint) is tuple:
+            if not isinstance(value, list):
+                raise ValueError(f"{cls.__name__}.{key} must be a JSON list, got {type(value).__name__}")
             value = tuple(value)
         elif get_origin(hint) is dict:
             value = {get_args(hint)[0](k): item for k, item in value.items()}

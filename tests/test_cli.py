@@ -169,8 +169,11 @@ def test_plotdata_emits_period_retention_rows(tmp_path, capsys):
         (lambda report: report["retention_at"].update({"01": 0.25}), "retention_at keys must spell distinct gaps"),
         (lambda report: json.dumps(report)[:50], ""),
         (lambda report: report.update(fmr_typo=0.0), "unknown EvalReport key(s): fmr_typo"),
+        (lambda report: report.update(drift_curve={}), "EvalReport.drift_curve must be a JSON list, got dict"),
+        (lambda report: report.update(drift_curve=""), "EvalReport.drift_curve must be a JSON list, got str"),
     ],
-    ids=["retention_str", "retention_list", "no_fmr", "retention_gap_respelled", "truncated", "unknown_key"],
+    ids=["retention_str", "retention_list", "no_fmr", "retention_gap_respelled", "truncated", "unknown_key",
+         "drift_curve_object", "drift_curve_str"],
 )
 def test_malformed_report_is_validation_error(tmp_path, capsys, edit, named):
     """An edit changes the report in place, or returns the str to write instead; the message names what it
@@ -391,12 +394,30 @@ _MISSHAPEN_ROWS = {
     "attribute_row_of_three": _misshapen_row(list.pop),
     "attribute_row_of_five": _misshapen_row(lambda row: row.append("extra")),
 }
+
+
+def _alice_node(edit) -> str:
+    """The alice snapshot with edit applied to alice's node."""
+    return _edited(_ALICE_SNAPSHOT, lambda state: edit(state["semantic"]["nodes"][0]))
+
+
+# A node id, attribute name or value no merge writes, since a merge lowercases and strips each, and the message
+# naming its node.
+_UNCANONICAL = {
+    "entity_id_uncanonical": (_alice_node(lambda node: node.update(entity_id="Alice ")),
+                              "node 'Alice ' is not lowercase and stripped"),
+    "attribute_name_uncanonical": (_alice_node(lambda node: node["attributes"][0].__setitem__(0, "Lives_In")),
+                                   "node 'alice' has attribute 'Lives_In' = 'rome', not lowercase and stripped"),
+    "attribute_value_uncanonical": (_alice_node(lambda node: node["attributes"][0].__setitem__(1, " Paris")),
+                                    "node 'alice' has attribute 'lives_in' = ' Paris', not lowercase and stripped"),
+}
 _V2_SNAPSHOT = _v2(_SCENARIO_SNAPSHOT)
 # the fragment of its message that names what is malformed, for the documents that have one
 _NAMED = {
     _V2_SNAPSHOT: "malformed snapshot: format_version 2 is not 3",
     **dict(_UNKNOWN_KEYS.values()),
     **dict(_MISSHAPEN_ROWS.values()),
+    **dict(_UNCANONICAL.values()),
 }
 
 
@@ -433,6 +454,7 @@ _NAMED = {
             1, dict(state["working"]["entries"][0]))),
         *(document for document, _ in _UNKNOWN_KEYS.values()),
         *(document for document, _ in _MISSHAPEN_ROWS.values()),
+        *(document for document, _ in _UNCANONICAL.values()),
     ],
     ids=[
         "document0", "document1", "document2", "truncated",
@@ -442,7 +464,7 @@ _NAMED = {
         "format_version_float", "format_version_true", "format_version_null", "v2_carries_a_working_vector",
         "v2_carries_a_log_vector", "v2_carries_a_node_vector", "remote_v2_lacks_a_working_vector",
         "remote_v2_lacks_a_log_vector", "remote_v2_lacks_a_node_vector", "working_entry_of_another_session",
-        "working_entries_reversed", "working_turn_repeated", *_UNKNOWN_KEYS, *_MISSHAPEN_ROWS,
+        "working_entries_reversed", "working_turn_repeated", *_UNKNOWN_KEYS, *_MISSHAPEN_ROWS, *_UNCANONICAL,
     ],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):
