@@ -18,23 +18,25 @@ new ones.
 
 Each layer is walked by ``_layer_view`` alone: its records, their vectors and
 a record's row. The first ``retrieve`` against a state builds its read index:
-the three representations and each layer's view, the working and episodic
-vectors held as read-only matrices. ``_read_index`` is a one-entry
-``functools.lru_cache`` keyed on the state, which hashes by identity, so a
-retrieve against that same state object reuses it, any other state replaces
-it, and a concurrent retrieve cannot pair one state with another's index.
-States are immutable, so an index cannot go stale, and the one entry holds one
-index and its state however many states a caller keeps. The semantic node
-matrix, the largest, is not held: on the 1,024-node bench graph holding it
-raised peak RSS by 8-9% (67.2 to 72.6-73.4 MB, snapshot v2) against a 5%
-bound, so each retrieve stacks it with ``embedding.stacked``.
-``layer_representation`` stays the uncached builder.
+the three representations and each layer's view, each layer's vectors held as
+one read-only matrix, so a retrieve scans them as they are. ``_read_index``
+keeps one entry in a ``weakref.WeakKeyDictionary`` keyed on the state, which
+hashes and compares by identity: a retrieve against that same state object
+reuses it, the entry goes as soon as its state dies, and a build for another
+state drops it before it builds, so at most one index is alive and the index
+never keeps a state alive. A lookup matches only the state itself, so a
+concurrent retrieve cannot pair one state with another's index; a race can at
+worst build an index twice. States are immutable, so an index cannot go stale.
+``_read_index.__wrapped__`` is the uncached builder, and
+``layer_representation`` stays uncached: the index calls it, so it still
+stacks its own weighted copy of the node matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Sequence
@@ -167,14 +169,31 @@ def _layer_view(state: MemoryState, layer: str) -> _View:
     raise ValueError(f"unknown layer {layer!r}")
 
 
-@functools.lru_cache(maxsize=1)
+def _one_live_state(build: Callable[[MemoryState], Any]) -> Callable[[MemoryState], Any]:
+    """build, cached for the last state asked about while that state lives; ``cache_clear`` drops the entry and
+    ``__wrapped__`` is build itself."""
+    held: weakref.WeakKeyDictionary[MemoryState, Any] = weakref.WeakKeyDictionary()
+
+    @functools.wraps(build)
+    def cached(state: MemoryState) -> Any:
+        built = held.get(state)
+        if built is None:
+            held.clear()  # the old index dies before the new one is built
+            built = held[state] = build(state)
+        return built
+
+    cached.cache_clear = held.clear
+    return cached
+
+
+@_one_live_state
 def _read_index(state: MemoryState) -> tuple[tuple[np.ndarray, ...], tuple[_View, ...]]:
-    """The state's read side, kept for the last state asked about: its representations, and each layer's view
-    with the working and episodic vectors held as a read-only matrix (the semantic layer's are left a list)."""
+    """The state's read side: its representations, and each layer's view with its vectors held as a read-only
+    matrix (an empty layer's stay an empty list)."""
     layers = []
     for layer in LAYERS:
         records, vectors, row = _layer_view(state, layer)
-        layers.append((records, frozen(stacked(vectors)) if vectors and layer != "s" else vectors, row))
+        layers.append((records, frozen(stacked(vectors)) if vectors else vectors, row))
     return tuple(layer_representation(state, layer) for layer in LAYERS), tuple(layers)
 
 
@@ -210,8 +229,7 @@ def retrieve(
     for layer, rep, (records, vectors, row), gamma in zip(LAYERS, representations, layers, weights.as_tuple()):
         vector += gamma * rep
         if records:
-            matrix = stacked(vectors) if isinstance(vectors, list) else vectors
-            hits = nearest(matrix, query.embedding, top_j, lambda i: row(records[i]))
+            hits = nearest(vectors, query.embedding, top_j, lambda i: row(records[i]))
             candidates += [RetrievedItem(layer, text, sim, gamma * sim, sess, turn, speaker, len(text.split()))
                            for (sess, turn, text, speaker), sim in hits]
     candidates.sort(key=lambda i: (-i.score, i.session_index, i.turn_index, LAYERS.index(i.layer), i.text))

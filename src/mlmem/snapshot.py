@@ -60,14 +60,14 @@ node's vector whose L2 norm is neither 0 nor within 1e-12 of 1
 refuses (a blank fact part, say) does; so do a
 node that repeats an entity_id or an attribute name, an attribute row that is
 not four fields long (the message names its node), a graph no merge could build (``_check_graph``: a node
-``importance`` below 1, an entity_id, attribute name or value that is not
-lowercase and stripped as ``memory.canonical`` leaves it, an attribute session
+with no attributes or an ``importance`` below its attribute count, an entity_id, attribute name or value that
+is not lowercase and stripped as ``memory.canonical`` leaves it, an attribute session
 later than its node's ``last_updated``), a ``session_cursor`` below -1,
 a recorded session (a working entry's, a log record's, an attribute's, a node's
 ``last_updated``) outside [0, cursor], working entries that ``memory.Session``
 refuses as one session (``update_working`` keeps the tail of one session), an
 episodic log whose sessions do not strictly increase, a config or report tuple
-field whose value is not a list, and
+field whose value is not a list, a mapping field whose value is not an object, and
 a ``retention_at`` key that does not spell its gap as ``str(int)`` does (so
 two spellings of one gap cannot collide). Each reader catches these once and raises ValueError
 with its prefix: ``loads_config`` "malformed config: ", ``loads_state`` "malformed snapshot: " (also for layers
@@ -162,12 +162,16 @@ def _check_sessions(state: MemoryState) -> None:
 
 
 def _check_graph(graph: SemanticGraph) -> None:
-    """ValueError unless each node's importance is at least 1 (each merge into a node adds 1), its entity_id and
+    """ValueError unless each node has an attribute and an importance of at least its attribute count (a merge
+    writes an attribute into every node it makes, and each attribute's first write adds 1), its entity_id and
     each attribute's name and value are in the ``canonical`` form a merge stores, and none of its attributes is of a
     session later than its ``last_updated`` (a merge moves both to its session)."""
     for node in graph.nodes.values():
-        if node.importance < 1.0:
-            raise ValueError(f"node {node.entity_id!r} has importance below 1")
+        if not node.attributes:
+            raise ValueError(f"node {node.entity_id!r} has no attributes")
+        if node.importance < len(node.attributes):
+            raise ValueError(f"node {node.entity_id!r} has importance {node.importance} below its "
+                             f"{len(node.attributes)} attributes")
         if node.entity_id != canonical(node.entity_id):
             raise ValueError(f"node {node.entity_id!r} is not lowercase and stripped, as a merge writes its id")
         for name, attribute in node.attributes.items():
@@ -207,7 +211,8 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
     keys raise ValueError, and the dataclass's constructor checks each value's kind.
 
     A field's annotation says how its JSON value reads: a nested dataclass by ``_from_dict``, a tuple from a list
-    (ValueError naming the field for any other value), and a mapping's string keys as its key type.
+    (ValueError naming the field for any other value), and a mapping's string keys as its key type (ValueError
+    naming the field for a value that is not an object).
     """
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(data).__name__}")
@@ -225,6 +230,8 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
                 raise ValueError(f"{cls.__name__}.{key} must be a JSON list, got {type(value).__name__}")
             value = tuple(value)
         elif get_origin(hint) is dict:
+            if not isinstance(value, dict):
+                raise ValueError(f"{cls.__name__}.{key} must be a JSON object, got {type(value).__name__}")
             value = {get_args(hint)[0](k): item for k, item in value.items()}
         kwargs[key] = value
     return cls(**kwargs)

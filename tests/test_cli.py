@@ -164,7 +164,9 @@ def test_plotdata_emits_period_retention_rows(tmp_path, capsys):
     "edit, named",
     [
         (lambda report: report["retention_at"].update({"1": "abc"}), "EvalReport.retention_at must be float"),
-        (lambda report: report.update(retention_at=[1.0, 0.5]), ""),
+        (lambda report: report.update(retention_at=[1.0, 0.5]), "EvalReport.retention_at must be a JSON object"),
+        (lambda report: report.update(retention_at="x"), "EvalReport.retention_at must be a JSON object, got str"),
+        (lambda report: report.update(retention_at=3), "EvalReport.retention_at must be a JSON object, got int"),
         (lambda report: report.pop("fmr"), "fmr"),
         (lambda report: report["retention_at"].update({"01": 0.25}), "retention_at keys must spell distinct gaps"),
         (lambda report: json.dumps(report)[:50], ""),
@@ -172,7 +174,7 @@ def test_plotdata_emits_period_retention_rows(tmp_path, capsys):
         (lambda report: report.update(drift_curve={}), "EvalReport.drift_curve must be a JSON list, got dict"),
         (lambda report: report.update(drift_curve=""), "EvalReport.drift_curve must be a JSON list, got str"),
     ],
-    ids=["retention_str", "retention_list", "no_fmr", "retention_gap_respelled", "truncated", "unknown_key",
+    ids=["retention_str", "retention_list", "retention_at_str", "retention_at_int", "no_fmr", "retention_gap_respelled", "truncated", "unknown_key",
          "drift_curve_object", "drift_curve_str"],
 )
 def test_malformed_report_is_validation_error(tmp_path, capsys, edit, named):
@@ -411,6 +413,16 @@ _UNCANONICAL = {
     "attribute_value_uncanonical": (_alice_node(lambda node: node["attributes"][0].__setitem__(1, " Paris")),
                                     "node 'alice' has attribute 'lives_in' = ' Paris', not lowercase and stripped"),
 }
+# A node no merge builds, since every merge writes an attribute and each attribute's first write adds 1 to its
+# node's importance, and the message naming it.
+_UNMERGEABLE = {
+    "node_without_attributes": (_alice_node(lambda node: node.update(attributes=[])),
+                                "node 'alice' has no attributes"),
+    "importance_below_attribute_count": (
+        _alice_node(lambda node: node.update(attributes=[*node["attributes"], ["likes", "jazz", 2, 1.0]],
+                                             importance=1.0)),
+        "node 'alice' has importance 1.0 below its 2 attributes"),
+}
 _V2_SNAPSHOT = _v2(_SCENARIO_SNAPSHOT)
 # the fragment of its message that names what is malformed, for the documents that have one
 _NAMED = {
@@ -418,6 +430,7 @@ _NAMED = {
     **dict(_UNKNOWN_KEYS.values()),
     **dict(_MISSHAPEN_ROWS.values()),
     **dict(_UNCANONICAL.values()),
+    **dict(_UNMERGEABLE.values()),
 }
 
 
@@ -455,6 +468,7 @@ _NAMED = {
         *(document for document, _ in _UNKNOWN_KEYS.values()),
         *(document for document, _ in _MISSHAPEN_ROWS.values()),
         *(document for document, _ in _UNCANONICAL.values()),
+        *(document for document, _ in _UNMERGEABLE.values()),
     ],
     ids=[
         "document0", "document1", "document2", "truncated",
@@ -465,6 +479,7 @@ _NAMED = {
         "v2_carries_a_log_vector", "v2_carries_a_node_vector", "remote_v2_lacks_a_working_vector",
         "remote_v2_lacks_a_log_vector", "remote_v2_lacks_a_node_vector", "working_entry_of_another_session",
         "working_entries_reversed", "working_turn_repeated", *_UNKNOWN_KEYS, *_MISSHAPEN_ROWS, *_UNCANONICAL,
+        *_UNMERGEABLE,
     ],
 )
 def test_malformed_snapshot_is_validation_error(tmp_path, capsys, document):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gc
 import re
+import sys
+import threading
 import weakref
 from dataclasses import fields, replace
 
@@ -637,14 +639,90 @@ def test_read_index_is_invisible(monkeypatch, uniform):
             assert _answer_bytes(asked(key, text)) == cold[key, text]
 
 
+def _held_matrices(state) -> list[np.ndarray]:
+    """The vectors the state's read index holds, one matrix per layer."""
+    return [vectors for _, vectors, _ in retrieval._read_index(state)[1]]
+
+
 def test_read_index_holds_one_state():
-    """Once a retrieve against B has replaced A's read index, nothing the engine keeps holds A alive."""
+    """The index holds at most one state, and never keeps it alive: once the caller drops the last state it asked
+    about, that state and every matrix its index held are gone."""
     outputs = run([_session(0, ["alice likes jazz"]), _session(1, ["bob plays chess"])], None, CFG)
     a, b = outputs[0].state, outputs[1].state
     answer(make_query("alice", CFG.embedder, 0), a, CFG)
+    held = [weakref.ref(matrix) for matrix in _held_matrices(a)]
     answer(make_query("bob", CFG.embedder, 1), b, CFG)
-    ref = weakref.ref(a)
-    del outputs, a
+    held += [weakref.ref(matrix) for matrix in _held_matrices(b)]
+    refs = [weakref.ref(a), weakref.ref(b)]
+    del outputs, a, b
     gc.collect()
-    assert ref() is None
-    assert retrieval._read_index.cache_info().currsize == 1
+    assert [ref() is None for ref in refs + held] == [True] * 8
+
+
+def test_read_index_drops_the_old_index_before_it_builds(monkeypatch):
+    """A build for another state starts once the last state's index is gone, though that state lives on."""
+    outputs = run([_session(0, ["alice likes jazz"]), _session(1, ["bob plays chess"])], None, CFG)
+    answer(make_query("alice", CFG.embedder, 0), outputs[0].state, CFG)
+    held = [weakref.ref(matrix) for matrix in _held_matrices(outputs[0].state)]
+    seen = []
+    original = retrieval.layer_representation
+
+    def spy(state, layer):
+        seen.append([ref() is None for ref in held])
+        return original(state, layer)
+
+    monkeypatch.setattr(retrieval, "layer_representation", spy)
+    answer(make_query("bob", CFG.embedder, 1), outputs[1].state, CFG)
+    assert seen == [[True] * 3] * 3
+
+
+def test_second_retrieve_stacks_nothing(monkeypatch):
+    """A retrieve against a state whose index is built scans the index's read-only matrices and stacks nothing."""
+    state = run([_session(0, ["alice likes jazz", "bob plays chess"])], None, CFG)[-1].state
+    query = make_query("alice", CFG.embedder, 0)
+    first = _answer_bytes(answer(query, state, CFG))
+    assert [matrix.flags.writeable for matrix in _held_matrices(state)] == [False] * 3
+    calls = []
+    original = embedding.stacked
+
+    def spy(vectors):
+        calls.append(len(vectors))
+        return original(vectors)
+
+    for module in (embedding, retrieval):
+        monkeypatch.setattr(module, "stacked", spy)
+    assert _answer_bytes(answer(query, state, CFG)) == first
+    assert calls == []
+
+
+def test_threads_sharing_the_read_index_get_their_own_states_answers():
+    """More threads than cores ask three states in turn, so the one entry is replaced all the time."""
+    outputs = run([_session(i, [f"user{i} likes item{i}", f"user{i} lives in city{i % 3}"]) for i in range(6)],
+                  None, CFG)
+    states = [outputs[i].state for i in (1, 3, 5)]
+    probes = [make_query(text, CFG.embedder, 5) for text in ("user1 likes", "city2", "user5 lives_in")]
+    cold = {}
+    for s, state in enumerate(states):
+        for q, query in enumerate(probes):
+            retrieval._read_index.cache_clear()
+            cold[s, q] = _answer_bytes(answer(query, state, CFG))
+    wrong: list[tuple[int, int]] = []
+
+    def work(offset: int) -> None:
+        for i in range(60):
+            s, q = (i + offset) % len(states), (i * 2 + offset) % len(probes)
+            if _answer_bytes(answer(probes[q], states[s], CFG)) != cold[s, q]:
+                wrong.append((s, q))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
