@@ -5,8 +5,9 @@ decayed running blend of session-summary embeddings plus a ring-buffered log,
 and semantic memory is an entity graph with similarity-thresholded merging,
 recency-wins conflict resolution, and (importance, recency) eviction. Each
 node attribute holds its current value with the session it was last stated
-at and that statement's confidence: a displaced value is gone, so the graph
-holds at most C_s nodes and their attributes, and no fact history.
+at: a displaced value is gone, so the graph holds at most C_s nodes and their
+attributes, and no fact history. A triple's confidence is checked on input
+and never stored, since no decision reads it.
 Graph facts are mined from raw utterances, not from the episodic summary: a
 line states one when, case-folded and with trailing whitespace and ``.,;:!?``
 trimmed, it reads ``subject verb value``, the subject one ``[a-z0-9_]`` token
@@ -42,7 +43,7 @@ from .embedding import EmbedderConfig, check_kinds, embed, frozen, nearest, stac
 @dataclass(frozen=True)
 class FactTriple:
     """(subject, attribute-or-relation, value) with extraction confidence; ValueError when a part is blank or the
-    confidence is no finite number (``check_kinds``), so a snapshot can carry every triple the engine folds."""
+    confidence is no finite number (``check_kinds``). The confidence is input only: ``merge_semantic`` stores none."""
 
     subject: str
     predicate: str
@@ -119,7 +120,6 @@ class SummaryRecord:
     session_index: int
     text: str
     embedding: np.ndarray
-    salience: float
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,10 @@ class EpisodicMemory:
 
 
 class Attribute(NamedTuple):
-    """A node attribute's current value, the last session it was stated at, and that statement's confidence."""
+    """A node attribute's current value and the last session it was stated at."""
 
     value: str
     session: int
-    confidence: float
 
 
 @dataclass(frozen=True)
@@ -163,16 +162,16 @@ def node_text(entity_id: str, attributes: dict[str, Attribute]) -> str:
 class SemanticGraph:
     """Attributed nodes; each attribute is the graph's one fact about its (node, predicate).
 
-    ``edges`` derives the (node, predicate, value) -> (session, confidence) view of the attributes on each read.
+    ``edges`` derives the (node, predicate, value) -> session view of the attributes on each read.
     Nothing in the engine reads it; it stays because the benchmark (``perfbench``) reports its size.
     """
 
     nodes: dict[str, EntityNode] = field(default_factory=dict)
 
     @property
-    def edges(self) -> dict[tuple[str, str, str], tuple[int, float]]:
+    def edges(self) -> dict[tuple[str, str, str], int]:
         return {
-            (node_id, name, attribute.value): (attribute.session, attribute.confidence)
+            (node_id, name, attribute.value): attribute.session
             for node_id, node in self.nodes.items()
             for name, attribute in node.attributes.items()
         }
@@ -213,15 +212,14 @@ def summarize(session: Session, m: int, embedder: EmbedderConfig) -> SummaryReco
     """Extractive summary: the top-m utterances by ``nearest``'s score against the session centroid.
 
     Ties go to the lower turn_index; selected utterances are concatenated in
-    original order; salience is the mean selected score clamped to [0, 1].
+    original order.
     """
     if m < 1:
         raise ValueError("summary size m must be >= 1")
     matrix = stacked([embed(u.text, embedder) for u in session.utterances])
-    chosen = sorted(nearest(matrix, matrix.mean(axis=0), m))
-    text = " ".join(session.utterances[i].text for i, _ in chosen)
-    salience = max(0.0, min(1.0, sum(score for _, score in chosen) / len(chosen)))
-    return SummaryRecord(session.index, text, embed(text, embedder), salience)
+    chosen = sorted(i for i, _ in nearest(matrix, matrix.mean(axis=0), m))
+    text = " ".join(session.utterances[i].text for i in chosen)
+    return SummaryRecord(session.index, text, embed(text, embedder))
 
 
 def update_episodic(
@@ -289,8 +287,8 @@ def merge_semantic(
     the candidate's nonzero columns costs no full scan, and the bound is exact
     (see ``nearest``). A triple that restates an attribute's value at the
     attribute's session is skipped. Recency wins: a triple at that session or
-    later becomes the attribute, its value, session and confidence, so within
-    a session the last statement wins. An older triple changes no attribute.
+    later becomes the attribute, its value and session, so within a session
+    the last statement wins. An older triple changes no attribute.
     Each triple not skipped adds 1 to its node's importance. Past C_s nodes,
     those with the lowest (importance, last_updated, entity_id) are evicted.
 
@@ -320,7 +318,7 @@ def merge_semantic(
     for triple in facts:
         subject = canonical(triple.subject)
         predicate = canonical(triple.predicate)
-        stated = Attribute(canonical(triple.object), session_index, triple.confidence)
+        stated = Attribute(canonical(triple.object), session_index)
 
         target_id = subject if subject in nodes else None
         if target_id is None and nodes:
@@ -344,7 +342,7 @@ def merge_semantic(
         node = nodes[target_id]
         attributes = node.attributes
         current = attributes.get(predicate)
-        if current is not None and current.value == stated.value and current.session == session_index:
+        if current == stated:
             continue
         if current is None or session_index >= current.session:
             attributes = {**attributes, predicate: stated}

@@ -1,10 +1,10 @@
 """Every wire format: states, configs, session files and eval reports, as JSON.
 
-Snapshot wire format, version 3 (single JSON document)::
+Snapshot wire format, version 4 (single JSON document)::
 
     {
       "config": {"k": 8, "C_w": 256, ..., "embedder": {"dim": 256, ...}},
-      "format_version": 3,
+      "format_version": 4,
       "state": {
         "session_cursor": 3,
         "working": {"entries": [entry, ..]},
@@ -14,25 +14,28 @@ Snapshot wire format, version 3 (single JSON document)::
     }
 
 An entry is its utterance ``{"session": int, "turn": int, "speaker": str,
-"text": str, "facts": [...]?}``, a summary ``{"session": int, "text": str,
-"salience": float}``, and a node ``{"entity_id": str, "attributes": [[name,
-value, session, confidence], ..], "importance": float, "last_updated": int}``,
-each attribute row a ``memory.Attribute`` after its name, so each fact is
-written once. Each entry, summary and node holds a vector that is ``embed`` of its
-text: the utterance's text, the summary's text, and ``memory.node_text`` of
-the node's id and attributes. A deterministic dump writes none of these
-vectors, since each is ``embed(text, cfg.embedder)``, and loading rebuilds
-them so, every text in one ``embedding.embed_all`` call; only the episodic
-state, a blend, is written. A state records the
-embedder that built it, and dumping it under another raises ValueError, so a
-load never rebuilds other vectors than the state held. In remote mode, whose
-vectors no load may ask the service for again, each entry, summary and node
-carries its vector as ``"embedding": [float...]``, and loading reads it. A
-deterministic document that carries one of these vectors, and a remote one that
-lacks one, is malformed. Version 3 is the one format loading reads: a document
-of version 1 (written before, with no ``"format_version"`` key) or version 2
-(whose edge rows restated every attribute) is malformed. Layer bounds live in
-the config only (k, C_w, C_e, alpha, C_s).
+"text": str}`` without its fact annotations (the next step replaces the
+window, and ``extract_facts`` reads only the incoming session, so no load
+would read them), a summary ``{"session": int, "text": str}``, and a node
+``{"entity_id": str, "attributes": [[name, value, session], ..],
+"importance": float, "last_updated": int}``, each attribute row a
+``memory.Attribute`` after its name, so each fact is written once. Each entry,
+summary and node holds a vector that is ``embed`` of its text: the
+utterance's text, the summary's text, and ``memory.node_text`` of the node's
+id and attributes. A deterministic dump writes none of these vectors, since
+each is ``embed(text, cfg.embedder)``, and loading rebuilds them so, every
+text in one ``embedding.embed_all`` call; only the episodic state, a blend, is
+written. A state records the embedder that built it, and dumping it under
+another raises ValueError, so a load never rebuilds other vectors than the
+state held. In remote mode, whose vectors no load may ask the service for
+again, each entry, summary and node carries its vector as ``"embedding":
+[float...]``, and loading reads it. A deterministic document that carries one
+of these vectors, and a remote one that lacks one, is malformed. Version 4 is
+the one format loading reads: a document of version 1 (written before, with
+no ``"format_version"`` key), version 2 (whose edge rows restated every
+attribute) or version 3 (whose log records carried a salience, attribute rows
+a confidence, and working entries their facts) is malformed. Layer bounds live
+in the config only (k, C_w, C_e, alpha, C_s).
 
 Node attributes, entries, and log records are serialized as ordered lists so a
 round-trip preserves iteration order exactly; floats survive via repr, so
@@ -40,7 +43,8 @@ dump -> load -> dump is byte-identical.
 
 Session JSONL carries one session per line:
 ``{"index": int, "utterances": [{"turn": int, "speaker": str, "text": str, "facts": [...]?}]}``
-with optional fact annotations ``{"s": str, "p": str, "o": str, "c": float?}``.
+with optional fact annotations ``{"s": str, "p": str, "o": str, "c": float?}``; ``"c"`` is kind-checked
+(``memory.FactTriple``) and stored nowhere.
 
 Configs and eval reports share one codec: ``config_to_dict`` writes every field of an ``EngineConfig`` or a
 ``harness.EvalReport`` under its name (a nested dataclass as an object, a tuple as a list, a mapping's keys as
@@ -48,9 +52,9 @@ strings, so a report's ``retention_at`` is ``{"gap": float, ..}``), and ``_from_
 field annotations.
 
 One rule rejects outside input: it is malformed when reading it raises one of
-``_MALFORMED``, as a missing key, a ``format_version`` other than the int 3
+``_MALFORMED``, as a missing key, a ``format_version`` other than the int 4
 (a missing one is version 1), a config or report key no field has (the retired
-``seed`` and ``lambda`` too), a snapshot or session key no v3 writer writes (``_check_keys``;
+``seed`` and ``lambda`` too), a snapshot or session key no v4 writer writes (``_check_keys``;
 ``"embedding"`` is written in remote mode only), a field the kind rule refuses (every reader
 runs ``embedding.check_field_kinds`` on the records it builds), a vector that
 is not a list of ``embedder.dim`` numbers, a working entry's, log record's or
@@ -59,7 +63,7 @@ node's vector whose L2 norm is neither 0 nor within 1e-12 of 1
 1 + 1e-12 (no ``update_episodic`` blend does), or a record its dataclass
 refuses (a blank fact part, say) does; so do a
 node that repeats an entity_id or an attribute name, an attribute row that is
-not four fields long (the message names its node), a graph no merge could build (``_check_graph``: a node
+not three fields long (the message names its node), a graph no merge could build (``_check_graph``: a node
 with no attributes or an ``importance`` below its attribute count, an entity_id, attribute name or value that
 is not lowercase and stripped as ``memory.canonical`` leaves it, an attribute session
 later than its node's ``last_updated``), a ``session_cursor`` below -1,
@@ -110,16 +114,10 @@ from .memory import (
 # What a reader counts as malformed input (see the module docstring).
 _MALFORMED = (KeyError, TypeError, IndexError, AttributeError, ValueError, OverflowError)
 
-FORMAT_VERSION = 3  # what dumps_state writes and the one version loads_state reads
+FORMAT_VERSION = 4  # what dumps_state writes and the one version loads_state reads
 
 # (field, kind) of each column of an attribute row: its name, then the ``memory.Attribute`` fields.
 _ATTRIBUTE_ROW = [("name", "str"), *((name, kind.__name__) for name, kind in get_type_hints(Attribute).items())]
-
-
-# The keys a v3 writer writes on a working entry and on a fact; a session line's utterance is a working entry
-# without its "session", which the session record carries.
-_ENTRY_KEYS = frozenset({"session", "turn", "speaker", "text", "facts"})
-_FACT_KEYS = frozenset({"s", "p", "o", "c"})
 
 
 def _check_keys(*checks: tuple[str, AbstractSet[str], Iterable[dict[str, Any]]]) -> None:
@@ -133,9 +131,8 @@ def _check_keys(*checks: tuple[str, AbstractSet[str], Iterable[dict[str, Any]]])
 def _check_state(state: MemoryState) -> None:
     """The kind check over every scalar field of a loaded state; vector_from_json checks vectors."""
     utterances = tuple(map(itemgetter(0), state.working.entries))
-    facts = tuple(chain.from_iterable(u.annotations for u in utterances))
     nodes = tuple(state.semantic.nodes.values())
-    for records in ((state,), utterances, facts, state.episodic.log, nodes):
+    for records in ((state,), utterances, state.episodic.log, nodes):
         check_field_kinds(*records)
     rows = [(name, *attribute) for node in nodes for name, attribute in node.attributes.items()]
     for (name, kind), column in zip(_ATTRIBUTE_ROW, zip(*rows)):
@@ -259,7 +256,7 @@ def _fact_from_dict(data: dict[str, Any]) -> FactTriple:
 
 
 def _utterance_to_dict(utterance: Utterance) -> dict[str, Any]:
-    """The utterance without its session index, which the enclosing record carries."""
+    """A session line's utterance, without its session index, which the session record carries."""
     out: dict[str, Any] = {"turn": utterance.turn_index, "speaker": utterance.speaker, "text": utterance.text}
     if utterance.annotations:
         out["facts"] = [_fact_to_dict(f) for f in utterance.annotations]
@@ -285,15 +282,15 @@ def _vectors(records: list[dict[str, Any]], texts: list[str], embedder: Embedder
 
 
 def _summary_to_dict(record: SummaryRecord) -> dict[str, Any]:
-    return {"session": record.session_index, "text": record.text, "salience": record.salience}
+    return {"session": record.session_index, "text": record.text}
 
 
 def _summary_from_dict(data: dict[str, Any], vector: np.ndarray) -> SummaryRecord:
-    return SummaryRecord(data["session"], data["text"], vector, data["salience"])
+    return SummaryRecord(data["session"], data["text"], vector)
 
 
 def _node_to_dict(node: EntityNode) -> dict[str, Any]:
-    """The node record; each attribute is one [name, value, session, confidence] row."""
+    """The node record; each attribute is one [name, value, session] row."""
     return {
         "entity_id": node.entity_id,
         "attributes": [[name, *attribute] for name, attribute in node.attributes.items()],
@@ -304,10 +301,8 @@ def _node_to_dict(node: EntityNode) -> dict[str, Any]:
 
 def _node_attributes(data: dict[str, Any]) -> dict[str, Attribute]:
     try:
-        attributes = {
-            name: Attribute(value, session, confidence) for name, value, session, confidence in data["attributes"]
-        }
-    except ValueError as exc:  # a row of other than four fields
+        attributes = {name: Attribute(value, session) for name, value, session in data["attributes"]}
+    except ValueError as exc:  # a row of other than three fields
         row = ", ".join(name for name, _ in _ATTRIBUTE_ROW)
         raise ValueError(f"node {data['entity_id']!r} has an attribute row that is not [{row}]: {exc}") from exc
     if len(attributes) != len(data["attributes"]):
@@ -316,7 +311,7 @@ def _node_attributes(data: dict[str, Any]) -> dict[str, Attribute]:
 
 
 def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
-    """The v3 document; only in remote mode does a working entry, log record or node carry its vector.
+    """The v4 document; only in remote mode does a working entry, log record or node carry its vector.
 
     ValueError unless cfg's embedder built the state (``engine.check_embedder``)."""
     check_embedder(state, cfg)
@@ -332,7 +327,8 @@ def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
             "session_cursor": state.session_cursor,
             "working": {
                 "entries": [
-                    record({"session": u.session_index, **_utterance_to_dict(u)}, e) for u, e in state.working.entries
+                    record({"session": u.session_index, "turn": u.turn_index, "speaker": u.speaker, "text": u.text}, e)
+                    for u, e in state.working.entries
                 ],
             },
             "episodic": {
@@ -363,10 +359,9 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
         ("working", {"entries"}, [raw["working"]]),
         ("episodic", {"state", "log"}, [raw["episodic"]]),
         ("semantic", {"nodes"}, [raw["semantic"]]),
-        ("working entry", _ENTRY_KEYS | vector, entries),
-        ("log record", {"session", "text", "salience", *vector}, log),
+        ("working entry", {"session", "turn", "speaker", "text", *vector}, entries),
+        ("log record", {"session", "text", *vector}, log),
         ("node", {"entity_id", "attributes", "importance", "last_updated", *vector}, nodes),
-        ("fact", _FACT_KEYS, chain.from_iterable(entry.get("facts", ()) for entry in entries)),
     )
     utterances = [_utterance_from_dict(u, u["session"]) for u in entries]
     attributes = [_node_attributes(n) for n in nodes]
@@ -396,7 +391,7 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
 
 
 def dumps_state(state: MemoryState, cfg: EngineConfig) -> str:
-    """The snapshot of a state the engine built under cfg, as v3 JSON (see the module docstring).
+    """The snapshot of a state the engine built under cfg, as v4 JSON (see the module docstring).
 
     A deterministic dump records each working, log and node vector as ``embed(text, cfg.embedder)`` of its
     record's text, by writing the text alone; ``loads_state`` rebuilds the vector so.
@@ -419,8 +414,8 @@ def session_from_dict(data: dict[str, Any]) -> Session:
     utterances = data["utterances"]
     _check_keys(
         ("session", {"index", "utterances"}, [data]),
-        ("utterance", _ENTRY_KEYS - {"session"}, utterances),
-        ("fact", _FACT_KEYS, chain.from_iterable(u.get("facts", ()) for u in utterances)),
+        ("utterance", {"turn", "speaker", "text", "facts"}, utterances),
+        ("fact", {"s", "p", "o", "c"}, chain.from_iterable(u.get("facts", ()) for u in utterances)),
     )
     index = data["index"]
     session = Session(index, tuple(_utterance_from_dict(u, index) for u in utterances))

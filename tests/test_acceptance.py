@@ -96,7 +96,7 @@ def test_criterion_2_episodic_closed_form():
             for i in range(steps):
                 vec = np.array([rng.uniform(-2.0, 2.0) for _ in range(dim)])
                 summaries.append(vec)
-                record = SummaryRecord(i, "s", vec, 1.0)
+                record = SummaryRecord(i, "s", vec)
                 memory = update_episodic(memory, record, alpha, 32, renormalize=False)
             expected = np.zeros(dim)
             for i, vec in enumerate(summaries, start=1):
@@ -113,7 +113,7 @@ def _random_graph(rng: random.Random, entities: list[str], dim: int) -> Semantic
     for name in entities:
         vec = np.array([rng.uniform(-1.0, 1.0) for _ in range(dim)])
         nodes[name] = EntityNode(
-            name, {"a": Attribute("v", 0, 1.0)}, vec, 1.0, 0
+            name, {"a": Attribute("v", 0)}, vec, 1.0, 0
         )
     return SemanticGraph(nodes)
 

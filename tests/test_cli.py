@@ -301,7 +301,7 @@ def _edited(document: str, edit) -> str:
 
 
 _EMPTY_SNAPSHOT = dumps_state(initial_state(EngineConfig()), EngineConfig())
-# alice lives in london, paris, then rome, one city a session: her node holds ["lives_in", "rome", 2, 1.0]
+# alice lives in london, paris, then rome, one city a session: her node holds ["lives_in", "rome", 2]
 _ALICE_SESSIONS = [Session(i, (Utterance.from_text(i, 0, "alice", f"alice lives in {city}"),))
                    for i, city in enumerate(["london", "paris", "rome"])]
 _ALICE_SNAPSHOT = dumps_state(run(_ALICE_SESSIONS, None, EngineConfig())[-1].state, EngineConfig())
@@ -342,9 +342,21 @@ def _versioned(version) -> str:
     return json.dumps(data)
 
 
+def _v3(document: str) -> str:
+    """The document as a version 3 writer wrote it: a salience on each log record and attribute rows [name, value,
+    session, confidence]."""
+    data = json.loads(document)
+    for record in data["state"]["episodic"]["log"]:
+        record["salience"] = 0.5
+    for node in data["state"]["semantic"]["nodes"]:
+        node["attributes"] = [[*row, 1.0] for row in node["attributes"]]
+    data["format_version"] = 3
+    return json.dumps(data)
+
+
 def _v2(document: str) -> str:
-    """The document as a version 2 writer wrote it: attribute rows [name, {"value": .., "session": ..}] and an
-    edge row [node, name, value, session, confidence] per attribute."""
+    """The version 3 document as a version 2 writer wrote it: attribute rows [name, {"value": .., "session": ..}]
+    and an edge row [node, name, value, session, confidence] per attribute."""
     data = json.loads(document)
     semantic = data["state"]["semantic"]
     semantic["edges"] = [[node["entity_id"], *row] for node in semantic["nodes"] for row in node["attributes"]]
@@ -364,7 +376,7 @@ def _with_key(path: str, key: str, value=0) -> str:
     return json.dumps(data)
 
 
-# A key no v3 writer writes, on each kind of object a snapshot holds, and the message naming it.
+# A key no v4 writer writes, on each kind of object a snapshot holds, and the message naming it.
 _UNKNOWN_KEYS = {
     "unknown_document_key": (_with_key("", "format_verison", 3), "unknown document key(s): format_verison"),
     "unknown_state_key": (_with_key("state", "session_cursr", 2), "unknown state key(s): session_cursr"),
@@ -374,10 +386,12 @@ _UNKNOWN_KEYS = {
     "unknown_working_entry_key": (_with_key("state.working.entries.0", "speakr", "x"),
                                   "unknown working entry key(s): speakr"),
     "unknown_log_record_key": (_with_key("state.episodic.log.0", "salince", 0.5), "unknown log record key(s): salince"),
+    "log_record_salience": (_with_key("state.episodic.log.0", "salience", 0.5), "unknown log record key(s): salience"),
     "unknown_node_key": (_with_key("state.semantic.nodes.0", "importanc", 1.0), "unknown node key(s): importanc"),
     "node_with_superseded_list": (_with_key("state.semantic.nodes.0", "superseded", ["paris"]),
                                   "unknown node key(s): superseded"),
-    "unknown_fact_key": (_with_key("state.working.entries.3.facts.0", "conf", 1.0), "unknown fact key(s): conf"),
+    "working_entry_facts": (_with_key("state.working.entries.0", "facts", [{"s": "alice", "p": "is", "o": "x"}]),
+                            "unknown working entry key(s): facts"),
 }
 
 
@@ -387,14 +401,14 @@ def _misshapen_row(edit) -> tuple[str, str]:
     data = json.loads(_SCENARIO_SNAPSHOT)
     node = data["state"]["semantic"]["nodes"][0]
     edit(node["attributes"][0])
-    return json.dumps(data), (f"node {node['entity_id']!r} has an attribute row that is not "
-                              "[name, value, session, confidence]")
+    return json.dumps(data), f"node {node['entity_id']!r} has an attribute row that is not [name, value, session]"
 
 
-# An attribute row of other than four fields, and the message naming its node.
+# An attribute row of other than three fields, and the message naming its node.
 _MISSHAPEN_ROWS = {
-    "attribute_row_of_three": _misshapen_row(list.pop),
-    "attribute_row_of_five": _misshapen_row(lambda row: row.append("extra")),
+    "attribute_row_of_two": _misshapen_row(list.pop),
+    "attribute_row_of_four": _misshapen_row(lambda row: row.append(1.0)),  # a v3 row, which carried a confidence
+    "attribute_row_of_five": _misshapen_row(lambda row: row.extend([1.0, "extra"])),
 }
 
 
@@ -419,14 +433,16 @@ _UNMERGEABLE = {
     "node_without_attributes": (_alice_node(lambda node: node.update(attributes=[])),
                                 "node 'alice' has no attributes"),
     "importance_below_attribute_count": (
-        _alice_node(lambda node: node.update(attributes=[*node["attributes"], ["likes", "jazz", 2, 1.0]],
+        _alice_node(lambda node: node.update(attributes=[*node["attributes"], ["likes", "jazz", 2]],
                                              importance=1.0)),
         "node 'alice' has importance 1.0 below its 2 attributes"),
 }
-_V2_SNAPSHOT = _v2(_SCENARIO_SNAPSHOT)
+_V3_SNAPSHOT = _v3(_SCENARIO_SNAPSHOT)
+_V2_SNAPSHOT = _v2(_V3_SNAPSHOT)
 # the fragment of its message that names what is malformed, for the documents that have one
 _NAMED = {
-    _V2_SNAPSHOT: "malformed snapshot: format_version 2 is not 3",
+    _V3_SNAPSHOT: "malformed snapshot: format_version 3 is not 4",
+    _V2_SNAPSHOT: "malformed snapshot: format_version 2 is not 4",
     **dict(_UNKNOWN_KEYS.values()),
     **dict(_MISSHAPEN_ROWS.values()),
     **dict(_UNCANONICAL.values()),
@@ -448,8 +464,9 @@ _NAMED = {
         _edited(_SCENARIO_SNAPSHOT, lambda state: state["episodic"]["log"].reverse()),
         _edited(_REMOTE_SNAPSHOT, _node_vector_times_three),
         _edited(_SCENARIO_SNAPSHOT, _episodic_state_times_five),
+        _V3_SNAPSHOT,
         _V2_SNAPSHOT,
-        _versioned(4),
+        _versioned(5),
         _versioned(0),
         _versioned("2"),
         _versioned(2.0),
@@ -474,8 +491,9 @@ _NAMED = {
         "document0", "document1", "document2", "truncated",
         "cursor_below_minus_one", "cursor_before_recorded_sessions",
         "node_older_than_an_edge", "importance_below_one", "log_out_of_session_order", "node_vector_times_three",
-        "episodic_state_times_five", "format_version_2", "format_version_4", "format_version_0", "format_version_str",
-        "format_version_float", "format_version_true", "format_version_null", "v2_carries_a_working_vector",
+        "episodic_state_times_five", "format_version_3", "format_version_2", "format_version_5", "format_version_0",
+        "format_version_str", "format_version_float", "format_version_true", "format_version_null",
+        "v2_carries_a_working_vector",
         "v2_carries_a_log_vector", "v2_carries_a_node_vector", "remote_v2_lacks_a_working_vector",
         "remote_v2_lacks_a_log_vector", "remote_v2_lacks_a_node_vector", "working_entry_of_another_session",
         "working_entries_reversed", "working_turn_repeated", *_UNKNOWN_KEYS, *_MISSHAPEN_ROWS, *_UNCANONICAL,
@@ -557,14 +575,11 @@ def _repeat_first(path: str):
         _mistype("semantic.nodes.0.importance", "x"),
         _mistype("semantic.nodes.0.last_updated", "x"),
         _mistype("working.entries.0.text", 5),
-        _mistype("episodic.log.0.salience", "x"),
         _mistype("semantic.nodes.0.attributes.0.2", "x"),
         _on_remote(_mistype("semantic.nodes.0.embedding.0", float("nan"))),
         _on_remote(_mistype("working.entries.0.embedding.3", float("inf"))),
         _mistype("episodic.state.5", float("-inf")),
         _on_remote(_mistype("episodic.log.0.embedding.7", float("nan"))),
-        _mistype("semantic.nodes.0.attributes.0.3", float("nan")),
-        _mistype("working.entries.3.facts.0.c", float("inf")),
         _on_remote(_mistype("semantic.nodes.0.embedding", [0.1, 0.2, 0.3])),
         _mistype("episodic.state", [[0.0] * 256]),
         _on_remote(_mistype("semantic.nodes.0.embedding", ["0.5"] * 256)),
@@ -575,14 +590,12 @@ def _repeat_first(path: str):
         _mistype("semantic.nodes.0.attributes.0", ["a"]),
         _on_remote(_mistype("semantic.nodes.0.embedding.0", 10**400)),
         _mistype("semantic.nodes.0.importance", 10**400),
-        _mistype("semantic.nodes.0.attributes.0.3", 10**400),
-        _mistype("semantic.nodes.0.attributes.0", ["lives_in", "paris", 0, 1.0, "extra"]),
+        _mistype("semantic.nodes.0.attributes.0", ["lives_in", "paris", 0, 1.0]),
         _repeat_first("nodes"),
         _repeat_first("nodes.0.attributes"),
         _mistype("semantic.nodes.0.attributes.0.2", True),
         _mistype("semantic.nodes.0.attributes.0.1", 5),
         _mistype("semantic.nodes.0.attributes.0.0", None),
-        _mistype("working.entries.3.facts.0.s", " "),
         _mistype("working.entries.0.session", 3),
         _mistype("episodic.log.0.session", -1),
         _mistype("semantic.nodes.0.attributes.0.2", 3),
@@ -590,13 +603,11 @@ def _repeat_first(path: str):
         _mistype("semantic.nodes.0.last_updated", 3),
     ],
     ids=[
-        "cursor", "importance", "last_updated", "text", "salience", "edge_session",
-        "node_vector_nan", "working_vector_inf", "episodic_state_inf", "log_vector_nan",
-        "edge_confidence_nan", "working_fact_confidence_inf", "node_vector_short", "episodic_state_2d",
-        "node_vector_str", "episodic_state_bool", "blank_text", "episodic_state_ragged", "negative_turn",
-        "attribute_pair_short", "node_vector_huge_int", "importance_huge_int", "edge_confidence_huge_int",
-        "edge_extra_field", "node_repeated", "attribute_repeated",
-        "attribute_session_true", "attribute_value_int", "attribute_name_null", "working_fact_blank_subject",
+        "cursor", "importance", "last_updated", "text", "edge_session",
+        "node_vector_nan", "working_vector_inf", "episodic_state_inf", "log_vector_nan", "node_vector_short",
+        "episodic_state_2d", "node_vector_str", "episodic_state_bool", "blank_text", "episodic_state_ragged",
+        "negative_turn", "attribute_pair_short", "node_vector_huge_int", "importance_huge_int", "edge_extra_field",
+        "node_repeated", "attribute_repeated", "attribute_session_true", "attribute_value_int", "attribute_name_null",
         "working_session_after_cursor", "log_session_negative", "edge_session_after_cursor",
         "attribute_session_negative", "node_last_updated_after_cursor",
     ],
@@ -718,7 +729,7 @@ def test_console_entry_point_runs(tmp_path):
 # change and must be stated as one.
 _PINNED = {
     "sessions.jsonl": "7251a0fd0d24f50e29addf72bc0141e38aa552394eff0cda8b4b1964cd8d843e",
-    "ingest": "696c8b90b744e01c61f0571a7559d6abf6285a761816320bd0d0fda347735d23",
+    "ingest": "cdcf03597ac903ddb8825da86dd5598f75ae06e8c6cebff626a8bb74e4dbc03f",
     "query alice lives_in": "8b06fdef565d7afeaa122138b029382cc3dd5a4797ba2ca06940c9328a89bf1e",
     "query --top-j 1 --budget 6": "9be617a87d4ad1e34ef1763b0745783c38c4cef35484196aa3a08d587de81d83",
     "query bob works --budget 3": "3279e11a593df78532a2feab7f751eea38fbfb462565bad6a107b2b890baa8d6",

@@ -411,7 +411,7 @@ _SEED_2_NODES = [("alice", {"lives_in": "athens", "works": "sailor", "likes": "j
 
 def _node_text(entity_id: str, values: dict[str, str]) -> str:
     """``node_text`` of a node whose attributes hold these values."""
-    return node_text(entity_id, {name: Attribute(value, 0, 1.0) for name, value in values.items()})
+    return node_text(entity_id, {name: Attribute(value, 0) for name, value in values.items()})
 
 
 @st.composite
@@ -575,7 +575,7 @@ def test_loading_a_remote_snapshot_sends_no_request(embed_server):
     assert asked > 0
     blob = dumps_state(state, cfg)
     document = json.loads(blob)["state"]
-    assert json.loads(blob)["format_version"] == 3
+    assert json.loads(blob)["format_version"] == 4
     for records in (document["working"]["entries"], document["episodic"]["log"], document["semantic"]["nodes"]):
         assert records and all(record["embedding"] == [0.6, 0.8] + [0.0] * 6 for record in records)
     loaded, loaded_cfg = loads_state(blob)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import re
 import sys
 import threading
@@ -726,3 +727,23 @@ def test_threads_sharing_the_read_index_get_their_own_states_answers():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+# sha256 over every step's outputs (the fields perfbench's digest takes) for generate_scenario(20, 8, seed=0); the
+# snapshot format is not among them, so a format change leaves these and a behaviour change moves them.
+@pytest.mark.parametrize(
+    "cfg, pinned",
+    [
+        (EngineConfig(), "830db0226803f880c663b61a1f8efa00b2ccbd7c18f1ae3bbd9163975cf5ab19"),
+        (EngineConfig(tau_s=0.3), "241583d892736bb847dafd81660000644ed28f1688111a4e79878d374fa5b5bb"),
+    ],
+    ids=["default", "tau_s=0.3"],
+)
+def test_step_outputs_match_pinned_digests(cfg, pinned):
+    digest = hashlib.sha256()
+    for output in run(generate_scenario(20, 8, seed=0).sessions, None, cfg):
+        digest.update(
+            f"{output.response}|{output.fused.entropy!r}|{output.retrieval.token_cost}|"
+            f"{output.retrieval.weights.as_tuple()!r}|{output.drift.total!r}|{output.context_usage!r}\n".encode()
+        )
+    assert digest.hexdigest() == pinned

@@ -75,7 +75,7 @@ def test_fact_triple_rejects_a_blank_part(parts):
 @pytest.mark.parametrize("confidence", [float("nan"), float("inf"), -float("inf"), True, 10**400, "1.0", None],
                          ids=["nan", "inf", "minus_inf", "bool", "huge_int", "str", "none"])
 def test_fact_triple_rejects_a_confidence_a_snapshot_cannot_carry(confidence):
-    """Every triple the engine folds is one its snapshot loads: the confidence passes the kind rule or is refused."""
+    """Every triple the engine folds is one a session line carries: the confidence passes the kind rule or is refused."""
     with pytest.raises(ValueError, match="FactTriple.confidence must be"):
         FactTriple("alice", "likes", "jazz", confidence)
 
@@ -142,7 +142,6 @@ def test_working_bounds_hold_under_random_updates():
 def test_summary_of_single_utterance_is_itself():
     record = summarize(_session(0, ["alice likes jazz"]), 3, CFG)
     assert record.text == "alice likes jazz"
-    assert record.salience == pytest.approx(1.0, abs=1e-9)
     assert np.array_equal(record.embedding, embed(record.text, CFG))
 
 
@@ -156,7 +155,6 @@ def test_summary_m1_picks_max_centroid_cosine():
     expected = texts[max(range(3), key=lambda i: (scores[i], -i))]
     record = summarize(session, 1, CFG)
     assert record.text == expected
-    assert record.salience == pytest.approx(max(scores), abs=1e-12)
 
 
 def test_summary_tie_break_prefers_lower_turn_and_keeps_order():
@@ -176,7 +174,7 @@ def test_summary_selection_keeps_original_order():
 # ------------------------------------------------------------ update_episodic
 
 def _summary_with(vec: np.ndarray, session_index: int = 0) -> SummaryRecord:
-    return SummaryRecord(session_index, "stub", vec, 1.0)
+    return SummaryRecord(session_index, "stub", vec)
 
 
 def test_episodic_alpha_one_keeps_state_but_appends_log():
@@ -363,9 +361,9 @@ def _assert_attribute_sessions(graph, latest):
 def test_merge_inserts_node_and_edge():
     graph = _merge(SemanticGraph(), [FactTriple("alice", "likes", "jazz", 0.75)], 0)
     assert set(graph.nodes) == {"alice"}
-    assert graph.nodes["alice"].attributes == {"likes": Attribute("jazz", 0, 0.75)}
+    assert graph.nodes["alice"].attributes == {"likes": Attribute("jazz", 0)}
     # the derived edge view holds the one attribute as its edge
-    assert graph.edges == {("alice", "likes", "jazz"): (0, 0.75)}
+    assert graph.edges == {("alice", "likes", "jazz"): 0}
     assert graph.current_value("alice", "likes") == "jazz"
     graph = _merge(graph, [FactTriple("Alice", "Lives_In", "Paris")], 1)
     assert graph.current_value("Alice", "Lives_In") == graph.current_value("alice", "lives_in") == "paris"
@@ -374,7 +372,7 @@ def test_merge_inserts_node_and_edge():
 def test_merge_recency_wins_and_supersedes():
     graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "london")], 1)
     graph = _merge(graph, [FactTriple("alice", "lives_in", "paris")], 4)
-    assert graph.nodes["alice"].attributes["lives_in"] == Attribute("paris", 4, 1.0)
+    assert graph.nodes["alice"].attributes["lives_in"] == Attribute("paris", 4)
     assert _history(graph) == [("alice", "lives_in", "paris", 4)]
 
 
@@ -382,7 +380,7 @@ def test_merge_out_of_order_write_goes_to_superseded():
     """An older triple is superseded as it arrives: it changes no attribute, and adds importance."""
     graph = _merge(SemanticGraph(), [FactTriple("alice", "lives_in", "paris")], 4)
     older = _merge(graph, [FactTriple("alice", "lives_in", "london", 0.5)], 1)
-    assert older.nodes["alice"].attributes == {"lives_in": Attribute("paris", 4, 1.0)}
+    assert older.nodes["alice"].attributes == {"lives_in": Attribute("paris", 4)}
     assert older.nodes["alice"].attributes == graph.nodes["alice"].attributes
     assert older.nodes["alice"].embedding is graph.nodes["alice"].embedding
     assert (older.nodes["alice"].importance, older.nodes["alice"].last_updated) == (2.0, 4)
@@ -454,9 +452,9 @@ def test_merge_restatement_at_later_session_refreshes_recency():
     assert _history(graph) == [("alice", "likes", "jazz", 5), ("bob", "likes", "tea", 0)]
     assert graph.nodes["alice"].last_updated == 5
     assert graph.nodes["alice"].importance == 2.0
-    # a restatement also takes its triple's confidence
+    # a restatement takes its session, whatever its confidence, which no attribute stores
     restated = _merge(graph, [FactTriple("alice", "likes", "jazz", 0.5)], 6).nodes["alice"]
-    assert restated.attributes == {"likes": Attribute("jazz", 6, 0.5)}
+    assert restated.attributes == {"likes": Attribute("jazz", 6)}
     assert restated.embedding is graph.nodes["alice"].embedding
 
 

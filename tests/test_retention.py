@@ -23,7 +23,7 @@ CFG = EmbedderConfig(dim=16, seed=1)
 
 def _graph(entities: dict[str, np.ndarray], dim: int = 16) -> SemanticGraph:
     nodes = {
-        name: EntityNode(name, {"a": Attribute("v", 0, 1.0)}, vec, 1.0, 0)
+        name: EntityNode(name, {"a": Attribute("v", 0)}, vec, 1.0, 0)
         for name, vec in entities.items()
     }
     return SemanticGraph(nodes)

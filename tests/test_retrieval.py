@@ -66,7 +66,7 @@ def _state(
 
 
 def _node(entity_id: str, embedding: np.ndarray, importance: float, last_updated: int = 0) -> EntityNode:
-    return EntityNode(entity_id, {"likes": Attribute("x", last_updated, 1.0)}, embedding, importance, last_updated)
+    return EntityNode(entity_id, {"likes": Attribute("x", last_updated)}, embedding, importance, last_updated)
 
 
 # ------------------------------------------------------- layer_representation
@@ -305,7 +305,7 @@ def _three_layer_state() -> MemoryState:
     return _state(
         working_entries=[(_utterance(t, 2, turn), embed(t, CFG)) for turn, t in enumerate(texts)],
         episodic_state=embed("alice likes jazz", CFG),
-        log=[SummaryRecord(i, t, embed(t, CFG), 1.0) for i, t in enumerate(summaries)],
+        log=[SummaryRecord(i, t, embed(t, CFG)) for i, t in enumerate(summaries)],
         nodes={
             "alice": _node("alice", embed("alice likes x", CFG), 2.0, 1),
             "bob": _node("bob", embed("bob likes x", CFG), 1.0, 0),
@@ -449,7 +449,7 @@ def test_fuse_context_joined_newest_last_with_speaker_prefixes():
     new = _utterance("new words here", 0, 1)
     state = _state(
         working_entries=[(old, embed(old.text, CFG)), (new, embed(new.text, CFG))],
-        log=[SummaryRecord(0, "summary text line", embed("summary text line", CFG), 1.0)],
+        log=[SummaryRecord(0, "summary text line", embed("summary text line", CFG))],
     )
     query = make_query("words here", CFG, 1)
     result = retrieve(query, state, 4.0, 4, 512)

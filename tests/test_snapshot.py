@@ -103,14 +103,30 @@ def test_loaded_state_continues_identically():
         assert a.response == b.response
 
 
+def test_a_snapshot_writes_no_field_a_load_would_not_read():
+    """No log record carries a salience, no attribute row a confidence, and no working entry its utterance's facts,
+    though the state holds them: the next step replaces the window, and its facts come from its own session."""
+    fact = FactTriple("bob", "works", "chef", 0.8)
+    state = run([Session(0, (Utterance.from_text(0, 0, "bob", "bob works as a chef", (fact,)),))], None, CFG)[-1].state
+    assert state.working.entries[0][0].annotations == (fact,)
+    data = state_to_dict(state, CFG)["state"]
+    assert [sorted(entry) for entry in data["working"]["entries"]] == [["session", "speaker", "text", "turn"]]
+    assert [sorted(record) for record in data["episodic"]["log"]] == [["session", "text"]]
+    assert [node["attributes"] for node in data["semantic"]["nodes"]] == [[["works", "chef", 0]]]
+    loaded, _ = loads_state(dumps_state(state, CFG))
+    assert loaded.working.entries[0][0].annotations == ()
+    assert state_bytes(loaded, CFG) == state_bytes(state, CFG)
+
+
 def test_older_format_snapshot_and_retired_config_keys_are_refused(tmp_path, capsys):
-    """Version 3 is the one format that loads, and the retired top-level config keys are unknown keys: a version 1
-    or 2 document and a snapshot, config or report that carries ``seed`` or ``lambda`` are malformed, and say why."""
+    """Version 4 is the one format that loads, and the retired top-level config keys are unknown keys: a version 1,
+    2 or 3 document and a snapshot, config or report that carries ``seed`` or ``lambda`` are malformed, and say why."""
     data = state_to_dict(_built_state(), CFG)
     documents = [
-        ("format_version 1 is not 3", {key: value for key, value in data.items() if key != "format_version"}),
-        ("format_version 1 is not 3", {**data, "format_version": 1}),
-        ("format_version 2 is not 3", {**data, "format_version": 2}),
+        ("format_version 1 is not 4", {key: value for key, value in data.items() if key != "format_version"}),
+        ("format_version 1 is not 4", {**data, "format_version": 1}),
+        ("format_version 2 is not 4", {**data, "format_version": 2}),
+        ("format_version 3 is not 4", {**data, "format_version": 3}),
         ("unknown EngineConfig key(s): seed", {**data, "config": {**data["config"], "seed": 7}}),
         ("unknown EngineConfig key(s): lambda", {**data, "config": {**data["config"], "lambda": 0.25}}),
     ]
@@ -159,7 +175,7 @@ def test_v2_rebuilds_held_vectors_through_updates_similarity_merges_and_eviction
     ]
     outputs = run(sessions, None, cfg)
     nodes = [o.state.semantic.nodes for o in outputs]
-    assert nodes[1]["alice"].attributes == {"lives_in": Attribute("paris", 1, 1.0)}
+    assert nodes[1]["alice"].attributes == {"lives_in": Attribute("paris", 1)}
     assert "alicia" not in nodes[2] and nodes[2]["alice"].importance == 3.0
     assert set(nodes[2]) == {"alice", "bob"} and set(nodes[3]) == {"alice", "carol"}  # bob and dave evicted
     assert not outputs[-1].state.working.entries[-1][1].any()
