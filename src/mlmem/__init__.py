@@ -8,6 +8,7 @@ from .engine import (
     StepOutput,
     TemplateResponder,
     answer,
+    check_state,
     initial_state,
     policy_config,
     run,

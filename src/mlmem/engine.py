@@ -15,16 +15,19 @@ replaying the same sessions reproduces bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter, ge, ne
 from typing import Any, Iterator, Mapping, Protocol, Sequence
 
-from .embedding import EmbedderConfig, check_field_kinds
+from .embedding import UNIT_TOLERANCE, EmbedderConfig, check_field_kinds, check_kinds
 from .memory import (
     EpisodicMemory,
     MemoryState,
     SemanticGraph,
     Session,
     WorkingMemory,
+    canonical,
     extract_facts,
     merge_semantic,
     summarize,
@@ -114,6 +117,79 @@ def check_embedder(state: MemoryState, cfg: EngineConfig) -> None:
     zero episodic state, so it takes any embedder of that dim."""
     if state.embedder != cfg.embedder and (state.session_cursor >= 0 or state.embedder.dim != cfg.embedder.dim):
         raise ValueError(f"the state was built under {state.embedder}, not the config's {cfg.embedder}")
+
+
+def check_state(state: MemoryState, cfg: EngineConfig) -> None:
+    """ValueError unless the state keeps what every update keeps; this is the one list of those rules.
+
+    - Every scalar is of its field's kind (``check_field_kinds``), an attribute's name and value str, its session int.
+    - session_cursor is at least -1, and every recorded session (a working entry's, a log record's, an attribute's,
+      a node's last_updated) lies in [0, session_cursor]: resuming would fold a session in twice.
+    - The working entries make one ``Session``, as ``update_working`` keeps the tail of one session.
+    - The log's sessions strictly increase: ``update_episodic`` evicts the oldest record by position.
+    - The episodic state's L2 norm is at most 1 + ``UNIT_TOLERANCE``: a blend of a state of norm at most 1 with a
+      unit or zero summary stays within 1, and ``update_episodic`` rescales past it.
+    - Each node is keyed by its entity_id, and its entity_id and each attribute's name and value are ``canonical``,
+      as a merge stores and looks them up (``Alice `` would be a node no merge or query reaches).
+    - Each node has an attribute, and its importance is a whole number of at least its attribute count: a merge
+      writes an attribute into every node it makes, and each triple it folds adds 1 to an importance from 0.
+    - Each node's last_updated is its newest attribute's session, as a merge moves both to its session.
+    - The layers keep cfg's bounds (``check_layer_bounds``).
+
+    ``step`` builds no state this refuses and does not call it; a snapshot load does, once.
+    """
+    cursor, log, nodes = state.session_cursor, state.episodic.log, state.semantic.nodes
+    utterances = tuple(u for u, _ in state.working.entries)
+    for records in ((state,), utterances, log, tuple(nodes.values())):
+        check_field_kinds(*records)
+    # each column is gathered and kind-checked once, before any rule below reads it
+    ids = [node.entity_id for node in nodes.values()]
+    names = [name for node in nodes.values() for name in node.attributes]
+    rows = [attribute for node in nodes.values() for attribute in node.attributes.values()]
+    values, sessions = [a.value for a in rows], [a.session for a in rows]
+    for name, kind, column in (("name", "str", names), ("value", "str", values), ("session", "int", sessions)):
+        check_kinds(f"attribute {name}", kind, column)
+
+    logged = [r.session_index for r in log]
+    recorded = [*(u.session_index for u in utterances), *logged, *sessions, *(n.last_updated for n in nodes.values())]
+    if cursor < -1 or min(recorded, default=0) < 0 or max(recorded, default=cursor) > cursor:
+        raise ValueError(f"session_cursor {cursor} is below -1, or a recorded session lies outside [0, {cursor}]")
+    if utterances:
+        Session(utterances[0].session_index, utterances)  # its constructor refuses any other tail
+    if any(map(ge, logged, logged[1:])):
+        raise ValueError(f"episodic log sessions {logged} do not strictly increase")
+    norm = math.sqrt(float(state.episodic.state.dot(state.episodic.state)))
+    if norm > 1.0 + UNIT_TOLERANCE:
+        raise ValueError(f"the episodic state must have L2 norm at most 1, as every blend has, got {norm!r}")
+
+    # whole columns (names repeat, so their set) show cheaply whether any text is not canonical; only then does
+    # the loop below look for the node to name
+    uncanonical = any(any(map(ne, column, map(canonical, column))) for column in (ids, set(names), values))
+    for key, node in nodes.items():
+        entity_id, attributes, importance = node.entity_id, node.attributes, node.importance
+        if key != entity_id:
+            raise ValueError(f"node {entity_id!r} is keyed as {key!r}")
+        if not attributes:
+            raise ValueError(f"node {entity_id!r} has no attributes")
+        if importance < len(attributes):
+            raise ValueError(f"node {entity_id!r} has importance {importance} below its {len(attributes)} attributes")
+        if not float(importance).is_integer():
+            raise ValueError(f"node {entity_id!r} has importance {importance}, which no count of merged triples is")
+        newest = max(map(attrgetter("session"), attributes.values()))
+        if newest > node.last_updated:
+            name = next(name for name, attribute in attributes.items() if attribute.session == newest)
+            raise ValueError(f"node {entity_id!r} is older than its attribute {name!r} of session {newest}")
+        if newest < node.last_updated:
+            raise ValueError(f"node {entity_id!r} was updated at session {node.last_updated}, after its newest "
+                             f"attribute, of session {newest}")
+        if uncanonical:
+            if entity_id != canonical(entity_id):
+                raise ValueError(f"node {entity_id!r} is not lowercase and stripped, as a merge writes its id")
+            for name, (value, _) in attributes.items():
+                if name != canonical(name) or value != canonical(value):
+                    raise ValueError(f"node {entity_id!r} has attribute {name!r} = {value!r}, not lowercase and "
+                                     "stripped, as a merge writes each")
+    check_layer_bounds(state, cfg)
 
 
 def answer(query: Query, state: MemoryState, cfg: EngineConfig) -> tuple[RetrievalResult, FusedState]:

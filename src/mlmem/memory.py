@@ -22,8 +22,8 @@ however many of its triples touch it.
 
 Every vector a layer holds is a read-only embedding array (see ``embedding``);
 the updates build new arrays and never write one in place. The layers hold
-data only and check nothing when built; the loader checks a graph from outside
-(see ``snapshot``). Each update takes its bounds (k, C_w, alpha, C_e, C_s) as
+data only and check nothing when built; ``engine.check_state`` lists what the
+updates keep. Each update takes its bounds (k, C_w, alpha, C_e, C_s) as
 arguments, raising ValueError when one is out of range, and is a pure function
 of them, so replaying a session sequence reproduces bit-identical states.
 """

@@ -396,19 +396,23 @@ _UNKNOWN_KEYS = {
 
 
 def _misshapen_row(edit) -> tuple[str, str]:
-    """The scenario snapshot with edit applied to its first node's first attribute row, and the message naming
-    that node."""
+    """The scenario snapshot with edit applied to its first node's attribute rows, and the message naming that
+    node."""
     data = json.loads(_SCENARIO_SNAPSHOT)
     node = data["state"]["semantic"]["nodes"][0]
-    edit(node["attributes"][0])
+    edit(node["attributes"])
     return json.dumps(data), f"node {node['entity_id']!r} has an attribute row that is not [name, value, session]"
 
 
-# An attribute row of other than three fields, and the message naming its node.
+# An attribute row that is not a list of three fields, and the message naming its node.
 _MISSHAPEN_ROWS = {
-    "attribute_row_of_two": _misshapen_row(list.pop),
-    "attribute_row_of_four": _misshapen_row(lambda row: row.append(1.0)),  # a v3 row, which carried a confidence
-    "attribute_row_of_five": _misshapen_row(lambda row: row.extend([1.0, "extra"])),
+    "attribute_row_of_two": _misshapen_row(lambda rows: rows[0].pop()),
+    "attribute_row_of_four": _misshapen_row(lambda rows: rows[0].append(1.0)),  # a v3 row, which carried a confidence
+    "attribute_row_of_five": _misshapen_row(lambda rows: rows[0].extend([1.0, "extra"])),
+    "attribute_row_number": _misshapen_row(lambda rows: rows.__setitem__(0, 5)),
+    "attribute_row_null": _misshapen_row(lambda rows: rows.__setitem__(0, None)),
+    # three characters, which unpacking would read as a name, value and session
+    "attribute_row_string": _misshapen_row(lambda rows: rows.__setitem__(0, "abc")),
 }
 
 
@@ -427,8 +431,8 @@ _UNCANONICAL = {
     "attribute_value_uncanonical": (_alice_node(lambda node: node["attributes"][0].__setitem__(1, " Paris")),
                                     "node 'alice' has attribute 'lives_in' = ' Paris', not lowercase and stripped"),
 }
-# A node no merge builds, since every merge writes an attribute and each attribute's first write adds 1 to its
-# node's importance, and the message naming it.
+# A node no merge builds, and the message naming it: every merge writes an attribute, each triple it folds adds 1
+# to an importance that starts at 0, and it moves last_updated and the attribute it writes to its session.
 _UNMERGEABLE = {
     "node_without_attributes": (_alice_node(lambda node: node.update(attributes=[])),
                                 "node 'alice' has no attributes"),
@@ -436,6 +440,11 @@ _UNMERGEABLE = {
         _alice_node(lambda node: node.update(attributes=[*node["attributes"], ["likes", "jazz", 2]],
                                              importance=1.0)),
         "node 'alice' has importance 1.0 below its 2 attributes"),
+    "fractional_importance": (_alice_node(lambda node: node.update(importance=3.5)),
+                              "node 'alice' has importance 3.5, which no count of merged triples is"),
+    "last_updated_past_newest_attribute": (
+        _alice_node(lambda node: node["attributes"][0].__setitem__(2, 1)),
+        "node 'alice' was updated at session 2, after its newest attribute, of session 1"),
 }
 _V3_SNAPSHOT = _v3(_SCENARIO_SNAPSHOT)
 _V2_SNAPSHOT = _v2(_V3_SNAPSHOT)

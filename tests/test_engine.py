@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import random
 import re
 import sys
 import threading
@@ -20,6 +21,7 @@ from mlmem.engine import (
     EngineRunError,
     TemplateResponder,
     answer,
+    check_state,
     initial_state,
     policy_config,
     run,
@@ -27,11 +29,12 @@ from mlmem.engine import (
     steps,
 )
 from mlmem.harness import generate_scenario
-from mlmem.memory import FactTriple, Session, Utterance
+from mlmem.memory import Attribute, FactTriple, SemanticGraph, Session, Utterance
 from mlmem.retention import cumulative_retention_loss
 from mlmem.retrieval import layer_representation, make_query
 from mlmem.snapshot import dumps_state, loads_state
 from state_vectors import reference_embed, reference_nearest, state_bytes
+from test_acceptance import _fuzz_session
 
 CFG = EngineConfig(embedder=EmbedderConfig(dim=64, seed=2))
 
@@ -747,3 +750,86 @@ def test_step_outputs_match_pinned_digests(cfg, pinned):
             f"{output.retrieval.weights.as_tuple()!r}|{output.drift.total!r}|{output.context_usage!r}\n".encode()
         )
     assert digest.hexdigest() == pinned
+
+
+# alice lives in paris, then rome, and works as a chef, both at session 1 (importance 3); bob likes jazz at session 0
+_SOUND = run([_session(0, ["alice lives in paris", "bob likes jazz"]),
+              _session(1, ["alice lives in rome", "alice works as chef"])], None, CFG)[-1].state
+
+
+def _nodes(state, nodes: dict):
+    """The state with its graph's nodes replaced by nodes."""
+    return replace(state, semantic=SemanticGraph(nodes))
+
+
+def _node(state, entity_id: str, **changes):
+    """The state with the node of entity_id changed, keyed where it was."""
+    nodes = state.semantic.nodes
+    return _nodes(state, {key: replace(node, **changes) if key == entity_id else node for key, node in nodes.items()})
+
+
+_ALICE = _SOUND.semantic.nodes["alice"]
+# One state per rule of check_state, each edited in memory so that it alone breaks, and the message naming it.
+_UNSOUND = {
+    "field_kind": (replace(_SOUND, session_cursor=1.0), "MemoryState.session_cursor must be int, got float 1.0"),
+    "attribute_kind": (_node(_SOUND, "bob", attributes={"likes": Attribute("jazz", True)}),
+                       "attribute session must be int, got bool True"),
+    "cursor_below_minus_one": (replace(initial_state(CFG), session_cursor=-2), "session_cursor -2 is below -1"),
+    "session_past_cursor": (replace(_SOUND, session_cursor=0), "a recorded session lies outside [0, 0]"),
+    "working_not_one_session": (replace(_SOUND, working=replace(_SOUND.working, entries=_SOUND.working.entries[::-1])),
+                                "turn_index must be strictly increasing"),
+    "log_not_increasing": (replace(_SOUND, episodic=replace(_SOUND.episodic, log=_SOUND.episodic.log[::-1])),
+                           "episodic log sessions [1, 0] do not strictly increase"),
+    "episodic_norm_over_one": (replace(_SOUND, episodic=replace(_SOUND.episodic, state=2.0 * _SOUND.episodic.state)),
+                               "the episodic state must have L2 norm at most 1"),
+    "node_keyed_elsewhere": (_nodes(_SOUND, {"carol": _ALICE}), "node 'alice' is keyed as 'carol'"),
+    "entity_id_uncanonical": (_nodes(_SOUND, {"Alice": replace(_ALICE, entity_id="Alice")}),
+                              "node 'Alice' is not lowercase and stripped"),
+    "attribute_uncanonical": (_node(_SOUND, "bob", attributes={"likes": Attribute("Jazz ", 0)}),
+                              "node 'bob' has attribute 'likes' = 'Jazz ', not lowercase and stripped"),
+    "node_without_attributes": (_node(_SOUND, "bob", attributes={}), "node 'bob' has no attributes"),
+    "importance_below_attribute_count": (_node(_SOUND, "alice", importance=1.0),
+                                         "node 'alice' has importance 1.0 below its 2 attributes"),
+    "fractional_importance": (_node(_SOUND, "alice", importance=3.5),
+                              "node 'alice' has importance 3.5, which no count of merged triples is"),
+    "older_than_an_attribute": (_node(_SOUND, "alice", last_updated=0),
+                                "node 'alice' is older than its attribute 'lives_in' of session 1"),
+    "last_updated_past_newest_attribute": (_node(_SOUND, "bob", last_updated=1),
+                                           "node 'bob' was updated at session 1, after its newest attribute, of "
+                                           "session 0"),
+}
+
+
+def test_check_state_passes_the_sound_state():
+    assert _ALICE.importance == 3.0 and _ALICE.last_updated == 1 and len(_ALICE.attributes) == 2
+    check_state(_SOUND, CFG)
+
+
+@pytest.mark.parametrize("name", sorted(_UNSOUND))
+def test_check_state_refuses_each_broken_rule(name):
+    state, message = _UNSOUND[name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_state(state, CFG)
+
+
+def test_check_state_refuses_layers_over_the_bounds():
+    with pytest.raises(ValueError, match=re.escape("layer size 2 exceeds the config's C_s=1")):
+        check_state(_SOUND, replace(CFG, C_s=1))
+
+
+def test_no_step_of_fuzzed_sessions_builds_a_state_check_state_refuses():
+    """20 fixed-seed runs of 40 fuzzed sessions each, under random bounds: the state after every step passes."""
+    rng = random.Random(3232)
+    for _ in range(20):
+        cfg = EngineConfig(
+            k=rng.randint(1, 6),
+            C_w=rng.randint(6, 48),
+            C_e=rng.randint(1, 6),
+            C_s=rng.randint(2, 8),
+            alpha=rng.random(),
+            tau_s=rng.uniform(0.3, 0.95),
+            summary_m=rng.randint(1, 4),
+            embedder=EmbedderConfig(dim=rng.choice((8, 16, 32)), seed=rng.randint(0, 10_000)),
+        )
+        for output in steps([_fuzz_session(i, rng) for i in range(40)], None, cfg):
+            check_state(output.state, cfg)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mlmem import memory
 from mlmem.embedding import EmbedderConfig, cosine, embed
-from mlmem.engine import EngineConfig
+from mlmem.engine import EngineConfig, check_state
 from mlmem.memory import (
     Attribute,
     EpisodicMemory,
@@ -568,6 +568,11 @@ _TRIPLE = st.builds(
 _STREAM = st.lists(st.tuples(st.integers(0, 6), st.lists(_TRIPLE, max_size=4)), max_size=8)
 
 
+def _graph_state(graph: SemanticGraph) -> MemoryState:
+    """The graph as the semantic layer of a state at cursor 6, the latest session a _STREAM merge takes."""
+    return MemoryState(WorkingMemory(), EpisodicMemory.empty(CFG.dim), graph, 6, CFG)
+
+
 # See test_embedding.py: keeps a reported failure from becoming an INTERNALERROR.
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(deadline=None, database=None)
@@ -580,8 +585,10 @@ def test_merge_keeps_capacity_and_every_current_value_in_the_edge_history(stream
         graph = merge_semantic(graph, facts, session_index, tau_s, C_s, CFG)
         latest = max(latest, session_index)
         assert len(graph.nodes) <= C_s
-        # every graph a merge builds passes the loader's graph checks
-        loads_state(dumps_state(MemoryState(WorkingMemory(), EpisodicMemory.empty(CFG.dim), graph, 6, CFG), cfg))
+        # every graph a merge builds passes check_state, and so loads
+        state = _graph_state(graph)
+        check_state(state, cfg)
+        loads_state(dumps_state(state, cfg))
         _assert_attribute_sessions(graph, latest)
 
 
@@ -590,6 +597,8 @@ def test_merge_keeps_capacity_and_every_current_value_in_the_edge_history(stream
 @settings(deadline=None, database=None)
 @given(_STREAM, st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0]), st.integers(1, 4))
 def test_merges_equal_merges_through_the_all_rows_reference_scan(stream, tau_s, C_s):
+    cfg = EngineConfig(C_s=C_s, embedder=CFG)
+
     def merged():
         graph = SemanticGraph()
         latest = 0
@@ -597,6 +606,7 @@ def test_merges_equal_merges_through_the_all_rows_reference_scan(stream, tau_s, 
             graph = merge_semantic(graph, facts, session_index, tau_s, C_s, CFG)
             latest = max(latest, session_index)
             _assert_attribute_sessions(graph, latest)
+            check_state(_graph_state(graph), cfg)
             yield _graph_rows(graph)
 
     fast = list(merged())

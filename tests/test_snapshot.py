@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from mlmem import embedding, snapshot
 from mlmem.embedding import EmbedderConfig, embed
 from mlmem.cli import main
-from mlmem.engine import EngineConfig, initial_state, run, steps
+from mlmem.engine import EngineConfig, TemplateResponder, check_state, initial_state, run, step, steps
 from mlmem.harness import EvalReport, generate_scenario
 from mlmem.memory import Attribute, FactTriple, Session, Utterance
+from mlmem.retrieval import make_query
 from mlmem.snapshot import (
     config_to_dict,
     dumps_state,
@@ -232,6 +233,7 @@ def test_every_held_vector_is_the_embedding_of_its_text_and_v2_rebuilds_it(texts
         for i, turns in enumerate(texts)
     ]
     for output in steps(sessions, None, cfg):
+        check_state(output.state, cfg)
         _assert_held_vectors_are_embeddings(output.state, cfg.embedder)
         _assert_a_load_rebuilds_the_vectors(output.state, cfg)
 
@@ -359,12 +361,15 @@ def _is_vector(value) -> bool:
 
 
 def _tree(snapshot: str):
-    """The snapshot, each path's node, and the paths of its vector coordinates, its other scalars and its keys."""
+    """The snapshot, each path's node, and the paths of its vector coordinates, its other scalars, its keys, its
+    other numbers and its lists of rows."""
     nodes = dict(_paths(json.loads(snapshot)))
     coordinates = [path for path in nodes if path and _is_vector(nodes[path[:-1]])]
     scalars = [path for path, value in nodes.items() if not isinstance(value, (dict, list)) and path not in coordinates]
     keys = [path for path in nodes if path and isinstance(nodes[path[:-1]], dict)]
-    return snapshot, nodes, coordinates, scalars, keys
+    numbers = [path for path in scalars if type(nodes[path]) in (int, float)]
+    lists = [path for path, value in nodes.items() if isinstance(value, list) and value]
+    return snapshot, nodes, coordinates, scalars, keys, numbers, lists
 
 
 # the deterministic snapshot writes only the episodic state's coordinates, and a remote one every vector as well:
@@ -384,33 +389,65 @@ def _json_type(value) -> str:
     return "number" if type(value) in (int, float) else type(value).__name__
 
 
+def _embed_as_a_service_would(text: str, cfg: EmbedderConfig) -> np.ndarray:
+    """A stand-in for the remote service, so a step under a remote config sends no request."""
+    return embedding._embed_hash(text, cfg.dim, cfg.seed)
+
+
 # See test_embedding.py: keeps a reported failure from becoming an INTERNALERROR.
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(deadline=None, database=None)
 @given(st.data())
 def test_an_edited_snapshot_loads_or_is_malformed(data):
-    """One leaf of another JSON type, or one key fewer: the snapshot loads or is malformed, never more.
+    """One leaf of another JSON type, one key fewer, one number nudged, or one list row swapped with another,
+    dropped or repeated: the snapshot loads or is malformed, never more.
 
-    A non-number in place of a number never loads.
+    A non-number in place of a number never loads. A document that loads re-dumps as itself (a deleted config key
+    as its default), and a step with its next session builds a state that check_state passes.
     """
-    snapshot, nodes, coordinates, scalars, keys = _TREES[data.draw(st.sampled_from(sorted(_TREES)), label="mode")]
+    snapshot, nodes, coordinates, scalars, keys, numbers, lists = _TREES[
+        data.draw(st.sampled_from(sorted(_TREES)), label="mode")]
     document = json.loads(snapshot)
-    replace = data.draw(st.booleans(), label="replace")
-    if replace:
+    edit = data.draw(st.sampled_from(["replace", "delete", "nudge", "swap", "drop", "repeat"]), label="edit")
+    if edit == "replace":
         path = data.draw(st.one_of(st.sampled_from(scalars), st.sampled_from(coordinates)), label="leaf")
         value = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(nodes[path])), label="value")
-    else:
+    elif edit == "delete":
         path = data.draw(st.sampled_from(keys), label="deleted key")
+    elif edit == "nudge":
+        path = data.draw(st.sampled_from(numbers), label="number")
+        value = nodes[path] + data.draw(st.sampled_from([-1, 1, 0.5]), label="by")
+    else:
+        path = data.draw(st.sampled_from([p for p in lists if edit != "swap" or len(nodes[p]) > 1]), label="list")
+        row = data.draw(st.integers(0, len(nodes[path]) - 1), label="row")
     parent = document
     for key in path[:-1]:
         parent = parent[key]
-    if replace:
+    if edit in ("replace", "nudge"):
         parent[path[-1]] = value
-    else:
+    elif edit == "delete":
         del parent[path[-1]]
+    else:
+        rows = parent[path[-1]]
+        if edit == "swap":
+            other = data.draw(st.integers(0, len(rows) - 1).filter(lambda i: i != row), label="other row")
+            rows[row], rows[other] = rows[other], rows[row]
+        elif edit == "drop":
+            del rows[row]
+        else:
+            rows.insert(row, json.loads(json.dumps(rows[row])))
     try:
-        loads_state(json.dumps(document))
+        state, cfg = loads_state(json.dumps(document))
     except ValueError as exc:
         assert str(exc).startswith("malformed snapshot: "), exc
-    else:
-        assert not (replace and _json_type(nodes[path]) == "number"), f"{value!r} in place of the number at {path} loaded"
+        return
+    number = edit == "replace" and _json_type(nodes[path]) == "number"
+    assert not number, f"{value!r} in place of the number at {path} loaded"
+    if edit == "delete" and path[0] == "config":
+        document["config"] = config_to_dict(cfg)
+    assert dumps_state(state, cfg) == json.dumps(document, sort_keys=True)
+    index = state.session_cursor + 1
+    session = Session(index, (Utterance.from_text(index, 0, "spk", "alice lives in rome"),))
+    with mock.patch.object(embedding, "_embed_remote", _embed_as_a_service_would):
+        check_state(step(state, session, make_query("alice lives_in", cfg.embedder, index), cfg,
+                         TemplateResponder()).state, cfg)
