@@ -28,8 +28,9 @@ never keeps a state alive. A lookup matches only the state itself, so a
 concurrent retrieve cannot pair one state with another's index; a race can at
 worst build an index twice. States are immutable, so an index cannot go stale.
 ``_read_index.__wrapped__`` is the uncached builder, and
-``layer_representation`` stays uncached: the index calls it, so it still
-stacks its own weighted copy of the node matrix.
+``layer_representation`` stays uncached: the index calls it with each layer's
+held matrix, so a build stacks each layer once and the semantic mean reads the
+node matrix the index keeps.
 """
 
 from __future__ import annotations
@@ -116,22 +117,26 @@ class FusedState:
     context_tokens: int
 
 
-def layer_representation(state: MemoryState, layer: str) -> np.ndarray:
+def layer_representation(state: MemoryState, layer: str, matrix: np.ndarray | None = None) -> np.ndarray:
     """One vector per layer: working mean, episodic state, importance-weighted node mean.
 
-    Means are scaled to unit length by ``unit``; an empty layer yields the zero vector.
+    Means are scaled to unit length by ``unit``; an empty layer yields the zero vector. ``matrix`` holds the layer's
+    vectors as rows, as the read index does (stacked here when omitted). einsum adds the weighted rows in order, each
+    product rounded before its add: the bytes of ``mean += (importance / total) * embedding`` over the nodes.
     """
     if layer == "e":
         return state.episodic.state
     records, vectors, _ = _layer_view(state, layer)
+    if not records:
+        return np.zeros_like(state.episodic.state)
+    if matrix is None:
+        matrix = stacked(vectors)
     if layer == "w":
-        return unit(np.mean(vectors, axis=0)) if vectors else np.zeros_like(state.episodic.state)
+        return unit(matrix.mean(axis=0))
     total = sum(n.importance for n in records)
     if total <= 0.0:
         return np.zeros_like(state.episodic.state)
-    weighted = stacked(vectors)
-    weighted *= (np.array([n.importance for n in records]) / total)[:, None]
-    return unit(weighted.sum(axis=0))
+    return unit(np.einsum("i,ij->j", np.array([n.importance for n in records]) / total, matrix))
 
 
 def softmax_weights(relevances: tuple[float, float, float], beta: float) -> tuple[float, float, float]:
@@ -190,11 +195,13 @@ def _one_live_state(build: Callable[[MemoryState], Any]) -> Callable[[MemoryStat
 def _read_index(state: MemoryState) -> tuple[tuple[np.ndarray, ...], tuple[_View, ...]]:
     """The state's read side: its representations, and each layer's view with its vectors held as a read-only
     matrix (an empty layer's stay an empty list)."""
-    layers = []
+    representations, layers = [], []
     for layer in LAYERS:
         records, vectors, row = _layer_view(state, layer)
-        layers.append((records, frozen(stacked(vectors)) if vectors else vectors, row))
-    return tuple(layer_representation(state, layer) for layer in LAYERS), tuple(layers)
+        held = frozen(stacked(vectors)) if vectors else vectors
+        representations.append(layer_representation(state, layer, held))
+        layers.append((records, held, row))
+    return tuple(representations), tuple(layers)
 
 
 def retrieve(

@@ -49,7 +49,9 @@ with optional fact annotations ``{"s": str, "p": str, "o": str, "c": float?}``; 
 Configs and eval reports share one codec: ``config_to_dict`` writes every field of an ``EngineConfig`` or a
 ``harness.EvalReport`` under its name (a nested dataclass as an object, a tuple as a list, a mapping's keys as
 strings, so a report's ``retention_at`` is ``{"gap": float, ..}``), and ``_from_dict`` reads it back from the
-field annotations.
+field annotations. A snapshot's config and a report, its config included, carry every field, their embedders'
+too, so none loads under a default it was not written with; a ``--config`` file may leave fields out, which keep
+their defaults.
 
 One rule rejects outside input: it is malformed when reading it raises one of ``_MALFORMED``. The readers check
 wire shape: a missing key, a ``format_version`` other than the int 4 (a missing one is version 1), a config or report
@@ -131,9 +133,10 @@ def _field_hints(cls: type) -> dict[str, Any]:
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _from_dict(cls: type, data: dict[str, Any]) -> Any:
-    """Inverse of config_to_dict: missing keys keep the field default (TypeError for a field without one), unknown
-    keys raise ValueError, and the dataclass's constructor checks each value's kind.
+def _from_dict(cls: type, data: dict[str, Any], complete: bool) -> Any:
+    """Inverse of config_to_dict: unknown keys raise ValueError, and the dataclass's constructor checks each value's
+    kind. A ``complete`` record, as config_to_dict writes it, must carry every field, its nested ones too (ValueError
+    naming the missing keys); otherwise missing keys keep the field default.
 
     A field's annotation says how its JSON value reads: a nested dataclass by ``_from_dict``, a tuple from a list
     (ValueError naming the field for any other value), and a mapping's string keys as its key type (ValueError
@@ -145,11 +148,14 @@ def _from_dict(cls: type, data: dict[str, Any]) -> Any:
     unknown = sorted(data.keys() - hints.keys())
     if unknown:
         raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    missing = sorted(hints.keys() - data.keys()) if complete else []
+    if missing:
+        raise ValueError(f"missing {cls.__name__} key(s): {', '.join(missing)}")
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
         hint = hints[key]
         if is_dataclass(hint):
-            value = _from_dict(hint, value)
+            value = _from_dict(hint, value, complete)
         elif get_origin(hint) is tuple:
             if not isinstance(value, list):
                 raise ValueError(f"{cls.__name__}.{key} must be a JSON list, got {type(value).__name__}")
@@ -171,8 +177,9 @@ def _read(what: str, read: Callable[[Any], Any], text: str) -> Any:
 
 
 def loads_config(text: str) -> EngineConfig:
-    """Raises ValueError("malformed config: ...") on invalid JSON, an unknown key and a value of the wrong JSON type."""
-    return _read("config", partial(_from_dict, EngineConfig), text)
+    """Raises ValueError("malformed config: ...") on invalid JSON, an unknown key and a value of the wrong JSON type;
+    a missing key keeps its default."""
+    return _read("config", partial(_from_dict, EngineConfig, complete=False), text)
 
 
 def _fact_to_dict(fact: FactTriple) -> dict[str, Any]:
@@ -275,7 +282,7 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
     version = data.get("format_version", 1)  # a version 1 document has no such key
     if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"format_version {version!r} is not {FORMAT_VERSION}, the one version loading reads")
-    cfg = _from_dict(EngineConfig, data["config"])
+    cfg = _from_dict(EngineConfig, data["config"], complete=True)
     raw = data["state"]
     entries = raw["working"]["entries"]
     log = raw["episodic"]["log"]
@@ -369,7 +376,7 @@ def read_sessions_jsonl(path: str) -> list[Session]:
 
 def _report_from_dict(data: dict[str, Any]) -> EvalReport:
     """Raises one of _MALFORMED on a malformed report; a retention_at key must spell its gap as str(int) does."""
-    report = _from_dict(EvalReport, data)
+    report = _from_dict(EvalReport, data, complete=True)
     keys = list(data["retention_at"])
     if list(map(str, report.retention_at)) != keys:
         raise ValueError(f"retention_at keys must spell distinct gaps as str(int) does, got {keys}")

@@ -255,7 +255,7 @@ def test_embed_returns_a_read_only_array_even_when_cached():
 
 @pytest.mark.parametrize("rows", [1, 2, 1024])
 def test_stacked_is_a_new_writable_copy_of_np_stack(rows):
-    """``layer_representation`` scales the result in place, so it must own its bytes."""
+    """``merge_semantic`` writes its row buffer in place, so the result must own its bytes."""
     rng = np.random.default_rng(rows)
     vectors = [frozen(rng.standard_normal(256)) for _ in range(rows)]
     matrix = stacked(vectors)

@@ -327,9 +327,9 @@ def test_answer_and_step_build_each_layer_representation_once(monkeypatch, unifo
     built: list[str] = []
     original = retrieval.layer_representation
 
-    def counted(state, layer):
+    def counted(state, layer, *matrix):
         built.append(layer)
-        return original(state, layer)
+        return original(state, layer, *matrix)
 
     monkeypatch.setattr(retrieval, "layer_representation", counted)
     session = _session(0, ["alice likes jazz", "bob plays chess"])
@@ -671,9 +671,9 @@ def test_read_index_drops_the_old_index_before_it_builds(monkeypatch):
     seen = []
     original = retrieval.layer_representation
 
-    def spy(state, layer):
+    def spy(state, layer, *matrix):
         seen.append([ref() is None for ref in held])
-        return original(state, layer)
+        return original(state, layer, *matrix)
 
     monkeypatch.setattr(retrieval, "layer_representation", spy)
     answer(make_query("bob", CFG.embedder, 1), outputs[1].state, CFG)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mlmem.embedding import EmbedderConfig, cosine, embed
+from mlmem import embedding, retrieval
+from mlmem.embedding import EmbedderConfig, cosine, embed, frozen, unit
 from mlmem.engine import EngineConfig, initial_state
 from mlmem.memory import (
     Attribute,
@@ -98,6 +100,66 @@ def test_episodic_representation_is_the_state_vector():
     vec = np.full(DIM, 0.1)
     state = _state(episodic_state=vec)
     assert np.array_equal(layer_representation(state, "e"), vec)
+
+
+def test_semantic_mean_equals_the_sequential_sum_bit_for_bit():
+    """The node mean, stacked here or read from a held matrix, has the bytes of the sequential sum
+    ``mean += (importance / total) * embedding``, whatever the row count, dim, zero rows and importances.
+
+    This rests on an assumption about numpy: its einsum sum-of-products kernel adds the rows in order, rounding each
+    product before its add, with no fused multiply-add. A numpy build whose kernel fuses them, or reorders the adds,
+    fails here first."""
+    rng = np.random.default_rng(7)
+    for case in range(120):
+        dim = int(rng.choice([8, 13, 64, 128, 256, 300]))
+        rows = [1, 2, 1500][case] if case < 3 else int(rng.integers(1, 1501))
+        matrix = rng.standard_normal((rows, dim))
+        matrix[rng.random(rows) < 0.1] = 0.0
+        scale = float(rng.choice([1.0, 1e3, 1e6]))
+        importances = [float(rng.integers(1, 8)) if case % 2 else float(rng.random() * scale) for _ in range(rows)]
+        state = _state(nodes={f"n{i}": _node(f"n{i}", matrix[i], importances[i]) for i in range(rows)}, dim=dim)
+        total = sum(importances)
+        mean = np.zeros(dim)
+        for importance, row in zip(importances, matrix):
+            mean += (importance / total) * row
+        expected = unit(mean).tobytes()
+        held = frozen(matrix.copy())
+        assert layer_representation(state, "s").tobytes() == expected, (case, rows, dim)
+        assert layer_representation(state, "s", held).tobytes() == expected, (case, rows, dim)
+
+
+def test_a_cold_index_build_allocates_one_node_matrix(monkeypatch):
+    """A cold build of a ~1,000-node state stacks each non-empty layer once and peaks at one node matrix plus
+    small change: the semantic mean reads the matrix the index holds and copies none of it."""
+    dim = 256
+    rows = np.random.default_rng(3).standard_normal((1000, dim))
+    nodes = {f"n{i}": _node(f"n{i}", unit(row), float(1 + i % 5)) for i, row in enumerate(rows)}
+    texts = ("alice likes jazz", "bob plays chess")
+    vectors = [embed(text, EmbedderConfig(dim=dim)) for text in texts]
+    working = [(_utterance(text, turn=turn), vec) for turn, (text, vec) in enumerate(zip(texts, vectors))]
+    state = _state(working_entries=working, log=[SummaryRecord(0, texts[0], vectors[0])], nodes=nodes, dim=dim)
+    node_matrix = len(nodes) * dim * 8
+
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        retrieval._read_index.__wrapped__(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= node_matrix + node_matrix // 8, (peak, node_matrix)
+
+    calls = []
+    original = embedding.stacked
+
+    def spy(vectors):
+        calls.append(len(vectors))
+        return original(vectors)
+
+    for module in (embedding, retrieval):
+        monkeypatch.setattr(module, "stacked", spy)
+    retrieval._read_index.__wrapped__(state)
+    assert calls == [2, 1, 1000]
 
 
 # ---------------------------------------------------------------------- gate

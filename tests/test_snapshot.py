@@ -147,6 +147,28 @@ def test_older_format_snapshot_and_retired_config_keys_are_refused(tmp_path, cap
             loads_report(json.dumps({**report, "config": {**report["config"], key: value}}))
 
 
+def test_snapshot_and_report_configs_carry_every_key(tmp_path, capsys):
+    """A snapshot's config and a report's, their embedders too, carry every field, so none loads under a default it
+    was not written with: one that lacks a key is malformed and names it. A config file may leave keys out."""
+    data = state_to_dict(_built_state(), CFG)
+    report = config_to_dict(EvalReport({1: 1.0}, 0.0, 0.25, 1.0, (0.0,), CFG))
+    config = data["config"]
+    no_seed = {**config, "embedder": {k: v for k, v in config["embedder"].items() if k != "seed"}}
+    no_c_s = {k: v for k, v in config.items() if k != "C_s"}
+    for document, read, what in ((data, loads_state, "snapshot"), (report, loads_report, "report")):
+        for edited, message in ((no_seed, "EmbedderConfig key(s): seed"), (no_c_s, "EngineConfig key(s): C_s")):
+            with pytest.raises(ValueError, match=re.escape(f"malformed {what}: missing {message}")):
+                read(json.dumps({**document, "config": edited}))
+    with pytest.raises(ValueError, match=re.escape("malformed report: missing EvalReport key(s): fmr")):
+        loads_report(json.dumps({k: v for k, v in report.items() if k != "fmr"}))
+    path = tmp_path / "no-seed.json"
+    path.write_text(json.dumps({**data, "config": no_seed}))
+    assert main(["query", "--snapshot", str(path), "--text", "alice lives_in"]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed snapshot: missing EmbedderConfig key(s): seed")
+    assert loads_config(json.dumps(no_seed)) == dataclasses.replace(CFG, embedder=EmbedderConfig(dim=32))
+    assert loads_config(json.dumps(no_c_s)) == CFG
+
+
 def _assert_held_vectors_are_embeddings(state, embedder: EmbedderConfig) -> None:
     """Every working, log and node vector is the uncached embedding of its text, which a deterministic snapshot
     relies on."""
@@ -402,8 +424,8 @@ def test_an_edited_snapshot_loads_or_is_malformed(data):
     """One leaf of another JSON type, one key fewer, one number nudged, or one list row swapped with another,
     dropped or repeated: the snapshot loads or is malformed, never more.
 
-    A non-number in place of a number never loads. A document that loads re-dumps as itself (a deleted config key
-    as its default), and a step with its next session builds a state that check_state passes.
+    A non-number in place of a number never loads, nor does a config that lacks a key. A document that loads
+    re-dumps as itself, and a step with its next session builds a state that check_state passes.
     """
     snapshot, nodes, coordinates, scalars, keys, numbers, lists = _TREES[
         data.draw(st.sampled_from(sorted(_TREES)), label="mode")]
@@ -443,8 +465,7 @@ def test_an_edited_snapshot_loads_or_is_malformed(data):
         return
     number = edit == "replace" and _json_type(nodes[path]) == "number"
     assert not number, f"{value!r} in place of the number at {path} loaded"
-    if edit == "delete" and path[0] == "config":
-        document["config"] = config_to_dict(cfg)
+    assert not (edit == "delete" and path[0] == "config"), f"a config without the key at {path} loaded"
     assert dumps_state(state, cfg) == json.dumps(document, sort_keys=True)
     index = state.session_cursor + 1
     session = Session(index, (Utterance.from_text(index, 0, "spk", "alice lives in rome"),))
