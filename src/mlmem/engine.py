@@ -127,10 +127,14 @@ def check_state(state: MemoryState, cfg: EngineConfig) -> None:
       a node's last_updated) lies in [0, session_cursor]: resuming would fold a session in twice.
     - The working entries make one ``Session``, as ``update_working`` keeps the tail of one session.
     - The log's sessions strictly increase: ``update_episodic`` evicts the oldest record by position.
+    - Each log record's text has a whitespace token, as ``summarize`` joins whole utterances and each has one.
+    - The log is empty only beside a zero episodic state: every blend appends its summary, and with ``C_e`` >= 1 the
+      log never empties again.
     - The episodic state's L2 norm is at most 1 + ``UNIT_TOLERANCE``: a blend of a state of norm at most 1 with a
       unit or zero summary stays within 1, and ``update_episodic`` rescales past it.
-    - Each node is keyed by its entity_id, and its entity_id and each attribute's name and value are ``canonical``,
-      as a merge stores and looks them up (``Alice `` would be a node no merge or query reaches).
+    - Each node is keyed by its entity_id, and its entity_id and each attribute's name and value are non-blank and
+      ``canonical``, as a merge stores and looks them up (``Alice `` would be a node no merge or query reaches):
+      ``FactTriple`` refuses a blank part, and ``canonical`` keeps a non-blank part non-blank.
     - Each node has an attribute, and its importance is a whole number of at least its attribute count: a merge
       writes an attribute into every node it makes, and each triple it folds adds 1 to an importance from 0.
     - Each node's last_updated is its newest attribute's session, as a merge moves both to its session.
@@ -158,13 +162,21 @@ def check_state(state: MemoryState, cfg: EngineConfig) -> None:
         Session(utterances[0].session_index, utterances)  # its constructor refuses any other tail
     if any(map(ge, logged, logged[1:])):
         raise ValueError(f"episodic log sessions {logged} do not strictly increase")
+    for record in log:
+        if not record.text.split():
+            raise ValueError(f"log record of session {record.session_index} has text {record.text!r} with no "
+                             "token, which no summary has")
+    if not log and state.episodic.state.any():
+        raise ValueError("the episodic log is empty beside a nonzero episodic state, though every blend appends its "
+                         "summary")
     norm = math.sqrt(float(state.episodic.state.dot(state.episodic.state)))
     if norm > 1.0 + UNIT_TOLERANCE:
         raise ValueError(f"the episodic state must have L2 norm at most 1, as every blend has, got {norm!r}")
 
-    # whole columns (names repeat, so their set) show cheaply whether any text is not canonical; only then does
-    # the loop below look for the node to name
-    uncanonical = any(any(map(ne, column, map(canonical, column))) for column in (ids, set(names), values))
+    # whole columns (names repeat, so their set) show cheaply whether any text is blank or not canonical; only then
+    # does the loop below look for the node to name
+    flagged = any(not all(column) or any(map(ne, column, map(canonical, column)))
+                  for column in (ids, set(names), values))
     for key, node in nodes.items():
         entity_id, attributes, importance = node.entity_id, node.attributes, node.importance
         if key != entity_id:
@@ -182,10 +194,15 @@ def check_state(state: MemoryState, cfg: EngineConfig) -> None:
         if newest < node.last_updated:
             raise ValueError(f"node {entity_id!r} was updated at session {node.last_updated}, after its newest "
                              f"attribute, of session {newest}")
-        if uncanonical:
+        if flagged:
+            if not entity_id:
+                raise ValueError("a node has a blank entity_id, a part no FactTriple holds")
             if entity_id != canonical(entity_id):
                 raise ValueError(f"node {entity_id!r} is not lowercase and stripped, as a merge writes its id")
             for name, (value, _) in attributes.items():
+                if not (name and value):
+                    raise ValueError(f"node {entity_id!r} has attribute {name!r} = {value!r}, a blank part no "
+                                     "FactTriple holds")
                 if name != canonical(name) or value != canonical(value):
                     raise ValueError(f"node {entity_id!r} has attribute {name!r} = {value!r}, not lowercase and "
                                      "stripped, as a merge writes each")

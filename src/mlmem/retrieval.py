@@ -27,10 +27,11 @@ state drops it before it builds, so at most one index is alive and the index
 never keeps a state alive. A lookup matches only the state itself, so a
 concurrent retrieve cannot pair one state with another's index; a race can at
 worst build an index twice. States are immutable, so an index cannot go stale.
-``_read_index.__wrapped__`` is the uncached builder, and
-``layer_representation`` stays uncached: the index calls it with each layer's
-held matrix, so a build stacks each layer once and the semantic mean reads the
-node matrix the index keeps.
+``_read_index.__wrapped__`` is the uncached builder. A build walks each layer
+once and calls ``layer_representation`` with each layer's held matrix, so it
+stacks each layer once and the semantic mean reads the node matrix the index
+keeps; ``layer_representation`` without a matrix returns the index's own
+vector, the one the gate reads, building the index if the state has none.
 """
 
 from __future__ import annotations
@@ -118,25 +119,28 @@ class FusedState:
 
 
 def layer_representation(state: MemoryState, layer: str, matrix: np.ndarray | None = None) -> np.ndarray:
-    """One vector per layer: working mean, episodic state, importance-weighted node mean.
+    """One vector per layer: working mean, episodic state, importance-weighted node mean; ValueError if unknown.
 
     Means are scaled to unit length by ``unit``; an empty layer yields the zero vector. ``matrix`` holds the layer's
-    vectors as rows, as the read index does (stacked here when omitted). einsum adds the weighted rows in order, each
-    product rounded before its add: the bytes of ``mean += (importance / total) * embedding`` over the nodes.
+    vectors as rows, as the read index does; without it the state's read index answers, built if need be. einsum adds
+    the weighted rows in order, each product rounded before its add: the bytes of
+    ``mean += (importance / total) * embedding`` over the nodes, in ``state.semantic.nodes`` order.
     """
+    if layer not in LAYERS:
+        raise ValueError(f"unknown layer {layer!r}")
+    if matrix is None:
+        return _read_index(state)[0][LAYERS.index(layer)]
     if layer == "e":
         return state.episodic.state
-    records, vectors, _ = _layer_view(state, layer)
-    if not records:
+    if not len(matrix):
         return np.zeros_like(state.episodic.state)
-    if matrix is None:
-        matrix = stacked(vectors)
     if layer == "w":
         return unit(matrix.mean(axis=0))
-    total = sum(n.importance for n in records)
+    importances = [n.importance for n in state.semantic.nodes.values()]
+    total = sum(importances)
     if total <= 0.0:
         return np.zeros_like(state.episodic.state)
-    return unit(np.einsum("i,ij->j", np.array([n.importance for n in records]) / total, matrix))
+    return unit(np.einsum("i,ij->j", np.array(importances) / total, matrix))
 
 
 def softmax_weights(relevances: tuple[float, float, float], beta: float) -> tuple[float, float, float]:

@@ -768,6 +768,11 @@ def _node(state, entity_id: str, **changes):
     return _nodes(state, {key: replace(node, **changes) if key == entity_id else node for key, node in nodes.items()})
 
 
+def _log(state, log: tuple):
+    """The state with its episodic log replaced by log."""
+    return replace(state, episodic=replace(state.episodic, log=log))
+
+
 _ALICE = _SOUND.semantic.nodes["alice"]
 # One state per rule of check_state, each edited in memory so that it alone breaks, and the message naming it.
 _UNSOUND = {
@@ -797,6 +802,14 @@ _UNSOUND = {
     "last_updated_past_newest_attribute": (_node(_SOUND, "bob", last_updated=1),
                                            "node 'bob' was updated at session 1, after its newest attribute, of "
                                            "session 0"),
+    "blank_entity_id": (_nodes(_SOUND, {"": replace(_ALICE, entity_id="")}), "a node has a blank entity_id"),
+    "blank_attribute_name": (_node(_SOUND, "bob", attributes={"": Attribute("jazz", 0)}),
+                             "node 'bob' has attribute '' = 'jazz', a blank part"),
+    "blank_attribute_value": (_node(_SOUND, "bob", attributes={"likes": Attribute("", 0)}),
+                              "node 'bob' has attribute 'likes' = '', a blank part"),
+    "tokenless_log_text": (_log(_SOUND, (replace(_SOUND.episodic.log[0], text=" "), *_SOUND.episodic.log[1:])),
+                           "log record of session 0 has text ' ' with no token"),
+    "empty_log_nonzero_state": (_log(_SOUND, ()), "the episodic log is empty beside a nonzero episodic state"),
 }
 
 

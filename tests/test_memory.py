@@ -577,7 +577,7 @@ def _graph_state(graph: SemanticGraph) -> MemoryState:
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(deadline=None, database=None)
 @given(_STREAM, st.sampled_from([0.0, 0.3, 0.6, 1.0]), st.integers(1, 4))
-def test_merge_keeps_capacity_and_every_current_value_in_the_edge_history(stream, tau_s, C_s):
+def test_merge_keeps_capacity_and_builds_graphs_that_check_and_load(stream, tau_s, C_s):
     cfg = EngineConfig(C_s=C_s, embedder=CFG)
     graph = SemanticGraph()
     latest = 0

@@ -162,6 +162,37 @@ def test_a_cold_index_build_allocates_one_node_matrix(monkeypatch):
     assert calls == [2, 1, 1000]
 
 
+def _every_layer_state() -> MemoryState:
+    """A state with two working entries, one log record and two nodes."""
+    texts = ("alice likes jazz", "bob plays chess")
+    vectors = [embed(text, CFG) for text in texts]
+    working = [(_utterance(text, turn=turn), vec) for turn, (text, vec) in enumerate(zip(texts, vectors))]
+    nodes = {"a": _node("a", _unit(0), 1.0), "b": _node("b", _unit(1), 3.0)}
+    return _state(working_entries=working, log=[SummaryRecord(0, texts[0], vectors[0])], episodic_state=vectors[0],
+                  nodes=nodes)
+
+
+def test_a_cold_index_build_walks_each_layer_once(monkeypatch):
+    """The build walks each layer once; the representations read the walk's held matrices, not a walk of their own."""
+    walked = []
+    original = retrieval._layer_view
+
+    def spy(state, layer):
+        walked.append(layer)
+        return original(state, layer)
+
+    monkeypatch.setattr(retrieval, "_layer_view", spy)
+    retrieval._read_index.__wrapped__(_every_layer_state())
+    assert walked == ["w", "e", "s"]
+
+
+def test_a_representation_without_a_matrix_is_the_read_index_s_own_vector():
+    """The vector the gate reads, not one computed beside it."""
+    state = _every_layer_state()
+    for i, layer in enumerate(LAYERS):
+        assert layer_representation(state, layer) is retrieval._read_index(state)[0][i], layer
+
+
 # ---------------------------------------------------------------------- gate
 
 def test_softmax_equal_relevances_uniform():
