@@ -8,9 +8,12 @@ layer by its grid score, which is the item's similarity, its ties broken by
 the layer's row (session, turn, text, speaker) as key, and the items are built
 from the rows it returns. The gate keeps ``cosine``, as a representation need
 not be unit. Its result carries the
-admitted items as one tuple in admission order. Fusion mixes the query with
-the retrieval vector and sharpens it until the entropy of its magnitude
-distribution falls under the configured bound. The layer order is ``LAYERS``.
+admitted items as one tuple in admission order, each a ``RetrievedItem``
+NamedTuple. Fusion mixes the query with the retrieval vector and sharpens it
+until the entropy of its magnitude distribution falls under the configured
+bound: one array pass computes ``SHARPEN_BLOCK`` halvings of the softmax
+temperature as rows, with each row's entropy, and the first row under the
+bound wins, with the bytes one halving per loop gives. The layer order is ``LAYERS``.
 Inside the package, ``engine.answer`` is the only code that chains them under
 an ``EngineConfig``. Every vector is a plain numpy array: the episodic layer's
 representation is the state's own read-only array, and the other vectors are
@@ -41,7 +44,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +54,14 @@ from .memory import MemoryState, node_text
 LAYERS = ("w", "e", "s")
 
 SHARPEN_MAX_ITERATIONS = 64
+
+# Halvings per array pass of fuse. Every answer of the seed-1 perfbench workloads stops at halving 4, 5 or 6
+# (chat_long: 2,111 at 4, 289 at 5; answer_heavy: 809 at 4, 5 at 5, 2 at 6; graph_wide: 187 at 4, 4 at 5, 1 at 6),
+# so one pass almost always settles an answer.
+SHARPEN_BLOCK = 8
+# 2**k for the halvings k = 1..64: one (SHARPEN_BLOCK, 1) column of scales per pass. Python's exact powers of two,
+# since nothing else runs numpy's power loop, and its first call faults in another 128 kB of the process's pages.
+_SHARPEN_SCALES = np.array([2.0**k for k in range(1, SHARPEN_MAX_ITERATIONS + 1)]).reshape(-1, SHARPEN_BLOCK, 1)
 
 # A layer's records, their vectors in order (a list, or the read index's read-only matrix), and the row
 # (session, turn, text, speaker) of a record, the fields its retrieved item is ranked and built from.
@@ -85,8 +96,9 @@ class GatingWeights:
         return cls(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, beta)
 
 
-@dataclass(frozen=True)
-class RetrievedItem:
+class RetrievedItem(NamedTuple):
+    """One admitted item: its layer, text and scores, and the row it was ranked by."""
+
     layer: str
     text: str
     similarity: float
@@ -260,10 +272,13 @@ def entropy(vector: np.ndarray) -> float:
 
     The zero vector has no mass to distribute and is assigned entropy 0. A
     one-hot's sum, 1 * log 1, is 0.0; it is subtracted from 0.0, not negated,
-    so its entropy is 0.0, never -0.0.
+    so its entropy is 0.0, never -0.0. Magnitudes that do not sum to a finite
+    number (a NaN or infinite entry, or an overflowing sum) raise ValueError.
     """
     magnitudes = np.abs(np.asarray(vector, dtype=np.float64))
     total = float(magnitudes.sum())
+    if not math.isfinite(total):
+        raise ValueError(f"entropy needs magnitudes with a finite sum, got {total}")
     if total == 0.0:
         return 0.0
     p = magnitudes / total
@@ -271,21 +286,23 @@ def entropy(vector: np.ndarray) -> float:
     return 0.0 - float((nonzero * np.log(nonzero)).sum())
 
 
-def _softmax_sharpened(magnitudes: np.ndarray, tau: float) -> np.ndarray:
-    scaled = magnitudes / tau
-    scaled -= scaled.max()
-    exps = np.exp(scaled)
-    return exps / exps.sum()
-
-
 def fuse(query: Query, retrieval: RetrievalResult, mix: float, epsilon: float) -> FusedState:
     """Convex query/retrieval mix, sharpened until entropy <= epsilon.
 
-    Sharpening replaces the vector with softmax(|raw| / tau) at tau halved per
-    iteration; after 64 halvings (only exact magnitude ties survive that long)
+    Sharpening replaces the vector with softmax(|raw| / tau), tau = 0.5**k,
+    for the first halving k whose entropy meets the bound. One array pass
+    takes SHARPEN_BLOCK halvings as rows: ``exp((|raw| - max|raw|) * 2**k)``
+    over the row's own sum, and the row's entropy as ``entropy`` takes it
+    (over its sum again, then ``0.0 - sum(p * log p)``), or through ``entropy``
+    itself in a pass holding a zero (an exp underflow). Scaling by a power of
+    two commutes with rounding, so the winner, a new writable array, has the
+    bytes of one halving per loop. After 64 halvings (only magnitudes within
+    about 2**-64 of the largest last that long; a ulp at 1e-10 is that close)
     it falls back to a first-argmax one-hot, whose entropy 0 meets any bound.
     A bound that is not >= 0 (NaN included) or a mix outside [0, 1] raises
-    ValueError before any work. Context is the admitted items' prefixed texts joined newest-last.
+    ValueError before any work; a non-finite query or retrieval vector raises
+    entropy's ValueError before any sharpening. Context is the admitted items'
+    prefixed texts joined newest-last.
     """
     if not 0.0 <= mix <= 1.0:
         raise ValueError(f"mix must lie in [0, 1], got {mix}")
@@ -296,11 +313,18 @@ def fuse(query: Query, retrieval: RetrievalResult, mix: float, epsilon: float) -
     h = entropy(raw)
     if h > epsilon:
         magnitudes = np.abs(raw)
-        for k in range(1, SHARPEN_MAX_ITERATIONS + 1):
-            candidate = _softmax_sharpened(magnitudes, 0.5**k)
-            ch = entropy(candidate)
-            if ch <= epsilon:
-                vector, h = candidate, ch
+        shifted = magnitudes - magnitudes.max()
+        for scales in _SHARPEN_SCALES:
+            exps = np.exp(shifted * scales)
+            candidates = exps / exps.sum(axis=1, keepdims=True)
+            p = candidates / candidates.sum(axis=1, keepdims=True)
+            if p.min() > 0.0:
+                entropies = 0.0 - (p * np.log(p)).sum(axis=1)
+            else:
+                entropies = np.array([entropy(candidate) for candidate in candidates])
+            passing = np.flatnonzero(entropies <= epsilon)
+            if len(passing):
+                vector, h = candidates[passing[0]].copy(), float(entropies[passing[0]])
                 break
         else:
             vector = np.zeros_like(raw)

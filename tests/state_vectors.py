@@ -4,7 +4,8 @@
 vector's bytes. ``reference_embed`` is the deterministic embedding as the
 README states it, with no memo at all, from the exact integer ``hash_counts``. ``reference_nearest`` is the scan as
 the README states it: every row scored on the grid, the rows below the floor
-dropped, the rest keyed and sorted.
+dropped, the rest keyed and sorted. ``reference_fuse`` is fusion one halving at a time, each candidate's entropy
+taken by ``entropy`` itself.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from mlmem.embedding import tokenize
 from mlmem.engine import EngineConfig
 from mlmem.memory import MemoryState, node_text
+from mlmem.retrieval import LAYERS, FusedState, Query, RetrievalResult, entropy
 from mlmem.snapshot import dumps_state
 
 
@@ -68,3 +70,33 @@ def reference_nearest(
     It scores every row in full: floor only filters, it never skips a product."""
     hits = [(key(row), score) for row, score in enumerate(grid_scores(matrix, query)) if score >= floor]
     return sorted(hits, key=lambda hit: (-hit[1], hit[0]))[:count]
+
+
+def reference_fuse(query: Query, retrieval: RetrievalResult, mix: float, epsilon: float) -> FusedState:
+    """The mix, then softmax(|raw| / tau) at tau = 0.5**k for k = 1..64, one halving per loop: the first candidate
+    whose entropy is at most epsilon wins, else the first-argmax one-hot. Context as ``fuse`` joins it."""
+    raw = mix * query.embedding + (1.0 - mix) * retrieval.vector
+    vector = raw
+    h = entropy(raw)
+    if h > epsilon:
+        magnitudes = np.abs(raw)
+        for k in range(1, 64 + 1):
+            scaled = magnitudes / 0.5**k
+            scaled -= scaled.max()
+            exps = np.exp(scaled)
+            candidate = exps / exps.sum()
+            ch = entropy(candidate)
+            if ch <= epsilon:
+                vector, h = candidate, ch
+                break
+        else:
+            vector = np.zeros_like(raw)
+            vector[int(np.argmax(magnitudes))] = 1.0
+            h = entropy(vector)
+
+    ordered = sorted(
+        retrieval.items,
+        key=lambda i: (i.session_index, i.turn_index, LAYERS.index(i.layer), i.text),
+    )
+    context_text = "\n".join(f"{i.speaker}: {i.text}" for i in ordered)
+    return FusedState(vector, h, context_text, len(context_text.split()))

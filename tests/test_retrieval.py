@@ -11,7 +11,8 @@ import pytest
 
 from mlmem import embedding, retrieval
 from mlmem.embedding import EmbedderConfig, cosine, embed, frozen, unit
-from mlmem.engine import EngineConfig, initial_state
+from mlmem.engine import EngineConfig, answer, initial_state, run
+from mlmem.harness import generate_scenario
 from mlmem.memory import (
     Attribute,
     EntityNode,
@@ -27,6 +28,8 @@ from mlmem.retrieval import (
     LAYERS,
     GatingWeights,
     Query,
+    RetrievalResult,
+    RetrievedItem,
     entropy,
     fuse,
     gate,
@@ -35,7 +38,7 @@ from mlmem.retrieval import (
     retrieve,
     softmax_weights,
 )
-from state_vectors import grid_scores
+from state_vectors import grid_scores, reference_fuse
 
 CFG = EmbedderConfig(dim=64, seed=9)
 DIM = CFG.dim
@@ -557,3 +560,106 @@ def test_fuse_rejects_bad_mix():
     query = make_query("x", CFG, 0)
     with pytest.raises(ValueError):
         fuse(query, _empty_retrieval(query), mix=1.5, epsilon=1.0)
+
+
+def test_retrieved_items_are_tuples_in_field_order_that_refuse_assignment():
+    item = RetrievedItem("w", "alice likes jazz", 0.5, 0.25, 3, 1, "spk", 3)
+    assert isinstance(item, tuple)
+    assert RetrievedItem._fields == (
+        "layer", "text", "similarity", "score", "session_index", "turn_index", "speaker", "token_count"
+    )
+    assert item == ("w", "alice likes jazz", 0.5, 0.25, 3, 1, "spk", 3)
+    with pytest.raises(AttributeError):
+        item.score = 1.0
+
+
+def _no_retrieval(dim: int) -> RetrievalResult:
+    return RetrievalResult(np.zeros(dim), GatingWeights.uniform(1.0), (), 0)
+
+
+def test_entropy_and_fuse_refuse_a_non_finite_vector():
+    for vector in (np.array([np.nan, 1.0]), np.array([np.inf, 1.0]), np.array([-np.inf, np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            entropy(vector)
+    nan_query = Query("q", np.array([np.nan, 1.0, 0.0]), 0)
+    with pytest.raises(ValueError, match="finite"):
+        fuse(nan_query, _no_retrieval(3), 1.0, 0.5)
+    infinite_retrieval = RetrievalResult(np.array([np.inf, 0.0, 0.0]), GatingWeights.uniform(1.0), (), 0)
+    with pytest.raises(ValueError, match="finite"):
+        fuse(Query("q", np.ones(3), 0), infinite_retrieval, 0.5, 0.5)
+
+
+def test_fuse_of_huge_tied_magnitudes_falls_back_to_the_one_hot():
+    """Tied magnitudes of 1e300 stay uniform under every halving (the shifted magnitudes are all 0), so fuse
+    returns its first-argmax one-hot, where dividing by tau once overflowed to inf - inf = NaN."""
+    fused = fuse(Query("q", np.full(8, 1e300), 0), _no_retrieval(8), 1.0, 0.5)
+    assert fused.vector.tolist() == [1.0] + [0.0] * 7
+    assert math.copysign(1.0, fused.entropy) == 1.0 and fused.entropy == 0.0
+
+
+def _sharpen_cases(count: int, seed: int):
+    """(query, retrieval, mix, epsilon) over dims 1-300 and magnitudes 1e-300 to 1e288, spread over up to 600
+    decades below the largest: some with zeros, some rounded into ties, some all equal; the bound lies between 0
+    and the raw mix's entropy, or is 0 itself."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        dim = int(rng.integers(1, 301))
+        top = rng.uniform(-300.0, 288.0)
+        spread = float(rng.choice([1e-3, 0.3, 3.0, 30.0, 600.0]))
+        magnitudes = 10.0 ** np.clip(top - rng.uniform(0.0, spread, dim), -300.0, 288.0)
+        if case % 4 == 1:
+            magnitudes[rng.random(dim) < 0.3] = 0.0
+        elif case % 4 == 2:
+            largest = magnitudes.max()
+            magnitudes = np.round(magnitudes / largest, int(rng.integers(1, 4))) * largest
+        elif case % 8 == 3:
+            magnitudes = np.full(dim, magnitudes[0])
+        vector = magnitudes * rng.choice([-1.0, 1.0], dim)
+        if case % 2:
+            mix, other = float(rng.random()), rng.permutation(vector)
+        else:
+            mix, other = 1.0, np.zeros(dim)
+        query, result = Query("q", vector, 0), RetrievalResult(other, GatingWeights.uniform(1.0), (), 0)
+        h = entropy(mix * vector + (1.0 - mix) * other)
+        epsilon = 0.0 if case % 10 == 0 else h * float(rng.random()) ** 3
+        yield query, result, mix, epsilon
+
+
+def test_fuse_equals_the_per_halving_reference_bit_for_bit():
+    """fuse's passes of SHARPEN_BLOCK halvings return the vector bytes, entropy and context of one halving per loop,
+    the winner as a new writable array of its own."""
+    for case, (query, result, mix, epsilon) in enumerate(_sharpen_cases(1200, 17)):
+        fused, expected = fuse(query, result, mix, epsilon), reference_fuse(query, result, mix, epsilon)
+        assert fused.vector.tobytes() == expected.vector.tobytes(), case
+        assert repr(fused.entropy) == repr(expected.entropy), case
+        assert (fused.context_text, fused.context_tokens) == (expected.context_text, expected.context_tokens)
+        assert fused.vector.flags.writeable and fused.vector.base is None, case
+
+
+def test_fuse_of_an_answer_equals_the_reference_and_calls_entropy_once(monkeypatch):
+    """A typical answer's mix needs a few halvings, and one pass settles them: entropy() itself sees the raw mix only,
+    where one halving per loop called it once more per halving."""
+    cfg = EngineConfig()
+    state = run(generate_scenario(n_personas=4, periods=2, seed=0).sessions, None, cfg)[-1].state
+    query = make_query("alice lives_in", cfg.embedder, 1)
+    result, fused = answer(query, state, cfg)
+    assert entropy(cfg.mix * query.embedding + (1.0 - cfg.mix) * result.vector) > cfg.epsilon
+    expected = reference_fuse(query, result, cfg.mix, cfg.epsilon)
+    assert (fused.vector.tobytes(), repr(fused.entropy)) == (expected.vector.tobytes(), repr(expected.entropy))
+    calls = []
+    monkeypatch.setattr(retrieval, "entropy", lambda vector: calls.append(vector) or entropy(vector))
+    fuse(query, result, cfg.mix, cfg.epsilon)
+    assert len(calls) == 1
+
+
+def test_numpy_row_sums_are_the_one_dimensional_pairwise_sums():
+    """fuse's passes rest on an assumption about numpy: ``sum(axis=1)`` over a C-contiguous 2-d float64 array, with
+    or without keepdims, has in each row the bytes of that row summed alone as a 1-d array (numpy's pairwise sum).
+    The addends here span 16 decades, so a build that sums rows in another order fails here first."""
+    rng = np.random.default_rng(11)
+    for width in [*range(1, 301), 511, 1024, 4099]:
+        block = rng.standard_normal((8, width)) * 10.0 ** rng.uniform(-8.0, 8.0, (8, width))
+        sums, kept = block.sum(axis=1), block.sum(axis=1, keepdims=True)
+        for row, total, held in zip(block, sums, kept):
+            alone = np.array(row.tolist()).sum()
+            assert total.tobytes() == alone.tobytes() == held.tobytes(), width
