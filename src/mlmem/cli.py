@@ -69,7 +69,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     sessions = read_sessions_jsonl(args.input)
     state = initial_state(cfg)
-    for output in steps(sessions, None, cfg):
+    for output in steps(sessions, cfg):
         state = output.state
     _write_text(args.snapshot, dumps_state(state, cfg))
     print(f"ingested {len(sessions)} sessions -> {args.snapshot}")

@@ -19,8 +19,9 @@ texts than the text cache holds it embeds as a batch, with the same bits as
 Remote mode is never cached, since the service may change
 and its errors must surface on every call. It POSTs ``{"texts": [str]}`` to
 the configured endpoint (the ``MLMEM_EMBED_ENDPOINT`` environment variable
-overrides it) and expects ``{"vectors": [[float]]}`` holding one vector; any
-other answer, and any transport failure, raises ``EmbeddingServiceError``.
+overrides it; a blank one, in either place, counts as unset) and expects
+``{"vectors": [[float]]}`` holding one vector; any other answer, an endpoint
+urllib cannot parse, and any transport failure raise ``EmbeddingServiceError``.
 ``FIELD_KINDS`` is the one kind rule, the exact types a field of each
 annotation holds (a bool is no int, a float is ``finite``); ``check_field_kinds``
 applies it, with ValueError, in both configs' constructors and in every
@@ -114,16 +115,20 @@ class EmbedderConfig:
             raise ValueError(f"seed must be an int that fits in a signed 64-bit integer, got {self.seed!r}")
         if self.mode == "deterministic" and self.remote_endpoint is not None:
             raise ValueError("remote_endpoint is only valid in remote mode")
-        if self.mode == "remote" and self.remote_endpoint is None and not os.environ.get(REMOTE_ENDPOINT_ENV):
-            raise ValueError(f"remote mode needs remote_endpoint or ${REMOTE_ENDPOINT_ENV}")
+        if self.mode == "remote" and _given(os.environ.get(REMOTE_ENDPOINT_ENV), self.remote_endpoint) is None:
+            raise ValueError(f"remote mode needs a non-blank remote_endpoint or ${REMOTE_ENDPOINT_ENV}")
 
     def resolved_endpoint(self) -> str:
-        env = os.environ.get(REMOTE_ENDPOINT_ENV)
-        if env:
-            return env
-        if self.remote_endpoint is None:
+        """The environment variable's endpoint, else the field's; a blank one counts as unset."""
+        endpoint = _given(os.environ.get(REMOTE_ENDPOINT_ENV), self.remote_endpoint)
+        if endpoint is None:
             raise EmbeddingServiceError("no remote endpoint configured")
-        return self.remote_endpoint
+        return endpoint
+
+
+def _given(*endpoints: str | None) -> str | None:
+    """The first endpoint that is set and not blank, else None."""
+    return next((e for e in endpoints if e is not None and e.strip()), None)
 
 
 # The exact types a field of each annotation holds, built in Python or read from JSON: a bool is no int.
@@ -224,13 +229,14 @@ def _embed_remote(text: str, cfg: EmbedderConfig) -> np.ndarray:
 
     endpoint = cfg.resolved_endpoint()
     payload = json.dumps({"texts": [text]}).encode("utf-8")
-    request = urllib.request.Request(
-        endpoint, data=payload, headers={"Content-Type": "application/json"}, method="POST"
-    )
     try:
+        # built in here, as the Request refuses an endpoint it cannot parse with ValueError ("not a url", say)
+        request = urllib.request.Request(
+            endpoint, data=payload, headers={"Content-Type": "application/json"}, method="POST"
+        )
         with urllib.request.urlopen(request, timeout=REMOTE_TIMEOUT_SECONDS) as response:
             body = response.read()
-    except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
+    except (ValueError, urllib.error.URLError, OSError, http.client.HTTPException) as exc:
         raise EmbeddingServiceError(f"embedding request to {endpoint} failed: {exc}") from exc
     try:
         (raw,) = json.loads(body.decode("utf-8"))["vectors"]

@@ -9,8 +9,10 @@ the semantic drift against the pre-step graph. The layer bounds come from the
 step's cfg alone, so a state built under another config is resumed under the
 given one; a layer the cfg disables is carried over as it is, and the step
 raises ValueError when it exceeds the cfg's bounds. A run folds steps from the
-zero state, one step per output asked for (``steps``; ``run`` keeps them all);
-replaying the same sessions reproduces bit-identical outputs.
+zero state (or a resumed one), one step per output asked for (``steps``; ``run``
+keeps them all), each asking the session's final utterance and answering with
+the ``TemplateResponder``; a caller that asks anything else calls ``step``.
+Replaying the same sessions reproduces bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter, ge, ne
-from typing import Any, Iterator, Mapping, Protocol, Sequence
+from typing import Any, Iterator, Protocol, Sequence
 
 from .embedding import UNIT_TOLERANCE, EmbedderConfig, check_field_kinds, check_kinds
 from .memory import (
@@ -122,7 +124,8 @@ def check_embedder(state: MemoryState, cfg: EngineConfig) -> None:
 def check_state(state: MemoryState, cfg: EngineConfig) -> None:
     """ValueError unless the state keeps what every update keeps; this is the one list of those rules.
 
-    - Every scalar is of its field's kind (``check_field_kinds``), an attribute's name and value str, its session int.
+    - Every scalar is of its field's kind (``check_field_kinds``), a node's id and an attribute's name and value str,
+      an attribute's session int.
     - session_cursor is at least -1, and every recorded session (a working entry's, a log record's, an attribute's,
       a node's last_updated) lies in [0, session_cursor]: resuming would fold a session in twice.
     - The working entries make one ``Session``, as ``update_working`` keeps the tail of one session.
@@ -132,9 +135,9 @@ def check_state(state: MemoryState, cfg: EngineConfig) -> None:
       log never empties again.
     - The episodic state's L2 norm is at most 1 + ``UNIT_TOLERANCE``: a blend of a state of norm at most 1 with a
       unit or zero summary stays within 1, and ``update_episodic`` rescales past it.
-    - Each node is keyed by its entity_id, and its entity_id and each attribute's name and value are non-blank and
-      ``canonical``, as a merge stores and looks them up (``Alice `` would be a node no merge or query reaches):
-      ``FactTriple`` refuses a blank part, and ``canonical`` keeps a non-blank part non-blank.
+    - Each node's id (its key in the graph) and each attribute's name and value are non-blank and ``canonical``, as a
+      merge stores and looks them up (``Alice `` would be a node no merge or query reaches): ``FactTriple`` refuses a
+      blank part, and ``canonical`` keeps a non-blank part non-blank.
     - Each node has an attribute, and its importance is a whole number of at least its attribute count: a merge
       writes an attribute into every node it makes, and each triple it folds adds 1 to an importance from 0.
     - Each node's last_updated is its newest attribute's session, as a merge moves both to its session.
@@ -147,12 +150,13 @@ def check_state(state: MemoryState, cfg: EngineConfig) -> None:
     for records in ((state,), utterances, log, tuple(nodes.values())):
         check_field_kinds(*records)
     # each column is gathered and kind-checked once, before any rule below reads it
-    ids = [node.entity_id for node in nodes.values()]
+    ids = list(nodes)
     names = [name for node in nodes.values() for name in node.attributes]
     rows = [attribute for node in nodes.values() for attribute in node.attributes.values()]
     values, sessions = [a.value for a in rows], [a.session for a in rows]
-    for name, kind, column in (("name", "str", names), ("value", "str", values), ("session", "int", sessions)):
-        check_kinds(f"attribute {name}", kind, column)
+    for name, kind, column in (("node id", "str", ids), ("attribute name", "str", names),
+                               ("attribute value", "str", values), ("attribute session", "int", sessions)):
+        check_kinds(name, kind, column)
 
     logged = [r.session_index for r in log]
     recorded = [*(u.session_index for u in utterances), *logged, *sessions, *(n.last_updated for n in nodes.values())]
@@ -177,10 +181,8 @@ def check_state(state: MemoryState, cfg: EngineConfig) -> None:
     # does the loop below look for the node to name
     flagged = any(not all(column) or any(map(ne, column, map(canonical, column)))
                   for column in (ids, set(names), values))
-    for key, node in nodes.items():
-        entity_id, attributes, importance = node.entity_id, node.attributes, node.importance
-        if key != entity_id:
-            raise ValueError(f"node {entity_id!r} is keyed as {key!r}")
+    for entity_id, node in nodes.items():
+        attributes, importance = node.attributes, node.importance
         if not attributes:
             raise ValueError(f"node {entity_id!r} has no attributes")
         if importance < len(attributes):
@@ -296,26 +298,21 @@ def step(
 
 def steps(
     sessions: Sequence[Session],
-    queries: Mapping[int, Query] | None,
     cfg: EngineConfig,
-    responder: Responder | None = None,
     *,
     start_state: MemoryState | None = None,
     history_tokens: int = 0,
 ) -> Iterator[StepOutput]:
     """Fold step over the sessions from the zero state (or a snapshot to resume), one step per output asked for.
 
-    Steps without an explicit query default to the session's final utterance
-    text. The first failing step aborts the run with its index.
+    Each step asks the session's final utterance text and answers with the
+    ``TemplateResponder``. The first failing step aborts the run with its index.
     """
-    responder = responder if responder is not None else TemplateResponder()
-    queries = queries or {}
+    responder = TemplateResponder()
     state = start_state if start_state is not None else initial_state(cfg)
     history = history_tokens
     for session in sessions:
-        query = queries.get(session.index)
-        if query is None:
-            query = make_query(session.utterances[-1].text, cfg.embedder, session.index)
+        query = make_query(session.utterances[-1].text, cfg.embedder, session.index)
         try:
             output = step(state, session, query, cfg, responder, history_tokens=history)
         except ValueError:

@@ -136,7 +136,7 @@ class EvalReport:
 
 def _fact_utterance(session_index: int, turn: int, name: str, attribute: str, value: str) -> Utterance:
     """The one way a scenario states a fact, introduced or restated: its text annotated with its triple."""
-    return Utterance.from_text(
+    return Utterance(
         session_index,
         turn,
         name,
@@ -196,10 +196,10 @@ def generate_scenario(
         ]
         body += [fact for fact in stated if rng.random() < 0.1]
         rng.shuffle(body)
-        utterances = [Utterance.from_text(period, 0, "narrator", f"day {period} began")]
+        utterances = [Utterance(period, 0, "narrator", f"day {period} began")]
         for turn, line in enumerate(body, start=1):
             if isinstance(line, str):
-                utterances.append(Utterance.from_text(period, turn, "narrator", line))
+                utterances.append(Utterance(period, turn, "narrator", line))
             else:
                 utterances.append(_fact_utterance(period, turn, *line))
         sessions.append(Session(period, tuple(utterances)))
@@ -244,7 +244,7 @@ def _answer_probes(
     in period order and scenario order within a period.
     """
     run_cfg = policy_config(cfg, policy)
-    outputs = run(scenario.sessions, None, run_cfg)
+    outputs = run(scenario.sessions, run_cfg)
     answered = []
     for probe in sorted(scenario.probes, key=lambda p: p.period):
         if probe.kind in kinds and 0 <= probe.period < len(outputs):

@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -58,32 +58,27 @@ class FactTriple:
 
 @dataclass(frozen=True)
 class Utterance:
+    """One line of a session; token_count is its text's whitespace tokens, counted on construction and replace."""
+
     session_index: int
     turn_index: int
     speaker: str
     text: str
-    token_count: int
+    token_count: int = field(init=False)
     annotations: tuple[FactTriple, ...] = ()
 
     def __post_init__(self) -> None:
         if self.session_index < 0 or self.turn_index < 0:
             raise ValueError("session_index and turn_index must be non-negative")
-        actual = len(self.text.split())
-        if actual == 0:
+        token_count = len(self.text.split())
+        if token_count == 0:
             raise ValueError("utterance text must contain at least one token")
-        if self.token_count != actual:
-            raise ValueError(f"token_count {self.token_count} != {actual} whitespace tokens")
+        object.__setattr__(self, "token_count", token_count)
 
     @classmethod
-    def from_text(
-        cls,
-        session_index: int,
-        turn_index: int,
-        speaker: str,
-        text: str,
-        annotations: tuple[FactTriple, ...] = (),
-    ) -> "Utterance":
-        return cls(session_index, turn_index, speaker, text, len(text.split()), annotations)
+    def from_text(cls, *args: Any) -> "Utterance":
+        """``Utterance(*args)``: the constructor under its former name, which the benchmark (``perfbench``) calls."""
+        return cls(*args)
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,8 @@ class Attribute(NamedTuple):
 
 @dataclass(frozen=True)
 class EntityNode:
-    entity_id: str
+    """A graph node; its id is its key in ``SemanticGraph.nodes``, which no field restates."""
+
     attributes: dict[str, Attribute]
     embedding: np.ndarray
     importance: float
@@ -281,7 +277,7 @@ def merge_semantic(
 ) -> SemanticGraph:
     """Fold triples into the graph with thresholded entity matching and eviction.
 
-    A triple lands on an exact entity_id match, else on the top ``nearest`` node
+    A triple lands on the node keyed by its subject, else on the top ``nearest`` node
     at or above tau_s (ties to the lexicographically smaller id), else a new
     node. tau_s is the scan's floor, so a candidate that no node can reach over
     the candidate's nonzero columns costs no full scan, and the bound is exact
@@ -290,7 +286,7 @@ def merge_semantic(
     later becomes the attribute, its value and session, so within a session
     the last statement wins. An older triple changes no attribute.
     Each triple not skipped adds 1 to its node's importance. Past C_s nodes,
-    those with the lowest (importance, last_updated, entity_id) are evicted.
+    those with the lowest (importance, last_updated, id) are evicted.
 
     The match scans a row buffer of the node vectors with ``nearest``. The
     buffer lives for this call only, so the graph holds each vector once. A
@@ -334,7 +330,7 @@ def merge_semantic(
 
         if target_id is None:
             target_id = subject
-            nodes[target_id] = EntityNode(target_id, {}, frozen(np.zeros(embedder.dim)), 0.0, session_index)
+            nodes[target_id] = EntityNode({}, frozen(np.zeros(embedder.dim)), 0.0, session_index)
             if matrix is not None:
                 rows[target_id] = len(ids)
                 ids.append(target_id)
@@ -350,14 +346,14 @@ def merge_semantic(
                 stale[target_id] = None
 
         nodes[target_id] = EntityNode(
-            target_id, attributes, node.embedding, node.importance + 1.0, max(node.last_updated, session_index)
+            attributes, node.embedding, node.importance + 1.0, max(node.last_updated, session_index)
         )
 
     if len(nodes) > C_s:
-        # the key is a total order over nodes, so the doomed set does not depend on the nodes' order
-        for doomed in heapq.nsmallest(
-                len(nodes) - C_s, nodes.values(), lambda n: (n.importance, n.last_updated, n.entity_id)):
-            del nodes[doomed.entity_id]
+        # ids are distinct, so the key is a total order over nodes and the doomed set does not depend on their order
+        ranked = ((n.importance, n.last_updated, nid) for nid, n in nodes.items())
+        for *_, nid in heapq.nsmallest(len(nodes) - C_s, ranked):
+            del nodes[nid]
     refresh()
 
     return SemanticGraph(nodes)

@@ -35,7 +35,6 @@ class DriftReport:
 class ObjectiveValue:
     gen_loss: float
     ret_loss: float
-    lambda_: float
     total: float
 
 
@@ -86,7 +85,7 @@ def objective(gen_loss: float, ret_loss: float, lambda_: float) -> ObjectiveValu
     for name, value in (("gen_loss", gen_loss), ("ret_loss", ret_loss), ("lambda", lambda_)):
         if not (value >= 0.0 and finite(value)):
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
-    return ObjectiveValue(gen_loss, ret_loss, lambda_, gen_loss + lambda_ * ret_loss)
+    return ObjectiveValue(gen_loss, ret_loss, gen_loss + lambda_ * ret_loss)
 
 
 def tune(

@@ -19,8 +19,9 @@ an ``EngineConfig``. Every vector is a plain numpy array: the episodic layer's
 representation is the state's own read-only array, and the other vectors are
 new ones.
 
-Each layer is walked by ``_layer_view`` alone: its records, their vectors and
-a record's row. The first ``retrieve`` against a state builds its read index:
+Each layer is walked by ``_layer_view`` alone: its records (a semantic record
+is an (id, node) pair, as a node's id is its graph key), their vectors and a
+record's row. The first ``retrieve`` against a state builds its read index:
 the three representations and each layer's view, each layer's vectors held as
 one read-only matrix, so a retrieve scans them as they are. ``_read_index``
 keeps one entry in a ``weakref.WeakKeyDictionary`` keyed on the state, which
@@ -183,9 +184,9 @@ def _layer_view(state: MemoryState, layer: str) -> _View:
         log = state.episodic.log
         return log, [r.embedding for r in log], lambda r: (r.session_index, -1, r.text, "summary")
     if layer == "s":
-        nodes = list(state.semantic.nodes.values())
-        return nodes, [n.embedding for n in nodes], lambda n: (
-            n.last_updated, -1, node_text(n.entity_id, n.attributes), "fact"
+        nodes = list(state.semantic.nodes.items())
+        return nodes, [n.embedding for _, n in nodes], lambda pair: (
+            pair[1].last_updated, -1, node_text(pair[0], pair[1].attributes), "fact"
         )
     raise ValueError(f"unknown layer {layer!r}")
 

@@ -18,7 +18,8 @@ An entry is its utterance ``{"session": int, "turn": int, "speaker": str,
 window, and ``extract_facts`` reads only the incoming session, so no load
 would read them), a summary ``{"session": int, "text": str}``, and a node
 ``{"entity_id": str, "attributes": [[name, value, session], ..],
-"importance": float, "last_updated": int}``, each attribute row a
+"importance": float, "last_updated": int}``, its entity_id the node's key in
+``SemanticGraph.nodes`` (an ``EntityNode`` holds no id), each attribute row a
 ``memory.Attribute`` after its name, so each fact is written once. Each entry,
 summary and node holds a vector that is ``embed`` of its text: the
 utterance's text, the summary's text, and ``memory.node_text`` of the node's
@@ -53,17 +54,18 @@ field annotations. A snapshot's config and a report, its config included, carry 
 too, so none loads under a default it was not written with; a ``--config`` file may leave fields out, which keep
 their defaults.
 
-One rule rejects outside input: it is malformed when reading it raises one of ``_MALFORMED``. The readers check
-wire shape: a missing key, a ``format_version`` other than the int 4 (a missing one is version 1), a config or report
-key no field has (the retired ``seed`` and ``lambda`` too), a snapshot or session key no v4 writer writes
-(``_check_keys``; ``"embedding"`` is written in remote mode only), an attribute row that is not a list of three fields
-(the message names its node), a node that repeats an entity_id or an attribute name, a vector that is not a list of
-``embedder.dim`` finite numbers, a working entry's, log record's or node's vector whose L2 norm is neither 0 nor within
-1e-12 of 1 (``embedding.vector_from_json``), a record its dataclass refuses (a blank fact part, say), a config or
-report tuple field whose value is not a list, a mapping field whose value is not an object, and a ``retention_at`` key
-that does not spell its gap as ``str(int)`` does (so two spellings of one gap cannot collide). Sessions and reports
-are kind-checked (``embedding.check_field_kinds``), and a loaded state must pass ``engine.check_state``, the one list
-of what the updates keep. Each reader catches these once and raises ValueError with its prefix: ``loads_config``
+One rule rejects outside input: it is malformed when reading it raises one of ``_MALFORMED``. The readers check wire
+shape: a JSON object that repeats a key (``json.loads`` alone would keep its last value), a missing key, a
+``format_version`` other than the int 4 (a missing one is version 1), a config or report key no field has (the retired
+``seed`` and ``lambda`` too), a snapshot or session key no v4 writer writes (``_check_keys``; ``"embedding"`` is
+written in remote mode only), an attribute row that is not a list of three fields (the message names its node), a node
+that repeats an entity_id or an attribute name, a vector that is not a list of ``embedder.dim`` finite numbers, a
+working entry's, log record's or node's vector whose L2 norm is neither 0 nor within 1e-12 of 1
+(``embedding.vector_from_json``), a record its dataclass refuses (a blank fact part, say), a config or report tuple
+field whose value is not a list, a mapping field whose value is not an object, and a ``retention_at`` key that does
+not spell its gap as ``str(int)`` does (so two spellings of one gap cannot collide). Sessions and reports are
+kind-checked (``embedding.check_field_kinds``), and a loaded state must pass ``engine.check_state``, the one list of
+what the updates keep. Each reader catches these once and raises ValueError with its prefix: ``loads_config``
 "malformed config: ", ``loads_state`` "malformed snapshot: ", ``read_sessions_jsonl`` "path:N: malformed session
 record: ", and ``loads_report`` "malformed report: ". Each parses JSON text, so invalid JSON is malformed input too.
 Vectors load as read-only arrays, as ``embed`` makes them.
@@ -168,10 +170,23 @@ def _from_dict(cls: type, data: dict[str, Any], complete: bool) -> Any:
     return cls(**kwargs)
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The dict of one JSON object's (key, value) pairs; ValueError naming a key it repeats, which ``json.loads``
+    would read as its last value."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(key for key in keys if keys.count(key) > 1)!r}")
+    return out
+
+
+_loads = partial(json.loads, object_pairs_hook=_object)  # every reader's parse: a repeated key raises ValueError
+
+
 def _read(what: str, read: Callable[[Any], Any], text: str) -> Any:
-    """read(json.loads(text)); raises ValueError("malformed <what>: ...") when either raises one of _MALFORMED."""
+    """read(_loads(text)); raises ValueError("malformed <what>: ...") when either raises one of _MALFORMED."""
     try:
-        return read(json.loads(text))
+        return read(_loads(text))
     except _MALFORMED as exc:
         raise ValueError(f"malformed {what}: {exc}") from exc
 
@@ -199,7 +214,7 @@ def _utterance_to_dict(utterance: Utterance) -> dict[str, Any]:
 
 
 def _utterance_from_dict(data: dict[str, Any], session_index: int) -> Utterance:
-    return Utterance.from_text(
+    return Utterance(
         session_index,
         data["turn"],
         data["speaker"],
@@ -224,10 +239,10 @@ def _summary_from_dict(data: dict[str, Any], vector: np.ndarray) -> SummaryRecor
     return SummaryRecord(data["session"], data["text"], vector)
 
 
-def _node_to_dict(node: EntityNode) -> dict[str, Any]:
-    """The node record; each attribute is one [name, value, session] row."""
+def _node_to_dict(entity_id: str, node: EntityNode) -> dict[str, Any]:
+    """The record of the node keyed entity_id; each attribute is one [name, value, session] row."""
     return {
-        "entity_id": node.entity_id,
+        "entity_id": entity_id,
         "attributes": [[name, *attribute] for name, attribute in node.attributes.items()],
         "importance": node.importance,
         "last_updated": node.last_updated,
@@ -271,7 +286,7 @@ def state_to_dict(state: MemoryState, cfg: EngineConfig) -> dict[str, Any]:
                 "log": [record(_summary_to_dict(r), r.embedding) for r in state.episodic.log],
             },
             "semantic": {
-                "nodes": [record(_node_to_dict(n), n.embedding) for n in state.semantic.nodes.values()],
+                "nodes": [record(_node_to_dict(nid, n), n.embedding) for nid, n in state.semantic.nodes.items()],
             },
         },
     }
@@ -309,7 +324,7 @@ def state_from_dict(data: dict[str, Any]) -> tuple[MemoryState, EngineConfig]:
         vector_from_json(raw["episodic"]["state"], cfg.embedder.dim), tuple(map(_summary_from_dict, log, vectors))
     )
     semantic = SemanticGraph({
-        n["entity_id"]: EntityNode(n["entity_id"], a, vector, n["importance"], n["last_updated"])
+        n["entity_id"]: EntityNode(a, vector, n["importance"], n["last_updated"])
         for n, a, vector in zip(nodes, attributes, vectors)
     })
     if len(semantic.nodes) != len(nodes):
@@ -368,7 +383,7 @@ def read_sessions_jsonl(path: str) -> list[Session]:
             if not line:
                 continue
             try:
-                sessions.append(session_from_dict(json.loads(line)))
+                sessions.append(session_from_dict(_loads(line)))
             except _MALFORMED as exc:
                 raise ValueError(f"{path}:{line_number}: malformed session record: {exc}") from exc
     return sessions

@@ -26,7 +26,7 @@ def held_vectors(state: MemoryState) -> Iterator[tuple[str, np.ndarray]]:
     """(text, vector) of every working entry, log record and node, in snapshot order; the vector embeds the text."""
     yield from ((u.text, vector) for u, vector in state.working.entries)
     yield from ((record.text, record.embedding) for record in state.episodic.log)
-    yield from ((node_text(n.entity_id, n.attributes), n.embedding) for n in state.semantic.nodes.values())
+    yield from ((node_text(nid, n.attributes), n.embedding) for nid, n in state.semantic.nodes.items())
 
 
 def state_bytes(state: MemoryState, cfg: EngineConfig) -> bytes:

@@ -112,9 +112,7 @@ def _random_graph(rng: random.Random, entities: list[str], dim: int) -> Semantic
     nodes = {}
     for name in entities:
         vec = np.array([rng.uniform(-1.0, 1.0) for _ in range(dim)])
-        nodes[name] = EntityNode(
-            name, {"a": Attribute("v", 0)}, vec, 1.0, 0
-        )
+        nodes[name] = EntityNode({"a": Attribute("v", 0)}, vec, 1.0, 0)
     return SemanticGraph(nodes)
 
 
@@ -171,7 +169,7 @@ def _fuzz_session(index: int, rng: random.Random) -> Session:
             annotations = (FactTriple(name, attr, value, rng.random()),)
         else:
             text = " ".join(rng.choice(_FUZZ_WORDS) for _ in range(rng.randint(1, 6)))
-        utterances.append(Utterance.from_text(index, turn, "spk", text, annotations))
+        utterances.append(Utterance(index, turn, "spk", text, annotations))
     return Session(index, tuple(utterances))
 
 
@@ -199,7 +197,7 @@ def test_criterion_4_capacity_invariants_fuzz():
                 embedder=EmbedderConfig(dim=rng.choice((8, 16, 32)), seed=rng.randint(0, 10_000)),
             )
             sessions = [_fuzz_session(i, rng) for i in range(per_run)]
-            for output in run(sessions, None, cfg):
+            for output in run(sessions, cfg):
                 sessions_seen += 1
                 state = output.state
                 if len(state.working.entries) > cfg.k:
@@ -245,11 +243,11 @@ def test_criterion_5_determinism_and_prefix_consistency():
             )
             cfg = EngineConfig(embedder=EmbedderConfig(dim=32, seed=rng.randint(0, 100)))
             sessions = list(scenario.sessions)
-            first = run(sessions, None, cfg)
-            second = run(sessions, None, cfg)
+            first = run(sessions, cfg)
+            second = run(sessions, cfg)
             assert _run_fingerprint(first, cfg) == _run_fingerprint(second, cfg)
             cut = rng.randint(1, len(sessions))
-            prefix = run(sessions[:cut], None, cfg)
+            prefix = run(sessions[:cut], cfg)
             assert state_bytes(prefix[-1].state, cfg) == state_bytes(first[cut - 1].state, cfg)
 
 
@@ -262,7 +260,7 @@ def test_criterion_6_bounded_state_size():
             embedder=EmbedderConfig(dim=64, seed=3),
         )
         scenario = generate_scenario(6, 200, facts_per_persona=3, distractors_per_session=4, seed=606)
-        outputs = run(scenario.sessions, None, cfg)
+        outputs = run(scenario.sessions, cfg)
         sizes = [len(dumps_state(o.state, cfg).encode("utf-8")) for o in outputs]
         final = sizes[100:]
         spread = (max(final) - min(final)) / max(final)
@@ -315,15 +313,15 @@ def _near_duplicate_scenario() -> Scenario:
     smith = "alice marie smith"
     jones = "alice marie jones"
     s0 = Session(0, (
-        Utterance.from_text(0, 0, smith, f"{smith} lives_in paris",
+        Utterance(0, 0, smith, f"{smith} lives_in paris",
                             (FactTriple(smith, "lives_in", "paris", 1.0),)),
     ))
     # the rival value arrives only as an annotation, never in any session text
     s1 = Session(1, (
-        Utterance.from_text(1, 0, jones, f"{jones} moved somewhere new",
+        Utterance(1, 0, jones, f"{jones} moved somewhere new",
                             (FactTriple(jones, "lives_in", "rome", 1.0),)),
     ))
-    s2 = Session(2, (Utterance.from_text(2, 0, "narrator", "day 2 began"),))
+    s2 = Session(2, (Utterance(2, 0, "narrator", "day 2 began"),))
     probe = Probe(2, f"{smith} lives_in", smith, "lives_in", "rome", "false_fact", 0)
     personas = (Persona(smith, (("lives_in", "paris"),)), Persona(jones, (("lives_in", "rome"),)))
     return Scenario(personas, 3, (s0, s1, s2), (probe,), 0)
@@ -359,7 +357,7 @@ def test_criterion_10_snapshot_round_trip():
             cfg = EngineConfig(embedder=EmbedderConfig(dim=32, seed=rng.randint(0, 100)))
             sessions = list(scenario.sessions)
             cut = rng.randint(1, len(sessions) - 1)
-            head = run(sessions[:cut], None, cfg)
+            head = run(sessions[:cut], cfg)
             blob = dumps_state(head[-1].state, cfg)
             loaded_state, loaded_cfg = loads_state(blob)
             # byte-identical round trip, every held vector included
@@ -367,8 +365,8 @@ def test_criterion_10_snapshot_round_trip():
             assert state_bytes(loaded_state, loaded_cfg) == state_bytes(head[-1].state, cfg)
             # resuming from the loaded state reproduces the original run exactly
             history = sum(s.token_count() for s in sessions[:cut])
-            original = run(sessions[cut:], None, cfg, start_state=head[-1].state, history_tokens=history)
-            resumed = run(sessions[cut:], None, loaded_cfg, start_state=loaded_state, history_tokens=history)
+            original = run(sessions[cut:], cfg, start_state=head[-1].state, history_tokens=history)
+            resumed = run(sessions[cut:], loaded_cfg, start_state=loaded_state, history_tokens=history)
             assert _run_fingerprint(original, cfg) == _run_fingerprint(resumed, loaded_cfg)
             # a full re-evaluation under the deserialized config is bit-identical
             before = evaluate(scenario, cfg, "mlmf")
@@ -385,16 +383,16 @@ def _drifting_scenario() -> Scenario:
     # a fact that changes value mid-run makes ret_loss nonzero, so lambda matters
     sessions = (
         Session(0, (
-            Utterance.from_text(0, 0, "alice", "alice lives_in london",
+            Utterance(0, 0, "alice", "alice lives_in london",
                                 (FactTriple("alice", "lives_in", "london", 1.0),)),
-            Utterance.from_text(0, 1, "bob", "bob likes jazz",
+            Utterance(0, 1, "bob", "bob likes jazz",
                                 (FactTriple("bob", "likes", "jazz", 1.0),)),
         )),
         Session(1, (
-            Utterance.from_text(1, 0, "alice", "alice lives_in paris",
+            Utterance(1, 0, "alice", "alice lives_in paris",
                                 (FactTriple("alice", "lives_in", "paris", 1.0),)),
         )),
-        Session(2, (Utterance.from_text(2, 0, "narrator", "day 2 began"),)),
+        Session(2, (Utterance(2, 0, "narrator", "day 2 began"),)),
     )
     probes = (
         Probe(2, "alice lives_in", "alice", "lives_in", "paris", "true_fact", 1),

@@ -302,10 +302,10 @@ def _edited(document: str, edit) -> str:
 
 _EMPTY_SNAPSHOT = dumps_state(initial_state(EngineConfig()), EngineConfig())
 # alice lives in london, paris, then rome, one city a session: her node holds ["lives_in", "rome", 2]
-_ALICE_SESSIONS = [Session(i, (Utterance.from_text(i, 0, "alice", f"alice lives in {city}"),))
+_ALICE_SESSIONS = [Session(i, (Utterance(i, 0, "alice", f"alice lives in {city}"),))
                    for i, city in enumerate(["london", "paris", "rome"])]
-_ALICE_SNAPSHOT = dumps_state(run(_ALICE_SESSIONS, None, EngineConfig())[-1].state, EngineConfig())
-_SCENARIO_STATE = run(generate_scenario(3, 3, seed=5).sessions, None, EngineConfig())[-1].state
+_ALICE_SNAPSHOT = dumps_state(run(_ALICE_SESSIONS, EngineConfig())[-1].state, EngineConfig())
+_SCENARIO_STATE = run(generate_scenario(3, 3, seed=5).sessions, EngineConfig())[-1].state
 _SCENARIO_SNAPSHOT = dumps_state(_SCENARIO_STATE, EngineConfig())
 # the remote snapshot carries every vector; loading it sends no request, so the endpoint is never dialled.
 # The scenario state stands in for one the remote embedder built, so it is relabelled with that embedder.

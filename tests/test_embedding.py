@@ -567,10 +567,10 @@ def test_loading_a_remote_snapshot_sends_no_request(embed_server):
     _EmbedHandler.response_body = json.dumps({"vectors": [[3.0, 4.0] + [0.0] * 6]}).encode()
     cfg = EngineConfig(embedder=EmbedderConfig(dim=8, mode="remote", remote_endpoint=_endpoint(embed_server)))
     sessions = [
-        Session(i, (Utterance.from_text(i, 0, "alice", f"alice lives in {city}"), Utterance.from_text(i, 1, "bob", "?? !!")))
+        Session(i, (Utterance(i, 0, "alice", f"alice lives in {city}"), Utterance(i, 1, "bob", "?? !!")))
         for i, city in enumerate(["paris", "rome"])
     ]
-    state = run(sessions, None, cfg)[-1].state
+    state = run(sessions, cfg)[-1].state
     asked = len(_EmbedHandler.requests)
     assert asked > 0
     blob = dumps_state(state, cfg)
@@ -625,6 +625,35 @@ def test_env_var_overrides_endpoint(embed_server, monkeypatch):
     cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint="http://127.0.0.1:9/dead")
     vec = embed("hello", cfg)
     assert vec[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("field, env", [("", None), ("   ", None), (None, ""), (None, " \t"), ("\n", "  ")])
+def test_a_blank_endpoint_counts_as_unset(monkeypatch, field, env):
+    """A blank or whitespace-only remote_endpoint or $MLMEM_EMBED_ENDPOINT is no endpoint, so with no other one
+    remote mode is refused at construction."""
+    if env is None:
+        monkeypatch.delenv(REMOTE_ENDPOINT_ENV, raising=False)
+    else:
+        monkeypatch.setenv(REMOTE_ENDPOINT_ENV, env)
+    with pytest.raises(ValueError, match="remote mode needs a non-blank remote_endpoint"):
+        EmbedderConfig(dim=8, mode="remote", remote_endpoint=field)
+
+
+def test_a_blank_env_var_leaves_the_configured_endpoint(monkeypatch):
+    monkeypatch.setenv(REMOTE_ENDPOINT_ENV, "  ")
+    cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint="http://127.0.0.1:9/none")
+    assert cfg.resolved_endpoint() == "http://127.0.0.1:9/none"
+
+
+@pytest.mark.parametrize("where", ["field", "env"])
+def test_an_endpoint_urllib_cannot_parse_raises_the_service_error(monkeypatch, where):
+    """urllib refuses "not a url" before any connection; the error is the typed one and names the endpoint."""
+    monkeypatch.delenv(REMOTE_ENDPOINT_ENV, raising=False)
+    if where == "env":
+        monkeypatch.setenv(REMOTE_ENDPOINT_ENV, "not a url")
+    cfg = EmbedderConfig(dim=8, mode="remote", remote_endpoint="not a url" if where == "field" else None)
+    with pytest.raises(EmbeddingServiceError, match="embedding request to not a url failed"):
+        embed("hello", cfg)
 
 
 def test_env_var_allows_remote_config_without_endpoint(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import inspect
 import random
 import re
 import sys
@@ -44,7 +45,7 @@ def _session(index: int, texts: list[str], annotations: dict[int, tuple[FactTrip
     return Session(
         index,
         tuple(
-            Utterance.from_text(index, turn, "spk", text, annotations.get(turn, ()))
+            Utterance(index, turn, "spk", text, annotations.get(turn, ()))
             for turn, text in enumerate(texts)
         ),
     )
@@ -110,12 +111,12 @@ def test_step_does_not_mutate_input_state():
 
 
 def test_run_empty_sessions_yield_empty_outputs():
-    assert run([], None, CFG) == []
+    assert run([], CFG) == []
 
 
 def test_run_returns_one_output_per_session_and_final_cursor():
     sessions = [_session(i, [f"session {i} text"]) for i in range(4)]
-    outputs = run(sessions, None, CFG)
+    outputs = run(sessions, CFG)
     assert len(outputs) == 4
     assert outputs[-1].state.session_cursor == 3
 
@@ -126,7 +127,7 @@ def test_run_drift_sums_match_cumulative_retention_loss():
         _session(1, ["alice lives in paris"]),
         _session(2, ["bob likes blues", "carol plays piano"]),
     ]
-    outputs = run(sessions, None, CFG)
+    outputs = run(sessions, CFG)
     trajectory = [initial_state(CFG).semantic] + [o.state.semantic for o in outputs]
     assert sum(o.drift.total for o in outputs) == pytest.approx(
         cumulative_retention_loss(trajectory), abs=1e-12
@@ -135,8 +136,8 @@ def test_run_drift_sums_match_cumulative_retention_loss():
 
 def test_run_replay_is_bit_identical():
     sessions = [_session(i, [f"alice fact number {i}", "bob plays chess"]) for i in range(5)]
-    first = run(sessions, None, CFG)
-    second = run(sessions, None, CFG)
+    first = run(sessions, CFG)
+    second = run(sessions, CFG)
     for a, b in zip(first, second):
         assert state_bytes(a.state, CFG) == state_bytes(b.state, CFG)
         assert a.response == b.response
@@ -145,17 +146,17 @@ def test_run_replay_is_bit_identical():
 
 def test_run_prefix_consistency():
     sessions = [_session(i, [f"topic {i} came up", f"alice note {i}"]) for i in range(6)]
-    full = run(sessions, None, CFG)
+    full = run(sessions, CFG)
     for t in (0, 2, 4):
-        prefix = run(sessions[: t + 1], None, CFG)
+        prefix = run(sessions[: t + 1], CFG)
         assert state_bytes(prefix[-1].state, CFG) == state_bytes(full[t].state, CFG)
 
 
 def test_run_resumes_from_snapshot_state():
     sessions = [_session(i, [f"note {i} for today"]) for i in range(4)]
-    full = run(sessions, None, CFG)
-    head = run(sessions[:2], None, CFG)
-    tail = run(sessions[2:], None, CFG, start_state=head[-1].state,
+    full = run(sessions, CFG)
+    head = run(sessions[:2], CFG)
+    tail = run(sessions[2:], CFG, start_state=head[-1].state,
                history_tokens=sum(s.token_count() for s in sessions[:2]))
     assert state_bytes(tail[-1].state, CFG) == state_bytes(full[-1].state, CFG)
     assert tail[0].context_usage == full[2].context_usage
@@ -163,15 +164,23 @@ def test_run_resumes_from_snapshot_state():
 
 def test_run_default_query_is_final_utterance():
     sessions = [_session(0, ["first words here", "closing words here"])]
-    outputs = run(sessions, None, CFG)
+    outputs = run(sessions, CFG)
     assert outputs[0].response.endswith("answer to: closing words here")
 
 
-def test_run_explicit_queries_override_default():
+def test_only_step_takes_a_custom_query_or_responder():
+    """A fold asks each session's final utterance and answers with the TemplateResponder; step takes any other."""
+    assert list(inspect.signature(steps).parameters) == ["sessions", "cfg", "start_state", "history_tokens"]
     sessions = [_session(0, ["alice likes jazz"])]
-    queries = {0: make_query("custom probe", CFG.embedder, 0)}
-    outputs = run(sessions, queries, CFG)
-    assert outputs[0].response.endswith("answer to: custom probe")
+    with pytest.raises(TypeError):
+        run(sessions, {0: make_query("custom probe", CFG.embedder, 0)}, CFG)
+
+    class Shouting:
+        def generate(self, fused, query):
+            return query.text.upper()
+
+    output = step(initial_state(CFG), sessions[0], make_query("custom probe", CFG.embedder, 0), CFG, Shouting())
+    assert output.response == "CUSTOM PROBE"
 
 
 def test_steps_runs_one_step_per_output_asked_for(monkeypatch):
@@ -183,7 +192,7 @@ def test_steps_runs_one_step_per_output_asked_for(monkeypatch):
 
     monkeypatch.setattr(engine, "step", counting)
     sessions = [_session(i, [f"alice note {i}"]) for i in range(3)]
-    outputs = steps(sessions, None, CFG)
+    outputs = steps(sessions, CFG)
     assert calls == []
     assert next(outputs).state.session_cursor == 0
     assert calls == [0]
@@ -205,7 +214,7 @@ def test_run_names_the_session_whose_step_failed(monkeypatch):
     _failing_summarize(monkeypatch, 2, RuntimeError("disk on fire"))
     sessions = [_session(i, [f"alice note {i}"]) for i in range(4)]
     with pytest.raises(EngineRunError, match=r"^step for session 2 failed: disk on fire$") as info:
-        run(sessions, None, CFG)
+        run(sessions, CFG)
     assert isinstance(info.value.__cause__, RuntimeError)
 
 
@@ -214,13 +223,13 @@ def test_run_passes_a_value_error_through_unwrapped(monkeypatch):
     _failing_summarize(monkeypatch, 1, error)
     sessions = [_session(i, [f"alice note {i}"]) for i in range(3)]
     with pytest.raises(ValueError) as info:
-        run(sessions, None, CFG)
+        run(sessions, CFG)
     assert info.value is error
 
 
 def test_context_usage_bounded_and_budget_respected():
     sessions = [_session(i, [f"word {i} " + "x " * 10]) for i in range(5)]
-    outputs = run(sessions, None, CFG)
+    outputs = run(sessions, CFG)
     for output in outputs:
         assert 0.0 <= output.context_usage <= 1.0
         assert output.retrieval.token_cost <= CFG.token_budget
@@ -230,13 +239,13 @@ def test_context_usage_bounded_and_budget_respected():
 def test_layer_disabled_configs_keep_layers_empty():
     sessions = [_session(0, ["alice likes jazz"]), _session(1, ["bob plays chess"])]
     window_cfg = policy_config(CFG, "window_only")
-    outputs = run(sessions, None, window_cfg)
+    outputs = run(sessions, window_cfg)
     final = outputs[-1].state
     assert not final.episodic.state.any()
     assert final.episodic.log == ()
     assert final.semantic.nodes == {}
     summary_cfg = policy_config(CFG, "summary_only")
-    outputs = run(sessions, None, summary_cfg)
+    outputs = run(sessions, summary_cfg)
     final = outputs[-1].state
     assert final.working.entries == ()
     assert final.semantic.nodes == {}
@@ -251,7 +260,7 @@ def test_policy_config_rejects_unknown_policy():
 def test_uniform_gating_flag_forces_uniform_weights():
     cfg = replace(CFG, uniform_gating=True)
     sessions = [_session(0, ["alice likes jazz"])]
-    outputs = run(sessions, None, cfg)
+    outputs = run(sessions, cfg)
     assert outputs[0].retrieval.weights.as_tuple() == (1 / 3, 1 / 3, 1 / 3)
 
 
@@ -288,7 +297,7 @@ def test_engine_config_validation():
 
 def test_template_responder_mentions_context_and_query():
     sessions = [_session(0, ["alice likes jazz"])]
-    outputs = run(sessions, None, CFG)
+    outputs = run(sessions, CFG)
     assert outputs[0].response.startswith("Based on memory: ")
     assert "alice likes jazz" in outputs[0].response
     assert outputs[0].response.endswith("answer to: alice likes jazz")
@@ -313,7 +322,7 @@ def test_step_answers_through_answer(uniform):
         _session(0, ["alice likes jazz", "bob plays chess"], {0: (FactTriple("alice", "likes", "jazz", 1.0),)}),
         _session(1, ["carol lives_in oslo", "alice likes jazz"], {0: (FactTriple("carol", "lives_in", "oslo", 1.0),)}),
     ]
-    head = run(sessions[:1], None, cfg)[-1].state
+    head = run(sessions[:1], cfg)[-1].state
     query = make_query("alice jazz", cfg.embedder, 1)
     output = step(head, sessions[1], query, cfg, TemplateResponder())
     _assert_same_answer((output.retrieval, output.fused), answer(query, output.state, cfg))
@@ -367,7 +376,7 @@ PERTURBED = {
 
 
 def _run_fingerprint(cfg: EngineConfig, start_state=None) -> list[tuple]:
-    outputs = run(generate_scenario(8, 6, seed=1).sessions, None, cfg, start_state=start_state)
+    outputs = run(generate_scenario(8, 6, seed=1).sessions, cfg, start_state=start_state)
     return [
         (
             o.response,
@@ -402,7 +411,7 @@ def test_every_config_field_changes_the_run(name, from_default_state):
 
 def test_run_resumed_under_other_bounds_keeps_them():
     cfg = replace(EngineConfig(), C_s=4, k=2)
-    outputs = run(generate_scenario(8, 4, seed=1).sessions, None, cfg, start_state=initial_state(EngineConfig()))
+    outputs = run(generate_scenario(8, 4, seed=1).sessions, cfg, start_state=initial_state(EngineConfig()))
     state = outputs[-1].state
     assert len(state.semantic.nodes) <= 4
     assert len(state.working.entries) <= 2
@@ -415,17 +424,17 @@ def test_run_resumed_under_other_bounds_keeps_them():
 )
 def test_run_rejects_a_disabled_layer_over_its_bounds(name, bound, layers):
     sessions = generate_scenario(8, 4, seed=1).sessions
-    start = run(sessions[:2], None, EngineConfig())[-1].state
+    start = run(sessions[:2], EngineConfig())[-1].state
     cfg = replace(EngineConfig(), enabled_layers=layers, **{name: bound})
     with pytest.raises(ValueError, match=f"exceeds the config's {name}={bound}$"):
-        run(sessions[2:], None, cfg, start_state=start)
+        run(sessions[2:], cfg, start_state=start)
 
 
 def test_run_resumed_with_a_disabled_layer_within_bounds_round_trips():
     sessions = generate_scenario(8, 4, seed=1).sessions
-    start = run(sessions[:2], None, EngineConfig())[-1].state
+    start = run(sessions[:2], EngineConfig())[-1].state
     cfg = replace(EngineConfig(), enabled_layers=("s",))
-    state = run(sessions[2:], None, cfg, start_state=start)[-1].state
+    state = run(sessions[2:], cfg, start_state=start)[-1].state
     assert state.working is start.working and state.episodic is start.episodic
     loaded, loaded_cfg = loads_state(dumps_state(state, cfg))
     assert state_bytes(loaded, loaded_cfg) == state_bytes(state, cfg)
@@ -433,19 +442,19 @@ def test_run_resumed_with_a_disabled_layer_within_bounds_round_trips():
 
 def test_a_state_built_under_one_embedder_is_neither_stepped_nor_dumped_under_another():
     sessions = generate_scenario(8, 4, seed=1).sessions
-    state = run(sessions[:3], None, EngineConfig())[-1].state
+    state = run(sessions[:3], EngineConfig())[-1].state
     assert state.embedder == EmbedderConfig()
     other = EngineConfig(embedder=EmbedderConfig(seed=5))
     with pytest.raises(ValueError, match="the state was built under"):
-        run(sessions[3:4], None, other, start_state=state)
+        run(sessions[3:4], other, start_state=state)
     with pytest.raises(ValueError, match="the state was built under"):
         dumps_state(state, other)
     # a loaded state records the snapshot's embedder, so it resumes under that one only
     loaded, loaded_cfg = loads_state(dumps_state(state, EngineConfig()))
     assert loaded.embedder == loaded_cfg.embedder
-    assert run(sessions[3:4], None, loaded_cfg, start_state=loaded)[-1].state.embedder == loaded_cfg.embedder
+    assert run(sessions[3:4], loaded_cfg, start_state=loaded)[-1].state.embedder == loaded_cfg.embedder
     with pytest.raises(ValueError, match="the state was built under"):
-        run(sessions[3:4], None, other, start_state=loaded)
+        run(sessions[3:4], other, start_state=loaded)
 
 
 def test_the_zero_state_takes_any_embedder_at_its_first_step():
@@ -453,14 +462,14 @@ def test_the_zero_state_takes_any_embedder_at_its_first_step():
     other = EngineConfig(embedder=EmbedderConfig(seed=5))
     zero = initial_state(EngineConfig())
     loaded_zero, _ = loads_state(dumps_state(zero, other))
-    expected = state_bytes(run(sessions, None, other)[-1].state, other)
+    expected = state_bytes(run(sessions, other)[-1].state, other)
     for start in (zero, loaded_zero):
-        state = run(sessions, None, other, start_state=start)[-1].state
+        state = run(sessions, other, start_state=start)[-1].state
         assert state.embedder == other.embedder
         assert state_bytes(state, other) == expected
     # its episodic state is a zero vector of its own dim, which no other dim can blend with
     with pytest.raises(ValueError, match="the state was built under"):
-        run(sessions, None, EngineConfig(embedder=EmbedderConfig(dim=8)), start_state=zero)
+        run(sessions, EngineConfig(embedder=EmbedderConfig(dim=8)), start_state=zero)
 
 
 @pytest.mark.parametrize("layers", [("w", "e", "s"), ("w", "s"), ("s",), ("w",), ("e",)])
@@ -474,7 +483,7 @@ def test_step_summarizes_only_when_episodic_is_enabled(monkeypatch, layers):
 
     monkeypatch.setattr(engine, "summarize", counted)
     sessions = [_session(0, ["alice likes jazz"]), _session(1, ["bob plays chess"])]
-    run(sessions, None, replace(CFG, enabled_layers=layers))
+    run(sessions, replace(CFG, enabled_layers=layers))
     assert calls == ([0, 1] if "e" in layers else [])
 
 
@@ -619,10 +628,10 @@ def _answer_bytes(result_and_fused) -> tuple:
 def test_read_index_is_invisible(monkeypatch, uniform):
     """Retrieves interleaved over states A, B, a loaded copy of A and a state C at A's cursor equal cold builds."""
     cfg = EngineConfig(C_s=96, tau_s=0.7, uniform_gating=uniform)
-    outputs = run(_tie_heavy_wide_sessions(), None, cfg)
+    outputs = run(_tie_heavy_wide_sessions(), cfg)
     states = {"A": outputs[-1].state, "B": outputs[4].state}
     states["A loaded"], _ = loads_state(dumps_state(states["A"], cfg))
-    states["C"] = run(_tie_heavy_wide_sessions(), None, replace(cfg, C_s=48))[-1].state
+    states["C"] = run(_tie_heavy_wide_sessions(), replace(cfg, C_s=48))[-1].state
     assert states["C"].session_cursor == states["A"].session_cursor
     probes = ("e001 lives_in", "e150 works", "city2", "job1 city3", "e299 lives_in city1")
 
@@ -651,7 +660,7 @@ def _held_matrices(state) -> list[np.ndarray]:
 def test_read_index_holds_one_state():
     """The index holds at most one state, and never keeps it alive: once the caller drops the last state it asked
     about, that state and every matrix its index held are gone."""
-    outputs = run([_session(0, ["alice likes jazz"]), _session(1, ["bob plays chess"])], None, CFG)
+    outputs = run([_session(0, ["alice likes jazz"]), _session(1, ["bob plays chess"])], CFG)
     a, b = outputs[0].state, outputs[1].state
     answer(make_query("alice", CFG.embedder, 0), a, CFG)
     held = [weakref.ref(matrix) for matrix in _held_matrices(a)]
@@ -665,7 +674,7 @@ def test_read_index_holds_one_state():
 
 def test_read_index_drops_the_old_index_before_it_builds(monkeypatch):
     """A build for another state starts once the last state's index is gone, though that state lives on."""
-    outputs = run([_session(0, ["alice likes jazz"]), _session(1, ["bob plays chess"])], None, CFG)
+    outputs = run([_session(0, ["alice likes jazz"]), _session(1, ["bob plays chess"])], CFG)
     answer(make_query("alice", CFG.embedder, 0), outputs[0].state, CFG)
     held = [weakref.ref(matrix) for matrix in _held_matrices(outputs[0].state)]
     seen = []
@@ -682,7 +691,7 @@ def test_read_index_drops_the_old_index_before_it_builds(monkeypatch):
 
 def test_second_retrieve_stacks_nothing(monkeypatch):
     """A retrieve against a state whose index is built scans the index's read-only matrices and stacks nothing."""
-    state = run([_session(0, ["alice likes jazz", "bob plays chess"])], None, CFG)[-1].state
+    state = run([_session(0, ["alice likes jazz", "bob plays chess"])], CFG)[-1].state
     query = make_query("alice", CFG.embedder, 0)
     first = _answer_bytes(answer(query, state, CFG))
     assert [matrix.flags.writeable for matrix in _held_matrices(state)] == [False] * 3
@@ -701,8 +710,7 @@ def test_second_retrieve_stacks_nothing(monkeypatch):
 
 def test_threads_sharing_the_read_index_get_their_own_states_answers():
     """More threads than cores ask three states in turn, so the one entry is replaced all the time."""
-    outputs = run([_session(i, [f"user{i} likes item{i}", f"user{i} lives in city{i % 3}"]) for i in range(6)],
-                  None, CFG)
+    outputs = run([_session(i, [f"user{i} likes item{i}", f"user{i} lives in city{i % 3}"]) for i in range(6)], CFG)
     states = [outputs[i].state for i in (1, 3, 5)]
     probes = [make_query(text, CFG.embedder, 5) for text in ("user1 likes", "city2", "user5 lives_in")]
     cold = {}
@@ -744,7 +752,7 @@ def test_threads_sharing_the_read_index_get_their_own_states_answers():
 )
 def test_step_outputs_match_pinned_digests(cfg, pinned):
     digest = hashlib.sha256()
-    for output in run(generate_scenario(20, 8, seed=0).sessions, None, cfg):
+    for output in run(generate_scenario(20, 8, seed=0).sessions, cfg):
         digest.update(
             f"{output.response}|{output.fused.entropy!r}|{output.retrieval.token_cost}|"
             f"{output.retrieval.weights.as_tuple()!r}|{output.drift.total!r}|{output.context_usage!r}\n".encode()
@@ -754,7 +762,7 @@ def test_step_outputs_match_pinned_digests(cfg, pinned):
 
 # alice lives in paris, then rome, and works as a chef, both at session 1 (importance 3); bob likes jazz at session 0
 _SOUND = run([_session(0, ["alice lives in paris", "bob likes jazz"]),
-              _session(1, ["alice lives in rome", "alice works as chef"])], None, CFG)[-1].state
+              _session(1, ["alice lives in rome", "alice works as chef"])], CFG)[-1].state
 
 
 def _nodes(state, nodes: dict):
@@ -787,9 +795,8 @@ _UNSOUND = {
                            "episodic log sessions [1, 0] do not strictly increase"),
     "episodic_norm_over_one": (replace(_SOUND, episodic=replace(_SOUND.episodic, state=2.0 * _SOUND.episodic.state)),
                                "the episodic state must have L2 norm at most 1"),
-    "node_keyed_elsewhere": (_nodes(_SOUND, {"carol": _ALICE}), "node 'alice' is keyed as 'carol'"),
-    "entity_id_uncanonical": (_nodes(_SOUND, {"Alice": replace(_ALICE, entity_id="Alice")}),
-                              "node 'Alice' is not lowercase and stripped"),
+    "node_id_kind": (_nodes(_SOUND, {7: _ALICE}), "node id must be str, got int 7"),
+    "entity_id_uncanonical": (_nodes(_SOUND, {"Alice": _ALICE}), "node 'Alice' is not lowercase and stripped"),
     "attribute_uncanonical": (_node(_SOUND, "bob", attributes={"likes": Attribute("Jazz ", 0)}),
                               "node 'bob' has attribute 'likes' = 'Jazz ', not lowercase and stripped"),
     "node_without_attributes": (_node(_SOUND, "bob", attributes={}), "node 'bob' has no attributes"),
@@ -802,7 +809,7 @@ _UNSOUND = {
     "last_updated_past_newest_attribute": (_node(_SOUND, "bob", last_updated=1),
                                            "node 'bob' was updated at session 1, after its newest attribute, of "
                                            "session 0"),
-    "blank_entity_id": (_nodes(_SOUND, {"": replace(_ALICE, entity_id="")}), "a node has a blank entity_id"),
+    "blank_entity_id": (_nodes(_SOUND, {"": _ALICE}), "a node has a blank entity_id"),
     "blank_attribute_name": (_node(_SOUND, "bob", attributes={"": Attribute("jazz", 0)}),
                              "node 'bob' has attribute '' = 'jazz', a blank part"),
     "blank_attribute_value": (_node(_SOUND, "bob", attributes={"likes": Attribute("", 0)}),
@@ -844,5 +851,5 @@ def test_no_step_of_fuzzed_sessions_builds_a_state_check_state_refuses():
             summary_m=rng.randint(1, 4),
             embedder=EmbedderConfig(dim=rng.choice((8, 16, 32)), seed=rng.randint(0, 10_000)),
         )
-        for output in steps([_fuzz_session(i, rng) for i in range(40)], None, cfg):
+        for output in steps([_fuzz_session(i, rng) for i in range(40)], cfg):
             check_state(output.state, cfg)

@@ -60,7 +60,7 @@ def test_distractors_never_match_fact_patterns():
     from mlmem.memory import Session, Utterance, extract_facts
 
     utterances = tuple(
-        Utterance.from_text(0, i, "narrator", text) for i, text in enumerate(DISTRACTOR_SENTENCES)
+        Utterance(0, i, "narrator", text) for i, text in enumerate(DISTRACTOR_SENTENCES)
     )
     assert extract_facts(Session(0, utterances)) == []
 
@@ -208,7 +208,7 @@ def test_semantic_eviction_failures_match_replay_oracle():
     from mlmem.harness import probe_hit
     from mlmem.retrieval import make_query
 
-    outputs = run(scenario.sessions, None, cfg)
+    outputs = run(scenario.sessions, cfg)
     for probe in scenario.probes:
         if probe.kind != "true_fact":
             continue
@@ -253,7 +253,7 @@ def test_ablate_no_gating_forces_uniform_weights():
     reports = ablate(scenario, CFG)
     cfg = reports["no_gating"].config
     assert cfg.uniform_gating
-    outputs = run(scenario.sessions, None, cfg)
+    outputs = run(scenario.sessions, cfg)
     for output in outputs:
         assert output.retrieval.weights.as_tuple() == (1 / 3, 1 / 3, 1 / 3)
 
@@ -262,7 +262,7 @@ def test_ablate_no_semantic_leaves_graph_empty():
     scenario = generate_scenario(2, 2, facts_per_persona=1, seed=0)
     reports = ablate(scenario, CFG)
     cfg = reports["no_semantic"].config
-    outputs = run(scenario.sessions, None, cfg)
+    outputs = run(scenario.sessions, cfg)
     assert outputs[-1].state.semantic.nodes == {}
 
 

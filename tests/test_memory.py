@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from mlmem.embedding import EmbedderConfig, cosine, embed
 from mlmem.engine import EngineConfig, check_state
 from mlmem.memory import (
     Attribute,
+    EntityNode,
     EpisodicMemory,
     FactTriple,
     MemoryState,
@@ -41,7 +43,7 @@ CFG = EmbedderConfig(dim=64, seed=3)
 def _session(index: int, texts: list[str], annotations: dict[int, tuple[FactTriple, ...]] | None = None) -> Session:
     annotations = annotations or {}
     utterances = tuple(
-        Utterance.from_text(index, turn, "spk", text, annotations.get(turn, ()))
+        Utterance(index, turn, "spk", text, annotations.get(turn, ()))
         for turn, text in enumerate(texts)
     )
     return Session(index, utterances)
@@ -49,9 +51,22 @@ def _session(index: int, texts: list[str], annotations: dict[int, tuple[FactTrip
 
 # ---------------------------------------------------------------- invariants
 
-def test_utterance_token_count_must_match():
-    with pytest.raises(ValueError):
-        Utterance(0, 0, "a", "two words", 3)
+def test_an_utterance_counts_its_own_tokens():
+    """token_count is its text's whitespace tokens, so no caller states another count, and a replaced text is
+    counted again."""
+    utterance = Utterance(0, 0, "a", "two words")
+    assert utterance.token_count == 2
+    assert replace(utterance, text="a b c").token_count == 3
+    with pytest.raises(TypeError):
+        Utterance(0, 0, "a", "two words", token_count=2)
+    with pytest.raises(ValueError, match="at least one token"):
+        replace(utterance, text=" ")
+
+
+def test_a_node_holds_no_id_but_its_graph_key():
+    assert "entity_id" not in {f.name for f in fields(EntityNode)}
+    graph = merge_semantic(SemanticGraph(), [FactTriple("Alice ", "likes", "jazz")], 0, 0.9, 4, CFG)
+    assert list(graph.nodes) == ["alice"]
 
 
 def test_session_must_be_non_empty():
@@ -60,8 +75,8 @@ def test_session_must_be_non_empty():
 
 
 def test_session_turn_indices_strictly_increasing():
-    a = Utterance.from_text(0, 1, "x", "hello there")
-    b = Utterance.from_text(0, 1, "x", "hello again")
+    a = Utterance(0, 1, "x", "hello there")
+    b = Utterance(0, 1, "x", "hello again")
     with pytest.raises(ValueError):
         Session(0, (a, b))
 
@@ -81,7 +96,7 @@ def test_fact_triple_rejects_a_confidence_a_snapshot_cannot_carry(confidence):
 
 
 def test_session_index_mismatch_rejected():
-    u = Utterance.from_text(1, 0, "x", "hello there")
+    u = Utterance(1, 0, "x", "hello there")
     with pytest.raises(ValueError):
         Session(0, (u,))
 
@@ -474,7 +489,7 @@ def test_merge_tie_breaks_to_lexicographically_smaller_id():
     base = merge_semantic(base, [FactTriple("bob", "likes", "jazz")], 0, 0.9, 8, cfg)
     node = base.nodes["bob"]
     clone = dict(base.nodes)
-    clone["abe"] = node.__class__("abe", dict(node.attributes), node.embedding, node.importance, node.last_updated)
+    clone["abe"] = node  # a node holds no id, so one node can sit under two keys
     tied = SemanticGraph(clone)
     merged = merge_semantic(tied, [FactTriple("zed", "likes", "jazz")], 1, 0.2, 8, cfg)
     # equal cosine to both tied nodes: the lexicographically smaller id wins

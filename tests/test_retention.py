@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from mlmem.embedding import EmbedderConfig
 from mlmem.memory import Attribute, EntityNode, FactTriple, SemanticGraph, merge_semantic
 from mlmem.retention import (
+    ObjectiveValue,
     TuneError,
     cumulative_retention_loss,
     drift,
@@ -23,7 +25,7 @@ CFG = EmbedderConfig(dim=16, seed=1)
 
 def _graph(entities: dict[str, np.ndarray], dim: int = 16) -> SemanticGraph:
     nodes = {
-        name: EntityNode(name, {"a": Attribute("v", 0)}, vec, 1.0, 0)
+        name: EntityNode({"a": Attribute("v", 0)}, vec, 1.0, 0)
         for name, vec in entities.items()
     }
     return SemanticGraph(nodes)
@@ -155,10 +157,15 @@ def test_objective_pure_retention_term():
     assert objective(0.0, 0.7, 3.0).total == pytest.approx(2.1, abs=1e-12)
 
 
+def test_an_objective_value_holds_no_lambda():
+    """The lambda a value was scored under is its grid point's, which holds it once."""
+    assert [f.name for f in fields(ObjectiveValue)] == ["gen_loss", "ret_loss", "total"]
+
+
 def test_objective_hand_value():
     value = objective(0.3, 0.5, 2.0)
     assert value.total == pytest.approx(1.3, abs=1e-12)
-    assert value.total == pytest.approx(value.gen_loss + value.lambda_ * value.ret_loss, abs=1e-9)
+    assert value.total == pytest.approx(value.gen_loss + 2.0 * value.ret_loss, abs=1e-9)
 
 
 def test_objective_monotone_in_each_argument():

@@ -51,7 +51,7 @@ def _unit(direction: int, dim: int = DIM) -> np.ndarray:
 
 
 def _utterance(text: str, session: int = 0, turn: int = 0) -> Utterance:
-    return Utterance.from_text(session, turn, "spk", text)
+    return Utterance(session, turn, "spk", text)
 
 
 def _state(
@@ -70,8 +70,8 @@ def _state(
     )
 
 
-def _node(entity_id: str, embedding: np.ndarray, importance: float, last_updated: int = 0) -> EntityNode:
-    return EntityNode(entity_id, {"likes": Attribute("x", last_updated)}, embedding, importance, last_updated)
+def _node(embedding: np.ndarray, importance: float, last_updated: int = 0) -> EntityNode:
+    return EntityNode({"likes": Attribute("x", last_updated)}, embedding, importance, last_updated)
 
 
 # ------------------------------------------------------- layer_representation
@@ -91,7 +91,7 @@ def test_working_representation_of_single_entry_is_that_embedding():
 
 def test_semantic_representation_is_importance_weighted_mean():
     e1, e2 = _unit(0), _unit(1)
-    nodes = {"a": _node("a", e1, 1.0), "b": _node("b", e2, 3.0)}
+    nodes = {"a": _node(e1, 1.0), "b": _node(e2, 3.0)}
     state = _state(nodes=nodes)
     rep = layer_representation(state, "s")
     expected = 0.25 * e1 + 0.75 * e2
@@ -120,7 +120,7 @@ def test_semantic_mean_equals_the_sequential_sum_bit_for_bit():
         matrix[rng.random(rows) < 0.1] = 0.0
         scale = float(rng.choice([1.0, 1e3, 1e6]))
         importances = [float(rng.integers(1, 8)) if case % 2 else float(rng.random() * scale) for _ in range(rows)]
-        state = _state(nodes={f"n{i}": _node(f"n{i}", matrix[i], importances[i]) for i in range(rows)}, dim=dim)
+        state = _state(nodes={f"n{i}": _node(matrix[i], importances[i]) for i in range(rows)}, dim=dim)
         total = sum(importances)
         mean = np.zeros(dim)
         for importance, row in zip(importances, matrix):
@@ -136,7 +136,7 @@ def test_a_cold_index_build_allocates_one_node_matrix(monkeypatch):
     small change: the semantic mean reads the matrix the index holds and copies none of it."""
     dim = 256
     rows = np.random.default_rng(3).standard_normal((1000, dim))
-    nodes = {f"n{i}": _node(f"n{i}", unit(row), float(1 + i % 5)) for i, row in enumerate(rows)}
+    nodes = {f"n{i}": _node(unit(row), float(1 + i % 5)) for i, row in enumerate(rows)}
     texts = ("alice likes jazz", "bob plays chess")
     vectors = [embed(text, EmbedderConfig(dim=dim)) for text in texts]
     working = [(_utterance(text, turn=turn), vec) for turn, (text, vec) in enumerate(zip(texts, vectors))]
@@ -170,7 +170,7 @@ def _every_layer_state() -> MemoryState:
     texts = ("alice likes jazz", "bob plays chess")
     vectors = [embed(text, CFG) for text in texts]
     working = [(_utterance(text, turn=turn), vec) for turn, (text, vec) in enumerate(zip(texts, vectors))]
-    nodes = {"a": _node("a", _unit(0), 1.0), "b": _node("b", _unit(1), 3.0)}
+    nodes = {"a": _node(_unit(0), 1.0), "b": _node(_unit(1), 3.0)}
     return _state(working_entries=working, log=[SummaryRecord(0, texts[0], vectors[0])], episodic_state=vectors[0],
                   nodes=nodes)
 
@@ -263,7 +263,7 @@ def test_gate_matches_cosine_softmax_oracle():
     state = _state(
         working_entries=[(_utterance("alice likes jazz"), emb)],
         episodic_state=embed("bob plays chess", CFG),
-        nodes={"carol": _node("carol", embed("carol hikes", CFG), 2.0)},
+        nodes={"carol": _node(embed("carol hikes", CFG), 2.0)},
     )
     query = make_query("alice jazz", CFG, 0)
     relevances = tuple(cosine(query.embedding, layer_representation(state, l)) for l in ("w", "e", "s"))
@@ -344,7 +344,7 @@ def test_retrieve_vector_is_weighted_layer_blend():
     state = _state(
         working_entries=[(_utterance("alice likes jazz"), emb)],
         episodic_state=embed("bob plays chess", CFG),
-        nodes={"carol": _node("carol", embed("carol hikes", CFG), 2.0)},
+        nodes={"carol": _node(embed("carol hikes", CFG), 2.0)},
     )
     query = make_query("alice", CFG, 0)
     result = retrieve(query, state, 4.0, top_j=2, token_budget=64)
@@ -403,9 +403,9 @@ def _three_layer_state() -> MemoryState:
         episodic_state=embed("alice likes jazz", CFG),
         log=[SummaryRecord(i, t, embed(t, CFG)) for i, t in enumerate(summaries)],
         nodes={
-            "alice": _node("alice", embed("alice likes x", CFG), 2.0, 1),
-            "bob": _node("bob", embed("bob likes x", CFG), 1.0, 0),
-            "carol": _node("carol", embed("carol likes x", CFG), 1.0, 2),
+            "alice": _node(embed("alice likes x", CFG), 2.0, 1),
+            "bob": _node(embed("bob likes x", CFG), 1.0, 0),
+            "carol": _node(embed("carol likes x", CFG), 1.0, 2),
         },
         cursor=2,
     )
@@ -418,8 +418,8 @@ def _admission_oracle(query: Query, state: MemoryState, top_j: int, budget: int)
         "w": [(e, u.session_index, u.turn_index, u.text, u.speaker) for u, e in state.working.entries],
         "e": [(r.embedding, r.session_index, -1, r.text, "summary") for r in state.episodic.log],
         "s": [
-            (n.embedding, n.last_updated, -1, node_text(n.entity_id, n.attributes), "fact")
-            for n in state.semantic.nodes.values()
+            (n.embedding, n.last_updated, -1, node_text(nid, n.attributes), "fact")
+            for nid, n in state.semantic.nodes.items()
         ],
     }
     rows = {}
@@ -640,7 +640,7 @@ def test_fuse_of_an_answer_equals_the_reference_and_calls_entropy_once(monkeypat
     """A typical answer's mix needs a few halvings, and one pass settles them: entropy() itself sees the raw mix only,
     where one halving per loop called it once more per halving."""
     cfg = EngineConfig()
-    state = run(generate_scenario(n_personas=4, periods=2, seed=0).sessions, None, cfg)[-1].state
+    state = run(generate_scenario(n_personas=4, periods=2, seed=0).sessions, cfg)[-1].state
     query = make_query("alice lives_in", cfg.embedder, 1)
     result, fused = answer(query, state, cfg)
     assert entropy(cfg.mix * query.embedding + (1.0 - cfg.mix) * result.vector) > cfg.epsilon

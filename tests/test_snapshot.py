@@ -39,7 +39,7 @@ CFG = EngineConfig(embedder=EmbedderConfig(dim=32, seed=4))
 
 def _built_state():
     scenario = generate_scenario(4, 3, seed=9)
-    return run(scenario.sessions, None, CFG)[-1].state
+    return run(scenario.sessions, CFG)[-1].state
 
 
 def test_state_round_trip_is_byte_identical():
@@ -69,7 +69,7 @@ def test_loaded_state_preserves_structure_and_vectors():
 
 def test_zero_vectors_load():
     """A text with no [a-z0-9] token embeds to the zero vector, which loads: a stored vector is unit or zero."""
-    state = run([Session(0, (Utterance.from_text(0, 0, "bob", "?? !!"),))], None, CFG)[-1].state
+    state = run([Session(0, (Utterance(0, 0, "bob", "?? !!"),))], CFG)[-1].state
     ((_, entry),) = state.working.entries
     (record,) = state.episodic.log
     assert not entry.any() and not record.embedding.any()
@@ -78,7 +78,7 @@ def test_zero_vectors_load():
 
 
 def test_state_vectors_and_embeddings_are_read_only():
-    outputs = run(generate_scenario(6, 6, seed=1).sessions, None, CFG)
+    outputs = run(generate_scenario(6, 6, seed=1).sessions, CFG)
     loaded, _ = loads_state(dumps_state(outputs[-1].state, CFG))
     states = [initial_state(CFG), *(o.state for o in outputs), loaded]
     vectors = [v for state in states for v in (state.episodic.state, *(vector for _, vector in held_vectors(state)))]
@@ -94,11 +94,11 @@ def test_state_vectors_and_embeddings_are_read_only():
 def test_loaded_state_continues_identically():
     scenario = generate_scenario(4, 4, seed=17)
     sessions = list(scenario.sessions)
-    head = run(sessions[:2], None, CFG)
+    head = run(sessions[:2], CFG)
     loaded, cfg = loads_state(dumps_state(head[-1].state, CFG))
     history = sum(s.token_count() for s in sessions[:2])
-    original_tail = run(sessions[2:], None, CFG, start_state=head[-1].state, history_tokens=history)
-    loaded_tail = run(sessions[2:], None, cfg, start_state=loaded, history_tokens=history)
+    original_tail = run(sessions[2:], CFG, start_state=head[-1].state, history_tokens=history)
+    loaded_tail = run(sessions[2:], cfg, start_state=loaded, history_tokens=history)
     for a, b in zip(original_tail, loaded_tail):
         assert state_bytes(a.state, CFG) == state_bytes(b.state, CFG)
         assert a.response == b.response
@@ -108,7 +108,7 @@ def test_a_snapshot_writes_no_field_a_load_would_not_read():
     """No log record carries a salience, no attribute row a confidence, and no working entry its utterance's facts,
     though the state holds them: the next step replaces the window, and its facts come from its own session."""
     fact = FactTriple("bob", "works", "chef", 0.8)
-    state = run([Session(0, (Utterance.from_text(0, 0, "bob", "bob works as a chef", (fact,)),))], None, CFG)[-1].state
+    state = run([Session(0, (Utterance(0, 0, "bob", "bob works as a chef", (fact,)),))], CFG)[-1].state
     assert state.working.entries[0][0].annotations == (fact,)
     data = state_to_dict(state, CFG)["state"]
     assert [sorted(entry) for entry in data["working"]["entries"]] == [["session", "speaker", "text", "turn"]]
@@ -193,10 +193,10 @@ def test_v2_rebuilds_held_vectors_through_updates_similarity_merges_and_eviction
         ["alice lives in paris", "?? !!"],  # a restatement
     ]
     sessions = [
-        Session(i, tuple(Utterance.from_text(i, t, "spk", text) for t, text in enumerate(turns)))
+        Session(i, tuple(Utterance(i, t, "spk", text) for t, text in enumerate(turns)))
         for i, turns in enumerate(texts)
     ]
-    outputs = run(sessions, None, cfg)
+    outputs = run(sessions, cfg)
     nodes = [o.state.semantic.nodes for o in outputs]
     assert nodes[1]["alice"].attributes == {"lives_in": Attribute("paris", 1)}
     assert "alicia" not in nodes[2] and nodes[2]["alice"].importance == 3.0
@@ -251,10 +251,10 @@ def test_every_held_vector_is_the_embedding_of_its_text_and_v2_rebuilds_it(texts
     """Random streams of restatements, updates, similarity merges, eviction and token-less texts, step by step."""
     cfg = EngineConfig(k=k, C_e=2, C_s=C_s, tau_s=tau_s, embedder=CFG.embedder)
     sessions = [
-        Session(i, tuple(Utterance.from_text(i, t, "spk", text) for t, text in enumerate(turns)))
+        Session(i, tuple(Utterance(i, t, "spk", text) for t, text in enumerate(turns)))
         for i, turns in enumerate(texts)
     ]
-    for output in steps(sessions, None, cfg):
+    for output in steps(sessions, cfg):
         check_state(output.state, cfg)
         _assert_held_vectors_are_embeddings(output.state, cfg.embedder)
         _assert_a_load_rebuilds_the_vectors(output.state, cfg)
@@ -316,12 +316,12 @@ def test_session_jsonl_round_trip(tmp_path):
         Session(
             0,
             (
-                Utterance.from_text(0, 0, "alice", "alice lives_in paris",
+                Utterance(0, 0, "alice", "alice lives_in paris",
                                     (FactTriple("alice", "lives_in", "paris", 1.0),)),
-                Utterance.from_text(0, 2, "narrator", "the ferry horn echoed twice"),
+                Utterance(0, 2, "narrator", "the ferry horn echoed twice"),
             ),
         ),
-        Session(1, (Utterance.from_text(1, 0, "bob", "bob likes jazz"),)),
+        Session(1, (Utterance(1, 0, "bob", "bob likes jazz"),)),
     ]
     path = tmp_path / "sessions.jsonl"
     write_sessions_jsonl(sessions, str(path))
@@ -334,7 +334,7 @@ def test_session_jsonl_schema_matches_wire_format():
     session = Session(
         2,
         (
-            Utterance.from_text(2, 1, "bob", "bob works as a chef",
+            Utterance(2, 1, "bob", "bob works as a chef",
                                 (FactTriple("bob", "works", "chef", 0.8),)),
         ),
     )
@@ -360,10 +360,46 @@ def test_malformed_jsonl_identifies_the_line(tmp_path):
         read_sessions_jsonl(str(path))
 
 
+def _repeat_first(text: str, key: str, value: str) -> str:
+    """text with value stated under key just before key's first statement: that object states key twice, and
+    json.loads alone would read it as its original, last value."""
+    marker = f'"{key}": '
+    assert marker in text
+    return text.replace(marker, f"{marker}{value}, {marker}", 1)
+
+
+def test_a_config_that_repeats_a_key_is_malformed():
+    with pytest.raises(ValueError, match=re.escape("malformed config: repeated key 'tau_s'")):
+        loads_config('{"tau_s": 0.9, "tau_s": 0.3}')
+    with pytest.raises(ValueError, match=re.escape("malformed config: repeated key 'dim'")):
+        loads_config('{"embedder": {"dim": 16, "dim": 32}}')
+
+
+def test_a_snapshot_node_that_repeats_a_key_is_malformed():
+    text = dumps_state(_built_state(), CFG)
+    assert dumps_state(*loads_state(text)) == text
+    with pytest.raises(ValueError, match=re.escape("malformed snapshot: repeated key 'importance'")):
+        loads_state(_repeat_first(text, "importance", "1.0"))
+
+
+def test_a_session_utterance_that_repeats_a_key_is_malformed(tmp_path):
+    path = tmp_path / "repeated.jsonl"
+    path.write_text('{"index": 0, "utterances": [{"turn": 0, "speaker": "a", "text": "alice likes jazz", '
+                    '"text": "bob likes tea"}]}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: malformed session record: repeated key 'text'")):
+        read_sessions_jsonl(str(path))
+
+
+def test_a_report_that_repeats_a_key_is_malformed():
+    text = json.dumps(config_to_dict(EvalReport({1: 1.0}, 0.0, 0.25, 1.0, (0.0,), CFG)))
+    with pytest.raises(ValueError, match=re.escape("malformed report: repeated key 'fmr'")):
+        loads_report(_repeat_first(text, "fmr", "0.5"))
+
+
 def test_snapshot_size_depends_on_capacities_not_history_length():
     small = dataclasses.replace(CFG, k=4, C_w=48, C_e=4, C_s=6)
     scenario = generate_scenario(6, 30, facts_per_persona=2, distractors_per_session=3, seed=2)
-    outputs = run(scenario.sessions, None, small)
+    outputs = run(scenario.sessions, small)
     sizes = [len(dumps_state(o.state, small).encode()) for o in outputs]
     late = sizes[15:]
     assert (max(late) - min(late)) / max(late) < 0.10
@@ -468,7 +504,7 @@ def test_an_edited_snapshot_loads_or_is_malformed(data):
     assert not (edit == "delete" and path[0] == "config"), f"a config without the key at {path} loaded"
     assert dumps_state(state, cfg) == json.dumps(document, sort_keys=True)
     index = state.session_cursor + 1
-    session = Session(index, (Utterance.from_text(index, 0, "spk", "alice lives in rome"),))
+    session = Session(index, (Utterance(index, 0, "spk", "alice lives in rome"),))
     with mock.patch.object(embedding, "_embed_remote", _embed_as_a_service_would):
         check_state(step(state, session, make_query("alice lives_in", cfg.embedder, index), cfg,
                          TemplateResponder()).state, cfg)
