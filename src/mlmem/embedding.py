@@ -25,7 +25,9 @@ urllib cannot parse, and any transport failure raise ``EmbeddingServiceError``.
 ``FIELD_KINDS`` is the one kind rule, the exact types a field of each
 annotation holds (a bool is no int, a float is ``finite``); ``check_field_kinds``
 applies it, with ValueError, in both configs' constructors and in every
-``snapshot`` reader. Three rules hold for every vector, here only:
+``snapshot`` reader. ``RANGES`` is the one range rule, each knob's legal values;
+``check_ranges`` applies it in ``EngineConfig`` and every function taking a knob.
+Three rules hold for every vector, here only:
 
 - ``vector_from_json`` reads each outside vector (remote responses and
   snapshots): dim finite JSON numbers, where a bool or a string is no number,
@@ -153,6 +155,23 @@ def check_kinds(name: str, annotation: str, values: Iterable[Any]) -> None:
         raise ValueError(f"{name} must be {annotation}, got {type(value).__name__} {value!r}")
     if annotation == "float" and not finite(*values):
         raise ValueError(f"{name} must be finite")
+
+
+# Each knob's legal range by name: the rule as a refusal states it, and its test, which NaN fails.
+RANGES: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    **dict.fromkeys(("k", "C_w", "C_e", "C_s", "top_j", "token_budget", "summary_m"), (">= 1", lambda v: v >= 1)),
+    **dict.fromkeys(("alpha", "tau_s", "mix"), ("in [0, 1]", lambda v: 0 <= v <= 1)),
+    **dict.fromkeys(("beta", "epsilon"), ("finite and > 0", lambda v: v > 0 and finite(v))),
+    **dict.fromkeys(("lambda", "gen_loss", "ret_loss"), ("finite and >= 0", lambda v: v >= 0 and finite(v))),
+}
+
+
+def check_ranges(**values: Any) -> None:
+    """ValueError naming the first value, in the order given, that breaks its ``RANGES`` rule."""
+    for name, value in values.items():
+        rule, holds = RANGES[name]
+        if not holds(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def check_field_kinds(*records: Any) -> None:

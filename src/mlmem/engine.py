@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter, ge, ne
 from typing import Any, Iterator, Protocol, Sequence
 
-from .embedding import UNIT_TOLERANCE, EmbedderConfig, check_field_kinds, check_kinds
+from .embedding import RANGES, UNIT_TOLERANCE, EmbedderConfig, check_field_kinds, check_kinds, check_ranges
 from .memory import (
     EpisodicMemory,
     MemoryState,
@@ -55,7 +55,7 @@ class EngineRunError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """All engine knobs in one place, validated once at construction; each changes a run.
+    """All engine knobs in one place, kind- and range-checked once at construction; each changes a run.
 
     The layer bounds live here only, and ``step`` passes them to the updates: k
     and C_w cap working memory's utterances and tokens, alpha is the episodic
@@ -87,14 +87,7 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         check_field_kinds(self)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and value < 1:
-                raise ValueError(f"{f.name} must be >= 1, got {value!r}")
-            if f.name in ("alpha", "tau_s", "mix") and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{f.name} must lie in [0, 1], got {value}")
-            if f.name in ("beta", "epsilon") and not value > 0.0:
-                raise ValueError(f"{f.name} must be > 0, got {value}")
+        check_ranges(**{f.name: getattr(self, f.name) for f in fields(self) if f.name in RANGES})
         layers = self.enabled_layers
         if not (layers and all(x in LAYERS for x in layers) and len(set(layers)) == len(layers)):
             raise ValueError(f"enabled_layers must be a tuple naming one or more of {LAYERS} once each, got {layers!r}")

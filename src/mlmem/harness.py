@@ -118,10 +118,8 @@ class Probe:
 @dataclass(frozen=True)
 class Scenario:
     personas: tuple[Persona, ...]
-    periods: int
     sessions: tuple[Session, ...]
     probes: tuple[Probe, ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -224,7 +222,7 @@ def generate_scenario(
                 )
             )
 
-    return Scenario(tuple(personas), periods, tuple(sessions), tuple(probes), seed)
+    return Scenario(tuple(personas), tuple(sessions), tuple(probes))
 
 
 def probe_hit(probe: Probe, state: MemoryState, fused: FusedState) -> bool:

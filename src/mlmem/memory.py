@@ -24,8 +24,8 @@ Every vector a layer holds is a read-only embedding array (see ``embedding``);
 the updates build new arrays and never write one in place. The layers hold
 data only and check nothing when built; ``engine.check_state`` lists what the
 updates keep. Each update takes its bounds (k, C_w, alpha, C_e, C_s) as
-arguments, raising ValueError when one is out of range, and is a pure function
-of them, so replaying a session sequence reproduces bit-identical states.
+arguments, raising ValueError when one breaks its ``embedding.RANGES`` rule,
+and is a pure function of them: replaying sessions reproduces bit-identical states.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .embedding import EmbedderConfig, check_kinds, embed, frozen, nearest, stacked
+from .embedding import EmbedderConfig, check_kinds, check_ranges, embed, frozen, nearest, stacked
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,8 @@ class Utterance:
         if token_count == 0:
             raise ValueError("utterance text must contain at least one token")
         object.__setattr__(self, "token_count", token_count)
+        if type(self.annotations) is not tuple or not all(type(a) is FactTriple for a in self.annotations):
+            raise ValueError(f"annotations must be a tuple of FactTriple, got {self.annotations!r}")
 
     @classmethod
     def from_text(cls, *args: Any) -> "Utterance":
@@ -196,8 +198,7 @@ class MemoryState:
 
 def update_working(session: Session, k: int, C_w: int, embedder: EmbedderConfig) -> WorkingMemory:
     """A new window of the session's last k utterances, trimming the oldest past C_w tokens."""
-    if k < 1 or C_w < 1:
-        raise ValueError(f"k and C_w must be >= 1, got {k}, {C_w}")
+    check_ranges(k=k, C_w=C_w)
     kept = list(session.utterances[-k:])
     while kept and sum(u.token_count for u in kept) > C_w:
         kept.pop(0)
@@ -210,8 +211,7 @@ def summarize(session: Session, m: int, embedder: EmbedderConfig) -> SummaryReco
     Ties go to the lower turn_index; selected utterances are concatenated in
     original order.
     """
-    if m < 1:
-        raise ValueError("summary size m must be >= 1")
+    check_ranges(summary_m=m)
     matrix = stacked([embed(u.text, embedder) for u in session.utterances])
     chosen = sorted(i for i, _ in nearest(matrix, matrix.mean(axis=0), m))
     text = " ".join(session.utterances[i].text for i in chosen)
@@ -226,8 +226,7 @@ def update_episodic(
     The summary is appended to the log, evicting the oldest records past C_e.
     ``renormalize=False`` exposes the raw recursion for closed-form verification.
     """
-    if not 0.0 <= alpha <= 1.0 or C_e < 1:
-        raise ValueError(f"alpha must lie in [0, 1] and C_e be >= 1, got {alpha}, {C_e}")
+    check_ranges(alpha=alpha, C_e=C_e)
     blended = alpha * prev.state + (1.0 - alpha) * summary.embedding
     if renormalize:
         norm = float(np.linalg.norm(blended))
@@ -293,8 +292,7 @@ def merge_semantic(
     node whose attribute values change is re-embedded once, before a scan reads
     its row or at the end unless evicted, as folding one triple per call would see.
     """
-    if not 0.0 <= tau_s <= 1.0 or C_s < 1:
-        raise ValueError(f"tau_s must lie in [0, 1] and C_s be >= 1, got {tau_s}, {C_s}")
+    check_ranges(tau_s=tau_s, C_s=C_s)
     nodes = dict(graph.nodes)
     # The node vectors in `nodes` order plus a spare row per triple, built at
     # the first unseen subject; the merge's only scan reads it after `refresh`

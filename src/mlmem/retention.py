@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import finite
+from .embedding import check_ranges
 from .memory import SemanticGraph
 
 
@@ -81,10 +81,8 @@ def cumulative_retention_loss(trajectory: Sequence[SemanticGraph]) -> float:
 
 
 def objective(gen_loss: float, ret_loss: float, lambda_: float) -> ObjectiveValue:
-    """gen_loss + lambda * ret_loss with all inputs finite and non-negative."""
-    for name, value in (("gen_loss", gen_loss), ("ret_loss", ret_loss), ("lambda", lambda_)):
-        if not (value >= 0.0 and finite(value)):
-            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    """gen_loss + lambda * ret_loss; ValueError unless each input keeps its ``RANGES`` rule."""
+    check_ranges(gen_loss=gen_loss, ret_loss=ret_loss, **{"lambda": lambda_})
     return ObjectiveValue(gen_loss, ret_loss, gen_loss + lambda_ * ret_loss)
 
 
@@ -104,15 +102,9 @@ def tune(
     """
     if 0 in map(len, (alphas, betas, lambdas)):  # len, since a numpy array has no one truth value
         raise ValueError("all grid axes must be non-empty")
-    for alpha in alphas:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    for beta in betas:
-        if not (beta > 0.0 and finite(beta)):
-            raise ValueError(f"beta must be finite and > 0, got {beta}")
-    for lambda_ in lambdas:
-        if not (lambda_ >= 0.0 and finite(lambda_)):
-            raise ValueError(f"lambda must be finite and >= 0, got {lambda_}")
+    for name, axis in (("alpha", alphas), ("beta", betas), ("lambda", lambdas)):
+        for value in axis:
+            check_ranges(**{name: value})
 
     grid: list[GridPoint] = []
     for alpha, beta in itertools.product(alphas, betas):

@@ -49,7 +49,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .embedding import EmbedderConfig, cosine, embed, finite, frozen, nearest, stacked, unit
+from .embedding import EmbedderConfig, check_ranges, cosine, embed, frozen, nearest, stacked, unit
 from .memory import MemoryState, node_text
 
 LAYERS = ("w", "e", "s")
@@ -158,8 +158,7 @@ def layer_representation(state: MemoryState, layer: str, matrix: np.ndarray | No
 
 def softmax_weights(relevances: tuple[float, float, float], beta: float) -> tuple[float, float, float]:
     """Overflow-safe softmax of beta-scaled relevances."""
-    if not (beta > 0.0 and finite(beta)):
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    check_ranges(beta=beta)
     scaled = [beta * r for r in relevances]
     top = max(scaled)
     exps = [math.exp(s - top) for s in scaled]
@@ -175,7 +174,7 @@ def gate(query: Query, representations: tuple[np.ndarray, ...], beta: float) -> 
 
 
 def _layer_view(state: MemoryState, layer: str) -> _View:
-    """The one walk of a layer: its records, their vectors in order, and a record's row; ValueError if unknown."""
+    """The one walk of a layer ("w", "e", else "s"): its records, their vectors in order, and a record's row."""
     if layer == "w":
         entries = state.working.entries
         row = attrgetter("session_index", "turn_index", "text", "speaker")
@@ -183,12 +182,10 @@ def _layer_view(state: MemoryState, layer: str) -> _View:
     if layer == "e":
         log = state.episodic.log
         return log, [r.embedding for r in log], lambda r: (r.session_index, -1, r.text, "summary")
-    if layer == "s":
-        nodes = list(state.semantic.nodes.items())
-        return nodes, [n.embedding for _, n in nodes], lambda pair: (
-            pair[1].last_updated, -1, node_text(pair[0], pair[1].attributes), "fact"
-        )
-    raise ValueError(f"unknown layer {layer!r}")
+    nodes = list(state.semantic.nodes.items())
+    return nodes, [n.embedding for _, n in nodes], lambda pair: (
+        pair[1].last_updated, -1, node_text(pair[0], pair[1].attributes), "fact"
+    )
 
 
 def _one_live_state(build: Callable[[MemoryState], Any]) -> Callable[[MemoryState], Any]:
@@ -235,15 +232,14 @@ def retrieve(
     descending score, skipping any item that would overflow the budget (ties:
     lower session_index, then lower turn_index, then LAYERS order, then text).
     The result's items are the admitted ones in that order; an item costs its
-    text's whitespace tokens, as an utterance's token_count. Passing ``weights``
+    text's whitespace tokens, as an utterance's token_count, and the budget
+    bounds their sum, token_cost, not the context ``fuse`` builds, which adds each
+    item's speaker tokens. Passing ``weights``
     overrides the softmax gate (used for forced-uniform gating). Each layer
     representation is built once per state and serves both the gate and the
     blend.
     """
-    if top_j < 1:
-        raise ValueError("top_j must be >= 1")
-    if token_budget < 1:
-        raise ValueError("token_budget must be >= 1")
+    check_ranges(top_j=top_j, token_budget=token_budget)
     representations, layers = _read_index(state)
     if weights is None:
         weights = gate(query, representations, beta)
@@ -303,10 +299,11 @@ def fuse(query: Query, retrieval: RetrievalResult, mix: float, epsilon: float) -
     A bound that is not >= 0 (NaN included) or a mix outside [0, 1] raises
     ValueError before any work; a non-finite query or retrieval vector raises
     entropy's ValueError before any sharpening. Context is the admitted items'
-    prefixed texts joined newest-last.
+    texts, each prefixed ``speaker: ``, joined newest-last, so context_tokens is
+    the budgeted token_cost plus each item's speaker tokens.
     """
-    if not 0.0 <= mix <= 1.0:
-        raise ValueError(f"mix must lie in [0, 1], got {mix}")
+    check_ranges(mix=mix)
+    # epsilon's one rule outside RANGES, which holds a config's bound > 0: fuse alone also takes the one-hot limit, 0
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be >= 0 (the one-hot limit), got {epsilon}")
     raw = mix * query.embedding + (1.0 - mix) * retrieval.vector

@@ -324,7 +324,7 @@ def _near_duplicate_scenario() -> Scenario:
     s2 = Session(2, (Utterance(2, 0, "narrator", "day 2 began"),))
     probe = Probe(2, f"{smith} lives_in", smith, "lives_in", "rome", "false_fact", 0)
     personas = (Persona(smith, (("lives_in", "paris"),)), Persona(jones, (("lives_in", "rome"),)))
-    return Scenario(personas, 3, (s0, s1, s2), (probe,), 0)
+    return Scenario(personas, (s0, s1, s2), (probe,))
 
 
 def test_criterion_9_fmr_mechanism():
@@ -399,7 +399,7 @@ def _drifting_scenario() -> Scenario:
         Probe(2, "bob likes", "bob", "likes", "jazz", "true_fact", 0),
     )
     personas = (Persona("alice", (("lives_in", "paris"),)), Persona("bob", (("likes", "jazz"),)))
-    return Scenario(personas, 3, sessions, probes, 0)
+    return Scenario(personas, sessions, probes)
 
 
 def test_criterion_11_tuner_argmin_matches_independent_recomputation():

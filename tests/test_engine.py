@@ -31,7 +31,7 @@ from mlmem.engine import (
 )
 from mlmem.harness import generate_scenario
 from mlmem.memory import Attribute, FactTriple, SemanticGraph, Session, Utterance
-from mlmem.retention import cumulative_retention_loss
+from mlmem.retention import cumulative_retention_loss, objective, tune
 from mlmem.retrieval import layer_representation, make_query
 from mlmem.snapshot import dumps_state, loads_state
 from state_vectors import reference_embed, reference_nearest, state_bytes
@@ -293,6 +293,90 @@ def test_engine_config_validation():
         EngineConfig(enabled_layers=())
     with pytest.raises(ValueError):
         EngineConfig(enabled_layers=("w", "q"))
+
+
+def _range_callers(name: str) -> list:
+    """Each function call that takes the knob ``name``, as a function of the knob's value, the others in range."""
+    embedder = CFG.embedder
+    session = _session(0, ["alice likes jazz", "bob lives in rome"])
+    state = run([session], CFG)[0].state
+    summary = memory.summarize(session, 1, embedder)
+    facts = [FactTriple(f"p{i}", "likes", "jazz") for i in range(5)]
+    query = make_query("alice", embedder, 0)
+    fused_from = retrieval.retrieve(query, state, 1.0, 1, 8)
+
+    def tuned(alpha: float = 0.5, beta: float = 1.0, lambda_: float = 0.0) -> None:
+        tune(lambda *pair: pytest.fail(f"tune ran the engine at {pair} before refusing an axis"), [alpha], [beta],
+             [lambda_])
+
+    return {
+        "k": [lambda v: memory.update_working(session, v, 8, embedder)],
+        "C_w": [lambda v: memory.update_working(session, 1, v, embedder)],
+        "C_e": [lambda v: memory.update_episodic(state.episodic, summary, 0.5, v)],
+        "C_s": [lambda v: memory.merge_semantic(state.semantic, facts, 1, 0.9, v, embedder)],
+        "top_j": [lambda v: retrieval.retrieve(query, state, 1.0, v, 8)],
+        "token_budget": [lambda v: retrieval.retrieve(query, state, 1.0, 1, v)],
+        "summary_m": [lambda v: memory.summarize(session, v, embedder)],
+        "alpha": [lambda v: memory.update_episodic(state.episodic, summary, v, 1), lambda v: tuned(alpha=v)],
+        "tau_s": [lambda v: memory.merge_semantic(state.semantic, facts, 1, v, 8, embedder)],
+        "mix": [lambda v: retrieval.fuse(query, fused_from, v, 1.0)],
+        "beta": [lambda v: retrieval.softmax_weights((0.0, 0.5, 1.0), v),
+                 lambda v: retrieval.retrieve(query, state, v, 1, 8), lambda v: tuned(beta=v)],
+        "epsilon": [],  # fuse states its own rule, which takes the one-hot limit 0
+        "lambda": [lambda v: objective(0.5, 0.5, v), lambda v: tuned(lambda_=v)],
+        "gen_loss": [lambda v: objective(v, 0.5, 0.0)],
+        "ret_loss": [lambda v: objective(0.5, v, 0.0)],
+    }[name]
+
+
+# Values each rule refuses, NaN among them.
+_OUT_OF_RANGE = {">= 1": (0, -3, 0.5, float("nan")), "in [0, 1]": (-0.1, 1.5, float("nan")),
+                 "finite and > 0": (0.0, -1.0, float("inf"), float("nan")),
+                 "finite and >= 0": (-0.5, float("inf"), float("nan"))}
+
+
+@pytest.mark.parametrize("name", list(embedding.RANGES))
+def test_every_caller_of_a_knob_refuses_the_same_values_with_the_same_message(name):
+    rule, _ = embedding.RANGES[name]
+    kind = {f.name: f.type for f in fields(EngineConfig)}.get(name)
+    callers = _range_callers(name)
+    assert callers or kind, f"nothing takes {name}"
+    for value in _OUT_OF_RANGE[rule]:
+        # a config field's kind rule comes first: an int field holds no 0.5, a float field no NaN or infinity
+        in_kind = kind and type(value) in embedding.FIELD_KINDS[kind] and embedding.finite(value)
+        for call in callers + [lambda v: EngineConfig(**{name: v})] if in_kind else callers:
+            with pytest.raises(ValueError) as info:
+                call(value)
+            assert str(info.value) == f"{name} must be {rule}, got {value!r}"
+
+
+def test_every_numeric_config_field_has_a_range():
+    numeric = [f.name for f in fields(EngineConfig) if f.type in ("int", "float")]
+    assert numeric and [name for name in numeric if name not in embedding.RANGES] == []
+
+
+def test_merge_semantic_refuses_a_nan_node_bound():
+    """A NaN bound compares false to every size, so it once folded five subjects into five nodes and evicted none."""
+    facts = [FactTriple(f"p{i}", "likes", "jazz") for i in range(5)]
+    with pytest.raises(ValueError, match=re.escape("C_s must be >= 1, got nan")):
+        memory.merge_semantic(SemanticGraph(), facts, 0, 0.9, float("nan"), CFG.embedder)
+
+
+def test_context_tokens_are_the_budgeted_texts_plus_each_items_speaker():
+    """token_budget bounds the admitted texts (token_cost); fuse prefixes each with ``speaker: ``, so a context
+    is longer than its cost by the speakers' tokens and can pass the budget."""
+    scenario = generate_scenario(20, 8, seed=0)
+    for cfg in (EngineConfig(), EngineConfig(C_s=12, token_budget=12)):
+        outputs = run(scenario.sessions, cfg)
+        for output in outputs:
+            items = output.retrieval.items
+            assert items and all(item.speaker.strip() for item in items)
+            assert output.retrieval.token_cost <= cfg.token_budget
+            speakers = sum(len(item.speaker.split()) for item in items)
+            assert output.fused.context_tokens == output.retrieval.token_cost + speakers
+    first = run(scenario.sessions[:1], EngineConfig())[0]
+    assert (first.retrieval.token_cost, first.fused.context_tokens) == (49, 58)
+    assert max(output.fused.context_tokens for output in outputs) == 16  # under token_budget=12
 
 
 def test_template_responder_mentions_context_and_query():

@@ -63,6 +63,17 @@ def test_an_utterance_counts_its_own_tokens():
         replace(utterance, text=" ")
 
 
+@pytest.mark.parametrize("annotations", [2, None, [FactTriple("a", "likes", "jazz")], ("a likes jazz",),
+                                         (("a", "likes", "jazz"),)],
+                         ids=["int", "none", "list", "str", "plain_tuple"])
+def test_utterance_refuses_annotations_that_are_no_tuple_of_triples(annotations):
+    """A caller still passing the former positional token_count is refused here, not by the first step that
+    extracts its facts."""
+    with pytest.raises(ValueError, match="annotations must be a tuple of FactTriple"):
+        Utterance(0, 0, "a", "two words", annotations)
+    assert Utterance(0, 0, "a", "two words", (FactTriple("a", "likes", "jazz"),)).annotations[0].object == "jazz"
+
+
 def test_a_node_holds_no_id_but_its_graph_key():
     assert "entity_id" not in {f.name for f in fields(EntityNode)}
     graph = merge_semantic(SemanticGraph(), [FactTriple("Alice ", "likes", "jazz")], 0, 0.9, 4, CFG)
