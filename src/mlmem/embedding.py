@@ -38,13 +38,13 @@ Three rules hold for every vector, here only:
   product with the unit query from one matrix-vector product, clamped and
   rounded to the ``SCORE_DECIMALS`` grid, so mathematically equal cosines
   score equal. It ranks best first, ties by the key each caller passes and
-  then by row, so no caller re-ranks its result. A caller's floor drops the
-  rows scoring below it; above -1, the product over the query's nonzero
-  columns bounds every row first, and a scan that no row can pass returns []
-  without the full product. The bound is exact: its slack, dim * eps plus one
-  grid step, covers the rounding of both products and of the grid, so it
-  drops no row the full product would keep. ``cosine`` answers every other
-  similarity question, over any two vectors.
+  then by row, so no caller re-ranks its result. A caller's floor only drops
+  the rows scoring below it. ``reachable`` is the one bound ahead of a scan:
+  one product says for many queries at once which may have a row scoring at
+  least a floor, and its slack, dim * eps plus one grid step, covers the
+  rounding of both products and of the grid, so it calls no query unreachable
+  that a scan would give a row. ``cosine``
+  answers every other similarity question, over any two vectors.
 """
 
 from __future__ import annotations
@@ -81,6 +81,10 @@ TOKEN_MEMO_ENTRIES = 2**14  # (token, dim, seed) slots kept; graph_wide, the wid
 # ``embed`` makes it, graph_wide peak RSS read +1.1% over per-text embedding (10 pairs); one matrix of every row,
 # with row views as vectors, read +2.4% to +4.0% (9 pairs).
 EMBED_BLOCK_ROWS = 32
+# Rows from which ``reachable`` gathers the queries' columns before its product. timeit at dim 256, with queries of
+# three tokens: over 16 rows the full product takes 3.4 us for one query against 7.0 us gathered; over 1,080 rows,
+# 65 us against 21 us for one query, and 380 us against 255 us for 31.
+GATHER_ROWS = 128
 
 
 class EmbeddingServiceError(RuntimeError):
@@ -313,27 +317,12 @@ def nearest(
     ``cosine``), so cosines that are mathematically equal score equal. Equal
     scores go by ascending key, equal keys by row order; key is called once per
     row scoring at least both floor and the count-th best, and for no other row.
-    The default floor, -1, is below no score. Above it, a nonzero query is first
-    scored over its nonzero columns only, and when no row can reach floor the
-    scan returns [] without the full product; that bound rejects no row the
-    full product would keep, so the result is the same.
+    The default floor, -1, is below no score; a floor only filters, and every
+    row is scored in full. A caller that scans often with a high floor bounds
+    its queries first with ``reachable``.
     """
-    rows, dim = matrix.shape
+    rows = len(matrix)
     norm = math.sqrt(float(query.dot(query)))
-    if norm > 0.0 and floor > -1.0:
-        # The bound is exact. This product and the full one sum the same nonzero terms r[j] * q[j] of a row r and
-        # the unit query q (a zero column adds an exact 0), in whatever order BLAS takes. Each sum is within
-        # gamma(dim) * |r| * |q| of the exact inner product (Higham, Accuracy and Stability of Numerical Algorithms,
-        # 3.1), where gamma(dim) = u * dim / (1 - u * dim), u = eps / 2, and |r| * |q| is 1 within UNIT_TOLERANCE
-        # and q's rounding, so the two differ by at most dim * eps to first order. Rounding to the grid moves a
-        # score by at most half a step, 10**-SCORE_DECIMALS / 2, and the clamp lowers no score above -1; the
-        # other half step covers the second-order terms and an ulp of np.round's own error. So a row whose grid
-        # score is at least floor has a product here of at least floor - (dim * eps + 10**-SCORE_DECIMALS), and
-        # when no row reaches that, no row reaches floor.
-        cols = np.flatnonzero(query)
-        bound = (matrix[:, cols] @ (query[cols] / norm)).max(initial=-math.inf)
-        if bound < floor - (dim * math.ulp(1.0) + 10.0**-SCORE_DECIMALS):
-            return []
     raw = np.fmax(-1.0, np.fmin(1.0, matrix @ (query / norm))) if norm > 0.0 else np.zeros(rows)
     scores = np.round(raw, SCORE_DECIMALS)
     cut = np.partition(scores, rows - count)[rows - count] if count < rows else -1.0  # no score is below -1
@@ -342,3 +331,32 @@ def nearest(
     hits.sort(key=itemgetter(0))
     hits.sort(key=itemgetter(1), reverse=True)  # stable, so equal scores stay in key order, then row order
     return hits[:count]
+
+
+def reachable(matrix: np.ndarray, queries: np.ndarray, floor: float) -> list[bool]:
+    """For each query (a row of queries), whether a row of matrix may score at least floor in ``nearest``.
+
+    Rows and queries are unit or zero, as ``embed`` makes them. False is a proof: ``nearest(matrix, query, count,
+    floor=floor)`` returns [] for that query. One product bounds every (row, query) pair, over the union of the
+    queries' nonzero columns once the matrix has ``GATHER_ROWS`` rows, else over all columns. The bound is exact.
+    A pair's product here and the full one in ``nearest`` sum the same nonzero terms r[j] * q[j] of a row r and the
+    query q (a column outside q's own adds an exact 0), in whatever order BLAS takes. Each sum is within
+    gamma(dim) * |r| * |q| of the exact inner product (Higham, Accuracy and Stability of Numerical Algorithms, 3.1),
+    where gamma(dim) = u * dim / (1 - u * dim), u = eps / 2, and |r| * |q| is 1 within UNIT_TOLERANCE and q's
+    rounding, so the two differ by at most dim * eps to first order. Rounding to the grid moves a score by at most
+    half a step, 10**-SCORE_DECIMALS / 2, and the clamp lowers no score above -1. The other half step covers the
+    second-order terms, an ulp of np.round's own error, and ``nearest``'s division of q by its computed norm, which
+    is 1 within dim * eps / 2, so that it moves the product by about dim * eps / 4 at most. So a row whose grid
+    score is at least floor has a product here of at least floor - (dim * eps + 10**-SCORE_DECIMALS), and a query
+    that no row brings to that bound gets no row from the scan. A zero query's product is 0 with every row, as its
+    scores are. An empty matrix reaches nothing.
+    """
+    rows, dim = matrix.shape
+    if not rows:
+        return [False] * len(queries)
+    if rows < GATHER_ROWS:
+        products = queries @ matrix.T
+    else:
+        cols = np.flatnonzero(queries.any(axis=0))
+        products = queries[:, cols] @ matrix.take(cols, axis=1).T
+    return (products.max(axis=1) >= floor - (dim * math.ulp(1.0) + 10.0**-SCORE_DECIMALS)).tolist()

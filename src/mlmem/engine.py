@@ -44,6 +44,7 @@ from .retrieval import (
     Query,
     RetrievalResult,
     fuse,
+    held_node_matrix,
     make_query,
     retrieve,
 )
@@ -276,7 +277,8 @@ def step(
         episodic = update_episodic(state.episodic, summarize(session, cfg.summary_m, cfg.embedder), cfg.alpha, cfg.C_e)
     if "s" in cfg.enabled_layers:
         facts = extract_facts(session)
-        semantic = merge_semantic(state.semantic, facts, session.index, cfg.tau_s, cfg.C_s, cfg.embedder)
+        semantic = merge_semantic(state.semantic, facts, session.index, cfg.tau_s, cfg.C_s, cfg.embedder,
+                                  held_node_matrix(state))
 
     new_state = MemoryState(working, episodic, semantic, session.index, cfg.embedder)
 

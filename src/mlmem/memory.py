@@ -17,8 +17,11 @@ relation); ``_VERBS`` is that table.
 The summary's and the merge's scans go through ``embedding.nearest``, whose
 score is each row's similarity here and whose ties go to the key each passes:
 the summary's row index (its turn order) and the merge's node id. The merge
-passes tau_s as the scan's floor. A merge embeds each node it changes once,
-however many of its triples touch it.
+passes tau_s as the scan's floor, and scans only a candidate that
+``embedding.reachable`` cannot rule out: one product bounds a merge's unseen
+subjects over the node matrix the caller's read index holds, so a merge whose
+candidates reach no node scans and stacks nothing. A merge embeds each node it
+changes once, however many of its triples touch it.
 
 Every vector a layer holds is a read-only embedding array (see ``embedding``);
 the updates build new arrays and never write one in place. The layers hold
@@ -37,7 +40,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .embedding import EmbedderConfig, check_kinds, check_ranges, embed, frozen, nearest, stacked
+from .embedding import EmbedderConfig, check_kinds, check_ranges, embed, frozen, nearest, reachable, stacked
 
 
 @dataclass(frozen=True)
@@ -273,30 +276,46 @@ def merge_semantic(
     tau_s: float,
     C_s: int,
     embedder: EmbedderConfig,
+    node_matrix: np.ndarray | None = None,
 ) -> SemanticGraph:
     """Fold triples into the graph with thresholded entity matching and eviction.
 
     A triple lands on the node keyed by its subject, else on the top ``nearest`` node
     at or above tau_s (ties to the lexicographically smaller id), else a new
-    node. tau_s is the scan's floor, so a candidate that no node can reach over
-    the candidate's nonzero columns costs no full scan, and the bound is exact
-    (see ``nearest``). A triple that restates an attribute's value at the
+    node. A triple that restates an attribute's value at the
     attribute's session is skipped. Recency wins: a triple at that session or
     later becomes the attribute, its value and session, so within a session
     the last statement wins. An older triple changes no attribute.
     Each triple not skipped adds 1 to its node's importance. Past C_s nodes,
     those with the lowest (importance, last_updated, id) are evicted.
 
-    The match scans a row buffer of the node vectors with ``nearest``. The
-    buffer lives for this call only, so the graph holds each vector once. A
-    node whose attribute values change is re-embedded once, before a scan reads
-    its row or at the end unless evicted, as folding one triple per call would see.
+    Each candidate is bounded with ``embedding.reachable`` before its scan, and
+    only one the bound cannot rule out is scanned, with tau_s as the floor; the
+    bound is exact, so it changes no result. At the first triple that scans,
+    the first candidate of each unseen subject is bounded in one product over
+    the given graph's node matrix: ``node_matrix`` when the caller holds one
+    (the read index of the state the graph is from; ValueError unless it has a
+    row per node), else one the merge stacks. A later candidate, of a subject
+    that merged into another node, is bounded over it alone. A node made or
+    re-embedded since has a row in a buffer of at most one row per triple, and
+    each candidate is also bounded over that buffer; the given matrix's row of
+    a re-embedded node is stale, which can only raise a bound. The scans read a
+    row buffer of the current node vectors, built at the first candidate the
+    bound lets through. Every buffer lives for this call only, so the graph
+    holds each vector once. A node whose attribute values change is re-embedded
+    once, before a bound or scan reads its row or at the end unless evicted, as
+    folding one triple per call would see.
     """
     check_ranges(tau_s=tau_s, C_s=C_s)
     nodes = dict(graph.nodes)
-    # The node vectors in `nodes` order plus a spare row per triple, built at
-    # the first unseen subject; the merge's only scan reads it after `refresh`
-    # re-embeds the `stale` nodes, whose vector and row lag their attributes.
+    # Set at the first unseen subject: the given graph's node matrix, each first candidate's vector and bound over
+    # it by triple position, and the rows of the nodes changed since, by `slots`.
+    given: np.ndarray | None = None
+    bounded: dict[int, tuple[np.ndarray, bool]] = {}
+    changed: np.ndarray | None = None
+    slots: dict[str, int] = {}
+    # The node vectors in `nodes` order plus a spare row per triple, built at the first scan. `refresh` re-embeds
+    # the `stale` nodes, whose vector and rows lag their attributes, before any bound or scan reads them.
     matrix: np.ndarray | None = None
     ids: list[str] = []
     rows: dict[str, int] = {}
@@ -305,26 +324,47 @@ def merge_semantic(
     def refresh() -> None:
         for nid in filter(nodes.__contains__, stale):  # an evicted node is not re-embedded
             nodes[nid] = replace(nodes[nid], embedding=embed(node_text(nid, nodes[nid].attributes), embedder))
+            if changed is not None:
+                changed[slots.setdefault(nid, len(slots))] = nodes[nid].embedding
             if matrix is not None:
                 matrix[rows[nid]] = nodes[nid].embedding
         stale.clear()
 
-    for triple in facts:
+    def candidate(triple: FactTriple) -> np.ndarray:
+        stated = Attribute(canonical(triple.object), session_index)
+        return embed(node_text(canonical(triple.subject), {canonical(triple.predicate): stated}), embedder)
+
+    for position, triple in enumerate(facts):
         subject = canonical(triple.subject)
         predicate = canonical(triple.predicate)
         stated = Attribute(canonical(triple.object), session_index)
 
         target_id = subject if subject in nodes else None
         if target_id is None and nodes:
-            candidate = embed(node_text(subject, {predicate: stated}), embedder)
+            if given is None:
+                given = _given_matrix(graph, embedder.dim, node_matrix)
+                changed = np.zeros((len(facts), embedder.dim))
+                if len(given):  # else the graph was empty, and only nodes made in this merge can match
+                    firsts: dict[str, int] = {}
+                    for later in range(position, len(facts)):
+                        firsts.setdefault(canonical(facts[later].subject), later)
+                    unseen = [p for s, p in firsts.items() if s not in nodes]
+                    vectors = [candidate(facts[p]) for p in unseen]
+                    bounded = dict(zip(unseen, zip(vectors, reachable(given, stacked(vectors), tau_s))))
+            if position in bounded:
+                vector, near = bounded.pop(position)
+            else:
+                vector = candidate(triple)
+                near = reachable(given, vector[None], tau_s)[0]
             refresh()
-            if matrix is None:
-                matrix = stacked([node.embedding for node in nodes.values()] + [np.zeros(embedder.dim)] * len(facts))
-                ids = list(nodes)
-                rows = {nid: row for row, nid in enumerate(ids)}
-            hits = nearest(matrix[: len(ids)], candidate, 1, ids.__getitem__, floor=tau_s)
-            if hits:
-                ((target_id, _),) = hits
+            if near or (slots and reachable(changed[: len(slots)], vector[None], tau_s)[0]):
+                if matrix is None:
+                    matrix = stacked([node.embedding for node in nodes.values()] + [np.zeros(embedder.dim)] * len(facts))
+                    ids = list(nodes)
+                    rows = {nid: row for row, nid in enumerate(ids)}
+                hits = nearest(matrix[: len(ids)], vector, 1, ids.__getitem__, floor=tau_s)
+                if hits:
+                    ((target_id, _),) = hits
 
         if target_id is None:
             target_id = subject
@@ -355,3 +395,12 @@ def merge_semantic(
     refresh()
 
     return SemanticGraph(nodes)
+
+
+def _given_matrix(graph: SemanticGraph, dim: int, node_matrix: np.ndarray | None) -> np.ndarray:
+    """The graph's node vectors as rows: node_matrix, checked for shape, else stacked here."""
+    if node_matrix is None:
+        return stacked([node.embedding for node in graph.nodes.values()]) if graph.nodes else np.zeros((0, dim))
+    if node_matrix.shape != (len(graph.nodes), dim):
+        raise ValueError(f"node_matrix must hold {len(graph.nodes)} rows of {dim}, got shape {node_matrix.shape}")
+    return node_matrix

@@ -56,6 +56,8 @@ LAYERS = ("w", "e", "s")
 
 SHARPEN_MAX_ITERATIONS = 64
 
+SIMPLEX_TOLERANCE = 1e-9  # how far a caller's gate weights may sum from 1, as perfbench's answer check allows
+
 # Halvings per array pass of fuse. Every answer of the seed-1 perfbench workloads stops at halving 4, 5 or 6
 # (chat_long: 2,111 at 4, 289 at 5; answer_heavy: 809 at 4, 5 at 5, 2 at 6; graph_wide: 187 at 4, 4 at 5, 1 at 6),
 # so one pass almost always settles an answer.
@@ -82,7 +84,12 @@ def make_query(text: str, embedder: EmbedderConfig, session_index: int) -> Query
 
 @dataclass(frozen=True)
 class GatingWeights:
-    """Softmax layer importances; always a probability simplex point."""
+    """Layer importances on the probability simplex, and the gate's temperature.
+
+    The gate's softmax makes them; a caller may pass its own to ``retrieve``, which refuses weights off the simplex
+    (one outside [0, 1], or a sum off 1 by more than ``SIMPLEX_TOLERANCE``) and a beta that breaks its ``RANGES``
+    rule. The constructor checks nothing.
+    """
 
     gamma_w: float
     gamma_e: float
@@ -189,8 +196,9 @@ def _layer_view(state: MemoryState, layer: str) -> _View:
 
 
 def _one_live_state(build: Callable[[MemoryState], Any]) -> Callable[[MemoryState], Any]:
-    """build, cached for the last state asked about while that state lives; ``cache_clear`` drops the entry and
-    ``__wrapped__`` is build itself."""
+    """build, cached for the last state asked about while that state lives; ``cache_clear`` drops the entry,
+    ``lookup`` returns it for its state (None for any other) and builds nothing, and ``__wrapped__`` is build
+    itself."""
     held: weakref.WeakKeyDictionary[MemoryState, Any] = weakref.WeakKeyDictionary()
 
     @functools.wraps(build)
@@ -202,6 +210,7 @@ def _one_live_state(build: Callable[[MemoryState], Any]) -> Callable[[MemoryStat
         return built
 
     cached.cache_clear = held.clear
+    cached.lookup = held.get
     return cached
 
 
@@ -216,6 +225,19 @@ def _read_index(state: MemoryState) -> tuple[tuple[np.ndarray, ...], tuple[_View
         representations.append(layer_representation(state, layer, held))
         layers.append((records, held, row))
     return tuple(representations), tuple(layers)
+
+
+_held_index = _read_index.lookup  # bound once, so it reads the cache even where `_read_index` is swapped out
+
+
+def held_node_matrix(state: MemoryState) -> np.ndarray | None:
+    """The read-only node matrix of the state's read index when that index is built and the graph has a node, else
+    None; it builds nothing, so ``engine.step`` hands a merge the matrix its last answer already paid for."""
+    built = _held_index(state)
+    if built is None:
+        return None
+    matrix = built[1][LAYERS.index("s")][1]
+    return matrix if len(matrix) else None
 
 
 def retrieve(
@@ -235,7 +257,8 @@ def retrieve(
     text's whitespace tokens, as an utterance's token_count, and the budget
     bounds their sum, token_cost, not the context ``fuse`` builds, which adds each
     item's speaker tokens. Passing ``weights``
-    overrides the softmax gate (used for forced-uniform gating). Each layer
+    overrides the softmax gate (used for forced-uniform gating); ValueError unless they lie on the simplex and both
+    beta and weights.beta keep beta's ``RANGES`` rule. Each layer
     representation is built once per state and serves both the gate and the
     blend.
     """
@@ -243,6 +266,12 @@ def retrieve(
     representations, layers = _read_index(state)
     if weights is None:
         weights = gate(query, representations, beta)
+    else:
+        check_ranges(beta=beta)
+        check_ranges(beta=weights.beta)
+        gammas = weights.as_tuple()
+        if not all(0.0 <= g <= 1.0 for g in gammas) or abs(sum(gammas) - 1.0) > SIMPLEX_TOLERANCE:
+            raise ValueError(f"gate weights must lie in [0, 1] and sum to 1, got {gammas!r}")
 
     vector = np.zeros_like(state.episodic.state)
     candidates: list[RetrievedItem] = []

@@ -4,7 +4,8 @@
 vector's bytes. ``reference_embed`` is the deterministic embedding as the
 README states it, with no memo at all, from the exact integer ``hash_counts``. ``reference_nearest`` is the scan as
 the README states it: every row scored on the grid, the rows below the floor
-dropped, the rest keyed and sorted. ``reference_fuse`` is fusion one halving at a time, each candidate's entropy
+dropped, the rest keyed and sorted. ``always_reachable`` is the bound that rules nothing out, so a merge run under it
+scans every candidate in full. ``reference_fuse`` is fusion one halving at a time, each candidate's entropy
 taken by ``entropy`` itself.
 """
 
@@ -70,6 +71,11 @@ def reference_nearest(
     It scores every row in full: floor only filters, it never skips a product."""
     hits = [(key(row), score) for row, score in enumerate(grid_scores(matrix, query)) if score >= floor]
     return sorted(hits, key=lambda hit: (-hit[1], hit[0]))[:count]
+
+
+def always_reachable(matrix: np.ndarray, queries: np.ndarray, floor: float) -> list[bool]:
+    """``embedding.reachable`` with no bound at all: every query may reach the floor, so every scan runs."""
+    return [True] * len(queries)
 
 
 def reference_fuse(query: Query, retrieval: RetrievalResult, mix: float, epsilon: float) -> FusedState:

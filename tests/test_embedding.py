@@ -31,6 +31,7 @@ from mlmem.embedding import (
     embed_all,
     frozen,
     nearest,
+    reachable,
     stacked,
     tokenize,
     unit,
@@ -372,8 +373,8 @@ def _scan_cases(draw):
 @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(deadline=None, database=None)
 @given(_scan_cases())
-# a row whose product 0.5 - 3e-13 rounds up to the grid point 0.5, with floor 0.5: a bound without the grid's
-# slack would drop it
+# a row whose product 0.5 - 3e-13 rounds up to the grid point 0.5, with floor 0.5: a floor applied to the raw
+# product, not the grid score, would drop it
 @example((np.array([[0.5 - 3e-13, math.sqrt(1.0 - (0.5 - 3e-13) ** 2)]]), np.array([1.0, 0.0]), 1, 0.5, [0]))
 def test_nearest_is_one_stable_sort_of_every_row_by_grid_score_and_key(case):
     matrix, query, count, floor, permutation = case
@@ -388,6 +389,33 @@ def test_nearest_is_one_stable_sort_of_every_row_by_grid_score_and_key(case):
     # key is called once for each row at or above both the cut and the floor, in row order, and for no other row
     cut = max(floor, sorted(scores, reverse=True)[min(count, len(matrix)) - 1])
     assert keyed == [i for i, score in enumerate(scores) if score >= cut]
+
+
+# See above: keeps a reported failure from becoming an INTERNALERROR.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(deadline=None, database=None)
+@given(_scan_cases())
+# a row whose product 0.5 - 3e-13 rounds up to the grid point 0.5, with floor 0.5: a bound without the grid's
+# slack would call it unreachable
+@example((np.array([[0.5 - 3e-13, math.sqrt(1.0 - (0.5 - 3e-13) ** 2)]]), np.array([1.0, 0.0]), 1, 0.5, [0]))
+def test_reachable_calls_no_query_unreachable_that_a_row_scores_at_the_floor(case):
+    matrix, query, _, floor, _ = case
+    # queries unit or zero, as embed makes them: the case's own, its negation, zero, and each row made unit
+    queries = np.array([unit(query), -unit(query), np.zeros(len(query)), *map(unit, matrix)])
+    # the same rows repeated past GATHER_ROWS, so the product runs over the queries' columns only
+    tiled = np.tile(matrix, (-(-embedding.GATHER_ROWS // len(matrix)), 1))
+    assert len(tiled) >= embedding.GATHER_ROWS
+    bounds = [reachable(rows, queries, floor) for rows in (matrix, tiled)]
+    for column, q in enumerate(queries):
+        scores = grid_scores(matrix, q)
+        found = bool(nearest(matrix, q, 1, floor=floor))
+        assert all(bound[column] for bound in bounds) or (max(scores) < floor and not found), (column, scores)
+        for row, score in enumerate(scores):
+            assert reachable(matrix[row : row + 1], q[None], floor)[0] or score < floor, (row, column, score)
+
+
+def test_reachable_over_no_rows_reaches_nothing():
+    assert reachable(np.zeros((0, 4)), np.eye(4)[:2], -1.0) == [False, False]
 
 
 def test_nearest_without_ties_keys_only_the_best_row():

@@ -9,6 +9,7 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -32,9 +33,9 @@ from mlmem.engine import (
 from mlmem.harness import generate_scenario
 from mlmem.memory import Attribute, FactTriple, SemanticGraph, Session, Utterance
 from mlmem.retention import cumulative_retention_loss, objective, tune
-from mlmem.retrieval import layer_representation, make_query
+from mlmem.retrieval import LAYERS, layer_representation, make_query
 from mlmem.snapshot import dumps_state, loads_state
-from state_vectors import reference_embed, reference_nearest, state_bytes
+from state_vectors import always_reachable, reference_embed, reference_nearest, state_bytes
 from test_acceptance import _fuzz_session
 
 CFG = EngineConfig(embedder=EmbedderConfig(dim=64, seed=2))
@@ -589,10 +590,14 @@ def _tie_heavy_wide_sessions(entities: int = 300, per_session: int = 30) -> list
     return sessions
 
 
-def _run_with_probes(sessions: list[Session], cfg: EngineConfig, probes: tuple[str, ...]):
+def _run_with_probes(sessions: list[Session], cfg: EngineConfig, probes: tuple[str, ...], resume_at: int = -1):
+    """The run's states as ``state_bytes`` and the probes' answers after each step; the session at resume_at
+    starts from a snapshot load of the state before it, which has no read index."""
     dumps, answers = [], []
     state = initial_state(cfg)
     for session in sessions:
+        if session.index == resume_at:
+            state, _ = loads_state(dumps_state(state, cfg))
         query = make_query(session.utterances[-1].text, cfg.embedder, session.index)
         state = step(state, session, query, cfg, TemplateResponder()).state
         dumps.append(state_bytes(state, cfg))
@@ -643,6 +648,7 @@ def test_scans_equal_the_all_rows_reference_sort(monkeypatch):
     assert len(named) < 300
 
     _patch_nearest(monkeypatch, reference_nearest)
+    monkeypatch.setattr(memory, "reachable", always_reachable)
     _, reference_dumps, reference_answers = _run_with_probes(sessions, cfg, probes)
     assert dumps == reference_dumps
     assert answers == reference_answers
@@ -675,6 +681,98 @@ def test_scans_of_a_resumed_run_read_unit_or_zero_rows(monkeypatch):
         for text in probes:
             answer(make_query(text, cfg.embedder, session.index), resumed, loaded_cfg)
     assert any(rows > 1 for rows, _, _ in calls)
+
+
+def _zero_token_sessions() -> list[Session]:
+    """Facts whose subject, predicate and value hold no [a-z0-9] token, so their candidates and nodes are zero
+    vectors, among ordinary lines."""
+    blank = (FactTriple("ü", "ö", "ä"), FactTriple("é", "ö", "ä"), FactTriple("?", "!", "-"))
+    return [_session(i, [f"p{i} likes jazz", f"p{i + 1} likes jazz", f"q{i} lives in city{i % 2}"],
+                     {0: blank[: 1 + i % 3], 2: (FactTriple(f"ß{i}", "ö", "ä"),)}) for i in range(6)]
+
+
+# Each case: sessions, config, and the session a run resumes at from a snapshot load (-1: none).
+_BOUND_CASES = {
+    "tie-heavy wide, tau_s 0.7, evicting": (_tie_heavy_wide_sessions, EngineConfig(C_s=96, tau_s=0.7), -1),
+    "tie-heavy wide, tau_s 0.3": (_tie_heavy_wide_sessions, EngineConfig(C_s=96, tau_s=0.3), -1),
+    "one session into an empty graph": (
+        lambda: [_session(0, ["alice lives in paris", "alicia lives in paris", "bob likes jazz", "bobby likes jazz",
+                              "alice works as chef", "alicia works as chef"])], EngineConfig(tau_s=0.5), -1),
+    "resumed from a load": (_tie_heavy_wide_sessions, EngineConfig(C_s=96, tau_s=0.7), 6),
+    "zero-token candidates, tau_s 0": (_zero_token_sessions, EngineConfig(tau_s=0.0), -1),
+    "zero-token candidates, tau_s 0.3": (_zero_token_sessions, EngineConfig(tau_s=0.3), -1),
+    "evicting every step": (lambda: _tie_heavy_wide_sessions(120, 20), EngineConfig(C_s=8, tau_s=0.7), -1),
+}
+
+
+@pytest.mark.parametrize("case", list(_BOUND_CASES))
+def test_the_merge_bound_is_invisible(monkeypatch, case):
+    """States and probe answers equal those of a run whose merges scan every candidate in full."""
+    make_sessions, cfg, resume_at = _BOUND_CASES[case]
+    sessions = make_sessions()
+    probes = ("e001 lives_in", "city2", "alicia lives_in", "p1 likes", "ü ö")
+    scans = []
+    original = memory.nearest
+    monkeypatch.setattr(memory, "nearest", lambda *args, **kwargs: scans.append(1) or original(*args, **kwargs))
+    bounded = _run_with_probes(sessions, cfg, probes, resume_at)[1:]
+    bounded_scans = len(scans)
+    monkeypatch.setattr(memory, "reachable", always_reachable)
+    assert _run_with_probes(sessions, cfg, probes, resume_at)[1:] == bounded
+    # every candidate is scanned in the forced run, and the bound spared some of those scans unless tau_s is 0
+    assert len(scans) - bounded_scans > 0 if cfg.tau_s > 0.0 else len(scans) == 2 * bounded_scans
+
+
+def _wide_state(nodes: int, dim: int = 256):
+    """A state of one-attribute nodes and the config it keeps, its read index built."""
+    cfg = EngineConfig(C_s=nodes + 8, embedder=EmbedderConfig(dim=dim))
+    graph = SemanticGraph({f"n{i}": memory.EntityNode({"likes": Attribute(f"v{i % 97}", 0)},
+                                                      embed(f"n{i} likes v{i % 97}", cfg.embedder), 1.0, 0)
+                           for i in range(nodes)})
+    state = replace(initial_state(cfg), semantic=graph, session_cursor=0)
+    retrieval._read_index(state)
+    return state, cfg
+
+
+def test_a_merge_whose_candidates_reach_no_node_scans_and_stacks_nothing(monkeypatch):
+    """Against the matrix the read index holds, a steady-state merge of unseen subjects that reach no node calls
+    ``nearest`` for none, stacks no node-sized list, and peaks below an eighth of a node matrix."""
+    state, cfg = _wide_state(1000)
+    node_matrix = len(state.semantic.nodes) * cfg.embedder.dim * 8
+    facts = [FactTriple(f"new{i}", "plays", f"game{i}") for i in range(4)] + [FactTriple("n5", "likes", "tea")]
+    expected = memory.merge_semantic(state.semantic, facts, 1, cfg.tau_s, cfg.C_s, cfg.embedder)
+    held = retrieval.held_node_matrix(state)
+    assert held is not None and not held.flags.writeable
+    scans, stacks = [], []
+    original_stacked = memory.stacked
+    monkeypatch.setattr(memory, "nearest", lambda *args, **kwargs: scans.append(1))
+    monkeypatch.setattr(memory, "stacked", lambda vectors: stacks.append(len(vectors)) or original_stacked(vectors))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        merged = memory.merge_semantic(state.semantic, facts, 1, cfg.tau_s, cfg.C_s, cfg.embedder, held)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scans == [] and max(stacks) < 16, stacks
+    assert peak <= node_matrix // 8, (peak, node_matrix)
+    assert {nid: (n.attributes, n.embedding.tobytes()) for nid, n in merged.nodes.items()} == {
+        nid: (n.attributes, n.embedding.tobytes()) for nid, n in expected.nodes.items()}
+
+
+def test_a_merge_with_no_unseen_subject_bounds_nothing_and_builds_no_index(monkeypatch):
+    state, cfg = _wide_state(50, dim=64)
+    retrieval._read_index.cache_clear()
+    bounds, views = [], []
+    original_reachable, original_view = memory.reachable, retrieval._layer_view
+    monkeypatch.setattr(memory, "reachable", lambda *args: bounds.append(1) or original_reachable(*args))
+    monkeypatch.setattr(retrieval, "_layer_view", lambda *args: views.append(args[1]) or original_view(*args))
+    session = _session(1, ["n3 likes tea", "n7 likes v7", "the ferry horn echoed twice"])
+    output = step(state, session, make_query("n3", cfg.embedder, 1), cfg, TemplateResponder())
+    assert output.state.semantic.current_value("n3", "likes") == "tea"
+    assert bounds == []
+    # the one index built is the new state's, for the step's own answer
+    assert views == list(LAYERS)
+    assert retrieval._read_index.lookup(state) is None
 
 
 def test_embed_cache_is_invisible(monkeypatch):

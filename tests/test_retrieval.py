@@ -395,6 +395,30 @@ def test_retrieve_weights_override_for_uniform_gating():
     assert result.weights.as_tuple() == (1 / 3, 1 / 3, 1 / 3)
 
 
+def test_retrieve_refuses_caller_weights_off_the_simplex_and_a_beta_out_of_range():
+    """Weights a caller passes once ran unchecked: (2, -1, 0) under beta NaN admitted an item scored 1.155."""
+    state = _three_layer_state()
+    query = make_query("alice likes jazz", CFG, 2)
+    nan = float("nan")
+    refused = [
+        (nan, GatingWeights(2.0, -1.0, 0.0, 1.0), "beta must be finite and > 0, got nan"),
+        (nan, GatingWeights.uniform(4.0), "beta must be finite and > 0, got nan"),
+        (4.0, GatingWeights.uniform(nan), "beta must be finite and > 0, got nan"),
+        (4.0, GatingWeights.uniform(0.0), "beta must be finite and > 0, got 0.0"),
+        (4.0, GatingWeights(2.0, -1.0, 0.0, 1.0), "gate weights must lie in [0, 1] and sum to 1"),
+        (4.0, GatingWeights(nan, 0.5, 0.5, 1.0), "gate weights must lie in [0, 1] and sum to 1"),
+        (4.0, GatingWeights(0.5, 0.5, 2e-9, 1.0), "gate weights must lie in [0, 1] and sum to 1"),
+        (4.0, GatingWeights(0.5, 0.25, 0.25 - 2e-9, 1.0), "gate weights must lie in [0, 1] and sum to 1"),
+    ]
+    for beta, weights, message in refused:
+        with pytest.raises(ValueError) as info:
+            retrieve(query, state, beta, 4, 64, weights=weights)
+        assert str(info.value).startswith(message), (weights, str(info.value))
+    # within SIMPLEX_TOLERANCE of a sum of 1, and one-hot, weights are taken as given
+    for weights in (GatingWeights(0.5, 0.5, 5e-10, 4.0), GatingWeights(1.0, 0.0, 0.0, 4.0)):
+        assert retrieve(query, state, 4.0, 4, 64, weights=weights).weights == weights
+
+
 def _three_layer_state() -> MemoryState:
     texts = ["alice likes jazz", "alice likes long jazz sets", "bob plays chess", "alice hikes"]
     summaries = ["alice likes jazz and hikes", "bob plays chess", "carol reads"]
