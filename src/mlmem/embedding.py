@@ -39,7 +39,10 @@ Three rules hold for every vector, here only:
   rounded to the ``SCORE_DECIMALS`` grid, so mathematically equal cosines
   score equal. It ranks best first, ties by the key each caller passes and
   then by row, so no caller re-ranks its result. A caller's floor only drops
-  the rows scoring below it. ``reachable`` is the one bound ahead of a scan:
+  the rows scoring below it. A caller's rank, a coarse key, settles ties at
+  the count-th best score before the key is called: of the tied rows, only
+  those the rank cannot rule out are keyed, and the result is the same.
+  ``reachable`` is the one bound ahead of a scan:
   one product says for many queries at once which may have a row scoring at
   least a floor, and its slack, dim * eps plus one grid step, covers the
   rounding of both products and of the grid, so it calls no query unreachable
@@ -307,7 +310,12 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def nearest(
-    matrix: np.ndarray, query: np.ndarray, count: int, key: Callable[[int], Any] = int, floor: float = -1.0
+    matrix: np.ndarray,
+    query: np.ndarray,
+    count: int,
+    key: Callable[[int], Any] = int,
+    floor: float = -1.0,
+    rank: Callable[[int], Any] | None = None,
 ) -> list[tuple[Any, float]]:
     """(key(row), score) for the count best rows scoring at least floor, best first; rows unit or zero, any query.
 
@@ -315,19 +323,37 @@ def nearest(
     and rounded to ``SCORE_DECIMALS`` (0 for a zero row or a zero query;
     ``fmin``/``fmax`` map NaN to 1.0 as Python's ``min``/``max`` do in
     ``cosine``), so cosines that are mathematically equal score equal. Equal
-    scores go by ascending key, equal keys by row order; key is called once per
-    row scoring at least both floor and the count-th best, and for no other row.
-    The default floor, -1, is below no score; a floor only filters, and every
-    row is scored in full. A caller that scans often with a high floor bounds
-    its queries first with ``reachable``.
+    scores go by ascending key, equal keys by row order. ValueError unless
+    count >= 1. The default floor, -1, is below no score; a floor only filters,
+    and every row is scored in full. A caller that scans often with a high floor
+    bounds its queries first with ``reachable``.
+
+    Without rank, key is called once per row scoring at least both floor and the
+    count-th best (the cut), and for no other row. rank is a coarse key: a
+    caller passes it only where rank(i) < rank(j) implies key(i) < key(j). When
+    more rows reach the cut than count, the rows above it, a < count of them,
+    are all kept, and of the rows tied at the cut only those whose rank is at
+    most the m-th smallest tied rank, m = count - a, are keyed; rank is called
+    once per tied row, key once per kept row. The result is the same: a tied row
+    of larger rank has at least m tied rows whose keys are strictly smaller, so
+    with the a rows above the cut at least count rows sort before it, and
+    dropping rows that sort after the count-th moves no other row.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count!r}")
     rows = len(matrix)
     norm = math.sqrt(float(query.dot(query)))
     raw = np.fmax(-1.0, np.fmin(1.0, matrix @ (query / norm))) if norm > 0.0 else np.zeros(rows)
     scores = np.round(raw, SCORE_DECIMALS)
-    cut = np.partition(scores, rows - count)[rows - count] if count < rows else -1.0  # no score is below -1
+    cut = float(np.partition(scores, rows - count)[rows - count]) if count < rows else -1.0  # no score is below -1
     kept = np.flatnonzero(scores >= max(cut, floor))
-    hits = [(key(i), score) for i, score in zip(kept.tolist(), scores[kept].tolist())]
+    pairs = zip(kept.tolist(), scores[kept].tolist())
+    if rank is not None and len(kept) > count:  # so the cut is at least floor, and more than m rows tie at it
+        pairs = list(pairs)
+        ranks = {i: rank(i) for i, score in pairs if score == cut}
+        boundary = sorted(ranks.values())[count - (len(pairs) - len(ranks)) - 1]
+        pairs = [(i, score) for i, score in pairs if score > cut or ranks[i] <= boundary]
+    hits = [(key(i), score) for i, score in pairs]
     hits.sort(key=itemgetter(0))
     hits.sort(key=itemgetter(1), reverse=True)  # stable, so equal scores stay in key order, then row order
     return hits[:count]

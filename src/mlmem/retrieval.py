@@ -6,8 +6,11 @@ probability simplex), blends them with those weights, and admits each layer's
 top items greedily under a token budget: ``embedding.nearest`` ranks each
 layer by its grid score, which is the item's similarity, its ties broken by
 the layer's row (session, turn, text, speaker) as key, and the items are built
-from the rows it returns. The gate keeps ``cosine``, as a representation need
-not be unit. Its result carries the
+from the rows it returns. A node's row starts with its ``last_updated``, which
+the semantic scan passes as its coarse rank, so of the nodes tied at the cut
+only those of the earliest sessions are rendered as text; the working and
+episodic rows are cheap attribute reads and pass none. The gate keeps
+``cosine``, as a representation need not be unit. Its result carries the
 admitted items as one tuple in admission order, each a ``RetrievedItem``
 NamedTuple. Fusion mixes the query with the retrieval vector and sharpens it
 until the entropy of its magnitude distribution falls under the configured
@@ -278,7 +281,9 @@ def retrieve(
     for layer, rep, (records, vectors, row), gamma in zip(LAYERS, representations, layers, weights.as_tuple()):
         vector += gamma * rep
         if records:
-            hits = nearest(vectors, query.embedding, top_j, lambda i: row(records[i]))
+            # a node's last_updated leads its row, so it ranks the tied nodes before any node text is rendered
+            rank = (lambda i: records[i][1].last_updated) if layer == "s" else None
+            hits = nearest(vectors, query.embedding, top_j, lambda i: row(records[i]), rank=rank)
             candidates += [RetrievedItem(layer, text, sim, gamma * sim, sess, turn, speaker, len(text.split()))
                            for (sess, turn, text, speaker), sim in hits]
     candidates.sort(key=lambda i: (-i.score, i.session_index, i.turn_index, LAYERS.index(i.layer), i.text))

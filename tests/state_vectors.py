@@ -65,10 +65,15 @@ def grid_scores(matrix: np.ndarray, query: np.ndarray) -> list[float]:
 
 
 def reference_nearest(
-    matrix: np.ndarray, query: np.ndarray, count: int, key: Callable[[int], Any] = int, floor: float = -1.0
+    matrix: np.ndarray,
+    query: np.ndarray,
+    count: int,
+    key: Callable[[int], Any] = int,
+    floor: float = -1.0,
+    rank: Callable[[int], Any] | None = None,
 ) -> list[tuple[Any, float]]:
     """Every row's (key(row), grid score) that is at least floor, in one stable sort by (-score, key), cut at count.
-    It scores every row in full: floor only filters, it never skips a product."""
+    It scores and keys every row in full: floor only filters, it never skips a product, and rank is ignored."""
     hits = [(key(row), score) for row, score in enumerate(grid_scores(matrix, query)) if score >= floor]
     return sorted(hits, key=lambda hit: (-hit[1], hit[0]))[:count]
 

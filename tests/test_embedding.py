@@ -426,6 +426,43 @@ def test_nearest_without_ties_keys_only_the_best_row():
     assert keyed == [7]
 
 
+@pytest.mark.parametrize("rows", [np.eye(4), np.zeros((0, 4))])
+@pytest.mark.parametrize("count", [0, -1])
+def test_nearest_refuses_a_count_below_one(rows, count):
+    with pytest.raises(ValueError, match=rf"^count must be >= 1, got {count}$"):
+        nearest(rows, np.eye(4)[0], count)
+
+
+# Coarse ranks of a row's key: rank(i) < rank(j) only where key(i) < key(j).
+_COARSE_RANKS = {"the key": lambda key: key, "key // 3": lambda key: key // 3, "a constant": lambda key: 0}
+
+
+# See above: keeps a reported failure from becoming an INTERNALERROR.
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(deadline=None, database=None)
+@given(_scan_cases())
+# every row ties: six equal rows, two slots
+@example((np.tile(np.eye(3)[0], (6, 1)), np.array([1.0, 0.0, 0.0]), 2, -1.0, [4, 2, 5, 0, 3, 1]))
+def test_a_coarse_rank_keys_only_the_tied_rows_it_cannot_settle(case):
+    matrix, query, count, floor, permutation = case
+    scores = grid_scores(matrix, query)
+    expected = reference_nearest(matrix, query, count, permutation.__getitem__, floor)
+    cut = sorted(scores, reverse=True)[count - 1] if count < len(matrix) else -1.0
+    kept = [i for i, score in enumerate(scores) if score >= max(cut, floor)]
+    for name, coarse in _COARSE_RANKS.items():
+        keyed: list[int] = []
+        rank_calls: list[int] = []
+        ranked = nearest(matrix, query, count, lambda i: keyed.append(i) or permutation[i], floor,
+                         lambda i: rank_calls.append(i) or coarse(permutation[i]))
+        assert ranked == expected, name
+        # rank is called once per row tied at the cut, and only when more rows reach the cut than count
+        assert rank_calls == ([i for i in kept if scores[i] == cut] if len(kept) > count else []), name
+        # past count, a tied row is keyed only when its rank is at most the largest rank the result holds at the cut
+        boundary = max((coarse(key) for key, score in expected if score == cut), default=None)
+        assert keyed == [i for i in kept if len(kept) <= count or scores[i] > cut
+                         or coarse(permutation[i]) <= boundary], name
+
+
 _PREDICATES = st.sampled_from(["lives_in", "works", "likes"])
 _VALUES = st.sampled_from(["paris", "tokyo", "chef", "tailor", "jazz", "chess"])
 

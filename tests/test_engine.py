@@ -622,11 +622,11 @@ def _unit_rows_spy(monkeypatch) -> list[tuple[int, int, int]]:
     calls: list[tuple[int, int, int]] = []
     original = embedding.nearest
 
-    def spy(matrix, query, count, key=int, floor=-1.0):
+    def spy(matrix, query, count, key=int, floor=-1.0, rank=None):
         norms = np.linalg.norm(matrix, axis=1)
         assert np.all((norms == 0.0) | (np.abs(norms - 1.0) <= embedding.UNIT_TOLERANCE)), norms
         keyed: list[int] = []
-        hits = original(matrix, query, count, lambda i: keyed.append(i) or key(i), floor)
+        hits = original(matrix, query, count, lambda i: keyed.append(i) or key(i), floor, rank)
         calls.append((len(matrix), len(keyed), count))
         return hits
 

@@ -378,6 +378,51 @@ def test_retrieve_tie_break_prefers_earlier_items():
     assert [i for i in result.items if i.layer == "w"][0].turn_index == 1
 
 
+def _tied_graph(nodes: int, sessions: int) -> MemoryState:
+    """A graph of nodes "pN likes jazz", last updated in turn at sessions 0..sessions-1, whose grid scores against
+    "likes jazz" all tie: of the ids p0, p1, ..., those whose hashed token adds nothing to the query's buckets."""
+    cfg = EmbedderConfig()
+    query = embed("likes jazz", cfg)
+    graph = {}
+    for n in range(4 * nodes):
+        attributes = {"likes": Attribute("jazz", len(graph) % sessions)}
+        vector = embed(node_text(f"p{n}", attributes), cfg)
+        if round(float(vector @ query), 12) == round(math.sqrt(2.0 / 3.0), 12):
+            graph[f"p{n}"] = EntityNode(attributes, vector, 1.0, len(graph) % sessions)
+        if len(graph) == nodes:
+            break
+    return _state(nodes=graph, dim=cfg.dim)
+
+
+def test_a_semantic_scan_keys_only_the_nodes_its_last_updated_cannot_settle(monkeypatch):
+    """Every node ties with the query; the scan renders the text of the top_j nodes' last_updated class alone."""
+    top_j, sessions = 5, 16
+    state = _tied_graph(256, sessions)
+    query = make_query("likes jazz", EmbedderConfig(), 0)
+    matrix = np.stack([n.embedding for n in state.semantic.nodes.values()])
+    assert len(set(grid_scores(matrix, query.embedding))) == 1
+    everything: list[int] = []
+    embedding.nearest(matrix, query.embedding, top_j, lambda i: everything.append(i) or i)
+    assert len(everything) == 256  # without a rank, every tied row is keyed
+
+    scans = []
+    original = retrieval.nearest
+
+    def spy(matrix, query, count, key=int, floor=-1.0, rank=None):
+        keyed: list[int] = []
+        hits = original(matrix, query, count, lambda i: keyed.append(i) or key(i), floor, rank)
+        scans.append(len(keyed))
+        return hits
+
+    monkeypatch.setattr(retrieval, "nearest", spy)
+    result = retrieve(query, state, 4.0, top_j=top_j, token_budget=512)
+    shared = 256 // sessions  # the nodes last updated at session 0, the boundary
+    [keyed] = scans  # the working and episodic layers are empty, so the semantic scan is the only one
+    assert keyed <= top_j + shared
+    assert [(i.session_index, i.text) for i in result.items] == [(0, f"{nid} likes jazz") for nid in sorted(
+        nid for nid, node in state.semantic.nodes.items() if node.last_updated == 0)[:top_j]]
+
+
 def test_retrieve_item_scores_are_gamma_weighted():
     emb = embed("alice likes jazz", CFG)
     state = _state(working_entries=[(_utterance("alice likes jazz"), emb)])
